@@ -10,7 +10,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::path::PathBuf;
-use xr_experiments::campaign::{quick_grid, run_campaign_with, CAMPAIGN_HEADER};
+use xr_experiments::campaign::{quick_grid, write_campaign_csv};
 use xr_experiments::shard_campaign::{
     checkpoint_path, manifest_path, merge_campaign_csvs, run_campaign_shard_with, shard_csv_name,
 };
@@ -60,13 +60,9 @@ fn campaign_shards(c: &mut Criterion) {
     // Byte-identity gate: the merged 3-shard artifact must equal the
     // unsharded CSV before shard throughput means anything.
     let runner = CampaignRunner::new(1).with_campaign_seed(ctx.seed());
-    let rows = run_campaign_with(&ctx, &grid, &runner).expect("campaign");
-    let mut reference = CAMPAIGN_HEADER.join(",");
-    reference.push('\n');
-    for row in &rows {
-        reference.push_str(&row.cells().join(","));
-        reference.push('\n');
-    }
+    let mut reference = Vec::new();
+    write_campaign_csv(&ctx, &grid, &runner, &mut reference, false).expect("campaign");
+    let reference = String::from_utf8(reference).expect("campaign CSV is UTF-8");
     let merged = merge_campaign_csvs(&run_sharded(&ctx, 3)).expect("merge");
     assert_eq!(
         merged, reference,

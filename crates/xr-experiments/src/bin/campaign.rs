@@ -12,6 +12,7 @@
 //! - `--grid <file>` swaps the built-in quick grid for a data-defined one
 //!   parsed by `xr_sweep::parse_grid_spec` (see that module's docs for the
 //!   `key = value` format), so campaigns can change without recompiling.
+//!   The extension figures are grid files under `configs/`.
 //! - `--shard i/N` runs only the points `p % N == i - 1` (seeded by
 //!   original grid index) into `campaign_shard_<i>of<N>.csv` plus a
 //!   `.manifest`, with an fsync'd `.checkpoint` (`--checkpoint-every
@@ -24,78 +25,71 @@
 //! - `--paper-scale` calibrates on the paper-scale measurement campaign.
 //! - `--scalar-sessions` simulates every session through the scalar
 //!   reference engine instead of the batched default.
-//! - `--reorder-cap <n>` (or `XR_REORDER_CAP`) bounds the streaming
-//!   hold-back window (how far fast workers may run ahead of one slow
-//!   point).
 //!
-//! `XR_CAMPAIGN_SEED` sets the campaign seed (default 2024; a non-numeric
-//! value exits with status 2). The CSV is bit-identical for every worker
-//! count (`XR_SWEEP_WORKERS`) and for both session engines; the batched
-//! engine fuses all replications of a point into one wide pass whenever
-//! its sessions are shorter than a batch. CI runs this binary under these
-//! axes and diffs the artifacts.
+//! An unsharded run streams each row into `campaign.csv` as the collector
+//! releases it (buffered, not fsync'd: only shards resume) and prints a
+//! one-line summary on stdout: points, replications, workers and the CSV
+//! path. A failed write exits with status 1.
+//!
+//! `XR_CAMPAIGN_SEED` sets the campaign seed (default 2024) and
+//! `XR_SWEEP_WORKERS` the worker count; a value that is not a non-negative
+//! integer exits with status 2. The CSV is bit-identical for every worker
+//! count and for both session engines; the batched engine fuses all
+//! replications of a point into one wide pass whenever its sessions are
+//! shorter than a batch. CI runs this binary under these axes and diffs
+//! the artifacts.
 
-use xr_experiments::campaign::{run_campaign_streaming, CampaignRow, CAMPAIGN_HEADER};
+use std::io::BufWriter;
+use xr_experiments::campaign::write_campaign_csv;
 use xr_experiments::campaign_args::usage_error;
 use xr_experiments::shard_campaign::{run_campaign_shard_with_progress, shard_csv_name};
 use xr_experiments::{output, CampaignArgs, ExperimentContext};
 use xr_sweep::DEFAULT_SYNC_EVERY;
 
+/// Reports a failed run and exits with status 1.
+fn fail(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1)
+}
+
 fn main() {
     let args = CampaignArgs::from_env();
     let grid = args.grid().unwrap_or_else(|message| usage_error(&message));
-    let ctx = args
-        .context(ExperimentContext::seed_from_env())
-        .expect("failed to calibrate the analytical framework");
+    let ctx = ExperimentContext::from_flags(&args);
+    let runner = ctx.runner();
+    let dir = output::artifact_dir();
+    std::fs::create_dir_all(&dir)
+        .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", dir.display())));
     if let Some(shard) = args.shard {
-        let dir = output::artifact_dir();
-        std::fs::create_dir_all(&dir).expect("cannot create the artifact directory");
         let csv_path = dir.join(shard_csv_name(shard));
         let report = run_campaign_shard_with_progress(
             &ctx,
             &grid,
-            &ctx.runner(),
+            &runner,
             shard,
             &csv_path,
             args.checkpoint_every.unwrap_or(DEFAULT_SYNC_EVERY),
             args.progress,
         )
-        .unwrap_or_else(|error| {
-            eprintln!("shard campaign failed: {error}");
-            std::process::exit(1);
-        });
+        .unwrap_or_else(|error| fail(&format!("shard campaign failed: {error}")));
         println!(
             "shard {shard}: {} row(s) resumed from checkpoint, {} evaluated ({} worker(s)); csv written to {}",
             report.resumed_rows,
             report.evaluated_rows,
-            ctx.runner().workers(),
+            runner.workers(),
             report.csv_path.display()
         );
         return;
     }
-    // An unsharded run is the whole campaign in one piece — report it as
-    // shard 1/1, one "checkpoint" per completed point (the sharded
-    // default cadence).
-    let total = grid.len();
-    let mut rows: Vec<CampaignRow> = Vec::with_capacity(total);
-    run_campaign_streaming(&ctx, &grid, |_, row| {
-        rows.push(row);
-        if args.progress {
-            eprintln!("shard 1/1: {}/{total} points", rows.len());
-        }
-    })
-    .expect("campaign failed");
-    let cells: Vec<Vec<String>> = rows.iter().map(|r| r.cells()).collect();
-    output::print_experiment(
-        "Consolidated campaign — twelve-axis replicated sweep",
-        &CAMPAIGN_HEADER,
-        &cells,
-        "campaign.csv",
-    );
+    let csv_path = dir.join("campaign.csv");
+    let file = std::fs::File::create(&csv_path)
+        .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", csv_path.display())));
+    let rows = write_campaign_csv(&ctx, &grid, &runner, BufWriter::new(file), args.progress)
+        .unwrap_or_else(|error| fail(&format!("campaign failed: {error}")));
     println!(
-        "{} operating points × {} replication(s) evaluated with {} worker(s)",
-        rows.len(),
+        "{rows} operating points × {} replication(s) evaluated with {} worker(s); csv written to {}",
         grid.replications(),
-        ctx.runner().workers()
+        runner.workers(),
+        csv_path.display()
     );
 }

@@ -1,12 +1,12 @@
 //! Regression-fit report: R² of the four regression sub-models, against the
 //! paper's published values.
 
-use xr_experiments::{output, ExperimentContext, RegressionReport};
+use xr_experiments::{output, CampaignArgs, ExperimentContext, RegressionReport};
 
 fn main() {
-    let ctx = ExperimentContext::from_args();
-    let paper_scale = std::env::args().any(|a| a == "--paper-scale");
-    let records = if paper_scale { 119_465 } else { 20_000 };
+    let args = CampaignArgs::experiment_from_env();
+    let ctx = ExperimentContext::from_flags(&args);
+    let records = if args.paper_scale { 119_465 } else { 20_000 };
     let report = RegressionReport::compute(&ctx, records).expect("regression report failed");
     output::print_experiment(
         "Regression sub-model fits (R²)",

@@ -4,11 +4,14 @@
 use xr_experiments::aoi_experiments::{aoi_over_time, roi_staircase};
 use xr_experiments::comparison::{comparison_sweep, Metric};
 use xr_experiments::figures::{energy_sweep, latency_sweep};
-use xr_experiments::{output, tables, ErrorSummary, ExperimentContext, RegressionReport};
+use xr_experiments::{
+    output, tables, CampaignArgs, ErrorSummary, ExperimentContext, RegressionReport,
+};
 use xr_types::ExecutionTarget;
 
 fn main() {
-    let ctx = ExperimentContext::from_args();
+    let args = CampaignArgs::experiment_from_env();
+    let ctx = ExperimentContext::from_flags(&args);
 
     output::print_experiment(
         "Table I — devices",
@@ -136,11 +139,7 @@ fn main() {
         "error_summary.csv",
     );
 
-    let records = if std::env::args().any(|a| a == "--paper-scale") {
-        119_465
-    } else {
-        20_000
-    };
+    let records = if args.paper_scale { 119_465 } else { 20_000 };
     let regression = RegressionReport::compute(&ctx, records).expect("regression report failed");
     output::print_experiment(
         "Regression fits (R²)",

@@ -17,10 +17,11 @@
 use crate::context::ExperimentContext;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
+use std::io::Write;
 use xr_stats::mean_confidence_interval;
 use xr_sweep::{CampaignRunner, OperatingPoint, SweepGrid, WirelessCondition};
 use xr_testbed::GroundTruthSession;
-use xr_types::{ExecutionTarget, Result};
+use xr_types::{Error, ExecutionTarget, Result};
 
 /// Column header of the consolidated campaign CSV.
 pub const CAMPAIGN_HEADER: [&str; 27] = [
@@ -165,60 +166,10 @@ pub struct CampaignRow {
 }
 
 impl CampaignRow {
-    /// The row formatted for the CSV/console output layer.
-    #[must_use]
-    pub fn cells(&self) -> Vec<String> {
-        let execution = match self.point.execution {
-            ExecutionTarget::Local => "local".to_string(),
-            ExecutionTarget::Remote => "remote".to_string(),
-            ExecutionTarget::Split { client_share } => format!("split{client_share:.2}"),
-        };
-        vec![
-            self.point.index.to_string(),
-            self.point.device.clone(),
-            self.point.wireless.label.clone(),
-            self.point.mobility.label.clone(),
-            execution,
-            format!("{:.1}", self.point.cpu_clock_ghz),
-            format!("{:.0}", self.point.frame_size),
-            self.point
-                .frame_rate_hz
-                .map_or_else(|| "default".to_string(), |rate| format!("{rate:.1}")),
-            self.point
-                .users_per_edge
-                .map_or_else(|| "off".to_string(), |users| users.to_string()),
-            self.point
-                .topology
-                .map_or_else(|| "off".to_string(), |layout| layout.to_string()),
-            self.point
-                .site_density
-                .map_or_else(|| "default".to_string(), |density| format!("{density:.0}")),
-            self.point
-                .migration_policy
-                .map_or_else(|| "default".to_string(), |policy| policy.to_string()),
-            self.frames_per_session.to_string(),
-            self.replications.to_string(),
-            format!("{:.3}", self.gt_latency_ms.mean),
-            format!("{:.3}", self.gt_latency_ms.ci95_lo),
-            format!("{:.3}", self.gt_latency_ms.ci95_hi),
-            format!("{:.3}", self.gt_energy_mj.mean),
-            format!("{:.3}", self.gt_energy_mj.ci95_lo),
-            format!("{:.3}", self.gt_energy_mj.ci95_hi),
-            format!("{:.4}", self.gt_handoff_rate),
-            format!("{:.4}", self.gt_migration_ms_mean),
-            self.sites_visited.to_string(),
-            format!("{:.4}", self.edge_utilization),
-            format!("{:.3}", self.gt_contention_ms_mean),
-            format!("{:.3}", self.proposed_latency_ms),
-            format!("{:.3}", self.proposed_energy_mj),
-        ]
-    }
-
     /// Renders the row as one CSV line (no trailing newline) into `out`,
-    /// clearing it first. Byte-identical to `cells().join(",")` — pinned by
-    /// a unit test — but reuses the caller's buffer instead of allocating a
-    /// `String` per cell, which matters in the sharded campaign sink where
-    /// every row goes straight to a file.
+    /// clearing it first — the one row renderer behind every campaign
+    /// artifact, unsharded or sharded. It reuses the caller's buffer, so a
+    /// streamed campaign allocates no `String` per row or cell.
     pub fn render_csv_into(&self, out: &mut String) {
         out.clear();
         let _ = write!(
@@ -322,26 +273,13 @@ pub fn quick_grid() -> SweepGrid {
         .with_replications(3)
 }
 
-/// Runs a replicated campaign over `grid`, streaming aggregated rows **in
-/// point order** into `sink` as each point's replications complete (the
-/// engine's hold-back collector guarantees the order regardless of worker
-/// count). Every replication simulates an independently seeded testbed
-/// session; seeds derive from `(campaign_seed, point_index, rep_index)`, so
-/// the artifact is bit-identical for any worker count.
-///
-/// # Errors
-///
-/// Propagates grid, scenario and model errors.
-pub fn run_campaign_streaming(
-    ctx: &ExperimentContext,
-    grid: &SweepGrid,
-    sink: impl FnMut(usize, CampaignRow) + Send,
-) -> Result<()> {
-    run_campaign_streaming_with(ctx, grid, &ctx.runner(), sink)
-}
-
-/// [`run_campaign_streaming`] with an explicit runner — the entry point for
-/// benchmarks and determinism tests that pin the worker count.
+/// Runs a replicated campaign over `grid` on `runner`, streaming aggregated
+/// rows **in point order** into `sink` as each point's replications
+/// complete (the engine's hold-back collector guarantees the order
+/// regardless of worker count). Every replication simulates an
+/// independently seeded testbed session; seeds derive from
+/// `(campaign_seed, point_index, rep_index)`, so the artifact is
+/// bit-identical for any worker count.
 ///
 /// # Errors
 ///
@@ -447,6 +385,48 @@ pub fn run_campaign_subset_streaming_with(
     )
 }
 
+/// Streams a campaign over `grid` into `out` as CSV text: the header line,
+/// then each row as the collector releases it, rendered by
+/// [`CampaignRow::render_csv_into`] into one reused buffer. With
+/// `progress`, a `shard 1/1: completed/total points` line goes to stderr
+/// after every row (the bytes written are the same either way). `out` is
+/// flushed at the end; wrap a file in a `BufWriter`. Returns the number of
+/// rows written.
+///
+/// # Errors
+///
+/// Propagates grid, scenario and model errors, and the first I/O error
+/// `out` reports (nothing is written after it).
+pub fn write_campaign_csv<W: Write + Send>(
+    ctx: &ExperimentContext,
+    grid: &SweepGrid,
+    runner: &CampaignRunner,
+    mut out: W,
+    progress: bool,
+) -> Result<usize> {
+    let io_error = |e: std::io::Error| Error::invalid_configuration(format!("campaign csv: {e}"));
+    let total = grid.len();
+    let mut line = CAMPAIGN_HEADER.join(",");
+    line.push('\n');
+    out.write_all(line.as_bytes()).map_err(io_error)?;
+    let mut outcome = Ok(());
+    let mut rows = 0usize;
+    run_campaign_streaming_with(ctx, grid, runner, |_, row| {
+        if outcome.is_err() {
+            return;
+        }
+        row.render_csv_into(&mut line);
+        line.push('\n');
+        outcome = out.write_all(line.as_bytes());
+        rows += 1;
+        if progress {
+            eprintln!("shard 1/1: {rows}/{total} points");
+        }
+    })?;
+    outcome.and_then(|()| out.flush()).map_err(io_error)?;
+    Ok(rows)
+}
+
 /// Runs a campaign over `grid` and returns every aggregated row in point
 /// order.
 ///
@@ -496,7 +476,6 @@ mod tests {
             assert!(row.gt_energy_mj.mean > 0.0);
             assert!(row.proposed_latency_ms > 0.0);
             assert!(row.proposed_energy_mj > 0.0);
-            assert_eq!(row.cells().len(), CAMPAIGN_HEADER.len());
         }
         let devices: std::collections::BTreeSet<&str> =
             rows.iter().map(|r| r.point.device.as_str()).collect();
@@ -554,10 +533,23 @@ mod tests {
     }
 
     #[test]
-    fn csv_rendering_matches_the_cell_layer_byte_for_byte() {
+    fn csv_rendering_matches_the_golden_lines() {
+        // Rows of a grid exercising every optional column (frame rate,
+        // contention, topology axes and a split execution target), then the
+        // first eight quick-grid rows, as the campaign CSV has always
+        // written them at seed 29.
+        const GOLDEN: [&str; 9] = [
+            "0,XR2,baseline,static,split0.25,2.0,300,10.0,2,hex,900,lazy,20,2,483.299,482.360,484.239,1501.863,1422.215,1581.511,0.0000,0.0000,1,0.6227,26.617,481.557,1461.365",
+            "0,XR2,baseline,static,local,1.0,300,default,off,off,default,default,20,3,316.286,314.835,317.737,793.762,789.212,798.313,0.0000,0.0000,1,0.0000,0.000,329.363,803.953",
+            "1,XR2,baseline,static,local,1.0,500,default,off,off,default,default,20,3,446.823,445.229,448.416,1158.441,1154.738,1162.144,0.0000,0.0000,1,0.0000,0.000,465.672,1174.646",
+            "2,XR2,baseline,static,local,1.0,700,default,off,off,default,default,20,3,560.734,553.119,568.349,1476.057,1454.727,1497.387,0.0000,0.0000,1,0.0000,0.000,586.317,1502.741",
+            "3,XR2,baseline,static,local,3.0,300,default,off,off,default,default,20,3,245.075,244.200,245.949,851.255,847.901,854.608,0.0000,0.0000,1,0.0000,0.000,244.901,804.768",
+            "4,XR2,baseline,static,local,3.0,500,default,off,off,default,default,20,3,325.860,324.267,327.452,1210.183,1204.802,1215.565,0.0000,0.0000,1,0.0000,0.000,324.902,1141.380",
+            "5,XR2,baseline,static,local,3.0,700,default,off,off,default,default,20,3,398.309,397.045,399.573,1532.147,1525.713,1538.580,0.0000,0.0000,1,0.0000,0.000,395.723,1439.362",
+            "6,XR2,baseline,static,remote,1.0,300,default,off,off,default,default,20,3,739.763,728.807,750.718,1931.709,1899.475,1963.942,0.0000,0.0000,1,0.0000,0.000,746.158,1889.450",
+            "7,XR2,baseline,static,remote,1.0,500,default,off,off,default,default,20,3,841.055,837.791,844.319,2196.739,2188.780,2204.699,0.0000,0.0000,1,0.0000,0.000,852.903,2160.487",
+        ];
         let ctx = ExperimentContext::quick(29).unwrap();
-        // A grid exercising every optional column: frame rate, contention,
-        // topology axes and a split execution target.
         let grid = SweepGrid::paper_panel(ExecutionTarget::Split { client_share: 0.25 })
             .with_frame_sizes([300.0])
             .with_cpu_clocks([2.0])
@@ -575,10 +567,14 @@ mod tests {
                 .take(8),
         );
         let mut line = String::new();
-        for row in &rows {
-            row.render_csv_into(&mut line);
-            assert_eq!(line, row.cells().join(","));
-        }
+        let rendered: Vec<String> = rows
+            .iter()
+            .map(|row| {
+                row.render_csv_into(&mut line);
+                line.clone()
+            })
+            .collect();
+        assert_eq!(rendered, GOLDEN);
     }
 
     #[test]

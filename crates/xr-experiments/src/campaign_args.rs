@@ -1,11 +1,14 @@
-//! The `campaign` binary's command line, parsed in one typed pass.
+//! The experiment binaries' command lines, parsed in one typed pass.
 //!
 //! Every accepted flag is a field of [`CampaignArgs`]; anything else is an
 //! error that names the offending token, so a mistyped or retired flag
-//! stops the run instead of being silently ignored.
+//! stops the run instead of being silently ignored. The `campaign` binary
+//! accepts every field ([`CampaignArgs::parse`]); the other experiment
+//! binaries accept only the two context flags, `--paper-scale` and
+//! `--scalar-sessions` ([`CampaignArgs::parse_experiment`]).
 
 use crate::campaign::quick_grid;
-use crate::context::{parse_reorder_cap, ExperimentContext};
+use crate::context::ExperimentContext;
 use std::path::PathBuf;
 use xr_sweep::{parse_grid_spec, ShardSpec, SweepGrid};
 use xr_types::Result;
@@ -26,12 +29,10 @@ pub struct CampaignArgs {
     pub paper_scale: bool,
     /// `--scalar-sessions`: simulate through the scalar reference engine.
     pub scalar_sessions: bool,
-    /// `--reorder-cap <n>`: bound on the runner's hold-back window.
-    pub reorder_cap: Option<usize>,
 }
 
 impl CampaignArgs {
-    /// Parses the arguments after the program name.
+    /// Parses the `campaign` binary's arguments after the program name.
     ///
     /// # Errors
     ///
@@ -67,9 +68,6 @@ impl CampaignArgs {
                         }
                     }
                 }
-                "--reorder-cap" => {
-                    parsed.reorder_cap = Some(parse_reorder_cap(&value("a window size")?)?);
-                }
                 "--progress" => parsed.progress = true,
                 "--paper-scale" => parsed.paper_scale = true,
                 "--scalar-sessions" => parsed.scalar_sessions = true,
@@ -85,20 +83,43 @@ impl CampaignArgs {
         Ok(parsed)
     }
 
-    /// The process's own arguments, with `XR_REORDER_CAP` standing in for
-    /// a missing `--reorder-cap`. Bad input exits with status 2 and a
-    /// message on stderr.
+    /// Parses the arguments of any other experiment binary: only
+    /// `--paper-scale` and `--scalar-sessions` are accepted.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first other argument.
+    pub fn parse_experiment<I, S>(args: I) -> std::result::Result<Self, String>
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
+        let mut parsed = Self::default();
+        for flag in args.into_iter().map(Into::into) {
+            match flag.as_str() {
+                "--paper-scale" => parsed.paper_scale = true,
+                "--scalar-sessions" => parsed.scalar_sessions = true,
+                _ if flag.starts_with('-') => {
+                    return Err(format!("unknown experiment flag `{flag}`"))
+                }
+                _ => return Err(format!("unexpected experiment argument `{flag}`")),
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// The `campaign` process's own arguments. Bad input exits with status
+    /// 2 and a message on stderr.
     #[must_use]
     pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
-            .and_then(|mut args| {
-                if args.reorder_cap.is_none() {
-                    if let Ok(token) = std::env::var("XR_REORDER_CAP") {
-                        args.reorder_cap = Some(parse_reorder_cap(&token)?);
-                    }
-                }
-                Ok(args)
-            })
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|message| usage_error(&message))
+    }
+
+    /// Any other experiment process's own arguments. Bad input exits with
+    /// status 2 and a message on stderr.
+    #[must_use]
+    pub fn experiment_from_env() -> Self {
+        Self::parse_experiment(std::env::args().skip(1))
             .unwrap_or_else(|message| usage_error(&message))
     }
 
@@ -128,14 +149,10 @@ impl CampaignArgs {
         } else {
             ExperimentContext::quick(seed)?
         };
-        let ctx = if self.scalar_sessions {
+        Ok(if self.scalar_sessions {
             ctx.with_scalar_sessions()
         } else {
             ctx
-        };
-        Ok(match self.reorder_cap {
-            Some(cap) => ctx.with_reorder_cap(cap),
-            None => ctx,
         })
     }
 }
@@ -171,8 +188,6 @@ mod tests {
             "--progress",
             "--paper-scale",
             "--scalar-sessions",
-            "--reorder-cap",
-            "8",
         ])
         .unwrap();
         assert_eq!(
@@ -184,7 +199,6 @@ mod tests {
                 progress: true,
                 paper_scale: true,
                 scalar_sessions: true,
-                reorder_cap: Some(8),
             }
         );
     }
@@ -198,6 +212,10 @@ mod tests {
         assert_eq!(
             parse(&["--progress", "--session-chunks", "3"]),
             Err("unknown campaign flag `--session-chunks`".to_string())
+        );
+        assert_eq!(
+            parse(&["--reorder-cap", "8"]),
+            Err("unknown campaign flag `--reorder-cap`".to_string())
         );
         assert_eq!(
             parse(&["campaign.csv"]),
@@ -219,20 +237,12 @@ mod tests {
             parse(&["--shard", "1/1", "--checkpoint-every"]),
             Err("--checkpoint-every requires a row count".to_string())
         );
-        assert_eq!(
-            parse(&["--reorder-cap"]),
-            Err("--reorder-cap requires a window size".to_string())
-        );
         assert!(parse(&["--shard", "4/3"])
             .unwrap_err()
             .starts_with("invalid --shard"));
         assert!(parse(&["--shard", "1/2", "--checkpoint-every", "0"])
             .unwrap_err()
             .starts_with("invalid --checkpoint-every"));
-        assert_eq!(
-            parse(&["--reorder-cap", "0"]),
-            Err("reorder cap must be at least 1".to_string())
-        );
         assert_eq!(
             parse(&["--checkpoint-every", "4"]),
             Err("--checkpoint-every only applies to a sharded run (--shard i/N)".to_string())
@@ -241,16 +251,41 @@ mod tests {
 
     #[test]
     fn flags_select_the_context_and_grid() {
-        let args = parse(&["--scalar-sessions", "--reorder-cap", "5"]).unwrap();
+        let args = parse(&["--scalar-sessions"]).unwrap();
         let ctx = args.context(11).unwrap();
         assert_eq!(ctx.seed(), 11);
         assert_eq!(ctx.testbed().engine(), xr_testbed::SimulationEngine::Scalar);
-        assert_eq!(ctx.runner().reorder_cap(), 5);
         assert_eq!(args.grid().unwrap().len(), quick_grid().len());
         let missing = parse(&["--grid", "no/such/file.grid"]).unwrap();
         assert!(missing
             .grid()
             .unwrap_err()
             .starts_with("cannot read grid spec no/such/file.grid"));
+    }
+
+    #[test]
+    fn experiment_binaries_accept_only_the_context_flags() {
+        let experiment = |args: &[&str]| CampaignArgs::parse_experiment(args.iter().copied());
+        assert_eq!(experiment(&[]), Ok(CampaignArgs::default()));
+        assert_eq!(
+            experiment(&["--scalar-sessions", "--paper-scale"]),
+            Ok(CampaignArgs {
+                paper_scale: true,
+                scalar_sessions: true,
+                ..CampaignArgs::default()
+            })
+        );
+        // A typo no longer runs silently at quick scale, and the campaign
+        // binary's run-shaping flags belong to it alone.
+        for flag in ["--paper-scal", "--progress", "--grid", "--shard"] {
+            assert_eq!(
+                experiment(&["--paper-scale", flag]),
+                Err(format!("unknown experiment flag `{flag}`"))
+            );
+        }
+        assert_eq!(
+            experiment(&["fig4a.csv"]),
+            Err("unexpected experiment argument `fig4a.csv`".to_string())
+        );
     }
 }

@@ -17,24 +17,6 @@ pub struct ExperimentContext {
     proposed: XrPerformanceModel,
     frames_per_point: u64,
     seed: u64,
-    reorder_cap: Option<usize>,
-}
-
-/// Parses a `--reorder-cap` / `XR_REORDER_CAP` token. The hold-back window
-/// must be able to hold at least the next in-order result, so `0` is
-/// rejected rather than silently clamped.
-///
-/// # Errors
-///
-/// Returns a human-readable message for non-numeric tokens and for `0`.
-pub fn parse_reorder_cap(token: &str) -> std::result::Result<usize, String> {
-    let cap = token
-        .parse::<usize>()
-        .map_err(|_| format!("invalid reorder cap `{token}`"))?;
-    if cap == 0 {
-        return Err("reorder cap must be at least 1".to_string());
-    }
-    Ok(cap)
 }
 
 /// Parses the `XR_CAMPAIGN_SEED` value: the default seed 2024 when the
@@ -80,43 +62,34 @@ impl ExperimentContext {
         Self::with_campaign(seed, MeasurementCampaign::paper_scale(seed), 100)
     }
 
-    /// Builds the context the experiment binaries use: quick by default,
-    /// paper scale when the process was invoked with `--paper-scale`, and
-    /// ground-truth sessions through the scalar reference engine instead of
-    /// the batched default when invoked with `--scalar-sessions` (the CI
-    /// equivalence diff runs every campaign both ways and requires
-    /// byte-identical artifacts). `--reorder-cap <n>` / `XR_REORDER_CAP`
-    /// bound the runner's hold-back window.
+    /// Builds the context an experiment binary other than `campaign` uses,
+    /// from the process's own arguments (see [`CampaignArgs::parse_experiment`];
+    /// any other argument exits with status 2 and a message).
+    #[must_use]
+    pub fn from_args() -> Self {
+        Self::from_flags(&CampaignArgs::experiment_from_env())
+    }
+
+    /// Builds the context parsed flags select: quick by default, paper
+    /// scale with `--paper-scale`, and ground-truth sessions through the
+    /// scalar reference engine instead of the batched default with
+    /// `--scalar-sessions` (the CI equivalence diff runs every campaign
+    /// both ways and requires byte-identical artifacts).
     ///
     /// `XR_CAMPAIGN_SEED` overrides the base session seed (default 2024).
     /// Re-running the same grid under a different seed produces the
     /// *same-scheme reseed* distribution that calibrates the null rate for
-    /// sanctioned draw-scheme re-keys (see `xr_stats::equivalence`).
-    ///
-    /// A malformed seed or reorder cap exits with status 2 and a message.
+    /// sanctioned draw-scheme re-keys (see `xr_stats::equivalence`). A
+    /// malformed seed exits with status 2 and a message.
     ///
     /// # Panics
     ///
     /// Panics with a readable message if the regression calibration fails,
     /// which only happens when the measurement campaign is empty.
     #[must_use]
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let reorder_cap = args
-            .iter()
-            .position(|a| a == "--reorder-cap")
-            .and_then(|position| args.get(position + 1))
-            .cloned()
-            .or_else(|| std::env::var("XR_REORDER_CAP").ok())
-            .map(|token| parse_reorder_cap(&token).unwrap_or_else(|m| usage_error(&m)));
-        CampaignArgs {
-            paper_scale: args.iter().any(|a| a == "--paper-scale"),
-            scalar_sessions: args.iter().any(|a| a == "--scalar-sessions"),
-            reorder_cap,
-            ..CampaignArgs::default()
-        }
-        .context(Self::seed_from_env())
-        .expect("failed to calibrate the analytical framework")
+    pub fn from_flags(args: &CampaignArgs) -> Self {
+        args.context(Self::seed_from_env())
+            .expect("failed to calibrate the analytical framework")
     }
 
     /// The base session seed from `XR_CAMPAIGN_SEED` (2024 when unset).
@@ -126,17 +99,6 @@ impl ExperimentContext {
     pub fn seed_from_env() -> u64 {
         parse_campaign_seed(std::env::var("XR_CAMPAIGN_SEED").ok().as_deref())
             .unwrap_or_else(|m| usage_error(&m))
-    }
-
-    /// This context with an explicit hold-back window for the campaign
-    /// runner's in-order collector (`--reorder-cap` / `XR_REORDER_CAP`).
-    /// The cap bounds how many out-of-order point results a campaign may
-    /// buffer before the runner fails; artifacts are unchanged for any cap
-    /// that does not trip.
-    #[must_use]
-    pub fn with_reorder_cap(mut self, cap: usize) -> Self {
-        self.reorder_cap = Some(cap.max(1));
-        self
     }
 
     /// This context with ground-truth sessions simulated by the scalar
@@ -171,7 +133,6 @@ impl ExperimentContext {
             proposed,
             frames_per_point: frames_per_point.max(1),
             seed,
-            reorder_cap: None,
         })
     }
 
@@ -309,7 +270,8 @@ impl ExperimentContext {
     }
 
     /// The campaign runner every experiment drives: worker count from
-    /// `XR_SWEEP_WORKERS` (default: available parallelism). Results are
+    /// `XR_SWEEP_WORKERS` (default: available parallelism; a value that is
+    /// not a non-negative integer exits with status 2). Results are
     /// bit-identical for any worker count: the current experiment closures
     /// are deterministic per point because [`TestbedSimulator`] seeds every
     /// frame from its own seed, independent of evaluation order. The
@@ -318,11 +280,7 @@ impl ExperimentContext {
     /// consume them instead of any shared RNG to keep that property.
     #[must_use]
     pub fn runner(&self) -> CampaignRunner {
-        let runner = CampaignRunner::from_env().with_campaign_seed(self.seed);
-        match self.reorder_cap {
-            Some(cap) => runner.with_reorder_cap(cap),
-            None => runner,
-        }
+        CampaignRunner::from_env().with_campaign_seed(self.seed)
     }
 }
 
@@ -401,30 +359,6 @@ mod tests {
         let config = scenario.topology.unwrap();
         assert_eq!(config.layout, xr_types::TopologyLayout::Hex);
         assert_eq!(config.migration_policy, xr_types::MigrationPolicy::Lazy);
-    }
-
-    #[test]
-    fn reorder_cap_tokens_parse_or_explain() {
-        assert_eq!(parse_reorder_cap("8"), Ok(8));
-        assert_eq!(
-            parse_reorder_cap("0"),
-            Err("reorder cap must be at least 1".to_string())
-        );
-        assert_eq!(
-            parse_reorder_cap("many"),
-            Err("invalid reorder cap `many`".to_string())
-        );
-    }
-
-    #[test]
-    fn reorder_cap_reaches_the_runner() {
-        let ctx = ExperimentContext::quick(7).unwrap();
-        assert_eq!(
-            ctx.runner().reorder_cap(),
-            xr_sweep::DEFAULT_REORDER_CAP,
-            "unset cap keeps the runner default"
-        );
-        assert_eq!(ctx.with_reorder_cap(3).runner().reorder_cap(), 3);
     }
 
     #[test]

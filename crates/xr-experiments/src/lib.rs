@@ -14,14 +14,16 @@
 //! | §VIII-A/B mean-error summary | [`errors`] | `error_summary` |
 //! | Eqs. 3/10/12/21 regression fits | [`regression_report`] | `regression_report` |
 //! | Consolidated twelve-axis replicated sweep | [`campaign`] | `campaign` |
-//! | Mobility: latency/handoffs vs speed × radius | [`mobility_experiments`] | `fig_mobility` |
-//! | Training scaling: CI width vs campaign size | [`scaling_experiments`] | `fig_training_scaling` |
-//! | Contention: latency knee vs edge population | [`contention_experiments`] | `fig_contention` |
-//! | Topology: migration cost vs edge-site density | [`topology_experiments`] | `fig_topology` |
+//! | Mobility: latency/handoffs vs speed × radius | [`campaign`] | `campaign --grid configs/fig-mobility.grid` |
+//! | Training scaling: CI width vs campaign size | [`campaign`] | `campaign --grid configs/fig-training-scaling.grid` |
+//! | Contention: latency knee vs edge population | [`campaign`] | `campaign --grid configs/campaign-contention.grid` |
+//! | Topology: migration cost vs edge-site density | [`campaign`] | `campaign --grid configs/fig-topology.grid` |
 //!
 //! Each binary prints the rows/series the paper reports and writes a CSV
-//! artifact under `target/experiments/`. `run_all` chains everything in
-//! one invocation.
+//! artifact under `target/experiments/`; `campaign` streams its rows to
+//! `campaign.csv` and prints a one-line summary. The extension figures are
+//! grid files, so their rows are the campaign CSV's 27 columns. `run_all`
+//! chains the paper artifacts in one invocation.
 //!
 //! Every sweep is executed by the shared campaign engine in `xr-sweep`: the
 //! grids run in parallel over scoped worker threads (`XR_SWEEP_WORKERS`
@@ -35,31 +37,23 @@ pub mod aoi_experiments;
 pub mod campaign;
 pub mod campaign_args;
 pub mod comparison;
-pub mod contention_experiments;
 pub mod context;
 pub mod errors;
 pub mod figures;
-pub mod mobility_experiments;
 pub mod output;
 pub mod regression_report;
-pub mod scaling_experiments;
 pub mod shard_campaign;
 pub mod tables;
-pub mod topology_experiments;
 
 pub use ablation::{AblationRow, AblationStudy};
 pub use aoi_experiments::{AoiPoint, AoiSweep, RoiPoint};
 pub use campaign::{CampaignRow, ReplicateStats};
 pub use campaign_args::CampaignArgs;
 pub use comparison::{ComparisonPoint, ComparisonSweep, Metric};
-pub use contention_experiments::ContentionPoint;
-pub use context::{parse_campaign_seed, parse_reorder_cap, ExperimentContext};
+pub use context::{parse_campaign_seed, ExperimentContext};
 pub use errors::ErrorSummary;
 pub use figures::{SweepPoint, SweepResult};
-pub use mobility_experiments::MobilityPoint;
 pub use regression_report::RegressionReport;
-pub use scaling_experiments::ScalingPoint;
 pub use shard_campaign::{
     merge_campaign_csvs, run_campaign_shard_with, run_campaign_shard_with_progress, ShardRunReport,
 };
-pub use topology_experiments::TopologyPoint;

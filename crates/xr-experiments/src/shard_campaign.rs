@@ -319,7 +319,7 @@ pub fn merge_campaign_csvs(csv_paths: &[PathBuf]) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign_with;
+    use crate::campaign::write_campaign_csv;
     use xr_sweep::parse_grid_spec;
 
     fn scratch(name: &str) -> PathBuf {
@@ -341,14 +341,9 @@ mod tests {
 
     fn unsharded_csv(ctx: &ExperimentContext, grid: &SweepGrid) -> String {
         let runner = CampaignRunner::new(2).with_campaign_seed(ctx.seed());
-        let rows = run_campaign_with(ctx, grid, &runner).unwrap();
-        let mut out = CAMPAIGN_HEADER.join(",");
-        out.push('\n');
-        for row in &rows {
-            out.push_str(&row.cells().join(","));
-            out.push('\n');
-        }
-        out
+        let mut out = Vec::new();
+        write_campaign_csv(ctx, grid, &runner, &mut out, false).unwrap();
+        String::from_utf8(out).unwrap()
     }
 
     #[test]

@@ -1,22 +1,47 @@
-//! The `campaign` binary refuses bad input before any work starts: unknown
-//! flags and a malformed `XR_CAMPAIGN_SEED` exit with status 2 and a
-//! message naming the problem.
+//! The experiment binaries refuse bad input before any work starts: unknown
+//! flags, a malformed `XR_CAMPAIGN_SEED` and a malformed `XR_SWEEP_WORKERS`
+//! exit with status 2 and a message naming the problem. A campaign whose
+//! CSV cannot be written exits non-zero instead of reporting success.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// Runs the campaign binary with `args` (and optionally a seed) and returns
-/// its exit code and stderr.
-fn campaign(args: &[&str], seed: Option<&str>) -> (Option<i32>, String) {
-    let mut command = Command::new(env!("CARGO_BIN_EXE_campaign"));
-    command.args(args).current_dir(std::env::temp_dir());
-    command.env_remove("XR_CAMPAIGN_SEED");
-    command.env_remove("XR_REORDER_CAP");
-    if let Some(seed) = seed {
-        command.env("XR_CAMPAIGN_SEED", seed);
-    }
-    let output = command.output().expect("campaign binary runs");
+/// The campaign binary under test.
+const CAMPAIGN: &str = env!("CARGO_BIN_EXE_campaign");
+
+/// A fresh per-test working directory holding a one-point grid spec,
+/// `one.grid`.
+fn workdir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("xr-campaign-cli-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("one.grid"),
+        "frame_sizes = 300\ncpu_clocks = 2.0\nexecutions = remote\n",
+    )
+    .unwrap();
+    dir
+}
+
+/// Runs `binary` with `args` and `env` in `dir` and returns its exit code,
+/// stdout and stderr.
+fn run(
+    binary: &str,
+    args: &[&str],
+    env: &[(&str, &str)],
+    dir: &Path,
+) -> (Option<i32>, String, String) {
+    let output = Command::new(binary)
+        .args(args)
+        .current_dir(dir)
+        .env_remove("XR_CAMPAIGN_SEED")
+        .env_remove("XR_SWEEP_WORKERS")
+        .envs(env.iter().copied())
+        .output()
+        .expect("binary runs");
     (
         output.status.code(),
+        String::from_utf8_lossy(&output.stdout).into_owned(),
         String::from_utf8_lossy(&output.stderr).into_owned(),
     )
 }
@@ -26,8 +51,9 @@ fn retired_flags_exit_two_and_name_the_flag() {
     for (args, flag) in [
         (&["--fused-points"][..], "--fused-points"),
         (&["--session-chunks", "3"][..], "--session-chunks"),
+        (&["--reorder-cap", "8"][..], "--reorder-cap"),
     ] {
-        let (code, stderr) = campaign(args, None);
+        let (code, _, stderr) = run(CAMPAIGN, args, &[], &workdir("retired"));
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(
             stderr.contains(&format!("unknown campaign flag `{flag}`")),
@@ -38,10 +64,87 @@ fn retired_flags_exit_two_and_name_the_flag() {
 
 #[test]
 fn a_non_numeric_seed_exits_two_instead_of_running_the_default() {
-    let (code, stderr) = campaign(&[], Some("twenty"));
+    let (code, _, stderr) = run(
+        CAMPAIGN,
+        &[],
+        &[("XR_CAMPAIGN_SEED", "twenty")],
+        &workdir("seed"),
+    );
     assert_eq!(code, Some(2), "{stderr}");
     assert!(
         stderr.contains("invalid XR_CAMPAIGN_SEED `twenty`"),
         "{stderr}"
     );
+}
+
+#[test]
+fn a_non_numeric_worker_count_exits_two_instead_of_running_the_default() {
+    let dir = workdir("workers");
+    let (code, _, stderr) = run(
+        CAMPAIGN,
+        &["--grid", "one.grid"],
+        &[("XR_SWEEP_WORKERS", "four")],
+        &dir,
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("invalid XR_SWEEP_WORKERS `four`: expected a non-negative integer"),
+        "{stderr}"
+    );
+    assert!(!dir.join("target/experiments/campaign.csv").exists());
+}
+
+#[test]
+fn unknown_flags_stop_the_other_experiment_binaries() {
+    let (code, stdout, stderr) = run(
+        env!("CARGO_BIN_EXE_fig4a"),
+        &["--paper-scal"],
+        &[],
+        &workdir("fig4a"),
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown experiment flag `--paper-scal`"),
+        "{stderr}"
+    );
+    assert!(stdout.is_empty(), "{stdout}");
+}
+
+#[test]
+fn an_unsharded_campaign_streams_its_csv_and_prints_one_summary_line() {
+    let dir = workdir("stream");
+    let (code, stdout, stderr) = run(
+        CAMPAIGN,
+        &["--grid", "one.grid", "--progress"],
+        &[("XR_SWEEP_WORKERS", "2")],
+        &dir,
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(
+        stdout,
+        "1 operating points × 1 replication(s) evaluated with 2 worker(s); csv written to target/experiments/campaign.csv\n"
+    );
+    assert_eq!(stderr, "shard 1/1: 1/1 points\n");
+    let csv = std::fs::read_to_string(dir.join("target/experiments/campaign.csv")).unwrap();
+    let lines: Vec<&str> = csv.lines().collect();
+    assert_eq!(lines.len(), 2, "{csv}");
+    assert!(lines[0].starts_with("point,device,"), "{csv}");
+    assert!(
+        lines[1].starts_with("0,XR2,baseline,static,remote,2.0,300,"),
+        "{csv}"
+    );
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failed_csv_write_exits_non_zero() {
+    // `/dev/full` opens fine and fails every write with ENOSPC, so the
+    // error surfaces on the buffered writer's flush, not at open.
+    let dir = workdir("full");
+    std::fs::create_dir_all(dir.join("target/experiments")).unwrap();
+    std::os::unix::fs::symlink("/dev/full", dir.join("target/experiments/campaign.csv")).unwrap();
+    let (code, stdout, stderr) = run(CAMPAIGN, &["--grid", "one.grid"], &[], &dir);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("campaign failed: "), "{stderr}");
 }

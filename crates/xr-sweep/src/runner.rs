@@ -39,6 +39,23 @@ pub const WORKERS_ENV: &str = "XR_SWEEP_WORKERS";
 /// point cannot buffer a whole campaign in memory.
 pub const DEFAULT_REORDER_CAP: usize = 1024;
 
+/// Parses the `XR_SWEEP_WORKERS` value: the machine's available
+/// parallelism when the variable is unset, the given count otherwise
+/// (`0` clamps to 1, like [`CampaignRunner::new`]).
+///
+/// # Errors
+///
+/// Returns a human-readable message when the value is not a non-negative
+/// integer.
+pub(crate) fn parse_workers(value: Option<&str>) -> std::result::Result<usize, String> {
+    match value {
+        None => Ok(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)),
+        Some(token) => token.parse::<usize>().map(|w| w.max(1)).map_err(|_| {
+            format!("invalid {WORKERS_ENV} `{token}`: expected a non-negative integer")
+        }),
+    }
+}
+
 impl CampaignRunner {
     /// A runner with an explicit worker count (clamped to at least 1).
     #[must_use]
@@ -50,22 +67,20 @@ impl CampaignRunner {
         }
     }
 
-    /// A runner sized from the `XR_SWEEP_WORKERS` environment variable
-    /// (clamped to at least 1, like [`CampaignRunner::new`]), falling back
-    /// to the machine's available parallelism when the variable is unset or
-    /// unparseable.
+    /// A runner sized from the `XR_SWEEP_WORKERS` environment variable (`0`
+    /// clamps to 1), or from the machine's available parallelism when it is
+    /// unset. A value that is not a non-negative integer exits the process
+    /// with status 2 and a message on stderr, rather than silently running
+    /// at a different worker count.
     #[must_use]
     pub fn from_env() -> Self {
-        let workers = std::env::var(WORKERS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|w| w.max(1))
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            });
-        Self::new(workers)
+        match parse_workers(std::env::var(WORKERS_ENV).ok().as_deref()) {
+            Ok(workers) => Self::new(workers),
+            Err(message) => {
+                eprintln!("{message}");
+                std::process::exit(2)
+            }
+        }
     }
 
     /// Sets the campaign seed from which per-point seeds derive.
@@ -327,12 +342,6 @@ impl CampaignRunner {
     }
 }
 
-impl Default for CampaignRunner {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,6 +362,21 @@ mod tests {
                 .run(&points, eval)
                 .unwrap();
             assert_eq!(parallel, reference, "{workers} workers diverged");
+        }
+    }
+
+    #[test]
+    fn worker_counts_parse_or_explain() {
+        assert!(parse_workers(None).unwrap() >= 1);
+        assert_eq!(parse_workers(Some("4")), Ok(4));
+        assert_eq!(parse_workers(Some("0")), Ok(1));
+        for bad in ["", "abc", "four", "-1", "2.5"] {
+            assert_eq!(
+                parse_workers(Some(bad)),
+                Err(format!(
+                    "invalid XR_SWEEP_WORKERS `{bad}`: expected a non-negative integer"
+                ))
+            );
         }
     }
 

@@ -12,8 +12,9 @@
 use std::fs;
 use std::path::PathBuf;
 
-use xr_experiments::campaign::{quick_grid, run_campaign, CAMPAIGN_HEADER};
+use xr_experiments::campaign::{quick_grid, write_campaign_csv};
 use xr_experiments::ExperimentContext;
+use xr_integration::config_spec;
 use xr_stats::equivalence::{compare_campaigns, EquivalenceReport};
 use xr_sweep::{parse_grid_spec, SweepGrid};
 
@@ -124,21 +125,14 @@ fn analytic_model_columns_are_untouched_by_the_rekey() {
 /// Renders campaign rows exactly as the CSV layer writes them (header line,
 /// one row per point, trailing newline).
 fn campaign_csv(ctx: &ExperimentContext, grid: &SweepGrid) -> String {
-    let rows = run_campaign(ctx, grid).expect("campaign failed");
-    let mut out = CAMPAIGN_HEADER.join(",");
-    out.push('\n');
-    for row in &rows {
-        out.push_str(&row.cells().join(","));
-        out.push('\n');
-    }
-    out
+    let mut out = Vec::new();
+    write_campaign_csv(ctx, grid, &ctx.runner(), &mut out, false).expect("campaign failed");
+    String::from_utf8(out).expect("campaign CSV is UTF-8")
 }
 
 fn config_grid(name: &str) -> SweepGrid {
-    let path = repo_path("configs").join(format!("campaign-{name}.grid"));
-    let text =
-        fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    parse_grid_spec(&text).expect("checked-in grid spec must parse")
+    parse_grid_spec(&config_spec(&format!("campaign-{name}.grid")))
+        .expect("checked-in grid spec must parse")
 }
 
 #[test]
@@ -154,9 +148,15 @@ fn checked_in_pr8_baselines_match_a_fresh_in_process_run() {
         baseline("pr8-seed2024-quick.csv"),
         "quick-grid campaign diverged from the checked-in PR-8 baseline"
     );
-    for grid in ["mobility", "contention"] {
+    // The contention baseline predates the grid file's move to the
+    // contention figure's five replications; it was made at three.
+    let grids = [
+        ("mobility", config_grid("mobility")),
+        ("contention", config_grid("contention").with_replications(3)),
+    ];
+    for (grid, spec) in grids {
         assert_eq!(
-            campaign_csv(&ctx, &config_grid(grid)),
+            campaign_csv(&ctx, &spec),
             baseline(&format!("pr8-seed2024-{grid}.csv")),
             "{grid} campaign diverged from the checked-in PR-8 baseline"
         );

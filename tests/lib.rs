@@ -25,3 +25,17 @@ pub fn evaluation_scenario(
         .build()
         .expect("valid scenario")
 }
+
+/// The text of a checked-in grid spec under the repository's `configs/`
+/// directory, such as `fig-mobility.grid`.
+///
+/// # Panics
+///
+/// Panics with the path if the file cannot be read.
+#[must_use]
+pub fn config_spec(name: &str) -> String {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../configs")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+}

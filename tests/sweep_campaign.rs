@@ -10,18 +10,50 @@ use xr_experiments::campaign::{
     quick_grid, run_campaign_streaming_with, run_campaign_with, CAMPAIGN_HEADER,
 };
 use xr_experiments::figures::latency_sweep;
-use xr_experiments::mobility_experiments::mobility_sweep_with;
 use xr_experiments::shard_campaign::{
     checkpoint_path, manifest_path, merge_campaign_csvs, run_campaign_shard_with, shard_csv_name,
 };
 use xr_experiments::ExperimentContext;
+use xr_integration::config_spec;
 use xr_sweep::{parse_grid_spec, CampaignRunner, ShardSpec, SweepGrid};
 use xr_types::ExecutionTarget;
 
+/// A replicated mobility campaign: a moving device, four replications.
+const MOBILITY_SPEC: &str = "frame_sizes  = 500\n\
+     cpu_clocks   = 2.0\n\
+     executions   = remote\n\
+     mobility     = static, walk:1.4:20, vehicle:25:10\n\
+     replications = 4\n";
+
+/// A multi-tenant campaign threading the edge stage through the shared
+/// M/M/1 queue.
+const CONTENTION_SPEC: &str = "frame_sizes    = 300\n\
+     cpu_clocks     = 2.0\n\
+     executions     = remote\n\
+     frame_rates    = 5\n\
+     users_per_edge = 1, 4, 8\n\
+     replications   = 3\n";
+
+/// A vehicular session roaming multi-site edge maps.
+const TOPOLOGY_SPEC: &str = "frame_sizes        = 300\n\
+     cpu_clocks         = 2.0\n\
+     executions         = remote\n\
+     frame_rates        = 5\n\
+     mobility           = vehicle:25:8\n\
+     frames_per_session = 100\n\
+     topology           = square, hex\n\
+     site_density       = 400, 1600\n\
+     migration_policy   = eager, lazy\n\
+     replications       = 2\n";
+
 /// Renders campaign rows exactly as the CSV layer writes them.
 fn csv_lines(rows: &[xr_experiments::CampaignRow]) -> Vec<String> {
+    let mut line = String::new();
     let mut lines = vec![CAMPAIGN_HEADER.join(",")];
-    lines.extend(rows.iter().map(|r| r.cells().join(",")));
+    lines.extend(rows.iter().map(|row| {
+        row.render_csv_into(&mut line);
+        line.clone()
+    }));
     lines
 }
 
@@ -48,14 +80,7 @@ fn replicated_mobility_campaign_is_byte_identical_across_worker_counts() {
     // point — defined through the data-driven grid-spec path — must stream
     // the same CSV bytes for every worker count.
     let ctx = ExperimentContext::quick(7).unwrap();
-    let grid = parse_grid_spec(
-        "frame_sizes  = 500\n\
-         cpu_clocks   = 2.0\n\
-         executions   = remote\n\
-         mobility     = static, walk:1.4:20, vehicle:25:10\n\
-         replications = 4\n",
-    )
-    .unwrap();
+    let grid = parse_grid_spec(MOBILITY_SPEC).unwrap();
     assert_eq!(grid.replications(), 4);
     let reference = csv_lines(&run_campaign_with(&ctx, &grid, &CampaignRunner::new(1)).unwrap());
     for workers in [2, 3, 8] {
@@ -93,45 +118,9 @@ fn fused_point_campaigns_match_the_per_rep_artifacts_across_worker_counts() {
     // topology — and for every worker count.
     let families: [(u64, SweepGrid); 4] = [
         (2024, quick_grid()),
-        (
-            7,
-            parse_grid_spec(
-                "frame_sizes  = 500\n\
-                 cpu_clocks   = 2.0\n\
-                 executions   = remote\n\
-                 mobility     = static, walk:1.4:20, vehicle:25:10\n\
-                 replications = 4\n",
-            )
-            .unwrap(),
-        ),
-        (
-            13,
-            parse_grid_spec(
-                "frame_sizes    = 300\n\
-                 cpu_clocks     = 2.0\n\
-                 executions     = remote\n\
-                 frame_rates    = 5\n\
-                 users_per_edge = 1, 4, 8\n\
-                 replications   = 3\n",
-            )
-            .unwrap(),
-        ),
-        (
-            19,
-            parse_grid_spec(
-                "frame_sizes        = 300\n\
-                 cpu_clocks         = 2.0\n\
-                 executions         = remote\n\
-                 frame_rates        = 5\n\
-                 mobility           = vehicle:25:8\n\
-                 frames_per_session = 100\n\
-                 topology           = square, hex\n\
-                 site_density       = 400, 1600\n\
-                 migration_policy   = eager, lazy\n\
-                 replications       = 2\n",
-            )
-            .unwrap(),
-        ),
+        (7, parse_grid_spec(MOBILITY_SPEC).unwrap()),
+        (13, parse_grid_spec(CONTENTION_SPEC).unwrap()),
+        (19, parse_grid_spec(TOPOLOGY_SPEC).unwrap()),
     ];
     for (seed, grid) in families {
         let ctx = ExperimentContext::quick(seed).unwrap();
@@ -156,15 +145,7 @@ fn contention_campaign_is_byte_identical_across_worker_counts_and_runs() {
     // (grid, campaign seed) — identical bytes for every worker count and
     // across two independent runs of the same context seed.
     let ctx = ExperimentContext::quick(13).unwrap();
-    let grid = parse_grid_spec(
-        "frame_sizes    = 300\n\
-         cpu_clocks     = 2.0\n\
-         executions     = remote\n\
-         frame_rates    = 5\n\
-         users_per_edge = 1, 4, 8\n\
-         replications   = 3\n",
-    )
-    .unwrap();
+    let grid = parse_grid_spec(CONTENTION_SPEC).unwrap();
     let reference = csv_lines(&run_campaign_with(&ctx, &grid, &CampaignRunner::new(1)).unwrap());
     assert_eq!(reference.len(), grid.len() + 1);
     for workers in [2, 5] {
@@ -203,19 +184,7 @@ fn topology_campaign_is_byte_identical_across_worker_counts_and_runs() {
     // seed) — identical bytes for every worker count and across two
     // independent runs of the same context seed.
     let ctx = ExperimentContext::quick(19).unwrap();
-    let grid = parse_grid_spec(
-        "frame_sizes        = 300\n\
-         cpu_clocks         = 2.0\n\
-         executions         = remote\n\
-         frame_rates        = 5\n\
-         mobility           = vehicle:25:8\n\
-         frames_per_session = 100\n\
-         topology           = square, hex\n\
-         site_density       = 400, 1600\n\
-         migration_policy   = eager, lazy\n\
-         replications       = 2\n",
-    )
-    .unwrap();
+    let grid = parse_grid_spec(TOPOLOGY_SPEC).unwrap();
     let reference = csv_lines(&run_campaign_with(&ctx, &grid, &CampaignRunner::new(1)).unwrap());
     assert_eq!(reference.len(), grid.len() + 1);
     assert_eq!(grid.len(), 8);
@@ -298,32 +267,11 @@ fn sharded_campaigns_merge_byte_identically_across_grids() {
     // and merging the artifacts must reproduce the unsharded CSV byte for
     // byte. Seeds derive from original point indices, rows stream in
     // canonical order, and the merge interleaves without re-measuring.
-    let mobility = "frame_sizes  = 500\n\
-         cpu_clocks   = 2.0\n\
-         executions   = remote\n\
-         mobility     = static, walk:1.4:20, vehicle:25:10\n\
-         replications = 4\n";
-    let contention = "frame_sizes    = 300\n\
-         cpu_clocks     = 2.0\n\
-         executions     = remote\n\
-         frame_rates    = 5\n\
-         users_per_edge = 1, 4, 8\n\
-         replications   = 3\n";
-    let topology = "frame_sizes        = 300\n\
-         cpu_clocks         = 2.0\n\
-         executions         = remote\n\
-         frame_rates        = 5\n\
-         mobility           = vehicle:25:8\n\
-         frames_per_session = 100\n\
-         topology           = square, hex\n\
-         site_density       = 400, 1600\n\
-         migration_policy   = eager, lazy\n\
-         replications       = 2\n";
     let families: [(&str, Option<&str>, u64); 4] = [
         ("quick", None, 2024),
-        ("mobility", Some(mobility), 7),
-        ("contention", Some(contention), 13),
-        ("topology", Some(topology), 19),
+        ("mobility", Some(MOBILITY_SPEC), 7),
+        ("contention", Some(CONTENTION_SPEC), 13),
+        ("topology", Some(TOPOLOGY_SPEC), 19),
     ];
     for (name, spec, seed) in families {
         let ctx = ExperimentContext::quick(seed).unwrap();
@@ -477,13 +425,14 @@ proptest! {
 
 #[test]
 fn mobility_sweep_is_worker_count_invariant() {
+    // The mobility figure's checked-in grid file, as `campaign --grid`
+    // runs it.
     let ctx = ExperimentContext::quick(9).unwrap();
-    let reference = mobility_sweep_with(&ctx, &CampaignRunner::new(1)).unwrap();
-    let parallel = mobility_sweep_with(&ctx, &CampaignRunner::new(5)).unwrap();
+    let grid = parse_grid_spec(&config_spec("fig-mobility.grid")).unwrap();
+    let reference = run_campaign_with(&ctx, &grid, &CampaignRunner::new(1)).unwrap();
+    let parallel = run_campaign_with(&ctx, &grid, &CampaignRunner::new(5)).unwrap();
     assert_eq!(reference, parallel);
-    let cells: Vec<Vec<String>> = reference.iter().map(|p| p.cells()).collect();
-    let parallel_cells: Vec<Vec<String>> = parallel.iter().map(|p| p.cells()).collect();
-    assert_eq!(cells, parallel_cells);
+    assert_eq!(csv_lines(&reference), csv_lines(&parallel));
 }
 
 #[test]
