@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 use xr_types::{Error, GigaBytesPerSecond, GigaHertz, Result};
 
 /// Broad device roles in the testbed.
@@ -69,9 +70,15 @@ pub struct DeviceCatalog {
 }
 
 impl DeviceCatalog {
-    /// Builds the catalog of Table I.
+    /// The shared catalog of Table I, built on first use.
     #[must_use]
-    pub fn table1() -> Self {
+    pub fn table1() -> &'static Self {
+        static TABLE1: OnceLock<DeviceCatalog> = OnceLock::new();
+        TABLE1.get_or_init(Self::build_table1)
+    }
+
+    /// The Table I literals behind [`DeviceCatalog::table1`].
+    fn build_table1() -> Self {
         let mut devices = BTreeMap::new();
         let mut add = |spec: DeviceSpec| {
             devices.insert(spec.name.clone(), spec);
@@ -282,6 +289,14 @@ mod tests {
         }
         assert_eq!(catalog.xr_clients().count(), 6);
         assert_eq!(catalog.edge_servers().count(), 2);
+    }
+
+    #[test]
+    fn table1_is_built_once() {
+        assert!(std::ptr::eq(
+            DeviceCatalog::table1(),
+            DeviceCatalog::table1()
+        ));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 use xr_stats::{FittedLinearModel, LinearRegression};
 use xr_types::{Error, MegaBytes, Result};
 
@@ -52,9 +53,15 @@ pub struct CnnCatalog {
 }
 
 impl CnnCatalog {
-    /// Builds the catalog of Table II.
+    /// The shared catalog of Table II, built on first use.
     #[must_use]
-    pub fn table2() -> Self {
+    pub fn table2() -> &'static Self {
+        static TABLE2: OnceLock<CnnCatalog> = OnceLock::new();
+        TABLE2.get_or_init(Self::build_table2)
+    }
+
+    /// The Table II literals behind [`CnnCatalog::table2`].
+    fn build_table2() -> Self {
         let mut models = BTreeMap::new();
         let mut add = |name: &str,
                        depth: u32,
@@ -230,6 +237,11 @@ mod tests {
         assert!(!catalog.is_empty());
         assert_eq!(catalog.on_device_models().count(), 9);
         assert_eq!(catalog.edge_models().count(), 2);
+    }
+
+    #[test]
+    fn table2_is_built_once() {
+        assert!(std::ptr::eq(CnnCatalog::table2(), CnnCatalog::table2()));
     }
 
     #[test]

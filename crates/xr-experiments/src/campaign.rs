@@ -112,6 +112,26 @@ impl RepSample {
     }
 }
 
+/// Rejects a point whose sessions measured a non-finite latency or energy,
+/// naming the point and the replication, so a broken session fails the
+/// campaign with an error instead of a panic in the row aggregation.
+fn check_finite_samples(point_index: usize, samples: &[RepSample]) -> Result<()> {
+    for (rep, sample) in samples.iter().enumerate() {
+        for (what, value) in [
+            ("latency_ms", sample.latency_ms),
+            ("energy_mj", sample.energy_mj),
+        ] {
+            if !value.is_finite() {
+                return Err(Error::invalid_parameter(
+                    format!("point {point_index} replication {rep} {what}"),
+                    format!("ground-truth measurement is {value}, not finite"),
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Everything one evaluated point contributes to its row: the per-rep
 /// samples plus the point's deterministic constants.
 #[derive(Debug, Clone, PartialEq)]
@@ -363,6 +383,7 @@ pub fn run_campaign_subset_streaming_with(
                 ctx.frames_for(point),
                 |_, session| samples.push(RepSample::of(&session)),
             )?;
+            check_finite_samples(point_ctx.index, &samples)?;
             // The model prediction and the contention snapshot are
             // deterministic per point.
             let report = ctx.proposed().analyze(&scenario)?;
@@ -575,6 +596,40 @@ mod tests {
             })
             .collect();
         assert_eq!(rendered, GOLDEN);
+    }
+
+    #[test]
+    fn non_finite_samples_fail_with_the_point_index() {
+        let sample = RepSample {
+            latency_ms: 12.5,
+            energy_mj: 3.0,
+            handoff_rate: 0.0,
+            migration_ms: 0.0,
+            sites_visited: 1,
+        };
+        assert_eq!(check_finite_samples(7, &[sample, sample]), Ok(()));
+        let cases = [
+            (
+                RepSample {
+                    latency_ms: f64::NAN,
+                    ..sample
+                },
+                "point 41 replication 1 latency_ms",
+            ),
+            (
+                RepSample {
+                    energy_mj: f64::INFINITY,
+                    ..sample
+                },
+                "point 41 replication 1 energy_mj",
+            ),
+        ];
+        for (bad, name) in cases {
+            match check_finite_samples(41, &[sample, bad, sample]) {
+                Err(Error::InvalidParameter { name: got, .. }) => assert_eq!(got, name),
+                other => panic!("expected an invalid-parameter error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! regularized incomplete beta function by continued fraction, inverted by
 //! bisection — since no numerics crates are available offline.
 
+use std::cell::RefCell;
+
 /// Natural log of the gamma function (Lanczos approximation, g = 7, n = 9;
 /// |relative error| < 1e-13 over the positive reals).
 fn ln_gamma(x: f64) -> f64 {
@@ -133,15 +135,52 @@ pub fn students_t_cdf(t: f64, dof: f64) -> f64 {
     }
 }
 
+/// Distinct `(p, dof)` keys [`students_t_quantile`] remembers per thread.
+/// A campaign asks for one or two (its confidence level at each replication
+/// count), so the bound only matters to callers that sweep many levels.
+const QUANTILE_MEMO_CAPACITY: usize = 32;
+
+thread_local! {
+    /// Quantiles already computed on this thread, keyed on the bit patterns
+    /// of `(p, dof)`. Thread-local, so campaign workers never take a lock.
+    static QUANTILE_MEMO: RefCell<Vec<((u64, u64), f64)>> =
+        const { RefCell::new(Vec::new()) };
+}
+
 /// Quantile (inverse CDF) of the Student-t distribution with `dof` degrees
-/// of freedom, by bisection on [`students_t_cdf`] (the CDF is strictly
-/// monotone, so ~90 halvings pin the root far below f64 noise).
+/// of freedom, by bisection on [`students_t_cdf`]: the CDF is strictly
+/// monotone, so the bracket is halved (at most 200 times) until its width
+/// falls to one f64 epsilon relative to its upper end.
+///
+/// The function is pure, so each thread remembers the first
+/// `QUANTILE_MEMO_CAPACITY` (32) distinct `(p, dof)` pairs it computes and
+/// returns the stored bits on a repeat call. Keys beyond the bound are
+/// bisected every time; the result is bit-identical either way.
 ///
 /// # Panics
 ///
 /// Panics if `p` is outside `(0, 1)` or `dof` is not positive.
 #[must_use]
 pub fn students_t_quantile(p: f64, dof: f64) -> f64 {
+    let key = (p.to_bits(), dof.to_bits());
+    let cached = QUANTILE_MEMO.with_borrow(|memo| {
+        memo.iter()
+            .find_map(|&(k, value)| (k == key).then_some(value))
+    });
+    if let Some(value) = cached {
+        return value;
+    }
+    let value = students_t_quantile_uncached(p, dof);
+    QUANTILE_MEMO.with_borrow_mut(|memo| {
+        if memo.len() < QUANTILE_MEMO_CAPACITY {
+            memo.push((key, value));
+        }
+    });
+    value
+}
+
+/// The bisection behind [`students_t_quantile`], without the memo.
+fn students_t_quantile_uncached(p: f64, dof: f64) -> f64 {
     assert!(dof > 0.0, "degrees of freedom must be positive");
     assert!(p > 0.0 && p < 1.0, "probability must be in (0, 1)");
     if (p - 0.5).abs() < f64::EPSILON {
@@ -149,7 +188,7 @@ pub fn students_t_quantile(p: f64, dof: f64) -> f64 {
     }
     // Symmetry reduces to the upper half.
     if p < 0.5 {
-        return -students_t_quantile(1.0 - p, dof);
+        return -students_t_quantile_uncached(1.0 - p, dof);
     }
     let mut lo = 0.0_f64;
     let mut hi = 1.0_f64;
@@ -247,10 +286,73 @@ mod tests {
                 "t(0.975, {dof}) = {t}, expected {expected}"
             );
         }
-        // 99 % one-sided, dof 5 → 3.365.
+        // Two-sided 99 %, dof 5 → 4.032.
         assert!((students_t_quantile(0.995, 5.0) - 4.032).abs() < 2e-3);
         assert_eq!(students_t_quantile(0.5, 3.0), 0.0);
         assert!((students_t_quantile(0.025, 4.0) + 2.776).abs() < 2e-3);
+    }
+
+    /// The memo-test grid: every small replication count plus a large
+    /// one, at probabilities covering the `p < 0.5` symmetry branch and the
+    /// `p = 0.5` early return.
+    fn memo_keys() -> Vec<(f64, f64)> {
+        let dofs = (1..=30).map(f64::from).chain([1000.0]);
+        dofs.flat_map(|dof| [0.025, 0.5, 0.975, 0.995].map(|p| (p, dof)))
+            .collect()
+    }
+
+    fn clear_memo() {
+        QUANTILE_MEMO.with_borrow_mut(Vec::clear);
+    }
+
+    fn memo_len() -> usize {
+        QUANTILE_MEMO.with_borrow(Vec::len)
+    }
+
+    #[test]
+    fn memoized_quantiles_are_bit_identical_to_a_fresh_bisection() {
+        for (p, dof) in memo_keys() {
+            clear_memo();
+            let first = students_t_quantile(p, dof);
+            assert_eq!(memo_len(), 1, "t({p}, {dof}) was not remembered");
+            let repeat = students_t_quantile(p, dof);
+            let fresh = students_t_quantile_uncached(p, dof);
+            assert_eq!(repeat.to_bits(), first.to_bits(), "t({p}, {dof}) repeat");
+            assert_eq!(fresh.to_bits(), first.to_bits(), "t({p}, {dof}) fresh");
+        }
+    }
+
+    #[test]
+    fn quantiles_agree_across_threads() {
+        let bits = || -> Vec<u64> {
+            memo_keys()
+                .into_iter()
+                .map(|(p, dof)| students_t_quantile(p, dof).to_bits())
+                .collect()
+        };
+        let here = bits();
+        let there = std::thread::spawn(bits)
+            .join()
+            .expect("quantile thread panicked");
+        assert_eq!(here, there);
+    }
+
+    #[test]
+    fn memo_stays_at_its_bound() {
+        clear_memo();
+        let keys = memo_keys();
+        assert!(keys.len() > QUANTILE_MEMO_CAPACITY);
+        for &(p, dof) in &keys {
+            let value = students_t_quantile(p, dof);
+            assert!(memo_len() <= QUANTILE_MEMO_CAPACITY);
+            // Keys past the bound are bisected afresh on every call.
+            assert_eq!(
+                students_t_quantile(p, dof).to_bits(),
+                value.to_bits(),
+                "t({p}, {dof})"
+            );
+        }
+        assert_eq!(memo_len(), QUANTILE_MEMO_CAPACITY);
     }
 
     #[test]
