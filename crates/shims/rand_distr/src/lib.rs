@@ -201,8 +201,9 @@ impl StandardNormalPairs {
 ///   (asserted by tests on AVX2 hosts, and re-asserted portable-only under
 ///   `XR_FORCE_PORTABLE=1` in CI);
 /// * the normal-family transforms come in *pair* form
-///   ([`fill_lognormal_pair`](column::fill_lognormal_pair)) writing both
-///   Box–Muller halves of each word pair, mirroring
+///   ([`fill_lognormal_pair`](column::fill_lognormal_pair), and the
+///   unscaled [`fill_standard_normal_pair`](column::fill_standard_normal_pair))
+///   writing both Box–Muller halves of each word pair, mirroring
 ///   [`StandardNormalPairs`]: a batched stage that consumes two variates
 ///   per frame fills both columns from **one** pair of raw-word columns.
 pub mod column {
@@ -315,6 +316,55 @@ pub mod column {
             let (z1, z2) = super::standard_normal_pair_from_words(a, b);
             out_cos[i] = math::exp(normal.from_standard(z1));
             out_sin[i] = math::exp(normal.from_standard(z2));
+        }
+    }
+
+    /// Writes **both** standard-normal halves of each raw word pair:
+    /// `out_cos[i]` and `out_sin[i]` are the two variates two consecutive
+    /// [`StandardNormalPairs::next`](super::StandardNormalPairs::next)
+    /// draws return on a stream holding the words `(raw_a[i], raw_b[i])`.
+    /// For consumers that scale each variate by its own `σ` (the power
+    /// monitor's per-phase aggregated noise), so no affine map or `exp` is
+    /// folded in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the four slices differ in length.
+    pub fn fill_standard_normal_pair(
+        raw_a: &[u64],
+        raw_b: &[u64],
+        out_cos: &mut [f64],
+        out_sin: &mut [f64],
+    ) {
+        assert_eq!(raw_a.len(), out_cos.len(), "raw_a column length mismatch");
+        assert_eq!(raw_b.len(), out_cos.len(), "raw_b column length mismatch");
+        assert_eq!(
+            out_sin.len(),
+            out_cos.len(),
+            "out_sin column length mismatch"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if use_avx2() {
+            // SAFETY: AVX2 support was just confirmed at runtime.
+            #[allow(unsafe_code)]
+            unsafe {
+                avx2::fill_standard_normal_pair_avx2(raw_a, raw_b, out_cos, out_sin);
+            }
+            return;
+        }
+        fill_standard_normal_pair_portable(raw_a, raw_b, out_cos, out_sin);
+    }
+
+    /// The portable pass behind [`fill_standard_normal_pair`]; also the
+    /// reference the AVX2 path is pinned against.
+    pub(crate) fn fill_standard_normal_pair_portable(
+        raw_a: &[u64],
+        raw_b: &[u64],
+        out_cos: &mut [f64],
+        out_sin: &mut [f64],
+    ) {
+        for (i, (&a, &b)) in raw_a.iter().zip(raw_b).enumerate() {
+            (out_cos[i], out_sin[i]) = super::standard_normal_pair_from_words(a, b);
         }
     }
 
@@ -537,6 +587,36 @@ pub mod column {
             );
         }
 
+        /// Four-wide standard-normal pair pass (both Box–Muller halves,
+        /// unscaled), with the portable pass finishing any tail.
+        #[target_feature(enable = "avx2")]
+        pub(super) unsafe fn fill_standard_normal_pair_avx2(
+            raw_a: &[u64],
+            raw_b: &[u64],
+            out_cos: &mut [f64],
+            out_sin: &mut [f64],
+        ) {
+            let chunks = out_cos.len() / 4;
+            for c in 0..chunks {
+                // SAFETY: `c * 4 + 4 <= len` for all four equal-length
+                // slices, so the unaligned loads and stores stay in bounds.
+                unsafe {
+                    let wa = _mm256_loadu_si256(raw_a.as_ptr().add(c * 4).cast::<__m256i>());
+                    let wb = _mm256_loadu_si256(raw_b.as_ptr().add(c * 4).cast::<__m256i>());
+                    let (z_cos, z_sin) = standard_pair(wa, wb);
+                    _mm256_storeu_pd(out_cos.as_mut_ptr().add(c * 4), z_cos);
+                    _mm256_storeu_pd(out_sin.as_mut_ptr().add(c * 4), z_sin);
+                }
+            }
+            let tail = chunks * 4;
+            super::fill_standard_normal_pair_portable(
+                &raw_a[tail..],
+                &raw_b[tail..],
+                &mut out_cos[tail..],
+                &mut out_sin[tail..],
+            );
+        }
+
         /// Four-wide `lo + unit(word) * span`, with the scalar pass
         /// finishing any tail — the same single-rounding multiply and add
         /// as the portable code, so results are bit-identical.
@@ -695,6 +775,24 @@ mod tests {
     }
 
     #[test]
+    fn fill_standard_normal_pair_matches_two_cached_pair_draws_bit_for_bit() {
+        let a = raw_words(33, 141);
+        let b = raw_words(34, 141);
+        let mut cos = vec![0.0; 141];
+        let mut sin = vec![0.0; 141];
+        super::column::fill_standard_normal_pair(&a, &b, &mut cos, &mut sin);
+        for i in 0..a.len() {
+            let mut replay = Replay(vec![a[i], b[i]], 0);
+            let mut pairs = StandardNormalPairs::new();
+            let first = pairs.next(&mut replay);
+            let second = pairs.next(&mut replay);
+            assert_eq!(replay.1, 2, "a pair must consume exactly two words");
+            assert_eq!(cos[i].to_bits(), first.to_bits(), "element {i} cosine");
+            assert_eq!(sin[i].to_bits(), second.to_bits(), "element {i} sine");
+        }
+    }
+
+    #[test]
     fn cached_pairs_survive_interleaved_non_normal_draws() {
         // The cache is positional in *normal draws*, not rng words: a
         // gen_range between the two halves must not disturb the second.
@@ -805,6 +903,13 @@ mod tests {
                 );
                 prop_assert!(simd == portable, "pair cosine diverged");
                 prop_assert!(simd_sin == portable_sin, "pair sine diverged");
+
+                column::fill_standard_normal_pair(&wa, &wb, &mut simd, &mut simd_sin);
+                column::fill_standard_normal_pair_portable(
+                    &wa, &wb, &mut portable, &mut portable_sin,
+                );
+                prop_assert!(simd == portable, "standard pair cosine diverged");
+                prop_assert!(simd_sin == portable_sin, "standard pair sine diverged");
             }
         }
     }

@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use std::io::Write;
 use xr_stats::mean_confidence_interval;
 use xr_sweep::{CampaignRunner, OperatingPoint, SweepGrid, WirelessCondition};
-use xr_testbed::GroundTruthSession;
+use xr_testbed::SessionTotals;
 use xr_types::{Error, ExecutionTarget, Result};
 
 /// Column header of the consolidated campaign CSV.
@@ -101,13 +101,13 @@ struct RepSample {
 }
 
 impl RepSample {
-    fn of(session: &GroundTruthSession) -> Self {
+    fn of(totals: &SessionTotals) -> Self {
         Self {
-            latency_ms: session.mean_latency().as_f64() * 1e3,
-            energy_mj: session.mean_energy().as_f64() * 1e3,
-            handoff_rate: session.handoff_rate(),
-            migration_ms: session.mean_migration_latency().as_f64() * 1e3,
-            sites_visited: session.sites_visited(),
+            latency_ms: totals.mean_latency().as_f64() * 1e3,
+            energy_mj: totals.mean_energy().as_f64() * 1e3,
+            handoff_rate: totals.handoff_rate(),
+            migration_ms: totals.mean_migration_latency().as_f64() * 1e3,
+            sites_visited: totals.sites_visited(),
         }
     }
 }
@@ -369,8 +369,8 @@ pub fn run_campaign_subset_streaming_with(
     };
     // The point is the work item: the testbed evaluates all its
     // replications (fused or one after another, by the point's shape) and
-    // each finished session is reduced to its means on the spot, so a long
-    // session never outlives its own replication.
+    // hands over each replication's running totals, so no per-frame record
+    // is ever built.
     runner.run_indexed_streaming(
         subset,
         |point_ctx, point: &OperatingPoint| {
@@ -381,7 +381,7 @@ pub fn run_campaign_subset_streaming_with(
                 point_ctx.seed,
                 replications,
                 ctx.frames_for(point),
-                |_, session| samples.push(RepSample::of(&session)),
+                |_, totals| samples.push(RepSample::of(&totals)),
             )?;
             check_finite_samples(point_ctx.index, &samples)?;
             // The model prediction and the contention snapshot are

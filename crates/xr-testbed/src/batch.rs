@@ -4,8 +4,8 @@
 //! default: frames are simulated in batches of [`SimulationEngine`] width,
 //! and each of the ten pipeline stages runs as a tight loop over one
 //! *column* of the batch (all frames' frame-generation noise, then all
-//! frames' sensor jitter, …) instead of walking one frame through all ten
-//! stages at a time.
+//! frames' sensor jitter, …, then all frames' power-monitor integrals)
+//! instead of walking one frame through all ten stages at a time.
 //!
 //! Two properties make this reordering legal without changing a single
 //! random draw:
@@ -42,11 +42,22 @@
 //! **lane-count invariant by construction** — the same invariant per-stage
 //! streams pinned for batching, pushed down to the raw `u64` level.
 //!
+//! The finalize stage is a column stage too: the Monsoon monitor's
+//! per-phase noise comes from the `MONITOR` lanes through
+//! `rand_distr::column::fill_standard_normal_pair`, and
+//! `PowerMonitor::measure_energy_columns` integrates one energy column from
+//! the included slots' latency columns.
+//! What a finalized frame then becomes depends on the caller: a session
+//! ([`TestbedSimulator::simulate_session`],
+//! [`TestbedSimulator::simulate_point`]) copies it into a
+//! [`GroundTruthFrame`], while the campaign path
+//! ([`TestbedSimulator::visit_point`]) only folds it, in frame order, into
+//! the replication's [`SessionTotals`] and builds no frame at all.
+//!
 //! All column storage (`FrameBatch`, `DrawColumns`, the walker's
 //! crossing counts) is allocated once per session and reused across
-//! batches, and the emitted [`GroundTruthFrame`]s hold their per-segment
-//! measurements in fixed slot arrays — the steady-state frame loop
-//! performs **no** per-frame heap allocation at all.
+//! batches — the steady-state frame loop performs **no** per-frame heap
+//! allocation at all.
 //!
 //! Bit-identity with the scalar reference
 //! ([`TestbedSimulator::simulate_session_scalar`]) is pinned by unit tests
@@ -58,9 +69,10 @@
 use crate::laws::DeviceBias;
 use crate::simulator::{
     check_frames, stream, ContentionPlan, GroundTruthFrame, GroundTruthSession, SessionState,
-    TestbedSimulator,
+    SessionTotals, TestbedSimulator,
 };
 use rand_distr::{column, Distribution, Exp, Normal, StandardNormalPairs};
+use std::ops::Range;
 use xr_core::Scenario;
 use xr_types::lanes::LaneStreams;
 use xr_types::{Joules, Result, Seconds, Segment, Watts, SPEED_OF_LIGHT};
@@ -383,6 +395,9 @@ struct DrawColumns {
     /// two live columns at once (the edge loop).
     fac_a: Vec<f64>,
     fac_b: Vec<f64>,
+    /// The monitor's standard-normal columns: draw `d` of lane `i` at
+    /// `normals[d * n + i]`, both Box–Muller halves of each word pair kept.
+    normals: Vec<f64>,
     /// Per-frame accumulator for the sensor stage's update loop.
     acc: Vec<Seconds>,
     /// Reused crossing counts of the handoff stage's walker scan.
@@ -400,6 +415,7 @@ impl DrawColumns {
             raw_b: Vec::new(),
             fac_a: Vec::new(),
             fac_b: Vec::new(),
+            normals: Vec::new(),
             acc: Vec::new(),
             crossings: Vec::new(),
             bases: Vec::new(),
@@ -458,6 +474,20 @@ impl DrawColumns {
         );
     }
 
+    /// Fills `normals` with the next `pairs` word pairs' standard variates,
+    /// two draw columns per pair: the sequence a scalar pair cache hands
+    /// out on each lane's stream, up to draw `2 * pairs`.
+    fn standard_normals(&mut self, pairs: usize) {
+        let n = self.raw_a.len();
+        self.normals.resize(2 * pairs * n, 0.0);
+        for columns in self.normals.chunks_exact_mut(2 * n) {
+            self.lanes.fill_next(&mut self.raw_a);
+            self.lanes.fill_next(&mut self.raw_b);
+            let (cos, sin) = columns.split_at_mut(n);
+            column::fill_standard_normal_pair(&self.raw_a, &self.raw_b, cos, sin);
+        }
+    }
+
     /// Fills `fac_a` with the next `gen_range(lo..hi)` column — one raw
     /// word per frame.
     fn uniform_a(&mut self, lo: f64, hi: f64) {
@@ -505,12 +535,13 @@ struct FrameBatch {
     /// its `events` segment (`advance_many_into` clears its output, so the
     /// fused pre-pass cannot append segments directly).
     events_scratch: Vec<SiteEvents>,
-    /// Scratch: the finalizer's per-frame power phases.
-    phases: Vec<(Watts, Seconds)>,
-    /// Scratch: the finalizer's Eq. 1 latency totals, one per frame.
+    /// The finalizer's Eq. 1 latency totals, one per frame.
     totals: Vec<Seconds>,
     /// Scratch: the finalizer's thermal-share compute energy, one per frame.
     compute: Vec<Joules>,
+    /// The finalizer's total energy (monitor integral plus thermal share),
+    /// one per frame.
+    energy: Vec<Joules>,
 }
 
 /// Column positions in `Segment::ALL` order, kept as named constants so the
@@ -540,9 +571,9 @@ impl FrameBatch {
             sites: Vec::new(),
             events: Vec::new(),
             events_scratch: Vec::new(),
-            phases: Vec::new(),
             totals: Vec::new(),
             compute: Vec::new(),
+            energy: Vec::new(),
         }
     }
 
@@ -586,6 +617,86 @@ impl FrameBatch {
     }
 }
 
+/// What the batched drivers build for one replication out of its finalized
+/// frames: the full per-frame record (`Vec<GroundTruthFrame>`, for
+/// [`TestbedSimulator::simulate_session`] and
+/// [`TestbedSimulator::simulate_point`]) or the campaign's running
+/// [`SessionTotals`] (for [`TestbedSimulator::visit_point`]).
+trait RepOutput {
+    /// What one replication becomes once its last frame is in.
+    type Session;
+    /// An empty output for a session of `frames` frames.
+    fn new(frames: u64) -> Self;
+    /// Takes the finalized frames on `lanes` of `b` — one replication's
+    /// contiguous segment, in frame order.
+    fn take(&mut self, k: &BatchConsts, b: &FrameBatch, lanes: Range<usize>);
+    /// Closes the replication with its session-scoped state.
+    fn finish(self, session: &SessionState) -> Self::Session;
+    /// The same result from the scalar reference engine's session.
+    fn of_scalar(session: GroundTruthSession) -> Self::Session;
+}
+
+impl RepOutput for Vec<GroundTruthFrame> {
+    type Session = GroundTruthSession;
+
+    fn new(frames: u64) -> Self {
+        Vec::with_capacity(frames as usize)
+    }
+
+    /// Copies each lane's slots into a [`GroundTruthFrame`]. The segment
+    /// energies are `power × duration` per slot in `Segment::ALL` order,
+    /// as the scalar finalizer writes them.
+    fn take(&mut self, k: &BatchConsts, b: &FrameBatch, lanes: Range<usize>) {
+        for i in lanes {
+            let latency: [Seconds; Segment::ALL.len()] =
+                std::array::from_fn(|slot| b.latency[slot][i]);
+            self.push(GroundTruthFrame {
+                latency,
+                total_latency: b.totals[i],
+                energy: std::array::from_fn(|slot| k.segment_power[slot] * latency[slot]),
+                total_energy: b.energy[i],
+                handoff_occurred: b.handoff_occurred[i],
+            });
+        }
+    }
+
+    fn finish(self, session: &SessionState) -> GroundTruthSession {
+        GroundTruthSession {
+            frames: self,
+            migration_time: session.migration_time,
+            sites_visited: session.sites_visited(),
+        }
+    }
+
+    fn of_scalar(session: GroundTruthSession) -> GroundTruthSession {
+        session
+    }
+}
+
+impl RepOutput for SessionTotals {
+    type Session = SessionTotals;
+
+    fn new(_frames: u64) -> Self {
+        SessionTotals::empty()
+    }
+
+    fn take(&mut self, _k: &BatchConsts, b: &FrameBatch, lanes: Range<usize>) {
+        for i in lanes {
+            self.add_frame(b.totals[i], b.energy[i], b.handoff_occurred[i]);
+        }
+    }
+
+    fn finish(mut self, session: &SessionState) -> SessionTotals {
+        self.migration_time = session.migration_time;
+        self.sites_visited = session.sites_visited();
+        self
+    }
+
+    fn of_scalar(session: GroundTruthSession) -> SessionTotals {
+        SessionTotals::of(&session)
+    }
+}
+
 impl TestbedSimulator {
     /// [`TestbedSimulator::simulate_session`] through the batched
     /// structure-of-arrays engine with an explicit batch `width` (clamped to
@@ -601,6 +712,17 @@ impl TestbedSimulator {
         frames: u64,
         width: usize,
     ) -> Result<GroundTruthSession> {
+        self.run_session::<Vec<GroundTruthFrame>>(scenario, frames, width)
+    }
+
+    /// The batched session driver, generic over what each frame is folded
+    /// into.
+    fn run_session<O: RepOutput>(
+        &self,
+        scenario: &Scenario,
+        frames: u64,
+        width: usize,
+    ) -> Result<O::Session> {
         check_frames(frames)?;
         scenario.validate()?;
         let width = width.max(1) as u64;
@@ -608,7 +730,7 @@ impl TestbedSimulator {
         let mut session = SessionState::new(self, scenario);
         let mut batch = FrameBatch::new();
         let mut draws = DrawColumns::new();
-        let mut out = vec![Vec::with_capacity(frames as usize)];
+        let mut out = O::new(frames);
         let mut first = 1u64;
         while first <= frames {
             let n = width.min(frames - first + 1) as usize;
@@ -618,29 +740,24 @@ impl TestbedSimulator {
                 &mut batch,
                 &mut draws,
                 std::slice::from_mut(&mut session),
-                &mut out,
+                std::slice::from_mut(&mut out),
             );
             first += n as u64;
         }
-        Ok(GroundTruthSession {
-            frames: out.pop().expect("one fused lane"),
-            migration_time: session.migration_time,
-            sites_visited: session.sites_visited(),
-        })
+        Ok(out.finish(&session))
     }
 
     /// Runs the ten column stages over one prepared batch: the shared body
     /// of the per-session driver above (`sessions.len() == 1`) and the
-    /// replication-fused point driver
-    /// ([`TestbedSimulator::simulate_point`]), which passes one session
-    /// state and one output vector per fused replication.
-    fn batch_pass(
+    /// replication-fused point driver, which passes one session state and
+    /// one output per fused replication.
+    fn batch_pass<O: RepOutput>(
         &self,
         consts: &BatchConsts,
         batch: &mut FrameBatch,
         draws: &mut DrawColumns,
         sessions: &mut [SessionState],
-        outs: &mut [Vec<GroundTruthFrame>],
+        outs: &mut [O],
     ) {
         self.batch_walk(consts, batch, sessions);
         self.batch_generate(consts, batch, draws);
@@ -652,13 +769,13 @@ impl TestbedSimulator {
         self.batch_handoff(consts, batch, draws, sessions);
         self.batch_render(consts, batch, draws);
         self.batch_cooperate(consts, batch, draws);
-        self.batch_finalize(consts, batch, outs);
+        self.batch_finalize(consts, batch, draws, outs);
     }
 
-    /// Evaluates all `reps` replications of one operating point — the
-    /// replicated unit of work of a campaign — and returns one
-    /// [`GroundTruthSession`] per replication, in replication order: the
-    /// collect-all form of [`TestbedSimulator::visit_point`].
+    /// Evaluates all `reps` replications of one operating point and returns
+    /// one full [`GroundTruthSession`] per replication, in replication
+    /// order. Same dispatch and seeds as [`TestbedSimulator::visit_point`],
+    /// which keeps only each session's totals.
     ///
     /// # Errors
     ///
@@ -671,19 +788,27 @@ impl TestbedSimulator {
         frames: u64,
     ) -> Result<Vec<GroundTruthSession>> {
         let mut sessions = Vec::with_capacity(reps);
-        self.visit_point(scenario, point_seed, reps, frames, |_, session| {
-            sessions.push(session);
-        })?;
+        self.evaluate_point::<Vec<GroundTruthFrame>>(
+            scenario,
+            point_seed,
+            reps,
+            frames,
+            |_, session| sessions.push(session),
+        )?;
         Ok(sessions)
     }
 
-    /// Evaluates all `reps` replications of one operating point and hands
-    /// each finished session to `visit` as `(rep, session)`, in replication
-    /// order, one call per replication. Replication `r` runs under session
-    /// seed `mix(point_seed, r)` (what `xr_sweep::replication_seed` derives)
-    /// and is **bit-identical to a standalone**
+    /// Evaluates all `reps` replications of one operating point — the
+    /// replicated unit of work of a campaign — and hands each finished
+    /// replication's [`SessionTotals`] to `visit` as `(rep, totals)`, in
+    /// replication order, one call per replication. Replication `r` runs
+    /// under session seed `mix(point_seed, r)` (what
+    /// `xr_sweep::replication_seed` derives), and its totals are
+    /// **bit-identical to** `SessionTotals::of` a standalone
     /// `self.reseeded(mix(point_seed, r)).simulate_session(scenario,
-    /// frames)` by construction.
+    /// frames)` by construction. No [`GroundTruthFrame`] is built: the
+    /// batched engine folds each finalized frame into the totals in frame
+    /// order.
     ///
     /// The point's shape picks the evaluation order. Under
     /// [`SimulationEngine::Batched`] with more than one replication and
@@ -693,11 +818,12 @@ impl TestbedSimulator {
     /// batch of frames (each replication's lanes form a contiguous segment
     /// replaying its own per-stage streams), and the sparse per-rep state
     /// (walkers, handoff tallies, migration clocks) banked behind
-    /// rep-indexed arrays. Otherwise — long sessions, `reps == 1`, or the
-    /// [`SimulationEngine::Scalar`] reference — the replications run one
-    /// after another through [`TestbedSimulator::simulate_session`], and
-    /// each session is visited before the next one starts, so only one
-    /// long session is ever alive.
+    /// rep-indexed arrays. Otherwise — long sessions or `reps == 1` — the
+    /// replications run one after another through the batched session
+    /// driver, and each is visited before the next one starts. Under the
+    /// [`SimulationEngine::Scalar`] reference each replication is
+    /// `SessionTotals::of(&simulate_session_scalar(…))`, so the scalar
+    /// engine stays the oracle.
     ///
     /// # Errors
     ///
@@ -711,7 +837,20 @@ impl TestbedSimulator {
         point_seed: u64,
         reps: usize,
         frames: u64,
-        mut visit: impl FnMut(usize, GroundTruthSession),
+        visit: impl FnMut(usize, SessionTotals),
+    ) -> Result<()> {
+        self.evaluate_point::<SessionTotals>(scenario, point_seed, reps, frames, visit)
+    }
+
+    /// The point driver behind [`TestbedSimulator::simulate_point`] and
+    /// [`TestbedSimulator::visit_point`], generic over the per-rep output.
+    fn evaluate_point<O: RepOutput>(
+        &self,
+        scenario: &Scenario,
+        point_seed: u64,
+        reps: usize,
+        frames: u64,
+        mut visit: impl FnMut(usize, O::Session),
     ) -> Result<()> {
         if reps == 0 {
             return Err(xr_types::Error::invalid_parameter(
@@ -724,13 +863,21 @@ impl TestbedSimulator {
             SimulationEngine::Batched { width } if reps > 1 && frames < width.max(1) as u64 => {
                 width
             }
-            _ => {
+            SimulationEngine::Batched { width } => {
                 for rep in 0..reps {
-                    visit(
-                        rep,
-                        self.reseeded(rep_seed(rep))
-                            .simulate_session(scenario, frames)?,
-                    );
+                    let session = self
+                        .reseeded(rep_seed(rep))
+                        .run_session::<O>(scenario, frames, width)?;
+                    visit(rep, session);
+                }
+                return Ok(());
+            }
+            SimulationEngine::Scalar => {
+                for rep in 0..reps {
+                    let session = self
+                        .reseeded(rep_seed(rep))
+                        .simulate_session_scalar(scenario, frames)?;
+                    visit(rep, O::of_scalar(session));
                 }
                 return Ok(());
             }
@@ -744,9 +891,7 @@ impl TestbedSimulator {
         let mut sessions: Vec<SessionState> = (0..reps)
             .map(|rep| SessionState::new(&self.reseeded(rep_seed(rep)), scenario))
             .collect();
-        let mut outs: Vec<Vec<GroundTruthFrame>> = (0..reps)
-            .map(|_| Vec::with_capacity(frames as usize))
-            .collect();
+        let mut outs: Vec<O> = (0..reps).map(|_| O::new(frames)).collect();
         // Split the lane budget evenly across the replications so the fused
         // batch touches about as much column memory per pass as a plain
         // batched session would.
@@ -760,15 +905,8 @@ impl TestbedSimulator {
             self.batch_pass(&consts, &mut batch, &mut draws, &mut sessions, &mut outs);
             first += per_rep as u64;
         }
-        for (rep, (session, frames)) in sessions.iter().zip(outs).enumerate() {
-            visit(
-                rep,
-                GroundTruthSession {
-                    frames,
-                    migration_time: session.migration_time,
-                    sites_visited: session.sites_visited(),
-                },
-            );
+        for (rep, (session, out)) in sessions.iter().zip(outs).enumerate() {
+            visit(rep, out.finish(session));
         }
         Ok(())
     }
@@ -1162,31 +1300,34 @@ impl TestbedSimulator {
         }
     }
 
-    /// Stage 10 — Eq. 1 gating and the Monsoon-style energy measurement,
-    /// one output frame per column entry. The per-segment maps are clones
-    /// of the session's zeroed templates with values rewritten in key
-    /// order — `Segment::ALL` order, the same order the scalar finalizer's
-    /// `BTreeMap` yields — so every floating-point sum accumulates
-    /// identically and the emitted maps compare equal.
-    fn batch_finalize(
+    /// Stage 10 column loop — Eq. 1 gating and the Monsoon-style energy
+    /// measurement. The Eq. 1 latency total and the thermal-share compute
+    /// energy are slot-ascending accumulations, one contiguous add pass per
+    /// included slot, so per frame the summation order is exactly the scalar
+    /// finalizer's (ascending `Segment::ALL`). The monitor noise comes from
+    /// the [`stream::MONITOR`] lanes: `ceil(included / 2)` word pairs per
+    /// frame, both Box–Muller halves kept, which covers the at most one
+    /// variate each included phase draws; a frame that draws fewer leaves
+    /// its trailing words unread, and nothing else reads that stream.
+    /// Each replication's lane segment then goes to its output in frame
+    /// order.
+    fn batch_finalize<O: RepOutput>(
         &self,
         k: &BatchConsts,
         b: &mut FrameBatch,
-        outs: &mut [Vec<GroundTruthFrame>],
+        d: &mut DrawColumns,
+        outs: &mut [O],
     ) {
-        // Column prologue: the Eq. 1 latency total and the thermal-share
-        // compute energy are plain slot-ascending accumulations, so they
-        // run as one contiguous add pass per included slot — per frame the
-        // summation order is exactly the scalar finalizer's BTreeMap
-        // (ascending `Segment::ALL`) order.
         b.totals.clear();
         b.totals.resize(b.n, Seconds::ZERO);
         b.compute.clear();
         b.compute.resize(b.n, Joules::ZERO);
-        for (slot, &included) in k.segment_included.iter().enumerate() {
-            if !included {
+        let mut included = 0usize;
+        for (slot, &is_included) in k.segment_included.iter().enumerate() {
+            if !is_included {
                 continue;
             }
+            included += 1;
             for (total, &value) in b.totals.iter_mut().zip(&b.latency[slot]) {
                 *total += value;
             }
@@ -1198,35 +1339,28 @@ impl TestbedSimulator {
             }
         }
 
-        for i in 0..b.n {
-            let mut latency = [Seconds::ZERO; Segment::ALL.len()];
-            for (slot, column) in b.latency.iter().enumerate() {
-                latency[slot] = column[i];
-            }
+        if self.monitor.is_noisy() {
+            d.reseed(k, stream::MONITOR, b);
+            d.standard_normals(included.div_ceil(2));
+        }
+        let mut phases = [(Watts::ZERO, &[][..]); Segment::ALL.len()];
+        let slots = (0..Segment::ALL.len()).filter(|&slot| k.segment_included[slot]);
+        for (phase, slot) in phases.iter_mut().zip(slots) {
+            *phase = (k.segment_power[slot], &b.latency[slot][..]);
+        }
+        b.energy.resize(b.n, Joules::ZERO);
+        self.monitor.measure_energy_columns(
+            &phases[..included],
+            self.base_power,
+            &d.normals,
+            &mut b.energy,
+        );
+        for (energy, &compute) in b.energy.iter_mut().zip(&b.compute) {
+            *energy += compute * self.thermal_fraction;
+        }
 
-            b.phases.clear();
-            let mut energy = [Joules::ZERO; Segment::ALL.len()];
-            for (slot, value) in energy.iter_mut().enumerate() {
-                let duration = latency[slot];
-                let power = k.segment_power[slot];
-                *value = power * duration;
-                if k.segment_included[slot] {
-                    b.phases.push((power, duration));
-                }
-            }
-            let trace_energy = self.monitor.measure_energy(
-                &b.phases,
-                self.base_power,
-                xr_types::seed::mix(k.base(b.rep(i), stream::MONITOR), b.frame_index(i)),
-            );
-            let thermal = b.compute[i] * self.thermal_fraction;
-            outs[b.rep(i)].push(GroundTruthFrame {
-                latency,
-                total_latency: b.totals[i],
-                energy,
-                total_energy: trace_energy + thermal,
-                handoff_occurred: b.handoff_occurred[i],
-            });
+        for (rep, out) in outs.iter_mut().enumerate() {
+            out.take(k, b, rep * b.per_rep..(rep + 1) * b.per_rep);
         }
     }
 }
@@ -1667,9 +1801,100 @@ mod tests {
                 .with_engine(SimulationEngine::Batched { width })
                 .visit_point(&s, 11, 4, 30, |rep, session| seen.push((rep, session)))
                 .unwrap();
-            let expected: Vec<_> = reference.iter().cloned().enumerate().collect();
+            let expected: Vec<_> = reference
+                .iter()
+                .map(SessionTotals::of)
+                .enumerate()
+                .collect();
             assert_eq!(seen, expected, "width {width}");
         }
+    }
+
+    /// Asserts every mean of `totals` is bit-identical to the scalar
+    /// session's.
+    fn assert_totals_match(totals: &SessionTotals, session: &GroundTruthSession, label: &str) {
+        let bits = |value: f64| value.to_bits();
+        assert_eq!(totals.frames, session.frames().len() as u64, "{label}");
+        assert_eq!(
+            bits(totals.mean_latency().as_f64()),
+            bits(session.mean_latency().as_f64()),
+            "{label}: mean latency"
+        );
+        assert_eq!(
+            bits(totals.mean_energy().as_f64()),
+            bits(session.mean_energy().as_f64()),
+            "{label}: mean energy"
+        );
+        assert_eq!(
+            bits(totals.handoff_rate()),
+            bits(session.handoff_rate()),
+            "{label}: handoff rate"
+        );
+        assert_eq!(
+            bits(totals.mean_migration_latency().as_f64()),
+            bits(session.mean_migration_latency().as_f64()),
+            "{label}: migration latency"
+        );
+        assert_eq!(
+            totals.sites_visited(),
+            session.sites_visited(),
+            "{label}: sites"
+        );
+    }
+
+    #[test]
+    fn visited_totals_match_the_scalar_session_means_bit_for_bit() {
+        // frames = width - 1 fuses the replications; width and width + 1
+        // stream them (the latter with a one-frame tail batch). The scalar
+        // engine's branch folds its own sessions.
+        use xr_types::{MigrationPolicy, TopologyLayout};
+        let width = 24usize;
+        let contended = Scenario::builder()
+            .execution(ExecutionTarget::Remote)
+            .frame_side(300.0)
+            .frame_rate(xr_types::Hertz::new(5.0))
+            .contention(3)
+            .build()
+            .unwrap();
+        let topology = topology_scenario(
+            TopologyLayout::Square,
+            MigrationPolicy::Eager,
+            2500.0,
+            Some(3),
+        );
+        let testbed = TestbedSimulator::new(61);
+        let mut roamed = false;
+        for (label, s) in [
+            (
+                "static",
+                scenario(500.0, 2.0, ExecutionTarget::Split { client_share: 0.3 }),
+            ),
+            ("mobile", mobile_scenario(25.0, 8.0)),
+            ("topology", topology),
+            ("contended", contended),
+        ] {
+            for frames in [width as u64 - 1, width as u64, width as u64 + 1] {
+                let reference = scalar_reference(&testbed, &s, 19, 3, frames);
+                roamed |= reference.iter().any(|session| session.sites_visited() > 1);
+                for engine in [
+                    SimulationEngine::Batched { width },
+                    SimulationEngine::Scalar,
+                ] {
+                    let mut seen = Vec::new();
+                    testbed
+                        .clone()
+                        .with_engine(engine)
+                        .visit_point(&s, 19, 3, frames, |rep, totals| seen.push((rep, totals)))
+                        .unwrap();
+                    assert_eq!(seen.len(), 3);
+                    for ((rep, totals), session) in seen.iter().zip(&reference) {
+                        let label = format!("{label} rep {rep}, {frames} frames, {engine:?}");
+                        assert_totals_match(totals, session, &label);
+                    }
+                }
+            }
+        }
+        assert!(roamed, "the topology scenario never migrated");
     }
 
     #[test]

@@ -54,5 +54,6 @@ pub use dataset::{CalibratedModels, MeasurementCampaign, MeasurementDataset};
 pub use laws::{DeviceBias, TrueLaws};
 pub use power::{PowerMonitor, PowerTrace};
 pub use simulator::{
-    ContentionSnapshot, GroundTruthFrame, GroundTruthSession, SessionState, TestbedSimulator,
+    ContentionSnapshot, GroundTruthFrame, GroundTruthSession, SessionState, SessionTotals,
+    TestbedSimulator,
 };

@@ -188,31 +188,109 @@ impl PowerMonitor {
         // set) while keeping the exact per-phase distribution. Phases that
         // span no samples draw nothing, as before.
         let mut pairs = rand_distr::StandardNormalPairs::new();
-        let dt = self.sampling_interval.as_f64();
         let mut energy = 0.0;
-
-        for (power, duration) in phases {
-            if duration.as_f64() <= 0.0 {
-                continue;
+        for &(power, duration) in phases {
+            if let Some(phase) =
+                self.phase_energy(power, baseline, duration, || pairs.next(&mut rng))
+            {
+                energy += phase;
             }
-            // The number of monitor samples the phase spans, on the same
-            // Δt grid as the recorded trace (rounded, so quantisation is
-            // unbiased across phases).
-            let samples = (duration.as_f64() / dt).round();
-            if samples < 1.0 {
-                continue;
-            }
-            let factor = if self.noise_fraction > 0.0 {
-                let aggregated = Normal::new(1.0, self.noise_fraction / samples.sqrt())
-                    .expect("valid normal distribution");
-                aggregated.from_standard(pairs.next(&mut rng)).max(0.0)
-            } else {
-                1.0
-            };
-            energy += (power.as_f64() + baseline.as_f64()) * factor * samples * dt;
         }
-
         Joules::new(energy)
+    }
+
+    /// The column form of [`PowerMonitor::measure_energy`]: one energy per
+    /// lane (frame), from the frame's phases laid out as columns.
+    ///
+    /// `phases[p]` is phase `p`'s nominal power and its duration column
+    /// (one entry per lane), in the order the scalar form would see the
+    /// phases. `normals` holds the pre-drawn standard-normal variates, draw
+    /// `d` of lane `i` at `normals[d * lanes + i]`: the sequence the scalar
+    /// form's pair cache would hand out on that lane's stream. Each lane
+    /// keeps its own draw cursor, which advances only on phases that draw,
+    /// so a lane whose phases span fewer samples leaves its trailing
+    /// variates unread. A noiseless monitor reads no variate, and `normals`
+    /// may then be empty.
+    ///
+    /// Both forms evaluate every phase through the same expression, so
+    /// `out[i]` equals `measure_energy` on lane `i`'s phases and stream bit
+    /// for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a duration column's length differs from `out`'s, or if a
+    /// noisy monitor gets fewer than one variate per phase per lane.
+    pub(crate) fn measure_energy_columns(
+        &self,
+        phases: &[(Watts, &[Seconds])],
+        baseline: Watts,
+        normals: &[f64],
+        out: &mut [Joules],
+    ) {
+        let lanes = out.len();
+        for (_, durations) in phases {
+            assert_eq!(durations.len(), lanes, "phase column length mismatch");
+        }
+        if self.is_noisy() {
+            assert!(
+                normals.len() >= phases.len() * lanes,
+                "a noisy monitor needs one variate per phase per lane"
+            );
+        }
+        for (i, out) in out.iter_mut().enumerate() {
+            let mut drawn = 0;
+            let mut energy = 0.0;
+            for &(power, durations) in phases {
+                let draw = || {
+                    let z = normals[drawn * lanes + i];
+                    drawn += 1;
+                    z
+                };
+                if let Some(phase) = self.phase_energy(power, baseline, durations[i], draw) {
+                    energy += phase;
+                }
+            }
+            *out = Joules::new(energy);
+        }
+    }
+
+    /// One phase's integrated energy, or `None` when the phase spans no
+    /// monitor sample (and so draws nothing). `draw` yields the phase's
+    /// standard-normal variate and is called once, only on a noisy monitor.
+    /// Both [`PowerMonitor::measure_energy`] forms go through here.
+    fn phase_energy(
+        &self,
+        power: Watts,
+        baseline: Watts,
+        duration: Seconds,
+        draw: impl FnOnce() -> f64,
+    ) -> Option<f64> {
+        if duration.as_f64() <= 0.0 {
+            return None;
+        }
+        // The number of monitor samples the phase spans, on the same Δt
+        // grid as the recorded trace (rounded, so quantisation is unbiased
+        // across phases).
+        let dt = self.sampling_interval.as_f64();
+        let samples = (duration.as_f64() / dt).round();
+        if samples < 1.0 {
+            return None;
+        }
+        let factor = if self.is_noisy() {
+            let aggregated = Normal::new(1.0, self.noise_fraction / samples.sqrt())
+                .expect("valid normal distribution");
+            aggregated.from_standard(draw()).max(0.0)
+        } else {
+            1.0
+        };
+        Some((power.as_f64() + baseline.as_f64()) * factor * samples * dt)
+    }
+
+    /// Whether the monitor draws noise at all (a noiseless monitor
+    /// integrates the nominal power levels exactly).
+    #[must_use]
+    pub(crate) fn is_noisy(&self) -> bool {
+        self.noise_fraction > 0.0
     }
 }
 
@@ -340,6 +418,80 @@ mod tests {
             (exact - trace).abs() / trace < 0.02,
             "noiseless forms diverged: {exact} vs {trace}"
         );
+    }
+
+    #[test]
+    fn energy_columns_match_per_frame_measure_energy_bit_for_bit() {
+        // Lanes draw different numbers of variates: zero-duration phases
+        // and phases under Δt/2 (0 samples) draw nothing, and the handoff
+        // phase runs on some frames only.
+        use rand::RngCore;
+        let dt = 0.2e-3;
+        let lanes = 9;
+        let powers = [
+            Watts::new(2.1),
+            Watts::new(0.7),
+            Watts::new(1.3),
+            Watts::new(3.9),
+        ];
+        let columns: [Vec<Seconds>; 4] = [
+            (0..lanes)
+                .map(|i| Seconds::new(0.031 + 0.004 * i as f64))
+                .collect(),
+            (0..lanes)
+                .map(|i| Seconds::new(if i % 3 == 0 { 0.0 } else { 0.012 }))
+                .collect(),
+            (0..lanes)
+                .map(|i| Seconds::new(if i % 2 == 0 { 0.4 * dt } else { 0.6 * dt }))
+                .collect(),
+            (0..lanes)
+                .map(|i| Seconds::new(if i % 4 == 1 { 0.065 } else { 0.0 }))
+                .collect(),
+        ];
+        let baseline = Watts::new(0.85);
+        let seed = |i: usize| 0xC0FF_EE00 + i as u64;
+
+        // Pre-draw the variates the way the batched finalizer does: one
+        // raw word pair per pair column, both halves kept.
+        let pair_columns = columns.len().div_ceil(2);
+        let mut rngs: Vec<StdRng> = (0..lanes).map(|i| StdRng::seed_from_u64(seed(i))).collect();
+        let mut normals = vec![0.0; 2 * pair_columns * lanes];
+        for pair in 0..pair_columns {
+            let mut raw_a = vec![0u64; lanes];
+            let mut raw_b = vec![0u64; lanes];
+            for (i, rng) in rngs.iter_mut().enumerate() {
+                raw_a[i] = rng.next_u64();
+                raw_b[i] = rng.next_u64();
+            }
+            let (cos, sin) = normals[2 * pair * lanes..(2 * pair + 2) * lanes].split_at_mut(lanes);
+            rand_distr::column::fill_standard_normal_pair(&raw_a, &raw_b, cos, sin);
+        }
+
+        let phases: Vec<(Watts, &[Seconds])> = powers
+            .iter()
+            .zip(&columns)
+            .map(|(&power, column)| (power, column.as_slice()))
+            .collect();
+        for (monitor, normals) in [
+            (PowerMonitor::monsoon(), normals.as_slice()),
+            (PowerMonitor::new(Seconds::new(dt), 0.0), &[][..]),
+        ] {
+            let mut out = vec![Joules::ZERO; lanes];
+            monitor.measure_energy_columns(&phases, baseline, normals, &mut out);
+            for (i, energy) in out.iter().enumerate() {
+                let frame: Vec<(Watts, Seconds)> = phases
+                    .iter()
+                    .map(|&(power, column)| (power, column[i]))
+                    .collect();
+                let expected = monitor.measure_energy(&frame, baseline, seed(i));
+                assert_eq!(
+                    energy.as_f64().to_bits(),
+                    expected.as_f64().to_bits(),
+                    "lane {i} diverged (noisy: {})",
+                    monitor.is_noisy()
+                );
+            }
+        }
     }
 
     #[test]

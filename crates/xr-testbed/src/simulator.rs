@@ -184,46 +184,32 @@ impl GroundTruthSession {
     /// Mean end-to-end latency over the session.
     #[must_use]
     pub fn mean_latency(&self) -> Seconds {
-        if self.frames.is_empty() {
-            return Seconds::ZERO;
-        }
-        Seconds::new(
-            self.frames
-                .iter()
-                .map(|f| f.total_latency.as_f64())
-                .sum::<f64>()
-                / self.frames.len() as f64,
-        )
+        Seconds::new(frame_mean(
+            frame_sum(self.frames.iter().map(|f| f.total_latency.as_f64())),
+            self.frames.len() as u64,
+        ))
     }
 
     /// Mean per-frame energy over the session.
     #[must_use]
     pub fn mean_energy(&self) -> Joules {
-        if self.frames.is_empty() {
-            return Joules::ZERO;
-        }
-        Joules::new(
-            self.frames
-                .iter()
-                .map(|f| f.total_energy.as_f64())
-                .sum::<f64>()
-                / self.frames.len() as f64,
-        )
+        Joules::new(frame_mean(
+            frame_sum(self.frames.iter().map(|f| f.total_energy.as_f64())),
+            self.frames.len() as u64,
+        ))
     }
 
     /// Mean latency of one segment over the session.
     #[must_use]
     pub fn mean_segment_latency(&self, segment: Segment) -> Seconds {
-        if self.frames.is_empty() {
-            return Seconds::ZERO;
-        }
-        Seconds::new(
-            self.frames
-                .iter()
-                .map(|f| f.segment_latency(segment).as_f64())
-                .sum::<f64>()
-                / self.frames.len() as f64,
-        )
+        Seconds::new(frame_mean(
+            frame_sum(
+                self.frames
+                    .iter()
+                    .map(|f| f.segment_latency(segment).as_f64()),
+            ),
+            self.frames.len() as u64,
+        ))
     }
 
     /// Summary statistics of the per-frame total latency (in milliseconds).
@@ -253,10 +239,10 @@ impl GroundTruthSession {
     /// Fraction of frames that experienced a handoff.
     #[must_use]
     pub fn handoff_rate(&self) -> f64 {
-        if self.frames.is_empty() {
-            return 0.0;
-        }
-        self.frames.iter().filter(|f| f.handoff_occurred).count() as f64 / self.frames.len() as f64
+        frame_mean(
+            self.frames.iter().filter(|f| f.handoff_occurred).count() as f64,
+            self.frames.len() as u64,
+        )
     }
 
     /// Total inter-site state-migration latency paid over the session. Zero
@@ -271,14 +257,116 @@ impl GroundTruthSession {
     /// the frame count).
     #[must_use]
     pub fn mean_migration_latency(&self) -> Seconds {
-        if self.frames.is_empty() {
-            return Seconds::ZERO;
-        }
-        Seconds::new(self.migration_time.as_f64() / self.frames.len() as f64)
+        Seconds::new(frame_mean(
+            self.migration_time.as_f64(),
+            self.frames.len() as u64,
+        ))
     }
 
     /// Number of distinct edge sites the session attached to, including the
     /// start site (1 without a multi-edge topology).
+    #[must_use]
+    pub fn sites_visited(&self) -> u32 {
+        self.sites_visited
+    }
+}
+
+/// Where every per-session frame sum starts: the value `Iterator::sum`
+/// folds `f64`s from. A running total that starts here and adds frames in
+/// frame order is bit-identical to [`frame_sum`] over the same frames.
+const FRAME_SUM_START: f64 = -0.0;
+
+/// Sums per-frame values in frame order from [`FRAME_SUM_START`].
+fn frame_sum(values: impl Iterator<Item = f64>) -> f64 {
+    values.fold(FRAME_SUM_START, |sum, value| sum + value)
+}
+
+/// `sum / frames`, or zero for an empty session.
+fn frame_mean(sum: f64, frames: u64) -> f64 {
+    if frames == 0 {
+        return 0.0;
+    }
+    sum / frames as f64
+}
+
+/// The per-session totals a campaign keeps of a session: frame count,
+/// latency and energy sums, handoff-frame count, migration time and sites
+/// visited. The batched engine folds each finished frame into these in
+/// frame order instead of building a [`GroundTruthFrame`], so its means are
+/// bit-identical to the matching [`GroundTruthSession`] means (the two
+/// share the summation start, order and division).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SessionTotals {
+    pub(crate) frames: u64,
+    pub(crate) latency_sum: f64,
+    pub(crate) energy_sum: f64,
+    pub(crate) handoff_frames: u64,
+    pub(crate) migration_time: Seconds,
+    pub(crate) sites_visited: u32,
+}
+
+impl SessionTotals {
+    /// Totals with no frame folded in yet.
+    pub(crate) fn empty() -> Self {
+        Self {
+            frames: 0,
+            latency_sum: FRAME_SUM_START,
+            energy_sum: FRAME_SUM_START,
+            handoff_frames: 0,
+            migration_time: Seconds::ZERO,
+            sites_visited: 1,
+        }
+    }
+
+    /// Folds in the next frame (frames must arrive in frame order).
+    pub(crate) fn add_frame(&mut self, latency: Seconds, energy: Joules, handoff: bool) {
+        self.frames += 1;
+        self.latency_sum += latency.as_f64();
+        self.energy_sum += energy.as_f64();
+        self.handoff_frames += u64::from(handoff);
+    }
+
+    /// The totals of a finished session.
+    #[must_use]
+    pub fn of(session: &GroundTruthSession) -> Self {
+        let mut totals = Self::empty();
+        for frame in &session.frames {
+            totals.add_frame(
+                frame.total_latency,
+                frame.total_energy,
+                frame.handoff_occurred,
+            );
+        }
+        totals.migration_time = session.migration_time;
+        totals.sites_visited = session.sites_visited;
+        totals
+    }
+
+    /// As [`GroundTruthSession::mean_latency`].
+    #[must_use]
+    pub fn mean_latency(&self) -> Seconds {
+        Seconds::new(frame_mean(self.latency_sum, self.frames))
+    }
+
+    /// As [`GroundTruthSession::mean_energy`].
+    #[must_use]
+    pub fn mean_energy(&self) -> Joules {
+        Joules::new(frame_mean(self.energy_sum, self.frames))
+    }
+
+    /// As [`GroundTruthSession::handoff_rate`].
+    #[must_use]
+    pub fn handoff_rate(&self) -> f64 {
+        frame_mean(self.handoff_frames as f64, self.frames)
+    }
+
+    /// As [`GroundTruthSession::mean_migration_latency`].
+    #[must_use]
+    pub fn mean_migration_latency(&self) -> Seconds {
+        Seconds::new(frame_mean(self.migration_time.as_f64(), self.frames))
+    }
+
+    /// As [`GroundTruthSession::sites_visited`].
     #[must_use]
     pub fn sites_visited(&self) -> u32 {
         self.sites_visited

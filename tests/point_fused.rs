@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use xr_core::{MobilityConfig, Scenario};
-use xr_testbed::{GroundTruthSession, SimulationEngine, TestbedSimulator};
+use xr_testbed::{GroundTruthSession, SessionTotals, SimulationEngine, TestbedSimulator};
 use xr_types::{ExecutionTarget, GigaHertz, Hertz, Meters, MetersPerSecond, Ratio};
 use xr_wireless::HandoffKind;
 
@@ -223,18 +223,32 @@ fn tail_frames_and_narrow_widths_fuse_exactly() {
                 "rep {rep} diverged (reps {reps}, frames {frames}, width {width})"
             );
         }
-        // The visitor form hands over the same sessions, one call per
-        // replication, in replication order.
+        // The visitor form hands over the same sessions' totals, one call
+        // per replication, in replication order.
         let mut visited = Vec::new();
         engine
-            .visit_point(&scenario, point_seed, reps, frames, |rep, session| {
-                visited.push((rep, session));
+            .visit_point(&scenario, point_seed, reps, frames, |rep, totals| {
+                visited.push((rep, totals));
             })
             .unwrap();
-        let expected: Vec<_> = reference.into_iter().enumerate().collect();
+        let expected: Vec<_> = reference
+            .iter()
+            .map(SessionTotals::of)
+            .enumerate()
+            .collect();
         assert_eq!(
             visited, expected,
             "visitor diverged (reps {reps}, frames {frames}, width {width})"
         );
+        for ((_, totals), session) in visited.iter().zip(&reference) {
+            assert_eq!(
+                totals.mean_latency().as_f64().to_bits(),
+                session.mean_latency().as_f64().to_bits()
+            );
+            assert_eq!(
+                totals.mean_energy().as_f64().to_bits(),
+                session.mean_energy().as_f64().to_bits()
+            );
+        }
     }
 }
