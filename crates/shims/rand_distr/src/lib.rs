@@ -106,9 +106,11 @@ impl Normal {
     /// Scales a standard variate into this distribution: `mean + σ·z`.
     ///
     /// This is the **single** affine expression every consumer of a cached
-    /// pair must apply — the column transforms, the scalar samplers, and
-    /// the Monsoon monitor all route through it, so a variate produced by
-    /// any path has identical bits.
+    /// pair must apply — the column transforms and the scalar samplers
+    /// route through it, so a variate produced by any path has identical
+    /// bits. The Monsoon monitor scales by a per-phase `σ/√k` and writes
+    /// the same `1 + s·z` inline (scalar and AVX2), so it skips building a
+    /// `Normal` per phase.
     #[must_use]
     pub fn from_standard(&self, z: f64) -> f64 {
         self.mean + self.std_dev * z

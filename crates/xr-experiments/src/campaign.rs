@@ -72,11 +72,15 @@ impl ReplicateStats {
     ///
     /// # Panics
     ///
-    /// Panics if `samples` is empty or contains NaN.
+    /// Panics with the typed error of [`mean_confidence_interval`] if
+    /// `samples` is empty or holds a NaN or infinite value. The campaign
+    /// rejects such a point with an error before it aggregates; other
+    /// callers that cannot rule it out call [`mean_confidence_interval`].
     #[must_use]
     pub fn of(samples: &[f64]) -> Self {
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let (ci95_lo, ci95_hi) = mean_confidence_interval(samples, 0.95);
+        let (ci95_lo, ci95_hi) =
+            mean_confidence_interval(samples, 0.95).unwrap_or_else(|error| panic!("{error}"));
         Self {
             mean,
             ci95_lo,

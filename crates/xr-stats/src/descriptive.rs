@@ -221,7 +221,8 @@ mod tests {
         let sample = [9.8, 10.1, 10.3, 9.9, 10.4];
         let summary = Summary::of(&sample);
         let (lo, hi) = summary.confidence_interval(0.95);
-        let (direct_lo, direct_hi) = crate::inference::mean_confidence_interval(&sample, 0.95);
+        let (direct_lo, direct_hi) =
+            crate::inference::mean_confidence_interval(&sample, 0.95).unwrap();
         assert!((lo - direct_lo).abs() < 1e-12);
         assert!((hi - direct_hi).abs() < 1e-12);
         assert!(lo < summary.mean() && summary.mean() < hi);

@@ -10,6 +10,7 @@
 //! bisection — since no numerics crates are available offline.
 
 use std::cell::RefCell;
+use xr_types::{Error, Result};
 
 /// Natural log of the gamma function (Lanczos approximation, g = 7, n = 9;
 /// |relative error| < 1e-13 over the positive reals).
@@ -215,26 +216,39 @@ fn students_t_quantile_uncached(p: f64, dof: f64) -> f64 {
 /// than two samples there is no dispersion information and the degenerate
 /// `(mean, mean)` interval is returned.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `values` is empty, contains NaN, or `level` is outside `(0, 1)`.
-#[must_use]
-pub fn mean_confidence_interval(values: &[f64], level: f64) -> (f64, f64) {
-    assert!(!values.is_empty(), "cannot infer from an empty sample");
-    assert!(
-        values.iter().all(|v| !v.is_nan()),
-        "sample contains NaN values"
-    );
-    assert!(level > 0.0 && level < 1.0, "level must be in (0, 1)");
+/// Returns [`Error::InvalidParameter`] naming the bad input: `values` when
+/// the sample is empty, `values[i]` for the first NaN or infinite sample,
+/// and `level` when it is outside `(0, 1)`.
+pub fn mean_confidence_interval(values: &[f64], level: f64) -> Result<(f64, f64)> {
+    if values.is_empty() {
+        return Err(Error::invalid_parameter(
+            "values",
+            "cannot infer from an empty sample",
+        ));
+    }
+    if let Some((i, value)) = values.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+        return Err(Error::invalid_parameter(
+            format!("values[{i}]"),
+            format!("sample is {value}, not finite"),
+        ));
+    }
+    if !(level > 0.0 && level < 1.0) {
+        return Err(Error::invalid_parameter(
+            "level",
+            format!("{level} is outside (0, 1)"),
+        ));
+    }
     let n = values.len();
     let mean = values.iter().sum::<f64>() / n as f64;
     if n < 2 {
-        return (mean, mean);
+        return Ok((mean, mean));
     }
     let sample_variance = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n as f64 - 1.0);
     let standard_error = (sample_variance / n as f64).sqrt();
     let t = students_t_quantile(0.5 + level / 2.0, (n - 1) as f64);
-    (mean - t * standard_error, mean + t * standard_error)
+    Ok((mean - t * standard_error, mean + t * standard_error))
 }
 
 #[cfg(test)]
@@ -358,16 +372,36 @@ mod tests {
     #[test]
     fn confidence_interval_brackets_the_mean() {
         let sample = [9.8, 10.1, 10.3, 9.9, 10.4];
-        let (lo, hi) = mean_confidence_interval(&sample, 0.95);
+        let (lo, hi) = mean_confidence_interval(&sample, 0.95).unwrap();
         let mean = sample.iter().sum::<f64>() / sample.len() as f64;
         assert!(lo < mean && mean < hi);
         // Manually: s = 0.2550, se = 0.1140, t = 2.776 → half-width 0.3165.
         assert!(((hi - lo) / 2.0 - 0.3165).abs() < 1e-3);
         // Wider level → wider interval.
-        let (lo99, hi99) = mean_confidence_interval(&sample, 0.99);
+        let (lo99, hi99) = mean_confidence_interval(&sample, 0.99).unwrap();
         assert!(lo99 < lo && hi99 > hi);
         // Degenerate single-sample interval.
-        assert_eq!(mean_confidence_interval(&[3.5], 0.95), (3.5, 3.5));
+        assert_eq!(mean_confidence_interval(&[3.5], 0.95), Ok((3.5, 3.5)));
+    }
+
+    #[test]
+    fn confidence_interval_names_the_bad_input() {
+        let name = |result: Result<(f64, f64)>| match result {
+            Err(Error::InvalidParameter { name, .. }) => name,
+            other => panic!("expected an invalid-parameter error, got {other:?}"),
+        };
+        assert_eq!(name(mean_confidence_interval(&[], 0.95)), "values");
+        assert_eq!(
+            name(mean_confidence_interval(&[1.0, 2.0, f64::NAN], 0.95)),
+            "values[2]"
+        );
+        assert_eq!(
+            name(mean_confidence_interval(&[f64::INFINITY, 2.0], 0.95)),
+            "values[0]"
+        );
+        for level in [0.0, 1.0, f64::NAN] {
+            assert_eq!(name(mean_confidence_interval(&[1.0, 2.0], level)), "level");
+        }
     }
 
     #[test]
@@ -385,7 +419,7 @@ mod tests {
         for seed in 0..seeds {
             let mut rng = StdRng::seed_from_u64(seed);
             let sample: Vec<f64> = (0..6).map(|_| normal.sample(&mut rng)).collect();
-            let (lo, hi) = mean_confidence_interval(&sample, 0.95);
+            let (lo, hi) = mean_confidence_interval(&sample, 0.95).unwrap();
             if (lo..=hi).contains(&50.0) {
                 covered += 1;
             }

@@ -2,10 +2,13 @@
 //!
 //! [`TestbedSimulator::simulate_session`] runs through this engine by
 //! default: frames are simulated in batches of [`SimulationEngine`] width,
-//! and each of the ten pipeline stages runs as a tight loop over one
-//! *column* of the batch (all frames' frame-generation noise, then all
-//! frames' sensor jitter, …, then all frames' power-monitor integrals)
-//! instead of walking one frame through all ten stages at a time.
+//! and each stage runs as a tight loop over one *column* of the batch (all
+//! frames' frame-generation noise, then all frames' sensor jitter, …, then
+//! all frames' power-monitor integrals) instead of walking one frame
+//! through the whole pipeline at a time. A batch runs eleven `batch_*`
+//! column stages: the ten stages of the scalar pipeline (generate through
+//! finalize) plus the topology walk pre-pass that `batch_walk` hoists out
+//! of the handoff stage.
 //!
 //! Two properties make this reordering legal without changing a single
 //! random draw:
@@ -42,11 +45,14 @@
 //! **lane-count invariant by construction** — the same invariant per-stage
 //! streams pinned for batching, pushed down to the raw `u64` level.
 //!
-//! The finalize stage is a column stage too: the Monsoon monitor's
-//! per-phase noise comes from the `MONITOR` lanes through
-//! `rand_distr::column::fill_standard_normal_pair`, and
-//! `PowerMonitor::measure_energy_columns` integrates one energy column from
-//! the included slots' latency columns.
+//! The finalize stage is a column stage too, and runs phase-major: the
+//! Monsoon monitor's per-phase noise comes from the `MONITOR` lanes through
+//! `rand_distr::column::fill_standard_normal_pair`, then one pass per
+//! included slot reads that slot's latency column once and adds it to the
+//! Eq. 1 totals, the thermal-share compute energy and, through
+//! `PowerMonitor::add_phase_energy` (a runtime-dispatched AVX2 pass beside
+//! the portable reference, with one draw cursor per lane), the energy
+//! column.
 //! What a finalized frame then becomes depends on the caller: a session
 //! ([`TestbedSimulator::simulate_session`],
 //! [`TestbedSimulator::simulate_point`]) copies it into a
@@ -67,6 +73,7 @@
 //! runs a whole campaign through both engines and diffs the CSVs.
 
 use crate::laws::DeviceBias;
+use crate::power::DrawCursors;
 use crate::simulator::{
     check_frames, stream, ContentionPlan, GroundTruthFrame, GroundTruthSession, SessionState,
     SessionTotals, TestbedSimulator,
@@ -398,6 +405,8 @@ struct DrawColumns {
     /// The monitor's standard-normal columns: draw `d` of lane `i` at
     /// `normals[d * n + i]`, both Box–Muller halves of each word pair kept.
     normals: Vec<f64>,
+    /// The monitor's per-lane draw cursors into `normals`.
+    cursors: DrawCursors,
     /// Per-frame accumulator for the sensor stage's update loop.
     acc: Vec<Seconds>,
     /// Reused crossing counts of the handoff stage's walker scan.
@@ -416,6 +425,7 @@ impl DrawColumns {
             fac_a: Vec::new(),
             fac_b: Vec::new(),
             normals: Vec::new(),
+            cursors: DrawCursors::default(),
             acc: Vec::new(),
             crossings: Vec::new(),
             bases: Vec::new(),
@@ -747,7 +757,7 @@ impl TestbedSimulator {
         Ok(out.finish(&session))
     }
 
-    /// Runs the ten column stages over one prepared batch: the shared body
+    /// Runs the eleven column stages over one prepared batch: the shared body
     /// of the per-session driver above (`sessions.len() == 1`) and the
     /// replication-fused point driver, which passes one session state and
     /// one output per fused replication.
@@ -1301,16 +1311,20 @@ impl TestbedSimulator {
     }
 
     /// Stage 10 column loop — Eq. 1 gating and the Monsoon-style energy
-    /// measurement. The Eq. 1 latency total and the thermal-share compute
-    /// energy are slot-ascending accumulations, one contiguous add pass per
-    /// included slot, so per frame the summation order is exactly the scalar
-    /// finalizer's (ascending `Segment::ALL`). The monitor noise comes from
-    /// the [`stream::MONITOR`] lanes: `ceil(included / 2)` word pairs per
-    /// frame, both Box–Muller halves kept, which covers the at most one
-    /// variate each included phase draws; a frame that draws fewer leaves
-    /// its trailing words unread, and nothing else reads that stream.
-    /// Each replication's lane segment then goes to its output in frame
-    /// order.
+    /// measurement, in one pass per included phase (slot-ascending, the
+    /// scalar finalizer's `Segment::ALL` order). Each phase's latency
+    /// column feeds three per-lane accumulators while it is hot: the Eq. 1
+    /// latency total, the thermal-share compute energy (compute slots
+    /// only), and the monitor energy through
+    /// `PowerMonitor::add_phase_energy`. Every accumulator sees its terms
+    /// in the scalar order, so the frames match the scalar finalizer bit
+    /// for bit; the thermal share is added once after the last phase. The
+    /// monitor noise comes from the [`stream::MONITOR`] lanes:
+    /// `ceil(included / 2)` word pairs per frame, both Box–Muller halves
+    /// kept, which covers the at most one variate each included phase
+    /// draws; a frame that draws fewer leaves its trailing words unread,
+    /// and nothing else reads that stream. Each replication's lane segment
+    /// then goes to its output in frame order.
     fn batch_finalize<O: RepOutput>(
         &self,
         k: &BatchConsts,
@@ -1318,43 +1332,40 @@ impl TestbedSimulator {
         d: &mut DrawColumns,
         outs: &mut [O],
     ) {
+        if self.monitor.is_noisy() {
+            let included = k.segment_included.iter().filter(|&&on| on).count();
+            d.reseed(k, stream::MONITOR, b);
+            d.standard_normals(included.div_ceil(2));
+        }
+        d.cursors.rewind(b.n);
         b.totals.clear();
         b.totals.resize(b.n, Seconds::ZERO);
         b.compute.clear();
         b.compute.resize(b.n, Joules::ZERO);
-        let mut included = 0usize;
-        for (slot, &is_included) in k.segment_included.iter().enumerate() {
-            if !is_included {
-                continue;
-            }
-            included += 1;
-            for (total, &value) in b.totals.iter_mut().zip(&b.latency[slot]) {
-                *total += value;
-            }
+        b.energy.clear();
+        b.energy.resize(b.n, Joules::ZERO);
+        for slot in (0..Segment::ALL.len()).filter(|&slot| k.segment_included[slot]) {
+            let latency = &b.latency[slot][..];
+            let power = k.segment_power[slot];
             if k.segment_is_compute[slot] {
-                let power = k.segment_power[slot];
-                for (compute, &duration) in b.compute.iter_mut().zip(&b.latency[slot]) {
+                let sums = b.totals.iter_mut().zip(&mut b.compute);
+                for ((total, compute), &duration) in sums.zip(latency) {
+                    *total += duration;
                     *compute += power * duration;
                 }
+            } else {
+                for (total, &duration) in b.totals.iter_mut().zip(latency) {
+                    *total += duration;
+                }
             }
+            self.monitor.add_phase_energy(
+                (power, latency),
+                self.base_power,
+                &d.normals,
+                &mut d.cursors,
+                &mut b.energy,
+            );
         }
-
-        if self.monitor.is_noisy() {
-            d.reseed(k, stream::MONITOR, b);
-            d.standard_normals(included.div_ceil(2));
-        }
-        let mut phases = [(Watts::ZERO, &[][..]); Segment::ALL.len()];
-        let slots = (0..Segment::ALL.len()).filter(|&slot| k.segment_included[slot]);
-        for (phase, slot) in phases.iter_mut().zip(slots) {
-            *phase = (k.segment_power[slot], &b.latency[slot][..]);
-        }
-        b.energy.resize(b.n, Joules::ZERO);
-        self.monitor.measure_energy_columns(
-            &phases[..included],
-            self.base_power,
-            &d.normals,
-            &mut b.energy,
-        );
         for (energy, &compute) in b.energy.iter_mut().zip(&b.compute) {
             *energy += compute * self.thermal_fraction;
         }

@@ -101,15 +101,18 @@ impl PowerMonitor {
     ///
     /// # Panics
     ///
-    /// Panics if the interval is not positive or the noise fraction is
-    /// negative.
+    /// Panics if the interval is not positive and finite, or the noise
+    /// fraction is negative or not finite.
     #[must_use]
     pub fn new(sampling_interval: Seconds, noise_fraction: f64) -> Self {
         assert!(
             sampling_interval.is_positive(),
-            "sampling interval must be positive"
+            "sampling interval must be positive and finite"
         );
-        assert!(noise_fraction >= 0.0, "noise fraction must be non-negative");
+        assert!(
+            noise_fraction >= 0.0 && noise_fraction.is_finite(),
+            "noise fraction must be non-negative and finite"
+        );
         Self {
             sampling_interval,
             noise_fraction,
@@ -174,6 +177,9 @@ impl PowerMonitor {
     /// every measurement campaign; [`PowerMonitor::record`] remains the
     /// full-trace observable for tests and trace inspection. Statistical
     /// agreement between the two forms is pinned by a unit test.
+    ///
+    /// A NaN or infinite phase duration yields a non-finite energy rather
+    /// than a panic, so the caller can report the broken measurement.
     #[must_use]
     pub fn measure_energy(
         &self,
@@ -188,102 +194,159 @@ impl PowerMonitor {
         // set) while keeping the exact per-phase distribution. Phases that
         // span no samples draw nothing, as before.
         let mut pairs = rand_distr::StandardNormalPairs::new();
-        let mut energy = 0.0;
+        let mut energy = Joules::ZERO;
         for &(power, duration) in phases {
             if let Some(phase) =
-                self.phase_energy(power, baseline, duration, || pairs.next(&mut rng))
+                self.phase_energy(power + baseline, duration, || pairs.next(&mut rng))
             {
                 energy += phase;
             }
         }
-        Joules::new(energy)
+        energy
     }
 
-    /// The column form of [`PowerMonitor::measure_energy`]: one energy per
-    /// lane (frame), from the frame's phases laid out as columns.
+    /// The column form of [`PowerMonitor::measure_energy`], one phase at a
+    /// time: adds the phase's integrated energy to every lane (frame) of
+    /// `energy`.
     ///
-    /// `phases[p]` is phase `p`'s nominal power and its duration column
-    /// (one entry per lane), in the order the scalar form would see the
-    /// phases. `normals` holds the pre-drawn standard-normal variates, draw
-    /// `d` of lane `i` at `normals[d * lanes + i]`: the sequence the scalar
-    /// form's pair cache would hand out on that lane's stream. Each lane
-    /// keeps its own draw cursor, which advances only on phases that draw,
-    /// so a lane whose phases span fewer samples leaves its trailing
-    /// variates unread. A noiseless monitor reads no variate, and `normals`
-    /// may then be empty.
+    /// A frame batch integrates by calling this once per phase, in the
+    /// order the scalar form would see the phases, after rewinding
+    /// `cursors` to the batch width and zeroing `energy`. `phase` is the
+    /// phase's nominal power and its duration column (one entry per lane).
+    /// `normals` holds the pre-drawn standard-normal variates, draw `d` of
+    /// lane `i` at `normals[d * lanes + i]`: the sequence the scalar form's
+    /// pair cache would hand out on that lane's stream. Each lane keeps its
+    /// own draw cursor, which advances only on phases that draw, so a lane
+    /// whose phases span fewer samples leaves its trailing variates unread.
+    /// A noiseless monitor reads no variate, and `normals` may then be
+    /// empty.
     ///
-    /// Both forms evaluate every phase through the same expression, so
-    /// `out[i]` equals `measure_energy` on lane `i`'s phases and stream bit
-    /// for bit.
+    /// Every phase goes through the expression of the scalar form (the
+    /// portable pass calls it per lane; the AVX2 pass evaluates it with
+    /// correctly rounded or exact vector operations), so after the last
+    /// phase `energy[i]` equals `measure_energy` on lane `i`'s phases and
+    /// stream bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics if a duration column's length differs from `out`'s, or if a
-    /// noisy monitor gets fewer than one variate per phase per lane.
-    pub(crate) fn measure_energy_columns(
+    /// Panics if the duration column or `cursors` does not match `energy`'s
+    /// length, or if a noisy monitor gets fewer than one variate per lane
+    /// for each phase integrated since the rewind.
+    pub(crate) fn add_phase_energy(
         &self,
-        phases: &[(Watts, &[Seconds])],
+        phase: (Watts, &[Seconds]),
         baseline: Watts,
         normals: &[f64],
-        out: &mut [Joules],
+        cursors: &mut DrawCursors,
+        energy: &mut [Joules],
     ) {
-        let lanes = out.len();
-        for (_, durations) in phases {
-            assert_eq!(durations.len(), lanes, "phase column length mismatch");
-        }
+        let simd = !rand_distr::math::force_portable();
+        self.add_phase_energy_pass(simd, phase, baseline, normals, cursors, energy);
+    }
+
+    /// [`PowerMonitor::add_phase_energy`] with an explicit pass choice:
+    /// `simd` takes the AVX2 pass where the CPU supports it, and `false`
+    /// runs the portable reference pass.
+    fn add_phase_energy_pass(
+        &self,
+        simd: bool,
+        (power, durations): (Watts, &[Seconds]),
+        baseline: Watts,
+        normals: &[f64],
+        cursors: &mut DrawCursors,
+        energy: &mut [Joules],
+    ) {
+        let lanes = energy.len();
+        assert_eq!(durations.len(), lanes, "phase column length mismatch");
+        assert_eq!(
+            cursors.next.len(),
+            lanes,
+            "draw cursors must be rewound to the batch width"
+        );
+        cursors.phases += 1;
         if self.is_noisy() {
             assert!(
-                normals.len() >= phases.len() * lanes,
+                normals.len() >= cursors.phases * lanes,
                 "a noisy monitor needs one variate per phase per lane"
             );
         }
-        for (i, out) in out.iter_mut().enumerate() {
-            let mut drawn = 0;
-            let mut energy = 0.0;
-            for &(power, durations) in phases {
-                let draw = || {
-                    let z = normals[drawn * lanes + i];
-                    drawn += 1;
-                    z
-                };
-                if let Some(phase) = self.phase_energy(power, baseline, durations[i], draw) {
-                    energy += phase;
-                }
+        let level = power + baseline;
+        #[cfg(target_arch = "x86_64")]
+        if simd && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just confirmed at runtime. The
+            // asserts above give `durations`, `cursors.next` and `energy`
+            // one entry per lane, and on a noisy monitor every cursor is
+            // below `cursors.phases * lanes <= normals.len()` (the
+            // `DrawCursors` invariant).
+            #[allow(unsafe_code)]
+            unsafe {
+                avx2::add_phase_energy(self, level, durations, normals, &mut cursors.next, energy);
             }
-            *out = Joules::new(energy);
+            return;
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = simd;
+        let lanes_iter = durations.iter().zip(&mut cursors.next).zip(energy);
+        for ((&duration, next), energy) in lanes_iter {
+            self.add_lane_energy(level, duration, normals, lanes, next, energy);
         }
     }
 
-    /// One phase's integrated energy, or `None` when the phase spans no
-    /// monitor sample (and so draws nothing). `draw` yields the phase's
-    /// standard-normal variate and is called once, only on a noisy monitor.
-    /// Both [`PowerMonitor::measure_energy`] forms go through here.
+    /// One lane of the column form: adds the phase's energy at `level`
+    /// (power plus baseline) over `duration` to `energy`, drawing the
+    /// lane's next variate at `normals[*next]` and stepping the cursor one
+    /// draw column (`lanes` entries) on. The portable pass runs every lane
+    /// through here; the AVX2 pass runs its tail lanes.
+    fn add_lane_energy(
+        &self,
+        level: Watts,
+        duration: Seconds,
+        normals: &[f64],
+        lanes: usize,
+        next: &mut usize,
+        energy: &mut Joules,
+    ) {
+        let draw = || {
+            let z = normals[*next];
+            *next += lanes;
+            z
+        };
+        if let Some(phase) = self.phase_energy(level, duration, draw) {
+            *energy += phase;
+        }
+    }
+
+    /// One phase's integrated energy at `level` (the phase's power plus the
+    /// baseline), or `None` when the phase spans no monitor sample (and so
+    /// draws nothing). `draw` yields the phase's standard-normal variate
+    /// and is called once, only on a noisy monitor. Both
+    /// [`PowerMonitor::measure_energy`] forms go through here.
     fn phase_energy(
         &self,
-        power: Watts,
-        baseline: Watts,
+        level: Watts,
         duration: Seconds,
         draw: impl FnOnce() -> f64,
-    ) -> Option<f64> {
+    ) -> Option<Joules> {
         if duration.as_f64() <= 0.0 {
             return None;
         }
         // The number of monitor samples the phase spans, on the same Δt
         // grid as the recorded trace (rounded, so quantisation is unbiased
         // across phases).
-        let dt = self.sampling_interval.as_f64();
-        let samples = (duration.as_f64() / dt).round();
+        let dt = self.sampling_interval;
+        let samples = (duration / dt).round();
         if samples < 1.0 {
             return None;
         }
         let factor = if self.is_noisy() {
-            let aggregated = Normal::new(1.0, self.noise_fraction / samples.sqrt())
-                .expect("valid normal distribution");
-            aggregated.from_standard(draw()).max(0.0)
+            // `Normal::from_standard` for N(1, σ²/k). The constructor keeps
+            // σ finite and k is at least 1 (or NaN), so the scale is finite
+            // (or NaN) and needs no per-phase validation.
+            (1.0 + self.noise_fraction / samples.sqrt() * draw()).max(0.0)
         } else {
             1.0
         };
-        Some((power.as_f64() + baseline.as_f64()) * factor * samples * dt)
+        Some(level * factor * samples * dt)
     }
 
     /// Whether the monitor draws noise at all (a noiseless monitor
@@ -297,6 +360,146 @@ impl PowerMonitor {
 impl Default for PowerMonitor {
     fn default() -> Self {
         Self::monsoon()
+    }
+}
+
+/// The per-lane draw cursors of the column-form monitor: where each lane
+/// of a frame batch reads its next standard-normal variate. A batch
+/// rewinds them once, then every [`PowerMonitor::add_phase_energy`] call
+/// advances the lanes whose phase draws. Lives with the batch's draw
+/// columns and is reused across batches.
+///
+/// Invariant (what makes the AVX2 gather in bounds): after `phases`
+/// phases, lane `i`'s cursor is `i + drawn * lanes` with `drawn <=
+/// phases`, so it stays below `(phases + 1) * lanes`. Only this module
+/// writes the fields.
+#[derive(Debug, Default)]
+pub(crate) struct DrawCursors {
+    /// Lane `i`'s next variate index into the draw columns.
+    next: Vec<usize>,
+    /// Phases integrated since the last rewind.
+    phases: usize,
+}
+
+impl DrawCursors {
+    /// Points every one of `lanes` lanes at its first variate (draw column
+    /// 0), reusing the cursor storage.
+    pub(crate) fn rewind(&mut self, lanes: usize) {
+        self.next.clear();
+        self.next.extend(0..lanes);
+        self.phases = 0;
+    }
+}
+
+/// The four-lane AVX2 pass of [`PowerMonitor::add_phase_energy`]. Every
+/// operation of the scalar lane expression has a correctly rounded or
+/// exact vector form: the division by Δt, the round (below), `sqrt`, the
+/// division of σ by `√k`, the affine `1 + s·z`, the zero clamp and the
+/// three multiplies in the scalar order. So the pass is bit-identical to
+/// the portable one by construction, and pinned by the unit tests. It
+/// exists because the portable loop does not vectorize: `f64::round` is a
+/// libm call at baseline x86-64, and the per-lane early returns branch.
+/// Isolated in one module so the `unsafe` SIMD surface stays small; the
+/// workspace otherwise denies `unsafe_code`.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[deny(unsafe_op_in_unsafe_fn)]
+mod avx2 {
+    use super::PowerMonitor;
+    use core::arch::x86_64::{
+        __m256i, _mm256_add_epi64, _mm256_add_pd, _mm256_and_pd, _mm256_and_si256,
+        _mm256_blendv_pd, _mm256_castpd_si256, _mm256_cmp_pd, _mm256_div_pd, _mm256_i64gather_pd,
+        _mm256_loadu_pd, _mm256_loadu_si256, _mm256_max_pd, _mm256_mul_pd, _mm256_round_pd,
+        _mm256_set1_epi64x, _mm256_set1_pd, _mm256_setzero_pd, _mm256_sqrt_pd, _mm256_storeu_pd,
+        _mm256_storeu_si256, _mm256_sub_pd, _CMP_GE_OQ, _CMP_NLE_UQ, _CMP_NLT_UQ,
+        _MM_FROUND_NO_EXC, _MM_FROUND_TO_ZERO,
+    };
+    use xr_types::{Joules, Seconds, Watts};
+
+    /// Adds one phase's energy at `level` (power plus baseline) to every
+    /// lane, four lanes per iteration with a scalar tail.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `durations`, `next` and `energy` must
+    /// have the same length, and on a noisy monitor every `next[i]` must
+    /// be below `normals.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn add_phase_energy(
+        monitor: &PowerMonitor,
+        level: Watts,
+        durations: &[Seconds],
+        normals: &[f64],
+        next: &mut [usize],
+        energy: &mut [Joules],
+    ) {
+        let lanes = energy.len();
+        let noisy = monitor.is_noisy();
+        let dt = _mm256_set1_pd(monitor.sampling_interval.as_f64());
+        let sigma = _mm256_set1_pd(monitor.noise_fraction);
+        let level_v = _mm256_set1_pd(level.as_f64());
+        let zero = _mm256_setzero_pd();
+        let half = _mm256_set1_pd(0.5);
+        let one = _mm256_set1_pd(1.0);
+        let stride = _mm256_set1_epi64x(lanes as i64);
+        let chunks = lanes / 4;
+        for c in 0..chunks {
+            let at = c * 4;
+            // SAFETY: `at + 4 <= lanes == durations.len()`, and `Seconds`
+            // is a `repr(transparent)` `f64`.
+            let d = unsafe { _mm256_loadu_pd(durations.as_ptr().add(at).cast::<f64>()) };
+            let q = _mm256_div_pd(d, dt);
+            // `f64::round` (half away from zero) as trunc plus one when the
+            // fraction is at least 1/2: for q >= 0 the fraction `q - t` is
+            // exact and `t + 1` only happens below 2^52, where it is exact.
+            // Infinite q gives a NaN fraction and keeps `t`; NaN stays NaN.
+            // Lanes with q < 0 (d <= 0) are masked off below.
+            let t = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(q);
+            let up = _mm256_cmp_pd::<_CMP_GE_OQ>(_mm256_sub_pd(q, t), half);
+            let k = _mm256_add_pd(t, _mm256_and_pd(up, one));
+            // `!(d <= 0) && !(k < 1)`: the scalar early returns, negated so
+            // that NaN lanes stay valid exactly as they do there.
+            let valid = _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_NLE_UQ>(d, zero),
+                _mm256_cmp_pd::<_CMP_NLT_UQ>(k, one),
+            );
+            let factor = if noisy {
+                let cursor = next[at..at + 4].as_mut_ptr().cast::<__m256i>();
+                // SAFETY: `cursor` points at four `usize`s, 64 bits each on
+                // x86_64.
+                let idx = unsafe { _mm256_loadu_si256(cursor) };
+                // SAFETY: every cursor is below `normals.len()` (caller
+                // contract), so each gathered element is in bounds.
+                let z = unsafe { _mm256_i64gather_pd::<8>(normals.as_ptr(), idx) };
+                let step = _mm256_and_si256(_mm256_castpd_si256(valid), stride);
+                // SAFETY: the same four lanes as the load above.
+                unsafe { _mm256_storeu_si256(cursor, _mm256_add_epi64(idx, step)) };
+                let s = _mm256_div_pd(sigma, _mm256_sqrt_pd(k));
+                // `max(x, 0)` returns its second operand for a NaN x, as
+                // `f64::max(NaN, 0.0)` returns 0.
+                _mm256_max_pd(_mm256_add_pd(one, _mm256_mul_pd(s, z)), zero)
+            } else {
+                one
+            };
+            let phase = _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(level_v, factor), k), dt);
+            let out = energy[at..at + 4].as_mut_ptr().cast::<f64>();
+            // SAFETY: `out` points at four `Joules`, each a
+            // `repr(transparent)` `f64`.
+            unsafe {
+                let acc = _mm256_loadu_pd(out);
+                _mm256_storeu_pd(out, _mm256_blendv_pd(acc, _mm256_add_pd(acc, phase), valid));
+            }
+        }
+        for lane in chunks * 4..lanes {
+            monitor.add_lane_energy(
+                level,
+                durations[lane],
+                normals,
+                lanes,
+                &mut next[lane],
+                &mut energy[lane],
+            );
+        }
     }
 }
 
@@ -420,12 +623,104 @@ mod tests {
         );
     }
 
+    /// The variates the batched finalizer pre-draws for lanes on the
+    /// streams `seeds`: one raw word pair per pair column, both halves
+    /// kept, enough pair columns for `phases` draws per lane.
+    fn pre_drawn_normals(seeds: &[u64], phases: usize) -> Vec<f64> {
+        use rand::RngCore;
+        let lanes = seeds.len();
+        let pair_columns = phases.div_ceil(2);
+        let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+        let mut normals = vec![0.0; 2 * pair_columns * lanes];
+        for columns in normals.chunks_exact_mut(2 * lanes) {
+            let mut raw_a = vec![0u64; lanes];
+            let mut raw_b = vec![0u64; lanes];
+            for (i, rng) in rngs.iter_mut().enumerate() {
+                raw_a[i] = rng.next_u64();
+                raw_b[i] = rng.next_u64();
+            }
+            let (cos, sin) = columns.split_at_mut(lanes);
+            rand_distr::column::fill_standard_normal_pair(&raw_a, &raw_b, cos, sin);
+        }
+        normals
+    }
+
+    /// Integrates a whole batch through the column form, one
+    /// `add_phase_energy` call per phase: `Some(simd)` picks the pass as
+    /// `add_phase_energy_pass` does, `None` takes the dispatched one.
+    fn energy_columns(
+        monitor: &PowerMonitor,
+        simd: Option<bool>,
+        phases: &[(Watts, &[Seconds])],
+        baseline: Watts,
+        normals: &[f64],
+    ) -> Vec<Joules> {
+        let lanes = phases.first().map_or(0, |(_, column)| column.len());
+        let mut cursors = DrawCursors::default();
+        cursors.rewind(lanes);
+        let mut energy = vec![Joules::ZERO; lanes];
+        for &phase in phases {
+            match simd {
+                Some(simd) => monitor.add_phase_energy_pass(
+                    simd,
+                    phase,
+                    baseline,
+                    normals,
+                    &mut cursors,
+                    &mut energy,
+                ),
+                None => {
+                    monitor.add_phase_energy(phase, baseline, normals, &mut cursors, &mut energy);
+                }
+            }
+        }
+        energy
+    }
+
+    /// Asserts that every column pass (portable, AVX2 where the CPU has
+    /// it, dispatched) gives each lane exactly the per-frame
+    /// `measure_energy` of its phases and stream. Bits must match, except
+    /// that any two NaNs match: Rust leaves NaN payloads unspecified.
+    fn assert_columns_match_per_frame(
+        monitor: &PowerMonitor,
+        phases: &[(Watts, &[Seconds])],
+        baseline: Watts,
+        seeds: &[u64],
+        context: &str,
+    ) {
+        let normals = if monitor.is_noisy() {
+            pre_drawn_normals(seeds, phases.len())
+        } else {
+            Vec::new()
+        };
+        let same = |a: Joules, b: Joules| {
+            let (a, b) = (a.as_f64(), b.as_f64());
+            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+        };
+        for simd in [Some(false), Some(true), None] {
+            let out = energy_columns(monitor, simd, phases, baseline, &normals);
+            for (i, &energy) in out.iter().enumerate() {
+                let frame: Vec<(Watts, Seconds)> = phases
+                    .iter()
+                    .map(|&(power, column)| (power, column[i]))
+                    .collect();
+                let expected = monitor.measure_energy(&frame, baseline, seeds[i]);
+                assert!(
+                    same(energy, expected),
+                    "{context}: lane {i} of {} diverged on pass {simd:?} \
+                     (noisy: {}): {energy:?} vs {expected:?}, phases {frame:?}",
+                    out.len(),
+                    monitor.is_noisy()
+                );
+            }
+        }
+    }
+
     #[test]
     fn energy_columns_match_per_frame_measure_energy_bit_for_bit() {
         // Lanes draw different numbers of variates: zero-duration phases
         // and phases under Δt/2 (0 samples) draw nothing, and the handoff
         // phase runs on some frames only.
-        use rand::RngCore;
         let dt = 0.2e-3;
         let lanes = 9;
         let powers = [
@@ -448,50 +743,118 @@ mod tests {
                 .map(|i| Seconds::new(if i % 4 == 1 { 0.065 } else { 0.0 }))
                 .collect(),
         ];
-        let baseline = Watts::new(0.85);
-        let seed = |i: usize| 0xC0FF_EE00 + i as u64;
-
-        // Pre-draw the variates the way the batched finalizer does: one
-        // raw word pair per pair column, both halves kept.
-        let pair_columns = columns.len().div_ceil(2);
-        let mut rngs: Vec<StdRng> = (0..lanes).map(|i| StdRng::seed_from_u64(seed(i))).collect();
-        let mut normals = vec![0.0; 2 * pair_columns * lanes];
-        for pair in 0..pair_columns {
-            let mut raw_a = vec![0u64; lanes];
-            let mut raw_b = vec![0u64; lanes];
-            for (i, rng) in rngs.iter_mut().enumerate() {
-                raw_a[i] = rng.next_u64();
-                raw_b[i] = rng.next_u64();
-            }
-            let (cos, sin) = normals[2 * pair * lanes..(2 * pair + 2) * lanes].split_at_mut(lanes);
-            rand_distr::column::fill_standard_normal_pair(&raw_a, &raw_b, cos, sin);
-        }
-
         let phases: Vec<(Watts, &[Seconds])> = powers
             .iter()
             .zip(&columns)
             .map(|(&power, column)| (power, column.as_slice()))
             .collect();
-        for (monitor, normals) in [
-            (PowerMonitor::monsoon(), normals.as_slice()),
-            (PowerMonitor::new(Seconds::new(dt), 0.0), &[][..]),
+        let seeds: Vec<u64> = (0..lanes).map(|i| 0xC0FF_EE00 + i as u64).collect();
+        for monitor in [
+            PowerMonitor::monsoon(),
+            PowerMonitor::new(Seconds::new(dt), 0.0),
         ] {
-            let mut out = vec![Joules::ZERO; lanes];
-            monitor.measure_energy_columns(&phases, baseline, normals, &mut out);
-            for (i, energy) in out.iter().enumerate() {
-                let frame: Vec<(Watts, Seconds)> = phases
-                    .iter()
-                    .map(|&(power, column)| (power, column[i]))
+            assert_columns_match_per_frame(&monitor, &phases, Watts::new(0.85), &seeds, "fixed");
+        }
+    }
+
+    /// One random phase duration for a lane: an edge case of the lane body
+    /// or an ordinary frame-phase duration, mostly zero when `sparse`.
+    fn random_duration(rng: &mut StdRng, sparse: bool) -> Seconds {
+        use rand::Rng;
+        let dt = 0.2e-3;
+        let k = f64::from(rng.gen_range(0..400u32));
+        let seconds = match rng.gen_range(0..if sparse { 4 } else { 16u32 }) {
+            0..=1 => 0.0,
+            2 => rng.gen_range(0.01..0.2),
+            3 => (k + 0.5) * dt,
+            4 => -rng.gen_range(0.0..0.01),
+            5 => rng.gen_range(0.0..0.5) * dt,
+            6 => 0.5 * dt,
+            7 => (2f64.powi(52) + k % 7.0 - 3.0) * dt,
+            8 => (2f64.powi(52) - 0.5) * dt,
+            9 => f64::INFINITY,
+            10 => return Seconds::new(1.0) * f64::NAN,
+            11 => k * dt * (1.0 + f64::EPSILON),
+            _ => rng.gen_range(0.0..0.05),
+        };
+        Seconds::new(seconds)
+    }
+
+    #[test]
+    fn column_passes_match_per_frame_measure_energy_on_random_batches() {
+        // Every lane count from 1 to 37 hits every AVX2 tail length. Each
+        // duration is drawn from edge cases of the lane body — exact
+        // (k + 1/2)·Δt ties, zero, negative, under Δt/2, near 2^52·Δt,
+        // infinite, NaN — or from ordinary frame-phase durations, and
+        // sparse handoff-like phases leave the lanes' draw cursors ragged.
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x5EED_F1A1);
+        let monitors = [
+            PowerMonitor::monsoon(),
+            PowerMonitor::new(Seconds::new(1e-3), 0.3),
+            PowerMonitor::new(Seconds::new(0.2e-3), 0.0),
+        ];
+        for lanes in 1..=37usize {
+            for round in 0..4 {
+                let phase_count = rng.gen_range(1..12usize);
+                let columns: Vec<(Watts, Vec<Seconds>)> = (0..phase_count)
+                    .map(|p| {
+                        let sparse = p % 3 == 2;
+                        let column = (0..lanes)
+                            .map(|_| random_duration(&mut rng, sparse))
+                            .collect();
+                        (Watts::new(rng.gen_range(0.0..4.0)), column)
+                    })
                     .collect();
-                let expected = monitor.measure_energy(&frame, baseline, seed(i));
-                assert_eq!(
-                    energy.as_f64().to_bits(),
-                    expected.as_f64().to_bits(),
-                    "lane {i} diverged (noisy: {})",
-                    monitor.is_noisy()
-                );
+                let phases: Vec<(Watts, &[Seconds])> = columns
+                    .iter()
+                    .map(|(power, column)| (*power, column.as_slice()))
+                    .collect();
+                let baseline = Watts::new(rng.gen_range(0.0..1.0));
+                let seeds: Vec<u64> = (0..lanes).map(|_| rng.gen::<u64>()).collect();
+                for monitor in &monitors {
+                    let context = format!("lanes {lanes} round {round}");
+                    assert_columns_match_per_frame(monitor, &phases, baseline, &seeds, &context);
+                }
             }
         }
+    }
+
+    #[test]
+    fn non_finite_durations_measure_non_finite_energy_in_both_forms() {
+        // A broken phase duration must come out as a non-finite energy (the
+        // campaign reports it as an error naming the point), never as a
+        // panic inside the noisy monitor.
+        let nan = Seconds::new(1.0) * f64::NAN;
+        let inf = Seconds::new(f64::INFINITY);
+        for monitor in [
+            PowerMonitor::monsoon(),
+            PowerMonitor::new(Seconds::new(1e-3), 0.0),
+        ] {
+            for broken in [nan, inf] {
+                let phases = [
+                    (Watts::new(1.2), Seconds::new(0.03)),
+                    (Watts::new(2.0), broken),
+                ];
+                let energy = monitor.measure_energy(&phases, Watts::new(0.5), 17);
+                assert!(!energy.as_f64().is_finite(), "{broken:?} gave {energy:?}");
+                let columns: Vec<(Watts, Vec<Seconds>)> = phases
+                    .iter()
+                    .map(|&(power, d)| (power, vec![d; 5]))
+                    .collect();
+                let phases: Vec<(Watts, &[Seconds])> = columns
+                    .iter()
+                    .map(|(power, column)| (*power, column.as_slice()))
+                    .collect();
+                assert_columns_match_per_frame(&monitor, &phases, Watts::new(0.5), &[17; 5], "");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "noise fraction must be non-negative and finite")]
+    fn infinite_noise_rejected() {
+        let _ = PowerMonitor::new(Seconds::new(0.2e-3), f64::INFINITY);
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   relation (e.g. [`Watts`] × [`Seconds`] → [`Joules`]).
 //!
 //! All units are plain `Copy` data and serialize transparently as their inner
-//! number so experiment artifacts stay easy to post-process.
+//! number so experiment artifacts stay easy to post-process. They are also
+//! `#[repr(transparent)]`, so a slice of a unit has the layout of a slice of
+//! `f64` (the SIMD column kernels load unit columns directly).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -25,6 +27,7 @@ macro_rules! unit {
         $(#[$meta])*
         #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
         #[serde(transparent)]
+        #[repr(transparent)]
         pub struct $name(f64);
 
         impl $name {
@@ -431,11 +434,13 @@ impl MegaBytes {
     }
 }
 
-/// Power × time = energy.
+/// Power × time = energy. Unchecked like the same-dimension operators: a
+/// NaN operand propagates into the product instead of panicking, so a
+/// broken duration surfaces as a non-finite energy the caller can report.
 impl Mul<Seconds> for Watts {
     type Output = Joules;
     fn mul(self, rhs: Seconds) -> Joules {
-        Joules::new(self.0 * rhs.0)
+        Joules(self.0 * rhs.0)
     }
 }
 
