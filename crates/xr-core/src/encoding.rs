@@ -96,8 +96,7 @@ impl EncodingLatencyModel {
     ///
     /// Propagates regression errors.
     pub fn fit(covariates: &[[f64; 6]], work: &[f64]) -> Result<Self> {
-        let xs: Vec<Vec<f64>> = covariates.iter().map(|c| c.to_vec()).collect();
-        let model = LinearRegression::new().fit(&xs, work)?;
+        let model = LinearRegression::new().fit(covariates.len(), |i| covariates[i], work)?;
         Ok(Self { model })
     }
 

@@ -186,8 +186,14 @@ impl CnnComplexityModel {
     ///
     /// Propagates regression errors (empty or singular designs).
     pub fn fit(rows: &[(f64, f64, f64)], complexities: &[f64]) -> Result<Self> {
-        let xs: Vec<Vec<f64>> = rows.iter().map(|(d, s, c)| vec![*d, *s, *c]).collect();
-        let model = LinearRegression::new().fit(&xs, complexities)?;
+        let model = LinearRegression::new().fit(
+            rows.len(),
+            |i| {
+                let (d, s, c) = rows[i];
+                [d, s, c]
+            },
+            complexities,
+        )?;
         Ok(Self { model })
     }
 

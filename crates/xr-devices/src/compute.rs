@@ -65,15 +65,16 @@ impl ComputeResourceModel {
     ///
     /// # Errors
     ///
-    /// Propagates regression errors (empty, ragged, or singular designs).
+    /// Propagates regression errors (empty, mismatched, or singular designs).
     pub fn fit(observations: &[(GigaHertz, GigaHertz, Ratio)], resources: &[f64]) -> Result<Self> {
-        let xs: Vec<Vec<f64>> = observations
-            .iter()
-            .map(|(fc, fg, wc)| Self::features(*fc, *fg, *wc))
-            .collect();
-        let model = LinearRegression::new()
-            .without_intercept()
-            .fit(&xs, resources)?;
+        let model = LinearRegression::new().without_intercept().fit(
+            observations.len(),
+            |i| {
+                let (fc, fg, wc) = observations[i];
+                Self::features(fc, fg, wc)
+            },
+            resources,
+        )?;
         Ok(Self {
             model,
             edge_ratio: EDGE_CLIENT_COMPUTE_RATIO,
@@ -94,12 +95,12 @@ impl ComputeResourceModel {
 
     /// The structural feature vector of Eq. 3 for a covariate triple.
     #[must_use]
-    pub fn features(cpu_clock: GigaHertz, gpu_clock: GigaHertz, cpu_share: Ratio) -> Vec<f64> {
+    pub fn features(cpu_clock: GigaHertz, gpu_clock: GigaHertz, cpu_share: Ratio) -> [f64; 6] {
         let fc = cpu_clock.as_f64();
         let fg = gpu_clock.as_f64();
         let wc = cpu_share.as_f64();
         let wg = 1.0 - wc;
-        vec![wc, wc * fc, wc * fc * fc, wg, wg * fg, wg * fg * fg]
+        [wc, wc * fc, wc * fc * fc, wg, wg * fg, wg * fg * fg]
     }
 
     /// The allocated client compute resource `c_client` (pixel²/ms), clamped
@@ -247,7 +248,7 @@ mod tests {
     #[test]
     fn feature_vector_structure() {
         let f = ComputeResourceModel::features(ghz(2.0), ghz(1.0), Ratio::new(0.25));
-        assert_eq!(f, vec![0.25, 0.5, 1.0, 0.75, 0.75, 0.75]);
+        assert_eq!(f, [0.25, 0.5, 1.0, 0.75, 0.75, 0.75]);
     }
 
     #[test]

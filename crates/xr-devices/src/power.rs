@@ -48,24 +48,25 @@ impl MeanPowerModel {
     ///
     /// Propagates regression errors.
     pub fn fit(observations: &[(GigaHertz, GigaHertz, Ratio)], power_w: &[f64]) -> Result<Self> {
-        let xs: Vec<Vec<f64>> = observations
-            .iter()
-            .map(|(fc, fg, wc)| Self::features(*fc, *fg, *wc))
-            .collect();
-        let model = LinearRegression::new()
-            .without_intercept()
-            .fit(&xs, power_w)?;
+        let model = LinearRegression::new().without_intercept().fit(
+            observations.len(),
+            |i| {
+                let (fc, fg, wc) = observations[i];
+                Self::features(fc, fg, wc)
+            },
+            power_w,
+        )?;
         Ok(Self { model })
     }
 
     /// The structural feature vector of Eq. 21.
     #[must_use]
-    pub fn features(cpu_clock: GigaHertz, gpu_clock: GigaHertz, cpu_share: Ratio) -> Vec<f64> {
+    pub fn features(cpu_clock: GigaHertz, gpu_clock: GigaHertz, cpu_share: Ratio) -> [f64; 6] {
         let fc = cpu_clock.as_f64();
         let fg = gpu_clock.as_f64();
         let wc = cpu_share.as_f64();
         let wg = 1.0 - wc;
-        vec![wc, wc * fc, wc * fc * fc, wg, wg * fg, wg * fg * fg]
+        [wc, wc * fc, wc * fc * fc, wg, wg * fg, wg * fg * fg]
     }
 
     /// Mean power draw while executing a computation segment, clamped below

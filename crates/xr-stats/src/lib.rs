@@ -10,12 +10,15 @@
 //! Mature numerics crates are not available in this offline environment, so
 //! this crate implements the required pieces from first principles:
 //!
-//! * [`Matrix`] — a small dense row-major matrix with multiplication,
-//!   transpose, and linear-system solving via Gaussian elimination with
-//!   partial pivoting.
+//! * [`Matrix`] — a small dense row-major matrix that holds the `k × k`
+//!   normal equations: linear-system solving via Gaussian elimination with
+//!   partial pivoting, inversion, and matrix–vector products.
 //! * [`LinearRegression`] / [`FittedLinearModel`] — OLS via the normal
-//!   equations, exposing coefficients, R², adjusted R², residuals, and
-//!   95 % confidence intervals for predictions.
+//!   equations, exposing coefficients, R², adjusted R², out-of-sample R²,
+//!   and 95 % confidence intervals for predictions. The fit streams
+//!   fixed-width `[f64; F]` rows from a caller's function in two passes and
+//!   never builds a design matrix; it accumulates `XᵀX` and `Xᵀy` in the
+//!   same order as the explicit products, so it returns the same bits.
 //! * [`metrics`] — MAE, RMSE, MAPE, mean error %, and the *normalized
 //!   accuracy* measure of Fig. 5.
 //! * [`Summary`] — descriptive statistics for simulated traces.
@@ -30,13 +33,14 @@
 //! use xr_stats::{LinearRegression, metrics};
 //!
 //! // y = 2 + 3·x, recovered exactly from noiseless data.
-//! let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
+//! let xs: Vec<[f64; 1]> = (0..20).map(|i| [i as f64]).collect();
 //! let ys: Vec<f64> = (0..20).map(|i| 2.0 + 3.0 * i as f64).collect();
-//! let fit = LinearRegression::new().fit(&xs, &ys)?;
+//! let fit = LinearRegression::new().fit(xs.len(), |i| xs[i], &ys)?;
 //! assert!((fit.intercept() - 2.0).abs() < 1e-9);
 //! assert!((fit.coefficients()[0] - 3.0).abs() < 1e-9);
 //! assert!(fit.r_squared() > 0.999);
-//! assert!(metrics::mean_absolute_error(&ys, &fit.predict_many(&xs)) < 1e-9);
+//! let predicted: Vec<f64> = xs.iter().map(|x| fit.predict(x)).collect();
+//! assert!(metrics::mean_absolute_error(&ys, &predicted) < 1e-9);
 //! # Ok::<(), xr_types::Error>(())
 //! ```
 

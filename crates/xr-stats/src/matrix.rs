@@ -1,14 +1,16 @@
 //! A small dense row-major matrix with just enough linear algebra for
-//! ordinary least squares: multiplication, transpose, and solving linear
-//! systems by Gaussian elimination with partial pivoting.
+//! ordinary least squares: solving linear systems by Gaussian elimination
+//! with partial pivoting, inversion, and matrix–vector products.
 //!
-//! The design matrices in this workspace are tall and thin (hundreds of
-//! thousands of rows, fewer than ten columns), so the normal-equations
-//! approach `(XᵀX)β = Xᵀy` with an O(k³) dense solve is entirely adequate.
+//! The designs in this workspace are tall and thin (hundreds of thousands of
+//! rows, fewer than ten columns), so the normal-equations approach
+//! `(XᵀX)β = Xᵀy` with an O(k³) dense solve is entirely adequate. The
+//! regression streams its rows into `XᵀX` and `Xᵀy` itself; a [`Matrix`]
+//! only ever holds the `k × k` normal equations and their inverse.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::{Index, IndexMut, Mul};
+use std::ops::{Index, IndexMut};
 use xr_types::{Error, Result};
 
 /// Dense row-major matrix of `f64`.
@@ -35,83 +37,6 @@ impl Matrix {
         }
     }
 
-    /// Creates the `n × n` identity matrix.
-    #[must_use]
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Builds a matrix from rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] if `rows` is empty or ragged.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self> {
-        if rows.is_empty() || rows[0].is_empty() {
-            return Err(Error::invalid_parameter("rows", "must be non-empty"));
-        }
-        let cols = rows[0].len();
-        if rows.iter().any(|r| r.len() != cols) {
-            return Err(Error::invalid_parameter(
-                "rows",
-                "all rows must have the same length",
-            ));
-        }
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for row in rows {
-            data.extend_from_slice(row);
-        }
-        Ok(Self {
-            rows: rows.len(),
-            cols,
-            data,
-        })
-    }
-
-    /// Builds a single-column matrix from a slice.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] if `values` is empty.
-    pub fn column(values: &[f64]) -> Result<Self> {
-        if values.is_empty() {
-            return Err(Error::invalid_parameter("values", "must be non-empty"));
-        }
-        Ok(Self {
-            rows: values.len(),
-            cols: 1,
-            data: values.to_vec(),
-        })
-    }
-
-    /// Number of rows.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Returns the transpose.
-    #[must_use]
-    pub fn transpose(&self) -> Self {
-        let mut out = Self::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
-        }
-        out
-    }
-
     /// Returns one row as a slice.
     ///
     /// # Panics
@@ -121,17 +46,6 @@ impl Matrix {
     pub fn row(&self, row: usize) -> &[f64] {
         assert!(row < self.rows, "row {row} out of bounds");
         &self.data[row * self.cols..(row + 1) * self.cols]
-    }
-
-    /// Flattens a single-column matrix into a `Vec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix has more than one column.
-    #[must_use]
-    pub fn into_column_vec(self) -> Vec<f64> {
-        assert_eq!(self.cols, 1, "into_column_vec requires a single column");
-        self.data
     }
 
     /// Solves `A · x = b` for `x` using Gaussian elimination with partial
@@ -255,51 +169,6 @@ impl Matrix {
         }
         out
     }
-
-    /// Computes `XᵀX` without materialising the transpose — the hot path of
-    /// the OLS fit over hundreds of thousands of simulated samples.
-    #[must_use]
-    pub fn gram(&self) -> Self {
-        let k = self.cols;
-        let mut out = Self::zeros(k, k);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for i in 0..k {
-                let ri = row[i];
-                if ri == 0.0 {
-                    continue;
-                }
-                for j in i..k {
-                    out[(i, j)] += ri * row[j];
-                }
-            }
-        }
-        // Mirror the upper triangle.
-        for i in 0..k {
-            for j in 0..i {
-                out[(i, j)] = out[(j, i)];
-            }
-        }
-        out
-    }
-
-    /// Computes `Xᵀy` without materialising the transpose.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len()` differs from the number of rows.
-    #[must_use]
-    pub fn t_mul_vec(&self, y: &[f64]) -> Vec<f64> {
-        assert_eq!(y.len(), self.rows, "dimension mismatch in t_mul_vec");
-        let mut out = vec![0.0; self.cols];
-        for (r, &yr) in y.iter().enumerate() {
-            let row = self.row(r);
-            for (o, x) in out.iter_mut().zip(row) {
-                *o += x * yr;
-            }
-        }
-        out
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -314,31 +183,6 @@ impl IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
         assert!(r < self.rows && c < self.cols, "index out of bounds");
         &mut self.data[r * self.cols + c]
-    }
-}
-
-impl Mul<&Matrix> for &Matrix {
-    type Output = Matrix;
-
-    fn mul(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "dimension mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(r, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for c in 0..rhs.cols {
-                    out[(r, c)] += a * rhs[(k, c)];
-                }
-            }
-        }
-        out
     }
 }
 
@@ -358,17 +202,34 @@ impl fmt::Display for Matrix {
 mod tests {
     use super::*;
 
+    fn matrix<const C: usize>(rows: &[[f64; C]]) -> Matrix {
+        let mut m = Matrix::zeros(rows.len(), C);
+        for (r, row) in rows.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                m[(r, c)] = v;
+            }
+        }
+        m
+    }
+
+    fn identity(n: usize) -> Matrix {
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            m[(i, i)] = 1.0;
+        }
+        m
+    }
+
     #[test]
     fn identity_solve_returns_rhs() {
-        let id = Matrix::identity(3);
-        let x = id.solve(&[1.0, 2.0, 3.0]).unwrap();
+        let x = identity(3).solve(&[1.0, 2.0, 3.0]).unwrap();
         assert_eq!(x, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn solve_known_system() {
         // 2x + y = 5 ; x + 3y = 10  ->  x = 1, y = 3
-        let a = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]]).unwrap();
+        let a = matrix(&[[2.0, 1.0], [1.0, 3.0]]);
         let x = a.solve(&[5.0, 10.0]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
@@ -377,7 +238,7 @@ mod tests {
     #[test]
     fn solve_requires_pivoting() {
         // Leading zero forces a row swap.
-        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
+        let a = matrix(&[[0.0, 1.0], [1.0, 0.0]]);
         let x = a.solve(&[7.0, 9.0]).unwrap();
         assert!((x[0] - 9.0).abs() < 1e-12);
         assert!((x[1] - 7.0).abs() < 1e-12);
@@ -385,7 +246,7 @@ mod tests {
 
     #[test]
     fn singular_matrix_is_rejected() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]).unwrap();
+        let a = matrix(&[[1.0, 2.0], [2.0, 4.0]]);
         assert!(matches!(
             a.solve(&[1.0, 2.0]),
             Err(Error::SingularDesignMatrix { .. })
@@ -394,73 +255,30 @@ mod tests {
 
     #[test]
     fn non_square_solve_rejected() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
+        let a = matrix(&[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]);
         assert!(a.solve(&[1.0, 2.0]).is_err());
     }
 
     #[test]
     fn wrong_rhs_length_rejected() {
-        let a = Matrix::identity(3);
-        assert!(a.solve(&[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn gram_matches_explicit_transpose_product() {
-        let x = Matrix::from_rows(&[
-            vec![1.0, 2.0, 0.5],
-            vec![0.0, 1.0, -1.0],
-            vec![3.0, 1.0, 2.0],
-            vec![1.0, 1.0, 1.0],
-        ])
-        .unwrap();
-        let explicit = &x.transpose() * &x;
-        let gram = x.gram();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((explicit[(i, j)] - gram[(i, j)]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn t_mul_vec_matches_explicit() {
-        let x = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
-        let y = [1.0, 1.0, 1.0];
-        let explicit = x.transpose().mul_vec(&y);
-        assert_eq!(x.t_mul_vec(&y), explicit);
+        assert!(identity(3).solve(&[1.0, 2.0]).is_err());
     }
 
     #[test]
     fn inverse_times_matrix_is_identity() {
-        let a = Matrix::from_rows(&[vec![4.0, 7.0], vec![2.0, 6.0]]).unwrap();
+        let a = matrix(&[[4.0, 7.0], [2.0, 6.0]]);
         let inv = a.inverse().unwrap();
-        let prod = &a * &inv;
-        for i in 0..2 {
-            for j in 0..2 {
+        for j in 0..2 {
+            let column = a.mul_vec(&[inv[(0, j)], inv[(1, j)]]);
+            for (i, v) in column.iter().enumerate() {
                 let expected = if i == j { 1.0 } else { 0.0 };
-                assert!((prod[(i, j)] - expected).abs() < 1e-10);
+                assert!((v - expected).abs() < 1e-10);
             }
         }
     }
 
     #[test]
-    fn ragged_rows_rejected() {
-        assert!(Matrix::from_rows(&[vec![1.0], vec![1.0, 2.0]]).is_err());
-        assert!(Matrix::from_rows(&[]).is_err());
-        assert!(Matrix::column(&[]).is_err());
-    }
-
-    #[test]
-    fn column_and_into_column_vec() {
-        let c = Matrix::column(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(c.rows(), 3);
-        assert_eq!(c.cols(), 1);
-        assert_eq!(c.into_column_vec(), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn display_is_nonempty() {
-        let a = Matrix::identity(2);
-        assert!(format!("{a}").contains("1.00000"));
+        assert!(format!("{}", identity(2)).contains("1.00000"));
     }
 }

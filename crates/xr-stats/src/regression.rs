@@ -3,9 +3,19 @@
 //! The paper trains its regression sub-models with a 95 % confidence boundary
 //! on datasets collected from a subset of devices (XR1, XR3, XR5, XR6) and
 //! validates on held-out devices (XR2, XR4, XR7). [`LinearRegression`]
-//! reproduces that workflow: fit on a training design matrix, report R² /
-//! adjusted R², and predict (with optional 95 % confidence intervals) on test
-//! covariates.
+//! reproduces that workflow: fit on training rows, report R² / adjusted R²,
+//! and predict (with optional 95 % confidence intervals) on test covariates.
+//!
+//! The fit streams its rows: the caller passes a row count and a function
+//! that returns row `i` as a fixed-width `[f64; F]`, and the fit reads every
+//! row twice without building a design matrix. Pass 1 accumulates the upper
+//! triangle of `XᵀX` and `Xᵀy` on the stack, one row at a time in row order,
+//! skipping the products of a zero entry; pass 2 recomputes each prediction
+//! and folds the residual sum of squares. Every accumulator sees the same
+//! addends in the same order as the textbook `XᵀX`/`Xᵀy` products over a
+//! materialised design, so the coefficients and diagnostics are bit-for-bit
+//! those of that computation. Only the `k × k` normal equations go through
+//! [`Matrix`].
 
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
@@ -16,13 +26,14 @@ use xr_types::{Error, Result};
 /// Student-t value is indistinguishable from the normal one.
 const Z_95: f64 = 1.959_963_984_540_054;
 
+/// Widest design row the streamed fit accumulates on the stack: the feature
+/// columns plus the intercept column.
+const MAX_DESIGN_COLS: usize = 8;
+
 /// Ordinary-least-squares fitter (configuration half of the builder pair).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LinearRegression {
     fit_intercept: bool,
-    /// Ridge term added to the diagonal of `XᵀX`; zero by default, used only
-    /// to stabilise nearly-collinear synthetic designs.
-    ridge: f64,
 }
 
 impl Default for LinearRegression {
@@ -32,13 +43,11 @@ impl Default for LinearRegression {
 }
 
 impl LinearRegression {
-    /// Creates a fitter with an intercept and no regularisation — the paper's
-    /// setting.
+    /// Creates a fitter with an intercept — the paper's setting.
     #[must_use]
     pub fn new() -> Self {
         Self {
             fit_intercept: true,
-            ridge: 0.0,
         }
     }
 
@@ -49,89 +58,83 @@ impl LinearRegression {
         self
     }
 
-    /// Adds a ridge penalty `λ` to the normal equations (`(XᵀX + λI)β = Xᵀy`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda` is negative or not finite.
-    #[must_use]
-    pub fn with_ridge(mut self, lambda: f64) -> Self {
-        assert!(
-            lambda.is_finite() && lambda >= 0.0,
-            "ridge penalty must be non-negative"
-        );
-        self.ridge = lambda;
-        self
-    }
-
-    /// Fits the model to feature rows `xs` and targets `ys`.
+    /// Fits the model to `n` feature rows and their targets `ys`; `row(i)`
+    /// returns feature row `i` and is called twice per row.
     ///
     /// # Errors
     ///
-    /// Returns an error if the inputs are empty, ragged, of mismatched
-    /// lengths, or if the design matrix is singular / under-determined.
-    pub fn fit(&self, xs: &[Vec<f64>], ys: &[f64]) -> Result<FittedLinearModel> {
-        if xs.is_empty() || ys.is_empty() {
-            return Err(Error::invalid_parameter("xs/ys", "must be non-empty"));
+    /// Returns an error if there are no rows, if `n` differs from
+    /// `ys.len()`, or if the design is singular / under-determined.
+    pub fn fit<const F: usize>(
+        &self,
+        n: usize,
+        row: impl Fn(usize) -> [f64; F],
+        ys: &[f64],
+    ) -> Result<FittedLinearModel> {
+        const {
+            assert!(
+                F > 0 && F < MAX_DESIGN_COLS,
+                "the streamed fit takes 1 to 7 features"
+            );
         }
-        if xs.len() != ys.len() {
+        if n == 0 || ys.is_empty() {
+            return Err(Error::invalid_parameter("rows/ys", "must be non-empty"));
+        }
+        if n != ys.len() {
             return Err(Error::invalid_parameter(
                 "ys",
-                format!("expected {} targets, got {}", xs.len(), ys.len()),
+                format!("expected {n} targets, got {}", ys.len()),
             ));
         }
-        let n_features = xs[0].len();
-        if n_features == 0 {
-            return Err(Error::invalid_parameter("xs", "rows must be non-empty"));
+        let first = usize::from(self.fit_intercept);
+        let k = F + first;
+        if n < k {
+            return Err(Error::SingularDesignMatrix { rows: n, cols: k });
         }
-        if xs.iter().any(|r| r.len() != n_features) {
-            return Err(Error::invalid_parameter("xs", "rows must be rectangular"));
-        }
-        let k = n_features + usize::from(self.fit_intercept);
-        if xs.len() < k {
-            return Err(Error::SingularDesignMatrix {
-                rows: xs.len(),
-                cols: k,
-            });
-        }
+        // Design row `i`: the intercept's 1.0 (when enabled) then row(i).
+        let design = |i: usize| {
+            let mut d = [1.0; MAX_DESIGN_COLS];
+            d[first..k].copy_from_slice(&row(i));
+            d
+        };
 
-        // Build the design matrix (with leading intercept column if enabled).
-        let design_rows: Vec<Vec<f64>> = xs
-            .iter()
-            .map(|row| {
-                if self.fit_intercept {
-                    let mut r = Vec::with_capacity(k);
-                    r.push(1.0);
-                    r.extend_from_slice(row);
-                    r
-                } else {
-                    row.clone()
-                }
-            })
-            .collect();
-        let design = Matrix::from_rows(&design_rows)?;
-
-        // Normal equations.
-        let mut gram = design.gram();
-        if self.ridge > 0.0 {
+        // Pass 1: the normal equations, upper triangle of XᵀX only.
+        let mut xtx = [[0.0; MAX_DESIGN_COLS]; MAX_DESIGN_COLS];
+        let mut xty = [0.0; MAX_DESIGN_COLS];
+        for (r, &y) in ys.iter().enumerate() {
+            let d = design(r);
             for i in 0..k {
-                gram[(i, i)] += self.ridge;
+                let di = d[i];
+                if di == 0.0 {
+                    continue;
+                }
+                for j in i..k {
+                    xtx[i][j] += di * d[j];
+                }
+            }
+            for (o, x) in xty[..k].iter_mut().zip(&d) {
+                *o += x * y;
             }
         }
-        let xty = design.t_mul_vec(ys);
-        let beta = gram.solve(&xty)?;
+        // Mirror the upper triangle into the k × k system.
+        let mut gram = Matrix::zeros(k, k);
+        for i in 0..k {
+            for j in 0..k {
+                gram[(i, j)] = if j >= i { xtx[i][j] } else { xtx[j][i] };
+            }
+        }
+        let beta = gram.solve(&xty[..k])?;
 
-        // Goodness of fit.
-        let predictions: Vec<f64> = design_rows
-            .iter()
-            .map(|r| r.iter().zip(&beta).map(|(x, b)| x * b).sum())
-            .collect();
+        // Pass 2: goodness of fit.
         let mean_y = ys.iter().sum::<f64>() / ys.len() as f64;
         let ss_tot: f64 = ys.iter().map(|y| (y - mean_y).powi(2)).sum();
         let ss_res: f64 = ys
             .iter()
-            .zip(&predictions)
-            .map(|(y, p)| (y - p).powi(2))
+            .enumerate()
+            .map(|(r, y)| {
+                let p: f64 = design(r)[..k].iter().zip(&beta).map(|(x, b)| x * b).sum();
+                (y - p).powi(2)
+            })
             .sum();
         let r_squared = if ss_tot > 0.0 {
             1.0 - ss_res / ss_tot
@@ -143,14 +146,14 @@ impl LinearRegression {
         let adjusted = 1.0 - (1.0 - r_squared) * (n - 1.0) / dof;
         let sigma2 = ss_res / dof;
 
-        // (XᵀX)⁻¹ for prediction standard errors; tolerate failure (e.g. a
-        // ridge-free nearly-singular design) by omitting intervals.
+        // (XᵀX)⁻¹ for prediction standard errors; tolerate failure (a
+        // nearly-singular design) by omitting intervals.
         let gram_inverse = gram.inverse().ok();
 
         let (intercept, coefficients) = if self.fit_intercept {
             (beta[0], beta[1..].to_vec())
         } else {
-            (0.0, beta.clone())
+            (0.0, beta)
         };
 
         Ok(FittedLinearModel {
@@ -258,12 +261,6 @@ impl FittedLinearModel {
                 .sum::<f64>()
     }
 
-    /// Predicts the targets for many feature rows.
-    #[must_use]
-    pub fn predict_many(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.iter().map(|row| self.predict(row)).collect()
-    }
-
     /// Predicts with a symmetric 95 % confidence half-width for the *mean
     /// response* at `features`, mirroring the paper's "95 % confidence
     /// boundary" training procedure.
@@ -292,25 +289,30 @@ impl FittedLinearModel {
         (prediction, half_width)
     }
 
-    /// Residuals `y − ŷ` on a labelled dataset.
-    #[must_use]
-    pub fn residuals(&self, xs: &[Vec<f64>], ys: &[f64]) -> Vec<f64> {
-        xs.iter()
-            .zip(ys)
-            .map(|(row, y)| y - self.predict(row))
-            .collect()
-    }
-
     /// R² evaluated on an *out-of-sample* dataset (the held-out devices in
-    /// the paper's methodology).
+    /// the paper's methodology), with rows read as in
+    /// [`LinearRegression::fit`]. Residuals are taken over the first
+    /// `min(n, ys.len())` rows.
     #[must_use]
-    pub fn score(&self, xs: &[Vec<f64>], ys: &[f64]) -> f64 {
+    pub fn score<const F: usize>(
+        &self,
+        n: usize,
+        row: impl Fn(usize) -> [f64; F],
+        ys: &[f64],
+    ) -> f64 {
         if ys.is_empty() {
             return f64::NAN;
         }
         let mean_y = ys.iter().sum::<f64>() / ys.len() as f64;
         let ss_tot: f64 = ys.iter().map(|y| (y - mean_y).powi(2)).sum();
-        let ss_res: f64 = self.residuals(xs, ys).iter().map(|r| r * r).sum();
+        let ss_res: f64 = ys[..n.min(ys.len())]
+            .iter()
+            .enumerate()
+            .map(|(r, y)| {
+                let residual = y - self.predict(&row(r));
+                residual * residual
+            })
+            .sum();
         if ss_tot > 0.0 {
             1.0 - ss_res / ss_tot
         } else if ss_res < 1e-12 {
@@ -325,23 +327,31 @@ impl FittedLinearModel {
 mod tests {
     use super::*;
 
-    fn noiseless_dataset() -> (Vec<Vec<f64>>, Vec<f64>) {
+    fn noiseless_dataset() -> (Vec<[f64; 2]>, Vec<f64>) {
         // y = 1.5 + 2·x1 − 0.5·x2
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for i in 0..40 {
             let x1 = i as f64 * 0.25;
             let x2 = (i % 7) as f64;
-            xs.push(vec![x1, x2]);
+            xs.push([x1, x2]);
             ys.push(1.5 + 2.0 * x1 - 0.5 * x2);
         }
         (xs, ys)
     }
 
+    fn fit_rows<const F: usize>(
+        regression: &LinearRegression,
+        xs: &[[f64; F]],
+        ys: &[f64],
+    ) -> Result<FittedLinearModel> {
+        regression.fit(xs.len(), |i| xs[i], ys)
+    }
+
     #[test]
     fn recovers_exact_coefficients_on_noiseless_data() {
         let (xs, ys) = noiseless_dataset();
-        let fit = LinearRegression::new().fit(&xs, &ys).unwrap();
+        let fit = fit_rows(&LinearRegression::new(), &xs, &ys).unwrap();
         assert!((fit.intercept() - 1.5).abs() < 1e-9);
         assert!((fit.coefficients()[0] - 2.0).abs() < 1e-9);
         assert!((fit.coefficients()[1] + 0.5).abs() < 1e-9);
@@ -352,11 +362,10 @@ mod tests {
 
     #[test]
     fn without_intercept_forces_origin() {
-        let xs: Vec<Vec<f64>> = (1..=20).map(|i| vec![i as f64]).collect();
         let ys: Vec<f64> = (1..=20).map(|i| 4.0 * i as f64).collect();
         let fit = LinearRegression::new()
             .without_intercept()
-            .fit(&xs, &ys)
+            .fit(ys.len(), |i| [(i + 1) as f64], &ys)
             .unwrap();
         assert_eq!(fit.intercept(), 0.0);
         assert!((fit.coefficients()[0] - 4.0).abs() < 1e-9);
@@ -370,10 +379,10 @@ mod tests {
         for i in 0..500 {
             let x = i as f64 * 0.01;
             let noise = ((i * 2_654_435_761_u64 % 1000) as f64 / 1000.0 - 0.5) * 0.2;
-            xs.push(vec![x]);
+            xs.push([x]);
             ys.push(3.0 + 0.7 * x + noise);
         }
-        let fit = LinearRegression::new().fit(&xs, &ys).unwrap();
+        let fit = fit_rows(&LinearRegression::new(), &xs, &ys).unwrap();
         assert!(fit.r_squared() > 0.95, "R² = {}", fit.r_squared());
         let (pred, half) = fit.predict_with_interval(&[2.5]);
         assert!((pred - (3.0 + 0.7 * 2.5)).abs() < 0.1);
@@ -383,20 +392,20 @@ mod tests {
     #[test]
     fn score_on_held_out_data() {
         let (xs, ys) = noiseless_dataset();
-        let fit = LinearRegression::new().fit(&xs, &ys).unwrap();
-        let held_x = vec![vec![100.0, 3.0], vec![200.0, 1.0]];
-        let held_y: Vec<f64> = held_x
-            .iter()
-            .map(|r| 1.5 + 2.0 * r[0] - 0.5 * r[1])
-            .collect();
-        assert!(fit.score(&held_x, &held_y) > 0.999_999);
+        let fit = fit_rows(&LinearRegression::new(), &xs, &ys).unwrap();
+        let held_x = [[100.0, 3.0], [200.0, 1.0]];
+        let held_y = held_x.map(|r| 1.5 + 2.0 * r[0] - 0.5 * r[1]);
+        assert!(fit.score(held_x.len(), |i| held_x[i], &held_y) > 0.999_999);
     }
 
     #[test]
     fn residuals_are_zero_on_noiseless_fit() {
         let (xs, ys) = noiseless_dataset();
-        let fit = LinearRegression::new().fit(&xs, &ys).unwrap();
-        assert!(fit.residuals(&xs, &ys).iter().all(|r| r.abs() < 1e-9));
+        let fit = fit_rows(&LinearRegression::new(), &xs, &ys).unwrap();
+        assert!(xs
+            .iter()
+            .zip(&ys)
+            .all(|(x, y)| (y - fit.predict(x)).abs() < 1e-9));
     }
 
     #[test]
@@ -413,45 +422,36 @@ mod tests {
 
     #[test]
     fn under_determined_fit_rejected() {
-        let xs = vec![vec![1.0, 2.0, 3.0]];
-        let ys = vec![1.0];
         assert!(matches!(
-            LinearRegression::new().fit(&xs, &ys),
+            fit_rows(&LinearRegression::new(), &[[1.0, 2.0, 3.0]], &[1.0]),
             Err(Error::SingularDesignMatrix { .. })
         ));
     }
 
     #[test]
     fn mismatched_lengths_rejected() {
-        let xs = vec![vec![1.0], vec![2.0]];
-        let ys = vec![1.0];
-        assert!(LinearRegression::new().fit(&xs, &ys).is_err());
-        assert!(LinearRegression::new().fit(&[], &[]).is_err());
-        assert!(LinearRegression::new()
-            .fit(&[vec![1.0], vec![1.0, 2.0]], &[1.0, 2.0])
-            .is_err());
+        let regression = LinearRegression::new();
+        assert!(fit_rows(&regression, &[[1.0], [2.0]], &[1.0]).is_err());
+        assert!(fit_rows::<1>(&regression, &[], &[]).is_err());
+        assert!(regression.fit(0, |_| [1.0], &[1.0]).is_err());
     }
 
     #[test]
-    fn collinear_design_rejected_without_ridge_but_ok_with() {
+    fn collinear_design_rejected() {
         // Second column is an exact copy of the first.
-        let xs: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64, i as f64]).collect();
+        let xs: Vec<[f64; 2]> = (0..30).map(|i| [i as f64, i as f64]).collect();
         let ys: Vec<f64> = (0..30).map(|i| 2.0 * i as f64).collect();
-        assert!(LinearRegression::new().fit(&xs, &ys).is_err());
-        let fit = LinearRegression::new()
-            .with_ridge(1e-6)
-            .fit(&xs, &ys)
-            .unwrap();
-        // Ridge splits the weight across the duplicated columns.
-        let total: f64 = fit.coefficients().iter().sum();
-        assert!((total - 2.0).abs() < 1e-3);
+        assert!(matches!(
+            fit_rows(&LinearRegression::new(), &xs, &ys),
+            Err(Error::SingularDesignMatrix { .. })
+        ));
     }
 
     #[test]
     #[should_panic(expected = "expected 2 features")]
     fn predict_wrong_arity_panics() {
         let (xs, ys) = noiseless_dataset();
-        let fit = LinearRegression::new().fit(&xs, &ys).unwrap();
+        let fit = fit_rows(&LinearRegression::new(), &xs, &ys).unwrap();
         let _ = fit.predict(&[1.0]);
     }
 }

@@ -7,6 +7,15 @@
 //! testbed's true laws, and [`CalibratedModels`] refits the analytical
 //! framework's sub-models on the result — yielding the *calibrated* proposed
 //! model that the evaluation experiments compare against the ground truth.
+//!
+//! This is the set-up cost of every `--paper-scale` process, so neither half
+//! allocates per record. [`MeasurementCampaign::collect`] sizes its eight
+//! columns exactly before drawing and looks up each device's bias once.
+//! [`CalibratedModels::fit`] and [`CalibratedModels::evaluate`] read the
+//! columns as fixed-width feature rows through the streamed OLS fit of
+//! `xr_stats`, which builds no design matrix and accumulates in the order of
+//! the explicit `XᵀX`/`Xᵀy` products, so the calibrated coefficients keep
+//! their bits.
 
 use crate::laws::{DeviceBias, TrueLaws};
 use rand::rngs::StdRng;
@@ -146,7 +155,8 @@ impl MeasurementCampaign {
         let cnn_catalog = CnnCatalog::table2();
         let specs: Vec<_> = devices
             .iter()
-            .filter_map(|name| catalog.device(name).ok().cloned())
+            .filter_map(|name| catalog.device(name).ok())
+            .map(|spec| (spec, DeviceBias::for_device(&spec.name)))
             .collect();
         let mut dataset = MeasurementDataset::default();
         if specs.is_empty() {
@@ -159,12 +169,19 @@ impl MeasurementCampaign {
         let n_complexity = self
             .target_records
             .saturating_sub(n_resource + n_power + n_encoding);
+        dataset.resource_x.reserve_exact(n_resource);
+        dataset.resource_y.reserve_exact(n_resource);
+        dataset.power_x.reserve_exact(n_power);
+        dataset.power_y.reserve_exact(n_power);
+        dataset.encoding_x.reserve_exact(n_encoding);
+        dataset.encoding_y.reserve_exact(n_encoding);
+        dataset.complexity_x.reserve_exact(n_complexity);
+        dataset.complexity_y.reserve_exact(n_complexity);
 
         // Compute-resource and power observations over random operating
         // points of the campaign devices.
         for i in 0..(n_resource + n_power) {
-            let spec = &specs[rng.gen_range(0..specs.len())];
-            let bias = DeviceBias::for_device(&spec.name);
+            let (spec, bias) = specs[rng.gen_range(0..specs.len())];
             let fc = GigaHertz::new(rng.gen_range(0.8..=spec.cpu_clock.as_f64()));
             let fg = GigaHertz::new(rng.gen_range(0.3..=spec.gpu_clock.as_f64().max(0.35)));
             let wc = Ratio::new(rng.gen_range(0.0..=1.0));
@@ -181,8 +198,7 @@ impl MeasurementCampaign {
 
         // Encoding observations over random codec settings and frame sizes.
         for _ in 0..n_encoding {
-            let spec = &specs[rng.gen_range(0..specs.len())];
-            let bias = DeviceBias::for_device(&spec.name);
+            let (_, bias) = specs[rng.gen_range(0..specs.len())];
             let config = EncodingConfig {
                 i_frame_interval: rng.gen_range(5.0..=60.0),
                 b_frame_interval: rng.gen_range(0.0..=3.0),
@@ -291,36 +307,36 @@ impl CalibratedModels {
     /// Out-of-sample R² on a held-out dataset (the validation-device split).
     #[must_use]
     pub fn evaluate(&self, test: &MeasurementDataset) -> CalibrationReport {
-        let resource_feats: Vec<Vec<f64>> = test
-            .resource_x
-            .iter()
-            .map(|(fc, fg, wc)| ComputeResourceModel::features(*fc, *fg, *wc))
-            .collect();
-        let power_feats: Vec<Vec<f64>> = test
-            .power_x
-            .iter()
-            .map(|(fc, fg, wc)| MeanPowerModel::features(*fc, *fg, *wc))
-            .collect();
-        let encoding_feats: Vec<Vec<f64>> = test.encoding_x.iter().map(|c| c.to_vec()).collect();
-        let complexity_feats: Vec<Vec<f64>> = test
-            .complexity_x
-            .iter()
-            .map(|(d, s, c)| vec![*d, *s, *c])
-            .collect();
         CalibrationReport {
-            resource_r_squared: self
-                .compute
-                .regression()
-                .score(&resource_feats, &test.resource_y),
-            power_r_squared: self.power.regression().score(&power_feats, &test.power_y),
-            encoding_r_squared: self
-                .encoding
-                .regression()
-                .score(&encoding_feats, &test.encoding_y),
-            complexity_r_squared: self
-                .complexity
-                .regression()
-                .score(&complexity_feats, &test.complexity_y),
+            resource_r_squared: self.compute.regression().score(
+                test.resource_x.len(),
+                |i| {
+                    let (fc, fg, wc) = test.resource_x[i];
+                    ComputeResourceModel::features(fc, fg, wc)
+                },
+                &test.resource_y,
+            ),
+            power_r_squared: self.power.regression().score(
+                test.power_x.len(),
+                |i| {
+                    let (fc, fg, wc) = test.power_x[i];
+                    MeanPowerModel::features(fc, fg, wc)
+                },
+                &test.power_y,
+            ),
+            encoding_r_squared: self.encoding.regression().score(
+                test.encoding_x.len(),
+                |i| test.encoding_x[i],
+                &test.encoding_y,
+            ),
+            complexity_r_squared: self.complexity.regression().score(
+                test.complexity_x.len(),
+                |i| {
+                    let (d, s, c) = test.complexity_x[i];
+                    [d, s, c]
+                },
+                &test.complexity_y,
+            ),
         }
     }
 }

@@ -148,9 +148,8 @@ proptest! {
         slope in -10.0..10.0_f64,
         n in 10usize..60,
     ) {
-        let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 * 0.5]).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| intercept + slope * x[0]).collect();
-        let fit = LinearRegression::new().fit(&xs, &ys).unwrap();
+        let ys: Vec<f64> = (0..n).map(|i| intercept + slope * (i as f64 * 0.5)).collect();
+        let fit = LinearRegression::new().fit(n, |i| [i as f64 * 0.5], &ys).unwrap();
         prop_assert!((fit.intercept() - intercept).abs() < 1e-6);
         prop_assert!((fit.coefficients()[0] - slope).abs() < 1e-6);
     }
