@@ -4,15 +4,15 @@
 //! sampler call per frame).
 //!
 //! Both paths produce bit-identical draws — asserted here before any
-//! timing — so the measured ratio is pure draw-layer overhead. Measured
-//! numbers are recorded in `BENCH_draw_columns.json` at the repository
-//! root.
+//! timing, on every SIMD tier the host runs — so the measured ratio is
+//! pure draw-layer overhead. Measured numbers are recorded in
+//! `BENCH_draw_columns.json` at the repository root.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use rand_distr::{column, Distribution, Normal};
-use xr_types::lanes::LaneStreams;
+use rand_distr::{column, math, Distribution, Normal};
+use xr_types::lanes::{self, LaneStreams};
 use xr_types::seed;
 
 /// Frames per measured pass — one campaign-sized stretch of a session.
@@ -28,29 +28,48 @@ fn frame_rng(frame: usize) -> StdRng {
 fn draw_columns(c: &mut Criterion) {
     let normal = Normal::new(0.0, 0.04).expect("valid sigma");
 
-    // Bit-identity gate: the lane path must replay the per-frame streams
-    // word for word before its throughput means anything.
-    {
-        let mut lanes = LaneStreams::new();
+    // Bit-identity gate: on every tier this host runs, the lane path must
+    // replay the per-frame streams word for word before its throughput
+    // means anything. The timed passes below run the dispatched tier.
+    println!(
+        "draw_columns: dispatched tiers: lanes {:?}, columns {:?}",
+        lanes::Tier::dispatched(),
+        math::Tier::dispatched()
+    );
+    for (lane_tier, column_tier) in lanes::Tier::ALL.into_iter().zip(math::Tier::ALL) {
+        if !lane_tier.supported() || !column_tier.supported() {
+            println!("draw_columns: skipping the {lane_tier:?} tier: this host cannot run it");
+            continue;
+        }
+        let mut lanes = LaneStreams::with_tier(lane_tier);
         lanes.reseed(STAGE_BASE, 0, FRAMES);
         let mut raw_a = vec![0u64; FRAMES];
         let mut raw_b = vec![0u64; FRAMES];
         let mut normals = vec![0.0; FRAMES];
+        let mut factors = vec![0.0; FRAMES];
         let mut uniforms = vec![0.0; FRAMES];
         lanes.fill_next(&mut raw_a);
         lanes.fill_next(&mut raw_b);
         column::fill_normal(&normal, &raw_a, &raw_b, &mut normals);
+        column::fill_lognormal_at(column_tier, &normal, &raw_a, &raw_b, &mut factors);
         lanes.fill_next(&mut raw_a);
-        column::fill_uniform_range(-0.05, 0.05, &raw_a, &mut uniforms);
+        column::fill_uniform_range_at(column_tier, -0.05, 0.05, &raw_a, &mut uniforms);
         for frame in 0..FRAMES {
             let mut rng = frame_rng(frame);
-            assert_eq!(normals[frame], normal.sample(&mut rng), "normal diverged");
+            let z = normal.sample(&mut rng);
+            assert_eq!(normals[frame], z, "{lane_tier:?} normal diverged");
+            assert_eq!(
+                factors[frame],
+                math::exp(z),
+                "{column_tier:?} lognormal diverged"
+            );
             assert_eq!(
                 uniforms[frame],
                 rng.gen_range(-0.05..0.05),
-                "uniform diverged"
+                "{column_tier:?} uniform diverged"
             );
         }
+        println!("draw_columns: the {lane_tier:?} tier replays the per-frame streams");
     }
 
     let mut group = c.benchmark_group("draw_columns");
@@ -128,8 +147,8 @@ fn draw_columns(c: &mut Criterion) {
 
     // The sense-stage shape: 18 uniform jitter draws per frame stream
     // (updates_per_frame × sensors in the default scenario; one word +
-    // affine map each — the column path takes the AVX2 pass on hosts that
-    // support it).
+    // affine map each — the column path takes the widest SIMD tier the
+    // host runs).
     group.bench_with_input(
         BenchmarkId::new("uniform", "per_frame"),
         &FRAMES,

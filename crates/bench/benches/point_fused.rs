@@ -98,7 +98,7 @@ fn point_fused_throughput(c: &mut Criterion) {
 
     // Bit-identity gate: a faster point engine that drifts is not a
     // speedup. CI smoke-runs this bench with XR_BENCH_SAMPLE_SIZE=2 on both
-    // the AVX2 and XR_FORCE_PORTABLE=1 legs precisely for this block.
+    // the SIMD and XR_FORCE_PORTABLE=1 legs precisely for this block.
     for (label, scenario) in &scenarios() {
         for (reps, frames) in shapes() {
             let reference = per_rep_sessions(&testbed, scenario, reps, frames, true);

@@ -7,8 +7,8 @@
 //! * `scalar/*` — one kernel call vs one `std` (libm) call over a column
 //!   of sampler-domain inputs, timing pure function cost.
 //! * `column/*` — the `rand_distr::column` fills on raw word columns: the
-//!   runtime-dispatched entry (AVX2 on this host) vs the forced portable
-//!   pass vs a per-sample scalar loop emulating the pre-PR-8 scheme
+//!   runtime-dispatched entry (the widest SIMD tier the host runs) vs the
+//!   portable tier vs a per-sample scalar loop emulating the pre-PR-8 scheme
 //!   (stateless `Normal::sample`, one discarded variate per draw).
 //! * `pipeline/noise` — the full kept-pair noise column (two lognormal
 //!   factors from one word-pair column), the shape `batch_generate` runs
@@ -22,6 +22,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use rand_distr::math::Tier;
 use rand_distr::{column, math, Distribution, Normal};
 
 const LEN: usize = 4096;
@@ -89,7 +90,7 @@ fn transcendental(c: &mut Criterion) {
     });
     group.bench_function("lognormal/portable", |b| {
         b.iter(|| {
-            column::fill_lognormal_portable(&normal, &wa, &wb, &mut out);
+            column::fill_lognormal_at(Tier::Portable, &normal, &wa, &wb, &mut out);
             black_box(out[LEN - 1])
         })
     });
@@ -115,7 +116,14 @@ fn transcendental(c: &mut Criterion) {
     });
     group.bench_function("noise_pair/portable", |b| {
         b.iter(|| {
-            column::fill_lognormal_pair_portable(&normal, &wa, &wb, &mut out, &mut out_sin);
+            column::fill_lognormal_pair_at(
+                Tier::Portable,
+                &normal,
+                &wa,
+                &wb,
+                &mut out,
+                &mut out_sin,
+            );
             black_box(out[LEN - 1] + out_sin[LEN - 1])
         })
     });

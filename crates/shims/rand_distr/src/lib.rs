@@ -197,11 +197,19 @@ impl StandardNormalPairs {
 /// pinned by the tests below:
 ///
 /// * every transcendental comes from the [`math`] kernels (never the
-///   libm), and the portable and AVX2 passes execute the same
-///   exact-arithmetic operation DAG per element, so the SIMD paths are
-///   bit-identical — not approximately equal — to the portable ones
-///   (asserted by tests on AVX2 hosts, and re-asserted portable-only under
-///   `XR_FORCE_PORTABLE=1` in CI);
+///   libm), and each SIMD-backed fill runs in one of three
+///   [`Tier`](math::Tier)s — portable, 4-wide AVX2 or 8-wide AVX-512 —
+///   chosen once per process by [`Tier::dispatched`](math::Tier::dispatched).
+///   Every tier executes the same exact-arithmetic operation DAG per
+///   element, so the SIMD tiers are bit-identical — not approximately
+///   equal — to the portable one. The AVX-512 tier uses a native
+///   instruction only where it gives the same bits (`vcvtuqq2pd` converts
+///   `word >> 11`, which is exact below 2^53), and covers the last
+///   `len % 8` elements with masked loads and stores instead of a scalar
+///   tail. The `*_at` entry points run an explicit tier; tests pin each
+///   tier the host supports against the portable pass, and CI re-runs the
+///   dispatched gates under `XR_FORCE_PORTABLE=1`, which turns off every
+///   SIMD tier;
 /// * the normal-family transforms come in *pair* form
 ///   ([`fill_lognormal_pair`](column::fill_lognormal_pair), and the
 ///   unscaled [`fill_standard_normal_pair`](column::fill_standard_normal_pair))
@@ -209,15 +217,9 @@ impl StandardNormalPairs {
 ///   [`StandardNormalPairs`]: a batched stage that consumes two variates
 ///   per frame fills both columns from **one** pair of raw-word columns.
 pub mod column {
+    use super::math::Tier;
     use super::{math, Exp, Normal};
     use rand::unit_f64_from_word;
-
-    /// True when this host should take the AVX2 passes: the CPU supports
-    /// them and `XR_FORCE_PORTABLE` is unset.
-    #[cfg(target_arch = "x86_64")]
-    fn use_avx2() -> bool {
-        !math::force_portable() && std::arch::is_x86_feature_detected!("avx2")
-    }
 
     /// Writes `out[i] = ` the draw `normal.sample` would produce from the
     /// raw words `(raw_a[i], raw_b[i])` — the cosine Box–Muller half,
@@ -245,24 +247,41 @@ pub mod column {
     ///
     /// Panics if the three slices differ in length.
     pub fn fill_lognormal(normal: &Normal, raw_a: &[u64], raw_b: &[u64], out: &mut [f64]) {
+        fill_lognormal_at(Tier::dispatched(), normal, raw_a, raw_b, out);
+    }
+
+    /// [`fill_lognormal`] on an explicit tier.
+    ///
+    /// # Panics
+    ///
+    /// As [`fill_lognormal`], and if the host cannot run `tier`.
+    pub fn fill_lognormal_at(
+        tier: Tier,
+        normal: &Normal,
+        raw_a: &[u64],
+        raw_b: &[u64],
+        out: &mut [f64],
+    ) {
         assert_eq!(raw_a.len(), out.len(), "raw_a column length mismatch");
         assert_eq!(raw_b.len(), out.len(), "raw_b column length mismatch");
-        #[cfg(target_arch = "x86_64")]
-        if use_avx2() {
-            // SAFETY: AVX2 support was just confirmed at runtime.
+        match tier.checked() {
+            #[cfg(target_arch = "x86_64")]
             #[allow(unsafe_code)]
-            unsafe {
-                avx2::fill_lognormal_avx2(normal, raw_a, raw_b, out);
-            }
-            return;
+            // SAFETY: `checked` confirmed the CPU runs the tier, and the
+            // slice lengths were asserted equal above.
+            Tier::Avx512 => unsafe { avx512::fill_lognormal(normal, raw_a, raw_b, out) },
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            // SAFETY: `checked` confirmed the CPU runs the tier, and the
+            // slice lengths were asserted equal above.
+            Tier::Avx2 => unsafe { avx2::fill_lognormal_avx2(normal, raw_a, raw_b, out) },
+            _ => fill_lognormal_portable(normal, raw_a, raw_b, out),
         }
-        fill_lognormal_portable(normal, raw_a, raw_b, out);
     }
 
     /// The portable pass behind [`fill_lognormal`]; also the reference the
-    /// AVX2 path is pinned against, and a stable target for benches that
-    /// measure the dispatch delta.
-    pub fn fill_lognormal_portable(normal: &Normal, raw_a: &[u64], raw_b: &[u64], out: &mut [f64]) {
+    /// SIMD tiers are pinned against and the AVX2 tier's tail.
+    fn fill_lognormal_portable(normal: &Normal, raw_a: &[u64], raw_b: &[u64], out: &mut [f64]) {
         for ((out, &a), &b) in out.iter_mut().zip(raw_a).zip(raw_b) {
             let (z, _) = super::standard_normal_pair_from_words(a, b);
             *out = math::exp(normal.from_standard(z));
@@ -286,28 +305,45 @@ pub mod column {
         out_cos: &mut [f64],
         out_sin: &mut [f64],
     ) {
-        assert_eq!(raw_a.len(), out_cos.len(), "raw_a column length mismatch");
-        assert_eq!(raw_b.len(), out_cos.len(), "raw_b column length mismatch");
-        assert_eq!(
-            out_sin.len(),
-            out_cos.len(),
-            "out_sin column length mismatch"
-        );
-        #[cfg(target_arch = "x86_64")]
-        if use_avx2() {
-            // SAFETY: AVX2 support was just confirmed at runtime.
+        fill_lognormal_pair_at(Tier::dispatched(), normal, raw_a, raw_b, out_cos, out_sin);
+    }
+
+    /// [`fill_lognormal_pair`] on an explicit tier.
+    ///
+    /// # Panics
+    ///
+    /// As [`fill_lognormal_pair`], and if the host cannot run `tier`.
+    pub fn fill_lognormal_pair_at(
+        tier: Tier,
+        normal: &Normal,
+        raw_a: &[u64],
+        raw_b: &[u64],
+        out_cos: &mut [f64],
+        out_sin: &mut [f64],
+    ) {
+        assert_pair_lengths(raw_a, raw_b, out_cos, out_sin);
+        match tier.checked() {
+            #[cfg(target_arch = "x86_64")]
             #[allow(unsafe_code)]
-            unsafe {
+            // SAFETY: `checked` confirmed the CPU runs the tier, and the
+            // slice lengths were asserted equal above.
+            Tier::Avx512 => unsafe {
+                avx512::fill_lognormal_pair(normal, raw_a, raw_b, out_cos, out_sin);
+            },
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            // SAFETY: `checked` confirmed the CPU runs the tier, and the
+            // slice lengths were asserted equal above.
+            Tier::Avx2 => unsafe {
                 avx2::fill_lognormal_pair_avx2(normal, raw_a, raw_b, out_cos, out_sin);
-            }
-            return;
+            },
+            _ => fill_lognormal_pair_portable(normal, raw_a, raw_b, out_cos, out_sin),
         }
-        fill_lognormal_pair_portable(normal, raw_a, raw_b, out_cos, out_sin);
     }
 
     /// The portable pass behind [`fill_lognormal_pair`]; also the
-    /// reference the AVX2 path is pinned against.
-    pub fn fill_lognormal_pair_portable(
+    /// reference the SIMD tiers are pinned against.
+    fn fill_lognormal_pair_portable(
         normal: &Normal,
         raw_a: &[u64],
         raw_b: &[u64],
@@ -319,6 +355,17 @@ pub mod column {
             out_cos[i] = math::exp(normal.from_standard(z1));
             out_sin[i] = math::exp(normal.from_standard(z2));
         }
+    }
+
+    /// The length checks shared by the two-column fills.
+    fn assert_pair_lengths(raw_a: &[u64], raw_b: &[u64], out_cos: &[f64], out_sin: &[f64]) {
+        assert_eq!(raw_a.len(), out_cos.len(), "raw_a column length mismatch");
+        assert_eq!(raw_b.len(), out_cos.len(), "raw_b column length mismatch");
+        assert_eq!(
+            out_sin.len(),
+            out_cos.len(),
+            "out_sin column length mismatch"
+        );
     }
 
     /// Writes **both** standard-normal halves of each raw word pair:
@@ -338,28 +385,44 @@ pub mod column {
         out_cos: &mut [f64],
         out_sin: &mut [f64],
     ) {
-        assert_eq!(raw_a.len(), out_cos.len(), "raw_a column length mismatch");
-        assert_eq!(raw_b.len(), out_cos.len(), "raw_b column length mismatch");
-        assert_eq!(
-            out_sin.len(),
-            out_cos.len(),
-            "out_sin column length mismatch"
-        );
-        #[cfg(target_arch = "x86_64")]
-        if use_avx2() {
-            // SAFETY: AVX2 support was just confirmed at runtime.
+        fill_standard_normal_pair_at(Tier::dispatched(), raw_a, raw_b, out_cos, out_sin);
+    }
+
+    /// [`fill_standard_normal_pair`] on an explicit tier.
+    ///
+    /// # Panics
+    ///
+    /// As [`fill_standard_normal_pair`], and if the host cannot run `tier`.
+    pub fn fill_standard_normal_pair_at(
+        tier: Tier,
+        raw_a: &[u64],
+        raw_b: &[u64],
+        out_cos: &mut [f64],
+        out_sin: &mut [f64],
+    ) {
+        assert_pair_lengths(raw_a, raw_b, out_cos, out_sin);
+        match tier.checked() {
+            #[cfg(target_arch = "x86_64")]
             #[allow(unsafe_code)]
-            unsafe {
+            // SAFETY: `checked` confirmed the CPU runs the tier, and the
+            // slice lengths were asserted equal above.
+            Tier::Avx512 => unsafe {
+                avx512::fill_standard_normal_pair(raw_a, raw_b, out_cos, out_sin);
+            },
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            // SAFETY: `checked` confirmed the CPU runs the tier, and the
+            // slice lengths were asserted equal above.
+            Tier::Avx2 => unsafe {
                 avx2::fill_standard_normal_pair_avx2(raw_a, raw_b, out_cos, out_sin);
-            }
-            return;
+            },
+            _ => fill_standard_normal_pair_portable(raw_a, raw_b, out_cos, out_sin),
         }
-        fill_standard_normal_pair_portable(raw_a, raw_b, out_cos, out_sin);
     }
 
     /// The portable pass behind [`fill_standard_normal_pair`]; also the
-    /// reference the AVX2 path is pinned against.
-    pub(crate) fn fill_standard_normal_pair_portable(
+    /// reference the SIMD tiers are pinned against.
+    fn fill_standard_normal_pair_portable(
         raw_a: &[u64],
         raw_b: &[u64],
         out_cos: &mut [f64],
@@ -373,33 +436,43 @@ pub mod column {
     /// Writes `out[i] = ` the draw `rng.gen_range(lo..hi)` would produce
     /// from the raw word `raw[i]` — `lo + u * (hi - lo)` over the unit
     /// uniform, bit-identical to the `rand` shim's `f64` range sampler.
-    ///
-    /// Dispatches to an AVX2 pass on x86-64 hosts that support it (the
-    /// transform is exact in IEEE-754 arithmetic, so the SIMD path is
-    /// bit-identical); otherwise runs the portable chunked pass.
+    /// The transform is exact in IEEE-754 arithmetic, so every tier gives
+    /// the same bits.
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length or the range is empty.
     pub fn fill_uniform_range(lo: f64, hi: f64, raw: &[u64], out: &mut [f64]) {
+        fill_uniform_range_at(Tier::dispatched(), lo, hi, raw, out);
+    }
+
+    /// [`fill_uniform_range`] on an explicit tier.
+    ///
+    /// # Panics
+    ///
+    /// As [`fill_uniform_range`], and if the host cannot run `tier`.
+    pub fn fill_uniform_range_at(tier: Tier, lo: f64, hi: f64, raw: &[u64], out: &mut [f64]) {
         assert_eq!(raw.len(), out.len(), "raw column length mismatch");
         assert!(lo < hi, "cannot sample empty range");
         let span = hi - lo;
-        #[cfg(target_arch = "x86_64")]
-        if use_avx2() {
-            // SAFETY: AVX2 support was just confirmed at runtime.
+        match tier.checked() {
+            #[cfg(target_arch = "x86_64")]
             #[allow(unsafe_code)]
-            unsafe {
-                avx2::fill_uniform_range_avx2(lo, span, raw, out);
-            }
-            return;
+            // SAFETY: `checked` confirmed the CPU runs the tier, and the
+            // slice lengths were asserted equal above.
+            Tier::Avx512 => unsafe { avx512::fill_uniform_range(lo, span, raw, out) },
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            // SAFETY: `checked` confirmed the CPU runs the tier, and the
+            // slice lengths were asserted equal above.
+            Tier::Avx2 => unsafe { avx2::fill_uniform_range_avx2(lo, span, raw, out) },
+            _ => fill_uniform_range_portable(lo, span, raw, out),
         }
-        fill_uniform_range_portable(lo, span, raw, out);
     }
 
     /// The portable pass behind [`fill_uniform_range`]; also the reference
-    /// the AVX2 path is pinned against.
-    pub fn fill_uniform_range_portable(lo: f64, span: f64, raw: &[u64], out: &mut [f64]) {
+    /// the SIMD tiers are pinned against.
+    fn fill_uniform_range_portable(lo: f64, span: f64, raw: &[u64], out: &mut [f64]) {
         for (out, &word) in out.iter_mut().zip(raw) {
             *out = lo + unit_f64_from_word(word) * span;
         }
@@ -413,22 +486,34 @@ pub mod column {
     ///
     /// Panics if the slices differ in length.
     pub fn fill_exp(exp: &Exp, raw: &[u64], out: &mut [f64]) {
-        assert_eq!(raw.len(), out.len(), "raw column length mismatch");
-        #[cfg(target_arch = "x86_64")]
-        if use_avx2() {
-            // SAFETY: AVX2 support was just confirmed at runtime.
-            #[allow(unsafe_code)]
-            unsafe {
-                avx2::fill_exp_avx2(exp.lambda, raw, out);
-            }
-            return;
-        }
-        fill_exp_portable(exp.lambda, raw, out);
+        fill_exp_at(Tier::dispatched(), exp, raw, out);
     }
 
-    /// The portable pass behind [`fill_exp`]; also the reference the AVX2
-    /// path is pinned against.
-    pub fn fill_exp_portable(lambda: f64, raw: &[u64], out: &mut [f64]) {
+    /// [`fill_exp`] on an explicit tier.
+    ///
+    /// # Panics
+    ///
+    /// As [`fill_exp`], and if the host cannot run `tier`.
+    pub fn fill_exp_at(tier: Tier, exp: &Exp, raw: &[u64], out: &mut [f64]) {
+        assert_eq!(raw.len(), out.len(), "raw column length mismatch");
+        match tier.checked() {
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            // SAFETY: `checked` confirmed the CPU runs the tier, and the
+            // slice lengths were asserted equal above.
+            Tier::Avx512 => unsafe { avx512::fill_exp(exp.lambda, raw, out) },
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            // SAFETY: `checked` confirmed the CPU runs the tier, and the
+            // slice lengths were asserted equal above.
+            Tier::Avx2 => unsafe { avx2::fill_exp_avx2(exp.lambda, raw, out) },
+            _ => fill_exp_portable(exp.lambda, raw, out),
+        }
+    }
+
+    /// The portable pass behind [`fill_exp`]; also the reference the SIMD
+    /// tiers are pinned against.
+    fn fill_exp_portable(lambda: f64, raw: &[u64], out: &mut [f64]) {
         for (out, &word) in out.iter_mut().zip(raw) {
             let u = unit_f64_from_word(word);
             *out = -math::ln(1.0 - u) / lambda;
@@ -669,10 +754,237 @@ pub mod column {
             super::fill_exp_portable(lambda, &raw[tail..], &mut out[tail..]);
         }
     }
+    /// The 8-wide AVX-512 lane passes (`avx512f` + `avx512dq`), beside the
+    /// AVX2 ones and under the same rules: every vector kernel replays the
+    /// exact op DAG of its scalar counterpart. Each pass covers the last
+    /// `len % 8` elements with a masked load and store, so short columns
+    /// (a fused batch's 20-lane segments, a 60-lane batch) stay on the
+    /// vector path; the masked-off lanes compute on zero words and are
+    /// never stored.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    #[deny(unsafe_op_in_unsafe_fn)]
+    mod avx512 {
+        use super::math::avx512 as mathx;
+        use super::Normal;
+        use core::arch::x86_64::{
+            __m512d, __m512i, __mmask8, _mm512_add_pd, _mm512_cvtepu64_pd, _mm512_div_pd,
+            _mm512_mask_storeu_pd, _mm512_maskz_loadu_epi64, _mm512_max_pd, _mm512_mul_pd,
+            _mm512_set1_pd, _mm512_sqrt_pd, _mm512_srli_epi64, _mm512_sub_pd, _mm512_xor_pd,
+        };
+
+        /// The lanes of the 8-element chunk at `i` that lie inside a
+        /// column of `len` elements: all eight, or the low `len - i`.
+        #[inline]
+        fn chunk_mask(len: usize, i: usize) -> __mmask8 {
+            match len - i {
+                rest @ 0..8 => (1u8 << rest) - 1,
+                _ => u8::MAX,
+            }
+        }
+
+        /// Loads the words of `column[i..]` under `mask`, zero elsewhere.
+        ///
+        /// # Safety
+        ///
+        /// Every lane set in `mask` must index an element of `column`
+        /// (`chunk_mask(column.len(), i)` guarantees it).
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn load(column: &[u64], i: usize, mask: __mmask8) -> __m512i {
+            // SAFETY: the caller keeps every masked-in lane inside
+            // `column`; masked-off lanes are not accessed.
+            unsafe { _mm512_maskz_loadu_epi64(mask, column.as_ptr().add(i).cast::<i64>()) }
+        }
+
+        /// Stores `value` into `column[i..]` under `mask`.
+        ///
+        /// # Safety
+        ///
+        /// As [`load`].
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn store(column: &mut [f64], i: usize, mask: __mmask8, value: __m512d) {
+            // SAFETY: as in `load`.
+            unsafe { _mm512_mask_storeu_pd(column.as_mut_ptr().add(i), mask, value) }
+        }
+
+        /// `(word >> 11) · 2^-53` — eight unit uniforms, exactly as the
+        /// scalar `unit_f64_from_word`: the shifted word is below 2^53, so
+        /// the unsigned conversion is exact.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq")]
+        fn unit_f64(words: __m512i) -> __m512d {
+            const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+            _mm512_mul_pd(
+                _mm512_cvtepu64_pd(_mm512_srli_epi64::<11>(words)),
+                _mm512_set1_pd(UNIT),
+            )
+        }
+
+        /// Eight-wide Box–Muller standard pair from eight raw word pairs:
+        /// the vector form of `standard_normal_pair_from_words`.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq")]
+        fn standard_pair(words_a: __m512i, words_b: __m512i) -> (__m512d, __m512d) {
+            // max(u1, MIN_POSITIVE): neither operand is NaN, so the vector
+            // max matches `f64::max` bit for bit.
+            let u1 = _mm512_max_pd(unit_f64(words_a), _mm512_set1_pd(f64::MIN_POSITIVE));
+            let u2 = unit_f64(words_b);
+            let r = _mm512_sqrt_pd(_mm512_mul_pd(_mm512_set1_pd(-2.0), mathx::ln8(u1)));
+            let (sin, cos) =
+                mathx::sincos8(_mm512_mul_pd(_mm512_set1_pd(core::f64::consts::TAU), u2));
+            (_mm512_mul_pd(r, cos), _mm512_mul_pd(r, sin))
+        }
+
+        /// Eight-wide `exp(mean + σ·z)`.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq")]
+        fn lognormal_factor(normal: &Normal, z: __m512d) -> __m512d {
+            mathx::exp8(_mm512_add_pd(
+                _mm512_set1_pd(normal.mean),
+                _mm512_mul_pd(_mm512_set1_pd(normal.std_dev), z),
+            ))
+        }
+
+        /// Eight-wide single-factor lognormal pass (cosine halves only).
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support AVX-512F and AVX-512DQ, and every slice
+        /// must have the same length.
+        #[target_feature(enable = "avx512f,avx512dq")]
+        pub(super) unsafe fn fill_lognormal(
+            normal: &Normal,
+            raw_a: &[u64],
+            raw_b: &[u64],
+            out: &mut [f64],
+        ) {
+            let len = out.len();
+            for i in (0..len).step_by(8) {
+                let mask = chunk_mask(len, i);
+                // SAFETY: the three slices share `len`, and the mask keeps
+                // every accessed lane below it.
+                unsafe {
+                    let (z_cos, _) = standard_pair(load(raw_a, i, mask), load(raw_b, i, mask));
+                    store(out, i, mask, lognormal_factor(normal, z_cos));
+                }
+            }
+        }
+
+        /// Eight-wide paired lognormal pass (both Box–Muller halves).
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support AVX-512F and AVX-512DQ, and every slice
+        /// must have the same length.
+        #[target_feature(enable = "avx512f,avx512dq")]
+        pub(super) unsafe fn fill_lognormal_pair(
+            normal: &Normal,
+            raw_a: &[u64],
+            raw_b: &[u64],
+            out_cos: &mut [f64],
+            out_sin: &mut [f64],
+        ) {
+            let len = out_cos.len();
+            for i in (0..len).step_by(8) {
+                let mask = chunk_mask(len, i);
+                // SAFETY: the four slices share `len`, and the mask keeps
+                // every accessed lane below it.
+                unsafe {
+                    let (z_cos, z_sin) = standard_pair(load(raw_a, i, mask), load(raw_b, i, mask));
+                    store(out_cos, i, mask, lognormal_factor(normal, z_cos));
+                    store(out_sin, i, mask, lognormal_factor(normal, z_sin));
+                }
+            }
+        }
+
+        /// Eight-wide standard-normal pair pass (both Box–Muller halves,
+        /// unscaled).
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support AVX-512F and AVX-512DQ, and every slice
+        /// must have the same length.
+        #[target_feature(enable = "avx512f,avx512dq")]
+        pub(super) unsafe fn fill_standard_normal_pair(
+            raw_a: &[u64],
+            raw_b: &[u64],
+            out_cos: &mut [f64],
+            out_sin: &mut [f64],
+        ) {
+            let len = out_cos.len();
+            for i in (0..len).step_by(8) {
+                let mask = chunk_mask(len, i);
+                // SAFETY: the four slices share `len`, and the mask keeps
+                // every accessed lane below it.
+                unsafe {
+                    let (z_cos, z_sin) = standard_pair(load(raw_a, i, mask), load(raw_b, i, mask));
+                    store(out_cos, i, mask, z_cos);
+                    store(out_sin, i, mask, z_sin);
+                }
+            }
+        }
+
+        /// Eight-wide `lo + unit(word) * span` — the same single-rounding
+        /// multiply and add as the portable code.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support AVX-512F and AVX-512DQ, and every slice
+        /// must have the same length.
+        #[target_feature(enable = "avx512f,avx512dq")]
+        pub(super) unsafe fn fill_uniform_range(lo: f64, span: f64, raw: &[u64], out: &mut [f64]) {
+            let lanes = _mm512_set1_pd(lo);
+            let spans = _mm512_set1_pd(span);
+            let len = out.len();
+            for i in (0..len).step_by(8) {
+                let mask = chunk_mask(len, i);
+                // SAFETY: `raw` and `out` share `len`, and the mask keeps
+                // every accessed lane below it.
+                unsafe {
+                    let value =
+                        _mm512_add_pd(lanes, _mm512_mul_pd(unit_f64(load(raw, i, mask)), spans));
+                    store(out, i, mask, value);
+                }
+            }
+        }
+
+        /// Eight-wide `-ln(1 - u) / λ`. The negation is a sign-bit XOR
+        /// (like scalar `-x`), **not** `0 - x`, which would turn `-0.0`
+        /// into `+0.0` at `u = 0` and break bit-identity.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support AVX-512F and AVX-512DQ, and every slice
+        /// must have the same length.
+        #[target_feature(enable = "avx512f,avx512dq")]
+        pub(super) unsafe fn fill_exp(lambda: f64, raw: &[u64], out: &mut [f64]) {
+            let one = _mm512_set1_pd(1.0);
+            let neg_zero = _mm512_set1_pd(-0.0);
+            let lambdas = _mm512_set1_pd(lambda);
+            let len = out.len();
+            for i in (0..len).step_by(8) {
+                let mask = chunk_mask(len, i);
+                // SAFETY: `raw` and `out` share `len`, and the mask keeps
+                // every accessed lane below it.
+                unsafe {
+                    let t = mathx::ln8(_mm512_sub_pd(one, unit_f64(load(raw, i, mask))));
+                    store(
+                        out,
+                        i,
+                        mask,
+                        _mm512_div_pd(_mm512_xor_pd(t, neg_zero), lambdas),
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::math::Tier;
     use super::{Distribution, Exp, Normal, StandardNormalPairs};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -744,13 +1056,17 @@ mod tests {
         let normal = Normal::new(0.0, 0.04).unwrap();
         let a = raw_words(21, 129);
         let b = raw_words(22, 129);
-        let mut fused = vec![0.0; 129];
         let mut staged = vec![0.0; 129];
-        super::column::fill_lognormal(&normal, &a, &b, &mut fused);
         super::column::fill_normal(&normal, &a, &b, &mut staged);
-        for (i, value) in staged.iter_mut().enumerate() {
+        for value in &mut staged {
             *value = super::math::exp(*value);
-            assert_eq!(fused[i], *value, "element {i} diverged");
+        }
+        for tier in tiers() {
+            let mut fused = vec![0.0; 129];
+            super::column::fill_lognormal_at(tier, &normal, &a, &b, &mut fused);
+            for (i, value) in staged.iter().enumerate() {
+                assert_eq!(fused[i], *value, "{tier:?} element {i} diverged");
+            }
         }
     }
 
@@ -762,17 +1078,19 @@ mod tests {
         let normal = Normal::new(0.0, 0.04).unwrap();
         let a = raw_words(31, 137);
         let b = raw_words(32, 137);
-        let mut cos = vec![0.0; 137];
-        let mut sin = vec![0.0; 137];
-        super::column::fill_lognormal_pair(&normal, &a, &b, &mut cos, &mut sin);
-        for i in 0..a.len() {
-            let mut replay = Replay(vec![a[i], b[i]], 0);
-            let mut pairs = StandardNormalPairs::new();
-            let first = super::math::exp(normal.from_standard(pairs.next(&mut replay)));
-            let second = super::math::exp(normal.from_standard(pairs.next(&mut replay)));
-            assert_eq!(replay.1, 2, "a pair must consume exactly two words");
-            assert_eq!(cos[i], first, "element {i} cosine half diverged");
-            assert_eq!(sin[i], second, "element {i} sine half diverged");
+        for tier in tiers() {
+            let mut cos = vec![0.0; 137];
+            let mut sin = vec![0.0; 137];
+            super::column::fill_lognormal_pair_at(tier, &normal, &a, &b, &mut cos, &mut sin);
+            for i in 0..a.len() {
+                let mut replay = Replay(vec![a[i], b[i]], 0);
+                let mut pairs = StandardNormalPairs::new();
+                let first = super::math::exp(normal.from_standard(pairs.next(&mut replay)));
+                let second = super::math::exp(normal.from_standard(pairs.next(&mut replay)));
+                assert_eq!(replay.1, 2, "a pair must consume exactly two words");
+                assert_eq!(cos[i], first, "{tier:?} element {i} cosine half diverged");
+                assert_eq!(sin[i], second, "{tier:?} element {i} sine half diverged");
+            }
         }
     }
 
@@ -780,17 +1098,27 @@ mod tests {
     fn fill_standard_normal_pair_matches_two_cached_pair_draws_bit_for_bit() {
         let a = raw_words(33, 141);
         let b = raw_words(34, 141);
-        let mut cos = vec![0.0; 141];
-        let mut sin = vec![0.0; 141];
-        super::column::fill_standard_normal_pair(&a, &b, &mut cos, &mut sin);
-        for i in 0..a.len() {
-            let mut replay = Replay(vec![a[i], b[i]], 0);
-            let mut pairs = StandardNormalPairs::new();
-            let first = pairs.next(&mut replay);
-            let second = pairs.next(&mut replay);
-            assert_eq!(replay.1, 2, "a pair must consume exactly two words");
-            assert_eq!(cos[i].to_bits(), first.to_bits(), "element {i} cosine");
-            assert_eq!(sin[i].to_bits(), second.to_bits(), "element {i} sine");
+        for tier in tiers() {
+            let mut cos = vec![0.0; 141];
+            let mut sin = vec![0.0; 141];
+            super::column::fill_standard_normal_pair_at(tier, &a, &b, &mut cos, &mut sin);
+            for i in 0..a.len() {
+                let mut replay = Replay(vec![a[i], b[i]], 0);
+                let mut pairs = StandardNormalPairs::new();
+                let first = pairs.next(&mut replay);
+                let second = pairs.next(&mut replay);
+                assert_eq!(replay.1, 2, "a pair must consume exactly two words");
+                assert_eq!(
+                    cos[i].to_bits(),
+                    first.to_bits(),
+                    "{tier:?} element {i} cosine"
+                );
+                assert_eq!(
+                    sin[i].to_bits(),
+                    second.to_bits(),
+                    "{tier:?} element {i} sine"
+                );
+            }
         }
     }
 
@@ -810,61 +1138,125 @@ mod tests {
         assert_eq!((z1, z2), (e1, e2));
     }
 
+    /// The column lengths every tier test covers: every masked-tail
+    /// length of the 8-wide tier (0..=17), the fused engine's 20-lane
+    /// segments and 60-lane batches, and lengths around and well past a
+    /// 64-lane batch.
+    const LENGTHS: [usize; 23] = [
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20, 60, 63, 64, 257,
+    ];
+
+    /// The SIMD tiers this host can run, in order; each tier it cannot run
+    /// is skipped with a note on stderr.
+    fn simd_tiers() -> Vec<Tier> {
+        Tier::ALL[1..]
+            .iter()
+            .copied()
+            .filter(|&tier| {
+                let runs = tier.supported();
+                if !runs {
+                    eprintln!("skipping the {tier:?} tier: this host cannot run it");
+                }
+                runs
+            })
+            .collect()
+    }
+
+    /// Every tier this host can run, the portable reference first.
+    fn tiers() -> Vec<Tier> {
+        let mut tiers = vec![Tier::Portable];
+        tiers.extend(simd_tiers());
+        tiers
+    }
+
+    /// `None` when every fill at `tier` gives the portable pass's bits on
+    /// the words `(wa, wb)`, else the name of the first fill that diverged.
+    fn first_divergent_fill(
+        tier: Tier,
+        normal: &Normal,
+        rate: f64,
+        (lo, hi): (f64, f64),
+        wa: &[u64],
+        wb: &[u64],
+    ) -> Option<&'static str> {
+        use super::column::{
+            fill_exp_at, fill_lognormal_at, fill_lognormal_pair_at, fill_standard_normal_pair_at,
+            fill_uniform_range_at,
+        };
+        let n = wa.len();
+        // Runs `fill` at `tier` and at the portable tier into fresh output
+        // columns and compares their bits.
+        type Fill<'a> = &'a dyn Fn(Tier, &mut [f64], &mut [f64]);
+        let same = |fill: Fill| {
+            let bits_at = |tier| {
+                let (mut cos, mut sin) = (vec![0.0; n], vec![0.0; n]);
+                fill(tier, &mut cos, &mut sin);
+                let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                (bits(cos), bits(sin))
+            };
+            bits_at(tier) == bits_at(Tier::Portable)
+        };
+        let exp = Exp::new(rate).unwrap();
+        if !same(&|t, out, _| fill_uniform_range_at(t, lo, hi, wa, out)) {
+            return Some("uniform");
+        }
+        if !same(&|t, out, _| fill_lognormal_at(t, normal, wa, wb, out)) {
+            return Some("lognormal");
+        }
+        if !same(&|t, out, _| fill_exp_at(t, &exp, wa, out)) {
+            return Some("exp");
+        }
+        if !same(&|t, cos, sin| fill_lognormal_pair_at(t, normal, wa, wb, cos, sin)) {
+            return Some("lognormal pair");
+        }
+        if !same(&|t, cos, sin| fill_standard_normal_pair_at(t, wa, wb, cos, sin)) {
+            return Some("standard pair");
+        }
+        None
+    }
+
     #[test]
-    fn avx2_and_portable_passes_are_bit_identical() {
-        // On hosts with AVX2 the public entry points take the SIMD path;
-        // pin every fill against its portable reference on awkward lengths
-        // (0, 1, tail-only, multiple-of-4, large) and extreme words.
+    fn every_simd_tier_matches_the_portable_passes() {
+        // Each SIMD tier the host runs, pinned against the portable pass
+        // on every tail length and the extreme words 0 and u64::MAX.
         let normal = Normal::new(0.0, 0.04).unwrap();
-        for n in [0usize, 1, 3, 4, 5, 64, 1021] {
-            let mut wa = raw_words(7, n);
-            let wb = raw_words(8, n);
-            if n > 2 {
-                wa[0] = 0;
-                wa[1] = u64::MAX;
+        for tier in simd_tiers() {
+            for n in LENGTHS {
+                let mut wa = raw_words(7, n);
+                let mut wb = raw_words(8, n);
+                for (i, extreme) in [0, u64::MAX].into_iter().enumerate().take(n) {
+                    wa[i] = extreme;
+                    wb[n - 1 - i] = extreme;
+                }
+                let diverged = first_divergent_fill(tier, &normal, 4.0, (-0.05, 0.05), &wa, &wb);
+                assert_eq!(diverged, None, "{tier:?} at length {n}");
             }
-            let mut simd = vec![0.0; n];
-            let mut portable = vec![0.0; n];
-            super::column::fill_uniform_range(-0.05, 0.05, &wa, &mut simd);
-            super::column::fill_uniform_range_portable(-0.05, 0.1, &wa, &mut portable);
-            assert_eq!(simd, portable, "uniform length {n} diverged");
-
-            super::column::fill_lognormal(&normal, &wa, &wb, &mut simd);
-            super::column::fill_lognormal_portable(&normal, &wa, &wb, &mut portable);
-            assert_eq!(simd, portable, "lognormal length {n} diverged");
-
-            super::column::fill_exp(&Exp::new(4.0).unwrap(), &wa, &mut simd);
-            super::column::fill_exp_portable(4.0, &wa, &mut portable);
-            assert_eq!(simd, portable, "exp length {n} diverged");
-
-            let mut simd_sin = vec![0.0; n];
-            let mut portable_sin = vec![0.0; n];
-            super::column::fill_lognormal_pair(&normal, &wa, &wb, &mut simd, &mut simd_sin);
-            super::column::fill_lognormal_pair_portable(
-                &normal,
-                &wa,
-                &wb,
-                &mut portable,
-                &mut portable_sin,
-            );
-            assert_eq!(simd, portable, "pair cosine length {n} diverged");
-            assert_eq!(simd_sin, portable_sin, "pair sine length {n} diverged");
         }
     }
 
+    #[test]
+    fn dispatched_tier_is_one_the_host_runs() {
+        assert!(Tier::dispatched().supported());
+        assert!(Tier::Portable.supported());
+        if std::env::var_os("XR_FORCE_PORTABLE").is_some_and(|v| v != *"0") {
+            assert_eq!(Tier::dispatched(), Tier::Portable);
+        }
+        eprintln!("dispatched tier: {:?}", Tier::dispatched());
+    }
+
     mod properties {
-        use super::super::{column, Exp, Normal};
-        use super::raw_words;
+        use super::super::Normal;
+        use super::{first_divergent_fill, raw_words, simd_tiers};
         use proptest::prelude::*;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
-            // The AVX2 and portable passes are bit-identical for arbitrary
-            // word streams, column lengths, and distribution parameters —
-            // the exactness contract behind the cross-build determinism
-            // pin. (On hosts without AVX2, or under `XR_FORCE_PORTABLE`,
-            // both sides take the portable pass and the property holds
+            // Every SIMD tier the host runs is bit-identical to the
+            // portable pass for arbitrary word streams, column lengths, and
+            // distribution parameters — the exactness contract behind the
+            // cross-build determinism pin. (On hosts without a SIMD tier
+            // there is nothing to compare, and the property holds
             // trivially.)
             #[test]
             fn simd_and_portable_fills_are_bit_identical(
@@ -879,39 +1271,10 @@ mod tests {
                 let normal = Normal::new(mean, sigma).unwrap();
                 let wa = raw_words(seed, len);
                 let wb = raw_words(seed ^ 0x9E37_79B9_7F4A_7C15, len);
-                let mut simd = vec![0.0; len];
-                let mut portable = vec![0.0; len];
-
-                // The public entry derives the span as `hi - lo`; hand the
-                // portable reference the identical derived value.
-                let hi = lo + span;
-                column::fill_uniform_range(lo, hi, &wa, &mut simd);
-                column::fill_uniform_range_portable(lo, hi - lo, &wa, &mut portable);
-                prop_assert!(simd == portable, "uniform diverged");
-
-                column::fill_lognormal(&normal, &wa, &wb, &mut simd);
-                column::fill_lognormal_portable(&normal, &wa, &wb, &mut portable);
-                prop_assert!(simd == portable, "lognormal diverged");
-
-                column::fill_exp(&Exp::new(rate).unwrap(), &wa, &mut simd);
-                column::fill_exp_portable(rate, &wa, &mut portable);
-                prop_assert!(simd == portable, "exp diverged");
-
-                let mut simd_sin = vec![0.0; len];
-                let mut portable_sin = vec![0.0; len];
-                column::fill_lognormal_pair(&normal, &wa, &wb, &mut simd, &mut simd_sin);
-                column::fill_lognormal_pair_portable(
-                    &normal, &wa, &wb, &mut portable, &mut portable_sin,
-                );
-                prop_assert!(simd == portable, "pair cosine diverged");
-                prop_assert!(simd_sin == portable_sin, "pair sine diverged");
-
-                column::fill_standard_normal_pair(&wa, &wb, &mut simd, &mut simd_sin);
-                column::fill_standard_normal_pair_portable(
-                    &wa, &wb, &mut portable, &mut portable_sin,
-                );
-                prop_assert!(simd == portable, "standard pair cosine diverged");
-                prop_assert!(simd_sin == portable_sin, "standard pair sine diverged");
+                for tier in simd_tiers() {
+                    let diverged = first_divergent_fill(tier, &normal, rate, (lo, lo + span), &wa, &wb);
+                    prop_assert!(diverged.is_none(), "{:?} {:?} diverged", tier, diverged);
+                }
             }
         }
     }
@@ -920,11 +1283,13 @@ mod tests {
     fn fill_exp_matches_scalar_sampling_bit_for_bit() {
         let exp = Exp::new(4.0).unwrap();
         let words = raw_words(11, 513);
-        let mut out = vec![0.0; 513];
-        super::column::fill_exp(&exp, &words, &mut out);
-        let mut rng = StdRng::seed_from_u64(11);
-        for (i, &value) in out.iter().enumerate() {
-            assert_eq!(value, exp.sample(&mut rng), "element {i} diverged");
+        for tier in tiers() {
+            let mut out = vec![0.0; 513];
+            super::column::fill_exp_at(tier, &exp, &words, &mut out);
+            let mut rng = StdRng::seed_from_u64(11);
+            for (i, &value) in out.iter().enumerate() {
+                assert_eq!(value, exp.sample(&mut rng), "{tier:?} element {i} diverged");
+            }
         }
     }
 

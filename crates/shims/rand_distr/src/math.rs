@@ -4,22 +4,30 @@
 //! opaque, and host-dependent. The batched frame engine needs columns of
 //! Box–Muller and inversion transforms whose results are **reproducible bit
 //! for bit** on every host and engine, which rules the libm out of the hot
-//! path. This module provides fdlibm-derived polynomial kernels with two
-//! interchangeable implementations:
+//! path. This module provides fdlibm-derived polynomial kernels in three
+//! interchangeable [`Tier`]s:
 //!
 //! * portable scalar kernels ([`ln`], [`exp`], [`sincos`]) built only from
 //!   IEEE-754 single-rounding primitives (`+ - * / sqrt`) and exact
-//!   integer bit manipulation, and
-//! * 4-wide AVX2 passes (in the crate's `column` module) that execute the
-//!   **same operation DAG per lane** with the vector forms of those same
-//!   primitives.
+//!   integer bit manipulation;
+//! * 4-wide AVX2 forms (`ln4`/`exp4`/`sincos4`), and
+//! * 8-wide AVX-512 forms (`ln8`/`exp8`/`sincos8`, `avx512f` +
+//!   `avx512dq`), which the crate's `column` passes use; both vector tiers
+//!   execute the **same operation DAG per lane** with the vector forms of
+//!   those same primitives.
 //!
 //! Because every floating-point operation used is exactly rounded and
-//! identical on both sides — there is deliberately **no FMA** anywhere, no
-//! approximate reciprocal/rsqrt instructions, and every selection
-//! (quadrant, exponent) is integer-exact — the AVX2 and portable paths
-//! produce identical bits, not approximately-equal values. Proptests and a
-//! CI run with `XR_FORCE_PORTABLE=1` pin that equivalence.
+//! identical on every tier — there is deliberately **no FMA** anywhere, no
+//! approximate reciprocal/rsqrt instructions, the polynomials keep their
+//! evaluation order, and every selection (quadrant, exponent) is
+//! integer-exact — the SIMD and portable paths produce identical bits, not
+//! approximately-equal values. The AVX-512 tier swaps an emulated step for
+//! a native instruction only where that instruction gives the same bits:
+//! `vcvtqq2pd` for the small `ln` exponent (exact below 2^53), and mask
+//! blends plus masked sign XORs for the `sincos` quadrant. Tests run each
+//! kernel at every tier the host supports against the portable pass, and a
+//! CI run with `XR_FORCE_PORTABLE=1` re-runs the gates on the portable
+//! passes alone.
 //!
 //! # Domains and accuracy
 //!
@@ -39,17 +47,79 @@
 //!   documented bound is `≤ 2 ulp` **or** `≤ 2.5e-16` absolute, whichever
 //!   is looser — far below the measurement noise the draws model.
 //!
-//! `XR_FORCE_PORTABLE=1` (any value but `0`) disables every AVX2 dispatch
-//! in this crate so CI can exercise the portable kernels on AVX2 hosts;
-//! because the two paths are bit-identical, the knob never changes results.
+//! `XR_FORCE_PORTABLE=1` (any value but `0`) turns off every SIMD tier in
+//! this crate (see [`Tier::dispatched`]) so CI can exercise the portable
+//! kernels on SIMD hosts; because the tiers are bit-identical, the knob
+//! never changes results.
 
-/// `true` when `XR_FORCE_PORTABLE` is set (to anything but `0`): every
-/// runtime AVX2 dispatch in this crate then takes the portable path. The
-/// variable is read once per process.
-#[must_use]
-pub fn force_portable() -> bool {
-    static FORCE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FORCE.get_or_init(|| std::env::var_os("XR_FORCE_PORTABLE").is_some_and(|v| v != *"0"))
+use std::sync::OnceLock;
+
+/// One implementation tier of the draw layer's column passes. Every tier
+/// computes the same bits; they differ only in how many lanes one
+/// instruction covers. Ordered by width, so a host that runs a tier also
+/// runs every tier below it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Tier {
+    /// The scalar reference passes; every host runs them.
+    Portable,
+    /// 4-wide AVX2 passes, the portable pass finishing any tail.
+    Avx2,
+    /// 8-wide AVX-512 passes (`avx512f` + `avx512dq`), masked loads and
+    /// stores covering any tail.
+    Avx512,
+}
+
+impl Tier {
+    /// Every tier, narrowest first.
+    pub const ALL: [Tier; 3] = [Tier::Portable, Tier::Avx2, Tier::Avx512];
+
+    /// The widest tier this host's CPU supports, read from CPUID once per
+    /// process. `XR_FORCE_PORTABLE` does not affect it.
+    fn host() -> Tier {
+        static HOST: OnceLock<Tier> = OnceLock::new();
+        *HOST.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                let avx512 = std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512dq");
+                return if avx512 { Tier::Avx512 } else { Tier::Avx2 };
+            }
+            Tier::Portable
+        })
+    }
+
+    /// Whether this host's CPU can run the tier's passes.
+    #[must_use]
+    pub fn supported(self) -> bool {
+        self <= Self::host()
+    }
+
+    /// The tier every dispatched pass in this crate takes: the widest one
+    /// the CPU supports, or [`Tier::Portable`] when `XR_FORCE_PORTABLE` is
+    /// set (to anything but `0`). Resolved once per process.
+    #[must_use]
+    pub fn dispatched() -> Tier {
+        static DISPATCHED: OnceLock<Tier> = OnceLock::new();
+        *DISPATCHED.get_or_init(|| {
+            let force_portable = std::env::var_os("XR_FORCE_PORTABLE").is_some_and(|v| v != *"0");
+            if force_portable {
+                Tier::Portable
+            } else {
+                Self::host()
+            }
+        })
+    }
+
+    /// `self`, after checking that the host can run it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host's CPU does not support the tier.
+    #[must_use]
+    pub(crate) fn checked(self) -> Tier {
+        assert!(self.supported(), "this host cannot run the {self:?} tier");
+        self
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -129,8 +199,8 @@ const MANT_MASK: u64 = 0x000F_FFFF_FFFF_FFFF;
 const SQRT2_OVER_2_HI: u64 = 0x3FE6_A09E_0000_0000;
 
 // ---------------------------------------------------------------------------
-// Portable scalar kernels. Each is written as the exact op DAG the AVX2
-// lanes replay; keep any edit mirrored in `column::avx2`.
+// Portable scalar kernels. Each is written as the exact op DAG the vector
+// lanes replay; keep any edit mirrored in `avx2` and `avx512` below.
 // ---------------------------------------------------------------------------
 
 /// Natural log of a positive normal finite `x` (fdlibm `e_log`, general
@@ -193,7 +263,7 @@ pub fn sincos(theta: f64) -> (f64, f64) {
     let w = 1.0 - hz;
     let cos_r = w + ((1.0 - w - hz) + z * cp);
     // Quadrant rotation: an exact selection/sign flip, so branching here
-    // is safe for bit-identity (the AVX2 lanes blend with the same masks).
+    // is safe for bit-identity (the vector lanes blend with the same masks).
     match n & 3 {
         0 => (sin_r, cos_r),
         1 => (cos_r, -sin_r),
@@ -449,6 +519,237 @@ pub(crate) mod avx2 {
     }
 }
 
+/// The 8-wide AVX-512 forms of the scalar kernels (`avx512f` +
+/// `avx512dq`). Each replays its scalar counterpart's operation DAG with
+/// the 512-bit forms of the same single-rounding primitives, exactly as the
+/// AVX2 forms do. Two emulated AVX2 steps become native instructions that
+/// give the same bits: the `ln` exponent converts with `vcvtqq2pd` (the
+/// integer is small, so the conversion is exact), and the `sincos`
+/// quadrant selects with mask blends and masked sign-bit XORs.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+pub(crate) mod avx512 {
+    use super::{
+        C, INV_LN2, INV_PIO2, LG, LN2_HI, LN2_LO, LOG_RECENTER, MAGIC, MANT_MASK, P, PIO2_1,
+        PIO2_2, PIO2_3, S, SQRT2_OVER_2_HI,
+    };
+    use core::arch::x86_64::{
+        __m512d, _mm512_add_epi64, _mm512_add_pd, _mm512_and_si512, _mm512_castpd_si512,
+        _mm512_castsi512_pd, _mm512_cvtepi64_pd, _mm512_div_pd, _mm512_mask_blend_pd,
+        _mm512_mask_xor_pd, _mm512_mul_pd, _mm512_set1_epi64, _mm512_set1_pd, _mm512_slli_epi64,
+        _mm512_srli_epi64, _mm512_sub_epi64, _mm512_sub_pd, _mm512_test_epi64_mask,
+    };
+
+    /// Vector form of [`super::ln`]: same recentered exponent split, same
+    /// polynomial, same summation order per lane.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(crate) fn ln8(x: __m512d) -> __m512d {
+        let bits = _mm512_add_epi64(
+            _mm512_castpd_si512(x),
+            _mm512_set1_epi64(LOG_RECENTER as i64),
+        );
+        // Positive normal inputs keep the (biased-exponent) field below
+        // 0x7FF after recentering, so a logical shift extracts it exactly,
+        // and `k` is small enough that the conversion is exact.
+        let k = _mm512_sub_epi64(_mm512_srli_epi64::<52>(bits), _mm512_set1_epi64(1023));
+        let dk = _mm512_cvtepi64_pd(k);
+        let m = _mm512_castsi512_pd(_mm512_add_epi64(
+            _mm512_and_si512(bits, _mm512_set1_epi64(MANT_MASK as i64)),
+            _mm512_set1_epi64(SQRT2_OVER_2_HI as i64),
+        ));
+        let f = _mm512_sub_pd(m, _mm512_set1_pd(1.0));
+        let hfsq = _mm512_mul_pd(_mm512_mul_pd(_mm512_set1_pd(0.5), f), f);
+        let s = _mm512_div_pd(f, _mm512_add_pd(_mm512_set1_pd(2.0), f));
+        let z = _mm512_mul_pd(s, s);
+        let w = _mm512_mul_pd(z, z);
+        let lg = |i: usize| _mm512_set1_pd(LG[i]);
+        let t1 = _mm512_mul_pd(
+            w,
+            _mm512_add_pd(
+                lg(1),
+                _mm512_mul_pd(w, _mm512_add_pd(lg(3), _mm512_mul_pd(w, lg(5)))),
+            ),
+        );
+        let t2 = _mm512_mul_pd(
+            z,
+            _mm512_add_pd(
+                lg(0),
+                _mm512_mul_pd(
+                    w,
+                    _mm512_add_pd(
+                        lg(2),
+                        _mm512_mul_pd(w, _mm512_add_pd(lg(4), _mm512_mul_pd(w, lg(6)))),
+                    ),
+                ),
+            ),
+        );
+        let r = _mm512_add_pd(t2, t1);
+        // dk*LN2_HI - ((hfsq - (s*(hfsq+r) + dk*LN2_LO)) - f)
+        let inner = _mm512_sub_pd(
+            _mm512_sub_pd(
+                hfsq,
+                _mm512_add_pd(
+                    _mm512_mul_pd(s, _mm512_add_pd(hfsq, r)),
+                    _mm512_mul_pd(dk, _mm512_set1_pd(LN2_LO)),
+                ),
+            ),
+            f,
+        );
+        _mm512_sub_pd(_mm512_mul_pd(dk, _mm512_set1_pd(LN2_HI)), inner)
+    }
+
+    /// Vector form of [`super::exp`]: same round-to-even bit subtract, same
+    /// Cody–Waite reduction and polynomial, same exact `2^k` exponent add.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(crate) fn exp8(x: __m512d) -> __m512d {
+        let magic = _mm512_set1_pd(MAGIC);
+        let t = _mm512_add_pd(_mm512_mul_pd(x, _mm512_set1_pd(INV_LN2)), magic);
+        let k = _mm512_sub_epi64(
+            _mm512_castpd_si512(t),
+            _mm512_set1_epi64(MAGIC.to_bits() as i64),
+        );
+        let kf = _mm512_sub_pd(t, magic);
+        let hi = _mm512_sub_pd(x, _mm512_mul_pd(kf, _mm512_set1_pd(LN2_HI)));
+        let lo = _mm512_mul_pd(kf, _mm512_set1_pd(LN2_LO));
+        let r = _mm512_sub_pd(hi, lo);
+        let rr = _mm512_mul_pd(r, r);
+        let p = |i: usize| _mm512_set1_pd(P[i]);
+        let poly = _mm512_add_pd(
+            p(0),
+            _mm512_mul_pd(
+                rr,
+                _mm512_add_pd(
+                    p(1),
+                    _mm512_mul_pd(
+                        rr,
+                        _mm512_add_pd(
+                            p(2),
+                            _mm512_mul_pd(rr, _mm512_add_pd(p(3), _mm512_mul_pd(rr, p(4)))),
+                        ),
+                    ),
+                ),
+            ),
+        );
+        let c = _mm512_sub_pd(r, _mm512_mul_pd(rr, poly));
+        let one = _mm512_set1_pd(1.0);
+        let y = _mm512_sub_pd(
+            one,
+            _mm512_sub_pd(
+                _mm512_sub_pd(
+                    lo,
+                    _mm512_div_pd(_mm512_mul_pd(r, c), _mm512_sub_pd(_mm512_set1_pd(2.0), c)),
+                ),
+                hi,
+            ),
+        );
+        _mm512_castsi512_pd(_mm512_add_epi64(
+            _mm512_castpd_si512(y),
+            _mm512_slli_epi64::<52>(k),
+        ))
+    }
+
+    /// Vector form of [`super::sincos`]: same reduction and polynomials;
+    /// the quadrant `match` becomes mask blends plus masked sign-bit XORs
+    /// (negation is a sign flip in both paths, so lanes stay identical).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(crate) fn sincos8(theta: __m512d) -> (__m512d, __m512d) {
+        let magic = _mm512_set1_pd(MAGIC);
+        let t = _mm512_add_pd(_mm512_mul_pd(theta, _mm512_set1_pd(INV_PIO2)), magic);
+        let n = _mm512_sub_epi64(
+            _mm512_castpd_si512(t),
+            _mm512_set1_epi64(MAGIC.to_bits() as i64),
+        );
+        let nf = _mm512_sub_pd(t, magic);
+        let r = _mm512_sub_pd(
+            _mm512_sub_pd(
+                _mm512_sub_pd(theta, _mm512_mul_pd(nf, _mm512_set1_pd(PIO2_1))),
+                _mm512_mul_pd(nf, _mm512_set1_pd(PIO2_2)),
+            ),
+            _mm512_mul_pd(nf, _mm512_set1_pd(PIO2_3)),
+        );
+        let z = _mm512_mul_pd(r, r);
+        let v = _mm512_mul_pd(z, r);
+        let s = |i: usize| _mm512_set1_pd(S[i]);
+        let sp = _mm512_add_pd(
+            s(1),
+            _mm512_mul_pd(
+                z,
+                _mm512_add_pd(
+                    s(2),
+                    _mm512_mul_pd(
+                        z,
+                        _mm512_add_pd(
+                            s(3),
+                            _mm512_mul_pd(z, _mm512_add_pd(s(4), _mm512_mul_pd(z, s(5)))),
+                        ),
+                    ),
+                ),
+            ),
+        );
+        let sin_r = _mm512_add_pd(
+            r,
+            _mm512_mul_pd(v, _mm512_add_pd(s(0), _mm512_mul_pd(z, sp))),
+        );
+        let c = |i: usize| _mm512_set1_pd(C[i]);
+        let cp = _mm512_mul_pd(
+            z,
+            _mm512_add_pd(
+                c(0),
+                _mm512_mul_pd(
+                    z,
+                    _mm512_add_pd(
+                        c(1),
+                        _mm512_mul_pd(
+                            z,
+                            _mm512_add_pd(
+                                c(2),
+                                _mm512_mul_pd(
+                                    z,
+                                    _mm512_add_pd(
+                                        c(3),
+                                        _mm512_mul_pd(
+                                            z,
+                                            _mm512_add_pd(c(4), _mm512_mul_pd(z, c(5))),
+                                        ),
+                                    ),
+                                ),
+                            ),
+                        ),
+                    ),
+                ),
+            ),
+        );
+        let one = _mm512_set1_pd(1.0);
+        let hz = _mm512_mul_pd(_mm512_set1_pd(0.5), z);
+        let w = _mm512_sub_pd(one, hz);
+        let cos_r = _mm512_add_pd(
+            w,
+            _mm512_add_pd(
+                _mm512_sub_pd(_mm512_sub_pd(one, w), hz),
+                _mm512_mul_pd(z, cp),
+            ),
+        );
+        // Quadrant n & 3: odd quadrants swap sin/cos; sin flips sign when
+        // n & 2, cos flips sign when (n + 1) & 2 — exactly the scalar match
+        // arms 0:(s,c) 1:(c,-s) 2:(-s,-c) 3:(-c,s).
+        let one_i = _mm512_set1_epi64(1);
+        let two_i = _mm512_set1_epi64(2);
+        let swap = _mm512_test_epi64_mask(n, one_i);
+        let sin_flip = _mm512_test_epi64_mask(n, two_i);
+        let cos_flip = _mm512_test_epi64_mask(_mm512_add_epi64(n, one_i), two_i);
+        let neg_zero = _mm512_set1_pd(-0.0);
+        let sin_sel = _mm512_mask_blend_pd(swap, sin_r, cos_r);
+        let cos_sel = _mm512_mask_blend_pd(swap, cos_r, sin_r);
+        (
+            _mm512_mask_xor_pd(sin_sel, sin_flip, sin_sel, neg_zero),
+            _mm512_mask_xor_pd(cos_sel, cos_flip, cos_sel, neg_zero),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     /// Distance in units in the last place between two finite doubles of
@@ -494,6 +795,140 @@ mod tests {
             for (got, want) in [(s, theta.sin()), (c, theta.cos())] {
                 let ok = ulp_diff(got, want) <= 2 || (got - want).abs() <= 2.5e-16;
                 assert!(ok, "sincos({theta}) drifted: got {got}, std {want}");
+            }
+        }
+    }
+
+    /// Sixteen inputs at and around the edges of each kernel's domain, as
+    /// `[ln, exp, sincos]`: the `ln` clamp edge, the unit interval's ends
+    /// and binade boundaries, the `exp` domain's ends and signed zeros, and
+    /// the `sincos` quadrant boundaries.
+    fn edge_inputs() -> [[f64; 16]; 3] {
+        use core::f64::consts::{FRAC_1_SQRT_2, FRAC_PI_2, LN_2, PI, TAU};
+        let one = 1.0f64;
+        [
+            [
+                f64::MIN_POSITIVE,
+                1e-300,
+                1.0 / (1u64 << 53) as f64,
+                0.25,
+                0.5,
+                FRAC_1_SQRT_2.next_down(),
+                FRAC_1_SQRT_2,
+                FRAC_1_SQRT_2.next_up(),
+                one.next_down(),
+                1.0,
+                one.next_up(),
+                2.0,
+                10.0,
+                1e300,
+                f64::MAX,
+                0.3,
+            ],
+            [
+                -700.0,
+                -25.0,
+                -1.0,
+                -0.5 * LN_2,
+                -f64::MIN_POSITIVE,
+                -0.0,
+                0.0,
+                f64::MIN_POSITIVE,
+                0.5 * LN_2,
+                LN_2,
+                1.0,
+                2.5,
+                25.0,
+                300.0,
+                699.0,
+                700.0,
+            ],
+            [
+                0.0,
+                f64::MIN_POSITIVE,
+                0.25 * PI,
+                FRAC_PI_2.next_down(),
+                FRAC_PI_2,
+                FRAC_PI_2.next_up(),
+                0.75 * PI,
+                PI.next_down(),
+                PI,
+                PI.next_up(),
+                1.5 * PI,
+                1.75 * PI,
+                TAU.next_down(),
+                TAU,
+                1.0,
+                4.0,
+            ],
+        ]
+    }
+
+    /// The 4-wide and 8-wide kernels give the scalar kernels' bits, lane by
+    /// lane, on every SIMD tier the host runs.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[allow(unsafe_code)]
+    fn vector_kernels_match_the_scalar_kernels_bit_for_bit() {
+        use super::Tier;
+        use core::arch::x86_64::{
+            _mm256_loadu_pd, _mm256_storeu_pd, _mm512_loadu_pd, _mm512_storeu_pd,
+        };
+        let [ln_in, exp_in, angles] = edge_inputs();
+        let bits = |column: [f64; 16]| column.map(f64::to_bits);
+        let want = [
+            bits(ln_in.map(super::ln)),
+            bits(exp_in.map(super::exp)),
+            bits(angles.map(|t| super::sincos(t).0)),
+            bits(angles.map(|t| super::sincos(t).1)),
+        ];
+        for tier in [Tier::Avx2, Tier::Avx512] {
+            if !tier.supported() {
+                eprintln!("skipping the {tier:?} tier: this host cannot run it");
+                continue;
+            }
+            // Columns: ln, exp, sin, cos.
+            let mut got = [[0.0f64; 16]; 4];
+            let [ln_out, exp_out, sin_out, cos_out] = &mut got;
+            if tier == Tier::Avx2 {
+                for i in (0..16).step_by(4) {
+                    // SAFETY: the host runs AVX2, and every load and store
+                    // covers elements `i..i + 4` of a 16-element array.
+                    unsafe {
+                        let ln = super::avx2::ln4(_mm256_loadu_pd(ln_in[i..].as_ptr()));
+                        _mm256_storeu_pd(ln_out[i..].as_mut_ptr(), ln);
+                        let exp = super::avx2::exp4(_mm256_loadu_pd(exp_in[i..].as_ptr()));
+                        _mm256_storeu_pd(exp_out[i..].as_mut_ptr(), exp);
+                        let (sin, cos) =
+                            super::avx2::sincos4(_mm256_loadu_pd(angles[i..].as_ptr()));
+                        _mm256_storeu_pd(sin_out[i..].as_mut_ptr(), sin);
+                        _mm256_storeu_pd(cos_out[i..].as_mut_ptr(), cos);
+                    }
+                }
+            } else {
+                for i in (0..16).step_by(8) {
+                    // SAFETY: the host runs AVX-512F/DQ, and every load and
+                    // store covers elements `i..i + 8` of a 16-element array.
+                    unsafe {
+                        let ln = super::avx512::ln8(_mm512_loadu_pd(ln_in[i..].as_ptr()));
+                        _mm512_storeu_pd(ln_out[i..].as_mut_ptr(), ln);
+                        let exp = super::avx512::exp8(_mm512_loadu_pd(exp_in[i..].as_ptr()));
+                        _mm512_storeu_pd(exp_out[i..].as_mut_ptr(), exp);
+                        let (sin, cos) =
+                            super::avx512::sincos8(_mm512_loadu_pd(angles[i..].as_ptr()));
+                        _mm512_storeu_pd(sin_out[i..].as_mut_ptr(), sin);
+                        _mm512_storeu_pd(cos_out[i..].as_mut_ptr(), cos);
+                    }
+                }
+            }
+            for (kernel, (got, want)) in ["ln", "exp", "sin", "cos"]
+                .iter()
+                .zip(got.map(bits).iter().zip(&want))
+            {
+                assert_eq!(
+                    got, want,
+                    "{tier:?} {kernel} diverged from the scalar kernel"
+                );
             }
         }
     }

@@ -37,10 +37,11 @@
 //! draw columns *by draw index*: one `fill_next` per raw word, then one
 //! `rand_distr::column` transform per sampled column (Box–Muller normals,
 //! uniform jitter, exponential sojourns), then a multiply-accumulate pass
-//! against the hoisted per-session `BatchConsts` base latencies. Seeding and raw word
-//! generation become contiguous SplitMix64/xoshiro passes LLVM can
-//! autovectorize, the uniform transform takes a runtime-detected AVX2 path,
-//! and the per-frame loops reduce to straight-line float arithmetic. Because
+//! against the hoisted per-session `BatchConsts` base latencies. Seeding, raw
+//! word generation and every column transform run as contiguous passes on
+//! the draw layer's widest SIMD tier the host supports (AVX-512, AVX2 or
+//! portable, all bit-identical), and the per-frame loops reduce to
+//! straight-line float arithmetic. Because
 //! every frame's words come only from its own lane, the draw scheme is
 //! **lane-count invariant by construction** — the same invariant per-stage
 //! streams pinned for batching, pushed down to the raw `u64` level.
@@ -52,7 +53,8 @@
 //! Eq. 1 totals, the thermal-share compute energy and, through
 //! `PowerMonitor::add_phase_energy` (a runtime-dispatched AVX2 pass beside
 //! the portable reference, with one draw cursor per lane), the energy
-//! column.
+//! column. Stage 9 (cooperation) is skipped when the caller keeps only
+//! totals and the scenario leaves cooperation out of them.
 //! What a finalized frame then becomes depends on the caller: a session
 //! ([`TestbedSimulator::simulate_session`],
 //! [`TestbedSimulator::simulate_point`]) copies it into a
@@ -635,6 +637,10 @@ impl FrameBatch {
 trait RepOutput {
     /// What one replication becomes once its last frame is in.
     type Session;
+    /// Whether the output reads every segment's latency column. When it
+    /// does not, it reads only the Eq. 1 totals, so a stage whose segment
+    /// the scenario leaves out of them can skip its column fill.
+    const READS_EVERY_SEGMENT: bool;
     /// An empty output for a session of `frames` frames.
     fn new(frames: u64) -> Self;
     /// Takes the finalized frames on `lanes` of `b` — one replication's
@@ -648,6 +654,7 @@ trait RepOutput {
 
 impl RepOutput for Vec<GroundTruthFrame> {
     type Session = GroundTruthSession;
+    const READS_EVERY_SEGMENT: bool = true;
 
     fn new(frames: u64) -> Self {
         Vec::with_capacity(frames as usize)
@@ -685,6 +692,7 @@ impl RepOutput for Vec<GroundTruthFrame> {
 
 impl RepOutput for SessionTotals {
     type Session = SessionTotals;
+    const READS_EVERY_SEGMENT: bool = false;
 
     fn new(_frames: u64) -> Self {
         SessionTotals::empty()
@@ -760,7 +768,11 @@ impl TestbedSimulator {
     /// Runs the eleven column stages over one prepared batch: the shared body
     /// of the per-session driver above (`sessions.len() == 1`) and the
     /// replication-fused point driver, which passes one session state and
-    /// one output per fused replication.
+    /// one output per fused replication. Stage 9 is skipped when nothing
+    /// reads its column: the output keeps only the totals, and the
+    /// scenario leaves cooperation out of them (the paper's default, as it
+    /// runs in parallel with rendering). Every stage draws from its own
+    /// stream, so no other draw moves.
     fn batch_pass<O: RepOutput>(
         &self,
         consts: &BatchConsts,
@@ -778,7 +790,9 @@ impl TestbedSimulator {
         self.batch_uplink_and_edge(consts, batch, draws);
         self.batch_handoff(consts, batch, draws, sessions);
         self.batch_render(consts, batch, draws);
-        self.batch_cooperate(consts, batch, draws);
+        if O::READS_EVERY_SEGMENT || consts.segment_included[COOPERATION] {
+            self.batch_cooperate(consts, batch, draws);
+        }
         self.batch_finalize(consts, batch, draws, outs);
     }
 
@@ -1873,6 +1887,12 @@ mod tests {
             2500.0,
             Some(3),
         );
+        // Cooperation is out of the totals by default, so the campaign
+        // path skips stage 9; counting it in pins the other side of that
+        // gate.
+        let mut cooperating = scenario(500.0, 2.0, ExecutionTarget::Remote);
+        cooperating.segments = xr_types::SegmentSet::full();
+        cooperating.cooperation.include_in_totals = true;
         let testbed = TestbedSimulator::new(61);
         let mut roamed = false;
         for (label, s) in [
@@ -1880,6 +1900,7 @@ mod tests {
                 "static",
                 scenario(500.0, 2.0, ExecutionTarget::Split { client_share: 0.3 }),
             ),
+            ("cooperating", cooperating),
             ("mobile", mobile_scenario(25.0, 8.0)),
             ("topology", topology),
             ("contended", contended),

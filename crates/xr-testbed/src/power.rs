@@ -9,6 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rand_distr::math::Tier;
 use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
 use xr_types::{Joules, Seconds, Watts};
@@ -225,7 +226,10 @@ impl PowerMonitor {
     /// portable pass calls it per lane; the AVX2 pass evaluates it with
     /// correctly rounded or exact vector operations), so after the last
     /// phase `energy[i]` equals `measure_energy` on lane `i`'s phases and
-    /// stream bit for bit.
+    /// stream bit for bit. The pass follows the draw layer's tier
+    /// (`rand_distr::math::Tier::dispatched`): either SIMD tier takes the
+    /// AVX2 pass, which has no wider form, and `XR_FORCE_PORTABLE` the
+    /// portable one.
     ///
     /// # Panics
     ///
@@ -240,7 +244,7 @@ impl PowerMonitor {
         cursors: &mut DrawCursors,
         energy: &mut [Joules],
     ) {
-        let simd = !rand_distr::math::force_portable();
+        let simd = Tier::dispatched() != Tier::Portable;
         self.add_phase_energy_pass(simd, phase, baseline, normals, cursors, energy);
     }
 
@@ -272,7 +276,7 @@ impl PowerMonitor {
         }
         let level = power + baseline;
         #[cfg(target_arch = "x86_64")]
-        if simd && std::arch::is_x86_feature_detected!("avx2") {
+        if simd && Tier::Avx2.supported() {
             // SAFETY: AVX2 support was just confirmed at runtime. The
             // asserts above give `durations`, `cursors.next` and `energy`
             // one entry per lane, and on a noisy monitor every cursor is

@@ -25,9 +25,26 @@
 //! *duplicated* from the `rand` shim rather than imported: the shim exposes
 //! neither its state nor a multi-lane API, and the duplication lets the
 //! seeding and stepping loops run as contiguous passes over the lane
-//! columns that LLVM can autovectorize. Bit-identity with
-//! `StdRng::seed_from_u64` is pinned by the unit tests below (the shim is a
-//! dev-dependency) and by the batched-engine equivalence suite.
+//! columns. Bit-identity with `StdRng::seed_from_u64` is pinned by the unit
+//! tests below (the shim is a dev-dependency) and by the batched-engine
+//! equivalence suite.
+//!
+//! # SIMD tiers
+//!
+//! Each bank runs its seeding and stepping passes in one [`Tier`]: the
+//! portable loops, 4-wide AVX2 passes (64-bit multiplies synthesised from
+//! 32-bit partial products, rotates from shift pairs, a scalar tail), or
+//! 8-wide AVX-512 passes (`avx512f` + `avx512dq`: native `vpmullq`
+//! multiplies and `vprolq` rotates, masked loads and stores for the last
+//! `width % 8` lanes). Wrapping 64-bit integer arithmetic is exact on
+//! every tier, so all three give the same words by construction; tests pin
+//! each tier the host runs against the portable pass. [`LaneStreams::new`]
+//! takes [`Tier::dispatched`]: the widest tier the CPU supports, or the
+//! portable one when `XR_FORCE_PORTABLE` is set. This crate sits below the
+//! `rand_distr` shim, so it keeps its own copy of that shim's
+//! `math::Tier` decision rather than sharing it.
+
+use std::sync::OnceLock;
 
 /// Golden-ratio increment of the SplitMix64 state walk.
 const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -59,37 +76,101 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// lanes.fill_next(&mut column); // draw #0 of frames 1..=8
 /// lanes.fill_next(&mut column); // draw #1 of frames 1..=8
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LaneStreams {
+    tier: Tier,
     s0: Vec<u64>,
     s1: Vec<u64>,
     s2: Vec<u64>,
     s3: Vec<u64>,
 }
 
-/// `true` when `XR_FORCE_PORTABLE` is set (to anything but `0`): the lane
-/// engine then takes its portable passes even on AVX2 hosts. Mirrors the
-/// knob in the `rand_distr` shim's `math` module (this crate sits below it
-/// in the dependency graph, so the gate is duplicated rather than shared);
-/// both paths are bit-identical, so the knob never changes results — it
-/// only lets CI exercise the portable code on SIMD hardware.
-#[cfg(target_arch = "x86_64")]
-fn force_portable() -> bool {
-    static FORCE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FORCE.get_or_init(|| std::env::var_os("XR_FORCE_PORTABLE").is_some_and(|v| v != *"0"))
+/// One implementation tier of the lane passes (see the module docs).
+/// Every tier produces the same words; ordered by width, so a host that
+/// runs a tier also runs every tier below it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Tier {
+    /// The scalar reference loops; every host runs them.
+    Portable,
+    /// 4-wide AVX2 passes with a scalar tail.
+    Avx2,
+    /// 8-wide AVX-512 passes (`avx512f` + `avx512dq`) with masked tails.
+    Avx512,
+}
+
+impl Tier {
+    /// Every tier, narrowest first.
+    pub const ALL: [Tier; 3] = [Tier::Portable, Tier::Avx2, Tier::Avx512];
+
+    /// The widest tier this host's CPU supports, read from CPUID once per
+    /// process. `XR_FORCE_PORTABLE` does not affect it.
+    fn host() -> Tier {
+        static HOST: OnceLock<Tier> = OnceLock::new();
+        *HOST.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                let avx512 = std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512dq");
+                return if avx512 { Tier::Avx512 } else { Tier::Avx2 };
+            }
+            Tier::Portable
+        })
+    }
+
+    /// Whether this host's CPU can run the tier's passes.
+    #[must_use]
+    pub fn supported(self) -> bool {
+        self <= Self::host()
+    }
+
+    /// The tier [`LaneStreams::new`] takes: the widest one the CPU
+    /// supports, or [`Tier::Portable`] when `XR_FORCE_PORTABLE` is set (to
+    /// anything but `0`). Resolved once per process. Every tier is
+    /// bit-identical, so the knob never changes results — it only lets CI
+    /// exercise the portable loops on SIMD hardware.
+    #[must_use]
+    pub fn dispatched() -> Tier {
+        static DISPATCHED: OnceLock<Tier> = OnceLock::new();
+        *DISPATCHED.get_or_init(|| {
+            let force_portable = std::env::var_os("XR_FORCE_PORTABLE").is_some_and(|v| v != *"0");
+            if force_portable {
+                Tier::Portable
+            } else {
+                Self::host()
+            }
+        })
+    }
+}
+
+impl Default for LaneStreams {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl LaneStreams {
-    /// An empty bank; call [`reseed`](LaneStreams::reseed) before drawing.
+    /// An empty bank on the [dispatched](Tier::dispatched) tier; call
+    /// [`reseed`](LaneStreams::reseed) before drawing.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        Self::with_tier(Tier::dispatched())
     }
 
-    /// Number of lanes (frames) currently seeded.
+    /// An empty bank whose passes run on `tier`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host's CPU cannot run `tier`.
     #[must_use]
-    pub fn width(&self) -> usize {
-        self.s0.len()
+    pub fn with_tier(tier: Tier) -> Self {
+        assert!(tier.supported(), "this host cannot run the {tier:?} tier");
+        Self {
+            tier,
+            s0: Vec::new(),
+            s1: Vec::new(),
+            s2: Vec::new(),
+            s3: Vec::new(),
+        }
     }
 
     /// Re-seeds the bank onto `width` consecutive frame streams: lane `j`
@@ -98,33 +179,7 @@ impl LaneStreams {
     /// reused across calls, so re-seeding in a batch loop allocates only on
     /// the first (or a widening) call.
     pub fn reseed(&mut self, stage_seed_base: u64, first_frame: u64, width: usize) {
-        // Length adjustments only when the batch shape changes (once per
-        // session plus the tail batch): the seeding pass below overwrites
-        // every lane, so re-zeroing the state columns each reseed would be
-        // pure memory traffic.
-        if self.s0.len() != width {
-            self.s0.resize(width, 0);
-            self.s1.resize(width, 0);
-            self.s2.resize(width, 0);
-            self.s3.resize(width, 0);
-        }
-        #[cfg(target_arch = "x86_64")]
-        if !force_portable() && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just confirmed at runtime.
-            #[allow(unsafe_code)]
-            unsafe {
-                avx2::reseed(
-                    stage_seed_base,
-                    first_frame,
-                    &mut self.s0,
-                    &mut self.s1,
-                    &mut self.s2,
-                    &mut self.s3,
-                );
-            }
-            return;
-        }
-        self.reseed_portable(stage_seed_base, first_frame);
+        self.reseed_segments(&[stage_seed_base], first_frame, width);
     }
 
     /// Re-seeds the bank as `seed_bases.len()` contiguous **segments** of
@@ -139,6 +194,10 @@ impl LaneStreams {
     /// `reseed_segments(&[base], first_frame, width)` is exactly
     /// `reseed(base, first_frame, width)`.
     pub fn reseed_segments(&mut self, seed_bases: &[u64], first_frame: u64, per_segment: usize) {
+        // Length adjustments only when the batch shape changes (once per
+        // session plus the tail batch): the seeding pass below overwrites
+        // every lane, so re-zeroing the state columns each reseed would be
+        // pure memory traffic.
         let width = seed_bases.len() * per_segment;
         if self.s0.len() != width {
             self.s0.resize(width, 0);
@@ -146,71 +205,23 @@ impl LaneStreams {
             self.s2.resize(width, 0);
             self.s3.resize(width, 0);
         }
-        #[cfg(target_arch = "x86_64")]
-        let use_avx2 = !force_portable() && std::arch::is_x86_feature_detected!("avx2");
         for (r, &base) in seed_bases.iter().enumerate() {
-            let lo = r * per_segment;
-            let hi = lo + per_segment;
-            #[cfg(target_arch = "x86_64")]
-            if use_avx2 {
-                // SAFETY: AVX2 support was confirmed at runtime above.
+            let lanes = r * per_segment..(r + 1) * per_segment;
+            let (s0, s1) = (&mut self.s0[lanes.clone()], &mut self.s1[lanes.clone()]);
+            let (s2, s3) = (&mut self.s2[lanes.clone()], &mut self.s3[lanes]);
+            match self.tier {
+                #[cfg(target_arch = "x86_64")]
                 #[allow(unsafe_code)]
-                unsafe {
-                    avx2::reseed(
-                        base,
-                        first_frame,
-                        &mut self.s0[lo..hi],
-                        &mut self.s1[lo..hi],
-                        &mut self.s2[lo..hi],
-                        &mut self.s3[lo..hi],
-                    );
-                }
-                continue;
+                // SAFETY: `with_tier` confirmed the CPU runs the bank's
+                // tier, and the four slices cover the same lane range.
+                Tier::Avx512 => unsafe { avx512::reseed(base, first_frame, s0, s1, s2, s3) },
+                #[cfg(target_arch = "x86_64")]
+                #[allow(unsafe_code)]
+                // SAFETY: `with_tier` confirmed the CPU runs the bank's tier.
+                Tier::Avx2 => unsafe { avx2::reseed(base, first_frame, s0, s1, s2, s3) },
+                _ => reseed_portable(base, first_frame, s0, s1, s2, s3),
             }
-            reseed_portable_segment(
-                base,
-                first_frame,
-                &mut self.s0[lo..hi],
-                &mut self.s1[lo..hi],
-                &mut self.s2[lo..hi],
-                &mut self.s3[lo..hi],
-            );
         }
-    }
-
-    /// Seeds the bank onto an absolute frame *range*: lane `j` owns frame
-    /// `frames.start + j`, one lane per frame of the half-open range. Lanes
-    /// seeded for frames `a..b` produce exactly the words those frames see
-    /// in a whole-session run, because lane seeding depends only on each
-    /// frame's absolute index, never on where the batch grid starts.
-    /// Equivalent to
-    /// `reseed(stage_seed_base, frames.start, frames.len())`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or its width overflows `usize`.
-    pub fn reseed_range(&mut self, stage_seed_base: u64, frames: std::ops::Range<u64>) {
-        assert!(
-            frames.start < frames.end,
-            "lane range {}..{} must be non-empty",
-            frames.start,
-            frames.end
-        );
-        let width = usize::try_from(frames.end - frames.start).expect("lane range fits in usize");
-        self.reseed(stage_seed_base, frames.start, width);
-    }
-
-    /// The portable seeding pass behind [`reseed`](LaneStreams::reseed);
-    /// also the reference the AVX2 pass is pinned against.
-    fn reseed_portable(&mut self, stage_seed_base: u64, first_frame: u64) {
-        reseed_portable_segment(
-            stage_seed_base,
-            first_frame,
-            &mut self.s0,
-            &mut self.s1,
-            &mut self.s2,
-            &mut self.s3,
-        );
     }
 
     /// Advances every lane one xoshiro256++ step, writing lane `j`'s next
@@ -218,53 +229,61 @@ impl LaneStreams {
     ///
     /// # Panics
     ///
-    /// Panics if `out.len()` differs from [`width`](LaneStreams::width).
+    /// Panics if `out.len()` differs from the number of seeded lanes.
     pub fn fill_next(&mut self, out: &mut [u64]) {
         assert_eq!(
             out.len(),
             self.s0.len(),
             "output column width must match the seeded lane count"
         );
-        #[cfg(target_arch = "x86_64")]
-        if !force_portable() && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just confirmed at runtime.
+        let (s0, s1, s2, s3) = (&mut self.s0, &mut self.s1, &mut self.s2, &mut self.s3);
+        match self.tier {
+            #[cfg(target_arch = "x86_64")]
             #[allow(unsafe_code)]
-            unsafe {
-                avx2::fill_next(&mut self.s0, &mut self.s1, &mut self.s2, &mut self.s3, out);
-            }
-            return;
+            // SAFETY: `with_tier` confirmed the CPU runs the bank's tier;
+            // the state columns share one length, asserted equal to `out`'s.
+            Tier::Avx512 => unsafe { avx512::fill_next(s0, s1, s2, s3, out) },
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            // SAFETY: `with_tier` confirmed the CPU runs the bank's tier.
+            Tier::Avx2 => unsafe { avx2::fill_next(s0, s1, s2, s3, out) },
+            _ => fill_next_portable(s0, s1, s2, s3, out),
         }
-        self.fill_next_portable(out);
     }
+}
 
-    /// The portable stepping pass behind [`fill_next`](LaneStreams::fill_next);
-    /// also the reference the AVX2 pass is pinned against.
-    fn fill_next_portable(&mut self, out: &mut [u64]) {
-        let iter = out.iter_mut().zip(
-            self.s0
-                .iter_mut()
-                .zip(self.s1.iter_mut())
-                .zip(self.s2.iter_mut().zip(self.s3.iter_mut())),
-        );
-        for (out, ((s0, s1), (s2, s3))) in iter {
-            // One xoshiro256++ step, identical to the shim's `next_u64`.
-            *out = s0.wrapping_add(*s3).rotate_left(23).wrapping_add(*s0);
-            let t = *s1 << 17;
-            *s2 ^= *s0;
-            *s3 ^= *s1;
-            *s1 ^= *s2;
-            *s0 ^= *s3;
-            *s2 ^= t;
-            *s3 = s3.rotate_left(45);
-        }
+/// The portable stepping loop behind [`LaneStreams::fill_next`]; also the
+/// reference the SIMD tiers are pinned against.
+fn fill_next_portable(
+    s0: &mut [u64],
+    s1: &mut [u64],
+    s2: &mut [u64],
+    s3: &mut [u64],
+    out: &mut [u64],
+) {
+    let iter = out.iter_mut().zip(
+        s0.iter_mut()
+            .zip(s1.iter_mut())
+            .zip(s2.iter_mut().zip(s3.iter_mut())),
+    );
+    for (out, ((s0, s1), (s2, s3))) in iter {
+        // One xoshiro256++ step, identical to the shim's `next_u64`.
+        *out = s0.wrapping_add(*s3).rotate_left(23).wrapping_add(*s0);
+        let t = *s1 << 17;
+        *s2 ^= *s0;
+        *s3 ^= *s1;
+        *s1 ^= *s2;
+        *s0 ^= *s3;
+        *s2 ^= t;
+        *s3 = s3.rotate_left(45);
     }
 }
 
 /// The portable seeding loop over one contiguous slice of each state
 /// column: lane `j` of the slices becomes the generator of frame
-/// `first_frame + j` under `stage_seed_base`. Shared by the whole-bank
-/// portable pass and the per-segment fused path.
-fn reseed_portable_segment(
+/// `first_frame + j` under `stage_seed_base`; also the reference the SIMD
+/// tiers are pinned against.
+fn reseed_portable(
     stage_seed_base: u64,
     first_frame: u64,
     s0: &mut [u64],
@@ -454,6 +473,156 @@ mod avx2 {
     }
 }
 
+/// Eight-lane AVX-512 passes over the lane columns (`avx512f` +
+/// `avx512dq`), under the same exactness argument as [`avx2`]. Two
+/// emulated AVX2 steps become native instructions with the same bits:
+/// `vpmullq` for the wrapping 64-bit multiplies and `vprolq` for the
+/// rotates. The last `width % 8` lanes run under a masked load and store
+/// instead of a scalar tail, so the fused engine's short segments stay on
+/// the vector path; masked-off lanes compute on zeros and are never stored.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[deny(unsafe_op_in_unsafe_fn)]
+mod avx512 {
+    use core::arch::x86_64::{
+        __m512i, __mmask8, _mm512_add_epi64, _mm512_mask_storeu_epi64, _mm512_maskz_loadu_epi64,
+        _mm512_mullo_epi64, _mm512_rol_epi64, _mm512_set1_epi64, _mm512_setr_epi64,
+        _mm512_slli_epi64, _mm512_srli_epi64, _mm512_xor_si512,
+    };
+
+    /// The lanes of the 8-lane chunk at `i` that lie inside a column of
+    /// `len` lanes: all eight, or the low `len - i`.
+    #[inline]
+    fn chunk_mask(len: usize, i: usize) -> __mmask8 {
+        match len - i {
+            rest @ 0..8 => (1u8 << rest) - 1,
+            _ => u8::MAX,
+        }
+    }
+
+    /// Wrapping 64-bit multiply by a broadcast constant: one `vpmullq`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn mul_const(a: __m512i, b: u64) -> __m512i {
+        _mm512_mullo_epi64(a, _mm512_set1_epi64(b as i64))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn xor_shr<const N: u32>(z: __m512i) -> __m512i {
+        _mm512_xor_si512(z, _mm512_srli_epi64::<N>(z))
+    }
+
+    /// One SplitMix64 output for eight lane states at once (the states are
+    /// advanced in place), matching the scalar `splitmix64` word for word.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn splitmix64x8(state: &mut __m512i) -> __m512i {
+        *state = _mm512_add_epi64(*state, _mm512_set1_epi64(super::SPLITMIX_GAMMA as i64));
+        let mut z = *state;
+        z = mul_const(xor_shr::<30>(z), 0xBF58_476D_1CE4_E5B9);
+        z = mul_const(xor_shr::<27>(z), 0x94D0_49BB_1331_11EB);
+        xor_shr::<31>(z)
+    }
+
+    /// Eight-lane seeding body behind [`super::LaneStreams::reseed_segments`]:
+    /// `mix(stage_seed_base, first_frame + j)` then the 4-word SplitMix64
+    /// expansion, with a masked last chunk.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and AVX-512DQ, and the four state
+    /// slices must have the same length.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) unsafe fn reseed(
+        stage_seed_base: u64,
+        first_frame: u64,
+        s0: &mut [u64],
+        s1: &mut [u64],
+        s2: &mut [u64],
+        s3: &mut [u64],
+    ) {
+        let width = s0.len();
+        let offsets = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+        for i in (0..width).step_by(8) {
+            let mask = chunk_mask(width, i);
+            // `mix`: z = seed + GAMMA + lane·M, then two mul/xor-shift
+            // rounds and a final xor-shift — the scalar expression per lane.
+            let frame = _mm512_set1_epi64(first_frame.wrapping_add(i as u64) as i64);
+            let lanes = _mm512_add_epi64(frame, offsets);
+            let mut z = _mm512_add_epi64(
+                _mm512_set1_epi64(stage_seed_base.wrapping_add(super::SPLITMIX_GAMMA) as i64),
+                mul_const(lanes, 0xD1B5_4A32_D192_ED03),
+            );
+            z = mul_const(xor_shr::<30>(z), 0xBF58_476D_1CE4_E5B9);
+            z = mul_const(xor_shr::<27>(z), 0x94D0_49BB_1331_11EB);
+            let mut state = xor_shr::<31>(z);
+            let words = [
+                splitmix64x8(&mut state),
+                splitmix64x8(&mut state),
+                splitmix64x8(&mut state),
+                splitmix64x8(&mut state),
+            ];
+            for (column, word) in [&mut *s0, &mut *s1, &mut *s2, &mut *s3]
+                .into_iter()
+                .zip(words)
+            {
+                // SAFETY: the four state slices share `width`, and the mask
+                // keeps every stored lane below it.
+                unsafe {
+                    _mm512_mask_storeu_epi64(column.as_mut_ptr().add(i).cast::<i64>(), mask, word);
+                }
+            }
+        }
+    }
+
+    /// Eight-lane xoshiro256++ step ([`super::LaneStreams::fill_next`]
+    /// body), with a masked last chunk.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and AVX-512DQ, and `out` and the four
+    /// state slices must have the same length.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) unsafe fn fill_next(
+        s0: &mut [u64],
+        s1: &mut [u64],
+        s2: &mut [u64],
+        s3: &mut [u64],
+        out: &mut [u64],
+    ) {
+        let width = out.len();
+        for i in (0..width).step_by(8) {
+            let mask = chunk_mask(width, i);
+            // SAFETY: `out` and the four state slices share `width`, and
+            // the mask keeps every loaded and stored lane below it.
+            unsafe {
+                let p0 = s0.as_mut_ptr().add(i).cast::<i64>();
+                let p1 = s1.as_mut_ptr().add(i).cast::<i64>();
+                let p2 = s2.as_mut_ptr().add(i).cast::<i64>();
+                let p3 = s3.as_mut_ptr().add(i).cast::<i64>();
+                let mut v0 = _mm512_maskz_loadu_epi64(mask, p0);
+                let mut v1 = _mm512_maskz_loadu_epi64(mask, p1);
+                let mut v2 = _mm512_maskz_loadu_epi64(mask, p2);
+                let mut v3 = _mm512_maskz_loadu_epi64(mask, p3);
+                let result = _mm512_add_epi64(_mm512_rol_epi64::<23>(_mm512_add_epi64(v0, v3)), v0);
+                let t = _mm512_slli_epi64::<17>(v1);
+                v2 = _mm512_xor_si512(v2, v0);
+                v3 = _mm512_xor_si512(v3, v1);
+                v1 = _mm512_xor_si512(v1, v2);
+                v0 = _mm512_xor_si512(v0, v3);
+                v2 = _mm512_xor_si512(v2, t);
+                v3 = _mm512_rol_epi64::<45>(v3);
+                _mm512_mask_storeu_epi64(p0, mask, v0);
+                _mm512_mask_storeu_epi64(p1, mask, v1);
+                _mm512_mask_storeu_epi64(p2, mask, v2);
+                _mm512_mask_storeu_epi64(p3, mask, v3);
+                _mm512_mask_storeu_epi64(out.as_mut_ptr().add(i).cast::<i64>(), mask, result);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,58 +643,64 @@ mod tests {
         columns
     }
 
-    #[test]
-    fn reseed_range_is_reseed_at_the_ranges_start() {
-        let stage_base = seed::mix(7, 5);
-        let mut by_range = LaneStreams::new();
-        by_range.reseed_range(stage_base, 513..1025);
-        let mut by_offset = LaneStreams::new();
-        by_offset.reseed(stage_base, 513, 512);
-        assert_eq!(by_range.width(), 512);
-        let mut a = vec![0u64; 512];
-        let mut b = vec![0u64; 512];
-        for _ in 0..4 {
-            by_range.fill_next(&mut a);
-            by_offset.fill_next(&mut b);
-            assert_eq!(a, b);
-        }
-        // And both equal the frames' own scalar streams.
-        let reference = scalar_columns(stage_base, 513, 512, 1);
-        let mut fresh = LaneStreams::new();
-        fresh.reseed_range(stage_base, 513..1025);
-        fresh.fill_next(&mut a);
-        assert_eq!(a, reference[0]);
+    /// The SIMD tiers this host can run; each tier it cannot run is
+    /// skipped with a note on stderr.
+    fn simd_tiers() -> Vec<Tier> {
+        Tier::ALL[1..]
+            .iter()
+            .copied()
+            .filter(|&tier| {
+                let runs = tier.supported();
+                if !runs {
+                    eprintln!("skipping the {tier:?} tier: this host cannot run it");
+                }
+                runs
+            })
+            .collect()
+    }
+
+    /// Every tier this host can run, the portable reference first.
+    fn tiers() -> Vec<Tier> {
+        let mut tiers = vec![Tier::Portable];
+        tiers.extend(simd_tiers());
+        tiers
     }
 
     #[test]
-    #[should_panic(expected = "must be non-empty")]
-    fn empty_lane_ranges_panic() {
-        LaneStreams::new().reseed_range(1, 9..9);
+    fn new_banks_take_the_dispatched_tier() {
+        assert!(Tier::dispatched().supported());
+        assert!(Tier::Portable.supported());
+        assert_eq!(LaneStreams::new().tier, Tier::dispatched());
+        if std::env::var_os("XR_FORCE_PORTABLE").is_some_and(|v| v != *"0") {
+            assert_eq!(Tier::dispatched(), Tier::Portable);
+        }
     }
 
     #[test]
     fn segments_replay_each_bases_own_streams() {
         // Each segment must be bit-identical to a standalone reseed of its
-        // base — over segment widths that hit both the AVX2 main loop and
-        // every scalar-tail length, and over several bases per bank.
-        for per_segment in [1usize, 3, 5, 8, 21] {
-            for bases in [1usize, 2, 3, 5] {
-                let seed_bases: Vec<u64> = (0..bases)
-                    .map(|r| seed::mix(2024, 1000 + r as u64))
-                    .collect();
-                let mut lanes = LaneStreams::new();
-                lanes.reseed_segments(&seed_bases, 11, per_segment);
-                assert_eq!(lanes.width(), bases * per_segment);
-                let mut column = vec![0u64; bases * per_segment];
-                for draw in 0..4 {
-                    lanes.fill_next(&mut column);
-                    for (r, &base) in seed_bases.iter().enumerate() {
-                        let reference = scalar_columns(base, 11, per_segment, draw + 1);
-                        assert_eq!(
-                            &column[r * per_segment..(r + 1) * per_segment],
-                            &reference[draw][..],
-                            "segment {r} draw {draw} diverged at {bases}x{per_segment}"
-                        );
+        // base — on every tier, over segment widths that hit both the
+        // vector main loops and every tail length, and over several bases
+        // per bank.
+        for tier in tiers() {
+            for per_segment in [1usize, 3, 5, 8, 20, 21] {
+                for bases in [1usize, 2, 3, 5] {
+                    let seed_bases: Vec<u64> = (0..bases)
+                        .map(|r| seed::mix(2024, 1000 + r as u64))
+                        .collect();
+                    let mut lanes = LaneStreams::with_tier(tier);
+                    lanes.reseed_segments(&seed_bases, 11, per_segment);
+                    let mut column = vec![0u64; bases * per_segment];
+                    for draw in 0..4 {
+                        lanes.fill_next(&mut column);
+                        for (r, &base) in seed_bases.iter().enumerate() {
+                            let reference = scalar_columns(base, 11, per_segment, draw + 1);
+                            assert_eq!(
+                                &column[r * per_segment..(r + 1) * per_segment],
+                                &reference[draw][..],
+                                "{tier:?} segment {r} draw {draw} diverged at {bases}x{per_segment}"
+                            );
+                        }
                     }
                 }
             }
@@ -550,20 +725,21 @@ mod tests {
 
     #[test]
     fn lanes_replay_each_frames_stdrng_stream_bit_for_bit() {
-        let mut lanes = LaneStreams::new();
-        for (stage_base, first) in [
-            (0u64, 0u64),
-            (seed::mix(42, 3), 1),
-            (u64::MAX, u64::MAX - 200),
-        ] {
-            for width in [1usize, 2, 3, 8, 64, 100] {
-                let expected = scalar_columns(stage_base, first, width, 6);
-                lanes.reseed(stage_base, first, width);
-                assert_eq!(lanes.width(), width);
-                let mut column = vec![0u64; width];
-                for scalar_column in &expected {
-                    lanes.fill_next(&mut column);
-                    assert_eq!(&column, scalar_column, "width {width} diverged");
+        for tier in tiers() {
+            let mut lanes = LaneStreams::with_tier(tier);
+            for (stage_base, first) in [
+                (0u64, 0u64),
+                (seed::mix(42, 3), 1),
+                (u64::MAX, u64::MAX - 200),
+            ] {
+                for width in [1usize, 2, 3, 8, 64, 100] {
+                    let expected = scalar_columns(stage_base, first, width, 6);
+                    lanes.reseed(stage_base, first, width);
+                    let mut column = vec![0u64; width];
+                    for scalar_column in &expected {
+                        lanes.fill_next(&mut column);
+                        assert_eq!(&column, scalar_column, "{tier:?} width {width} diverged");
+                    }
                 }
             }
         }
@@ -593,10 +769,10 @@ mod tests {
     fn reseed_reuses_storage_and_supports_narrowing() {
         let mut lanes = LaneStreams::new();
         lanes.reseed(1, 0, 64);
-        assert_eq!(lanes.width(), 64);
+        assert_eq!(lanes.s0.len(), 64);
         // Narrow to a tail batch: widths shrink without stale lanes.
         lanes.reseed(1, 64, 9);
-        assert_eq!(lanes.width(), 9);
+        assert_eq!(lanes.s0.len(), 9);
         let expected = scalar_columns(1, 64, 9, 2);
         let mut column = vec![0u64; 9];
         lanes.fill_next(&mut column);
@@ -618,34 +794,46 @@ mod tests {
     fn zero_width_bank_is_a_no_op() {
         let mut lanes = LaneStreams::new();
         lanes.reseed(9, 3, 0);
-        assert_eq!(lanes.width(), 0);
+        assert_eq!(lanes.s0.len(), 0);
         lanes.fill_next(&mut []);
     }
 
     #[test]
     fn simd_and_portable_passes_are_bit_identical() {
-        // On AVX2 hosts the public entry points take the SIMD path; pin it
-        // against the portable reference on widths that exercise both the
-        // four-lane main loop and every tail length, over several draws.
-        for width in [1usize, 2, 3, 4, 5, 7, 8, 63, 100, 257] {
-            let mut simd = LaneStreams::new();
-            simd.reseed(2024, 11, width);
-            let mut portable = LaneStreams::new();
-            portable.s0.resize(width, 0);
-            portable.s1.resize(width, 0);
-            portable.s2.resize(width, 0);
-            portable.s3.resize(width, 0);
-            portable.reseed_portable(2024, 11);
-            assert_eq!(simd.s0, portable.s0, "seeded s0 diverged at {width}");
-            assert_eq!(simd.s1, portable.s1, "seeded s1 diverged at {width}");
-            assert_eq!(simd.s2, portable.s2, "seeded s2 diverged at {width}");
-            assert_eq!(simd.s3, portable.s3, "seeded s3 diverged at {width}");
-            let mut simd_col = vec![0u64; width];
-            let mut portable_col = vec![0u64; width];
-            for draw in 0..5 {
-                simd.fill_next(&mut simd_col);
-                portable.fill_next_portable(&mut portable_col);
-                assert_eq!(simd_col, portable_col, "draw {draw} diverged at {width}");
+        // Each SIMD tier the host runs, pinned against the portable bank
+        // over widths covering every masked-tail length of the 8-lane
+        // tier, the fused engine's 20-lane segments and 60-lane batches,
+        // and wide banks; over extreme stage bases and frame indices, and
+        // over single- and multi-segment seeding.
+        let widths = [
+            0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17,
+        ];
+        let widths = widths.into_iter().chain([20, 60, 63, 64, 257]);
+        let cases = [(2024u64, 11u64), (0, 0), (u64::MAX, u64::MAX - 300)];
+        for tier in simd_tiers() {
+            for width in widths.clone() {
+                for (base, first) in cases {
+                    let bases = [base, seed::mix(base, 1), seed::mix(base, 2)];
+                    for seed_bases in [&bases[..1], &bases[..]] {
+                        let mut simd = LaneStreams::with_tier(tier);
+                        let mut portable = LaneStreams::with_tier(Tier::Portable);
+                        simd.reseed_segments(seed_bases, first, width);
+                        portable.reseed_segments(seed_bases, first, width);
+                        let context = format!("{tier:?} {}x{width} at {first}", seed_bases.len());
+                        assert_eq!(simd.s0, portable.s0, "seeded s0 diverged: {context}");
+                        assert_eq!(simd.s1, portable.s1, "seeded s1 diverged: {context}");
+                        assert_eq!(simd.s2, portable.s2, "seeded s2 diverged: {context}");
+                        assert_eq!(simd.s3, portable.s3, "seeded s3 diverged: {context}");
+                        let lanes = width * seed_bases.len();
+                        let mut simd_col = vec![0u64; lanes];
+                        let mut portable_col = vec![0u64; lanes];
+                        for draw in 0..5 {
+                            simd.fill_next(&mut simd_col);
+                            portable.fill_next(&mut portable_col);
+                            assert_eq!(simd_col, portable_col, "draw {draw} diverged: {context}");
+                        }
+                    }
+                }
             }
         }
     }
