@@ -122,7 +122,7 @@ impl LatencyModel {
     }
 
     /// Disables the memory-bandwidth (`δ/m`) terms — the FACT-style
-    /// ablation exercised by the `ablation_table` binary and the
+    /// ablation exercised by the `ablation_table` paper artifact and the
     /// `ablations` bench.
     #[must_use]
     pub fn without_memory_terms(mut self) -> Self {

@@ -3,17 +3,18 @@
 //! Every accepted flag is a field of [`CampaignArgs`]; anything else is an
 //! error that names the offending token, so a mistyped or retired flag
 //! stops the run instead of being silently ignored. The `campaign` binary
-//! accepts every field ([`CampaignArgs::parse`]); the other experiment
-//! binaries accept only the two context flags, `--paper-scale` and
-//! `--scalar-sessions` ([`CampaignArgs::parse_experiment`]).
+//! accepts every flag ([`CampaignArgs::parse`]); `reproduce` accepts only
+//! the two context flags, `--paper-scale` and `--scalar-sessions`, plus
+//! artifact names ([`CampaignArgs::parse_experiment`]).
 
+use crate::artifacts::{self, ARTIFACTS};
 use crate::campaign::quick_grid;
 use crate::context::ExperimentContext;
 use std::path::PathBuf;
 use xr_sweep::{parse_grid_spec, ShardSpec, SweepGrid};
 use xr_types::Result;
 
-/// The flags of the `campaign` binary.
+/// The command line of an experiment binary.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CampaignArgs {
     /// `--grid <file>`: a grid spec replacing the built-in quick grid.
@@ -29,6 +30,9 @@ pub struct CampaignArgs {
     pub paper_scale: bool,
     /// `--scalar-sessions`: simulate through the scalar reference engine.
     pub scalar_sessions: bool,
+    /// The registry names `reproduce` runs, in order (`all` expands to
+    /// every name); empty runs every artifact.
+    pub artifacts: Vec<&'static str>,
 }
 
 impl CampaignArgs {
@@ -83,8 +87,8 @@ impl CampaignArgs {
         Ok(parsed)
     }
 
-    /// Parses the arguments of any other experiment binary: only
-    /// `--paper-scale` and `--scalar-sessions` are accepted.
+    /// Parses the arguments of `reproduce`: `--paper-scale`,
+    /// `--scalar-sessions`, `all` and the names in [`ARTIFACTS`].
     ///
     /// # Errors
     ///
@@ -102,7 +106,11 @@ impl CampaignArgs {
                 _ if flag.starts_with('-') => {
                     return Err(format!("unknown experiment flag `{flag}`"))
                 }
-                _ => return Err(format!("unexpected experiment argument `{flag}`")),
+                "all" => parsed.artifacts.extend(ARTIFACTS.iter().map(|a| a.name)),
+                name => match artifacts::find(name) {
+                    Some(artifact) => parsed.artifacts.push(artifact.name),
+                    None => return Err(format!("unknown artifact `{name}`")),
+                },
             }
         }
         Ok(parsed)
@@ -115,8 +123,8 @@ impl CampaignArgs {
         Self::parse(std::env::args().skip(1)).unwrap_or_else(|message| usage_error(&message))
     }
 
-    /// Any other experiment process's own arguments. Bad input exits with
-    /// status 2 and a message on stderr.
+    /// The `reproduce` process's own arguments. Bad input exits with status
+    /// 2 and a message on stderr.
     #[must_use]
     pub fn experiment_from_env() -> Self {
         Self::parse_experiment(std::env::args().skip(1))
@@ -199,6 +207,7 @@ mod tests {
                 progress: true,
                 paper_scale: true,
                 scalar_sessions: true,
+                artifacts: Vec::new(),
             }
         );
     }
@@ -285,7 +294,20 @@ mod tests {
         }
         assert_eq!(
             experiment(&["fig4a.csv"]),
-            Err("unexpected experiment argument `fig4a.csv`".to_string())
+            Err("unknown artifact `fig4a.csv`".to_string())
+        );
+        // Names select registry entries in the order given; `all` expands
+        // to the whole registry, and names mix freely with the flags.
+        let every: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).collect();
+        assert_eq!(experiment(&["all"]).unwrap().artifacts, every);
+        let args = experiment(&["fig5b", "--paper-scale", "table1"]).unwrap();
+        assert_eq!(
+            (args.paper_scale, args.artifacts),
+            (true, vec!["fig5b", "table1"])
+        );
+        assert_eq!(
+            experiment(&["fig4a", "fig4z", "--paper-scal"]),
+            Err("unknown artifact `fig4z`".to_string())
         );
     }
 }

@@ -17,6 +17,7 @@ pub struct ExperimentContext {
     proposed: XrPerformanceModel,
     frames_per_point: u64,
     seed: u64,
+    paper_scale: bool,
 }
 
 /// Parses the `XR_CAMPAIGN_SEED` value: the default seed 2024 when the
@@ -59,15 +60,11 @@ impl ExperimentContext {
     ///
     /// Propagates regression-fitting errors.
     pub fn paper_scale(seed: u64) -> Result<Self> {
-        Self::with_campaign(seed, MeasurementCampaign::paper_scale(seed), 100)
-    }
-
-    /// Builds the context an experiment binary other than `campaign` uses,
-    /// from the process's own arguments (see [`CampaignArgs::parse_experiment`];
-    /// any other argument exits with status 2 and a message).
-    #[must_use]
-    pub fn from_args() -> Self {
-        Self::from_flags(&CampaignArgs::experiment_from_env())
+        let ctx = Self::with_campaign(seed, MeasurementCampaign::paper_scale(seed), 100)?;
+        Ok(Self {
+            paper_scale: true,
+            ..ctx
+        })
     }
 
     /// Builds the context parsed flags select: quick by default, paper
@@ -133,6 +130,7 @@ impl ExperimentContext {
             proposed,
             frames_per_point: frames_per_point.max(1),
             seed,
+            paper_scale: false,
         })
     }
 
@@ -172,6 +170,12 @@ impl ExperimentContext {
     #[must_use]
     pub fn seed(&self) -> u64 {
         self.seed
+    }
+
+    /// Whether this is the paper-scale context ([`Self::paper_scale`]).
+    #[must_use]
+    pub fn is_paper_scale(&self) -> bool {
+        self.paper_scale
     }
 
     /// Builds the evaluation scenario at one operating point of the Fig. 4/5
@@ -301,6 +305,7 @@ mod tests {
         assert!(gt.mean_latency().as_f64() > 0.0);
         assert_eq!(ctx.seed(), 7);
         assert_eq!(ctx.frames_per_point(), 20);
+        assert!(!ctx.is_paper_scale());
         assert!(ctx.calibrated().training_r_squared().resource_r_squared > 0.5);
     }
 

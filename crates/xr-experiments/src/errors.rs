@@ -6,8 +6,9 @@ use crate::figures::{energy_sweep, latency_sweep};
 use serde::{Deserialize, Serialize};
 use xr_types::{ExecutionTarget, Result};
 
-/// The four mean-error numbers the paper reports in §VIII-A/B
-/// (2.74 %, 3.23 %, 3.52 %, 5.38 % on the real testbed).
+/// The proposed model's mean errors over the Fig. 4 sweeps, the
+/// counterparts of the four numbers the paper reports in §VIII-A/B
+/// ([`ErrorSummary::PAPER_PERCENT`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ErrorSummary {
     /// Mean error of the latency model under local inference (%).
@@ -21,6 +22,10 @@ pub struct ErrorSummary {
 }
 
 impl ErrorSummary {
+    /// The mean errors the paper reports on its real testbed (%), in row
+    /// order: latency local, latency remote, energy local, energy remote.
+    pub const PAPER_PERCENT: [f64; 4] = [2.74, 3.23, 3.52, 5.38];
+
     /// Computes the summary over the full Fig. 4 sweeps.
     ///
     /// # Errors
@@ -48,28 +53,28 @@ impl ErrorSummary {
     /// Console/CSV rows comparing against the paper's reported values.
     #[must_use]
     pub fn rows(&self) -> Vec<Vec<String>> {
-        vec![
-            vec![
-                "latency/local".into(),
-                format!("{:.2}", self.latency_local_percent),
-                "2.74".into(),
-            ],
-            vec![
-                "latency/remote".into(),
-                format!("{:.2}", self.latency_remote_percent),
-                "3.23".into(),
-            ],
-            vec![
-                "energy/local".into(),
-                format!("{:.2}", self.energy_local_percent),
-                "3.52".into(),
-            ],
-            vec![
-                "energy/remote".into(),
-                format!("{:.2}", self.energy_remote_percent),
-                "5.38".into(),
-            ],
+        let measured = [
+            self.latency_local_percent,
+            self.latency_remote_percent,
+            self.energy_local_percent,
+            self.energy_remote_percent,
+        ];
+        [
+            "latency/local",
+            "latency/remote",
+            "energy/local",
+            "energy/remote",
         ]
+        .iter()
+        .zip(measured.iter().zip(Self::PAPER_PERCENT))
+        .map(|(name, (measured, paper))| {
+            vec![
+                (*name).to_string(),
+                format!("{measured:.2}"),
+                format!("{paper:.2}"),
+            ]
+        })
+        .collect()
     }
 }
 

@@ -1,7 +1,7 @@
 //! Console-table and CSV output helpers shared by the experiment binaries.
 
 use std::fs;
-use std::io::Write as _;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Directory under which experiment artifacts (CSV files) are written.
@@ -10,19 +10,35 @@ pub fn artifact_dir() -> PathBuf {
     PathBuf::from("target").join("experiments")
 }
 
-/// Writes a CSV artifact (header + rows) under [`artifact_dir`], creating the
-/// directory if needed. Returns the path written, or `None` if the filesystem
-/// refused (experiments still print to stdout in that case).
-pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> Option<PathBuf> {
-    let dir = artifact_dir();
-    fs::create_dir_all(&dir).ok()?;
-    let path = dir.join(name);
-    let mut file = fs::File::create(&path).ok()?;
-    writeln!(file, "{}", header.join(",")).ok()?;
+/// Renders a CSV artifact: the header line, then one line per row.
+#[must_use]
+pub fn render_csv(header: &[&str], rows: &[Vec<String>]) -> String {
+    let mut csv = header.join(",");
+    csv.push('\n');
     for row in rows {
-        writeln!(file, "{}", row.join(",")).ok()?;
+        csv.push_str(&row.join(","));
+        csv.push('\n');
     }
-    Some(path)
+    csv
+}
+
+/// Writes a CSV artifact ([`render_csv`]) under [`artifact_dir`], creating
+/// the directory if needed, and returns the path written.
+///
+/// # Errors
+///
+/// Returns the I/O error, its message prefixed with the path that failed.
+pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> io::Result<PathBuf> {
+    let dir = artifact_dir();
+    let path = dir.join(name);
+    fs::create_dir_all(&dir).map_err(naming(&dir))?;
+    fs::write(&path, render_csv(header, rows)).map_err(naming(&path))?;
+    Ok(path)
+}
+
+/// Prefixes an I/O error's message with the path it concerns.
+fn naming(path: &Path) -> impl FnOnce(io::Error) -> io::Error + '_ {
+    move |e| io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
 /// Renders a fixed-width console table.
@@ -61,21 +77,6 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
 #[must_use]
 pub fn fmt(value: f64) -> String {
     format!("{value:.3}")
-}
-
-/// Prints a section banner plus a table, and optionally records the CSV
-/// artifact path.
-pub fn print_experiment(title: &str, header: &[&str], rows: &[Vec<String>], csv_name: &str) {
-    println!("== {title} ==");
-    print!("{}", render_table(header, rows));
-    if let Some(path) = write_csv(csv_name, header, rows) {
-        println!("(csv written to {})", display_path(&path));
-    }
-    println!();
-}
-
-fn display_path(path: &Path) -> String {
-    path.display().to_string()
 }
 
 #[cfg(test)]

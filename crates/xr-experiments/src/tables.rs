@@ -25,24 +25,6 @@ pub fn table1_rows() -> Vec<Vec<String>> {
         .collect()
 }
 
-/// Header matching [`table1_rows`].
-#[must_use]
-pub fn table1_header() -> Vec<&'static str> {
-    vec![
-        "name",
-        "model",
-        "soc",
-        "cpu_cores",
-        "cpu_ghz",
-        "gpu",
-        "ram_gb",
-        "mem_gbps",
-        "os",
-        "wifi",
-        "release",
-    ]
-}
-
 /// Console/CSV rows reproducing Table II (CNN models).
 #[must_use]
 pub fn table2_rows() -> Vec<Vec<String>> {
@@ -62,30 +44,17 @@ pub fn table2_rows() -> Vec<Vec<String>> {
         .collect()
 }
 
-/// Header matching [`table2_rows`].
-#[must_use]
-pub fn table2_header() -> Vec<&'static str> {
-    vec![
-        "model",
-        "depth_layers",
-        "size_mb",
-        "depth_scale",
-        "gpu_support",
-        "quantized",
-        "placement",
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifacts::find;
 
     #[test]
     fn table1_has_nine_rows_with_matching_header() {
         let rows = table1_rows();
         assert_eq!(rows.len(), 9);
         for row in &rows {
-            assert_eq!(row.len(), table1_header().len());
+            assert_eq!(row.len(), find("table1").unwrap().columns().len());
         }
         assert!(rows.iter().any(|r| r[1].contains("Quest 2")));
     }
@@ -95,7 +64,7 @@ mod tests {
         let rows = table2_rows();
         assert_eq!(rows.len(), 11);
         for row in &rows {
-            assert_eq!(row.len(), table2_header().len());
+            assert_eq!(row.len(), find("table2").unwrap().columns().len());
         }
         assert!(rows.iter().any(|r| r[0] == "YoloV3" && r[6] == "edge"));
     }

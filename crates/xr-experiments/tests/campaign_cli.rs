@@ -1,13 +1,16 @@
 //! The experiment binaries refuse bad input before any work starts: unknown
-//! flags, a malformed `XR_CAMPAIGN_SEED` and a malformed `XR_SWEEP_WORKERS`
-//! exit with status 2 and a message naming the problem. A campaign whose
-//! CSV cannot be written exits non-zero instead of reporting success.
+//! flags and artifact names, a malformed `XR_CAMPAIGN_SEED` and a malformed
+//! `XR_SWEEP_WORKERS` exit with status 2 and a message naming the problem.
+//! A campaign or paper artifact whose CSV cannot be written exits non-zero
+//! instead of reporting success.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// The campaign binary under test.
 const CAMPAIGN: &str = env!("CARGO_BIN_EXE_campaign");
+/// The paper-artifact binary under test.
+const REPRODUCE: &str = env!("CARGO_BIN_EXE_reproduce");
 
 /// A fresh per-test working directory holding a one-point grid spec,
 /// `one.grid`.
@@ -96,18 +99,23 @@ fn a_non_numeric_worker_count_exits_two_instead_of_running_the_default() {
 
 #[test]
 fn unknown_flags_stop_the_other_experiment_binaries() {
-    let (code, stdout, stderr) = run(
-        env!("CARGO_BIN_EXE_fig4a"),
-        &["--paper-scal"],
-        &[],
-        &workdir("fig4a"),
-    );
+    let (code, stdout, stderr) = run(REPRODUCE, &["--paper-scal"], &[], &workdir("reproduce"));
     assert_eq!(code, Some(2), "{stderr}");
     assert!(
         stderr.contains("unknown experiment flag `--paper-scal`"),
         "{stderr}"
     );
     assert!(stdout.is_empty(), "{stdout}");
+}
+
+#[test]
+fn an_unknown_artifact_name_exits_two_before_any_work() {
+    let dir = workdir("fig4z");
+    let (code, stdout, stderr) = run(REPRODUCE, &["fig4a", "fig4z"], &[], &dir);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown artifact `fig4z`"), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(!dir.join("target/experiments").exists());
 }
 
 #[test]
@@ -147,4 +155,19 @@ fn a_failed_csv_write_exits_non_zero() {
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stdout.is_empty(), "{stdout}");
     assert!(stderr.contains("campaign failed: "), "{stderr}");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failed_artifact_write_exits_non_zero_and_names_the_artifact() {
+    let dir = workdir("artifact-full");
+    std::fs::create_dir_all(dir.join("target/experiments")).unwrap();
+    std::os::unix::fs::symlink("/dev/full", dir.join("target/experiments/fig4a.csv")).unwrap();
+    let (code, stdout, stderr) = run(REPRODUCE, &["fig4a"], &[], &dir);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.starts_with("reproduce: fig4a: target/experiments/fig4a.csv: "),
+        "{stderr}"
+    );
 }

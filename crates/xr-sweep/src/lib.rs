@@ -45,7 +45,7 @@
 //!   stale checkpoints (different grid/seed/shard) are refused.
 //!
 //! The experiment drivers in `xr-experiments` (`figures`, `comparison`,
-//! `ablation`, the `fig4*`/`run_all`/`campaign` binaries) all drive this one
+//! `ablation`, the `reproduce` and `campaign` binaries) all drive this one
 //! engine instead of hand-rolled sequential loops.
 //!
 //! ## Determinism contract
