@@ -5,7 +5,9 @@
 //!
 //! Both paths produce bit-identical draws — asserted here before any
 //! timing, on every SIMD tier the host runs — so the measured ratio is
-//! pure draw-layer overhead. Measured numbers are recorded in
+//! pure draw-layer overhead. The raw-word cases time `depth` one-column
+//! `fill_next` calls against one `depth`-column block fill, after the
+//! same gate pins the block to the single fills. Measured numbers are recorded in
 //! `BENCH_draw_columns.json` at the repository root.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -20,6 +22,8 @@ const FRAMES: usize = 4096;
 /// Lanes per bank — the engine's default batch width.
 const WIDTH: usize = 256;
 const STAGE_BASE: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Columns per block fill in the raw-word cases.
+const BLOCK_DEPTHS: [usize; 2] = [2, 6];
 
 fn frame_rng(frame: usize) -> StdRng {
     StdRng::seed_from_u64(seed::mix(STAGE_BASE, frame as u64))
@@ -69,6 +73,22 @@ fn draw_columns(c: &mut Criterion) {
                 "{column_tier:?} uniform diverged"
             );
         }
+        // A block fill must draw the same columns, and leave the same
+        // state, as one-column fills at every depth the block cases time.
+        for depth in BLOCK_DEPTHS {
+            let mut single = LaneStreams::with_tier(lane_tier);
+            let mut blocked = LaneStreams::with_tier(lane_tier);
+            single.reseed(STAGE_BASE, 0, WIDTH);
+            blocked.reseed(STAGE_BASE, 0, WIDTH);
+            let mut columns = vec![0u64; (depth + 1) * WIDTH];
+            for column in columns.chunks_exact_mut(WIDTH) {
+                single.fill_next(column);
+            }
+            let mut block = vec![0u64; (depth + 1) * WIDTH];
+            blocked.fill_next(&mut block[..depth * WIDTH]);
+            blocked.fill_next(&mut block[depth * WIDTH..]);
+            assert_eq!(block, columns, "{lane_tier:?} depth-{depth} block diverged");
+        }
         println!("draw_columns: the {lane_tier:?} tier replays the per-frame streams");
     }
 
@@ -103,6 +123,49 @@ fn draw_columns(c: &mut Criterion) {
             black_box(acc)
         })
     });
+
+    // Raw words only: `depth` columns per batch as `depth` one-column
+    // fills, or as one block fill that keeps each lane chunk's state in
+    // registers (the engine's word pairs at depth 2, a sensor's updates at
+    // depth 6).
+    for depth in BLOCK_DEPTHS {
+        group.bench_with_input(
+            BenchmarkId::new(format!("raw_d{depth}"), "columns"),
+            &FRAMES,
+            |b, &frames| {
+                let mut lanes = LaneStreams::new();
+                let mut raw = vec![0u64; depth * WIDTH];
+                b.iter(|| {
+                    let mut acc = 0u64;
+                    for first in (0..frames).step_by(WIDTH) {
+                        lanes.reseed(STAGE_BASE, first as u64, WIDTH);
+                        for column in raw.chunks_exact_mut(WIDTH) {
+                            lanes.fill_next(column);
+                        }
+                        acc ^= raw[depth * WIDTH - 1];
+                    }
+                    black_box(acc)
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new(format!("raw_d{depth}"), "block"),
+            &FRAMES,
+            |b, &frames| {
+                let mut lanes = LaneStreams::new();
+                let mut raw = vec![0u64; depth * WIDTH];
+                b.iter(|| {
+                    let mut acc = 0u64;
+                    for first in (0..frames).step_by(WIDTH) {
+                        lanes.reseed(STAGE_BASE, first as u64, WIDTH);
+                        lanes.fill_next(&mut raw);
+                        acc ^= raw[depth * WIDTH - 1];
+                    }
+                    black_box(acc)
+                })
+            },
+        );
+    }
 
     // The generate-stage shape: two normal draws per frame stream (two
     // words + Box–Muller each).

@@ -34,7 +34,10 @@
 //! The stages do not draw from per-frame RNG objects. Each stochastic stage
 //! seeds one [`xr_types::lanes::LaneStreams`] bank per batch — lane `j`
 //! replays frame `first_index + j`'s own stage stream — and pre-fills its
-//! draw columns *by draw index*: one `fill_next` per raw word, then one
+//! draw columns *by draw index*: one block `fill_next` per draw group (a
+//! Box–Muller word pair, the monitor's `2 × pairs` words, a sensor's
+//! `updates_per_frame` jitter words, or a single word), which steps each
+//! lane through the group with its state in registers; then one
 //! `rand_distr::column` transform per sampled column (Box–Muller normals,
 //! uniform jitter, exponential sojourns), then a multiply-accumulate pass
 //! against the hoisted per-session `BatchConsts` base latencies. Seeding, raw
@@ -45,6 +48,15 @@
 //! every frame's words come only from its own lane, the draw scheme is
 //! **lane-count invariant by construction** — the same invariant per-stage
 //! streams pinned for batching, pushed down to the raw `u64` level.
+//!
+//! The stages themselves are compiled twice. Where the draw layer
+//! dispatched to AVX-512, each batch runs them inside one
+//! `avx512f` + `avx512dq` wrapper, so the fold and sum loops between the
+//! transforms vectorize 8-wide; otherwise (including under
+//! `XR_FORCE_PORTABLE`) they run in the baseline build. Rust never
+//! contracts or reassociates floating-point operations, so both builds
+//! compute the same bits, and a unit test here pins each against the
+//! scalar reference on every host.
 //!
 //! The finalize stage is a column stage too, and runs phase-major: the
 //! Monsoon monitor's per-phase noise comes from the `MONITOR` lanes through
@@ -80,6 +92,7 @@ use crate::simulator::{
     check_frames, stream, ContentionPlan, GroundTruthFrame, GroundTruthSession, SessionState,
     SessionTotals, TestbedSimulator,
 };
+use rand_distr::math::Tier;
 use rand_distr::{column, Distribution, Exp, Normal, StandardNormalPairs};
 use std::ops::Range;
 use xr_core::Scenario;
@@ -111,6 +124,14 @@ pub enum SimulationEngine {
         /// Frames per batch (the lane budget a fused point shares).
         width: usize,
     },
+}
+
+/// Whether the batched drivers run the tier-compiled build of
+/// [`TestbedSimulator::batch_pass`]: only when the draw layer dispatched to
+/// AVX-512 (`rand_distr::math::Tier::dispatched`), so `XR_FORCE_PORTABLE`
+/// also selects the baseline build.
+fn simd_pass() -> bool {
+    Tier::dispatched() == Tier::Avx512
 }
 
 impl Default for SimulationEngine {
@@ -389,15 +410,20 @@ impl BatchConsts {
 }
 
 /// The lane-oriented draw layer of one session: a wide xoshiro bank (one
-/// lane per frame of the current batch) plus the raw-word and transformed
-/// draw columns the stages pre-fill and consume by index. Allocated once
-/// per session; `reseed` only rewrites lane state and column lengths.
+/// lane per frame of the current batch) plus the raw-word block and the
+/// transformed draw columns the stages pre-fill and consume by index.
+/// Allocated once per session; `reseed` only rewrites lane state and
+/// column lengths.
 struct DrawColumns {
     lanes: LaneStreams,
-    /// Raw word columns (draw #d of every frame): the first and second
-    /// Box–Muller words, or a single uniform word.
-    raw_a: Vec<u64>,
-    raw_b: Vec<u64>,
+    /// The raw words of the current draw group, one block: draw `d` of
+    /// lane `i` at `raw[d * n + i]` for a batch of `n` lanes. A group is a
+    /// Box–Muller word pair (two columns), the monitor's `2 × pairs`
+    /// columns, a sensor's `updates_per_frame` jitter columns, or a single
+    /// uniform or exponential column. Grown to the session's largest group
+    /// and never shrunk, so the groups of one batch reuse it without
+    /// re-zeroing.
+    raw: Vec<u64>,
     /// Transformed draw columns. `fac_a` holds single-word transforms
     /// (uniform jitter, exponential sojourns) and the first noise factor;
     /// `fac_b` holds a second concurrent noise factor where a stage needs
@@ -422,8 +448,7 @@ impl DrawColumns {
     fn new() -> Self {
         Self {
             lanes: LaneStreams::new(),
-            raw_a: Vec::new(),
-            raw_b: Vec::new(),
+            raw: Vec::new(),
             fac_a: Vec::new(),
             fac_b: Vec::new(),
             normals: Vec::new(),
@@ -451,12 +476,23 @@ impl DrawColumns {
             self.lanes
                 .reseed_segments(&self.bases, b.first_index, b.per_rep);
         }
-        if self.raw_a.len() != b.n {
-            self.raw_a.resize(b.n, 0);
-            self.raw_b.resize(b.n, 0);
+        if self.fac_a.len() != b.n {
             self.fac_a.resize(b.n, 0.0);
             self.fac_b.resize(b.n, 0.0);
         }
+    }
+
+    /// Draws the next `columns` raw-word columns of every lane as one
+    /// block (one `fill_next`) into the front of `raw`, and returns the
+    /// batch width `n`: column `c` is `raw[c * n..(c + 1) * n]`.
+    fn draw(&mut self, columns: usize) -> usize {
+        let n = self.fac_a.len();
+        let words = columns * n;
+        if self.raw.len() < words {
+            self.raw.resize(words, 0);
+        }
+        self.lanes.fill_next(&mut self.raw[..words]);
+        n
     }
 
     /// Fills `fac_a` with the next multiplicative noise factor column —
@@ -464,9 +500,9 @@ impl DrawColumns {
     /// (two raw words per frame), bit-identical to a stage whose scalar
     /// form draws **one** factor from a fresh pair cache.
     fn noise_a(&mut self, normal: &Normal) {
-        self.lanes.fill_next(&mut self.raw_a);
-        self.lanes.fill_next(&mut self.raw_b);
-        column::fill_lognormal(normal, &self.raw_a, &self.raw_b, &mut self.fac_a);
+        let n = self.draw(2);
+        let (a, b) = self.raw[..2 * n].split_at(n);
+        column::fill_lognormal(normal, a, b, &mut self.fac_a);
     }
 
     /// Fills `fac_a` (cosine halves) **and** `fac_b` (sine halves) with the
@@ -475,43 +511,38 @@ impl DrawColumns {
     /// Bit-identical to two consecutive draws through the scalar pipeline's
     /// pair cache on the same stream.
     fn noise_pair(&mut self, normal: &Normal) {
-        self.lanes.fill_next(&mut self.raw_a);
-        self.lanes.fill_next(&mut self.raw_b);
-        column::fill_lognormal_pair(
-            normal,
-            &self.raw_a,
-            &self.raw_b,
-            &mut self.fac_a,
-            &mut self.fac_b,
-        );
+        let n = self.draw(2);
+        let (a, b) = self.raw[..2 * n].split_at(n);
+        column::fill_lognormal_pair(normal, a, b, &mut self.fac_a, &mut self.fac_b);
     }
 
     /// Fills `normals` with the next `pairs` word pairs' standard variates,
     /// two draw columns per pair: the sequence a scalar pair cache hands
-    /// out on each lane's stream, up to draw `2 * pairs`.
+    /// out on each lane's stream, up to draw `2 * pairs`. All `2 * pairs`
+    /// raw columns come from one block.
     fn standard_normals(&mut self, pairs: usize) {
-        let n = self.raw_a.len();
+        let n = self.draw(2 * pairs);
         self.normals.resize(2 * pairs * n, 0.0);
-        for columns in self.normals.chunks_exact_mut(2 * n) {
-            self.lanes.fill_next(&mut self.raw_a);
-            self.lanes.fill_next(&mut self.raw_b);
+        let words = self.raw[..2 * pairs * n].chunks_exact(2 * n);
+        for (words, columns) in words.zip(self.normals.chunks_exact_mut(2 * n)) {
+            let (a, b) = words.split_at(n);
             let (cos, sin) = columns.split_at_mut(n);
-            column::fill_standard_normal_pair(&self.raw_a, &self.raw_b, cos, sin);
+            column::fill_standard_normal_pair(a, b, cos, sin);
         }
     }
 
     /// Fills `fac_a` with the next `gen_range(lo..hi)` column — one raw
     /// word per frame.
     fn uniform_a(&mut self, lo: f64, hi: f64) {
-        self.lanes.fill_next(&mut self.raw_a);
-        column::fill_uniform_range(lo, hi, &self.raw_a, &mut self.fac_a);
+        let n = self.draw(1);
+        column::fill_uniform_range(lo, hi, &self.raw[..n], &mut self.fac_a);
     }
 
     /// Fills `fac_a` with the next exponential-sojourn column — one raw
     /// word per frame.
     fn exp_a(&mut self, flow: &Exp) {
-        self.lanes.fill_next(&mut self.raw_a);
-        column::fill_exp(flow, &self.raw_a, &mut self.fac_a);
+        let n = self.draw(1);
+        column::fill_exp(flow, &self.raw[..n], &mut self.fac_a);
     }
 }
 
@@ -730,16 +761,17 @@ impl TestbedSimulator {
         frames: u64,
         width: usize,
     ) -> Result<GroundTruthSession> {
-        self.run_session::<Vec<GroundTruthFrame>>(scenario, frames, width)
+        self.run_session::<Vec<GroundTruthFrame>>(scenario, frames, width, simd_pass())
     }
 
     /// The batched session driver, generic over what each frame is folded
-    /// into.
+    /// into; `simd` picks the build of [`TestbedSimulator::batch_pass`].
     fn run_session<O: RepOutput>(
         &self,
         scenario: &Scenario,
         frames: u64,
         width: usize,
+        simd: bool,
     ) -> Result<O::Session> {
         check_frames(frames)?;
         scenario.validate()?;
@@ -754,6 +786,7 @@ impl TestbedSimulator {
             let n = width.min(frames - first + 1) as usize;
             batch.reset(first, n, 1);
             self.batch_pass(
+                simd,
                 &consts,
                 &mut batch,
                 &mut draws,
@@ -768,12 +801,62 @@ impl TestbedSimulator {
     /// Runs the eleven column stages over one prepared batch: the shared body
     /// of the per-session driver above (`sessions.len() == 1`) and the
     /// replication-fused point driver, which passes one session state and
-    /// one output per fused replication. Stage 9 is skipped when nothing
-    /// reads its column: the output keeps only the totals, and the
+    /// one output per fused replication.
+    ///
+    /// `simd` picks the build of the stages: `true` runs them inside one
+    /// AVX-512 (`avx512f` + `avx512dq`) wrapper where the CPU has it, so
+    /// their fold and sum loops vectorize 8-wide; `false`, or a CPU
+    /// without AVX-512, runs the baseline build. Rust never contracts or
+    /// reassociates floating-point operations, so both builds compute the
+    /// same bits; the drivers pass [`simd_pass`].
+    fn batch_pass<O: RepOutput>(
+        &self,
+        simd: bool,
+        consts: &BatchConsts,
+        batch: &mut FrameBatch,
+        draws: &mut DrawColumns,
+        sessions: &mut [SessionState],
+        outs: &mut [O],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if simd && Tier::Avx512.supported() {
+            // SAFETY: AVX-512F and AVX-512DQ support was just confirmed at
+            // runtime.
+            #[allow(unsafe_code)]
+            unsafe {
+                self.batch_stages_avx512(consts, batch, draws, sessions, outs);
+            }
+            return;
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = simd;
+        self.batch_stages(consts, batch, draws, sessions, outs);
+    }
+
+    /// [`TestbedSimulator::batch_stages`] compiled for AVX-512: the stage
+    /// bodies are inlined here, so their loops take the wider registers.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn batch_stages_avx512<O: RepOutput>(
+        &self,
+        consts: &BatchConsts,
+        batch: &mut FrameBatch,
+        draws: &mut DrawColumns,
+        sessions: &mut [SessionState],
+        outs: &mut [O],
+    ) {
+        self.batch_stages(consts, batch, draws, sessions, outs);
+    }
+
+    /// The eleven column stages in pipeline order. Stage 9 is skipped when
+    /// nothing reads its column: the output keeps only the totals, and the
     /// scenario leaves cooperation out of them (the paper's default, as it
     /// runs in parallel with rendering). Every stage draws from its own
-    /// stream, so no other draw moves.
-    fn batch_pass<O: RepOutput>(
+    /// stream, so no other draw moves. Always inlined, like every stage,
+    /// so each build of [`TestbedSimulator::batch_pass`] compiles its own
+    /// copy of the stage bodies.
+    #[inline(always)]
+    fn batch_stages<O: RepOutput>(
         &self,
         consts: &BatchConsts,
         batch: &mut FrameBatch,
@@ -817,6 +900,7 @@ impl TestbedSimulator {
             point_seed,
             reps,
             frames,
+            simd_pass(),
             |_, session| sessions.push(session),
         )?;
         Ok(sessions)
@@ -863,17 +947,19 @@ impl TestbedSimulator {
         frames: u64,
         visit: impl FnMut(usize, SessionTotals),
     ) -> Result<()> {
-        self.evaluate_point::<SessionTotals>(scenario, point_seed, reps, frames, visit)
+        self.evaluate_point::<SessionTotals>(scenario, point_seed, reps, frames, simd_pass(), visit)
     }
 
     /// The point driver behind [`TestbedSimulator::simulate_point`] and
-    /// [`TestbedSimulator::visit_point`], generic over the per-rep output.
+    /// [`TestbedSimulator::visit_point`], generic over the per-rep output;
+    /// `simd` picks the build of [`TestbedSimulator::batch_pass`].
     fn evaluate_point<O: RepOutput>(
         &self,
         scenario: &Scenario,
         point_seed: u64,
         reps: usize,
         frames: u64,
+        simd: bool,
         mut visit: impl FnMut(usize, O::Session),
     ) -> Result<()> {
         if reps == 0 {
@@ -891,7 +977,7 @@ impl TestbedSimulator {
                 for rep in 0..reps {
                     let session = self
                         .reseeded(rep_seed(rep))
-                        .run_session::<O>(scenario, frames, width)?;
+                        .run_session::<O>(scenario, frames, width, simd)?;
                     visit(rep, session);
                 }
                 return Ok(());
@@ -926,7 +1012,14 @@ impl TestbedSimulator {
         while first <= frames {
             let per_rep = per_rep_width.min(frames - first + 1) as usize;
             batch.reset(first, per_rep, reps);
-            self.batch_pass(&consts, &mut batch, &mut draws, &mut sessions, &mut outs);
+            self.batch_pass(
+                simd,
+                &consts,
+                &mut batch,
+                &mut draws,
+                &mut sessions,
+                &mut outs,
+            );
             first += per_rep as u64;
         }
         for (rep, (session, out)) in sessions.iter().zip(outs).enumerate() {
@@ -949,6 +1042,7 @@ impl TestbedSimulator {
     /// replication over that replication's contiguous lane segment — each
     /// walker's in-order advance sequence is exactly its standalone
     /// session's.
+    #[inline(always)]
     fn batch_walk(&self, k: &BatchConsts, b: &mut FrameBatch, sessions: &mut [SessionState]) {
         if k.topology.is_none() {
             return;
@@ -1002,6 +1096,7 @@ impl TestbedSimulator {
     /// per frame), matching the scalar stage's shared pair cache.
     /// Noiseless sessions draw nothing, and `base * 1.0 == base` bit for
     /// bit, so the constant fill matches the scalar multiply.
+    #[inline(always)]
     fn batch_generate(&self, k: &BatchConsts, b: &mut FrameBatch, d: &mut DrawColumns) {
         match &k.noise {
             Some(normal) => {
@@ -1022,19 +1117,22 @@ impl TestbedSimulator {
     }
 
     /// Stage 2 column loop — per-update sensor jitter, slowest sensor wins.
-    /// The `updates_per_frame × sensors` accumulation runs over pre-filled
-    /// jitter columns (one per update), in the scalar's sensor-major draw
-    /// and summation order.
+    /// Each sensor draws its `updates_per_frame` raw columns as one block,
+    /// then transforms and folds them one jitter column per update, in the
+    /// scalar's sensor-major draw and summation order.
+    #[inline(always)]
     fn batch_sense(&self, k: &BatchConsts, b: &mut FrameBatch, d: &mut DrawColumns) {
         if k.sensors.is_empty() {
             return; // Like the scalar max over no sensors: EXTERNAL stays 0.
         }
         d.reseed(k, stream::SENSE, b);
+        let updates = k.updates_per_frame as usize;
         for &(period, propagation) in &k.sensors {
             d.acc.clear();
             d.acc.resize(b.n, Seconds::ZERO);
-            for _ in 0..k.updates_per_frame {
-                d.uniform_a(-0.05, 0.05);
+            let n = d.draw(updates);
+            for words in d.raw[..updates * n].chunks_exact(n) {
+                column::fill_uniform_range(-0.05, 0.05, words, &mut d.fac_a);
                 for (acc, &jitter) in d.acc.iter_mut().zip(&d.fac_a) {
                     *acc += period * (1.0 + jitter) + propagation;
                 }
@@ -1047,6 +1145,7 @@ impl TestbedSimulator {
 
     /// Stage 3 column loop — M/M/1 sojourn sampling per stable flow, one
     /// exponential column per flow in the scalar's flow order.
+    #[inline(always)]
     fn batch_buffer(&self, k: &BatchConsts, b: &mut FrameBatch, d: &mut DrawColumns) {
         if k.flows.is_empty() {
             return;
@@ -1065,6 +1164,7 @@ impl TestbedSimulator {
     /// split scenario's two factors are the two halves of one word pair
     /// (the scalar stage shares one pair cache across both paths); a
     /// single active path takes the cosine half only.
+    #[inline(always)]
     fn batch_encode(&self, k: &BatchConsts, b: &mut FrameBatch, d: &mut DrawColumns) {
         let Some(normal) = &k.noise else {
             if let Some(base) = k.conversion_base {
@@ -1106,6 +1206,7 @@ impl TestbedSimulator {
     }
 
     /// Stage 5 column loop — the on-device CNN share.
+    #[inline(always)]
     fn batch_local_inference(&self, k: &BatchConsts, b: &mut FrameBatch, d: &mut DrawColumns) {
         let Some(base) = k.local_base else { return };
         match &k.noise {
@@ -1132,6 +1233,7 @@ impl TestbedSimulator {
     /// M/M/1 closed form), while the wireless jitter keeps its own
     /// [`stream::UPLINK_EDGE`] columns — per stream, the per-frame word
     /// order is exactly the scalar's server order.
+    #[inline(always)]
     fn batch_uplink_and_edge(&self, k: &BatchConsts, b: &mut FrameBatch, d: &mut DrawColumns) {
         if k.edges.is_empty() {
             return;
@@ -1213,6 +1315,7 @@ impl TestbedSimulator {
     /// buffer), then price each frame's crossings from its own handoff
     /// stream. Crossings are sparse, so this stage keeps the frame-at-a-time
     /// draw path.
+    #[inline(always)]
     fn batch_handoff(
         &self,
         k: &BatchConsts,
@@ -1289,6 +1392,7 @@ impl TestbedSimulator {
 
     /// Stage 8 column loop — rendering noise plus the frame's buffered
     /// input and the (constant) result delivery.
+    #[inline(always)]
     fn batch_render(&self, k: &BatchConsts, b: &mut FrameBatch, d: &mut DrawColumns) {
         match &k.noise {
             Some(normal) => {
@@ -1311,6 +1415,7 @@ impl TestbedSimulator {
     }
 
     /// Stage 9 column loop — cooperation-exchange noise.
+    #[inline(always)]
     fn batch_cooperate(&self, k: &BatchConsts, b: &mut FrameBatch, d: &mut DrawColumns) {
         match &k.noise {
             Some(normal) => {
@@ -1339,6 +1444,7 @@ impl TestbedSimulator {
     /// draws; a frame that draws fewer leaves its trailing words unread,
     /// and nothing else reads that stream. Each replication's lane segment
     /// then goes to its output in frame order.
+    #[inline(always)]
     fn batch_finalize<O: RepOutput>(
         &self,
         k: &BatchConsts,
@@ -1927,6 +2033,85 @@ mod tests {
             }
         }
         assert!(roamed, "the topology scenario never migrated");
+    }
+
+    #[test]
+    fn baseline_and_tier_compiled_passes_match_the_scalar_reference() {
+        // Both builds of the batch pass, pinned in-process: the drivers
+        // only ever take the dispatched one, so without this an AVX-512
+        // host would never run the baseline build. (A host without
+        // AVX-512 runs the baseline build on both sides.) Width 16 over 37
+        // frames leaves a 5-frame tail batch; width 64 fuses the 3 × 20
+        // frames of a point into one pass; both drivers' outputs (frames
+        // and the campaign totals, which skip stage 9) are checked.
+        use xr_types::{MigrationPolicy, TopologyLayout};
+        if !Tier::Avx512.supported() {
+            eprintln!("the tier-compiled pass runs the baseline build: this host has no AVX-512");
+        }
+        let noisy = TestbedSimulator::new(71);
+        let noiseless = TestbedSimulator::new(72).with_noise(0.0);
+        let contended = Scenario::builder()
+            .execution(ExecutionTarget::Remote)
+            .frame_side(300.0)
+            .frame_rate(xr_types::Hertz::new(5.0))
+            .contention(3)
+            .build()
+            .unwrap();
+        let topology = topology_scenario(
+            TopologyLayout::Square,
+            MigrationPolicy::Eager,
+            2500.0,
+            Some(3),
+        );
+        let split = scenario(500.0, 2.0, ExecutionTarget::Split { client_share: 0.3 });
+        let cases = [
+            (
+                "local",
+                &noisy,
+                scenario(500.0, 2.0, ExecutionTarget::Local),
+            ),
+            ("split", &noisy, split.clone()),
+            ("mobile", &noisy, mobile_scenario(25.0, 8.0)),
+            ("contended", &noisy, contended),
+            ("topology", &noisy, topology.clone()),
+            ("noiseless split", &noiseless, split),
+            ("noiseless topology", &noiseless, topology),
+        ];
+        for (label, testbed, s) in cases {
+            let scalar = testbed.simulate_session_scalar(&s, 37).unwrap();
+            let point_seed = xr_types::seed::mix(2024, 20);
+            let reference = scalar_reference(testbed, &s, point_seed, 3, 20);
+            let fused = testbed
+                .clone()
+                .with_engine(SimulationEngine::Batched { width: 64 });
+            for simd in [false, true] {
+                let build = if simd { "tier-compiled" } else { "baseline" };
+                let session = testbed
+                    .run_session::<Vec<GroundTruthFrame>>(&s, 37, 16, simd)
+                    .unwrap();
+                assert_eq!(session, scalar, "{label}: {build} session diverged");
+                let totals = testbed
+                    .run_session::<SessionTotals>(&s, 37, 16, simd)
+                    .unwrap();
+                assert_eq!(
+                    totals,
+                    SessionTotals::of(&scalar),
+                    "{label}: {build} totals diverged"
+                );
+                let mut point = Vec::new();
+                fused
+                    .evaluate_point::<Vec<GroundTruthFrame>>(
+                        &s,
+                        point_seed,
+                        3,
+                        20,
+                        simd,
+                        |_, session| point.push(session),
+                    )
+                    .unwrap();
+                assert_eq!(point, reference, "{label}: {build} fused point diverged");
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,12 @@
 //! level down to the raw `u64` draws (and it is what any future
 //! within-session parallelism will rely on, too).
 //!
+//! A stage that needs several words per frame draws them as one *block*:
+//! [`fill_next`](LaneStreams::fill_next) over `depth × width` words steps
+//! each lane `depth` times with its state in registers, writing draw `d` of
+//! lane `j` at `out[d * width + j]` — the same words, and the same state
+//! afterwards, as `depth` one-column calls.
+//!
 //! The SplitMix64 seeding chain and the xoshiro256++ step are deliberately
 //! *duplicated* from the `rand` shim rather than imported: the shim exposes
 //! neither its state nor a multi-lane API, and the duplication lets the
@@ -62,8 +68,10 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// A bank of xoshiro256++ generators in structure-of-arrays layout: lane
 /// `j` replays the stream of frame `first_frame + j`, and
-/// [`fill_next`](LaneStreams::fill_next) advances every lane one draw,
-/// producing one *column* of raw `u64` words per call.
+/// [`fill_next`](LaneStreams::fill_next) advances every lane one draw per
+/// *column* of raw `u64` words it writes: one column per call, or a block
+/// of `depth` columns (draw `d` of lane `j` at `out[d * width + j]`) that
+/// each lane steps through with its state held in registers.
 ///
 /// ```
 /// use xr_types::lanes::LaneStreams;
@@ -75,6 +83,12 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// let mut column = [0u64; 8];
 /// lanes.fill_next(&mut column); // draw #0 of frames 1..=8
 /// lanes.fill_next(&mut column); // draw #1 of frames 1..=8
+///
+/// // The same draws as one two-column block.
+/// let mut block = [0u64; 2 * 8];
+/// lanes.reseed(stage_base, 1, 8);
+/// lanes.fill_next(&mut block);
+/// assert_eq!(block[8..], column); // draw #1 is the second column
 /// ```
 #[derive(Debug, Clone)]
 pub struct LaneStreams {
@@ -224,24 +238,34 @@ impl LaneStreams {
         }
     }
 
-    /// Advances every lane one xoshiro256++ step, writing lane `j`'s next
-    /// raw word to `out[j]` — one column of draws, in frame order.
+    /// Advances every lane `depth = out.len() / width` xoshiro256++ steps,
+    /// writing draw `d` of lane `j` to `out[d * width + j]`: one column of
+    /// draws (in frame order) per step, `depth` columns per call. A
+    /// one-column `out` is the plain single step. Every tier loads each
+    /// lane's state once per call, steps it `depth` times and stores it
+    /// once, so a block costs one state round trip instead of `depth`; the
+    /// state it leaves behind is the state `depth` one-column calls would
+    /// leave, so later draws do not depend on how earlier ones were
+    /// grouped.
     ///
     /// # Panics
     ///
-    /// Panics if `out.len()` differs from the number of seeded lanes.
+    /// Panics if `out.len()` is not a whole number of columns of the
+    /// seeded lane count (an empty `out` is zero columns).
     pub fn fill_next(&mut self, out: &mut [u64]) {
-        assert_eq!(
-            out.len(),
-            self.s0.len(),
-            "output column width must match the seeded lane count"
+        let width = self.s0.len();
+        assert!(
+            out.len().is_multiple_of(width),
+            "output column width must match the seeded lane count ({} words on {width} lanes)",
+            out.len()
         );
         let (s0, s1, s2, s3) = (&mut self.s0, &mut self.s1, &mut self.s2, &mut self.s3);
         match self.tier {
             #[cfg(target_arch = "x86_64")]
             #[allow(unsafe_code)]
             // SAFETY: `with_tier` confirmed the CPU runs the bank's tier;
-            // the state columns share one length, asserted equal to `out`'s.
+            // the state columns share one length, and `out` holds a whole
+            // number of columns of it (asserted above).
             Tier::Avx512 => unsafe { avx512::fill_next(s0, s1, s2, s3, out) },
             #[cfg(target_arch = "x86_64")]
             #[allow(unsafe_code)]
@@ -252,8 +276,37 @@ impl LaneStreams {
     }
 }
 
-/// The portable stepping loop behind [`LaneStreams::fill_next`]; also the
-/// reference the SIMD tiers are pinned against.
+/// One xoshiro256++ step of one lane's state `[s0, s1, s2, s3]`, identical
+/// to the shim's `next_u64`.
+#[inline]
+fn step(s: &mut [u64; 4]) -> u64 {
+    let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+    let t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+    result
+}
+
+/// Steps lane `j` of a `width`-lane bank through every column of the block
+/// `out` (draw `d` at `out[d * width + j]`), its state held in locals. The
+/// portable pass runs every lane through here; the AVX2 pass its tail
+/// lanes.
+#[inline]
+fn fill_lane(state: [&mut u64; 4], out: &mut [u64], j: usize, width: usize) {
+    let [s0, s1, s2, s3] = state;
+    let mut s = [*s0, *s1, *s2, *s3];
+    for word in out[j..].iter_mut().step_by(width) {
+        *word = step(&mut s);
+    }
+    [*s0, *s1, *s2, *s3] = s;
+}
+
+/// The portable stepping loop behind [`LaneStreams::fill_next`], lane by
+/// lane; also the reference the SIMD tiers are pinned against.
 fn fill_next_portable(
     s0: &mut [u64],
     s1: &mut [u64],
@@ -261,21 +314,13 @@ fn fill_next_portable(
     s3: &mut [u64],
     out: &mut [u64],
 ) {
-    let iter = out.iter_mut().zip(
-        s0.iter_mut()
-            .zip(s1.iter_mut())
-            .zip(s2.iter_mut().zip(s3.iter_mut())),
-    );
-    for (out, ((s0, s1), (s2, s3))) in iter {
-        // One xoshiro256++ step, identical to the shim's `next_u64`.
-        *out = s0.wrapping_add(*s3).rotate_left(23).wrapping_add(*s0);
-        let t = *s1 << 17;
-        *s2 ^= *s0;
-        *s3 ^= *s1;
-        *s1 ^= *s2;
-        *s0 ^= *s3;
-        *s2 ^= t;
-        *s3 = s3.rotate_left(45);
+    let width = s0.len();
+    let lanes = s0
+        .iter_mut()
+        .zip(s1.iter_mut())
+        .zip(s2.iter_mut().zip(s3.iter_mut()));
+    for (j, ((s0, s1), (s2, s3))) in lanes.enumerate() {
+        fill_lane([s0, s1, s2, s3], out, j, width);
     }
 }
 
@@ -417,9 +462,10 @@ mod avx2 {
         }
     }
 
-    /// Four-lane xoshiro256++ step ([`super::LaneStreams::fill_next`]
-    /// body): pure add/xor/shift vector ops, four lanes per iteration with
-    /// a scalar tail.
+    /// Four-lane xoshiro256++ block ([`super::LaneStreams::fill_next`]
+    /// body): each four-lane chunk's state is loaded once, stepped once per
+    /// column of `out` with pure add/xor/shift vector ops, and stored once;
+    /// the tail lanes run the portable lane loop.
     #[target_feature(enable = "avx2")]
     pub(super) fn fill_next(
         s0: &mut [u64],
@@ -428,11 +474,12 @@ mod avx2 {
         s3: &mut [u64],
         out: &mut [u64],
     ) {
-        let width = out.len();
+        let width = s0.len();
         let chunks = width / 4;
         for c in 0..chunks {
-            // SAFETY: `c * 4 + 4 <= width == out.len() == s*.len()`, so all
-            // unaligned 32-byte loads and stores stay in bounds.
+            // SAFETY: `c * 4 + 4 <= width == s*.len()`, and `out` holds a
+            // whole number of `width`-word columns, so every unaligned
+            // 32-byte load and store stays in bounds.
             unsafe {
                 let p0 = s0.as_mut_ptr().add(c * 4).cast::<__m256i>();
                 let p1 = s1.as_mut_ptr().add(c * 4).cast::<__m256i>();
@@ -442,33 +489,26 @@ mod avx2 {
                 let mut v1 = _mm256_loadu_si256(p1);
                 let mut v2 = _mm256_loadu_si256(p2);
                 let mut v3 = _mm256_loadu_si256(p3);
-                let result = _mm256_add_epi64(rotl::<23, 41>(_mm256_add_epi64(v0, v3)), v0);
-                let t = _mm256_slli_epi64::<17>(v1);
-                v2 = _mm256_xor_si256(v2, v0);
-                v3 = _mm256_xor_si256(v3, v1);
-                v1 = _mm256_xor_si256(v1, v2);
-                v0 = _mm256_xor_si256(v0, v3);
-                v2 = _mm256_xor_si256(v2, t);
-                v3 = rotl::<45, 19>(v3);
+                for column in (c * 4..out.len()).step_by(width) {
+                    let result = _mm256_add_epi64(rotl::<23, 41>(_mm256_add_epi64(v0, v3)), v0);
+                    let t = _mm256_slli_epi64::<17>(v1);
+                    v2 = _mm256_xor_si256(v2, v0);
+                    v3 = _mm256_xor_si256(v3, v1);
+                    v1 = _mm256_xor_si256(v1, v2);
+                    v0 = _mm256_xor_si256(v0, v3);
+                    v2 = _mm256_xor_si256(v2, t);
+                    v3 = rotl::<45, 19>(v3);
+                    _mm256_storeu_si256(out.as_mut_ptr().add(column).cast::<__m256i>(), result);
+                }
                 _mm256_storeu_si256(p0, v0);
                 _mm256_storeu_si256(p1, v1);
                 _mm256_storeu_si256(p2, v2);
                 _mm256_storeu_si256(p3, v3);
-                _mm256_storeu_si256(out.as_mut_ptr().add(c * 4).cast::<__m256i>(), result);
             }
         }
         for j in chunks * 4..width {
-            out[j] = s0[j]
-                .wrapping_add(s3[j])
-                .rotate_left(23)
-                .wrapping_add(s0[j]);
-            let t = s1[j] << 17;
-            s2[j] ^= s0[j];
-            s3[j] ^= s1[j];
-            s1[j] ^= s2[j];
-            s0[j] ^= s3[j];
-            s2[j] ^= t;
-            s3[j] = s3[j].rotate_left(45);
+            let state = [&mut s0[j], &mut s1[j], &mut s2[j], &mut s3[j]];
+            super::fill_lane(state, out, j, width);
         }
     }
 }
@@ -576,13 +616,15 @@ mod avx512 {
         }
     }
 
-    /// Eight-lane xoshiro256++ step ([`super::LaneStreams::fill_next`]
-    /// body), with a masked last chunk.
+    /// Eight-lane xoshiro256++ block ([`super::LaneStreams::fill_next`]
+    /// body): each eight-lane chunk's state is loaded once, stepped once
+    /// per column of `out`, and stored once, with a masked last chunk.
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX-512F and AVX-512DQ, and `out` and the four
-    /// state slices must have the same length.
+    /// The CPU must support AVX-512F and AVX-512DQ, the four state slices
+    /// must have the same length, and `out` must hold a whole number of
+    /// columns of that length.
     #[target_feature(enable = "avx512f,avx512dq")]
     pub(super) unsafe fn fill_next(
         s0: &mut [u64],
@@ -591,11 +633,12 @@ mod avx512 {
         s3: &mut [u64],
         out: &mut [u64],
     ) {
-        let width = out.len();
+        let width = s0.len();
         for i in (0..width).step_by(8) {
             let mask = chunk_mask(width, i);
-            // SAFETY: `out` and the four state slices share `width`, and
-            // the mask keeps every loaded and stored lane below it.
+            // SAFETY: the four state slices share `width`, `out` is a whole
+            // number of `width`-word columns, and the mask keeps every
+            // loaded and stored lane below `width` within its column.
             unsafe {
                 let p0 = s0.as_mut_ptr().add(i).cast::<i64>();
                 let p1 = s1.as_mut_ptr().add(i).cast::<i64>();
@@ -605,19 +648,23 @@ mod avx512 {
                 let mut v1 = _mm512_maskz_loadu_epi64(mask, p1);
                 let mut v2 = _mm512_maskz_loadu_epi64(mask, p2);
                 let mut v3 = _mm512_maskz_loadu_epi64(mask, p3);
-                let result = _mm512_add_epi64(_mm512_rol_epi64::<23>(_mm512_add_epi64(v0, v3)), v0);
-                let t = _mm512_slli_epi64::<17>(v1);
-                v2 = _mm512_xor_si512(v2, v0);
-                v3 = _mm512_xor_si512(v3, v1);
-                v1 = _mm512_xor_si512(v1, v2);
-                v0 = _mm512_xor_si512(v0, v3);
-                v2 = _mm512_xor_si512(v2, t);
-                v3 = _mm512_rol_epi64::<45>(v3);
+                for column in (i..out.len()).step_by(width) {
+                    let result =
+                        _mm512_add_epi64(_mm512_rol_epi64::<23>(_mm512_add_epi64(v0, v3)), v0);
+                    let t = _mm512_slli_epi64::<17>(v1);
+                    v2 = _mm512_xor_si512(v2, v0);
+                    v3 = _mm512_xor_si512(v3, v1);
+                    v1 = _mm512_xor_si512(v1, v2);
+                    v0 = _mm512_xor_si512(v0, v3);
+                    v2 = _mm512_xor_si512(v2, t);
+                    v3 = _mm512_rol_epi64::<45>(v3);
+                    let dst = out.as_mut_ptr().add(column).cast::<i64>();
+                    _mm512_mask_storeu_epi64(dst, mask, result);
+                }
                 _mm512_mask_storeu_epi64(p0, mask, v0);
                 _mm512_mask_storeu_epi64(p1, mask, v1);
                 _mm512_mask_storeu_epi64(p2, mask, v2);
                 _mm512_mask_storeu_epi64(p3, mask, v3);
-                _mm512_mask_storeu_epi64(out.as_mut_ptr().add(i).cast::<i64>(), mask, result);
             }
         }
     }
@@ -788,6 +835,50 @@ mod tests {
         lanes.reseed(3, 0, 4);
         let mut column = vec![0u64; 5];
         lanes.fill_next(&mut column);
+    }
+
+    #[test]
+    #[should_panic(expected = "output column width")]
+    fn a_block_of_partial_columns_is_rejected() {
+        let mut lanes = LaneStreams::new();
+        lanes.reseed(3, 0, 4);
+        let mut block = vec![0u64; 6];
+        lanes.fill_next(&mut block);
+    }
+
+    #[test]
+    fn a_block_equals_single_column_fills() {
+        // On every tier the host runs, one `depth × width` block must be
+        // the `depth` columns that `depth` one-column fills draw, and
+        // leave the same state behind: the next single fill still
+        // matches. Widths cover one lane, every AVX2 scalar-tail length,
+        // a full and a partial 8-lane chunk, and the engine's default
+        // batch; depths cover the engine's word pairs and a whole sensor
+        // block of 3 × 6 updates.
+        for tier in tiers() {
+            for width in [1usize, 3, 7, 8, 9, 63, 256] {
+                for depth in [1usize, 2, 6, 18] {
+                    let base = seed::mix(2024, depth as u64);
+                    let mut single = LaneStreams::with_tier(tier);
+                    let mut blocked = LaneStreams::with_tier(tier);
+                    single.reseed(base, 5, width);
+                    blocked.reseed(base, 5, width);
+                    let mut columns = vec![0u64; depth * width];
+                    for column in columns.chunks_exact_mut(width) {
+                        single.fill_next(column);
+                    }
+                    let mut block = vec![0u64; depth * width];
+                    blocked.fill_next(&mut block);
+                    let context = format!("{tier:?} depth {depth} width {width}");
+                    assert_eq!(block, columns, "block diverged: {context}");
+                    let mut after_single = vec![0u64; width];
+                    let mut after_block = vec![0u64; width];
+                    single.fill_next(&mut after_single);
+                    blocked.fill_next(&mut after_block);
+                    assert_eq!(after_block, after_single, "next draw diverged: {context}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use xr_core::{LatencyModel, Scenario, XrPerformanceModel};
 use xr_queueing::{MM1Queue, MM1Simulator};
 use xr_stats::{metrics, LinearRegression};
+use xr_sweep::ShardSpec;
 use xr_types::{ExecutionTarget, GigaHertz, Hertz, Ratio, Segment};
 
 fn scenario_strategy() -> impl Strategy<Value = Scenario> {
@@ -192,5 +193,45 @@ proptest! {
             .unwrap();
         let bigger_report = model.analyze(&bigger).unwrap();
         prop_assert!(bigger_report.energy.total() >= report.energy.total());
+    }
+}
+
+/// Arbitrary short text over the characters a `--shard` token is made of,
+/// plus ones it must reject: signs, spaces, letters, a non-ASCII digit and
+/// a multi-byte letter. Long digit runs overflow `usize`.
+fn shard_token_strategy() -> impl Strategy<Value = String> {
+    let chars = vec![
+        '0', '1', '2', '3', '7', '9', '/', '/', ' ', '\t', '-', '+', 'x', '\u{663}', 'é',
+    ];
+    prop::collection::vec(prop::sample::select(chars), 0..12)
+        .prop_map(|chars| chars.into_iter().collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn shard_spec_parsing_never_panics(token in shard_token_strategy()) {
+        // Both entry points return `Ok` or `Err` (a panic fails the
+        // property), agree with each other, and only accept a valid
+        // 1-based spec, which round-trips through `Display`.
+        let parsed = ShardSpec::parse(&token);
+        let from_str = token.parse::<ShardSpec>();
+        prop_assert_eq!(parsed.as_ref().ok(), from_str.as_ref().ok());
+        if let Ok(spec) = parsed {
+            prop_assert!(1 <= spec.index() && spec.index() <= spec.count(), "{spec:?}");
+            prop_assert_eq!(ShardSpec::parse(&spec.to_string()).ok(), Some(spec));
+        }
+    }
+
+    #[test]
+    fn valid_shard_specs_round_trip_through_display(
+        count in 1usize..10_000,
+        offset in 0usize..10_000,
+    ) {
+        let spec = ShardSpec::new(offset % count + 1, count).unwrap();
+        let text = spec.to_string();
+        prop_assert_eq!(ShardSpec::parse(&text).ok(), Some(spec));
+        prop_assert_eq!(text.parse::<ShardSpec>().ok(), Some(spec));
     }
 }
