@@ -14,7 +14,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_distr::{column, math, Distribution, Normal};
-use xr_types::lanes::{self, LaneStreams};
+use xr_testbed::lanes::LaneStreams;
 use xr_types::seed;
 
 /// Frames per measured pass — one campaign-sized stretch of a session.
@@ -36,16 +36,15 @@ fn draw_columns(c: &mut Criterion) {
     // replay the per-frame streams word for word before its throughput
     // means anything. The timed passes below run the dispatched tier.
     println!(
-        "draw_columns: dispatched tiers: lanes {:?}, columns {:?}",
-        lanes::Tier::dispatched(),
+        "draw_columns: dispatched tier: {:?}",
         math::Tier::dispatched()
     );
-    for (lane_tier, column_tier) in lanes::Tier::ALL.into_iter().zip(math::Tier::ALL) {
-        if !lane_tier.supported() || !column_tier.supported() {
-            println!("draw_columns: skipping the {lane_tier:?} tier: this host cannot run it");
+    for tier in math::Tier::ALL {
+        if !tier.supported() {
+            println!("draw_columns: skipping the {tier:?} tier: this host cannot run it");
             continue;
         }
-        let mut lanes = LaneStreams::with_tier(lane_tier);
+        let mut lanes = LaneStreams::with_tier(tier);
         lanes.reseed(STAGE_BASE, 0, FRAMES);
         let mut raw_a = vec![0u64; FRAMES];
         let mut raw_b = vec![0u64; FRAMES];
@@ -55,29 +54,25 @@ fn draw_columns(c: &mut Criterion) {
         lanes.fill_next(&mut raw_a);
         lanes.fill_next(&mut raw_b);
         column::fill_normal(&normal, &raw_a, &raw_b, &mut normals);
-        column::fill_lognormal_at(column_tier, &normal, &raw_a, &raw_b, &mut factors);
+        column::fill_lognormal_at(tier, &normal, &raw_a, &raw_b, &mut factors);
         lanes.fill_next(&mut raw_a);
-        column::fill_uniform_range_at(column_tier, -0.05, 0.05, &raw_a, &mut uniforms);
+        column::fill_uniform_range_at(tier, -0.05, 0.05, &raw_a, &mut uniforms);
         for frame in 0..FRAMES {
             let mut rng = frame_rng(frame);
             let z = normal.sample(&mut rng);
-            assert_eq!(normals[frame], z, "{lane_tier:?} normal diverged");
-            assert_eq!(
-                factors[frame],
-                math::exp(z),
-                "{column_tier:?} lognormal diverged"
-            );
+            assert_eq!(normals[frame], z, "{tier:?} normal diverged");
+            assert_eq!(factors[frame], math::exp(z), "{tier:?} lognormal diverged");
             assert_eq!(
                 uniforms[frame],
                 rng.gen_range(-0.05..0.05),
-                "{column_tier:?} uniform diverged"
+                "{tier:?} uniform diverged"
             );
         }
         // A block fill must draw the same columns, and leave the same
         // state, as one-column fills at every depth the block cases time.
         for depth in BLOCK_DEPTHS {
-            let mut single = LaneStreams::with_tier(lane_tier);
-            let mut blocked = LaneStreams::with_tier(lane_tier);
+            let mut single = LaneStreams::with_tier(tier);
+            let mut blocked = LaneStreams::with_tier(tier);
             single.reseed(STAGE_BASE, 0, WIDTH);
             blocked.reseed(STAGE_BASE, 0, WIDTH);
             let mut columns = vec![0u64; (depth + 1) * WIDTH];
@@ -87,9 +82,9 @@ fn draw_columns(c: &mut Criterion) {
             let mut block = vec![0u64; (depth + 1) * WIDTH];
             blocked.fill_next(&mut block[..depth * WIDTH]);
             blocked.fill_next(&mut block[depth * WIDTH..]);
-            assert_eq!(block, columns, "{lane_tier:?} depth-{depth} block diverged");
+            assert_eq!(block, columns, "{tier:?} depth-{depth} block diverged");
         }
-        println!("draw_columns: the {lane_tier:?} tier replays the per-frame streams");
+        println!("draw_columns: the {tier:?} tier replays the per-frame streams");
     }
 
     let mut group = c.benchmark_group("draw_columns");

@@ -1,4 +1,4 @@
-//! Benchmarks the ground-truth substrate: per-frame pipeline simulation, the
+//! Benchmarks the ground-truth substrate: one-frame session simulation, the
 //! Monsoon-style power sampling, and the M/M/1 discrete-event simulator.
 
 use bench::bench_scenario;
@@ -10,14 +10,14 @@ use xr_types::{ExecutionTarget, Seconds, Watts};
 
 fn frame_simulation(c: &mut Criterion) {
     let testbed = TestbedSimulator::new(3);
-    let mut group = c.benchmark_group("testbed/simulate_frame");
+    let mut group = c.benchmark_group("testbed/one_frame_session");
     for (label, target) in [
         ("local", ExecutionTarget::Local),
         ("remote", ExecutionTarget::Remote),
     ] {
         let scenario = bench_scenario(500.0, target);
         group.bench_with_input(BenchmarkId::from_parameter(label), &scenario, |b, s| {
-            b.iter(|| black_box(testbed.simulate_frame(s, 1).unwrap()))
+            b.iter(|| black_box(testbed.simulate_session(s, 1).unwrap()))
         });
     }
     group.finish();

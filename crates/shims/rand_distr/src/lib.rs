@@ -190,7 +190,7 @@ impl StandardNormalPairs {
 /// time, in bounds-check-free passes over contiguous slices.
 ///
 /// The batched frame engine pre-fills raw word columns with
-/// `xr_types::lanes::LaneStreams` (lane `j` = frame `j`'s own stream) and
+/// `xr_testbed::lanes::LaneStreams` (lane `j` = frame `j`'s own stream) and
 /// pushes them through these transforms, so the per-frame loops never touch
 /// an RNG object. Bit-identity with the scalar samplers is load-bearing —
 /// the batched engine must match the scalar reference bit for bit — and is

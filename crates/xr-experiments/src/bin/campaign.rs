@@ -29,7 +29,7 @@
 //! An unsharded run streams each row into `campaign.csv` as the collector
 //! releases it (buffered, not fsync'd: only shards resume) and prints a
 //! one-line summary on stdout: points, replications, workers and the CSV
-//! path. A failed write exits with status 1.
+//! path. A failed calibration or write exits with status 1.
 //!
 //! `XR_CAMPAIGN_SEED` sets the campaign seed (default 2024) and
 //! `XR_SWEEP_WORKERS` the worker count; a value that is not a non-negative
@@ -55,7 +55,9 @@ fn fail(message: &str) -> ! {
 fn main() {
     let args = CampaignArgs::from_env();
     let grid = args.grid().unwrap_or_else(|message| usage_error(&message));
-    let ctx = ExperimentContext::from_flags(&args);
+    let ctx = args
+        .context(ExperimentContext::seed_from_env())
+        .unwrap_or_else(|error| fail(&format!("campaign: calibration: {error}")));
     let runner = ctx.runner();
     let dir = output::artifact_dir();
     std::fs::create_dir_all(&dir)

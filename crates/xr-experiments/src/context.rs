@@ -1,7 +1,7 @@
 //! Shared experiment context: the simulated testbed, the measurement
 //! campaign, and the calibrated analytical framework.
 
-use crate::campaign_args::{usage_error, CampaignArgs};
+use crate::campaign_args::usage_error;
 use xr_core::{Scenario, XrPerformanceModel};
 use xr_devices::DeviceCatalog;
 use xr_sweep::{grid, CampaignRunner, MobilityCondition, OperatingPoint, WirelessCondition};
@@ -67,31 +67,13 @@ impl ExperimentContext {
         })
     }
 
-    /// Builds the context parsed flags select: quick by default, paper
-    /// scale with `--paper-scale`, and ground-truth sessions through the
-    /// scalar reference engine instead of the batched default with
-    /// `--scalar-sessions` (the CI equivalence diff runs every campaign
-    /// both ways and requires byte-identical artifacts).
-    ///
-    /// `XR_CAMPAIGN_SEED` overrides the base session seed (default 2024).
-    /// Re-running the same grid under a different seed produces the
-    /// *same-scheme reseed* distribution that calibrates the null rate for
-    /// sanctioned draw-scheme re-keys (see `xr_stats::equivalence`). A
-    /// malformed seed exits with status 2 and a message.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a readable message if the regression calibration fails,
-    /// which only happens when the measurement campaign is empty.
-    #[must_use]
-    pub fn from_flags(args: &CampaignArgs) -> Self {
-        args.context(Self::seed_from_env())
-            .expect("failed to calibrate the analytical framework")
-    }
-
     /// The base session seed from `XR_CAMPAIGN_SEED` (2024 when unset).
     /// A value that is not a non-negative integer exits with status 2 and a
     /// message rather than silently running the default seed.
+    ///
+    /// Re-running the same grid under a different seed produces the
+    /// *same-scheme reseed* distribution that calibrates the null rate for
+    /// sanctioned draw-scheme re-keys (see `xr_stats::equivalence`).
     #[must_use]
     pub fn seed_from_env() -> u64 {
         parse_campaign_seed(std::env::var("XR_CAMPAIGN_SEED").ok().as_deref())

@@ -7,7 +7,7 @@
 //! all frames' power-monitor integrals) instead of walking one frame
 //! through the whole pipeline at a time. A batch runs eleven `batch_*`
 //! column stages: the ten stages of the scalar pipeline (generate through
-//! finalize) plus the topology walk pre-pass that `batch_walk` hoists out
+//! finalize) plus the mobility walk pre-pass that `batch_walk` hoists out
 //! of the handoff stage.
 //!
 //! Two properties make this reordering legal without changing a single
@@ -17,22 +17,22 @@
 //!    from the stream `stage_stream_seed(session_seed, s, f)`
 //!    ([`xr_types::seed`]), so a stage never observes how many draws another
 //!    stage consumed and columns can be evaluated in any order.
-//! 2. **Explicit carry for the sequential stages.** The only cross-frame
-//!    state — the mobility walker of the handoff stage — is advanced as one
-//!    in-order scan per batch ([`xr_wireless::RandomWalker::advance_many`],
-//!    or [`xr_wireless::TopologyWalker::advance_many_into`] when the
-//!    scenario places a multi-site [`xr_wireless::EdgeTopology`]), with its
-//!    fractional-step carry preserved across batch boundaries. On a
-//!    topologized scenario a per-batch walk pre-pass records each frame's
+//! 2. **Explicit carry for the sequential stage.** The only cross-frame
+//!    state — the mobility walker of a moving session — is advanced as one
+//!    in-order scan per batch
+//!    ([`xr_wireless::TopologyWalker::advance_many_into`] over the
+//!    scenario's [`xr_wireless::EdgeTopology`], or over the single coverage
+//!    zone as a one-site map), with its fractional-step carry preserved
+//!    across batch boundaries. This walk pre-pass records each frame's
 //!    attachment site and [`SiteEvents`]; the handoff column then prices
 //!    zone crossings and edge-to-edge state migrations from those records,
-//!    and the contended edge column looks up the *site's* M/M/1 plan per
-//!    frame.
+//!    and on a contended multi-edge map the edge column looks up the
+//!    *site's* M/M/1 plan per frame.
 //!
 //! ## The lane-oriented draw layer
 //!
 //! The stages do not draw from per-frame RNG objects. Each stochastic stage
-//! seeds one [`xr_types::lanes::LaneStreams`] bank per batch — lane `j`
+//! seeds one [`crate::lanes::LaneStreams`] bank per batch — lane `j`
 //! replays frame `first_index + j`'s own stage stream — and pre-fills its
 //! draw columns *by draw index*: one block `fill_next` per draw group (a
 //! Box–Muller word pair, the monitor's `2 × pairs` words, a sensor's
@@ -75,7 +75,7 @@
 //! the replication's [`SessionTotals`] and builds no frame at all.
 //!
 //! All column storage (`FrameBatch`, `DrawColumns`, the walker's
-//! crossing counts) is allocated once per session and reused across
+//! per-frame events) is allocated once per session and reused across
 //! batches — the steady-state frame loop performs **no** per-frame heap
 //! allocation at all.
 //!
@@ -86,6 +86,7 @@
 //! wide-lane fills against per-frame `stage_rng` draws, and a CI step that
 //! runs a whole campaign through both engines and diffs the CSVs.
 
+use crate::lanes::LaneStreams;
 use crate::laws::DeviceBias;
 use crate::power::DrawCursors;
 use crate::simulator::{
@@ -96,9 +97,8 @@ use rand_distr::math::Tier;
 use rand_distr::{column, Distribution, Exp, Normal, StandardNormalPairs};
 use std::ops::Range;
 use xr_core::Scenario;
-use xr_types::lanes::LaneStreams;
 use xr_types::{Joules, Result, Seconds, Segment, Watts, SPEED_OF_LIGHT};
-use xr_wireless::{HandoffKind, SiteEvents, WirelessLink};
+use xr_wireless::{EdgeTopology, HandoffKind, SiteEvents, TopologyWalker, WirelessLink};
 
 /// Default number of frames simulated per batch. Sessions shorter than the
 /// width still run batched (one partial batch); longer sessions amortise
@@ -169,13 +169,17 @@ struct BatchConsts {
     // Stage 6, contended mode — the shared sampling plan of the multi-tenant
     // M/M/1 queues (`None` keeps the private-edge path).
     contention: Option<ContentionPlan>,
-    // Stage 7 — handoff.
+    // Stage 6, contended multi-edge mode — `site_plans[site]` is the
+    // sampling plan while the session is attached to `site` (`None`
+    // without a topology or without contention).
+    site_plans: Option<Vec<ContentionPlan>>,
+    // Stage 7 — handoff. `map` is the map every replication walks (`None`
+    // for a static device without a topology), built once per point.
     mobile: bool,
     window: Seconds,
     handoff_base: Seconds,
-    // Stage 7, topology mode — the multi-edge map's hoisted per-session
-    // state (`None` keeps the single-zone path byte-identical).
-    topology: Option<BatchTopology>,
+    migration_base: Seconds,
+    map: Option<EdgeTopology>,
     // Stage 8 — render.
     render_base: Seconds,
     result_delivery: Seconds,
@@ -197,17 +201,6 @@ struct BatchConsts {
     /// *else* in this struct is seed-independent, which is what lets the
     /// fused point engine hoist one `BatchConsts` across all replications.
     stage_bases: Vec<[u64; 13]>,
-}
-
-/// The hoisted topology-mode constants of one batched session: the per-site
-/// contended sampling plans (when contention is configured) and the
-/// deterministic state-migration base latency of the scenario's re-offload
-/// policy.
-struct BatchTopology {
-    /// `plans[site]` — the contended edge stage's sampling plan while the
-    /// session is attached to `site`; `None` for an uncontended topology.
-    site_plans: Option<Vec<ContentionPlan>>,
-    migration_base: Seconds,
 }
 
 impl BatchConsts {
@@ -325,19 +318,11 @@ impl BatchConsts {
                 TestbedSimulator::segment_included(scenario, segment, uses_local, uses_edge);
         }
 
-        let topology = match scenario.topology {
-            Some(config) => Some(BatchTopology {
-                site_plans: simulator.site_contention_plans(scenario)?,
-                migration_base: TestbedSimulator::migration_base(config.migration_policy),
-            }),
-            None => None,
-        };
-        // With a topology the contended plan is per *site* (held in
-        // `topology`); the aggregate plan would shadow it.
-        let contention = if scenario.topology.is_none() {
-            simulator.contention_plan(scenario)?
-        } else {
-            None
+        // With a topology the contended plan is per *site*; the aggregate
+        // plan would shadow it.
+        let (site_plans, contention) = match scenario.topology {
+            Some(_) => (simulator.site_contention_plans(scenario)?, None),
+            None => (None, simulator.contention_plan(scenario)?),
         };
 
         Ok(Self {
@@ -364,10 +349,12 @@ impl BatchConsts {
             }),
             edges,
             contention,
+            site_plans,
             mobile,
             window,
             handoff_base,
-            topology,
+            migration_base: TestbedSimulator::migration_base(scenario),
+            map: TestbedSimulator::session_map(scenario),
             render_base: ms(frame.raw_size.as_f64(), c_true) + frame.raw_data / memory,
             result_delivery,
             cooperation_base: scenario.cooperation.payload / scenario.cooperation.throughput
@@ -437,8 +424,6 @@ struct DrawColumns {
     cursors: DrawCursors,
     /// Per-frame accumulator for the sensor stage's update loop.
     acc: Vec<Seconds>,
-    /// Reused crossing counts of the handoff stage's walker scan.
-    crossings: Vec<usize>,
     /// Scratch for the fused path's per-replication stage seed bases (one
     /// entry per fused replication, rebuilt on each reseed).
     bases: Vec<u64>,
@@ -454,7 +439,6 @@ impl DrawColumns {
             normals: Vec::new(),
             cursors: DrawCursors::default(),
             acc: Vec::new(),
-            crossings: Vec::new(),
             bases: Vec::new(),
         }
     }
@@ -566,13 +550,14 @@ struct FrameBatch {
     latency: [Vec<Seconds>; Segment::ALL.len()],
     buffering: Vec<Seconds>,
     handoff_occurred: Vec<bool>,
-    /// Scratch: the per-frame observation windows fed to `advance_many`.
+    /// Scratch: one replication's per-frame observation windows, fed to
+    /// the walk pre-pass's `advance_many_into`.
     windows: Vec<Seconds>,
-    /// Topology mode: the edge site serving each frame's uplink (the site
-    /// at the frame window's start), recorded by the walk pre-pass.
-    sites: Vec<usize>,
-    /// Topology mode: each frame's crossing/migration events from the walk
-    /// pre-pass, priced later by the handoff stage.
+    /// Each frame's walk events from the walk pre-pass: the site serving
+    /// its uplink (the site at the frame window's start) and its
+    /// crossing/migration counts, priced later by the handoff stage.
+    /// Written for a moving session, and for a static one only when the
+    /// edge stage reads its site.
     events: Vec<SiteEvents>,
     /// Scratch: one replication's walk events before they are copied into
     /// its `events` segment (`advance_many_into` clears its output, so the
@@ -611,7 +596,6 @@ impl FrameBatch {
             buffering: Vec::new(),
             handoff_occurred: Vec::new(),
             windows: Vec::new(),
-            sites: Vec::new(),
             events: Vec::new(),
             events_scratch: Vec::new(),
             totals: Vec::new(),
@@ -777,7 +761,7 @@ impl TestbedSimulator {
         scenario.validate()?;
         let width = width.max(1) as u64;
         let consts = BatchConsts::new(self, scenario)?;
-        let mut session = SessionState::new(self, scenario);
+        let mut session = SessionState::on_map(self.seed, scenario, consts.map.as_ref());
         let mut batch = FrameBatch::new();
         let mut draws = DrawColumns::new();
         let mut out = O::new(frames);
@@ -871,7 +855,7 @@ impl TestbedSimulator {
         self.batch_encode(consts, batch, draws);
         self.batch_local_inference(consts, batch, draws);
         self.batch_uplink_and_edge(consts, batch, draws);
-        self.batch_handoff(consts, batch, draws, sessions);
+        self.batch_handoff(consts, batch, sessions);
         self.batch_render(consts, batch, draws);
         if O::READS_EVERY_SEGMENT || consts.segment_included[COOPERATION] {
             self.batch_cooperate(consts, batch, draws);
@@ -999,7 +983,7 @@ impl TestbedSimulator {
             BatchConsts::for_seeds(self, scenario, &seeds)?
         };
         let mut sessions: Vec<SessionState> = (0..reps)
-            .map(|rep| SessionState::new(&self.reseeded(rep_seed(rep)), scenario))
+            .map(|rep| SessionState::on_map(rep_seed(rep), scenario, consts.map.as_ref()))
             .collect();
         let mut outs: Vec<O> = (0..reps).map(|_| O::new(frames)).collect();
         // Split the lane budget evenly across the replications so the fused
@@ -1028,66 +1012,54 @@ impl TestbedSimulator {
         Ok(())
     }
 
-    /// Topology pre-pass — the *other* sequential scan: advance the
-    /// topology walker through the whole batch in frame order (preserving
-    /// the fractional-step carry, like the legacy walker scan), recording
-    /// per frame the site serving its uplink (the site at the window start)
-    /// and its crossing/migration events. The walker stream is
+    /// The walk pre-pass — the one sequential scan: advance each moving
+    /// session's walker through the whole batch in frame order (preserving
+    /// the fractional-step carry across batches), recording per frame its
+    /// [`SiteEvents`]: the site serving its uplink (the site at the window
+    /// start) and its crossing/migration counts. The walker stream is
     /// session-sequential, but because every stage draws from its own
     /// per-(stage, frame) stream, hoisting the walk before the uplink stage
     /// cannot change any stage's draws — only the walk's in-order totals
     /// matter, and those are identical to the scalar's frame-interleaved
-    /// advances. A static topologized session pins every frame to its start
-    /// site with no events. A fused batch runs the scan once per
-    /// replication over that replication's contiguous lane segment — each
-    /// walker's in-order advance sequence is exactly its standalone
-    /// session's.
+    /// advances. A fused batch runs the scan once per replication over that
+    /// replication's contiguous lane segment — each walker's in-order
+    /// advance sequence is exactly its standalone session's. A static
+    /// session does not walk; on a contended multi-edge map, where the edge
+    /// stage reads the frame's site, it serves every frame from its start
+    /// site.
     #[inline(always)]
     fn batch_walk(&self, k: &BatchConsts, b: &mut FrameBatch, sessions: &mut [SessionState]) {
-        if k.topology.is_none() {
+        fn walker(session: &mut SessionState) -> &mut TopologyWalker {
+            session
+                .walker
+                .as_mut()
+                .expect("a moving session always carries a walker")
+        }
+        if !k.mobile {
+            if k.site_plans.is_some() {
+                b.events.clear();
+                for session in sessions.iter() {
+                    let events = SiteEvents {
+                        site: session.site_index(),
+                        ..SiteEvents::default()
+                    };
+                    b.events.extend(std::iter::repeat_n(events, b.per_rep));
+                }
+            }
             return;
         }
         b.windows.clear();
         b.windows.resize(b.per_rep, k.window);
         if let [session] = sessions {
             // The plain-session fast path walks straight into the batch
-            // columns (no segment copy).
-            match session.topo.as_mut() {
-                Some(topo) if k.mobile => {
-                    topo.advance_many_into(&b.windows, &mut b.events);
-                    b.sites.clear();
-                    b.sites.extend(b.events.iter().map(|events| events.site));
-                    session.site = topo.site_index();
-                }
-                _ => {
-                    b.sites.clear();
-                    b.sites.resize(b.n, session.site);
-                    b.events.clear();
-                    b.events.resize(b.n, SiteEvents::default());
-                }
-            }
+            // column (no segment copy).
+            walker(session).advance_many_into(&b.windows, &mut b.events);
             return;
         }
-        b.sites.clear();
-        b.sites.resize(b.n, 0);
         b.events.clear();
-        b.events.resize(b.n, SiteEvents::default());
-        for (rep, session) in sessions.iter_mut().enumerate() {
-            let lo = rep * b.per_rep;
-            let hi = lo + b.per_rep;
-            match session.topo.as_mut() {
-                Some(topo) if k.mobile => {
-                    topo.advance_many_into(&b.windows, &mut b.events_scratch);
-                    b.events[lo..hi].copy_from_slice(&b.events_scratch);
-                    for (site, events) in b.sites[lo..hi].iter_mut().zip(&b.events[lo..hi]) {
-                        *site = events.site;
-                    }
-                    session.site = topo.site_index();
-                }
-                _ => {
-                    b.sites[lo..hi].fill(session.site);
-                }
-            }
+        for session in sessions.iter_mut() {
+            walker(session).advance_many_into(&b.windows, &mut b.events_scratch);
+            b.events.extend_from_slice(&b.events_scratch);
         }
     }
 
@@ -1238,7 +1210,7 @@ impl TestbedSimulator {
         if k.edges.is_empty() {
             return;
         }
-        if let Some(plans) = k.topology.as_ref().and_then(|t| t.site_plans.as_ref()) {
+        if let Some(plans) = &k.site_plans {
             // Topology + contention: the sojourn rate depends on the frame's
             // serving site (recorded by the walk pre-pass), so this path
             // draws frame-at-a-time instead of column-wise — the exponential
@@ -1249,7 +1221,7 @@ impl TestbedSimulator {
             // scalar's.
             for i in 0..b.n {
                 let mut rng = k.rng(b.rep(i), stream::CONTENTION, b.frame_index(i));
-                for &(weight, sojourn) in &plans[b.sites[i]].pairs {
+                for &(weight, sojourn) in &plans[b.events[i].site].pairs {
                     let drawn = Seconds::new(sojourn.sample(&mut rng));
                     let remote = &mut b.latency[REMOTE_INFERENCE][i];
                     *remote = remote.max(drawn * weight);
@@ -1309,84 +1281,42 @@ impl TestbedSimulator {
         }
     }
 
-    /// Stage 7 — the sequential stage: advance the session walker through
-    /// the whole batch as one in-order scan (`advance_many_into` preserves
-    /// the fractional-step carry across batches and reuses the crossing
-    /// buffer), then price each frame's crossings from its own handoff
-    /// stream. Crossings are sparse, so this stage keeps the frame-at-a-time
-    /// draw path.
+    /// Stage 7 — price each frame's walk events, recorded by the walk
+    /// pre-pass. Crossing noise comes from the HANDOFF stream and migration
+    /// noise from the MIGRATION stream — the same per-stream draw sequence
+    /// as the scalar stage (one sample per stream, only when its count is
+    /// nonzero). In a fused batch each lane's streams and session tallies
+    /// belong to its own replication. Crossings are sparse, so this stage
+    /// keeps the frame-at-a-time draw path.
     #[inline(always)]
-    fn batch_handoff(
-        &self,
-        k: &BatchConsts,
-        b: &mut FrameBatch,
-        d: &mut DrawColumns,
-        sessions: &mut [SessionState],
-    ) {
+    fn batch_handoff(&self, k: &BatchConsts, b: &mut FrameBatch, sessions: &mut [SessionState]) {
         if !k.mobile {
             return;
         }
-        if let Some(topology) = &k.topology {
-            // The walk pre-pass already advanced the topology walkers; price
-            // each frame's recorded events here. Crossing noise comes from
-            // the HANDOFF stream and migration noise from the MIGRATION
-            // stream — the same per-stream draw sequence as the scalar
-            // stage (one sample per stream, only when its count is
-            // nonzero), so a 1-site topology leaves both paths bit-identical
-            // to the single-zone pipeline. In a fused batch each lane's
-            // streams and session tallies belong to its own replication.
-            for i in 0..b.n {
-                let events = b.events[i];
-                if events.crossings == 0 {
-                    continue;
-                }
-                let rep = b.rep(i);
-                let session = &mut sessions[rep];
-                let mut rng = k.rng(rep, stream::HANDOFF, b.frame_index(i));
-                let mut pairs = StandardNormalPairs::new();
-                b.handoff_occurred[i] = true;
-                session.handoffs += events.crossings as u64;
-                let mut latency =
-                    k.handoff_base * events.crossings as f64 * k.noise(&mut rng, &mut pairs);
-                if events.migrations > 0 {
-                    session.migrations += events.migrations as u64;
-                    let mut migration_rng = k.rng(rep, stream::MIGRATION, b.frame_index(i));
-                    let mut migration_pairs = StandardNormalPairs::new();
-                    let migration = topology.migration_base
-                        * events.migrations as f64
-                        * k.noise(&mut migration_rng, &mut migration_pairs);
-                    session.migration_time += migration;
-                    latency += migration;
-                }
-                b.latency[HANDOFF][i] = latency;
+        for i in 0..b.n {
+            let events = b.events[i];
+            if events.crossings == 0 {
+                continue;
             }
-            return;
-        }
-        // A batched session always owns its SessionState, and SessionState::new
-        // creates a walker whenever the device moves — which `k.mobile`
-        // implies. (The scalar pipeline's Bernoulli fallback only exists for
-        // standalone frames outside any session, which never reach this
-        // engine.) Each replication's walker scans its own lane segment.
-        b.windows.clear();
-        b.windows.resize(b.per_rep, k.window);
-        for (rep, session) in sessions.iter_mut().enumerate() {
-            let walker = session
-                .walker
-                .as_mut()
-                .expect("a mobile batched session always carries a walker");
-            walker.advance_many_into(&b.windows, &mut d.crossings);
-            let lo = rep * b.per_rep;
-            for (i, &count) in d.crossings.iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                let mut rng = k.rng(rep, stream::HANDOFF, b.first_index + i as u64);
-                let mut pairs = StandardNormalPairs::new();
-                b.handoff_occurred[lo + i] = true;
-                session.handoffs += count as u64;
-                b.latency[HANDOFF][lo + i] =
-                    k.handoff_base * count as f64 * k.noise(&mut rng, &mut pairs);
+            let rep = b.rep(i);
+            let session = &mut sessions[rep];
+            let mut rng = k.rng(rep, stream::HANDOFF, b.frame_index(i));
+            let mut pairs = StandardNormalPairs::new();
+            b.handoff_occurred[i] = true;
+            session.handoffs += events.crossings as u64;
+            let mut latency =
+                k.handoff_base * events.crossings as f64 * k.noise(&mut rng, &mut pairs);
+            if events.migrations > 0 {
+                session.migrations += events.migrations as u64;
+                let mut migration_rng = k.rng(rep, stream::MIGRATION, b.frame_index(i));
+                let mut migration_pairs = StandardNormalPairs::new();
+                let migration = k.migration_base
+                    * events.migrations as f64
+                    * k.noise(&mut migration_rng, &mut migration_pairs);
+                session.migration_time += migration;
+                latency += migration;
             }
+            b.latency[HANDOFF][i] = latency;
         }
     }
 

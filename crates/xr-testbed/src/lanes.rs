@@ -1,6 +1,6 @@
 //! Lane-oriented wide RNG streams for the batched frame engine.
 //!
-//! The per-stage stream discipline of [`crate::seed`] makes every frame's
+//! The per-stage stream discipline of [`xr_types::seed`] makes every frame's
 //! draws a pure function of `(session_seed, stage_id, frame_index)`: frame
 //! `f`'s stage-`s` stream is a xoshiro256++ generator seeded (through the
 //! SplitMix64 expansion the workspace `rand` shim uses for
@@ -32,8 +32,7 @@
 //! neither its state nor a multi-lane API, and the duplication lets the
 //! seeding and stepping loops run as contiguous passes over the lane
 //! columns. Bit-identity with `StdRng::seed_from_u64` is pinned by the unit
-//! tests below (the shim is a dev-dependency) and by the batched-engine
-//! equivalence suite.
+//! tests below and by the batched-engine equivalence suite.
 //!
 //! # SIMD tiers
 //!
@@ -45,12 +44,11 @@
 //! `width % 8` lanes). Wrapping 64-bit integer arithmetic is exact on
 //! every tier, so all three give the same words by construction; tests pin
 //! each tier the host runs against the portable pass. [`LaneStreams::new`]
-//! takes [`Tier::dispatched`]: the widest tier the CPU supports, or the
-//! portable one when `XR_FORCE_PORTABLE` is set. This crate sits below the
-//! `rand_distr` shim, so it keeps its own copy of that shim's
-//! `math::Tier` decision rather than sharing it.
+//! takes [`Tier::dispatched`], the draw layer's one tier decision: the
+//! widest tier the CPU supports, or the portable one when
+//! `XR_FORCE_PORTABLE` is set.
 
-use std::sync::OnceLock;
+use rand_distr::math::Tier;
 
 /// Golden-ratio increment of the SplitMix64 state walk.
 const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -74,7 +72,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// each lane steps through with its state held in registers.
 ///
 /// ```
-/// use xr_types::lanes::LaneStreams;
+/// use xr_testbed::lanes::LaneStreams;
 /// use xr_types::seed;
 ///
 /// let stage_base = seed::mix(42, 3); // mix(session_seed, stage_id)
@@ -97,63 +95,6 @@ pub struct LaneStreams {
     s1: Vec<u64>,
     s2: Vec<u64>,
     s3: Vec<u64>,
-}
-
-/// One implementation tier of the lane passes (see the module docs).
-/// Every tier produces the same words; ordered by width, so a host that
-/// runs a tier also runs every tier below it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Tier {
-    /// The scalar reference loops; every host runs them.
-    Portable,
-    /// 4-wide AVX2 passes with a scalar tail.
-    Avx2,
-    /// 8-wide AVX-512 passes (`avx512f` + `avx512dq`) with masked tails.
-    Avx512,
-}
-
-impl Tier {
-    /// Every tier, narrowest first.
-    pub const ALL: [Tier; 3] = [Tier::Portable, Tier::Avx2, Tier::Avx512];
-
-    /// The widest tier this host's CPU supports, read from CPUID once per
-    /// process. `XR_FORCE_PORTABLE` does not affect it.
-    fn host() -> Tier {
-        static HOST: OnceLock<Tier> = OnceLock::new();
-        *HOST.get_or_init(|| {
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx2") {
-                let avx512 = std::arch::is_x86_feature_detected!("avx512f")
-                    && std::arch::is_x86_feature_detected!("avx512dq");
-                return if avx512 { Tier::Avx512 } else { Tier::Avx2 };
-            }
-            Tier::Portable
-        })
-    }
-
-    /// Whether this host's CPU can run the tier's passes.
-    #[must_use]
-    pub fn supported(self) -> bool {
-        self <= Self::host()
-    }
-
-    /// The tier [`LaneStreams::new`] takes: the widest one the CPU
-    /// supports, or [`Tier::Portable`] when `XR_FORCE_PORTABLE` is set (to
-    /// anything but `0`). Resolved once per process. Every tier is
-    /// bit-identical, so the knob never changes results — it only lets CI
-    /// exercise the portable loops on SIMD hardware.
-    #[must_use]
-    pub fn dispatched() -> Tier {
-        static DISPATCHED: OnceLock<Tier> = OnceLock::new();
-        *DISPATCHED.get_or_init(|| {
-            let force_portable = std::env::var_os("XR_FORCE_PORTABLE").is_some_and(|v| v != *"0");
-            if force_portable {
-                Tier::Portable
-            } else {
-                Self::host()
-            }
-        })
-    }
 }
 
 impl Default for LaneStreams {
@@ -345,7 +286,7 @@ fn reseed_portable(
         // `mix(stage_seed_base, frame)` followed by the shim's 4-word
         // SplitMix64 expansion, inlined so the whole derivation is one
         // branch-free pass over the lane columns.
-        let mut state = crate::seed::mix(stage_seed_base, first_frame + j as u64);
+        let mut state = xr_types::seed::mix(stage_seed_base, first_frame + j as u64);
         *s0 = splitmix64(&mut state);
         *s1 = splitmix64(&mut state);
         *s2 = splitmix64(&mut state);
@@ -454,7 +395,7 @@ mod avx2 {
             }
         }
         for j in chunks * 4..width {
-            let mut state = crate::seed::mix(stage_seed_base, first_frame + j as u64);
+            let mut state = xr_types::seed::mix(stage_seed_base, first_frame + j as u64);
             s0[j] = super::splitmix64(&mut state);
             s1[j] = super::splitmix64(&mut state);
             s2[j] = super::splitmix64(&mut state);
@@ -673,9 +614,9 @@ mod avx512 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seed;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
+    use xr_types::seed;
 
     /// The scalar reference: draw `depth` words from each frame's own
     /// `StdRng`, exactly as the per-frame pipelines do.

@@ -22,6 +22,9 @@
 //! * [`batch`] — the batched structure-of-arrays session engine: stages run
 //!   as column loops over many frames, bit-identical to the scalar
 //!   reference; [`TestbedSimulator::simulate_session`] uses it by default.
+//! * [`lanes`] — the wide RNG lane banks the batched engine draws its
+//!   columns from, one lane per frame, each replaying that frame's own
+//!   stage stream.
 //! * [`aoi`] — event-driven ground truth for the AoI experiments.
 //! * [`dataset`] — measurement-campaign generation (the 119 465-sample
 //!   training set and 36 083-sample test set) and regression refitting, which
@@ -44,6 +47,7 @@
 pub mod aoi;
 pub mod batch;
 pub mod dataset;
+pub mod lanes;
 pub mod laws;
 pub mod power;
 pub mod simulator;

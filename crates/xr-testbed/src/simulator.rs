@@ -30,15 +30,14 @@
 //!    sojourn drawn from the aggregate M/M/1 queue of
 //!    [`xr_queueing::EdgeContention`] on its own [`stream::CONTENTION`]
 //!    stream;
-//! 7. **handoff** — mobility: in a session, a stateful [`RandomWalker`]
-//!    advances one frame window and every coverage-boundary crossing is a
-//!    real handoff event; with a multi-site [`xr_core::TopologyConfig`] a
-//!    [`TopologyWalker`] roams an [`EdgeTopology`] instead, and each
-//!    crossing that lands inside another site's coverage becomes an
-//!    edge-to-edge handoff that additionally pays state-migration latency
-//!    (eager vs lazy re-offload, drawn on [`stream::MIGRATION`]); for a
-//!    standalone frame (no [`SessionState`] walker) the legacy Bernoulli
-//!    draw over the analytic `P(HO)` applies;
+//! 7. **handoff** — mobility: the session's [`TopologyWalker`] advances one
+//!    frame window and every coverage-boundary crossing is a real handoff
+//!    event. It walks the scenario's multi-site [`EdgeTopology`] (a
+//!    [`xr_core::TopologyConfig`]), or the paper's single coverage zone as
+//!    a one-site map when the scenario has none. A crossing that lands
+//!    inside another site's coverage becomes an edge-to-edge handoff that
+//!    additionally pays state-migration latency (eager vs lazy re-offload,
+//!    drawn on [`stream::MIGRATION`]); a one-site map never migrates;
 //! 8. **render + downlink** — result delivery and display rendering;
 //! 9. **cooperate** — XR-cooperation exchange;
 //! 10. **finalize** — Eq. 1 gating of the end-to-end total and the
@@ -66,8 +65,7 @@ use xr_types::{
     Joules, MigrationPolicy, Ratio, Result, Seconds, Segment, TopologyLayout, Watts, SPEED_OF_LIGHT,
 };
 use xr_wireless::{
-    AccessTechnology, CoverageZone, EdgeTopology, HandoffKind, RandomWalkMobility, RandomWalker,
-    TopologyWalker, WirelessLink,
+    AccessTechnology, CoverageZone, EdgeTopology, HandoffKind, TopologyWalker, WirelessLink,
 };
 
 /// Stable identifiers of the simulator's named RNG streams.
@@ -89,7 +87,7 @@ pub mod stream {
     pub const LOCAL_INFERENCE: u64 = 4;
     /// Stage 6 — edge-compute noise and wireless jitter.
     pub const UPLINK_EDGE: u64 = 5;
-    /// Stage 7 — handoff fallback draw and handoff-latency noise.
+    /// Stage 7 — handoff-latency noise.
     pub const HANDOFF: u64 = 6;
     /// Stage 8 — rendering measurement noise.
     pub const RENDER: u64 = 7;
@@ -713,11 +711,33 @@ impl TestbedSimulator {
         })
     }
 
-    /// The deterministic base latency of one inter-site state migration:
-    /// eager re-offload pushes the full session state (decoder context, CNN
-    /// activations, render surfaces) inline with the handoff; lazy
-    /// re-offload only redirects the uplink and defers the state fetches.
-    pub(crate) fn migration_base(policy: MigrationPolicy) -> Seconds {
+    /// The map a session of `scenario` attaches to and walks: its
+    /// [`TestbedSimulator::edge_topology`], or, for a moving device without
+    /// one, the paper's single coverage zone as a one-site map (only its
+    /// geometry is read, so its link and tenants are placeholders). `None`
+    /// for a static device without a topology, which never walks.
+    pub(crate) fn session_map(scenario: &Scenario) -> Option<EdgeTopology> {
+        Self::edge_topology(scenario).or_else(|| {
+            (scenario.mobility.speed.as_f64() > 0.0).then(|| {
+                EdgeTopology::single(
+                    CoverageZone::new(scenario.mobility.coverage_radius),
+                    AccessTechnology::WiFi5GHz,
+                    1,
+                )
+            })
+        })
+    }
+
+    /// The deterministic base latency of one inter-site state migration
+    /// under the scenario's re-offload policy: eager re-offload pushes the
+    /// full session state (decoder context, CNN activations, render
+    /// surfaces) inline with the handoff; lazy re-offload only redirects the
+    /// uplink and defers the state fetches. A scenario without a topology
+    /// walks a one-site map, which never migrates.
+    pub(crate) fn migration_base(scenario: &Scenario) -> Seconds {
+        let policy = scenario
+            .topology
+            .map_or(MigrationPolicy::Eager, |t| t.migration_policy);
         match policy {
             MigrationPolicy::Eager => Seconds::new(0.25),
             MigrationPolicy::Lazy => Seconds::new(0.06),
@@ -775,31 +795,9 @@ impl TestbedSimulator {
             }
     }
 
-    /// Simulates one standalone frame and returns the ground-truth
-    /// measurements. Without session state the handoff stage falls back to a
-    /// Bernoulli draw over the analytic `P(HO)`; sessions instead thread a
-    /// stateful walker via [`TestbedSimulator::simulate_session`] /
-    /// [`TestbedSimulator::simulate_frame_in_session`].
-    ///
-    /// # Errors
-    ///
-    /// Returns scenario-validation errors.
-    pub fn simulate_frame(
-        &self,
-        scenario: &Scenario,
-        frame_index: u64,
-    ) -> Result<GroundTruthFrame> {
-        let mut session = SessionState::standalone();
-        self.simulate_frame_in_session(scenario, frame_index, &mut session)
-    }
-
     /// Simulates one frame as part of an ongoing session, advancing the
     /// session's mobility walker by one frame window.
-    ///
-    /// # Errors
-    ///
-    /// Returns scenario-validation errors.
-    pub fn simulate_frame_in_session(
+    fn simulate_frame_in_session(
         &self,
         scenario: &Scenario,
         frame_index: u64,
@@ -814,7 +812,7 @@ impl TestbedSimulator {
         let contention = match scenario.topology {
             Some(_) => self
                 .site_contention_plans(scenario)?
-                .map(|mut plans| plans.swap_remove(session.site)),
+                .map(|mut plans| plans.swap_remove(session.site_index())),
             None => self.contention_plan(scenario)?,
         };
         let mut state = FrameState::new(self, scenario, frame_index);
@@ -996,79 +994,46 @@ impl TestbedSimulator {
         s.latency[Segment::Transmission.slot()] = transmission;
     }
 
-    /// Stage 7 — mobility and handoff. With session state, the stateful
-    /// walker advances one frame window and any coverage-boundary crossing
-    /// is a handoff; on a multi-edge topology a crossing that re-attaches
-    /// to a neighbouring site additionally pays the **state-migration**
-    /// latency of the configured re-offload policy, drawn from the
-    /// dedicated [`stream::MIGRATION`] stream (so the crossing noise keeps
-    /// its [`stream::HANDOFF`] position and a 1-site topology replays the
-    /// single-zone pipeline bit for bit). For a standalone frame, a
-    /// Bernoulli draw over the analytic per-window `P(HO)` stands in.
+    /// Stage 7 — mobility and handoff. The session's walker advances one
+    /// frame window and any coverage-boundary crossing is a handoff; a
+    /// crossing that re-attaches to a neighbouring site of a multi-edge map
+    /// additionally pays the **state-migration** latency of the configured
+    /// re-offload policy, drawn from the dedicated [`stream::MIGRATION`]
+    /// stream (so the crossing noise keeps its [`stream::HANDOFF`] position;
+    /// a one-site map never migrates and never touches that stream). A
+    /// static device, or one whose frames never reach the edge, pays none.
     fn stage_handoff(&self, s: &mut FrameState<'_>, session: &mut SessionState) {
-        let mut rng = self.stage_rng(stream::HANDOFF, s.frame_index);
-        let mut pairs = StandardNormalPairs::new();
-        let scenario = s.scenario;
-        let handoff_latency = if s.uses_edge && scenario.mobility.speed.as_f64() > 0.0 {
-            if let Some(topo) = session.topo.as_mut() {
-                let events = topo.advance(scenario.frame_window());
-                session.site = topo.site_index();
-                let mut latency = Seconds::ZERO;
-                if events.crossings > 0 {
-                    s.handoff_occurred = true;
-                    session.handoffs += events.crossings as u64;
-                    let base = match scenario.mobility.handoff_kind {
-                        HandoffKind::Horizontal => Seconds::new(0.065),
-                        HandoffKind::Vertical => Seconds::new(1.2),
-                    };
-                    latency += base * events.crossings as f64 * self.noise(&mut rng, &mut pairs);
-                }
-                if events.migrations > 0 {
-                    session.migrations += events.migrations as u64;
-                    let policy = scenario
-                        .topology
-                        .map_or(MigrationPolicy::Eager, |t| t.migration_policy);
-                    let mut migration_rng = self.stage_rng(stream::MIGRATION, s.frame_index);
-                    let mut migration_pairs = StandardNormalPairs::new();
-                    let migration = Self::migration_base(policy)
-                        * events.migrations as f64
-                        * self.noise(&mut migration_rng, &mut migration_pairs);
-                    session.migration_time += migration;
-                    latency += migration;
-                }
-                latency
-            } else {
-                let crossings = match session.walker.as_mut() {
-                    Some(walker) => walker.advance(scenario.frame_window()),
-                    None => {
-                        let mobility = RandomWalkMobility::new(
-                            scenario.mobility.speed,
-                            Seconds::new(0.1),
-                            CoverageZone::new(scenario.mobility.coverage_radius),
-                        );
-                        let p = mobility.handoff_probability(scenario.frame_window());
-                        usize::from(rng.gen_bool(p.clamp(0.0, 1.0)))
-                    }
-                };
-                if crossings > 0 {
-                    // A sub-10-fps frame window spans several walk steps, so
-                    // one frame can cross more than once; each crossing pays
-                    // the handoff latency.
-                    s.handoff_occurred = true;
-                    session.handoffs += crossings as u64;
-                    let base = match scenario.mobility.handoff_kind {
-                        HandoffKind::Horizontal => Seconds::new(0.065),
-                        HandoffKind::Vertical => Seconds::new(1.2),
-                    };
-                    base * crossings as f64 * self.noise(&mut rng, &mut pairs)
-                } else {
-                    Seconds::ZERO
-                }
-            }
-        } else {
-            Seconds::ZERO
+        let Some(walker) = session.walker.as_mut().filter(|_| s.uses_edge) else {
+            return;
         };
-        s.latency[Segment::Handoff.slot()] = handoff_latency;
+        let scenario = s.scenario;
+        let events = walker.advance(scenario.frame_window());
+        let mut latency = Seconds::ZERO;
+        if events.crossings > 0 {
+            // A sub-10-fps frame window spans several walk steps, so one
+            // frame can cross more than once; each crossing pays the handoff
+            // latency.
+            s.handoff_occurred = true;
+            session.handoffs += events.crossings as u64;
+            let base = match scenario.mobility.handoff_kind {
+                HandoffKind::Horizontal => Seconds::new(0.065),
+                HandoffKind::Vertical => Seconds::new(1.2),
+            };
+            let mut rng = self.stage_rng(stream::HANDOFF, s.frame_index);
+            let mut pairs = StandardNormalPairs::new();
+            latency += base * events.crossings as f64 * self.noise(&mut rng, &mut pairs);
+        }
+        if events.migrations > 0 {
+            session.migrations += events.migrations as u64;
+            let mut rng = self.stage_rng(stream::MIGRATION, s.frame_index);
+            let mut pairs = StandardNormalPairs::new();
+            let migration = Self::migration_base(scenario)
+                * events.migrations as f64
+                * self.noise(&mut rng, &mut pairs);
+            session.migration_time += migration;
+            latency += migration;
+        }
+        s.latency[Segment::Handoff.slot()] = latency;
     }
 
     /// Stage 8 — rendering and downlink: compute + memory + buffered input +
@@ -1225,17 +1190,14 @@ pub(crate) fn check_frames(frames: u64) -> Result<()> {
 
 /// Session-scoped simulation state threaded through the staged frame
 /// pipeline: the stateful mobility walker (present for a moving device),
-/// the serving edge site of a multi-edge topology, and the handoff /
+/// the start site of a static device on a multi-edge map, and the handoff /
 /// migration tallies.
 #[derive(Debug, Clone)]
 pub struct SessionState {
-    pub(crate) walker: Option<RandomWalker>,
-    /// The topology walker, replacing `walker` when the scenario roams a
-    /// multi-edge map (a moving device gets exactly one of the two).
-    pub(crate) topo: Option<TopologyWalker>,
-    /// Index of the edge site currently serving the session (its start
-    /// site for a static topologized device, 0 without a topology).
-    pub(crate) site: usize,
+    pub(crate) walker: Option<TopologyWalker>,
+    /// The site a static session stays attached to (its map's start site,
+    /// 0 without a topology). A walking session's site is its walker's.
+    site: usize,
     pub(crate) handoffs: u64,
     pub(crate) migrations: u64,
     pub(crate) migration_time: Seconds,
@@ -1243,14 +1205,14 @@ pub struct SessionState {
 
 impl SessionState {
     /// Session state for `scenario` under `simulator`: a moving device gets
-    /// a random walker with its own RNG stream (the session-scoped
-    /// [`stream::WALKER`] stream, decorrelated from every per-frame
-    /// measurement stream), starting from a uniformly random position in its
-    /// coverage zone — the distribution the analytic `P(HO)` assumes. With a
-    /// [`xr_core::TopologyConfig`] the walker is a [`TopologyWalker`] over
-    /// the scenario's site map instead, seeded from the *same* stream (over
-    /// a 1-site map it replays the legacy walker bit for bit); a static
-    /// topologized device still attaches to the map's start site.
+    /// a [`TopologyWalker`] over the scenario's site map, or over the
+    /// paper's single coverage zone as a one-site map when the scenario has
+    /// no topology. The walker draws from its own session-scoped
+    /// [`stream::WALKER`] stream (decorrelated from every per-frame
+    /// measurement stream) and starts from a uniformly random position in
+    /// its start site's coverage — the distribution the analytic `P(HO)`
+    /// assumes. A static topologized device still attaches to the map's
+    /// start site.
     ///
     /// # Panics
     ///
@@ -1259,53 +1221,31 @@ impl SessionState {
     /// session entry points validate first.
     #[must_use]
     pub fn new(simulator: &TestbedSimulator, scenario: &Scenario) -> Self {
-        let moving = scenario.mobility.speed.as_f64() > 0.0;
-        let map = TestbedSimulator::edge_topology(scenario);
-        let (topo, site) = match &map {
-            Some(map) => {
-                let site = map.start_site();
-                let topo = moving.then(|| {
-                    let mut topo = map.walker(
-                        scenario.mobility.speed,
-                        Seconds::new(0.1),
-                        stage_stream_seed(simulator.seed, stream::WALKER, 0),
-                    );
-                    topo.reset_uniform();
-                    topo
-                });
-                (topo, site)
-            }
-            None => (None, 0),
-        };
-        let walker = (map.is_none() && moving).then(|| {
-            let mobility = RandomWalkMobility::new(
-                scenario.mobility.speed,
-                Seconds::new(0.1),
-                CoverageZone::new(scenario.mobility.coverage_radius),
-            );
-            let mut walker = mobility.walker(stage_stream_seed(simulator.seed, stream::WALKER, 0));
-            walker.reset_uniform();
-            walker
-        });
-        Self {
-            walker,
-            topo,
-            site,
-            handoffs: 0,
-            migrations: 0,
-            migration_time: Seconds::ZERO,
-        }
+        Self::on_map(
+            simulator.seed,
+            scenario,
+            TestbedSimulator::session_map(scenario).as_ref(),
+        )
     }
 
-    /// State for a standalone frame outside any session: no walker, so the
-    /// handoff stage falls back to the analytic Bernoulli draw (also for
-    /// topologized scenarios, which need a session to roam the map).
-    #[must_use]
-    pub fn standalone() -> Self {
+    /// [`SessionState::new`] for the session seed `seed`, on the scenario's
+    /// prebuilt [`TestbedSimulator::session_map`], so a point's
+    /// replications share one map.
+    pub(crate) fn on_map(seed: u64, scenario: &Scenario, map: Option<&EdgeTopology>) -> Self {
+        let walker = map
+            .filter(|_| scenario.mobility.speed.as_f64() > 0.0)
+            .map(|map| {
+                let mut walker = map.walker(
+                    scenario.mobility.speed,
+                    Seconds::new(0.1),
+                    stage_stream_seed(seed, stream::WALKER, 0),
+                );
+                walker.reset_uniform();
+                walker
+            });
         Self {
-            walker: None,
-            topo: None,
-            site: 0,
+            walker,
+            site: map.map_or(0, EdgeTopology::start_site),
             handoffs: 0,
             migrations: 0,
             migration_time: Seconds::ZERO,
@@ -1334,28 +1274,22 @@ impl SessionState {
     /// Index of the edge site currently serving the session.
     #[must_use]
     pub fn site_index(&self) -> usize {
-        self.site
+        self.walker
+            .as_ref()
+            .map_or(self.site, TopologyWalker::site_index)
     }
 
-    /// Number of distinct edge sites attached to so far (1 without a
-    /// topology walker).
+    /// Number of distinct edge sites attached to so far (1 for a static
+    /// device).
     #[must_use]
     pub fn sites_visited(&self) -> u32 {
-        self.topo.as_ref().map_or(1, |t| t.sites_visited() as u32)
+        self.walker.as_ref().map_or(1, |w| w.sites_visited() as u32)
     }
 
-    /// The mobility walker, when the device is moving and the state was
-    /// built by [`SessionState::new`] without a topology.
+    /// The mobility walker, when the device is moving.
     #[must_use]
-    pub fn walker(&self) -> Option<&RandomWalker> {
+    pub fn walker(&self) -> Option<&TopologyWalker> {
         self.walker.as_ref()
-    }
-
-    /// The topology walker, when the device is moving across a multi-edge
-    /// map.
-    #[must_use]
-    pub fn topology_walker(&self) -> Option<&TopologyWalker> {
-        self.topo.as_ref()
     }
 }
 
@@ -1572,8 +1506,9 @@ mod tests {
     fn remote_frames_skip_local_segments_and_vice_versa() {
         let testbed = TestbedSimulator::new(3);
         let remote = testbed
-            .simulate_frame(&scenario(500.0, 2.5, ExecutionTarget::Remote), 1)
+            .simulate_session(&scenario(500.0, 2.5, ExecutionTarget::Remote), 1)
             .unwrap();
+        let remote = &remote.frames()[0];
         assert_eq!(
             remote.segment_latency(Segment::LocalInference),
             Seconds::ZERO
@@ -1581,8 +1516,9 @@ mod tests {
         assert!(remote.segment_latency(Segment::RemoteInference).as_f64() > 0.0);
         assert!(remote.segment_latency(Segment::Transmission).as_f64() > 0.0);
         let local = testbed
-            .simulate_frame(&scenario(500.0, 2.5, ExecutionTarget::Local), 1)
+            .simulate_session(&scenario(500.0, 2.5, ExecutionTarget::Local), 1)
             .unwrap();
+        let local = &local.frames()[0];
         assert_eq!(
             local.segment_latency(Segment::RemoteInference),
             Seconds::ZERO
@@ -1681,25 +1617,6 @@ mod tests {
         }
         assert_eq!(state.handoff_count(), occurred);
         assert!(occurred > 0);
-        // Standalone state carries no walker and starts at zero.
-        let standalone = SessionState::standalone();
-        assert!(standalone.walker().is_none());
-        assert_eq!(standalone.handoff_count(), 0);
-    }
-
-    #[test]
-    fn standalone_mobile_frames_keep_the_bernoulli_fallback() {
-        // Without a session walker the handoff stage still draws from the
-        // analytic P(HO), so standalone frames of a mobile scenario can
-        // hand off.
-        let testbed = TestbedSimulator::new(5);
-        let s = mobile_scenario(20.0, 30.0);
-        let occurred = (1..=120)
-            .map(|i| testbed.simulate_frame(&s, i).unwrap())
-            .filter(|f| f.handoff_occurred)
-            .count();
-        assert!(occurred > 0);
-        assert!(occurred < 120);
     }
 
     #[test]
@@ -1707,8 +1624,10 @@ mod tests {
         let testbed = TestbedSimulator::new(6).with_noise(0.0);
         let s = scenario(400.0, 2.0, ExecutionTarget::Local);
         assert!(testbed.simulate_session(&s, 0).is_err());
-        let a = testbed.simulate_frame(&s, 1).unwrap();
-        let b = testbed.simulate_frame(&s, 2).unwrap();
+        let session = testbed.simulate_session(&s, 2).unwrap();
+        let [a, b] = session.frames() else {
+            panic!("a two-frame session has two frames");
+        };
         // With zero measurement noise only the queueing/jitter terms differ.
         let gap = (a.segment_latency(Segment::FrameGeneration).as_f64()
             - b.segment_latency(Segment::FrameGeneration).as_f64())
@@ -1811,7 +1730,8 @@ mod tests {
     fn energy_totals_include_base_and_thermal_overhead() {
         let testbed = TestbedSimulator::new(7);
         let s = scenario(500.0, 2.5, ExecutionTarget::Local);
-        let frame = testbed.simulate_frame(&s, 1).unwrap();
+        let session = testbed.simulate_session(&s, 1).unwrap();
+        let frame = &session.frames()[0];
         let sum_segments: f64 = Segment::ALL
             .iter()
             .filter(|seg| s.segments.contains(**seg))

@@ -28,7 +28,6 @@
 pub mod error;
 pub mod frame;
 pub mod ids;
-pub mod lanes;
 pub mod seed;
 pub mod segment;
 pub mod topology;

@@ -5,7 +5,9 @@
 //! \[49\]" (a location-register residence-time analysis). We implement a
 //! two-dimensional random walk inside a circular coverage zone and expose
 //! both the analytic boundary-crossing probability per frame interval and a
-//! Monte-Carlo trajectory generator used by the testbed simulator.
+//! Monte-Carlo trajectory generator ([`RandomWalker`]). The testbed's
+//! sessions walk [`crate::TopologyWalker`], which replays that walker bit for
+//! bit over a one-site map.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -151,8 +153,7 @@ impl RandomWalkMobility {
     }
 
     /// Simulates a trajectory of `steps` random-walk steps starting from the
-    /// zone centre and returns the radial distance after each step. Used by
-    /// the testbed simulator to produce ground-truth handoff events.
+    /// zone centre and returns the radial distance after each step.
     #[must_use]
     pub fn simulate_radii(&self, steps: usize, seed: u64) -> Vec<Meters> {
         let mut walker = self.walker(seed);
@@ -185,12 +186,13 @@ impl RandomWalkMobility {
 
 /// A stateful two-dimensional random walk inside a coverage zone.
 ///
-/// This is the single walk stepper behind every mobility consumer in the
-/// workspace: [`RandomWalkMobility::simulate_radii`],
-/// [`RandomWalkMobility::simulate_handoff_probability`], and the testbed
-/// simulator's session loop all advance one of these instead of re-rolling
-/// their own `theta`/step loops. The walker owns its RNG, so its draw stream
-/// is independent of any per-frame measurement noise.
+/// [`RandomWalkMobility::simulate_radii`] and
+/// [`RandomWalkMobility::simulate_handoff_probability`] advance one of
+/// these. The testbed's sessions walk a [`crate::TopologyWalker`] instead,
+/// over a one-site map when the scenario has no topology; this walker is
+/// the reference that the one-site walk is pinned against bit for bit.
+/// The walker owns its RNG, so its draw stream is independent of any
+/// per-frame measurement noise.
 #[derive(Debug, Clone)]
 pub struct RandomWalker {
     x: f64,
@@ -276,28 +278,6 @@ impl RandomWalker {
             }
         }
         crossings
-    }
-
-    /// Advances the walk through a whole batch of consecutive observation
-    /// windows and returns the number of handoffs in each — exactly
-    /// [`RandomWalker::advance`] applied to every window in order, exposed
-    /// as one call so batched consumers (the testbed's structure-of-arrays
-    /// frame engine) can run the sequential mobility scan as a single
-    /// carry-preserving step per batch.
-    #[must_use]
-    pub fn advance_many(&mut self, windows: &[Seconds]) -> Vec<usize> {
-        let mut crossings = Vec::with_capacity(windows.len());
-        self.advance_many_into(windows, &mut crossings);
-        crossings
-    }
-
-    /// [`RandomWalker::advance_many`] into a caller-provided buffer, so a
-    /// batch loop can reuse one crossings allocation for the whole session.
-    /// The buffer is cleared first; afterwards `crossings[i]` holds the
-    /// handoff count of `windows[i]`.
-    pub fn advance_many_into(&mut self, windows: &[Seconds], crossings: &mut Vec<usize>) {
-        crossings.clear();
-        crossings.extend(windows.iter().map(|&window| self.advance(window)));
     }
 }
 
@@ -418,43 +398,6 @@ mod tests {
         assert!(crossings > 0, "fast walker never left a 5 m zone");
         // After a crossing the walker re-enters coverage.
         assert!(!walker.is_outside() || walker.advance(Seconds::new(0.1)) > 0);
-    }
-
-    #[test]
-    fn advance_many_equals_repeated_advance() {
-        let sprint = RandomWalkMobility::new(
-            MetersPerSecond::new(20.0),
-            Seconds::new(0.1),
-            CoverageZone::new(Meters::new(6.0)),
-        );
-        // Mixed window lengths, including sub-step windows that only
-        // accumulate carry; the batched call must reproduce the scalar
-        // crossing counts and leave the walker in the same state.
-        let windows: Vec<Seconds> = (0..120)
-            .map(|i| {
-                Seconds::new(match i % 3 {
-                    0 => 1.0 / 30.0,
-                    1 => 0.25,
-                    _ => 0.01,
-                })
-            })
-            .collect();
-        let mut scalar = sprint.walker(31);
-        let mut batched = sprint.walker(31);
-        let expected: Vec<usize> = windows.iter().map(|&w| scalar.advance(w)).collect();
-        let got = batched.advance_many(&windows);
-        assert_eq!(got, expected);
-        // The buffer-reusing form clears stale contents and matches too.
-        let mut reused = sprint.walker(31);
-        let mut buffer = vec![999usize; 3];
-        reused.advance_many_into(&windows, &mut buffer);
-        assert_eq!(buffer, expected);
-        assert!(got.iter().sum::<usize>() > 0, "sprint never crossed");
-        assert_eq!(batched.radius(), scalar.radius());
-        assert_eq!(
-            batched.advance(Seconds::new(0.5)),
-            scalar.advance(Seconds::new(0.5))
-        );
     }
 
     #[test]

@@ -27,15 +27,17 @@
 //! stream *word for word* like a [`RandomWalker`](crate::RandomWalker) over the same zone: one
 //! uniform per step, two uniforms per re-entry, in the same order, starting
 //! from the same centre. Positions, crossing counts, and the RNG stream
-//! position stay bit-identical, which is what lets the testbed route every
-//! session through the topology path without re-keying a single legacy
-//! artifact (pinned by `tests/topology_properties.rs`).
+//! position stay bit-identical, which is what lets the testbed walk every
+//! moving session — topologized or not — with a [`TopologyWalker`] without
+//! re-keying a single artifact (pinned here and by
+//! `tests/topology_properties.rs`).
 
 use crate::link::AccessTechnology;
 use crate::mobility::CoverageZone;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use xr_types::{Error, Meters, MetersPerSecond, Result, Seconds, TopologyLayout};
 
 /// Sites per row/column of the tiled layouts: every tiled topology is a
@@ -123,10 +125,17 @@ impl EdgeSite {
     }
 }
 
+/// Most sites one map may hold: a [`TopologyWalker`] keeps the sites it
+/// visited as bits of one `u64`.
+const MAX_SITES: usize = 64;
+
 /// A map of [`EdgeSite`]s a session can migrate across.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The sites are shared, not copied: cloning the map or starting a
+/// [`TopologyWalker`] on it allocates nothing.
+#[derive(Debug, Clone, PartialEq)]
 pub struct EdgeTopology {
-    sites: Vec<EdgeSite>,
+    sites: Arc<[EdgeSite]>,
 }
 
 impl EdgeTopology {
@@ -136,7 +145,7 @@ impl EdgeTopology {
     #[must_use]
     pub fn single(zone: CoverageZone, technology: AccessTechnology, tenants: u32) -> Self {
         Self {
-            sites: vec![EdgeSite::new(0.0, 0.0, zone, technology, tenants)],
+            sites: Arc::new([EdgeSite::new(0.0, 0.0, zone, technology, tenants)]),
         }
     }
 
@@ -170,7 +179,7 @@ impl EdgeTopology {
         }
         // Area per site in m², from the density in sites/km².
         let area = 1e6 / site_density;
-        let sites = match layout {
+        let sites: Arc<[EdgeSite]> = match layout {
             TopologyLayout::Single => {
                 return Err(Error::invalid_parameter(
                     "topology",
@@ -225,6 +234,10 @@ impl EdgeTopology {
                     .collect()
             }
         };
+        assert!(
+            sites.len() <= MAX_SITES,
+            "a map holds at most {MAX_SITES} sites"
+        );
         Ok(Self { sites })
     }
 
@@ -403,11 +416,11 @@ pub struct TopologyWalker {
     site: usize,
     step_len: f64,
     step_interval: Seconds,
-    sites: Vec<EdgeSite>,
+    sites: Arc<[EdgeSite]>,
     rng: StdRng,
     carry: f64,
-    visited: Vec<bool>,
-    visited_count: usize,
+    /// Bit `i` is set once the session has attached to site `i`.
+    visited: u64,
 }
 
 impl TopologyWalker {
@@ -432,19 +445,16 @@ impl TopologyWalker {
         );
         let site = topology.start_site();
         let (x, y) = topology.sites[site].center();
-        let mut visited = vec![false; topology.sites.len()];
-        visited[site] = true;
         Self {
             x,
             y,
             site,
             step_len: speed.as_f64() * step_interval.as_f64(),
             step_interval,
-            sites: topology.sites.clone(),
+            sites: Arc::clone(&topology.sites),
             rng: StdRng::seed_from_u64(seed),
             carry: 0.0,
-            visited,
-            visited_count: 1,
+            visited: 1 << site,
         }
     }
 
@@ -463,7 +473,7 @@ impl TopologyWalker {
     /// Number of distinct sites visited so far (including the start site).
     #[must_use]
     pub fn sites_visited(&self) -> usize {
-        self.visited_count
+        self.visited.count_ones() as usize
     }
 
     /// Current planar position, in metres.
@@ -541,10 +551,9 @@ impl TopologyWalker {
     /// [`TopologyWalker::advance`] over a whole batch of consecutive
     /// observation windows into a caller-provided buffer (cleared first) —
     /// the carry-preserving batched scan the structure-of-arrays frame
-    /// engine runs once per batch, mirroring
-    /// [`crate::RandomWalker::advance_many_into`]. Afterwards `events[i]`
-    /// holds the [`SiteEvents`] of `windows[i]`, including the site serving
-    /// that window's uplink.
+    /// engine runs once per batch. Afterwards `events[i]` holds the
+    /// [`SiteEvents`] of `windows[i]`, including the site serving that
+    /// window's uplink.
     pub fn advance_many_into(&mut self, windows: &[Seconds], events: &mut Vec<SiteEvents>) {
         events.clear();
         events.extend(windows.iter().map(|&window| self.advance(window)));
@@ -569,10 +578,7 @@ impl TopologyWalker {
 
     fn enter(&mut self, site: usize) {
         self.site = site;
-        if !self.visited[site] {
-            self.visited[site] = true;
-            self.visited_count += 1;
-        }
+        self.visited |= 1 << site;
     }
 }
 

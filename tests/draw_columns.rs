@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_distr::{column, Distribution, Exp, Normal};
-use xr_types::lanes::LaneStreams;
+use xr_testbed::lanes::LaneStreams;
 use xr_types::seed;
 
 /// The widths the batched engine actually uses (1 = scalar-shaped batches,

@@ -166,9 +166,11 @@ fn checked_in_pr8_baselines_match_a_fresh_in_process_run() {
     let scalar = ExperimentContext::quick(2024)
         .unwrap()
         .with_scalar_sessions();
-    assert_eq!(
-        campaign_csv(&scalar, &config_grid("topology")),
-        baseline("pr8-seed2024-topology.csv"),
-        "scalar-engine topology campaign diverged from the checked-in PR-8 baseline"
-    );
+    for grid in ["topology", "mobility"] {
+        assert_eq!(
+            campaign_csv(&scalar, &config_grid(grid)),
+            baseline(&format!("pr8-seed2024-{grid}.csv")),
+            "scalar-engine {grid} campaign diverged from the checked-in PR-8 baseline"
+        );
+    }
 }

@@ -59,7 +59,8 @@ fn per_segment_ground_truth_matches_model_structure() {
     let model = xr_core::LatencyModel::published();
     for target in [ExecutionTarget::Local, ExecutionTarget::Remote] {
         let scenario = evaluation_scenario(500.0, 2.0, target);
-        let gt = testbed.simulate_frame(&scenario, 1).unwrap();
+        let session = testbed.simulate_session(&scenario, 1).unwrap();
+        let gt = &session.frames()[0];
         let analytic = model.analyze(&scenario).unwrap();
         for segment in xr_types::Segment::ALL {
             let gt_runs = gt.segment_latency(segment).as_f64() > 0.0;

@@ -2,7 +2,7 @@
 //! must be invisible, and the per-site contention queues must match M/M/1
 //! closed form.
 //!
-//! Three contracts pin the topology generalisation to the legacy
+//! Four contracts pin the topology generalisation to the legacy
 //! single-zone stack:
 //!
 //! 1. **Walker equivalence.** Over [`EdgeTopology::single`] the
@@ -21,10 +21,19 @@
 //!    the snapshot's per-site analytic mean sojourn at the Monte-Carlo
 //!    rate, exactly as `tests/contention_properties.rs` pins the
 //!    single-queue stage against `MM1Queue::mean_time_in_system`.
+//! 4. **Walk oracle.** Every session walks a [`TopologyWalker`], so
+//!    contract 2 compares that walk with itself. An untopologized mobile
+//!    session is therefore also checked against an independent replay: a
+//!    [`RandomWalker`] over the coverage zone, on the session's walker
+//!    stream, advanced one frame window per frame. Every frame hands off
+//!    exactly when the replay crosses, in the scalar engine, the batched
+//!    engine with a tail batch, and a fused three-replication point.
 
 use proptest::prelude::*;
 use xr_core::{MobilityConfig, Scenario, TopologyConfig};
-use xr_testbed::TestbedSimulator;
+use xr_testbed::simulator::stream;
+use xr_testbed::{GroundTruthSession, SimulationEngine, TestbedSimulator};
+use xr_types::seed::{mix, stage_stream_seed};
 use xr_types::{
     ExecutionTarget, Hertz, Meters, MetersPerSecond, MigrationPolicy, Seconds, Segment,
     TopologyLayout,
@@ -179,6 +188,86 @@ proptest! {
             "simulated {} vs site closed form {} ({} tenants, tolerance {})",
             mean, closed, tenants, tolerance
         );
+    }
+}
+
+/// Contract 4's oracle: which frames of a session seeded `session_seed`
+/// cross the coverage boundary, replayed on a [`RandomWalker`] that shares
+/// no code with the testbed's walk. The walker stream, the uniform start and
+/// the 0.1 s walk step are the testbed's documented walk.
+fn replayed_handoffs(scenario: &Scenario, session_seed: u64, frames: u64) -> Vec<bool> {
+    let mobility = RandomWalkMobility::new(
+        scenario.mobility.speed,
+        Seconds::new(0.1),
+        CoverageZone::new(scenario.mobility.coverage_radius),
+    );
+    let mut walker = RandomWalker::new(
+        &mobility,
+        stage_stream_seed(session_seed, stream::WALKER, 0),
+    );
+    walker.reset_uniform();
+    (0..frames)
+        .map(|_| walker.advance(scenario.frame_window()) > 0)
+        .collect()
+}
+
+fn handoffs(session: &GroundTruthSession) -> Vec<bool> {
+    session
+        .frames()
+        .iter()
+        .map(|f| f.handoff_occurred)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // Contract 4: untopologized mobile sessions hand off exactly on the
+    // frames an independent RandomWalker replay crosses, in every engine.
+    #[test]
+    fn untopologized_sessions_hand_off_where_a_random_walker_replay_crosses(
+        speed in 5.0..40.0_f64,
+        radius in 2.0..25.0_f64,
+        frame_rate in 2.0..30.0_f64,
+        seed in 0u64..1_000_000,
+        frames in 20u64..120,
+    ) {
+        let scenario = Scenario::builder()
+            .execution(ExecutionTarget::Remote)
+            .frame_side(300.0)
+            .frame_rate(Hertz::new(frame_rate))
+            .mobility(MobilityConfig {
+                speed: MetersPerSecond::new(speed),
+                coverage_radius: Meters::new(radius),
+                handoff_kind: HandoffKind::Vertical,
+            })
+            .build()
+            .expect("scenario is valid");
+        let expected = replayed_handoffs(&scenario, seed, frames);
+
+        let scalar = TestbedSimulator::new(seed)
+            .with_engine(SimulationEngine::Scalar)
+            .simulate_session(&scenario, frames)
+            .unwrap();
+        prop_assert_eq!(handoffs(&scalar), expected.clone());
+
+        // Two batches, the second one shorter.
+        let testbed = TestbedSimulator::new(seed);
+        let width = (frames / 2 + 1) as usize;
+        let batched = testbed
+            .simulate_session_batched(&scenario, frames, width)
+            .unwrap();
+        prop_assert_eq!(handoffs(&batched), expected);
+
+        // Fewer frames than the default width: the three replications fuse.
+        let reps = testbed.simulate_point(&scenario, seed, 3, frames).unwrap();
+        prop_assert_eq!(reps.len(), 3);
+        for (rep, session) in reps.iter().enumerate() {
+            prop_assert_eq!(
+                handoffs(session),
+                replayed_handoffs(&scenario, mix(seed, rep as u64), frames)
+            );
+        }
     }
 }
 
