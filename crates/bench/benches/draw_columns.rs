@@ -45,7 +45,7 @@ fn draw_columns(c: &mut Criterion) {
             continue;
         }
         let mut lanes = LaneStreams::with_tier(tier);
-        lanes.reseed(STAGE_BASE, 0, FRAMES);
+        lanes.reseed(&[STAGE_BASE], 0, FRAMES);
         let mut raw_a = vec![0u64; FRAMES];
         let mut raw_b = vec![0u64; FRAMES];
         let mut normals = vec![0.0; FRAMES];
@@ -73,8 +73,8 @@ fn draw_columns(c: &mut Criterion) {
         for depth in BLOCK_DEPTHS {
             let mut single = LaneStreams::with_tier(tier);
             let mut blocked = LaneStreams::with_tier(tier);
-            single.reseed(STAGE_BASE, 0, WIDTH);
-            blocked.reseed(STAGE_BASE, 0, WIDTH);
+            single.reseed(&[STAGE_BASE], 0, WIDTH);
+            blocked.reseed(&[STAGE_BASE], 0, WIDTH);
             let mut columns = vec![0u64; (depth + 1) * WIDTH];
             for column in columns.chunks_exact_mut(WIDTH) {
                 single.fill_next(column);
@@ -111,7 +111,7 @@ fn draw_columns(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0u64;
             for first in (0..frames).step_by(WIDTH) {
-                lanes.reseed(STAGE_BASE, first as u64, WIDTH);
+                lanes.reseed(&[STAGE_BASE], first as u64, WIDTH);
                 lanes.fill_next(&mut raw);
                 acc ^= raw[WIDTH - 1];
             }
@@ -133,7 +133,7 @@ fn draw_columns(c: &mut Criterion) {
                 b.iter(|| {
                     let mut acc = 0u64;
                     for first in (0..frames).step_by(WIDTH) {
-                        lanes.reseed(STAGE_BASE, first as u64, WIDTH);
+                        lanes.reseed(&[STAGE_BASE], first as u64, WIDTH);
                         for column in raw.chunks_exact_mut(WIDTH) {
                             lanes.fill_next(column);
                         }
@@ -152,7 +152,7 @@ fn draw_columns(c: &mut Criterion) {
                 b.iter(|| {
                     let mut acc = 0u64;
                     for first in (0..frames).step_by(WIDTH) {
-                        lanes.reseed(STAGE_BASE, first as u64, WIDTH);
+                        lanes.reseed(&[STAGE_BASE], first as u64, WIDTH);
                         lanes.fill_next(&mut raw);
                         acc ^= raw[depth * WIDTH - 1];
                     }
@@ -190,7 +190,7 @@ fn draw_columns(c: &mut Criterion) {
             b.iter(|| {
                 let mut acc = 0.0;
                 for first in (0..frames).step_by(WIDTH) {
-                    lanes.reseed(STAGE_BASE, first as u64, WIDTH);
+                    lanes.reseed(&[STAGE_BASE], first as u64, WIDTH);
                     for _ in 0..2 {
                         lanes.fill_next(&mut raw_a);
                         lanes.fill_next(&mut raw_b);
@@ -233,7 +233,7 @@ fn draw_columns(c: &mut Criterion) {
             b.iter(|| {
                 let mut acc = 0.0;
                 for first in (0..frames).step_by(WIDTH) {
-                    lanes.reseed(STAGE_BASE, first as u64, WIDTH);
+                    lanes.reseed(&[STAGE_BASE], first as u64, WIDTH);
                     for _ in 0..18 {
                         lanes.fill_next(&mut raw);
                         column::fill_uniform_range(-0.05, 0.05, &raw, &mut out);

@@ -11,7 +11,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use xr_core::{MobilityConfig, Scenario};
-use xr_testbed::TestbedSimulator;
+use xr_testbed::{SimulationEngine, TestbedSimulator};
 use xr_types::{ExecutionTarget, GigaHertz, Meters, MetersPerSecond};
 use xr_wireless::HandoffKind;
 
@@ -52,7 +52,9 @@ fn frame_batch_throughput(c: &mut Criterion) {
         let scalar = testbed.simulate_session_scalar(scenario, FRAMES).unwrap();
         for width in [1, 7, 64, 256, 512] {
             let batched = testbed
-                .simulate_session_batched(scenario, FRAMES, width)
+                .clone()
+                .with_engine(SimulationEngine::Batched { width })
+                .simulate_session(scenario, FRAMES)
                 .unwrap();
             assert_eq!(
                 batched, scalar,

@@ -1,11 +1,10 @@
-//! Replicated-point throughput: the per-rep dispatch loop (each replication
-//! simulated as its own standalone batched session) versus
-//! `simulate_point`, which fuses all R replications into one wide SoA pass
-//! whenever a session is shorter than the batch width — true of every shape
-//! below. The shapes are the ones campaigns actually evaluate: short
-//! quick-grid sessions where the per-rep constant costs (the `BatchConsts`
-//! hoist, lane-bank seeding, walker and monitor setup) dominate, plus a
-//! longer paper-scale shape where the draw kernels do.
+//! Replicated-point throughput: R standalone batched sessions, one after
+//! another, versus `simulate_point`, which runs all R replications fused,
+//! each pass splitting the batch width across them. The shapes are the
+//! ones campaigns actually evaluate: short quick-grid sessions where the
+//! per-rep constant costs (the `BatchConsts` hoist, lane-bank seeding,
+//! walker and monitor setup) dominate, plus a longer paper-scale shape
+//! where the draw kernels do.
 //!
 //! Before any timing, both are checked bit for bit against R standalone
 //! sessions of the scalar reference engine, so the speedup measures pure

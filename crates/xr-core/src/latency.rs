@@ -114,13 +114,6 @@ impl LatencyModel {
         self
     }
 
-    /// Replaces the handoff sub-model.
-    #[must_use]
-    pub fn with_handoff_model(mut self, model: HandoffModel) -> Self {
-        self.handoff = model;
-        self
-    }
-
     /// Disables the memory-bandwidth (`δ/m`) terms — the FACT-style
     /// ablation exercised by the `ablation_table` paper artifact and the
     /// `ablations` bench.
@@ -135,13 +128,6 @@ impl LatencyModel {
     pub fn without_buffering(mut self) -> Self {
         self.include_buffering = false;
         self
-    }
-
-    /// Access to the compute-resource sub-model (used by the energy model to
-    /// stay consistent with the latency model's resource estimates).
-    #[must_use]
-    pub fn compute_model(&self) -> &ComputeResourceModel {
-        &self.compute
     }
 
     /// The client compute resource `c_client` for a scenario.

@@ -89,20 +89,6 @@ impl XrPerformanceModel {
         self
     }
 
-    /// Replaces the energy sub-model.
-    #[must_use]
-    pub fn with_energy_model(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
-        self
-    }
-
-    /// Replaces the AoI sub-model.
-    #[must_use]
-    pub fn with_aoi_model(mut self, aoi: AoiModel) -> Self {
-        self.aoi = aoi;
-        self
-    }
-
     /// Analyses one frame of a scenario: latency (Eq. 1), energy (Eq. 19),
     /// and AoI/RoI (Eqs. 22–26).
     ///

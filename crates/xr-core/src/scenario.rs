@@ -466,13 +466,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Adds an edge server.
-    #[must_use]
-    pub fn add_edge_server(mut self, server: EdgeServerConfig) -> Self {
-        self.edge_servers.push(server);
-        self
-    }
-
     /// Sets the execution target (`ω_loc` / task split).
     #[must_use]
     pub fn execution(mut self, execution: ExecutionTarget) -> Self {

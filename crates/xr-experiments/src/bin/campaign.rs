@@ -34,10 +34,9 @@
 //! `XR_CAMPAIGN_SEED` sets the campaign seed (default 2024) and
 //! `XR_SWEEP_WORKERS` the worker count; a value that is not a non-negative
 //! integer exits with status 2. The CSV is bit-identical for every worker
-//! count and for both session engines; the batched engine fuses all
-//! replications of a point into one wide pass whenever its sessions are
-//! shorter than a batch. CI runs this binary under these axes and diffs
-//! the artifacts.
+//! count and for both session engines; the batched engine runs all
+//! replications of a point fused, sharing each wide pass. CI runs this
+//! binary under these axes and diffs the artifacts.
 
 use std::io::BufWriter;
 use xr_experiments::campaign::write_campaign_csv;

@@ -372,21 +372,23 @@ pub fn run_campaign_subset_streaming_with(
         );
     };
     // The point is the work item: the testbed evaluates all its
-    // replications (fused or one after another, by the point's shape) and
-    // hands over each replication's running totals, so no per-frame record
-    // is ever built.
+    // replications in one fused run and returns each replication's totals,
+    // so no per-frame record is ever built.
     runner.run_indexed_streaming(
         subset,
         |point_ctx, point: &OperatingPoint| {
             let scenario = ctx.scenario_for(point)?;
-            let mut samples = Vec::with_capacity(replications);
-            ctx.testbed().visit_point(
-                &scenario,
-                point_ctx.seed,
-                replications,
-                ctx.frames_for(point),
-                |_, totals| samples.push(RepSample::of(&totals)),
-            )?;
+            let samples: Vec<RepSample> = ctx
+                .testbed()
+                .point_totals(
+                    &scenario,
+                    point_ctx.seed,
+                    replications,
+                    ctx.frames_for(point),
+                )?
+                .into_iter()
+                .map(|totals| RepSample::of(&totals))
+                .collect();
             check_finite_samples(point_ctx.index, &samples)?;
             // The model prediction and the contention snapshot are
             // deterministic per point.
@@ -540,8 +542,8 @@ mod tests {
             .enumerate()
             .step_by(11)
             .collect();
-        // The quick grid's 20-frame sessions fuse under the default engine;
-        // the scalar reference runs every replication on its own.
+        // The default engine fuses each point's replications; the scalar
+        // reference runs every replication on its own.
         let runner = CampaignRunner::new(2).with_campaign_seed(ctx.seed());
         let scalar_ctx = ctx.clone().with_scalar_sessions();
         let mut reference = Vec::new();

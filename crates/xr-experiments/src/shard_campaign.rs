@@ -448,7 +448,7 @@ mod tests {
         // Progress lines go to stderr only; a different checkpoint cadence
         // moves the report boundaries but never the artifact.
         run_campaign_shard_with_progress(&ctx, &grid, &runner, shard, &noisy, 2, true).unwrap();
-        // The default engine fuses this grid's short sessions; the scalar
+        // The default engine fuses each point's replications; the scalar
         // reference runs each replication on its own and must write the
         // same shard bytes.
         let scalar_ctx = ctx.clone().with_scalar_sessions();

@@ -71,11 +71,22 @@
 //! ([`TestbedSimulator::simulate_session`],
 //! [`TestbedSimulator::simulate_point`]) copies it into a
 //! [`GroundTruthFrame`], while the campaign path
-//! ([`TestbedSimulator::visit_point`]) only folds it, in frame order, into
+//! ([`TestbedSimulator::point_totals`]) only folds it, in frame order, into
 //! the replication's [`SessionTotals`] and builds no frame at all.
 //!
+//! ## One driver
+//!
+//! Every batched entry point runs one driver over a list of session seeds:
+//! one seed for a session, one per replication for a point. All of a
+//! point's replications run *fused*, whatever the session length: each
+//! pass holds an equal lane segment per replication, laid out rep-major,
+//! and every segment replays its own session's per-stage streams, so a
+//! fused replication is bit-identical to the same session run alone. The
+//! engine choice (scalar reference or batched) is made in that driver and
+//! nowhere else.
+//!
 //! All column storage (`FrameBatch`, `DrawColumns`, the walker's
-//! per-frame events) is allocated once per session and reused across
+//! per-frame events) is allocated once per driver call and reused across
 //! batches — the steady-state frame loop performs **no** per-frame heap
 //! allocation at all.
 //!
@@ -117,11 +128,11 @@ pub enum SimulationEngine {
     Scalar,
     /// The structure-of-arrays engine: stages run as column loops over
     /// `width` frames at a time (clamped to at least 1). Bit-identical to
-    /// [`SimulationEngine::Scalar`] for every width. When one session is
-    /// too short to fill a batch, [`TestbedSimulator::simulate_point`]
-    /// fuses all replications of a point into one pass of this width.
+    /// [`SimulationEngine::Scalar`] for every width. A point's
+    /// replications share each pass, `width / reps` lanes apiece (at
+    /// least one).
     Batched {
-        /// Frames per batch (the lane budget a fused point shares).
+        /// Lanes per pass, shared by all replications of a point.
         width: usize,
     },
 }
@@ -204,16 +215,13 @@ struct BatchConsts {
 }
 
 impl BatchConsts {
-    fn new(simulator: &TestbedSimulator, scenario: &Scenario) -> Result<Self> {
-        Self::for_seeds(simulator, scenario, std::slice::from_ref(&simulator.seed))
-    }
-
-    /// Hoists the constants once for a whole *point*: `session_seeds[r]` is
-    /// the session seed of fused replication `r`. Everything outside
-    /// `stage_bases` is a pure function of `(simulator, scenario)`, so the
-    /// per-rep hoists this replaces were redundant work — including the
-    /// contention-plan construction, whose errors (e.g. `UnstableQueue`)
-    /// are therefore identical between fused and per-rep dispatch.
+    /// Hoists the constants once for every session of one driver call:
+    /// `session_seeds[r]` is the session seed of fused replication `r`.
+    /// Everything outside `stage_bases` is a pure function of
+    /// `(simulator, scenario)` — including the contention-plan
+    /// construction, so its errors (e.g. `UnstableQueue`) do not depend on
+    /// the seeds, and a point refuses exactly as each of its sessions run
+    /// alone would.
     fn for_seeds(
         simulator: &TestbedSimulator,
         scenario: &Scenario,
@@ -424,8 +432,8 @@ struct DrawColumns {
     cursors: DrawCursors,
     /// Per-frame accumulator for the sensor stage's update loop.
     acc: Vec<Seconds>,
-    /// Scratch for the fused path's per-replication stage seed bases (one
-    /// entry per fused replication, rebuilt on each reseed).
+    /// Scratch: the current stage's seed base of each fused replication,
+    /// rebuilt on each reseed.
     bases: Vec<u64>,
 }
 
@@ -447,19 +455,14 @@ impl DrawColumns {
     /// sizes the draw columns to the batch. The columns are pure scratch —
     /// every `fill_*` overwrites them end to end before anything reads
     /// them — so their contents are only touched when the batch shape
-    /// changes (once per session plus the tail batch). A fused batch seeds
-    /// one contiguous lane segment per replication, each replaying its own
-    /// session's stage streams.
+    /// changes (once per driver call plus the tail batch). The bank is
+    /// seeded as one contiguous lane segment per replication, each
+    /// replaying its own session's stage streams.
     fn reseed(&mut self, k: &BatchConsts, stage: u64, b: &FrameBatch) {
-        if k.stage_bases.len() == 1 {
-            self.lanes.reseed(k.base(0, stage), b.first_index, b.n);
-        } else {
-            self.bases.clear();
-            self.bases
-                .extend(k.stage_bases.iter().map(|bases| bases[stage as usize]));
-            self.lanes
-                .reseed_segments(&self.bases, b.first_index, b.per_rep);
-        }
+        self.bases.clear();
+        self.bases
+            .extend(k.stage_bases.iter().map(|bases| bases[stage as usize]));
+        self.lanes.reseed(&self.bases, b.first_index, b.per_rep);
         if self.fac_a.len() != b.n {
             self.fac_a.resize(b.n, 0.0);
             self.fac_b.resize(b.n, 0.0);
@@ -538,8 +541,8 @@ impl DrawColumns {
 /// replications, laid out **rep-major**: lane `i` is frame
 /// `first_index + (i % per_rep)` of replication `i / per_rep`, so each
 /// replication's lanes form one contiguous segment that is exactly the
-/// batch a standalone run of that session would build. A plain session is
-/// the one-replication special case (`per_rep == n`).
+/// batch a standalone run of that session would build. A single session is
+/// the one-replication case (`per_rep == n`).
 struct FrameBatch {
     first_index: u64,
     /// Frames per replication in this batch.
@@ -606,7 +609,7 @@ impl FrameBatch {
 
     /// Rewinds the batch onto `per_rep` frames starting at absolute frame
     /// index `first_index`, for each of `reps` fused replications
-    /// (rep-major lane layout; a plain session passes `reps == 1`).
+    /// (rep-major lane layout).
     ///
     /// Only the columns a stage *reads before writing* are re-zeroed each
     /// batch: the `max`-accumulators (`EXTERNAL`, `REMOTE_INFERENCE`,
@@ -644,11 +647,11 @@ impl FrameBatch {
     }
 }
 
-/// What the batched drivers build for one replication out of its finalized
-/// frames: the full per-frame record (`Vec<GroundTruthFrame>`, for
+/// What the driver builds for one replication out of its finalized frames:
+/// the full per-frame record (`Vec<GroundTruthFrame>`, for
 /// [`TestbedSimulator::simulate_session`] and
 /// [`TestbedSimulator::simulate_point`]) or the campaign's running
-/// [`SessionTotals`] (for [`TestbedSimulator::visit_point`]).
+/// [`SessionTotals`] (for [`TestbedSimulator::point_totals`]).
 trait RepOutput {
     /// What one replication becomes once its last frame is in.
     type Session;
@@ -731,61 +734,30 @@ impl RepOutput for SessionTotals {
 }
 
 impl TestbedSimulator {
-    /// [`TestbedSimulator::simulate_session`] through the batched
-    /// structure-of-arrays engine with an explicit batch `width` (clamped to
-    /// at least 1). Bit-identical to the scalar reference for every width,
-    /// including widths that do not divide the frame count.
+    /// Simulates a session of `frames` frames under the simulator's seed,
+    /// threading a fresh [`SessionState`] through the staged pipeline so
+    /// device mobility (and therefore
+    /// [`GroundTruthSession::handoff_rate`]) evolves across frames.
+    ///
+    /// Runs on the configured [`SimulationEngine`] — by default the
+    /// batched structure-of-arrays engine, which is bit-identical to (and
+    /// considerably faster than) the scalar frame-by-frame reference.
     ///
     /// # Errors
     ///
     /// Returns scenario-validation errors; `frames` must be at least 1.
-    pub fn simulate_session_batched(
-        &self,
-        scenario: &Scenario,
-        frames: u64,
-        width: usize,
-    ) -> Result<GroundTruthSession> {
-        self.run_session::<Vec<GroundTruthFrame>>(scenario, frames, width, simd_pass())
+    pub fn simulate_session(&self, scenario: &Scenario, frames: u64) -> Result<GroundTruthSession> {
+        let mut sessions = self.run_sessions::<Vec<GroundTruthFrame>>(
+            scenario,
+            &[self.seed],
+            frames,
+            simd_pass(),
+        )?;
+        Ok(sessions.pop().expect("one seed runs one session"))
     }
 
-    /// The batched session driver, generic over what each frame is folded
-    /// into; `simd` picks the build of [`TestbedSimulator::batch_pass`].
-    fn run_session<O: RepOutput>(
-        &self,
-        scenario: &Scenario,
-        frames: u64,
-        width: usize,
-        simd: bool,
-    ) -> Result<O::Session> {
-        check_frames(frames)?;
-        scenario.validate()?;
-        let width = width.max(1) as u64;
-        let consts = BatchConsts::new(self, scenario)?;
-        let mut session = SessionState::on_map(self.seed, scenario, consts.map.as_ref());
-        let mut batch = FrameBatch::new();
-        let mut draws = DrawColumns::new();
-        let mut out = O::new(frames);
-        let mut first = 1u64;
-        while first <= frames {
-            let n = width.min(frames - first + 1) as usize;
-            batch.reset(first, n, 1);
-            self.batch_pass(
-                simd,
-                &consts,
-                &mut batch,
-                &mut draws,
-                std::slice::from_mut(&mut session),
-                std::slice::from_mut(&mut out),
-            );
-            first += n as u64;
-        }
-        Ok(out.finish(&session))
-    }
-
-    /// Runs the eleven column stages over one prepared batch: the shared body
-    /// of the per-session driver above (`sessions.len() == 1`) and the
-    /// replication-fused point driver, which passes one session state and
-    /// one output per fused replication.
+    /// Runs the eleven column stages over one prepared batch, with one
+    /// session state and one output per fused replication.
     ///
     /// `simd` picks the build of the stages: `true` runs them inside one
     /// AVX-512 (`avx512f` + `avx512dq`) wrapper where the CPU has it, so
@@ -865,12 +837,12 @@ impl TestbedSimulator {
 
     /// Evaluates all `reps` replications of one operating point and returns
     /// one full [`GroundTruthSession`] per replication, in replication
-    /// order. Same dispatch and seeds as [`TestbedSimulator::visit_point`],
+    /// order. Same driver and seeds as [`TestbedSimulator::point_totals`],
     /// which keeps only each session's totals.
     ///
     /// # Errors
     ///
-    /// As [`TestbedSimulator::visit_point`].
+    /// As [`TestbedSimulator::point_totals`].
     pub fn simulate_point(
         &self,
         scenario: &Scenario,
@@ -878,23 +850,14 @@ impl TestbedSimulator {
         reps: usize,
         frames: u64,
     ) -> Result<Vec<GroundTruthSession>> {
-        let mut sessions = Vec::with_capacity(reps);
-        self.evaluate_point::<Vec<GroundTruthFrame>>(
-            scenario,
-            point_seed,
-            reps,
-            frames,
-            simd_pass(),
-            |_, session| sessions.push(session),
-        )?;
-        Ok(sessions)
+        let seeds = rep_seeds(point_seed, reps)?;
+        self.run_sessions::<Vec<GroundTruthFrame>>(scenario, &seeds, frames, simd_pass())
     }
 
     /// Evaluates all `reps` replications of one operating point — the
-    /// replicated unit of work of a campaign — and hands each finished
-    /// replication's [`SessionTotals`] to `visit` as `(rep, totals)`, in
-    /// replication order, one call per replication. Replication `r` runs
-    /// under session seed `mix(point_seed, r)` (what
+    /// replicated unit of work of a campaign — and returns each
+    /// replication's [`SessionTotals`], in replication order. Replication
+    /// `r` runs under session seed `mix(point_seed, r)` (what
     /// `xr_sweep::replication_seed` derives), and its totals are
     /// **bit-identical to** `SessionTotals::of` a standalone
     /// `self.reseeded(mix(point_seed, r)).simulate_session(scenario,
@@ -902,100 +865,75 @@ impl TestbedSimulator {
     /// batched engine folds each finalized frame into the totals in frame
     /// order.
     ///
-    /// The point's shape picks the evaluation order. Under
-    /// [`SimulationEngine::Batched`] with more than one replication and
-    /// sessions shorter than the batch width — one session cannot fill a
-    /// batch — the replications are *fused*: one `BatchConsts` hoist for
-    /// the whole point, one rep-major `FrameBatch`/`DrawColumns` pass per
-    /// batch of frames (each replication's lanes form a contiguous segment
-    /// replaying its own per-stage streams), and the sparse per-rep state
-    /// (walkers, handoff tallies, migration clocks) banked behind
-    /// rep-indexed arrays. Otherwise — long sessions or `reps == 1` — the
-    /// replications run one after another through the batched session
-    /// driver, and each is visited before the next one starts. Under the
-    /// [`SimulationEngine::Scalar`] reference each replication is
+    /// Under [`SimulationEngine::Batched`] the replications run fused: one
+    /// `BatchConsts` hoist for the whole point, one rep-major
+    /// `FrameBatch`/`DrawColumns` pass per batch of frames (each
+    /// replication's lanes form a contiguous segment replaying its own
+    /// per-stage streams), and the sparse per-rep state (walkers, handoff
+    /// tallies, migration clocks) banked behind rep-indexed arrays. Under
+    /// the [`SimulationEngine::Scalar`] reference each replication is
     /// `SessionTotals::of(&simulate_session_scalar(…))`, so the scalar
     /// engine stays the oracle.
     ///
     /// # Errors
     ///
     /// Returns scenario-validation and model errors (identical on both
-    /// branches — every fallible hoist is seed-independent); `reps` and
-    /// `frames` must each be at least 1. On error, `visit` may already have
-    /// seen the replications before the failing one.
-    pub fn visit_point(
+    /// engines — every fallible hoist is seed-independent); `reps` and
+    /// `frames` must each be at least 1.
+    pub fn point_totals(
         &self,
         scenario: &Scenario,
         point_seed: u64,
         reps: usize,
         frames: u64,
-        visit: impl FnMut(usize, SessionTotals),
-    ) -> Result<()> {
-        self.evaluate_point::<SessionTotals>(scenario, point_seed, reps, frames, simd_pass(), visit)
+    ) -> Result<Vec<SessionTotals>> {
+        let seeds = rep_seeds(point_seed, reps)?;
+        self.run_sessions::<SessionTotals>(scenario, &seeds, frames, simd_pass())
     }
 
-    /// The point driver behind [`TestbedSimulator::simulate_point`] and
-    /// [`TestbedSimulator::visit_point`], generic over the per-rep output;
-    /// `simd` picks the build of [`TestbedSimulator::batch_pass`].
-    fn evaluate_point<O: RepOutput>(
+    /// The one session driver: runs a session of `frames` frames under
+    /// each of `seeds` on the configured [`SimulationEngine`] and returns
+    /// their outputs in seed order. The scalar reference runs the seeds
+    /// one after another; the batched engine runs them all fused, the
+    /// `width` lanes of each pass split evenly across the seeds so a pass
+    /// touches about as much column memory as one session would. `simd`
+    /// picks the build of [`TestbedSimulator::batch_pass`].
+    fn run_sessions<O: RepOutput>(
         &self,
         scenario: &Scenario,
-        point_seed: u64,
-        reps: usize,
+        seeds: &[u64],
         frames: u64,
         simd: bool,
-        mut visit: impl FnMut(usize, O::Session),
-    ) -> Result<()> {
-        if reps == 0 {
-            return Err(xr_types::Error::invalid_parameter(
-                "reps",
-                "must be at least 1",
-            ));
-        }
-        let rep_seed = |rep: usize| xr_types::seed::mix(point_seed, rep as u64);
+    ) -> Result<Vec<O::Session>> {
         let width = match self.engine() {
-            SimulationEngine::Batched { width } if reps > 1 && frames < width.max(1) as u64 => {
-                width
-            }
-            SimulationEngine::Batched { width } => {
-                for rep in 0..reps {
-                    let session = self
-                        .reseeded(rep_seed(rep))
-                        .run_session::<O>(scenario, frames, width, simd)?;
-                    visit(rep, session);
-                }
-                return Ok(());
-            }
             SimulationEngine::Scalar => {
-                for rep in 0..reps {
-                    let session = self
-                        .reseeded(rep_seed(rep))
-                        .simulate_session_scalar(scenario, frames)?;
-                    visit(rep, O::of_scalar(session));
-                }
-                return Ok(());
+                return seeds
+                    .iter()
+                    .map(|&seed| {
+                        let session = self
+                            .reseeded(seed)
+                            .simulate_session_scalar(scenario, frames)?;
+                        Ok(O::of_scalar(session))
+                    })
+                    .collect();
             }
+            SimulationEngine::Batched { width } => width.max(1),
         };
         check_frames(frames)?;
         scenario.validate()?;
-        let consts = {
-            let seeds: Vec<u64> = (0..reps).map(rep_seed).collect();
-            BatchConsts::for_seeds(self, scenario, &seeds)?
-        };
-        let mut sessions: Vec<SessionState> = (0..reps)
-            .map(|rep| SessionState::on_map(rep_seed(rep), scenario, consts.map.as_ref()))
+        let consts = BatchConsts::for_seeds(self, scenario, seeds)?;
+        let mut sessions: Vec<SessionState> = seeds
+            .iter()
+            .map(|&seed| SessionState::on_map(seed, scenario, consts.map.as_ref()))
             .collect();
-        let mut outs: Vec<O> = (0..reps).map(|_| O::new(frames)).collect();
-        // Split the lane budget evenly across the replications so the fused
-        // batch touches about as much column memory per pass as a plain
-        // batched session would.
-        let per_rep_width = (width / reps).max(1) as u64;
+        let mut outs: Vec<O> = seeds.iter().map(|_| O::new(frames)).collect();
+        let per_rep_width = (width / seeds.len()).max(1) as u64;
         let mut batch = FrameBatch::new();
         let mut draws = DrawColumns::new();
         let mut first = 1u64;
         while first <= frames {
             let per_rep = per_rep_width.min(frames - first + 1) as usize;
-            batch.reset(first, per_rep, reps);
+            batch.reset(first, per_rep, seeds.len());
             self.batch_pass(
                 simd,
                 &consts,
@@ -1006,10 +944,11 @@ impl TestbedSimulator {
             );
             first += per_rep as u64;
         }
-        for (rep, (session, out)) in sessions.iter().zip(outs).enumerate() {
-            visit(rep, out.finish(session));
-        }
-        Ok(())
+        Ok(sessions
+            .iter()
+            .zip(outs)
+            .map(|(session, out)| out.finish(session))
+            .collect())
     }
 
     /// The walk pre-pass — the one sequential scan: advance each moving
@@ -1051,8 +990,8 @@ impl TestbedSimulator {
         b.windows.clear();
         b.windows.resize(b.per_rep, k.window);
         if let [session] = sessions {
-            // The plain-session fast path walks straight into the batch
-            // column (no segment copy).
+            // A single session walks straight into the batch column (no
+            // segment copy).
             walker(session).advance_many_into(&b.windows, &mut b.events);
             return;
         }
@@ -1307,7 +1246,6 @@ impl TestbedSimulator {
             let mut latency =
                 k.handoff_base * events.crossings as f64 * k.noise(&mut rng, &mut pairs);
             if events.migrations > 0 {
-                session.migrations += events.migrations as u64;
                 let mut migration_rng = k.rng(rep, stream::MIGRATION, b.frame_index(i));
                 let mut migration_pairs = StandardNormalPairs::new();
                 let migration = k.migration_base
@@ -1426,6 +1364,20 @@ impl TestbedSimulator {
     }
 }
 
+/// The session seeds of a point's replications: `mix(point_seed, r)` for
+/// `r` in `0..reps`.
+fn rep_seeds(point_seed: u64, reps: usize) -> Result<Vec<u64>> {
+    if reps == 0 {
+        return Err(xr_types::Error::invalid_parameter(
+            "reps",
+            "must be at least 1",
+        ));
+    }
+    Ok((0..reps as u64)
+        .map(|rep| xr_types::seed::mix(point_seed, rep))
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1452,6 +1404,13 @@ mod tests {
             .unwrap()
     }
 
+    /// `testbed` on the batched engine at `width`.
+    fn at_width(testbed: &TestbedSimulator, width: usize) -> TestbedSimulator {
+        testbed
+            .clone()
+            .with_engine(SimulationEngine::Batched { width })
+    }
+
     #[test]
     fn batched_sessions_match_the_scalar_reference_bit_for_bit() {
         let testbed = TestbedSimulator::new(42);
@@ -1463,7 +1422,7 @@ mod tests {
             let s = scenario(500.0, 2.0, target);
             let scalar = testbed.simulate_session_scalar(&s, 37).unwrap();
             for width in [1, 2, 7, 37, 64, 100] {
-                let batched = testbed.simulate_session_batched(&s, 37, width).unwrap();
+                let batched = at_width(&testbed, width).simulate_session(&s, 37).unwrap();
                 assert_eq!(batched, scalar, "{target:?} diverged at width {width}");
             }
         }
@@ -1479,7 +1438,7 @@ mod tests {
         let scalar = testbed.simulate_session_scalar(&s, 101).unwrap();
         assert!(scalar.handoff_rate() > 0.0, "mobile session never crossed");
         for width in [1, 3, 16, 101, 128] {
-            let batched = testbed.simulate_session_batched(&s, 101, width).unwrap();
+            let batched = at_width(&testbed, width).simulate_session(&s, 101).unwrap();
             assert_eq!(batched, scalar, "mobile session diverged at width {width}");
         }
     }
@@ -1500,11 +1459,7 @@ mod tests {
             .with_engine(SimulationEngine::Scalar)
             .simulate_session(&s, 23)
             .unwrap();
-        let narrow = testbed
-            .clone()
-            .with_engine(SimulationEngine::Batched { width: 0 })
-            .simulate_session(&s, 23)
-            .unwrap();
+        let narrow = at_width(&testbed, 0).simulate_session(&s, 23).unwrap();
         assert_eq!(default, scalar);
         assert_eq!(narrow, scalar, "width 0 clamps to 1");
         // The engine survives reseeding (campaign replications keep their
@@ -1514,12 +1469,12 @@ mod tests {
 
     #[test]
     fn batched_rejects_zero_frames_and_invalid_scenarios() {
-        let testbed = TestbedSimulator::new(3);
+        let testbed = at_width(&TestbedSimulator::new(3), 8);
         let s = scenario(500.0, 2.0, ExecutionTarget::Local);
-        assert!(testbed.simulate_session_batched(&s, 0, 8).is_err());
+        assert!(testbed.simulate_session(&s, 0).is_err());
         let mut broken = s;
         broken.updates_per_frame = 0;
-        assert!(testbed.simulate_session_batched(&broken, 5, 8).is_err());
+        assert!(testbed.simulate_session(&broken, 5).is_err());
     }
 
     #[test]
@@ -1542,7 +1497,7 @@ mod tests {
                 .unwrap();
             let scalar = testbed.simulate_session_scalar(&s, 41).unwrap();
             for width in [1, 2, 5, 41, 64] {
-                let batched = testbed.simulate_session_batched(&s, 41, width).unwrap();
+                let batched = at_width(&testbed, width).simulate_session(&s, 41).unwrap();
                 assert_eq!(batched, scalar, "{target:?} diverged at width {width}");
             }
         }
@@ -1555,7 +1510,7 @@ mod tests {
             .build()
             .unwrap();
         let scalar = noiseless.simulate_session_scalar(&s, 17).unwrap();
-        let batched = noiseless.simulate_session_batched(&s, 17, 6).unwrap();
+        let batched = at_width(&noiseless, 6).simulate_session(&s, 17).unwrap();
         assert_eq!(batched, scalar);
     }
 
@@ -1568,7 +1523,7 @@ mod tests {
             .build()
             .unwrap();
         let scalar = testbed.simulate_session_scalar(&s, 3).unwrap_err();
-        let batched = testbed.simulate_session_batched(&s, 3, 2).unwrap_err();
+        let batched = at_width(&testbed, 2).simulate_session(&s, 3).unwrap_err();
         assert!(matches!(scalar, xr_types::Error::UnstableQueue { .. }));
         assert!(matches!(batched, xr_types::Error::UnstableQueue { .. }));
     }
@@ -1618,7 +1573,7 @@ mod tests {
                     let s = topology_scenario(layout, policy, 2500.0, users);
                     let scalar = testbed.simulate_session_scalar(&s, 97).unwrap();
                     for width in [1, 3, 17, 97, 128] {
-                        let batched = testbed.simulate_session_batched(&s, 97, width).unwrap();
+                        let batched = at_width(&testbed, width).simulate_session(&s, 97).unwrap();
                         assert_eq!(
                             batched, scalar,
                             "{layout:?}/{policy:?}/users {users:?} diverged at width {width}"
@@ -1676,8 +1631,8 @@ mod tests {
             );
             for width in [1, 9, 73] {
                 assert_eq!(
-                    testbed
-                        .simulate_session_batched(&single, 73, width)
+                    at_width(&testbed, width)
+                        .simulate_session(&single, 73)
                         .unwrap(),
                     reference,
                     "batched single-site diverged at width {width} (users {users:?})"
@@ -1693,7 +1648,7 @@ mod tests {
         let s = topology_scenario(TopologyLayout::Hex, MigrationPolicy::Lazy, 2500.0, Some(2));
         let scalar = testbed.simulate_session_scalar(&s, 48).unwrap();
         for width in [1, 7, 48] {
-            let batched = testbed.simulate_session_batched(&s, 48, width).unwrap();
+            let batched = at_width(&testbed, width).simulate_session(&s, 48).unwrap();
             assert_eq!(batched, scalar, "noiseless topology diverged at {width}");
         }
     }
@@ -1728,28 +1683,26 @@ mod tests {
         ] {
             let testbed = TestbedSimulator::new(42);
             let reference = scalar_reference(&testbed, &s, point_seed, 4, 37);
-            // Widths 1 and 7 run the replications one after another; 64 and
-            // 256 exceed the session length and fuse them.
+            // Widths 1 and 7 give each replication one lane (several passes
+            // of one frame, or of one and a tail); 64 and 256 cover the
+            // whole session in one pass.
             for width in [1, 7, 64, 256] {
-                let point = testbed
-                    .clone()
-                    .with_engine(SimulationEngine::Batched { width })
+                let point = at_width(&testbed, width)
                     .simulate_point(&s, point_seed, 4, 37)
                     .unwrap();
                 assert_eq!(point, reference, "{label} diverged at width {width}");
             }
-            // Both sides of the fusion boundary: one frame short of a full
-            // batch fuses, a full batch and one more frame do not.
+            // At width 111 each of 3 replications gets 37 lanes: sessions
+            // one frame short of a pass, exactly one pass, and one frame
+            // past it (a one-frame tail pass).
             for frames in [36, 37, 38] {
-                let point = testbed
-                    .clone()
-                    .with_engine(SimulationEngine::Batched { width: 37 })
+                let point = at_width(&testbed, 111)
                     .simulate_point(&s, point_seed, 3, frames)
                     .unwrap();
                 assert_eq!(
                     point,
                     scalar_reference(&testbed, &s, point_seed, 3, frames),
-                    "{label} diverged at {frames} frames of width 37"
+                    "{label} diverged at {frames} frames of 37 lanes"
                 );
             }
         }
@@ -1758,8 +1711,7 @@ mod tests {
     #[test]
     fn fused_topologized_and_contended_points_match_per_rep_sessions() {
         use xr_types::{MigrationPolicy, TopologyLayout};
-        let testbed =
-            TestbedSimulator::new(51).with_engine(SimulationEngine::Batched { width: 96 });
+        let testbed = at_width(&TestbedSimulator::new(51), 96);
         let point_seed = xr_types::seed::mix(7, 3);
         let topo = topology_scenario(
             TopologyLayout::Square,
@@ -1795,10 +1747,9 @@ mod tests {
     fn fused_point_fallbacks_and_errors_match_per_rep_dispatch() {
         let s = scenario(400.0, 2.5, ExecutionTarget::Remote);
         let point_seed = 99;
-        // reps == 1, sessions as long as a batch, and the scalar engine all
-        // run the replications one after another; each must equal the
-        // scalar oracle.
-        let batched = TestbedSimulator::new(9).with_engine(SimulationEngine::Batched { width: 32 });
+        // One replication, sessions longer than their lane share, and the
+        // scalar engine must each equal the scalar oracle.
+        let batched = at_width(&TestbedSimulator::new(9), 32);
         assert_eq!(
             batched.simulate_point(&s, point_seed, 1, 23).unwrap(),
             scalar_reference(&batched, &s, point_seed, 1, 23)
@@ -1812,11 +1763,12 @@ mod tests {
             scalar.simulate_point(&s, point_seed, 3, 23).unwrap(),
             scalar_reference(&scalar, &s, point_seed, 3, 23)
         );
-        // Degenerate inputs are rejected on every branch.
+        // Degenerate inputs are rejected on both engines.
         assert!(batched.simulate_point(&s, point_seed, 0, 23).is_err());
         assert!(batched.simulate_point(&s, point_seed, 3, 0).is_err());
+        assert!(scalar.simulate_point(&s, point_seed, 0, 23).is_err());
         assert!(scalar.simulate_point(&s, point_seed, 3, 0).is_err());
-        // Saturated queues error identically on the fused branch and in a
+        // Saturated queues error identically on a fused point and in a
         // standalone session.
         let saturated = Scenario::builder()
             .execution(ExecutionTarget::Remote)
@@ -1836,7 +1788,7 @@ mod tests {
     #[test]
     fn fused_engine_runs_single_sessions_like_batched() {
         // A one-replication point is exactly one standalone session.
-        let testbed = TestbedSimulator::new(9).with_engine(SimulationEngine::Batched { width: 64 });
+        let testbed = at_width(&TestbedSimulator::new(9), 64);
         let s = scenario(400.0, 2.5, ExecutionTarget::Remote);
         let point = testbed.simulate_point(&s, 5, 1, 23).unwrap();
         assert_eq!(
@@ -1851,23 +1803,21 @@ mod tests {
 
     #[test]
     fn the_point_visitor_sees_each_replication_once_in_order() {
+        // `point_totals` returns one totals per replication, in
+        // replication order. Width 64 gives each of the 4 replications 16
+        // lanes (two passes, the second a 14-frame tail); width 16 gives
+        // each 4 lanes (eight passes).
         let s = mobile_scenario(25.0, 8.0);
         let testbed = TestbedSimulator::new(3);
-        let reference = scalar_reference(&testbed, &s, 11, 4, 30);
-        // Width 64 fuses the 30-frame sessions; width 16 runs them in turn.
+        let expected: Vec<_> = scalar_reference(&testbed, &s, 11, 4, 30)
+            .iter()
+            .map(SessionTotals::of)
+            .collect();
         for width in [64, 16] {
-            let mut seen = Vec::new();
-            testbed
-                .clone()
-                .with_engine(SimulationEngine::Batched { width })
-                .visit_point(&s, 11, 4, 30, |rep, session| seen.push((rep, session)))
+            let totals = at_width(&testbed, width)
+                .point_totals(&s, 11, 4, 30)
                 .unwrap();
-            let expected: Vec<_> = reference
-                .iter()
-                .map(SessionTotals::of)
-                .enumerate()
-                .collect();
-            assert_eq!(seen, expected, "width {width}");
+            assert_eq!(totals, expected, "width {width}");
         }
     }
 
@@ -1905,9 +1855,9 @@ mod tests {
 
     #[test]
     fn visited_totals_match_the_scalar_session_means_bit_for_bit() {
-        // frames = width - 1 fuses the replications; width and width + 1
-        // stream them (the latter with a one-frame tail batch). The scalar
-        // engine's branch folds its own sessions.
+        // Each of 3 replications gets 8 lanes of the 24: sessions one frame
+        // short of, exactly at, and one frame past three passes. The
+        // scalar engine folds its own sessions.
         use xr_types::{MigrationPolicy, TopologyLayout};
         let width = 24usize;
         let contended = Scenario::builder()
@@ -1948,14 +1898,13 @@ mod tests {
                     SimulationEngine::Batched { width },
                     SimulationEngine::Scalar,
                 ] {
-                    let mut seen = Vec::new();
-                    testbed
+                    let totals = testbed
                         .clone()
                         .with_engine(engine)
-                        .visit_point(&s, 19, 3, frames, |rep, totals| seen.push((rep, totals)))
+                        .point_totals(&s, 19, 3, frames)
                         .unwrap();
-                    assert_eq!(seen.len(), 3);
-                    for ((rep, totals), session) in seen.iter().zip(&reference) {
+                    assert_eq!(totals.len(), 3);
+                    for (rep, (totals, session)) in totals.iter().zip(&reference).enumerate() {
                         let label = format!("{label} rep {rep}, {frames} frames, {engine:?}");
                         assert_totals_match(totals, session, &label);
                     }
@@ -1967,13 +1916,14 @@ mod tests {
 
     #[test]
     fn baseline_and_tier_compiled_passes_match_the_scalar_reference() {
-        // Both builds of the batch pass, pinned in-process: the drivers
-        // only ever take the dispatched one, so without this an AVX-512
-        // host would never run the baseline build. (A host without
-        // AVX-512 runs the baseline build on both sides.) Width 16 over 37
-        // frames leaves a 5-frame tail batch; width 64 fuses the 3 × 20
-        // frames of a point into one pass; both drivers' outputs (frames
-        // and the campaign totals, which skip stage 9) are checked.
+        // Both builds of the batch pass, pinned in-process: the entry
+        // points only ever take the dispatched one, so without this an
+        // AVX-512 host would never run the baseline build. (A host without
+        // AVX-512 runs the baseline build on both sides.) A single session
+        // at width 16 over 37 frames leaves a 5-frame tail batch; width 64
+        // gives each of a point's 3 × 20-frame replications 21 lanes, one
+        // pass; both outputs (frames and the campaign totals, which skip
+        // stage 9) are checked.
         use xr_types::{MigrationPolicy, TopologyLayout};
         if !Tier::Avx512.supported() {
             eprintln!("the tier-compiled pass runs the baseline build: this host has no AVX-512");
@@ -2011,33 +1961,28 @@ mod tests {
             let scalar = testbed.simulate_session_scalar(&s, 37).unwrap();
             let point_seed = xr_types::seed::mix(2024, 20);
             let reference = scalar_reference(testbed, &s, point_seed, 3, 20);
-            let fused = testbed
-                .clone()
-                .with_engine(SimulationEngine::Batched { width: 64 });
+            let seeds = rep_seeds(point_seed, 3).unwrap();
+            let (narrow, fused) = (at_width(testbed, 16), at_width(testbed, 64));
             for simd in [false, true] {
                 let build = if simd { "tier-compiled" } else { "baseline" };
-                let session = testbed
-                    .run_session::<Vec<GroundTruthFrame>>(&s, 37, 16, simd)
+                let session = narrow
+                    .run_sessions::<Vec<GroundTruthFrame>>(&s, &[testbed.seed], 37, simd)
                     .unwrap();
-                assert_eq!(session, scalar, "{label}: {build} session diverged");
-                let totals = testbed
-                    .run_session::<SessionTotals>(&s, 37, 16, simd)
+                assert_eq!(
+                    session,
+                    std::slice::from_ref(&scalar),
+                    "{label}: {build} session diverged"
+                );
+                let totals = narrow
+                    .run_sessions::<SessionTotals>(&s, &[testbed.seed], 37, simd)
                     .unwrap();
                 assert_eq!(
                     totals,
-                    SessionTotals::of(&scalar),
+                    [SessionTotals::of(&scalar)],
                     "{label}: {build} totals diverged"
                 );
-                let mut point = Vec::new();
-                fused
-                    .evaluate_point::<Vec<GroundTruthFrame>>(
-                        &s,
-                        point_seed,
-                        3,
-                        20,
-                        simd,
-                        |_, session| point.push(session),
-                    )
+                let point = fused
+                    .run_sessions::<Vec<GroundTruthFrame>>(&s, &seeds, 20, simd)
                     .unwrap();
                 assert_eq!(point, reference, "{label}: {build} fused point diverged");
             }
@@ -2049,7 +1994,7 @@ mod tests {
         let testbed = TestbedSimulator::new(11).with_noise(0.0);
         let s = scenario(600.0, 1.5, ExecutionTarget::Remote);
         let scalar = testbed.simulate_session_scalar(&s, 10).unwrap();
-        let batched = testbed.simulate_session_batched(&s, 10, 4).unwrap();
+        let batched = at_width(&testbed, 4).simulate_session(&s, 10).unwrap();
         assert_eq!(batched, scalar);
     }
 
@@ -2063,14 +2008,14 @@ mod tests {
         let scalar = testbed.simulate_session_scalar(&mobile, 64).unwrap();
         assert!(scalar.handoff_rate() > 0.0);
         for width in [1, 5, 64] {
-            let batched = testbed
-                .simulate_session_batched(&mobile, 64, width)
+            let batched = at_width(&testbed, width)
+                .simulate_session(&mobile, 64)
                 .unwrap();
             assert_eq!(batched, scalar, "noiseless mobile diverged at {width}");
         }
         let split = scenario(450.0, 2.2, ExecutionTarget::Split { client_share: 0.5 });
         let scalar = testbed.simulate_session_scalar(&split, 33).unwrap();
-        let batched = testbed.simulate_session_batched(&split, 33, 8).unwrap();
+        let batched = at_width(&testbed, 8).simulate_session(&split, 33).unwrap();
         assert_eq!(batched, scalar);
     }
 }

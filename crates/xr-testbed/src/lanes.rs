@@ -12,7 +12,7 @@
 //! frame-by-frame.
 //!
 //! [`LaneStreams`] is that wide generator. Lane `j` of a
-//! [`reseed`](LaneStreams::reseed) at `(stage_seed_base, first_frame, n)`
+//! [`reseed`](LaneStreams::reseed) at `(&[stage_seed_base], first_frame, n)`
 //! owns frame `first_frame + j` and replays *that frame's own stream*,
 //! word for word — so the output is **lane-count invariant by
 //! construction**: widening or narrowing the batch only changes how many
@@ -77,14 +77,14 @@ fn splitmix64(state: &mut u64) -> u64 {
 ///
 /// let stage_base = seed::mix(42, 3); // mix(session_seed, stage_id)
 /// let mut lanes = LaneStreams::new();
-/// lanes.reseed(stage_base, 1, 8); // lanes own frames 1..=8
+/// lanes.reseed(&[stage_base], 1, 8); // lanes own frames 1..=8
 /// let mut column = [0u64; 8];
 /// lanes.fill_next(&mut column); // draw #0 of frames 1..=8
 /// lanes.fill_next(&mut column); // draw #1 of frames 1..=8
 ///
 /// // The same draws as one two-column block.
 /// let mut block = [0u64; 2 * 8];
-/// lanes.reseed(stage_base, 1, 8);
+/// lanes.reseed(&[stage_base], 1, 8);
 /// lanes.fill_next(&mut block);
 /// assert_eq!(block[8..], column); // draw #1 is the second column
 /// ```
@@ -128,27 +128,16 @@ impl LaneStreams {
         }
     }
 
-    /// Re-seeds the bank onto `width` consecutive frame streams: lane `j`
-    /// becomes the generator `StdRng::seed_from_u64(mix(stage_seed_base,
-    /// first_frame + j))` of frame `first_frame + j`. Lane storage is
-    /// reused across calls, so re-seeding in a batch loop allocates only on
-    /// the first (or a widening) call.
-    pub fn reseed(&mut self, stage_seed_base: u64, first_frame: u64, width: usize) {
-        self.reseed_segments(&[stage_seed_base], first_frame, width);
-    }
-
     /// Re-seeds the bank as `seed_bases.len()` contiguous **segments** of
     /// `per_segment` lanes each: lane `r * per_segment + j` becomes the
-    /// generator of frame `first_frame + j` under stage base
-    /// `seed_bases[r]`. Segment `r` is therefore bit-identical to a
-    /// standalone [`reseed`](LaneStreams::reseed) at `(seed_bases[r],
-    /// first_frame, per_segment)` — this is what lets the replication-fused
-    /// point engine stack R sessions' lanes side by side while each session
-    /// keeps replaying its own per-frame streams word for word.
-    ///
-    /// `reseed_segments(&[base], first_frame, width)` is exactly
-    /// `reseed(base, first_frame, width)`.
-    pub fn reseed_segments(&mut self, seed_bases: &[u64], first_frame: u64, per_segment: usize) {
+    /// generator `StdRng::seed_from_u64(mix(seed_bases[r], first_frame +
+    /// j))` of frame `first_frame + j` under stage base `seed_bases[r]`.
+    /// Each segment replays its own base's per-frame streams word for word,
+    /// whatever the other segments hold — this is what lets the batched
+    /// engine stack several sessions' lanes side by side; a single session
+    /// passes one base. Lane storage is reused across calls, so re-seeding
+    /// in a batch loop allocates only on the first (or a widening) call.
+    pub fn reseed(&mut self, seed_bases: &[u64], first_frame: u64, per_segment: usize) {
         // Length adjustments only when the batch shape changes (once per
         // session plus the tail batch): the seeding pass below overwrites
         // every lane, so re-zeroing the state columns each reseed would be
@@ -506,7 +495,7 @@ mod avx512 {
         xor_shr::<31>(z)
     }
 
-    /// Eight-lane seeding body behind [`super::LaneStreams::reseed_segments`]:
+    /// Eight-lane seeding body behind [`super::LaneStreams::reseed`]:
     /// `mix(stage_seed_base, first_frame + j)` then the 4-word SplitMix64
     /// expansion, with a masked last chunk.
     ///
@@ -677,7 +666,7 @@ mod tests {
                         .map(|r| seed::mix(2024, 1000 + r as u64))
                         .collect();
                     let mut lanes = LaneStreams::with_tier(tier);
-                    lanes.reseed_segments(&seed_bases, 11, per_segment);
+                    lanes.reseed(&seed_bases, 11, per_segment);
                     let mut column = vec![0u64; bases * per_segment];
                     for draw in 0..4 {
                         lanes.fill_next(&mut column);
@@ -696,22 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn one_segment_is_a_plain_reseed() {
-        let base = seed::mix(7, 4);
-        let mut segmented = LaneStreams::new();
-        segmented.reseed_segments(&[base], 3, 17);
-        let mut plain = LaneStreams::new();
-        plain.reseed(base, 3, 17);
-        let mut a = vec![0u64; 17];
-        let mut b = vec![0u64; 17];
-        for _ in 0..3 {
-            segmented.fill_next(&mut a);
-            plain.fill_next(&mut b);
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn lanes_replay_each_frames_stdrng_stream_bit_for_bit() {
         for tier in tiers() {
             let mut lanes = LaneStreams::with_tier(tier);
@@ -722,7 +695,7 @@ mod tests {
             ] {
                 for width in [1usize, 2, 3, 8, 64, 100] {
                     let expected = scalar_columns(stage_base, first, width, 6);
-                    lanes.reseed(stage_base, first, width);
+                    lanes.reseed(&[stage_base], first, width);
                     let mut column = vec![0u64; width];
                     for scalar_column in &expected {
                         lanes.fill_next(&mut column);
@@ -741,7 +714,7 @@ mod tests {
         let reference = scalar_columns(stage_base, 7, 1, 4);
         for (first, width, lane) in [(7u64, 1usize, 0usize), (5, 5, 2), (0, 64, 7)] {
             let mut lanes = LaneStreams::new();
-            lanes.reseed(stage_base, first, width);
+            lanes.reseed(&[stage_base], first, width);
             let mut column = vec![0u64; width];
             for (d, scalar_column) in reference.iter().enumerate() {
                 lanes.fill_next(&mut column);
@@ -756,10 +729,10 @@ mod tests {
     #[test]
     fn reseed_reuses_storage_and_supports_narrowing() {
         let mut lanes = LaneStreams::new();
-        lanes.reseed(1, 0, 64);
+        lanes.reseed(&[1], 0, 64);
         assert_eq!(lanes.s0.len(), 64);
         // Narrow to a tail batch: widths shrink without stale lanes.
-        lanes.reseed(1, 64, 9);
+        lanes.reseed(&[1], 64, 9);
         assert_eq!(lanes.s0.len(), 9);
         let expected = scalar_columns(1, 64, 9, 2);
         let mut column = vec![0u64; 9];
@@ -773,7 +746,7 @@ mod tests {
     #[should_panic(expected = "output column width")]
     fn mismatched_column_width_is_rejected() {
         let mut lanes = LaneStreams::new();
-        lanes.reseed(3, 0, 4);
+        lanes.reseed(&[3], 0, 4);
         let mut column = vec![0u64; 5];
         lanes.fill_next(&mut column);
     }
@@ -782,7 +755,7 @@ mod tests {
     #[should_panic(expected = "output column width")]
     fn a_block_of_partial_columns_is_rejected() {
         let mut lanes = LaneStreams::new();
-        lanes.reseed(3, 0, 4);
+        lanes.reseed(&[3], 0, 4);
         let mut block = vec![0u64; 6];
         lanes.fill_next(&mut block);
     }
@@ -802,8 +775,8 @@ mod tests {
                     let base = seed::mix(2024, depth as u64);
                     let mut single = LaneStreams::with_tier(tier);
                     let mut blocked = LaneStreams::with_tier(tier);
-                    single.reseed(base, 5, width);
-                    blocked.reseed(base, 5, width);
+                    single.reseed(&[base], 5, width);
+                    blocked.reseed(&[base], 5, width);
                     let mut columns = vec![0u64; depth * width];
                     for column in columns.chunks_exact_mut(width) {
                         single.fill_next(column);
@@ -825,7 +798,7 @@ mod tests {
     #[test]
     fn zero_width_bank_is_a_no_op() {
         let mut lanes = LaneStreams::new();
-        lanes.reseed(9, 3, 0);
+        lanes.reseed(&[9], 3, 0);
         assert_eq!(lanes.s0.len(), 0);
         lanes.fill_next(&mut []);
     }
@@ -849,8 +822,8 @@ mod tests {
                     for seed_bases in [&bases[..1], &bases[..]] {
                         let mut simd = LaneStreams::with_tier(tier);
                         let mut portable = LaneStreams::with_tier(Tier::Portable);
-                        simd.reseed_segments(seed_bases, first, width);
-                        portable.reseed_segments(seed_bases, first, width);
+                        simd.reseed(seed_bases, first, width);
+                        portable.reseed(seed_bases, first, width);
                         let context = format!("{tier:?} {}x{width} at {first}", seed_bases.len());
                         assert_eq!(simd.s0, portable.s0, "seeded s0 diverged: {context}");
                         assert_eq!(simd.s1, portable.s1, "seeded s1 diverged: {context}");

@@ -424,13 +424,6 @@ impl TestbedSimulator {
         self.engine
     }
 
-    /// Overrides the true laws (used by failure-injection tests).
-    #[must_use]
-    pub fn with_laws(mut self, laws: TrueLaws) -> Self {
-        self.laws = laws;
-        self
-    }
-
     /// Overrides the measurement-noise level.
     ///
     /// # Panics
@@ -1024,7 +1017,6 @@ impl TestbedSimulator {
             latency += base * events.crossings as f64 * self.noise(&mut rng, &mut pairs);
         }
         if events.migrations > 0 {
-            session.migrations += events.migrations as u64;
             let mut rng = self.stage_rng(stream::MIGRATION, s.frame_index);
             let mut pairs = StandardNormalPairs::new();
             let migration = Self::migration_base(scenario)
@@ -1127,26 +1119,6 @@ impl TestbedSimulator {
         }
     }
 
-    /// Simulates a session of `frames` frames, threading a fresh
-    /// [`SessionState`] through the staged pipeline so device mobility (and
-    /// therefore [`GroundTruthSession::handoff_rate`]) evolves across frames.
-    ///
-    /// Dispatches to the configured [`SimulationEngine`] — by default the
-    /// batched structure-of-arrays engine, which is bit-identical to (and
-    /// considerably faster than) the scalar frame-by-frame reference.
-    ///
-    /// # Errors
-    ///
-    /// Returns scenario-validation errors; `frames` must be at least 1.
-    pub fn simulate_session(&self, scenario: &Scenario, frames: u64) -> Result<GroundTruthSession> {
-        match self.engine {
-            SimulationEngine::Scalar => self.simulate_session_scalar(scenario, frames),
-            SimulationEngine::Batched { width } => {
-                self.simulate_session_batched(scenario, frames, width)
-            }
-        }
-    }
-
     /// The scalar reference implementation of
     /// [`TestbedSimulator::simulate_session`]: one frame at a time through
     /// the staged pipeline. The batched engine must reproduce this stream of
@@ -1190,8 +1162,8 @@ pub(crate) fn check_frames(frames: u64) -> Result<()> {
 
 /// Session-scoped simulation state threaded through the staged frame
 /// pipeline: the stateful mobility walker (present for a moving device),
-/// the start site of a static device on a multi-edge map, and the handoff /
-/// migration tallies.
+/// the start site of a static device on a multi-edge map, the handoff
+/// count and the migration time paid so far.
 #[derive(Debug, Clone)]
 pub struct SessionState {
     pub(crate) walker: Option<TopologyWalker>,
@@ -1199,7 +1171,6 @@ pub struct SessionState {
     /// 0 without a topology). A walking session's site is its walker's.
     site: usize,
     pub(crate) handoffs: u64,
-    pub(crate) migrations: u64,
     pub(crate) migration_time: Seconds,
 }
 
@@ -1247,7 +1218,6 @@ impl SessionState {
             walker,
             site: map.map_or(0, EdgeTopology::start_site),
             handoffs: 0,
-            migrations: 0,
             migration_time: Seconds::ZERO,
         }
     }
@@ -1256,13 +1226,6 @@ impl SessionState {
     #[must_use]
     pub fn handoff_count(&self) -> u64 {
         self.handoffs
-    }
-
-    /// Number of inter-site state migrations observed so far (always at
-    /// most [`SessionState::handoff_count`]).
-    #[must_use]
-    pub fn migration_count(&self) -> u64 {
-        self.migrations
     }
 
     /// Total state-migration latency paid so far.

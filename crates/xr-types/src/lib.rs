@@ -40,6 +40,6 @@ pub use segment::{ExecutionTarget, Segment, SegmentSet};
 pub use topology::{MigrationPolicy, TopologyLayout};
 pub use units::{
     Bytes, Celsius, GigaBytesPerSecond, GigaHertz, Hertz, Joules, MegaBitsPerSecond, MegaBytes,
-    Meters, MetersPerSecond, MilliJoules, MilliSeconds, MilliWatts, PixelsSquared, Ratio, Seconds,
-    Watts, SPEED_OF_LIGHT,
+    Meters, MetersPerSecond, MilliJoules, MilliSeconds, PixelsSquared, Ratio, Seconds, Watts,
+    SPEED_OF_LIGHT,
 };

@@ -67,16 +67,6 @@ impl Segment {
         self as usize
     }
 
-    /// Returns `true` when the segment runs on the XR device itself (as
-    /// opposed to the edge server or the wireless medium).
-    #[must_use]
-    pub fn runs_on_client(self) -> bool {
-        !matches!(
-            self,
-            Segment::RemoteInference | Segment::Transmission | Segment::Handoff
-        )
-    }
-
     /// Returns `true` when the segment only contributes under *local*
     /// inference (`ω_loc = 1` in Eq. 1).
     #[must_use]

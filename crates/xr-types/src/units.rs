@@ -204,11 +204,6 @@ unit!(
     "W"
 );
 unit!(
-    /// Power in milliwatts, the native unit of the simulated power monitor.
-    MilliWatts,
-    "mW"
-);
-unit!(
     /// Frequency in hertz (sensor information-generation frequency `f_t`,
     /// frame rate `n_fps`).
     Hertz,
@@ -364,30 +359,6 @@ impl Joules {
     #[must_use]
     pub fn to_millijoules(self) -> MilliJoules {
         MilliJoules::new(self.0 * 1e3)
-    }
-}
-
-impl MilliJoules {
-    /// Converts to joules.
-    #[must_use]
-    pub fn to_joules(self) -> Joules {
-        Joules::new(self.0 / 1e3)
-    }
-}
-
-impl Watts {
-    /// Converts to milliwatts.
-    #[must_use]
-    pub fn to_milliwatts(self) -> MilliWatts {
-        MilliWatts::new(self.0 * 1e3)
-    }
-}
-
-impl MilliWatts {
-    /// Converts to watts.
-    #[must_use]
-    pub fn to_watts(self) -> Watts {
-        Watts::new(self.0 / 1e3)
     }
 }
 

@@ -34,7 +34,7 @@ proptest! {
         let stage_base = seed::mix(session_seed, stage);
         let mut lanes = LaneStreams::new();
         for width in WIDTHS {
-            lanes.reseed(stage_base, first_frame, width);
+            lanes.reseed(&[stage_base], first_frame, width);
             let mut column = vec![0u64; width];
             // Per-frame reference: each frame's own StdRng, seeded exactly
             // like TestbedSimulator::stage_rng.
@@ -72,7 +72,7 @@ proptest! {
         let stage_base = seed::mix(session_seed, 5);
         let width = 37;
         let mut lanes = LaneStreams::new();
-        lanes.reseed(stage_base, first_frame, width);
+        lanes.reseed(&[stage_base], first_frame, width);
         let mut raw_a = vec![0u64; width];
         let mut raw_b = vec![0u64; width];
         let mut normals = vec![0.0; width];
@@ -141,12 +141,12 @@ fn tail_batches_shorter_than_the_lane_width_replay_the_same_streams() {
     // hand the tail frames the very same streams a full-width batch would.
     let stage_base = seed::mix(99, 2);
     let mut wide = LaneStreams::new();
-    wide.reseed(stage_base, 1, 100);
+    wide.reseed(&[stage_base], 1, 100);
     let mut wide_col = vec![0u64; 100];
     wide.fill_next(&mut wide_col);
 
     let mut tail = LaneStreams::new();
-    tail.reseed(stage_base, 65, 36); // frames 65..=100: the tail of width-64 batching
+    tail.reseed(&[stage_base], 65, 36); // frames 65..=100: the tail of width-64 batching
     let mut tail_col = vec![0u64; 36];
     tail.fill_next(&mut tail_col);
     assert_eq!(&wide_col[64..], &tail_col[..], "tail lanes diverged");
@@ -168,7 +168,9 @@ fn noiseless_sessions_draw_nothing_from_gated_noise_columns() {
     let scalar = testbed.simulate_session_scalar(&scenario, 70).unwrap();
     for width in [1, 64, 256] {
         let batched = testbed
-            .simulate_session_batched(&scenario, 70, width)
+            .clone()
+            .with_engine(xr_testbed::SimulationEngine::Batched { width })
+            .simulate_session(&scenario, 70)
             .unwrap();
         assert_eq!(
             batched, scalar,

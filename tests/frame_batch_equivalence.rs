@@ -69,8 +69,9 @@ proptest! {
     ) {
         let scenario = build_scenario(size, clock, share, fps, target, updates, speed, radius);
         let testbed = TestbedSimulator::new(seed);
+        let at_width = testbed.clone().with_engine(SimulationEngine::Batched { width });
         let scalar = testbed.simulate_session_scalar(&scenario, frames).unwrap();
-        let batched = testbed.simulate_session_batched(&scenario, frames, width).unwrap();
+        let batched = at_width.simulate_session(&scenario, frames).unwrap();
         // Bit-identity, not approximate agreement: `GroundTruthFrame`
         // derives `PartialEq` over its raw f64 measurements.
         prop_assert!(
@@ -101,18 +102,14 @@ proptest! {
             contended.validate().expect("contended scenario is valid");
             match testbed.simulate_session_scalar(&contended, frames) {
                 Ok(scalar) => {
-                    let batched = testbed
-                        .simulate_session_batched(&contended, frames, width)
-                        .unwrap();
+                    let batched = at_width.simulate_session(&contended, frames).unwrap();
                     prop_assert!(
                         batched == scalar,
                         "contended engines diverged (users {users}, frames {frames}, width {width})"
                     );
                 }
                 Err(scalar_err) => {
-                    let batched_err = testbed
-                        .simulate_session_batched(&contended, frames, width)
-                        .unwrap_err();
+                    let batched_err = at_width.simulate_session(&contended, frames).unwrap_err();
                     // A saturated queue must refuse identically in both
                     // engines.
                     prop_assert_eq!(format!("{scalar_err:?}"), format!("{batched_err:?}"));
@@ -147,18 +144,14 @@ proptest! {
         topologized.validate().expect("topologized scenario is valid");
         match testbed.simulate_session_scalar(&topologized, frames) {
             Ok(scalar) => {
-                let batched = testbed
-                    .simulate_session_batched(&topologized, frames, width)
-                    .unwrap();
+                let batched = at_width.simulate_session(&topologized, frames).unwrap();
                 prop_assert!(
                     batched == scalar,
                     "topologized engines diverged ({topo_layout:?}, density {density}, frames {frames}, width {width})"
                 );
             }
             Err(scalar_err) => {
-                let batched_err = testbed
-                    .simulate_session_batched(&topologized, frames, width)
-                    .unwrap_err();
+                let batched_err = at_width.simulate_session(&topologized, frames).unwrap_err();
                 prop_assert_eq!(format!("{scalar_err:?}"), format!("{batched_err:?}"));
             }
         }
@@ -192,7 +185,9 @@ fn multi_server_uplink_keeps_the_pair_parity_across_engines() {
         let scalar = testbed.simulate_session_scalar(&scenario, 70).unwrap();
         for width in [1usize, 7, 64, 128] {
             let batched = testbed
-                .simulate_session_batched(&scenario, 70, width)
+                .clone()
+                .with_engine(SimulationEngine::Batched { width })
+                .simulate_session(&scenario, 70)
                 .unwrap();
             assert_eq!(
                 batched, scalar,

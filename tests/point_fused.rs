@@ -3,16 +3,19 @@
 //! produces exactly the sessions that R standalone runs of the scalar
 //! reference engine produce — bit-identical, not statistically equal.
 //!
-//! `simulate_point` fuses the replications into one wide SoA pass when a
-//! session is shorter than the batch width and runs them one after another
-//! otherwise; the widths and session lengths below cover both branches.
+//! The batched engine always fuses a point's replications: each pass
+//! gives every replication an equal segment of the batch width, so the
+//! widths and session lengths below cover one-pass points, multi-pass
+//! points with a shorter tail pass, and segments clamped to one lane.
 //! Fusion is safe for the same reason batching is: a draw depends only on
 //! `(replication_seed, stage_id, frame_index)`. Error behaviour must match
 //! too: a point whose scenario saturates a queue refuses identically.
 
 use proptest::prelude::*;
 use xr_core::{MobilityConfig, Scenario};
-use xr_testbed::{GroundTruthSession, SessionTotals, SimulationEngine, TestbedSimulator};
+use xr_testbed::{
+    GroundTruthSession, SessionTotals, SimulationEngine, TestbedSimulator, DEFAULT_BATCH_WIDTH,
+};
 use xr_types::{ExecutionTarget, GigaHertz, Hertz, Meters, MetersPerSecond, Ratio};
 use xr_wireless::HandoffKind;
 
@@ -127,8 +130,8 @@ proptest! {
         density in 50.0..3000.0_f64,
         lazy in prop::sample::select(vec![false, true]),
     ) {
-        // Sessions of 1..48 frames against widths 1..256 land on both
-        // sides of the fusion rule (`reps > 1 && frames < width`).
+        // Sessions of 1..48 frames against widths 1..256 run in one pass
+        // or in several, with segments down to one lane.
         let fused = TestbedSimulator::new(9).with_engine(SimulationEngine::Batched { width });
 
         let scenario = build_scenario(size, clock, share, fps, target, updates, speed, radius);
@@ -187,60 +190,79 @@ fn tail_frames_and_narrow_widths_fuse_exactly() {
     // Deterministic corners the proptest may not pin every run: a lane
     // budget narrower than the rep count (per-rep width clamps to 1), a
     // tail where the last pass is shorter than the others, R=1 (a point is
-    // one standalone session), and sessions one frame short of, exactly
-    // at, and one frame past the batch width — the fusion boundary.
+    // one standalone session), sessions around one segment's lane share,
+    // and multi-rep sessions spanning many passes at the default width —
+    // a roaming, contended one among them, whose walkers and migration
+    // clocks carry across every pass boundary.
     let testbed = TestbedSimulator::new(4242);
-    let scenario = Scenario::builder()
+    let plain = Scenario::builder()
         .frame_side(512.0)
         .execution(ExecutionTarget::Remote)
         .build()
         .expect("scenario is valid");
-    for (reps, frames, width) in [
-        (5usize, 13u64, 2usize),
-        (3, 1, 256),
-        (8, 19, 7),
-        (1, 33, 64),
-        (4, 20, 4),
-        (5, 13, 14),
-        (5, 13, 13),
-        (5, 13, 12),
-        (3, 255, 256),
-        (3, 256, 256),
-        (3, 257, 256),
+    // At 6 fps a frame window is not a whole number of walker steps, so
+    // each walker carries a fractional step across every pass boundary.
+    let roaming = Scenario::builder()
+        .frame_side(300.0)
+        .frame_rate(Hertz::new(6.0))
+        .execution(ExecutionTarget::Remote)
+        .contention(3)
+        .topology(xr_core::TopologyConfig {
+            layout: xr_types::TopologyLayout::Hex,
+            site_density: 1600.0,
+            migration_policy: xr_types::MigrationPolicy::Lazy,
+        })
+        .mobility(MobilityConfig {
+            speed: MetersPerSecond::new(25.0),
+            coverage_radius: Meters::new(8.0),
+            handoff_kind: HandoffKind::Vertical,
+        })
+        .build()
+        .expect("roaming scenario is valid");
+    let default = DEFAULT_BATCH_WIDTH;
+    for (label, scenario, reps, frames, width) in [
+        ("plain", &plain, 5usize, 13u64, 2usize),
+        ("plain", &plain, 3, 1, 256),
+        ("plain", &plain, 8, 19, 7),
+        ("plain", &plain, 1, 33, 64),
+        ("plain", &plain, 4, 20, 4),
+        ("plain", &plain, 5, 13, 14),
+        ("plain", &plain, 5, 13, 13),
+        ("plain", &plain, 5, 13, 12),
+        ("plain", &plain, 3, 255, 256),
+        ("plain", &plain, 3, 256, 256),
+        ("plain", &plain, 3, 257, 256),
+        ("plain", &plain, 4, 600, default),
+        ("roaming", &roaming, 4, 300, default),
+        ("roaming", &roaming, 3, 1000, default),
     ] {
         let point_seed = 77_000 + reps as u64;
+        let context = format!("{label}, reps {reps}, frames {frames}, width {width}");
         let engine = testbed
             .clone()
             .with_engine(SimulationEngine::Batched { width });
         let sessions = engine
-            .simulate_point(&scenario, point_seed, reps, frames)
+            .simulate_point(scenario, point_seed, reps, frames)
             .unwrap();
-        let reference = scalar_sessions(&testbed, &scenario, point_seed, reps, frames).unwrap();
+        let reference = scalar_sessions(&testbed, scenario, point_seed, reps, frames).unwrap();
         assert_eq!(sessions.len(), reps);
         for (rep, (session, standalone)) in sessions.iter().zip(&reference).enumerate() {
-            assert_eq!(
-                session, standalone,
-                "rep {rep} diverged (reps {reps}, frames {frames}, width {width})"
+            assert_eq!(session, standalone, "rep {rep} diverged ({context})");
+        }
+        if label == "roaming" {
+            assert!(
+                reference.iter().all(|session| session.sites_visited() > 1),
+                "a roaming replication never migrated ({context})"
             );
         }
-        // The visitor form hands over the same sessions' totals, one call
-        // per replication, in replication order.
-        let mut visited = Vec::new();
-        engine
-            .visit_point(&scenario, point_seed, reps, frames, |rep, totals| {
-                visited.push((rep, totals));
-            })
+        // The campaign's totals are the same sessions' totals, one per
+        // replication, in replication order.
+        let totals = engine
+            .point_totals(scenario, point_seed, reps, frames)
             .unwrap();
-        let expected: Vec<_> = reference
-            .iter()
-            .map(SessionTotals::of)
-            .enumerate()
-            .collect();
-        assert_eq!(
-            visited, expected,
-            "visitor diverged (reps {reps}, frames {frames}, width {width})"
-        );
-        for ((_, totals), session) in visited.iter().zip(&reference) {
+        let expected: Vec<_> = reference.iter().map(SessionTotals::of).collect();
+        assert_eq!(totals, expected, "totals diverged ({context})");
+        for (totals, session) in totals.iter().zip(&reference) {
             assert_eq!(
                 totals.mean_latency().as_f64().to_bits(),
                 session.mean_latency().as_f64().to_bits()

@@ -111,8 +111,8 @@ fn replicated_mobility_campaign_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn fused_point_campaigns_match_the_per_rep_artifacts_across_worker_counts() {
-    // The default engine fuses all replications of a short-session point
-    // into one wide SoA pass; its campaign CSVs must be byte-identical to
+    // The default engine runs all replications of a point fused, in one
+    // wide SoA pass per batch of frames; its campaign CSVs must be byte-identical to
     // the scalar reference, which runs every replication on its own, on
     // every grid family — plain replicated, mobility, contention, and
     // topology — and for every worker count.

@@ -132,7 +132,8 @@ proptest! {
         prop_assert_eq!(scalar.sites_visited(), 1);
         prop_assert!(scalar.migration_time() == Seconds::ZERO);
         let batched = testbed
-            .simulate_session_batched(&single, frames, width)
+            .with_engine(SimulationEngine::Batched { width })
+            .simulate_session(&single, frames)
             .unwrap();
         prop_assert!(batched == reference, "batched single-layout session diverged");
     }
@@ -255,11 +256,14 @@ proptest! {
         let testbed = TestbedSimulator::new(seed);
         let width = (frames / 2 + 1) as usize;
         let batched = testbed
-            .simulate_session_batched(&scenario, frames, width)
+            .clone()
+            .with_engine(SimulationEngine::Batched { width })
+            .simulate_session(&scenario, frames)
             .unwrap();
         prop_assert_eq!(handoffs(&batched), expected);
 
-        // Fewer frames than the default width: the three replications fuse.
+        // A fused three-replication point at the default width: 85 lanes
+        // each, so sessions past 85 frames take a second pass.
         let reps = testbed.simulate_point(&scenario, seed, 3, frames).unwrap();
         prop_assert_eq!(reps.len(), 3);
         for (rep, session) in reps.iter().enumerate() {
