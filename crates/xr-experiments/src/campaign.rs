@@ -15,6 +15,7 @@
 //! with different `XR_SWEEP_WORKERS`, the CSVs must be identical.
 
 use crate::context::ExperimentContext;
+use crate::fixed::{push_fixed, push_uint};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::io::Write;
@@ -193,40 +194,43 @@ impl CampaignRow {
     /// Renders the row as one CSV line (no trailing newline) into `out`,
     /// clearing it first — the one row renderer behind every campaign
     /// artifact, unsharded or sharded. It reuses the caller's buffer, so a
-    /// streamed campaign allocates no `String` per row or cell.
+    /// streamed campaign allocates no `String` per row or cell. Every
+    /// number is written by an exact integer digit writer that gives the
+    /// bytes of `format!("{x:.N}")` (floats, rounded half to even on the
+    /// exact binary value) and `format!("{n}")` (integers) without going
+    /// through `core::fmt`.
     pub fn render_csv_into(&self, out: &mut String) {
         out.clear();
-        let _ = write!(
-            out,
-            "{},{},{},{},",
-            self.point.index,
-            self.point.device,
-            self.point.wireless.label,
-            self.point.mobility.label
-        );
+        push_uint(out, self.point.index as u64);
+        for label in [
+            &self.point.device,
+            &self.point.wireless.label,
+            &self.point.mobility.label,
+        ] {
+            out.push(',');
+            out.push_str(label);
+        }
+        out.push(',');
         match self.point.execution {
             ExecutionTarget::Local => out.push_str("local"),
             ExecutionTarget::Remote => out.push_str("remote"),
             ExecutionTarget::Split { client_share } => {
-                let _ = write!(out, "split{client_share:.2}");
+                out.push_str("split");
+                push_fixed(out, client_share, 2);
             }
         }
-        let _ = write!(
-            out,
-            ",{:.1},{:.0},",
-            self.point.cpu_clock_ghz, self.point.frame_size
-        );
+        out.push(',');
+        push_fixed(out, self.point.cpu_clock_ghz, 1);
+        out.push(',');
+        push_fixed(out, self.point.frame_size, 0);
+        out.push(',');
         match self.point.frame_rate_hz {
-            Some(rate) => {
-                let _ = write!(out, "{rate:.1}");
-            }
+            Some(rate) => push_fixed(out, rate, 1),
             None => out.push_str("default"),
         }
         out.push(',');
         match self.point.users_per_edge {
-            Some(users) => {
-                let _ = write!(out, "{users}");
-            }
+            Some(users) => push_uint(out, u64::from(users)),
             None => out.push_str("off"),
         }
         out.push(',');
@@ -238,9 +242,7 @@ impl CampaignRow {
         }
         out.push(',');
         match self.point.site_density {
-            Some(density) => {
-                let _ = write!(out, "{density:.0}");
-            }
+            Some(density) => push_fixed(out, density, 0),
             None => out.push_str("default"),
         }
         out.push(',');
@@ -250,25 +252,34 @@ impl CampaignRow {
             }
             None => out.push_str("default"),
         }
-        let _ = write!(
-            out,
-            ",{},{},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.4},{:.4},{},{:.4},{:.3},{:.3},{:.3}",
-            self.frames_per_session,
-            self.replications,
-            self.gt_latency_ms.mean,
-            self.gt_latency_ms.ci95_lo,
-            self.gt_latency_ms.ci95_hi,
-            self.gt_energy_mj.mean,
-            self.gt_energy_mj.ci95_lo,
-            self.gt_energy_mj.ci95_hi,
-            self.gt_handoff_rate,
-            self.gt_migration_ms_mean,
-            self.sites_visited,
-            self.edge_utilization,
-            self.gt_contention_ms_mean,
-            self.proposed_latency_ms,
-            self.proposed_energy_mj,
-        );
+        for count in [self.frames_per_session, self.replications as u64] {
+            out.push(',');
+            push_uint(out, count);
+        }
+        for (value, decimals) in [
+            (self.gt_latency_ms.mean, 3),
+            (self.gt_latency_ms.ci95_lo, 3),
+            (self.gt_latency_ms.ci95_hi, 3),
+            (self.gt_energy_mj.mean, 3),
+            (self.gt_energy_mj.ci95_lo, 3),
+            (self.gt_energy_mj.ci95_hi, 3),
+            (self.gt_handoff_rate, 4),
+            (self.gt_migration_ms_mean, 4),
+        ] {
+            out.push(',');
+            push_fixed(out, value, decimals);
+        }
+        out.push(',');
+        push_uint(out, u64::from(self.sites_visited));
+        for (value, decimals) in [
+            (self.edge_utilization, 4),
+            (self.gt_contention_ms_mean, 3),
+            (self.proposed_latency_ms, 3),
+            (self.proposed_energy_mj, 3),
+        ] {
+            out.push(',');
+            push_fixed(out, value, decimals);
+        }
     }
 }
 

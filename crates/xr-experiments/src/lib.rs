@@ -43,6 +43,7 @@ pub mod comparison;
 pub mod context;
 pub mod errors;
 pub mod figures;
+mod fixed;
 pub mod output;
 pub mod regression_report;
 pub mod shard_campaign;

@@ -2,7 +2,8 @@
 //! flags and artifact names, a malformed `XR_CAMPAIGN_SEED` and a malformed
 //! `XR_SWEEP_WORKERS` exit with status 2 and a message naming the problem.
 //! A campaign or paper artifact whose CSV cannot be written exits non-zero
-//! instead of reporting success.
+//! instead of reporting success, and so does a campaign whose replication
+//! count cannot be held in memory.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -116,6 +117,30 @@ fn an_unknown_artifact_name_exits_two_before_any_work() {
     assert!(stderr.contains("unknown artifact `fig4z`"), "{stderr}");
     assert!(stdout.is_empty(), "{stdout}");
     assert!(!dir.join("target/experiments").exists());
+}
+
+#[test]
+fn a_replication_count_beyond_memory_exits_one_with_a_typed_error() {
+    let dir = workdir("replications");
+    std::fs::write(
+        dir.join("huge.grid"),
+        "frame_sizes = 300\ncpu_clocks = 2.0\nexecutions = remote\nreplications = 18446744073709551615\n",
+    )
+    .unwrap();
+    let (code, stdout, stderr) = run(
+        CAMPAIGN,
+        &["--grid", "huge.grid"],
+        &[("XR_SWEEP_WORKERS", "1")],
+        &dir,
+    );
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.contains("campaign failed: ")
+            && stderr.contains("invalid parameter `reps`")
+            && stderr.contains("18446744073709551615 replications"),
+        "{stderr}"
+    );
 }
 
 #[test]

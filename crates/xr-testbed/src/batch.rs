@@ -86,9 +86,13 @@
 //! nowhere else.
 //!
 //! All column storage (`FrameBatch`, `DrawColumns`, the walker's
-//! per-frame events) is allocated once per driver call and reused across
-//! batches — the steady-state frame loop performs **no** per-frame heap
-//! allocation at all.
+//! per-frame events) is allocated once per worker thread and reused by
+//! every driver call on it and across batches — the steady-state frame
+//! loop performs **no** per-frame heap allocation, and a point grows the
+//! columns only when it needs more lanes than every earlier one on its
+//! thread. Each driver call starts by re-zeroing every latency column, so
+//! a stage that is gated off for one point reads zeros, never an earlier
+//! point's values.
 //!
 //! Bit-identity with the scalar reference
 //! ([`TestbedSimulator::simulate_session_scalar`]) is pinned by unit tests
@@ -101,11 +105,12 @@ use crate::lanes::LaneStreams;
 use crate::laws::DeviceBias;
 use crate::power::DrawCursors;
 use crate::simulator::{
-    check_frames, stream, ContentionPlan, GroundTruthFrame, GroundTruthSession, SessionState,
-    SessionTotals, TestbedSimulator,
+    check_frames, frame_buffer, stream, ContentionPlan, GroundTruthFrame, GroundTruthSession,
+    SessionState, SessionTotals, TestbedSimulator,
 };
 use rand_distr::math::Tier;
 use rand_distr::{column, Distribution, Exp, Normal, StandardNormalPairs};
+use std::cell::RefCell;
 use std::ops::Range;
 use xr_core::Scenario;
 use xr_types::{Joules, Result, Seconds, Segment, Watts, SPEED_OF_LIGHT};
@@ -407,8 +412,8 @@ impl BatchConsts {
 /// The lane-oriented draw layer of one session: a wide xoshiro bank (one
 /// lane per frame of the current batch) plus the raw-word block and the
 /// transformed draw columns the stages pre-fill and consume by index.
-/// Allocated once per session; `reseed` only rewrites lane state and
-/// column lengths.
+/// Kept per worker thread with its `FrameBatch`; `reseed` only rewrites
+/// lane state and column lengths.
 struct DrawColumns {
     lanes: LaneStreams,
     /// The raw words of the current draw group, one block: draw `d` of
@@ -607,6 +612,15 @@ impl FrameBatch {
         }
     }
 
+    /// Starts a driver call on storage that an earlier call, possibly for
+    /// another point, may have filled: every latency column is emptied, so
+    /// the first [`FrameBatch::reset`] of the call refills it with zeros.
+    fn begin_call(&mut self) {
+        for column in &mut self.latency {
+            column.clear();
+        }
+    }
+
     /// Rewinds the batch onto `per_rep` frames starting at absolute frame
     /// index `first_index`, for each of `reps` fused replications
     /// (rep-major lane layout).
@@ -616,9 +630,11 @@ impl FrameBatch {
     /// `TRANSMISSION`), the `+=`-accumulator (`buffering`), and the
     /// sparsely written handoff outputs. Every other column is either
     /// fully overwritten by its stage on every batch or its stage is gated
-    /// off for the whole session (gating lives in the per-session
-    /// [`BatchConsts`]), in which case the column keeps the zeros it was
-    /// created with — so skipping their memsets cannot leak a stale value.
+    /// off for the whole driver call (gating lives in the per-call
+    /// [`BatchConsts`]), in which case the column keeps the zeros that
+    /// [`FrameBatch::begin_call`] left it with — so skipping their memsets
+    /// cannot leak a stale value, not even one from an earlier point on
+    /// the same thread.
     fn reset(&mut self, first_index: u64, per_rep: usize, reps: usize) {
         let n = per_rep * reps;
         self.first_index = first_index;
@@ -647,20 +663,29 @@ impl FrameBatch {
     }
 }
 
+thread_local! {
+    /// The engine's column storage, one per worker thread: every driver
+    /// call on the thread reuses it, so a campaign allocates its batch and
+    /// draw columns once per worker instead of once per point.
+    static SCRATCH: RefCell<(FrameBatch, DrawColumns)> =
+        RefCell::new((FrameBatch::new(), DrawColumns::new()));
+}
+
 /// What the driver builds for one replication out of its finalized frames:
 /// the full per-frame record (`Vec<GroundTruthFrame>`, for
 /// [`TestbedSimulator::simulate_session`] and
 /// [`TestbedSimulator::simulate_point`]) or the campaign's running
 /// [`SessionTotals`] (for [`TestbedSimulator::point_totals`]).
-trait RepOutput {
+trait RepOutput: Sized {
     /// What one replication becomes once its last frame is in.
     type Session;
     /// Whether the output reads every segment's latency column. When it
     /// does not, it reads only the Eq. 1 totals, so a stage whose segment
     /// the scenario leaves out of them can skip its column fill.
     const READS_EVERY_SEGMENT: bool;
-    /// An empty output for a session of `frames` frames.
-    fn new(frames: u64) -> Self;
+    /// An empty output for a session of `frames` frames, or a typed error
+    /// when it cannot hold that many.
+    fn new(frames: u64) -> Result<Self>;
     /// Takes the finalized frames on `lanes` of `b` — one replication's
     /// contiguous segment, in frame order.
     fn take(&mut self, k: &BatchConsts, b: &FrameBatch, lanes: Range<usize>);
@@ -674,8 +699,8 @@ impl RepOutput for Vec<GroundTruthFrame> {
     type Session = GroundTruthSession;
     const READS_EVERY_SEGMENT: bool = true;
 
-    fn new(frames: u64) -> Self {
-        Vec::with_capacity(frames as usize)
+    fn new(frames: u64) -> Result<Self> {
+        frame_buffer(frames)
     }
 
     /// Copies each lane's slots into a [`GroundTruthFrame`]. The segment
@@ -712,8 +737,8 @@ impl RepOutput for SessionTotals {
     type Session = SessionTotals;
     const READS_EVERY_SEGMENT: bool = false;
 
-    fn new(_frames: u64) -> Self {
-        SessionTotals::empty()
+    fn new(_frames: u64) -> Result<Self> {
+        Ok(SessionTotals::empty())
     }
 
     fn take(&mut self, _k: &BatchConsts, b: &FrameBatch, lanes: Range<usize>) {
@@ -921,29 +946,28 @@ impl TestbedSimulator {
         };
         check_frames(frames)?;
         scenario.validate()?;
+        // Outputs first, so a session too long to record fails as on the
+        // scalar engine, before any model error.
+        let mut outs = seeds
+            .iter()
+            .map(|_| O::new(frames))
+            .collect::<Result<Vec<O>>>()?;
         let consts = BatchConsts::for_seeds(self, scenario, seeds)?;
         let mut sessions: Vec<SessionState> = seeds
             .iter()
             .map(|&seed| SessionState::on_map(seed, scenario, consts.map.as_ref()))
             .collect();
-        let mut outs: Vec<O> = seeds.iter().map(|_| O::new(frames)).collect();
         let per_rep_width = (width / seeds.len()).max(1) as u64;
-        let mut batch = FrameBatch::new();
-        let mut draws = DrawColumns::new();
-        let mut first = 1u64;
-        while first <= frames {
-            let per_rep = per_rep_width.min(frames - first + 1) as usize;
-            batch.reset(first, per_rep, seeds.len());
-            self.batch_pass(
-                simd,
-                &consts,
-                &mut batch,
-                &mut draws,
-                &mut sessions,
-                &mut outs,
-            );
-            first += per_rep as u64;
-        }
+        SCRATCH.with_borrow_mut(|(batch, draws)| {
+            batch.begin_call();
+            let mut first = 1u64;
+            while first <= frames {
+                let per_rep = per_rep_width.min(frames - first + 1) as usize;
+                batch.reset(first, per_rep, seeds.len());
+                self.batch_pass(simd, &consts, batch, draws, &mut sessions, &mut outs);
+                first += per_rep as u64;
+            }
+        });
         Ok(sessions
             .iter()
             .zip(outs)
@@ -1373,9 +1397,15 @@ fn rep_seeds(point_seed: u64, reps: usize) -> Result<Vec<u64>> {
             "must be at least 1",
         ));
     }
-    Ok((0..reps as u64)
-        .map(|rep| xr_types::seed::mix(point_seed, rep))
-        .collect())
+    let mut seeds = Vec::new();
+    seeds.try_reserve_exact(reps).map_err(|_| {
+        xr_types::Error::invalid_parameter(
+            "reps",
+            format!("{reps} replications do not fit in memory"),
+        )
+    })?;
+    seeds.extend((0..reps as u64).map(|rep| xr_types::seed::mix(point_seed, rep)));
+    Ok(seeds)
 }
 
 #[cfg(test)]
@@ -1783,6 +1813,78 @@ mod tests {
             .simulate_session_scalar(&saturated, 5)
             .unwrap_err();
         assert_eq!(format!("{fused_err:?}"), format!("{per_rep_err:?}"));
+    }
+
+    #[test]
+    fn oversized_sessions_and_replication_counts_fail_with_typed_errors() {
+        fn names(result: Result<impl std::fmt::Debug>, key: &str) {
+            match result {
+                Err(xr_types::Error::InvalidParameter { name, .. }) => assert_eq!(name, key),
+                other => panic!("expected an invalid `{key}`, got {other:?}"),
+            }
+        }
+        let s = scenario(400.0, 2.5, ExecutionTarget::Remote);
+        for testbed in [
+            TestbedSimulator::new(9),
+            TestbedSimulator::new(9).with_engine(SimulationEngine::Scalar),
+        ] {
+            // Neither count fits in the address space, so both fail before
+            // any allocation or frame.
+            for reps in [usize::MAX, 1 << 61] {
+                names(testbed.point_totals(&s, 1, reps, 20), "reps");
+                names(testbed.simulate_point(&s, 1, reps, 20), "reps");
+            }
+            for frames in [u64::MAX, 1 << 60] {
+                names(testbed.simulate_session(&s, frames), "frames");
+                names(testbed.simulate_point(&s, 1, 2, frames), "frames");
+            }
+        }
+    }
+
+    #[test]
+    fn reused_scratch_cannot_leak_between_points() {
+        use xr_types::{MigrationPolicy, TopologyLayout};
+        // Consecutive points of different shapes on one thread share its
+        // column storage. The totals alone cannot show a leak (a gated-off
+        // stage's slot is left out of Eq. 1), so every point also runs as
+        // full sessions, which read every slot.
+        let (local, remote) = (ExecutionTarget::Local, ExecutionTarget::Remote);
+        let split = ExecutionTarget::Split { client_share: 0.5 };
+        let points = [
+            ("local", scenario(400.0, 2.5, local), 3, 20),
+            ("remote", scenario(400.0, 2.5, remote), 3, 20),
+            ("split", scenario(400.0, 2.5, split), 3, 20),
+            ("static", scenario(300.0, 1.0, remote), 3, 20),
+            ("walk", mobile_scenario(1.4, 20.0), 3, 20),
+            ("vehicle", mobile_scenario(25.0, 10.0), 3, 20),
+            (
+                "contended topology",
+                topology_scenario(TopologyLayout::Hex, MigrationPolicy::Lazy, 1600.0, Some(3)),
+                3,
+                40,
+            ),
+            ("long", scenario(500.0, 2.0, local), 1, 20_000),
+            ("short", scenario(700.0, 3.0, remote), 3, 3),
+        ];
+        let testbed = TestbedSimulator::new(21);
+        let scalar = testbed.clone().with_engine(SimulationEngine::Scalar);
+        let run = |testbed: &TestbedSimulator, s: &Scenario, reps: usize, frames: u64| {
+            (
+                testbed.point_totals(s, 8, reps, frames).unwrap(),
+                testbed.simulate_point(s, 8, reps, frames).unwrap(),
+            )
+        };
+        for (label, s, reps, frames) in &points {
+            let reused = run(&testbed, s, *reps, *frames);
+            let fresh = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| run(&testbed, s, *reps, *frames))
+                    .join()
+                    .expect("fresh-thread run")
+            });
+            assert_eq!(reused, run(&scalar, s, *reps, *frames), "{label}: scalar");
+            assert_eq!(reused, fresh, "{label}: fresh thread");
+        }
     }
 
     #[test]

@@ -1138,15 +1138,34 @@ impl TestbedSimulator {
         // surface as an error here, not a panic in the site-map construction.
         scenario.validate()?;
         let mut session = SessionState::new(self, scenario);
-        let frames = (1..=frames)
-            .map(|i| self.simulate_frame_in_session(scenario, i, &mut session))
-            .collect::<Result<Vec<_>>>()?;
+        let mut record = frame_buffer(frames)?;
+        for i in 1..=frames {
+            record.push(self.simulate_frame_in_session(scenario, i, &mut session)?);
+        }
         Ok(GroundTruthSession {
-            frames,
+            frames: record,
             migration_time: session.migration_time,
             sites_visited: session.sites_visited(),
         })
     }
+}
+
+/// An empty frame record with room for a session of `frames` frames, shared
+/// by both engines, so a session too long to record fails with a typed
+/// error naming `frames` before any frame runs, instead of a
+/// capacity-overflow panic or an allocation abort.
+pub(crate) fn frame_buffer(frames: u64) -> Result<Vec<GroundTruthFrame>> {
+    let mut buffer = Vec::new();
+    usize::try_from(frames)
+        .ok()
+        .and_then(|frames| buffer.try_reserve_exact(frames).ok())
+        .ok_or_else(|| {
+            xr_types::Error::invalid_parameter(
+                "frames",
+                format!("a record of {frames} frames does not fit in memory"),
+            )
+        })?;
+    Ok(buffer)
 }
 
 /// Rejects empty sessions: every session engine needs at least one frame.
