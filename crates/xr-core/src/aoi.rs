@@ -60,24 +60,6 @@ pub struct AoiReport {
     pub required_frequency: Hertz,
 }
 
-impl AoiReport {
-    /// The worst (largest) average AoI across sensors, or zero when there are
-    /// no sensors.
-    #[must_use]
-    pub fn worst_average(&self) -> Seconds {
-        self.sensors
-            .iter()
-            .map(|s| s.average)
-            .fold(Seconds::ZERO, Seconds::max)
-    }
-
-    /// Returns the sensors whose information is stale (`RoI < 1`).
-    #[must_use]
-    pub fn stale_sensors(&self) -> Vec<&SensorAoi> {
-        self.sensors.iter().filter(|s| !s.is_fresh()).collect()
-    }
-}
-
 /// The proposed AoI/RoI analysis model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AoiModel {
@@ -299,8 +281,6 @@ mod tests {
         assert!(fast.roi > slow.roi);
         assert!(slow.roi < 1.0);
         assert!(!slow.is_fresh());
-        assert!(report.stale_sensors().iter().any(|s| s.name == slow.name));
-        assert!(report.worst_average() >= slow.average);
         assert!((report.request_period.as_f64() - 0.1 / 6.0).abs() < 1e-12);
     }
 

@@ -51,21 +51,6 @@ impl Default for EncodingConfig {
     }
 }
 
-impl EncodingConfig {
-    /// A low-latency profile (frequent I-frames, higher bitrate) used by the
-    /// ablation benches.
-    #[must_use]
-    pub fn low_latency() -> Self {
-        Self {
-            i_frame_interval: 10.0,
-            b_frame_interval: 0.0,
-            bitrate_mbps: 10.0,
-            quantization: 23.0,
-            ..Self::default()
-        }
-    }
-}
-
 /// The encoding-latency regression of Eq. 10.
 ///
 /// The regression predicts the *numerator* of Eq. 10 (a compute-work figure
@@ -310,14 +295,5 @@ mod tests {
         assert!(model.encoding_work(&config, &f) >= 0.0);
         let l = model.encoding_latency(&config, &f, 15.0, GigaBytesPerSecond::new(44.0));
         assert!(l.as_f64() >= 0.0);
-    }
-
-    #[test]
-    fn low_latency_profile_differs_from_default() {
-        let default = EncodingConfig::default();
-        let low = EncodingConfig::low_latency();
-        assert!(low.i_frame_interval < default.i_frame_interval);
-        assert!(low.bitrate_mbps > default.bitrate_mbps);
-        assert_eq!(low.decode_discount, DECODE_DISCOUNT);
     }
 }

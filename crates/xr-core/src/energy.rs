@@ -87,24 +87,22 @@ impl EnergyBreakdown {
 }
 
 /// The proposed energy analysis model.
+///
+/// The mean-power sub-model is replaceable; the radio
+/// ([`RadioPowerModel::wifi_defaults`]), base
+/// ([`BasePower::typical_smartphone`]) and thermal
+/// ([`ThermalModel::typical`]) parameters are fixed.
 #[derive(Debug, Clone)]
 pub struct EnergyModel {
     power: MeanPowerModel,
-    radio: RadioPowerModel,
-    base: BasePower,
-    thermal: ThermalModel,
 }
 
 impl EnergyModel {
-    /// Builds the model with the published Eq.-21 coefficients and default
-    /// radio/base/thermal parameters.
+    /// Builds the model with the published Eq.-21 coefficients.
     #[must_use]
     pub fn published() -> Self {
         Self {
             power: MeanPowerModel::published(),
-            radio: RadioPowerModel::wifi_defaults(),
-            base: BasePower::typical_smartphone(),
-            thermal: ThermalModel::typical(),
         }
     }
 
@@ -112,27 +110,6 @@ impl EnergyModel {
     #[must_use]
     pub fn with_power_model(mut self, power: MeanPowerModel) -> Self {
         self.power = power;
-        self
-    }
-
-    /// Replaces the radio power model.
-    #[must_use]
-    pub fn with_radio_model(mut self, radio: RadioPowerModel) -> Self {
-        self.radio = radio;
-        self
-    }
-
-    /// Replaces the base-power model.
-    #[must_use]
-    pub fn with_base_power(mut self, base: BasePower) -> Self {
-        self.base = base;
-        self
-    }
-
-    /// Replaces the thermal model.
-    #[must_use]
-    pub fn with_thermal_model(mut self, thermal: ThermalModel) -> Self {
-        self.thermal = thermal;
         self
     }
 
@@ -149,6 +126,7 @@ impl EnergyModel {
     /// The power the XR device draws while a given segment runs.
     #[must_use]
     pub fn segment_power(&self, scenario: &Scenario, segment: Segment) -> Watts {
+        let radio = RadioPowerModel::wifi_defaults();
         match segment {
             // Client-side computation segments follow Eq. 21.
             Segment::FrameGeneration
@@ -158,11 +136,11 @@ impl EnergyModel {
             | Segment::LocalInference
             | Segment::FrameRendering => self.compute_power(scenario),
             // Radio-bound segments.
-            Segment::ExternalSensorInformation => self.radio.receive,
-            Segment::Transmission | Segment::XrCooperation => self.radio.transmit,
-            Segment::Handoff => self.radio.transmit,
+            Segment::ExternalSensorInformation => radio.receive,
+            Segment::Transmission | Segment::XrCooperation => radio.transmit,
+            Segment::Handoff => radio.transmit,
             // While the edge server computes, the XR device only waits.
-            Segment::RemoteInference => self.radio.idle_wait,
+            Segment::RemoteInference => radio.idle_wait,
         }
     }
 
@@ -212,8 +190,8 @@ impl EnergyModel {
             }
         }
 
-        let base = self.base.energy_over(latency.total());
-        let thermal = self.thermal.thermal_energy(active_compute_energy);
+        let base = BasePower::typical_smartphone().energy_over(latency.total());
+        let thermal = ThermalModel::typical().thermal_energy(active_compute_energy);
         total += base + thermal;
 
         EnergyBreakdown {
@@ -248,7 +226,7 @@ impl Default for EnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xr_types::{ExecutionTarget, GigaHertz};
+    use xr_types::{ExecutionTarget, GigaHertz, Ratio};
 
     fn scenario(execution: ExecutionTarget, clock: f64) -> Scenario {
         Scenario::builder()
@@ -298,11 +276,12 @@ mod tests {
         let s = scenario(ExecutionTarget::Remote, 2.5);
         let latency = lm.analyze(&s).unwrap();
         let e = em.analyze_with_latency(&s, &latency);
+        let radio = RadioPowerModel::wifi_defaults();
         // Remote inference energy = idle-wait power × remote latency.
-        let expected = em.radio.idle_wait * latency.segment(Segment::RemoteInference);
+        let expected = radio.idle_wait * latency.segment(Segment::RemoteInference);
         assert!((e.segment(Segment::RemoteInference).as_f64() - expected.as_f64()).abs() < 1e-12);
         // Transmission uses transmit power.
-        let expected_tx = em.radio.transmit * latency.segment(Segment::Transmission);
+        let expected_tx = radio.transmit * latency.segment(Segment::Transmission);
         assert!((e.segment(Segment::Transmission).as_f64() - expected_tx.as_f64()).abs() < 1e-12);
         // Local segments carry zero energy under remote execution.
         assert_eq!(e.segment(Segment::LocalInference), Joules::ZERO);
@@ -312,17 +291,15 @@ mod tests {
     fn segment_power_mapping() {
         let em = EnergyModel::published();
         let s = scenario(ExecutionTarget::Local, 2.8);
-        assert_eq!(
-            em.segment_power(&s, Segment::Transmission),
-            em.radio.transmit
-        );
+        let radio = RadioPowerModel::wifi_defaults();
+        assert_eq!(em.segment_power(&s, Segment::Transmission), radio.transmit);
         assert_eq!(
             em.segment_power(&s, Segment::ExternalSensorInformation),
-            em.radio.receive
+            radio.receive
         );
         assert_eq!(
             em.segment_power(&s, Segment::RemoteInference),
-            em.radio.idle_wait
+            radio.idle_wait
         );
         assert_eq!(
             em.segment_power(&s, Segment::FrameGeneration),
@@ -346,32 +323,24 @@ mod tests {
         let lm = LatencyModel::published();
         let s = scenario(ExecutionTarget::Local, 2.5);
         let default_total = EnergyModel::published().analyze(&lm, &s).unwrap().total();
+        // A refit power law drawing at least 10 W at every clock setting.
+        let mut observations = Vec::new();
+        let mut power_w = Vec::new();
+        for fc10 in 18..=32 {
+            for fg10 in 4..=14 {
+                for wc10 in 0..=10 {
+                    let (fc, fg, wc) = (fc10 as f64 / 10.0, fg10 as f64 / 10.0, wc10 as f64 / 10.0);
+                    observations.push((GigaHertz::new(fc), GigaHertz::new(fg), Ratio::new(wc)));
+                    power_w.push(wc * (10.0 + fc) + (1.0 - wc) * (10.0 + fg));
+                }
+            }
+        }
         let hot = EnergyModel::published()
-            .with_thermal_model(ThermalModel::new(xr_types::Ratio::new(0.5)))
+            .with_power_model(MeanPowerModel::fit(&observations, &power_w).unwrap())
             .analyze(&lm, &s)
             .unwrap()
             .total();
         assert!(hot > default_total);
-        let heavy_base = EnergyModel::published()
-            .with_base_power(BasePower::new(Watts::new(3.0)))
-            .analyze(&lm, &s)
-            .unwrap()
-            .total();
-        assert!(heavy_base > default_total);
-        let power_hungry_radio = EnergyModel::published()
-            .with_radio_model(RadioPowerModel {
-                transmit: Watts::new(5.0),
-                receive: Watts::new(5.0),
-                idle_wait: Watts::new(5.0),
-            })
-            .analyze(&lm, &scenario(ExecutionTarget::Remote, 2.5))
-            .unwrap()
-            .total();
-        let default_remote = EnergyModel::published()
-            .analyze(&lm, &scenario(ExecutionTarget::Remote, 2.5))
-            .unwrap()
-            .total();
-        assert!(power_hungry_radio > default_remote);
     }
 
     #[test]

@@ -9,13 +9,10 @@ use xr_queueing::MM1Queue;
 use xr_types::{MegaBytes, Result, Seconds, Segment, SPEED_OF_LIGHT};
 use xr_wireless::{CoverageZone, HandoffModel, RandomWalkMobility, WirelessLink};
 
-/// Size of the inference-result payload handed back to the renderer (bounding
-/// boxes + labels). Small compared to the frame itself; the paper's rendering
-/// model (Eq. 8) only needs it to cost the result-transfer terms
+/// Size in MB of the inference-result payload handed back to the renderer
+/// (bounding boxes + labels). Small compared to the frame itself; the paper's
+/// rendering model (Eq. 8) only needs it to cost the result-transfer terms
 /// `L_tr(loc)` / `L_tr(rem)`.
-pub const RESULT_PAYLOAD: MegaBytes = MegaBytes::ZERO;
-
-/// Default inference-result payload in MB when none is configured.
 const RESULT_PAYLOAD_MB: f64 = 0.01;
 
 /// Per-frame latency breakdown: one entry per pipeline segment plus the

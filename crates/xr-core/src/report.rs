@@ -64,31 +64,6 @@ impl XrPerformanceModel {
         }
     }
 
-    /// The latency sub-model.
-    #[must_use]
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
-    }
-
-    /// The energy sub-model.
-    #[must_use]
-    pub fn energy_model(&self) -> &EnergyModel {
-        &self.energy
-    }
-
-    /// The AoI sub-model.
-    #[must_use]
-    pub fn aoi_model(&self) -> &AoiModel {
-        &self.aoi
-    }
-
-    /// Replaces the latency sub-model.
-    #[must_use]
-    pub fn with_latency_model(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
-        self
-    }
-
     /// Analyses one frame of a scenario: latency (Eq. 1), energy (Eq. 19),
     /// and AoI/RoI (Eqs. 22–26).
     ///
@@ -145,13 +120,13 @@ mod tests {
         let baseline = model.analyze(&scenario).unwrap();
         // Replace the latency model with an ablated variant; remote totals
         // must drop because the memory terms disappear.
-        let ablated = XrPerformanceModel::published()
-            .with_latency_model(LatencyModel::published().without_memory_terms());
+        let ablated = XrPerformanceModel::new(
+            LatencyModel::published().without_memory_terms(),
+            EnergyModel::published(),
+            AoiModel::published(),
+        );
         let report = ablated.analyze(&scenario).unwrap();
         assert!(report.latency.total() < baseline.latency.total());
-        assert!(model.latency_model().analyze(&scenario).is_ok());
-        let _ = model.energy_model();
-        let _ = model.aoi_model();
     }
 
     #[test]

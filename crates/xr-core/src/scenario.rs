@@ -679,7 +679,7 @@ mod tests {
         assert_eq!(s.client.name, "XR1");
         assert!((s.client.cpu_clock.as_f64() - 2.0).abs() < 1e-12);
         assert!((s.client.cpu_share.as_f64() - 0.8).abs() < 1e-12);
-        assert!((s.frame.raw_side() - 640.0).abs() < 1e-9);
+        assert!((s.frame.raw_size.as_f64() - 640.0).abs() < 1e-9);
         assert_eq!(s.local_cnn.name, "EfficientNet_Float");
         assert_eq!(s.remote_cnn.name, "YoloV7");
         assert_eq!(s.updates_per_frame, 4);

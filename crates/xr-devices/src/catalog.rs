@@ -55,14 +55,6 @@ pub struct DeviceSpec {
     pub release: String,
 }
 
-impl DeviceSpec {
-    /// Returns `true` when the device can host remote inference.
-    #[must_use]
-    pub fn is_edge_server(&self) -> bool {
-        self.class == DeviceClass::EdgeServer
-    }
-}
-
 /// The catalog of devices used in the experiments.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceCatalog {
@@ -326,8 +318,11 @@ mod tests {
         for client in catalog.xr_clients() {
             assert!(xavier.memory_bandwidth > client.memory_bandwidth);
         }
-        assert!(xavier.is_edge_server());
-        assert!(!catalog.device("XR1").unwrap().is_edge_server());
+        assert_eq!(xavier.class, DeviceClass::EdgeServer);
+        assert_ne!(
+            catalog.device("XR1").unwrap().class,
+            DeviceClass::EdgeServer
+        );
     }
 
     #[test]

@@ -120,11 +120,6 @@ impl CnnCatalog {
         self.iter().filter(|m| m.on_device)
     }
 
-    /// Heavy models deployed on the edge server (YOLOv3, YOLOv7).
-    pub fn edge_models(&self) -> impl Iterator<Item = &CnnModel> {
-        self.iter().filter(|m| !m.on_device)
-    }
-
     /// The default lightweight on-device model used in the evaluation
     /// (MobileNetV2 with a 300×300 input, float).
     ///
@@ -207,12 +202,6 @@ impl CnnComplexityModel {
             .max(0.1)
     }
 
-    /// Evaluates `C_CNN` from raw covariates.
-    #[must_use]
-    pub fn complexity_raw(&self, depth: f64, size_mb: f64, depth_scale: f64) -> f64 {
-        self.model.predict(&[depth, size_mb, depth_scale]).max(0.1)
-    }
-
     /// R² of the underlying regression.
     #[must_use]
     pub fn r_squared(&self) -> f64 {
@@ -242,7 +231,7 @@ mod tests {
         assert_eq!(catalog.len(), 11);
         assert!(!catalog.is_empty());
         assert_eq!(catalog.on_device_models().count(), 9);
-        assert_eq!(catalog.edge_models().count(), 2);
+        assert_eq!(catalog.iter().filter(|m| !m.on_device).count(), 2);
     }
 
     #[test]
@@ -313,13 +302,5 @@ mod tests {
         }
         assert!(refit.r_squared() > 0.999);
         assert_eq!(refit.regression().coefficients().len(), 3);
-    }
-
-    #[test]
-    fn complexity_raw_clamps_below() {
-        let model = CnnComplexityModel::published();
-        // Absurd negative covariates would drive the prediction negative;
-        // the clamp keeps it usable as a divisor.
-        assert!(model.complexity_raw(-10_000.0, -10_000.0, 0.0) >= 0.1);
     }
 }

@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use xr_stats::{FittedLinearModel, LinearRegression};
 use xr_types::{GigaHertz, Ratio, Result};
 
-/// Default edge-to-client compute coupling derived in the paper from the
+/// Edge-to-client compute coupling derived in the paper from the
 /// decode-discount experiment: `c_ε = 11.76 · c_client`.
 pub const EDGE_CLIENT_COMPUTE_RATIO: f64 = 11.76;
 
@@ -42,7 +42,6 @@ const MIN_RESOURCE: f64 = 0.5;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ComputeResourceModel {
     model: FittedLinearModel,
-    edge_ratio: f64,
 }
 
 impl ComputeResourceModel {
@@ -56,7 +55,6 @@ impl ComputeResourceModel {
                 vec![18.24, -6.02, 1.84, 193.67, -558.29, 400.96],
                 0.87,
             ),
-            edge_ratio: EDGE_CLIENT_COMPUTE_RATIO,
         }
     }
 
@@ -75,22 +73,7 @@ impl ComputeResourceModel {
             },
             resources,
         )?;
-        Ok(Self {
-            model,
-            edge_ratio: EDGE_CLIENT_COMPUTE_RATIO,
-        })
-    }
-
-    /// Overrides the edge/client coupling ratio (default 11.76).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ratio is not strictly positive.
-    #[must_use]
-    pub fn with_edge_ratio(mut self, ratio: f64) -> Self {
-        assert!(ratio > 0.0, "edge/client ratio must be positive");
-        self.edge_ratio = ratio;
-        self
+        Ok(Self { model })
     }
 
     /// The structural feature vector of Eq. 3 for a covariate triple.
@@ -118,10 +101,10 @@ impl ComputeResourceModel {
     }
 
     /// The edge-server compute resource `c_ε` coupled to a client resource
-    /// through the paper's ratio (`c_ε = 11.76 · c_client` by default).
+    /// through the paper's ratio [`EDGE_CLIENT_COMPUTE_RATIO`].
     #[must_use]
     pub fn edge_resource_from_client(&self, client_resource: f64) -> f64 {
-        (client_resource * self.edge_ratio).max(MIN_RESOURCE)
+        (client_resource * EDGE_CLIENT_COMPUTE_RATIO).max(MIN_RESOURCE)
     }
 
     /// The edge-server compute resource evaluated directly from the edge
@@ -134,13 +117,7 @@ impl ComputeResourceModel {
         gpu_clock: GigaHertz,
         cpu_share: Ratio,
     ) -> f64 {
-        self.client_resource(cpu_clock, gpu_clock, cpu_share) * self.edge_ratio
-    }
-
-    /// The edge/client coupling ratio in use.
-    #[must_use]
-    pub fn edge_ratio(&self) -> f64 {
-        self.edge_ratio
+        self.client_resource(cpu_clock, gpu_clock, cpu_share) * EDGE_CLIENT_COMPUTE_RATIO
     }
 
     /// R² of the underlying regression.
@@ -215,10 +192,7 @@ mod tests {
         let m = ComputeResourceModel::published();
         let c = m.client_resource(ghz(2.84), ghz(0.587), Ratio::new(0.7));
         assert!((m.edge_resource_from_client(c) - 11.76 * c).abs() < 1e-9);
-        assert!((m.edge_ratio() - EDGE_CLIENT_COMPUTE_RATIO).abs() < 1e-12);
-        let m = m.with_edge_ratio(5.0);
-        assert!((m.edge_resource_from_client(c) - 5.0 * c).abs() < 1e-9);
-        assert!((m.edge_resource(ghz(2.84), ghz(0.587), Ratio::new(0.7)) - 5.0 * c).abs() < 1e-9);
+        assert!((m.edge_resource(ghz(2.84), ghz(0.587), Ratio::new(0.7)) - 11.76 * c).abs() < 1e-9);
     }
 
     #[test]
@@ -249,11 +223,5 @@ mod tests {
     fn feature_vector_structure() {
         let f = ComputeResourceModel::features(ghz(2.0), ghz(1.0), Ratio::new(0.25));
         assert_eq!(f, [0.25, 0.5, 1.0, 0.75, 0.75, 0.75]);
-    }
-
-    #[test]
-    #[should_panic(expected = "edge/client ratio must be positive")]
-    fn zero_edge_ratio_rejected() {
-        let _ = ComputeResourceModel::published().with_edge_ratio(0.0);
     }
 }

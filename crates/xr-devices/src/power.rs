@@ -85,19 +85,6 @@ impl MeanPowerModel {
         )
     }
 
-    /// Energy of a segment: `∫₀^L P dt = P_mean · L` (the per-segment
-    /// integrals of Eq. 20 with a constant mean power).
-    #[must_use]
-    pub fn segment_energy(
-        &self,
-        cpu_clock: GigaHertz,
-        gpu_clock: GigaHertz,
-        cpu_share: Ratio,
-        latency: Seconds,
-    ) -> Joules {
-        self.mean_power(cpu_clock, gpu_clock, cpu_share) * latency.max(Seconds::ZERO)
-    }
-
     /// R² of the underlying regression.
     #[must_use]
     pub fn r_squared(&self) -> f64 {
@@ -133,23 +120,6 @@ impl BasePower {
         }
     }
 
-    /// Creates a base-power model from an explicit draw.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the power is negative.
-    #[must_use]
-    pub fn new(power: Watts) -> Self {
-        assert!(power.as_f64() >= 0.0, "base power must be non-negative");
-        Self { power }
-    }
-
-    /// The base power draw.
-    #[must_use]
-    pub fn power(&self) -> Watts {
-        self.power
-    }
-
     /// Base energy over a window: `E_base = P_base · T`.
     #[must_use]
     pub fn energy_over(&self, window: Seconds) -> Joules {
@@ -176,18 +146,6 @@ impl ThermalModel {
         Self {
             fraction: Ratio::new(0.05),
         }
-    }
-
-    /// Creates a thermal model from an explicit conversion fraction.
-    #[must_use]
-    pub fn new(fraction: Ratio) -> Self {
-        Self { fraction }
-    }
-
-    /// The conversion fraction.
-    #[must_use]
-    pub fn fraction(&self) -> Ratio {
-        self.fraction
     }
 
     /// Thermal energy `E_θ` produced while consuming `consumed` joules of
@@ -240,17 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn segment_energy_is_power_times_latency() {
-        let m = MeanPowerModel::published();
-        let p = m.mean_power(ghz(2.84), ghz(0.587), Ratio::new(0.5));
-        let e = m.segment_energy(ghz(2.84), ghz(0.587), Ratio::new(0.5), Seconds::new(0.2));
-        assert!((e.as_f64() - p.as_f64() * 0.2).abs() < 1e-12);
-        // Negative latency clamps to zero energy.
-        let e = m.segment_energy(ghz(2.84), ghz(0.587), Ratio::new(0.5), Seconds::new(-1.0));
-        assert_eq!(e.as_f64(), 0.0);
-    }
-
-    #[test]
     fn refit_recovers_known_power_law() {
         let mut obs = Vec::new();
         let mut ys = Vec::new();
@@ -276,29 +223,18 @@ mod tests {
     #[test]
     fn base_power_energy_accrues_linearly() {
         let base = BasePower::typical_smartphone();
-        assert!((base.power().as_f64() - 0.8).abs() < 1e-12);
+        assert!((base.energy_over(Seconds::new(1.0)).as_f64() - 0.8).abs() < 1e-12);
         let e = base.energy_over(Seconds::new(2.0));
         assert!((e.as_f64() - 1.6).abs() < 1e-12);
         assert_eq!(base.energy_over(Seconds::new(-1.0)).as_f64(), 0.0);
-        let custom = BasePower::new(Watts::new(0.4));
-        assert!((custom.energy_over(Seconds::new(1.0)).as_f64() - 0.4).abs() < 1e-12);
     }
 
     #[test]
     fn thermal_energy_is_a_fraction() {
         let t = ThermalModel::typical();
-        assert!((t.fraction().as_f64() - 0.05).abs() < 1e-12);
         let e = t.thermal_energy(Joules::new(10.0));
         assert!((e.as_f64() - 0.5).abs() < 1e-12);
         assert_eq!(t.thermal_energy(Joules::new(-3.0)).as_f64(), 0.0);
-        let half = ThermalModel::new(Ratio::new(0.5));
-        assert!((half.thermal_energy(Joules::new(2.0)).as_f64() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "base power must be non-negative")]
-    fn negative_base_power_rejected() {
-        let _ = BasePower::new(Watts::new(-1.0));
     }
 
     #[test]

@@ -53,16 +53,6 @@ impl SweepResult {
         metrics::mean_error_percent(&truth, &predicted)
     }
 
-    /// Points belonging to one clock series (one curve of the figure).
-    #[must_use]
-    pub fn series_for_clock(&self, cpu_clock_ghz: f64) -> Vec<SweepPoint> {
-        self.points
-            .iter()
-            .copied()
-            .filter(|p| (p.cpu_clock_ghz - cpu_clock_ghz).abs() < 1e-9)
-            .collect()
-    }
-
     /// CSV/console rows for the experiment binaries.
     #[must_use]
     pub fn rows(&self) -> Vec<Vec<String>> {
@@ -163,7 +153,11 @@ mod tests {
         assert_eq!(sweep.metric, "latency");
         // Shape: latency grows with frame size within each clock series.
         for &clock in &ExperimentContext::CPU_CLOCKS {
-            let series = sweep.series_for_clock(clock);
+            let series: Vec<&SweepPoint> = sweep
+                .points
+                .iter()
+                .filter(|p| (p.cpu_clock_ghz - clock).abs() < 1e-9)
+                .collect();
             assert_eq!(series.len(), 5);
             assert!(series.last().unwrap().ground_truth > series.first().unwrap().ground_truth);
             assert!(series.last().unwrap().proposed > series.first().unwrap().proposed);

@@ -1,9 +1,8 @@
 //! A minimal discrete-event-simulation engine.
 //!
-//! The testbed simulator (`xr-testbed`) and the M/M/1 simulator in this crate
-//! both need the same primitive: a priority queue of timestamped events
-//! processed in non-decreasing time order, with deterministic tie-breaking so
-//! that seeded runs are reproducible.
+//! The M/M/1 simulator in this crate is built on one primitive: a priority
+//! queue of timestamped events processed in non-decreasing time order, with
+//! deterministic tie-breaking so that seeded runs are reproducible.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -129,12 +128,6 @@ impl<T> EventQueue<T> {
         self.now = entry.0.time;
         Some(entry.0)
     }
-
-    /// Peeks at the next event's time without popping.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<Seconds> {
-        self.heap.peek().map(|e| e.0.time)
-    }
 }
 
 impl<T> Default for EventQueue<T> {
@@ -222,11 +215,11 @@ mod tests {
     fn len_and_peek() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.is_empty());
-        assert!(q.peek_time().is_none());
         q.schedule_at(Seconds::new(4.0), ());
         q.schedule_at(Seconds::new(2.0), ());
         assert_eq!(q.len(), 2);
-        assert!((q.peek_time().unwrap().as_f64() - 2.0).abs() < 1e-12);
+        assert!((q.pop().unwrap().time.as_f64() - 2.0).abs() < 1e-12);
+        assert_eq!(q.len(), 1);
     }
 
     #[test]

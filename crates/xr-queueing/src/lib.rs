@@ -10,14 +10,14 @@
 //! * [`MM1Queue`] — closed-form steady-state results (mean time in system
 //!   `1/(µ−λ)`, waiting time, queue lengths, utilisation, Little's-law
 //!   helpers).
-//! * [`MM1Simulator`] — a discrete-event simulation of the same system, used
-//!   by the testbed simulator to produce ground-truth buffering delays and by
-//!   the test-suite to validate the closed forms.
 //! * [`EdgeContention`] — the multi-tenant coupling: `N` sessions sharing one
 //!   edge inference server as a stable M/M/1 queue over the aggregate frame
 //!   stream, driving the testbed's contended uplink/edge stage.
-//! * [`des`] — a small generic discrete-event engine (event queue keyed by
-//!   simulated time) reused by `xr-testbed`.
+//! * [`MM1Simulator`] — a discrete-event simulation of the same system, built
+//!   on [`des`], a small generic event queue keyed by simulated time. It
+//!   shares no code with the testbed (which samples exponential sojourns at
+//!   rate `µ − λ` directly), so the test-suite uses it as an independent
+//!   oracle for the closed forms.
 //!
 //! ```
 //! use xr_queueing::MM1Queue;

@@ -1,9 +1,10 @@
 //! A discrete-event simulation of the M/M/1 input buffer.
 //!
-//! The testbed simulator uses [`MM1Simulator`] to generate ground-truth
-//! buffering delays (with sampling noise and transient effects), while the
-//! analytical model uses the closed forms of [`crate::MM1Queue`]. Comparing
-//! the two is exactly the validation exercise of Sections IV/VI.
+//! [`MM1Simulator`] replays the queue event by event (with sampling noise and
+//! transient effects), while the analytical model uses the closed forms of
+//! [`crate::MM1Queue`]. Comparing the two is the validation exercise of
+//! Sections IV/VI; the test-suite uses the simulator as an oracle that shares
+//! no code with the testbed's buffering stage.
 
 use crate::des::EventQueue;
 use rand::rngs::StdRng;

@@ -1,8 +1,8 @@
 //! # xr-stats
 //!
 //! Numerics substrate for the xr-perf workspace: dense linear algebra,
-//! ordinary-least-squares multiple linear regression, descriptive
-//! statistics, error metrics, and Student-t inference.
+//! ordinary-least-squares multiple linear regression, error metrics, and
+//! Student-t inference.
 //!
 //! The paper fits four multiple-linear-regression sub-models from testbed
 //! measurements (compute-resource availability Eq. 3, encoding latency Eq. 10,
@@ -19,9 +19,8 @@
 //!   fixed-width `[f64; F]` rows from a caller's function in two passes and
 //!   never builds a design matrix; it accumulates `XᵀX` and `Xᵀy` in the
 //!   same order as the explicit products, so it returns the same bits.
-//! * [`metrics`] — MAE, RMSE, MAPE, mean error %, and the *normalized
+//! * [`metrics`] — MAE, MAPE, mean error %, R², and the *normalized
 //!   accuracy* measure of Fig. 5.
-//! * [`Summary`] — descriptive statistics for simulated traces.
 //! * [`inference`] — the Student-t distribution (incomplete-beta CDF and
 //!   quantile) and small-sample confidence intervals for replicated
 //!   campaign measurements.
@@ -47,14 +46,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod descriptive;
 pub mod equivalence;
 pub mod inference;
 pub mod matrix;
 pub mod metrics;
 pub mod regression;
 
-pub use descriptive::Summary;
 pub use equivalence::{compare_campaigns, EquivalenceReport};
 pub use inference::{mean_confidence_interval, students_t_quantile};
 pub use matrix::Matrix;

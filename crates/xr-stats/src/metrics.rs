@@ -21,23 +21,6 @@ pub fn mean_absolute_error(truth: &[f64], predicted: &[f64]) -> f64 {
         / truth.len() as f64
 }
 
-/// Root-mean-square error `sqrt(mean((y − ŷ)²))`.
-///
-/// # Panics
-///
-/// Panics if the slices are empty or of different lengths.
-#[must_use]
-pub fn root_mean_square_error(truth: &[f64], predicted: &[f64]) -> f64 {
-    check_pair(truth, predicted);
-    (truth
-        .iter()
-        .zip(predicted)
-        .map(|(t, p)| (t - p).powi(2))
-        .sum::<f64>()
-        / truth.len() as f64)
-        .sqrt()
-}
-
 /// Mean absolute percentage error, in percent. Ground-truth zeros are
 /// skipped (they carry no relative-error information).
 ///
@@ -122,21 +105,6 @@ pub fn r_squared(truth: &[f64], predicted: &[f64]) -> f64 {
     }
 }
 
-/// Maximum absolute error, useful for worst-case reporting in EXPERIMENTS.md.
-///
-/// # Panics
-///
-/// Panics if the slices are empty or of different lengths.
-#[must_use]
-pub fn max_absolute_error(truth: &[f64], predicted: &[f64]) -> f64 {
-    check_pair(truth, predicted);
-    truth
-        .iter()
-        .zip(predicted)
-        .map(|(t, p)| (t - p).abs())
-        .fold(0.0, f64::max)
-}
-
 fn check_pair(truth: &[f64], predicted: &[f64]) {
     assert!(!truth.is_empty(), "metric inputs must be non-empty");
     assert_eq!(
@@ -154,11 +122,9 @@ mod tests {
     fn perfect_prediction_scores_perfectly() {
         let y = vec![1.0, 2.0, 3.0];
         assert_eq!(mean_absolute_error(&y, &y), 0.0);
-        assert_eq!(root_mean_square_error(&y, &y), 0.0);
         assert_eq!(mean_absolute_percentage_error(&y, &y), 0.0);
         assert_eq!(normalized_accuracy(&y, &y), 100.0);
         assert_eq!(r_squared(&y, &y), 1.0);
-        assert_eq!(max_absolute_error(&y, &y), 0.0);
     }
 
     #[test]
@@ -166,11 +132,9 @@ mod tests {
         let truth = vec![100.0, 200.0];
         let pred = vec![110.0, 180.0];
         assert!((mean_absolute_error(&truth, &pred) - 15.0).abs() < 1e-12);
-        assert!((root_mean_square_error(&truth, &pred) - (250.0_f64).sqrt()).abs() < 1e-12);
         // MAPE = (10% + 10%) / 2 = 10%
         assert!((mean_absolute_percentage_error(&truth, &pred) - 10.0).abs() < 1e-12);
         assert!((normalized_accuracy(&truth, &pred) - 90.0).abs() < 1e-12);
-        assert!((max_absolute_error(&truth, &pred) - 20.0).abs() < 1e-12);
     }
 
     #[test]

@@ -163,7 +163,6 @@ impl LinearRegression {
             r_squared,
             adjusted_r_squared: adjusted,
             residual_variance: sigma2,
-            n_observations: ys.len(),
             gram_inverse,
         })
     }
@@ -178,7 +177,6 @@ pub struct FittedLinearModel {
     r_squared: f64,
     adjusted_r_squared: f64,
     residual_variance: f64,
-    n_observations: usize,
     gram_inverse: Option<Matrix>,
 }
 
@@ -197,7 +195,6 @@ impl FittedLinearModel {
             r_squared,
             adjusted_r_squared: r_squared,
             residual_variance: 0.0,
-            n_observations: 0,
             gram_inverse: None,
         }
     }
@@ -230,13 +227,6 @@ impl FittedLinearModel {
     #[must_use]
     pub fn residual_variance(&self) -> f64 {
         self.residual_variance
-    }
-
-    /// Number of observations used in the fit (zero for models built with
-    /// [`FittedLinearModel::from_coefficients`]).
-    #[must_use]
-    pub fn n_observations(&self) -> usize {
-        self.n_observations
     }
 
     /// Predicts the target for one feature row.
@@ -357,7 +347,6 @@ mod tests {
         assert!((fit.coefficients()[1] + 0.5).abs() < 1e-9);
         assert!(fit.r_squared() > 0.999_999);
         assert!(fit.adjusted_r_squared() > 0.999_99);
-        assert_eq!(fit.n_observations(), 40);
     }
 
     #[test]

@@ -11,48 +11,31 @@ use std::collections::BTreeMap;
 /// sink only ever observes rows in index order — so the written artifact is
 /// byte-identical to a sequential run.
 ///
-/// The hold-back window can be **bounded** ([`InOrderCollector::with_cap`]):
-/// one slow point must not let faster workers race ahead and buffer an
-/// entire campaign in memory. A bounded collector never exceeds its cap —
-/// callers consult [`InOrderCollector::accepts`] before pushing and apply
-/// backpressure (block the producing worker) when the window is full, as
+/// The hold-back window is **bounded**: one slow point must not let faster
+/// workers race ahead and buffer an entire campaign in memory. The
+/// collector never exceeds its cap — callers consult
+/// [`InOrderCollector::accepts`] before pushing and apply backpressure
+/// (block the producing worker) when the window is full, as
 /// [`crate::CampaignRunner`]'s streaming paths do.
 #[derive(Debug)]
 pub struct InOrderCollector<R, F: FnMut(usize, R)> {
     next: usize,
     pending: BTreeMap<usize, R>,
-    /// Maximum held-back results; `None` is unbounded.
-    cap: Option<usize>,
-    /// Largest `pending` size ever observed — the memory high-water mark.
-    high_water: usize,
+    /// Maximum held-back results.
+    cap: usize,
     sink: F,
 }
 
 impl<R, F: FnMut(usize, R)> InOrderCollector<R, F> {
-    /// A collector forwarding in-order results to `sink`, with an unbounded
-    /// hold-back window.
-    pub fn new(sink: F) -> Self {
+    /// A collector forwarding in-order results to `sink`, holding back at
+    /// most `cap` results (clamped to at least 1).
+    pub fn new(cap: usize, sink: F) -> Self {
         Self {
             next: 0,
             pending: BTreeMap::new(),
-            cap: None,
-            high_water: 0,
+            cap: cap.max(1),
             sink,
         }
-    }
-
-    /// Bounds the hold-back window to at most `cap` buffered results
-    /// (clamped to at least 1).
-    #[must_use]
-    pub fn with_cap(mut self, cap: usize) -> Self {
-        self.cap = Some(cap.max(1));
-        self
-    }
-
-    /// The configured hold-back bound; `None` is unbounded.
-    #[must_use]
-    pub fn cap(&self) -> Option<usize> {
-        self.cap
     }
 
     /// `true` when the result for `index` may be pushed without growing the
@@ -61,7 +44,7 @@ impl<R, F: FnMut(usize, R)> InOrderCollector<R, F> {
     /// backpressure can never deadlock the one worker able to fill the gap.
     #[must_use]
     pub fn accepts(&self, index: usize) -> bool {
-        index == self.next || self.cap.is_none_or(|cap| self.pending.len() < cap)
+        index == self.next || self.pending.len() < self.cap
     }
 
     /// Accepts the result for `index`, emitting it (and any directly
@@ -80,42 +63,23 @@ impl<R, F: FnMut(usize, R)> InOrderCollector<R, F> {
         );
         assert!(
             self.accepts(index),
-            "hold-back window overflow: point {index} pushed with {} already buffered (cap {:?})",
+            "hold-back window overflow: point {index} pushed with {} already buffered (cap {})",
             self.pending.len(),
             self.cap
         );
         if index == self.next {
             // The gap-filler flows straight through without touching the
-            // buffer, so a bounded window never transiently exceeds its cap.
+            // buffer, so the window never transiently exceeds its cap.
             (self.sink)(self.next, value);
             self.next += 1;
         } else {
             let duplicate = self.pending.insert(index, value);
             assert!(duplicate.is_none(), "duplicate result for point {index}");
-            self.high_water = self.high_water.max(self.pending.len());
         }
         while let Some(value) = self.pending.remove(&self.next) {
             (self.sink)(self.next, value);
             self.next += 1;
         }
-    }
-
-    /// Index of the next result the sink is waiting for.
-    #[must_use]
-    pub fn emitted(&self) -> usize {
-        self.next
-    }
-
-    /// Number of results currently held back waiting for a gap to fill.
-    #[must_use]
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The largest number of results ever held back at once.
-    #[must_use]
-    pub fn high_water(&self) -> usize {
-        self.high_water
     }
 
     /// `true` when nothing is held back waiting for a gap to fill.
@@ -133,7 +97,7 @@ mod tests {
     fn out_of_order_pushes_emit_in_order() {
         let seen = std::cell::RefCell::new(Vec::new());
         let mut collector =
-            InOrderCollector::new(|i: usize, v: &str| seen.borrow_mut().push((i, v)));
+            InOrderCollector::new(4, |i: usize, v: &str| seen.borrow_mut().push((i, v)));
         collector.push(2, "c");
         collector.push(0, "a");
         assert_eq!(*seen.borrow(), vec![(0, "a")]);
@@ -141,48 +105,49 @@ mod tests {
         collector.push(1, "b");
         assert_eq!(*seen.borrow(), vec![(0, "a"), (1, "b"), (2, "c")]);
         assert!(collector.is_drained());
-        assert_eq!(collector.emitted(), 3);
-        assert_eq!(collector.high_water(), 1, "only point 2 was ever buffered");
     }
 
     #[test]
     #[should_panic(expected = "duplicate result")]
     fn duplicate_indices_panic() {
-        let mut collector = InOrderCollector::new(|_, _: u8| {});
+        let mut collector = InOrderCollector::new(4, |_, _: u8| {});
         collector.push(0, 1);
         collector.push(0, 2);
     }
 
     #[test]
     fn bounded_windows_gate_admission_but_never_the_gap_filler() {
-        let mut collector = InOrderCollector::new(|_, _: u8| {}).with_cap(2);
-        assert_eq!(collector.cap(), Some(2));
+        let seen = std::cell::RefCell::new(Vec::new());
+        let mut collector = InOrderCollector::new(2, |i, _: u8| seen.borrow_mut().push(i));
         collector.push(3, 0);
         collector.push(1, 0);
-        assert_eq!(collector.pending_len(), 2);
         // The window is full: run-ahead indices are refused…
         assert!(!collector.accepts(2));
         assert!(!collector.accepts(9));
         // …but the next-in-order index always gets through (it drains).
         assert!(collector.accepts(0));
         collector.push(0, 0);
-        assert_eq!(collector.emitted(), 2);
-        assert_eq!(collector.pending_len(), 1);
+        assert_eq!(*seen.borrow(), vec![0, 1]);
+        // Point 3 alone is held back, so there is room again.
         assert!(collector.accepts(2));
-        assert_eq!(collector.high_water(), 2);
+        collector.push(2, 0);
+        assert_eq!(*seen.borrow(), vec![0, 1, 2, 3]);
+        assert!(collector.is_drained());
     }
 
     #[test]
     #[should_panic(expected = "hold-back window overflow")]
     fn overflowing_a_bounded_window_panics() {
-        let mut collector = InOrderCollector::new(|_, _: u8| {}).with_cap(1);
+        let mut collector = InOrderCollector::new(1, |_, _: u8| {});
         collector.push(1, 0);
         collector.push(2, 0);
     }
 
     #[test]
     fn caps_clamp_to_one() {
-        let collector = InOrderCollector::new(|_, _: u8| {}).with_cap(0);
-        assert_eq!(collector.cap(), Some(1));
+        let mut collector = InOrderCollector::new(0, |_, _: u8| {});
+        assert!(collector.accepts(1));
+        collector.push(1, 0);
+        assert!(!collector.accepts(2));
     }
 }

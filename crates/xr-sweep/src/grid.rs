@@ -49,12 +49,6 @@ impl WirelessCondition {
             throughput_mbps,
         }
     }
-
-    /// `true` when the condition applies no overrides.
-    #[must_use]
-    pub fn is_baseline(&self) -> bool {
-        self.distance_m.is_none() && self.throughput_mbps.is_none()
-    }
 }
 
 impl Default for WirelessCondition {
@@ -540,7 +534,7 @@ mod tests {
         for (i, p) in points.iter().enumerate() {
             assert_eq!(p.index, i);
             assert_eq!(p.device, "XR2");
-            assert!(p.wireless.is_baseline());
+            assert!(p.wireless.distance_m.is_none() && p.wireless.throughput_mbps.is_none());
             assert!(p.mobility.is_static());
         }
         assert_eq!(grid.replications(), 1);
@@ -562,9 +556,12 @@ mod tests {
         assert_eq!(points.len(), 16);
         assert_eq!(points[0].device, "XR2");
         assert_eq!(points[8].device, "XR3");
-        assert!(points[0].wireless.is_baseline());
+        assert!(points[0].wireless.distance_m.is_none());
+        assert!(points[0].wireless.throughput_mbps.is_none());
         assert_eq!(points[4].wireless.label, "far");
-        assert!(!points[4].wireless.is_baseline());
+        assert!(
+            points[4].wireless.distance_m.is_some() || points[4].wireless.throughput_mbps.is_some()
+        );
     }
 
     #[test]

@@ -94,10 +94,11 @@ impl CampaignRunner {
     /// one point is slow, faster workers may run at most `cap` results
     /// ahead before they block, so memory stays bounded instead of
     /// buffering the rest of the campaign. Defaults to
-    /// [`DEFAULT_REORDER_CAP`].
+    /// [`DEFAULT_REORDER_CAP`]; only the backpressure tests set another.
+    #[cfg(test)]
     #[must_use]
-    pub fn with_reorder_cap(mut self, cap: usize) -> Self {
-        self.reorder_cap = cap.max(1);
+    pub(crate) fn with_reorder_cap(mut self, cap: usize) -> Self {
+        self.reorder_cap = cap;
         self
     }
 
@@ -111,12 +112,6 @@ impl CampaignRunner {
     #[must_use]
     pub fn campaign_seed(&self) -> u64 {
         self.campaign_seed
-    }
-
-    /// The streaming hold-back bound.
-    #[must_use]
-    pub fn reorder_cap(&self) -> usize {
-        self.reorder_cap
     }
 
     /// Evaluates `eval` at every point and returns the results in point
@@ -133,21 +128,9 @@ impl CampaignRunner {
         R: Send,
         F: Fn(PointContext, &P) -> Result<R> + Sync,
     {
-        let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..points.len()).map(|_| None).collect());
-        self.execute(
-            points,
-            &eval,
-            |index, value| {
-                slots.lock().expect("slot lock")[index] = Some(value);
-            },
-            &|| {},
-        )?;
-        Ok(slots
-            .into_inner()
-            .expect("slot lock")
-            .into_iter()
-            .map(|slot| slot.expect("every point evaluated"))
-            .collect())
+        let mut results = Vec::with_capacity(points.len());
+        self.run_streaming(points, eval, |_, result| results.push(result))?;
+        Ok(results)
     }
 
     /// Evaluates every point and streams results **in point order** into
@@ -155,13 +138,13 @@ impl CampaignRunner {
     /// hold-back buffer. The emission order (and therefore any CSV appended
     /// row by row) is identical for every worker count.
     ///
-    /// The hold-back window is bounded by
-    /// [`CampaignRunner::with_reorder_cap`]: a worker whose result is more
-    /// than `cap` rows ahead of the sink **blocks** until the gap fills, so
-    /// one slow point backpressures the pool instead of buffering the rest
-    /// of the campaign in memory. The worker owning the gap's own point is
-    /// never blocked (its index is always admitted), so backpressure cannot
-    /// deadlock, and on failure every blocked worker is released.
+    /// The hold-back window is bounded by [`DEFAULT_REORDER_CAP`]: a worker
+    /// whose result is more than that many rows ahead of the sink **blocks**
+    /// until the gap fills, so one slow point backpressures the pool instead
+    /// of buffering the rest of the campaign in memory. The worker owning the
+    /// gap's own point is never blocked (its index is always admitted), so
+    /// backpressure cannot deadlock, and on failure every blocked worker is
+    /// released.
     ///
     /// # Errors
     ///
@@ -182,7 +165,7 @@ impl CampaignRunner {
             aborted: bool,
         }
         let state = Mutex::new(StreamState {
-            collector: InOrderCollector::new(sink).with_cap(self.reorder_cap),
+            collector: InOrderCollector::new(self.reorder_cap, sink),
             aborted: false,
         });
         let room = Condvar::new();
@@ -655,16 +638,14 @@ mod tests {
         CampaignRunner::new(1)
             .run_streaming(&points, eval, |i, v| reference.push((i, v)))
             .unwrap();
-        for (workers, cap) in [(4, 1), (4, 3), (8, 2), (16, 5)] {
-            let runner = CampaignRunner::new(workers).with_reorder_cap(cap);
-            assert_eq!(runner.reorder_cap(), cap.max(1));
+        // Cap 0 clamps to 1: fully lock-step draining still succeeds.
+        for (workers, cap) in [(2, 0), (4, 1), (4, 3), (8, 2), (16, 5)] {
             let mut seen = Vec::new();
-            runner
+            CampaignRunner::new(workers)
+                .with_reorder_cap(cap)
                 .run_streaming(&points, eval, |i, v| seen.push((i, v)))
                 .unwrap();
             assert_eq!(seen, reference, "workers={workers} cap={cap} diverged");
         }
-        // Cap 0 clamps to 1 — fully lock-step draining still succeeds.
-        assert_eq!(CampaignRunner::new(2).with_reorder_cap(0).reorder_cap(), 1);
     }
 }

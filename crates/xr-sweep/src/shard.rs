@@ -20,6 +20,7 @@
 //! overlapping cover.
 
 use crate::grid::SweepGrid;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 use xr_types::{Error, Result};
@@ -97,12 +98,6 @@ impl ShardSpec {
         self.count
     }
 
-    /// `true` for the degenerate `1/1` spec covering the whole campaign.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.count == 1
-    }
-
     /// `true` when this shard owns the point at original grid index
     /// `point_index` (round-robin partition; all replications of a point
     /// stay on one shard).
@@ -173,18 +168,19 @@ impl ShardManifest {
     }
 
     /// Parses a manifest rendered by [`ShardManifest::render`]. Blank lines
-    /// and `#` comments are ignored; all four keys are required.
+    /// and `#` comments are ignored; all five keys are required, each once.
     ///
     /// # Errors
     ///
-    /// Rejects unknown keys, malformed values, and missing keys, naming the
-    /// offending line.
+    /// Rejects unknown, repeated and missing keys and malformed values,
+    /// naming the offending line.
     pub fn parse(text: &str) -> Result<Self> {
         let mut campaign_seed = None;
         let mut grid_fingerprint = None;
         let mut points = None;
         let mut shard = None;
         let mut rows = None;
+        let mut seen = BTreeSet::new();
         for (number, raw) in text.lines().enumerate() {
             let line_number = number + 1;
             let line = raw.split('#').next().unwrap_or("").trim();
@@ -197,6 +193,11 @@ impl ShardManifest {
                 ))
             })?;
             let (key, value) = (key.trim(), value.trim());
+            if !seen.insert(key) {
+                return Err(merge_error(format!(
+                    "manifest line {line_number}: duplicate key `{key}`"
+                )));
+            }
             let bad_value = || {
                 merge_error(format!(
                     "manifest line {line_number}: `{value}` is not a valid {key}"
@@ -346,8 +347,7 @@ mod tests {
         assert_eq!(shard.index(), 2);
         assert_eq!(shard.count(), 3);
         assert_eq!(shard.to_string(), "2/3");
-        assert!(!shard.is_full());
-        assert!(ShardSpec::parse("1/1").unwrap().is_full());
+        assert_eq!(ShardSpec::parse("1/1").unwrap().count(), 1);
         assert_eq!("4/8".parse::<ShardSpec>().unwrap().index(), 4);
 
         // Round-robin by original point index: shard 2/3 owns 1, 4, 7, …
@@ -414,6 +414,17 @@ mod tests {
         assert!(err.to_string().contains("is not `key = value`"));
         let err = ShardManifest::parse("rows = many\n").unwrap_err();
         assert!(err.to_string().contains("not a valid rows"));
+        // `render` writes a comment line and five keys; a repeat of any key
+        // is line 7 and must not silently override the first value.
+        for repeat in ["rows = 31", "campaign_seed = 2025", "shard = 1/3"] {
+            let key = repeat.split(" =").next().unwrap();
+            let err = ShardManifest::parse(&format!("{text}{repeat}\n")).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("line 7: duplicate key `{key}`")),
+                "{err}"
+            );
+        }
     }
 
     fn fake_shards(count: usize, total: usize) -> Vec<(ShardManifest, Vec<String>)> {

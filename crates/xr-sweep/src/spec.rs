@@ -428,7 +428,9 @@ mod tests {
         assert_eq!(grid.len(), 15); // the 5 × 3 paper panel
         let points = grid.points().unwrap();
         assert!(points.iter().all(|p| p.device == "XR2"));
-        assert!(points.iter().all(|p| p.wireless.is_baseline()));
+        assert!(points
+            .iter()
+            .all(|p| p.wireless.distance_m.is_none() && p.wireless.throughput_mbps.is_none()));
         assert!(points.iter().all(|p| p.mobility.is_static()));
         // The empty spec is the paper panel itself.
         assert_eq!(parse_grid_spec("# nothing\n\n").unwrap().len(), 15);

@@ -36,17 +36,6 @@ impl AoiGroundTruth {
         Seconds::new(self.aoi.iter().map(|a| a.as_f64()).sum::<f64>() / self.aoi.len() as f64)
     }
 
-    /// Measured Relevance-of-Information: the processed frequency `1/mean`
-    /// over the required frequency `1/request_period`.
-    #[must_use]
-    pub fn roi(&self, request_period: Seconds) -> f64 {
-        let mean = self.mean().as_f64();
-        if mean <= 0.0 {
-            return f64::INFINITY;
-        }
-        (1.0 / mean) / (1.0 / request_period.as_f64().max(f64::MIN_POSITIVE))
-    }
-
     /// Simulates the AoI ground truth for one sensor.
     ///
     /// * `service_rate` — input-buffer service rate `µ` (items/s),
@@ -188,8 +177,11 @@ mod tests {
         let period = Seconds::from_millis(5.0);
         let fast = AoiGroundTruth::simulate(&sensor(200.0), 2_000.0, period, 10, 0.01, 3).unwrap();
         let slow = AoiGroundTruth::simulate(&sensor(50.0), 2_000.0, period, 10, 0.01, 3).unwrap();
-        assert!(fast.roi(period) > slow.roi(period));
-        assert!(slow.roi(period) < 1.0);
+        // Measured RoI: the processed frequency `1/mean` over the required
+        // frequency `1/period`.
+        let roi = |truth: &AoiGroundTruth| period.as_f64() / truth.mean().as_f64();
+        assert!(roi(&fast) > roi(&slow));
+        assert!(roi(&slow) < 1.0);
     }
 
     #[test]

@@ -1266,7 +1266,6 @@ impl TestbedSimulator {
             let mut rng = k.rng(rep, stream::HANDOFF, b.frame_index(i));
             let mut pairs = StandardNormalPairs::new();
             b.handoff_occurred[i] = true;
-            session.handoffs += events.crossings as u64;
             let mut latency =
                 k.handoff_base * events.crossings as f64 * k.noise(&mut rng, &mut pairs);
             if events.migrations > 0 {

@@ -128,12 +128,6 @@ impl MeasurementCampaign {
         self
     }
 
-    /// Number of records this campaign will collect.
-    #[must_use]
-    pub fn target_records(&self) -> usize {
-        self.target_records
-    }
-
     /// Runs the campaign against the given devices (catalog names) and
     /// returns the collected dataset. The record budget is split roughly
     /// 40 % / 35 % / 20 % / 5 % across the resource, power, encoding and
@@ -374,9 +368,9 @@ mod tests {
     #[test]
     fn paper_scale_matches_reported_counts() {
         let c = MeasurementCampaign::paper_scale(0);
-        assert_eq!(c.target_records(), 119_465);
+        assert_eq!(c.target_records, 119_465);
         assert_eq!(
-            MeasurementCampaign::paper_scale_test(0).target_records(),
+            MeasurementCampaign::paper_scale_test(0).target_records,
             36_083
         );
     }

@@ -44,7 +44,7 @@
 //!     Monsoon-style energy measurement.
 //!
 //! Stages 1–9 append to the frame's private `FrameState`; session-scoped
-//! state (the mobility walker, handoff counters) lives in [`SessionState`]
+//! state (the mobility walker, the migration time) lives in [`SessionState`]
 //! and is threaded through [`TestbedSimulator::simulate_session`] frame by
 //! frame, which is why [`GroundTruthSession::handoff_rate`] is nonzero for
 //! a moving user.
@@ -59,7 +59,6 @@ use serde::{Deserialize, Serialize};
 use xr_core::Scenario;
 use xr_devices::DeviceCatalog;
 use xr_queueing::EdgeContention;
-use xr_stats::Summary;
 use xr_types::seed::stage_stream_seed;
 use xr_types::{
     Joules, MigrationPolicy, Ratio, Result, Seconds, Segment, TopologyLayout, Watts, SPEED_OF_LIGHT,
@@ -119,9 +118,7 @@ pub mod stream {
 /// instead of two heap-allocated map builds (the frame emit path is the
 /// hot path of every measurement campaign). Read them through
 /// [`GroundTruthFrame::segment_latency`] /
-/// [`GroundTruthFrame::segment_energy`] or the
-/// [`GroundTruthFrame::latencies`] / [`GroundTruthFrame::energies`]
-/// iterators.
+/// [`GroundTruthFrame::segment_energy`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GroundTruthFrame {
     /// Measured latency per segment, indexed by [`Segment::slot`].
@@ -147,16 +144,6 @@ impl GroundTruthFrame {
     #[must_use]
     pub fn segment_energy(&self, segment: Segment) -> Joules {
         self.energy[segment.slot()]
-    }
-
-    /// Per-segment latencies in [`Segment::ALL`] (= `Ord`) order.
-    pub fn latencies(&self) -> impl Iterator<Item = (Segment, Seconds)> + '_ {
-        Segment::ALL.iter().map(|&s| (s, self.latency[s.slot()]))
-    }
-
-    /// Per-segment energies in [`Segment::ALL`] (= `Ord`) order.
-    pub fn energies(&self) -> impl Iterator<Item = (Segment, Joules)> + '_ {
-        Segment::ALL.iter().map(|&s| (s, self.energy[s.slot()]))
     }
 }
 
@@ -208,30 +195,6 @@ impl GroundTruthSession {
             ),
             self.frames.len() as u64,
         ))
-    }
-
-    /// Summary statistics of the per-frame total latency (in milliseconds).
-    #[must_use]
-    pub fn latency_summary(&self) -> Summary {
-        Summary::of(
-            &self
-                .frames
-                .iter()
-                .map(|f| f.total_latency.as_f64() * 1e3)
-                .collect::<Vec<_>>(),
-        )
-    }
-
-    /// Summary statistics of the per-frame energy (in millijoules).
-    #[must_use]
-    pub fn energy_summary(&self) -> Summary {
-        Summary::of(
-            &self
-                .frames
-                .iter()
-                .map(|f| f.total_energy.as_f64() * 1e3)
-                .collect::<Vec<_>>(),
-        )
     }
 
     /// Fraction of frames that experienced a handoff.
@@ -1007,7 +970,6 @@ impl TestbedSimulator {
             // frame can cross more than once; each crossing pays the handoff
             // latency.
             s.handoff_occurred = true;
-            session.handoffs += events.crossings as u64;
             let base = match scenario.mobility.handoff_kind {
                 HandoffKind::Horizontal => Seconds::new(0.065),
                 HandoffKind::Vertical => Seconds::new(1.2),
@@ -1181,15 +1143,14 @@ pub(crate) fn check_frames(frames: u64) -> Result<()> {
 
 /// Session-scoped simulation state threaded through the staged frame
 /// pipeline: the stateful mobility walker (present for a moving device),
-/// the start site of a static device on a multi-edge map, the handoff
-/// count and the migration time paid so far.
+/// the start site of a static device on a multi-edge map, and the
+/// migration time paid so far.
 #[derive(Debug, Clone)]
 pub struct SessionState {
     pub(crate) walker: Option<TopologyWalker>,
     /// The site a static session stays attached to (its map's start site,
     /// 0 without a topology). A walking session's site is its walker's.
     site: usize,
-    pub(crate) handoffs: u64,
     pub(crate) migration_time: Seconds,
 }
 
@@ -1236,15 +1197,8 @@ impl SessionState {
         Self {
             walker,
             site: map.map_or(0, EdgeTopology::start_site),
-            handoffs: 0,
             migration_time: Seconds::ZERO,
         }
-    }
-
-    /// Number of handoffs observed so far.
-    #[must_use]
-    pub fn handoff_count(&self) -> u64 {
-        self.handoffs
     }
 
     /// Total state-migration latency paid so far.
@@ -1454,8 +1408,14 @@ mod tests {
         assert_eq!(session.frames().len(), 30);
         assert!(session.mean_latency().as_f64() > 0.0);
         assert!(session.mean_energy().as_f64() > 0.0);
-        assert!(session.latency_summary().std_dev() < session.latency_summary().mean());
-        assert!(session.energy_summary().mean() > 0.0);
+        let mean = session.mean_latency().as_f64();
+        let variance = session
+            .frames()
+            .iter()
+            .map(|f| (f.total_latency.as_f64() - mean).powi(2))
+            .sum::<f64>()
+            / 30.0;
+        assert!(variance.sqrt() < mean);
         assert_eq!(session.handoff_rate(), 0.0);
     }
 
@@ -1586,19 +1546,23 @@ mod tests {
 
     #[test]
     fn session_state_tracks_handoffs_incrementally() {
+        // Threading one `SessionState` through the frames one at a time
+        // hands off on exactly the frames the whole-session run does.
         let testbed = TestbedSimulator::new(8);
         let s = mobile_scenario(25.0, 8.0);
+        let session = testbed.simulate_session(&s, 300).unwrap();
         let mut state = SessionState::new(&testbed, &s);
         assert!(state.walker().is_some());
-        let mut occurred = 0u64;
-        for i in 1..=300 {
+        for (i, recorded) in (1..=300).zip(session.frames()) {
             let frame = testbed
                 .simulate_frame_in_session(&s, i, &mut state)
                 .unwrap();
-            occurred += u64::from(frame.handoff_occurred);
+            assert_eq!(
+                frame.handoff_occurred, recorded.handoff_occurred,
+                "frame {i}"
+            );
         }
-        assert_eq!(state.handoff_count(), occurred);
-        assert!(occurred > 0);
+        assert!(session.handoff_rate() > 0.0);
     }
 
     #[test]

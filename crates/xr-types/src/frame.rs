@@ -75,28 +75,6 @@ impl Frame {
             volumetric_data: MegaBytes::new(raw_mb * 0.25),
         }
     }
-
-    /// The frame-size parameter (the paper's `s_f1`, i.e. the side of the
-    /// square input tensor).
-    #[must_use]
-    pub fn raw_side(&self) -> f64 {
-        self.raw_size.as_f64()
-    }
-
-    /// Replaces the encoded data size, e.g. after running an encoder model
-    /// with a non-default quantisation value.
-    #[must_use]
-    pub fn with_encoded_data(mut self, encoded_data: MegaBytes) -> Self {
-        self.encoded_data = encoded_data;
-        self
-    }
-
-    /// Replaces the cooperation payload size.
-    #[must_use]
-    pub fn with_cooperation_data(mut self, cooperation_data: MegaBytes) -> Self {
-        self.cooperation_data = cooperation_data;
-        self
-    }
 }
 
 /// An iterator over the frames of an XR session.
@@ -169,7 +147,6 @@ mod tests {
     fn from_resolution_derives_consistent_sizes() {
         let f = template();
         assert!((f.raw_size.as_f64() - 500.0).abs() < 1e-9);
-        assert!((f.raw_side() - 500.0).abs() < 1e-9);
         // 500² pixels × 4 B = 1 MB raw data.
         assert!((f.raw_data.as_f64() - 1.0).abs() < 1e-9);
         // Encoded data is compressed.
@@ -185,14 +162,6 @@ mod tests {
         let f = Frame::from_resolution(FrameId::new(0), 700.0, Hertz::new(30.0));
         assert!((f.converted_size.as_f64() - 640.0).abs() < 1e-9);
         assert!((f.encoded_size.as_f64() - 700.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn with_encoded_data_overrides() {
-        let f = template().with_encoded_data(MegaBytes::new(0.01));
-        assert!((f.encoded_data.as_f64() - 0.01).abs() < 1e-12);
-        let f = f.with_cooperation_data(MegaBytes::new(0.002));
-        assert!((f.cooperation_data.as_f64() - 0.002).abs() < 1e-12);
     }
 
     #[test]

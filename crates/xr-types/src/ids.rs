@@ -1,8 +1,8 @@
-//! Opaque identifiers for frames, devices, sensors, and edge servers.
+//! Opaque frame identifiers.
 //!
 //! The testbed simulator and the analytical models exchange these identifiers
-//! instead of raw integers so that, e.g., an edge-server index can never be
-//! used to index the external-sensor set.
+//! instead of raw integers, so a frame index can never be mixed up with any
+//! other count.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -61,22 +61,6 @@ id_type!(
     FrameId,
     "frame-"
 );
-id_type!(
-    /// Identifies an XR device (a row of Table I, or an additional simulated
-    /// device).
-    DeviceId,
-    "device-"
-);
-id_type!(
-    /// Identifies an external sensor or cooperating device `m ∈ {0, …, M}`.
-    SensorId,
-    "sensor-"
-);
-id_type!(
-    /// Identifies an edge server `e ∈ E` that can host remote inference.
-    EdgeServerId,
-    "edge-"
-);
 
 #[cfg(test)]
 mod tests {
@@ -89,14 +73,11 @@ mod tests {
         assert!(b > a);
         assert_eq!(b.index(), 2);
         assert_eq!(format!("{a}"), "frame-1");
-        assert_eq!(format!("{}", SensorId::new(3)), "sensor-3");
-        assert_eq!(format!("{}", EdgeServerId::new(0)), "edge-0");
-        assert_eq!(format!("{}", DeviceId::new(7)), "device-7");
     }
 
     #[test]
     fn ids_round_trip_through_u64() {
-        let id = DeviceId::from(42u64);
+        let id = FrameId::from(42u64);
         assert_eq!(u64::from(id), 42);
     }
 
@@ -104,9 +85,9 @@ mod tests {
     fn ids_usable_as_map_keys() {
         use std::collections::HashMap;
         let mut m = HashMap::new();
-        m.insert(SensorId::new(1), "lidar");
-        m.insert(SensorId::new(2), "rsu");
-        assert_eq!(m[&SensorId::new(1)], "lidar");
+        m.insert(FrameId::new(1), "first");
+        m.insert(FrameId::new(2), "second");
+        assert_eq!(m[&FrameId::new(1)], "first");
         assert_eq!(m.len(), 2);
     }
 }

@@ -35,11 +35,11 @@ pub mod units;
 
 pub use error::{Error, Result};
 pub use frame::{Frame, FrameStream};
-pub use ids::{DeviceId, EdgeServerId, FrameId, SensorId};
+pub use ids::FrameId;
 pub use segment::{ExecutionTarget, Segment, SegmentSet};
 pub use topology::{MigrationPolicy, TopologyLayout};
 pub use units::{
-    Bytes, Celsius, GigaBytesPerSecond, GigaHertz, Hertz, Joules, MegaBitsPerSecond, MegaBytes,
-    Meters, MetersPerSecond, MilliJoules, MilliSeconds, PixelsSquared, Ratio, Seconds, Watts,
+    GigaBytesPerSecond, GigaHertz, Hertz, Joules, MegaBitsPerSecond, MegaBytes, Meters,
+    MetersPerSecond, MilliJoules, MilliSeconds, PixelsSquared, Ratio, Seconds, Watts,
     SPEED_OF_LIGHT,
 };

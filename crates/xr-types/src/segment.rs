@@ -66,51 +66,6 @@ impl Segment {
     pub const fn slot(self) -> usize {
         self as usize
     }
-
-    /// Returns `true` when the segment only contributes under *local*
-    /// inference (`ω_loc = 1` in Eq. 1).
-    #[must_use]
-    pub fn local_only(self) -> bool {
-        matches!(self, Segment::FrameConversion | Segment::LocalInference)
-    }
-
-    /// Returns `true` when the segment only contributes under *remote*
-    /// inference (`ω̄_loc = 1` in Eq. 1).
-    #[must_use]
-    pub fn remote_only(self) -> bool {
-        matches!(
-            self,
-            Segment::FrameEncoding
-                | Segment::RemoteInference
-                | Segment::Transmission
-                | Segment::Handoff
-        )
-    }
-
-    /// Returns `true` when the paper treats the segment as optionally running
-    /// in parallel with rendering (and therefore excludable from `L_tot`).
-    #[must_use]
-    pub fn parallel_with_rendering(self) -> bool {
-        matches!(self, Segment::XrCooperation)
-    }
-
-    /// Short machine-readable name, used for CSV column headers.
-    #[must_use]
-    pub fn short_name(self) -> &'static str {
-        match self {
-            Segment::FrameGeneration => "frame_gen",
-            Segment::VolumetricDataGeneration => "volumetric",
-            Segment::ExternalSensorInformation => "external",
-            Segment::FrameConversion => "conversion",
-            Segment::FrameEncoding => "encoding",
-            Segment::LocalInference => "local_inf",
-            Segment::RemoteInference => "remote_inf",
-            Segment::FrameRendering => "rendering",
-            Segment::Transmission => "transmission",
-            Segment::Handoff => "handoff",
-            Segment::XrCooperation => "cooperation",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,15 +123,6 @@ pub enum ExecutionTarget {
 }
 
 impl ExecutionTarget {
-    /// The paper's indicator `ω_loc`: 1 for fully local, 0 otherwise.
-    #[must_use]
-    pub fn omega_loc(self) -> f64 {
-        match self {
-            ExecutionTarget::Local => 1.0,
-            ExecutionTarget::Remote | ExecutionTarget::Split { .. } => 0.0,
-        }
-    }
-
     /// Fraction of the task executed on the XR device (`ω_client`).
     #[must_use]
     pub fn client_share(self) -> f64 {
@@ -236,7 +182,7 @@ impl SegmentSet {
         Self {
             included: Segment::ALL
                 .into_iter()
-                .filter(|s| !s.parallel_with_rendering())
+                .filter(|s| *s != Segment::XrCooperation)
                 .collect(),
         }
     }
@@ -317,13 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn local_and_remote_only_are_disjoint() {
-        for s in Segment::ALL {
-            assert!(!(s.local_only() && s.remote_only()), "{s} is both");
-        }
-    }
-
-    #[test]
     fn standard_set_excludes_cooperation() {
         let set = SegmentSet::standard();
         assert!(!set.contains(Segment::XrCooperation));
@@ -358,12 +297,14 @@ mod tests {
 
     #[test]
     fn omega_loc_matches_paper_semantics() {
-        assert_eq!(ExecutionTarget::Local.omega_loc(), 1.0);
-        assert_eq!(ExecutionTarget::Remote.omega_loc(), 0.0);
-        assert_eq!(
-            ExecutionTarget::Split { client_share: 0.5 }.omega_loc(),
-            0.0
-        );
+        // The paper's indicator ω_loc is 1 exactly when nothing is offloaded.
+        for (target, omega_loc) in [
+            (ExecutionTarget::Local, true),
+            (ExecutionTarget::Remote, false),
+            (ExecutionTarget::Split { client_share: 0.5 }, false),
+        ] {
+            assert_eq!(!target.uses_edge(), omega_loc, "{target}");
+        }
         assert!(ExecutionTarget::Remote.uses_edge());
         assert!(!ExecutionTarget::Remote.uses_client());
         assert!(ExecutionTarget::Local.uses_client());
@@ -376,13 +317,5 @@ mod tests {
         assert_eq!(t.client_share(), 1.0);
         let t = ExecutionTarget::Split { client_share: -0.4 };
         assert_eq!(t.client_share(), 0.0);
-    }
-
-    #[test]
-    fn segment_short_names_are_unique() {
-        let mut names = std::collections::HashSet::new();
-        for s in Segment::ALL {
-            assert!(names.insert(s.short_name()));
-        }
     }
 }

@@ -215,11 +215,6 @@ unit!(
     "GHz"
 );
 unit!(
-    /// Data size in bytes.
-    Bytes,
-    "B"
-);
-unit!(
     /// Data size in megabytes (`δ` terms in the latency model).
     MegaBytes,
     "MB"
@@ -250,11 +245,6 @@ unit!(
     PixelsSquared,
     "px²"
 );
-unit!(
-    /// Temperature in degrees Celsius (heat-dissipation bookkeeping).
-    Celsius,
-    "°C"
-);
 
 /// A dimensionless ratio constrained to `[0, 1]`, e.g. the CPU utilisation
 /// split `ω_c`, the local-inference decision `ω_loc`, or task-split factors
@@ -283,38 +273,10 @@ impl Ratio {
         Self(value)
     }
 
-    /// Creates a ratio, clamping into `[0, 1]` instead of panicking.
-    #[must_use]
-    pub fn saturating(value: f64) -> Self {
-        if value.is_nan() {
-            return Self(0.0);
-        }
-        Self(value.clamp(0.0, 1.0))
-    }
-
     /// Returns the raw value.
     #[must_use]
     pub fn as_f64(self) -> f64 {
         self.0
-    }
-
-    /// Returns `1 − self`, i.e. the complementary share (the paper's
-    /// `ω̄_loc` or the GPU share `1 − ω_c`).
-    #[must_use]
-    pub fn complement(self) -> Self {
-        Self(1.0 - self.0)
-    }
-
-    /// Returns `true` when the ratio is exactly one.
-    #[must_use]
-    pub fn is_one(self) -> bool {
-        (self.0 - 1.0).abs() < f64::EPSILON
-    }
-
-    /// Returns `true` when the ratio is exactly zero.
-    #[must_use]
-    pub fn is_zero(self) -> bool {
-        self.0.abs() < f64::EPSILON
     }
 }
 
@@ -346,14 +308,6 @@ impl Seconds {
     }
 }
 
-impl MilliSeconds {
-    /// Converts to seconds.
-    #[must_use]
-    pub fn to_seconds(self) -> Seconds {
-        Seconds::new(self.0 / 1e3)
-    }
-}
-
 impl Joules {
     /// Converts to millijoules.
     #[must_use]
@@ -375,29 +329,7 @@ impl Hertz {
     }
 }
 
-impl GigaHertz {
-    /// Converts to plain hertz.
-    #[must_use]
-    pub fn to_hertz(self) -> Hertz {
-        Hertz::new(self.0 * 1e9)
-    }
-}
-
-impl Bytes {
-    /// Converts to megabytes.
-    #[must_use]
-    pub fn to_megabytes(self) -> MegaBytes {
-        MegaBytes::new(self.0 / 1e6)
-    }
-}
-
 impl MegaBytes {
-    /// Converts to bytes.
-    #[must_use]
-    pub fn to_bytes(self) -> Bytes {
-        Bytes::new(self.0 * 1e6)
-    }
-
     /// Converts to megabits (for transmission-latency computations).
     #[must_use]
     pub fn to_megabits(self) -> f64 {
@@ -461,7 +393,7 @@ mod tests {
     fn seconds_millis_round_trip() {
         let s = Seconds::new(0.125);
         assert!((s.to_millis().as_f64() - 125.0).abs() < 1e-9);
-        assert!((s.to_millis().to_seconds().as_f64() - 0.125).abs() < 1e-12);
+        assert!((Seconds::from_millis(s.to_millis().as_f64()).as_f64() - 0.125).abs() < 1e-12);
     }
 
     #[test]
@@ -490,21 +422,6 @@ mod tests {
     fn propagation_delay() {
         let t = Meters::new(299_792_458.0) / SPEED_OF_LIGHT;
         assert!((t.as_f64() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ratio_complement() {
-        let r = Ratio::new(0.3);
-        assert!((r.complement().as_f64() - 0.7).abs() < 1e-12);
-        assert!(Ratio::ONE.is_one());
-        assert!(Ratio::ZERO.is_zero());
-    }
-
-    #[test]
-    fn ratio_saturating_clamps() {
-        assert_eq!(Ratio::saturating(1.7).as_f64(), 1.0);
-        assert_eq!(Ratio::saturating(-0.2).as_f64(), 0.0);
-        assert_eq!(Ratio::saturating(f64::NAN).as_f64(), 0.0);
     }
 
     #[test]
@@ -557,17 +474,5 @@ mod tests {
     fn display_contains_suffix() {
         assert!(format!("{}", GigaHertz::new(2.0)).contains("GHz"));
         assert!(format!("{}", MegaBitsPerSecond::new(50.0)).contains("Mbps"));
-    }
-
-    #[test]
-    fn gigahertz_to_hertz() {
-        assert!((GigaHertz::new(2.0).to_hertz().as_f64() - 2e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn bytes_megabytes_round_trip() {
-        let b = Bytes::new(5_000_000.0);
-        assert!((b.to_megabytes().as_f64() - 5.0).abs() < 1e-12);
-        assert!((b.to_megabytes().to_bytes().as_f64() - 5_000_000.0).abs() < 1e-6);
     }
 }

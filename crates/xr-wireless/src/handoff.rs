@@ -5,7 +5,6 @@
 //! fast-handoff measurements \[50\] for horizontal handoffs and from integrated
 //! WLAN/UMTS analyses \[51\] for vertical handoffs.
 
-use crate::link::AccessTechnology;
 use crate::mobility::RandomWalkMobility;
 use serde::{Deserialize, Serialize};
 use xr_types::Seconds;
@@ -66,16 +65,6 @@ impl HandoffModel {
         }
     }
 
-    /// Classifies the handoff between two access technologies.
-    #[must_use]
-    pub fn classify(&self, from: AccessTechnology, to: AccessTechnology) -> HandoffKind {
-        if from.same_family(to) {
-            HandoffKind::Horizontal
-        } else {
-            HandoffKind::Vertical
-        }
-    }
-
     /// The expected handoff latency contribution to one frame (Eq. 17):
     /// `L_HO^q = l_HO · P(HO)` where `P(HO)` comes from the mobility model
     /// evaluated over the frame's processing window.
@@ -87,26 +76,6 @@ impl HandoffModel {
         frame_window: Seconds,
     ) -> Seconds {
         self.latency(kind) * mobility.handoff_probability(frame_window)
-    }
-
-    /// Expected latency for a known handoff probability (useful when the
-    /// probability comes from a measured trace instead of the mobility
-    /// model).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the probability lies outside `[0, 1]`.
-    #[must_use]
-    pub fn expected_latency_with_probability(
-        &self,
-        kind: HandoffKind,
-        probability: f64,
-    ) -> Seconds {
-        assert!(
-            (0.0..=1.0).contains(&probability),
-            "handoff probability must lie in [0, 1]"
-        );
-        self.latency(kind) * probability
     }
 }
 
@@ -129,27 +98,19 @@ mod tests {
     }
 
     #[test]
-    fn classification_follows_technology_family() {
-        let m = HandoffModel::default();
-        assert_eq!(
-            m.classify(AccessTechnology::WiFi5GHz, AccessTechnology::WiFi2_4GHz),
-            HandoffKind::Horizontal
-        );
-        assert_eq!(
-            m.classify(AccessTechnology::WiFi5GHz, AccessTechnology::Lte),
-            HandoffKind::Vertical
-        );
-    }
-
-    #[test]
     fn expected_latency_scales_with_probability() {
         let m = HandoffModel::new(Seconds::new(0.1), Seconds::new(1.0));
-        let full = m.expected_latency_with_probability(HandoffKind::Vertical, 1.0);
-        let half = m.expected_latency_with_probability(HandoffKind::Vertical, 0.5);
-        let none = m.expected_latency_with_probability(HandoffKind::Vertical, 0.0);
-        assert!((full.as_f64() - 1.0).abs() < 1e-12);
-        assert!((half.as_f64() - 0.5).abs() < 1e-12);
-        assert_eq!(none, Seconds::ZERO);
+        let window = Seconds::new(0.5);
+        for speed in [1.0, 5.0, 20.0] {
+            let mobility = RandomWalkMobility::new(
+                MetersPerSecond::new(speed),
+                Seconds::new(0.1),
+                CoverageZone::new(Meters::new(30.0)),
+            );
+            let probability = mobility.handoff_probability(window);
+            let expected = m.expected_latency(HandoffKind::Vertical, &mobility, window);
+            assert!((expected.as_f64() - probability).abs() < 1e-12);
+        }
     }
 
     #[test]
@@ -175,13 +136,6 @@ mod tests {
         let l = m.expected_latency(HandoffKind::Vertical, &mobility, Seconds::new(0.5));
         assert!(l > Seconds::ZERO);
         assert!(l <= m.latency(HandoffKind::Vertical));
-    }
-
-    #[test]
-    #[should_panic(expected = "handoff probability must lie in [0, 1]")]
-    fn out_of_range_probability_rejected() {
-        let _ =
-            HandoffModel::default().expected_latency_with_probability(HandoffKind::Horizontal, 1.5);
     }
 
     #[test]

@@ -34,37 +34,6 @@ impl AccessTechnology {
             AccessTechnology::FiveGSub6 => MegaBitsPerSecond::new(300.0),
         }
     }
-
-    /// Typical one-way coverage radius, used by the mobility model to derive
-    /// handoff probabilities.
-    #[must_use]
-    pub fn coverage_radius(self) -> Meters {
-        match self {
-            AccessTechnology::WiFi2_4GHz => Meters::new(45.0),
-            AccessTechnology::WiFi5GHz => Meters::new(30.0),
-            AccessTechnology::WiGig60GHz => Meters::new(10.0),
-            AccessTechnology::Lte => Meters::new(1_500.0),
-            AccessTechnology::FiveGSub6 => Meters::new(500.0),
-        }
-    }
-
-    /// Whether two technologies belong to the same family (used to decide
-    /// between horizontal and vertical handoff).
-    #[must_use]
-    pub fn same_family(self, other: AccessTechnology) -> bool {
-        self.is_wifi() == other.is_wifi()
-    }
-
-    /// Returns `true` for 802.11 technologies.
-    #[must_use]
-    pub fn is_wifi(self) -> bool {
-        matches!(
-            self,
-            AccessTechnology::WiFi2_4GHz
-                | AccessTechnology::WiFi5GHz
-                | AccessTechnology::WiGig60GHz
-        )
-    }
 }
 
 impl fmt::Display for AccessTechnology {
@@ -84,7 +53,6 @@ impl fmt::Display for AccessTechnology {
 /// server, external sensor, or cooperative XR device).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WirelessLink {
-    technology: AccessTechnology,
     distance: Meters,
     throughput: MegaBitsPerSecond,
 }
@@ -94,7 +62,6 @@ impl WirelessLink {
     #[must_use]
     pub fn new(technology: AccessTechnology, distance: Meters) -> Self {
         Self {
-            technology,
             distance,
             throughput: technology.nominal_throughput(),
         }
@@ -113,25 +80,6 @@ impl WirelessLink {
         self
     }
 
-    /// Moves the link endpoint to a new distance (device mobility).
-    #[must_use]
-    pub fn with_distance(mut self, distance: Meters) -> Self {
-        self.distance = distance;
-        self
-    }
-
-    /// The access technology of this link.
-    #[must_use]
-    pub fn technology(&self) -> AccessTechnology {
-        self.technology
-    }
-
-    /// Distance between the endpoints.
-    #[must_use]
-    pub fn distance(&self) -> Meters {
-        self.distance
-    }
-
     /// Available application-layer throughput `r_w`.
     #[must_use]
     pub fn throughput(&self) -> MegaBitsPerSecond {
@@ -148,13 +96,6 @@ impl WirelessLink {
     #[must_use]
     pub fn transmission_latency(&self, payload: MegaBytes) -> Seconds {
         payload / self.throughput + self.propagation_delay()
-    }
-
-    /// Round-trip latency for a request/response exchange with asymmetric
-    /// payloads (uplink frame, downlink inference result).
-    #[must_use]
-    pub fn round_trip_latency(&self, uplink: MegaBytes, downlink: MegaBytes) -> Seconds {
-        self.transmission_latency(uplink) + self.transmission_latency(downlink)
     }
 }
 
@@ -182,24 +123,13 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_is_sum_of_directions() {
-        let link = WirelessLink::new(AccessTechnology::WiFi5GHz, Meters::new(15.0));
-        let up = MegaBytes::new(0.4);
-        let down = MegaBytes::new(0.01);
-        let rt = link.round_trip_latency(up, down);
-        let manual = link.transmission_latency(up) + link.transmission_latency(down);
-        assert!((rt.as_f64() - manual.as_f64()).abs() < 1e-15);
-    }
-
-    #[test]
     fn propagation_delay_scales_with_distance() {
         let near = WirelessLink::new(AccessTechnology::Lte, Meters::new(100.0));
-        let far = near.with_distance(Meters::new(1000.0));
+        let far = WirelessLink::new(AccessTechnology::Lte, Meters::new(1000.0));
         assert!(
             (far.propagation_delay().as_f64() / near.propagation_delay().as_f64() - 10.0).abs()
                 < 1e-9
         );
-        assert_eq!(far.technology(), AccessTechnology::Lte);
     }
 
     #[test]
@@ -208,13 +138,6 @@ mod tests {
             AccessTechnology::WiFi5GHz.nominal_throughput()
                 > AccessTechnology::WiFi2_4GHz.nominal_throughput()
         );
-        assert!(
-            AccessTechnology::Lte.coverage_radius() > AccessTechnology::WiFi5GHz.coverage_radius()
-        );
-        assert!(AccessTechnology::WiFi5GHz.is_wifi());
-        assert!(!AccessTechnology::Lte.is_wifi());
-        assert!(AccessTechnology::WiFi5GHz.same_family(AccessTechnology::WiFi2_4GHz));
-        assert!(!AccessTechnology::WiFi5GHz.same_family(AccessTechnology::Lte));
         assert!(format!("{}", AccessTechnology::FiveGSub6).contains("5G"));
     }
 

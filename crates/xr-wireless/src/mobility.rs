@@ -118,25 +118,6 @@ impl RandomWalkMobility {
         (1.0 - inner * inner).clamp(0.0, 1.0)
     }
 
-    /// Expected residence time inside the zone before a boundary crossing,
-    /// `E[T] ≈ R / v` for a uniformly random starting point (infinite for a
-    /// static device).
-    ///
-    /// **Single-zone analytic assumption.** `R` here is the radius of the
-    /// one-and-only coverage zone. On an [`crate::topology::EdgeTopology`]
-    /// the per-site residence time uses each site's own radius, and the
-    /// session's dwell time at a site additionally depends on whether the
-    /// exit migrates it to a neighbour or drops it into a coverage hole
-    /// (uniform re-entry); [`crate::topology::TopologyWalker`] is the
-    /// simulated generalisation.
-    #[must_use]
-    pub fn expected_residence_time(&self) -> Seconds {
-        if self.speed.as_f64() <= 0.0 {
-            return Seconds::new(f64::INFINITY);
-        }
-        Seconds::new(self.zone.radius.as_f64() / self.speed.as_f64())
-    }
-
     /// Number of walk steps covering an observation window of length
     /// `window` (at least one).
     #[must_use]
@@ -222,13 +203,6 @@ impl RandomWalker {
         }
     }
 
-    /// Moves the device back to the zone centre (the carry-over time is
-    /// kept, only the position resets).
-    pub fn reset_to_center(&mut self) {
-        self.x = 0.0;
-        self.y = 0.0;
-    }
-
     /// Repositions the device uniformly at random inside the zone — the
     /// position distribution the analytic handoff probability assumes, via
     /// rejection-free sqrt sampling.
@@ -301,7 +275,6 @@ mod tests {
             CoverageZone::new(Meters::new(30.0)),
         );
         assert_eq!(m.handoff_probability(Seconds::new(1.0)), 0.0);
-        assert!(m.expected_residence_time().as_f64().is_infinite());
     }
 
     #[test]
@@ -369,7 +342,6 @@ mod tests {
     #[test]
     fn residence_time_and_zone_cover() {
         let m = pedestrian();
-        assert!((m.expected_residence_time().as_f64() - 30.0 / 1.4).abs() < 1e-9);
         assert!(m.zone().covers(Meters::new(29.0)));
         assert!(!m.zone().covers(Meters::new(31.0)));
         assert_eq!(m.zone().radius(), Meters::new(30.0));
@@ -428,8 +400,6 @@ mod tests {
         assert_eq!(walker.radius(), Meters::new(0.0));
         walker.reset_uniform();
         assert!(!walker.is_outside());
-        walker.reset_to_center();
-        assert_eq!(walker.radius(), Meters::new(0.0));
         assert_eq!(m.steps_per_window(Seconds::new(0.35)), 4);
         assert_eq!(m.steps_per_window(Seconds::new(0.0)), 1);
     }

@@ -4,8 +4,8 @@
 //! fading, but explicitly note that these effects "can be incorporated into
 //! the model according to system requirements". This module supplies the two
 //! standard models needed for that extension: free-space path loss and the
-//! log-distance model with an optional shadowing margin, plus a helper to
-//! derate link throughput as the received power drops.
+//! log-distance model, plus a helper to derate link throughput as the
+//! received power drops.
 
 use serde::{Deserialize, Serialize};
 use xr_types::{MegaBitsPerSecond, Meters};
@@ -61,18 +61,6 @@ impl FreeSpacePathLoss {
         assert!(frequency_hz > 0.0, "carrier frequency must be positive");
         Self { frequency_hz }
     }
-
-    /// The 2.4 GHz Wi-Fi band.
-    #[must_use]
-    pub fn wifi_2_4ghz() -> Self {
-        Self::new(2.4e9)
-    }
-
-    /// The 5 GHz Wi-Fi band.
-    #[must_use]
-    pub fn wifi_5ghz() -> Self {
-        Self::new(5.0e9)
-    }
 }
 
 impl PathLoss for FreeSpacePathLoss {
@@ -82,14 +70,13 @@ impl PathLoss for FreeSpacePathLoss {
     }
 }
 
-/// Log-distance path loss with exponent `n` and an optional fixed shadowing
-/// margin: `PL(d) = PL(d0) + 10·n·log10(d/d0) + σ`.
+/// Log-distance path loss with exponent `n`:
+/// `PL(d) = PL(d0) + 10·n·log10(d/d0)`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LogDistancePathLoss {
     reference: FreeSpacePathLoss,
     reference_distance: Meters,
     exponent: f64,
-    shadowing_margin_db: f64,
 }
 
 impl LogDistancePathLoss {
@@ -112,15 +99,7 @@ impl LogDistancePathLoss {
             reference,
             reference_distance,
             exponent,
-            shadowing_margin_db: 0.0,
         }
-    }
-
-    /// Adds a fixed shadowing margin in dB.
-    #[must_use]
-    pub fn with_shadowing_margin(mut self, margin_db: f64) -> Self {
-        self.shadowing_margin_db = margin_db.max(0.0);
-        self
     }
 }
 
@@ -129,7 +108,6 @@ impl PathLoss for LogDistancePathLoss {
         let d = distance.as_f64().max(self.reference_distance.as_f64());
         self.reference.loss_db(self.reference_distance)
             + 10.0 * self.exponent * (d / self.reference_distance.as_f64()).log10()
-            + self.shadowing_margin_db
     }
 }
 
@@ -139,35 +117,30 @@ mod tests {
 
     #[test]
     fn free_space_loss_increases_with_distance_and_frequency() {
-        let m = FreeSpacePathLoss::wifi_2_4ghz();
+        let m = FreeSpacePathLoss::new(2.4e9);
         assert!(m.loss_db(Meters::new(100.0)) > m.loss_db(Meters::new(10.0)));
-        let hi = FreeSpacePathLoss::wifi_5ghz();
+        let hi = FreeSpacePathLoss::new(5.0e9);
         assert!(hi.loss_db(Meters::new(10.0)) > m.loss_db(Meters::new(10.0)));
     }
 
     #[test]
     fn free_space_reference_value() {
         // Classic check: 2.4 GHz at 1 m ≈ 40.05 dB.
-        let m = FreeSpacePathLoss::wifi_2_4ghz();
+        let m = FreeSpacePathLoss::new(2.4e9);
         let loss = m.loss_db(Meters::new(1.0));
         assert!((loss - 40.05).abs() < 0.2, "loss {loss}");
     }
 
     #[test]
     fn log_distance_exceeds_free_space_indoors() {
-        let fs = FreeSpacePathLoss::wifi_5ghz();
+        let fs = FreeSpacePathLoss::new(5.0e9);
         let indoor = LogDistancePathLoss::new(fs, Meters::new(1.0), 3.0);
         assert!(indoor.loss_db(Meters::new(20.0)) > fs.loss_db(Meters::new(20.0)));
-        let shadowed = indoor.with_shadowing_margin(8.0);
-        assert!(
-            (shadowed.loss_db(Meters::new(20.0)) - indoor.loss_db(Meters::new(20.0)) - 8.0).abs()
-                < 1e-9
-        );
     }
 
     #[test]
     fn derated_throughput_is_monotone_in_distance() {
-        let model = LogDistancePathLoss::new(FreeSpacePathLoss::wifi_5ghz(), Meters::new(1.0), 3.0);
+        let model = LogDistancePathLoss::new(FreeSpacePathLoss::new(5.0e9), Meters::new(1.0), 3.0);
         let nominal = MegaBitsPerSecond::new(200.0);
         let near = model.derated_throughput(nominal, Meters::new(2.0), 60.0, 110.0);
         let mid = model.derated_throughput(nominal, Meters::new(20.0), 60.0, 110.0);
@@ -180,7 +153,7 @@ mod tests {
 
     #[test]
     fn short_distances_clamp_to_reference() {
-        let m = FreeSpacePathLoss::wifi_2_4ghz();
+        let m = FreeSpacePathLoss::new(2.4e9);
         assert_eq!(m.loss_db(Meters::new(0.1)), m.loss_db(Meters::new(1.0)));
         let ld = LogDistancePathLoss::new(m, Meters::new(1.0), 2.5);
         assert_eq!(ld.loss_db(Meters::new(0.5)), ld.loss_db(Meters::new(1.0)));
@@ -195,7 +168,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "ceiling must exceed floor")]
     fn bad_derating_bounds_rejected() {
-        let m = FreeSpacePathLoss::wifi_5ghz();
+        let m = FreeSpacePathLoss::new(5.0e9);
         let _ = m.derated_throughput(MegaBitsPerSecond::new(10.0), Meters::new(5.0), 100.0, 90.0);
     }
 }

@@ -347,24 +347,6 @@ impl EdgeTopology {
         best
     }
 
-    /// The site a position should attach to: the nearest site whose
-    /// coverage disk contains `(x, y)`, or `None` when the position falls in
-    /// a coverage hole or off the map.
-    #[must_use]
-    pub fn site_covering(&self, x: f64, y: f64) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, site) in self.sites.iter().enumerate() {
-            if !site.covers(x, y) {
-                continue;
-            }
-            let d = site.distance_to(x, y).as_f64();
-            if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((i, d));
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-
     /// Starts a stateful walk across this map: speed and step interval as in
     /// [`crate::RandomWalkMobility`], RNG stream derived from `seed`.
     #[must_use]
@@ -748,9 +730,6 @@ mod tests {
         assert_eq!(start, topology.start_site());
         let (x, y) = topology.sites()[start].center();
         assert_eq!(topology.nearest_to(x, y), start);
-        assert_eq!(topology.site_covering(x, y), Some(start));
-        // Far off the map nothing covers.
-        assert_eq!(topology.site_covering(1e6, 1e6), None);
         // Two identically seeded builds are the same map.
         let again =
             EdgeTopology::tiled(TopologyLayout::Voronoi, 400.0, AccessTechnology::Lte, 2).unwrap();

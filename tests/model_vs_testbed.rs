@@ -4,8 +4,20 @@
 use xr_experiments::figures::{energy_sweep, latency_sweep};
 use xr_experiments::ExperimentContext;
 use xr_integration::evaluation_scenario;
-use xr_testbed::TestbedSimulator;
+use xr_testbed::{GroundTruthSession, TestbedSimulator};
 use xr_types::ExecutionTarget;
+
+/// Population standard deviation of a session's per-frame total latency.
+fn latency_spread(session: &GroundTruthSession) -> f64 {
+    let frames = session.frames();
+    let mean = frames.iter().map(|f| f.total_latency.as_f64()).sum::<f64>() / frames.len() as f64;
+    let variance = frames
+        .iter()
+        .map(|f| (f.total_latency.as_f64() - mean).powi(2))
+        .sum::<f64>()
+        / frames.len() as f64;
+    variance.sqrt()
+}
 
 #[test]
 fn calibrated_model_tracks_ground_truth_across_the_full_sweep() {
@@ -78,8 +90,8 @@ fn session_noise_shrinks_with_more_frames() {
     let long = testbed.simulate_session(&scenario, 80).unwrap();
     // Means from the longer session are closer to each other than the spread
     // of the short one — a loose but meaningful convergence check.
-    let short_spread = short.latency_summary().std_dev();
-    let long_spread = long.latency_summary().std_dev();
+    let short_spread = latency_spread(&short);
+    let long_spread = latency_spread(&long);
     assert!(long_spread < short_spread * 3.0);
     assert!(long.mean_latency().as_f64() > 0.0);
 }

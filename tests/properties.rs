@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use xr_core::{LatencyModel, Scenario, XrPerformanceModel};
 use xr_queueing::{MM1Queue, MM1Simulator};
 use xr_stats::{metrics, LinearRegression};
-use xr_sweep::ShardSpec;
+use xr_sweep::{parse_grid_spec, ShardManifest, ShardSpec};
 use xr_types::{ExecutionTarget, GigaHertz, Hertz, Ratio, Segment};
 
 fn scenario_strategy() -> impl Strategy<Value = Scenario> {
@@ -207,8 +207,99 @@ fn shard_token_strategy() -> impl Strategy<Value = String> {
         .prop_map(|chars| chars.into_iter().collect())
 }
 
+/// Arbitrary `key = value` text for the grid-spec and manifest parsers:
+/// every grid and manifest key plus misspellings, value tokens each parser
+/// accepts (numbers, targets, mobility and wireless triples, layouts,
+/// policies, shard specs) next to ones it must reject (signs, NaN and
+/// infinities, overflowing integers, half-formed triples, non-ASCII
+/// digits), lines without `=`, comments, blank lines, and raw character
+/// noise. Keys repeat often, so duplicate-key handling is exercised too.
+fn spec_text_strategy() -> impl Strategy<Value = String> {
+    // `|`-separated, so the lists may hold empty and space-containing tokens.
+    let keys = "frame_sizes|cpu_clocks|executions|devices|wireless|mobility|\
+                frames_per_session|users_per_edge|frame_rates|topology|site_density|\
+                migration_policy|replications|campaign_seed|grid_fingerprint|points|shard|\
+                rows||rows rows|Frame_sizes|é";
+    let values = "0|1|3|2.5|-1|-0|1e308|1e-300|NaN|inf|-inf|18446744073709551615|\
+                  18446744073709551616|local|remote|split:0.25|split:1.5|split:-1|split:|\
+                  split:NaN|static|walk:1.4:30|walk:-1:30|walk:1:0|walk:inf:1|a:b:c|::|\
+                  wifi:10:200|wifi:-:|base|hex|voronoi|single|eager|lazy|1/1|2/3|0/3|3/2|\
+                  XR1|\u{663}|";
+    let keys: Vec<&str> = keys.split('|').collect();
+    let values: Vec<&str> = values.split('|').collect();
+    let noise = vec![
+        '=', ',', ':', '/', '#', ' ', '\t', '1', 'x', '-', '.', 'é', '\u{663}',
+    ];
+    let line = (
+        prop::sample::select(vec![0u8, 0, 0, 1, 2, 3, 4]),
+        prop::sample::select(keys),
+        prop::collection::vec(prop::sample::select(values), 0..4),
+        prop::collection::vec(prop::sample::select(noise), 0..10),
+    )
+        .prop_map(|(kind, key, values, noise)| match kind {
+            0 => format!("{key} = {}", values.join(", ")),
+            1 => format!("{key}={}", values.join(",")),
+            2 => key.to_string(),
+            3 => format!("# {key}"),
+            _ => noise.into_iter().collect(),
+        });
+    prop::collection::vec(line, 0..8).prop_map(|lines| lines.join("\n"))
+}
+
+fn shard_manifest_strategy() -> impl Strategy<Value = ShardManifest> {
+    (
+        0u64..u64::MAX,
+        0u64..u64::MAX,
+        0usize..1_000_000,
+        1usize..10_000,
+        0usize..10_000,
+        0usize..1_000_000,
+    )
+        .prop_map(
+            |(campaign_seed, grid_fingerprint, points, count, offset, rows)| ShardManifest {
+                campaign_seed,
+                grid_fingerprint,
+                points,
+                shard: ShardSpec::new(offset % count + 1, count).unwrap(),
+                rows,
+            },
+        )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn grid_spec_parsing_never_panics(text in spec_text_strategy()) {
+        // `Ok` or `Err`; a panic fails the property.
+        let _ = parse_grid_spec(&text);
+    }
+
+    #[test]
+    fn shard_manifest_parsing_never_panics(text in spec_text_strategy()) {
+        // `Ok` or `Err`; a parsed manifest renders back to an equal one.
+        if let Ok(parsed) = ShardManifest::parse(&text) {
+            prop_assert_eq!(ShardManifest::parse(&parsed.render()).ok(), Some(parsed));
+        }
+    }
+
+    #[test]
+    fn repeated_manifest_keys_never_override(
+        manifest in shard_manifest_strategy(),
+        other in shard_manifest_strategy(),
+        line in 1usize..6,
+    ) {
+        // Appending one key line of another manifest repeats that key; the
+        // parser must refuse it rather than let the later value win.
+        let repeat = other.render().lines().nth(line).unwrap().to_string();
+        let text = format!("{}{repeat}\n", manifest.render());
+        prop_assert!(ShardManifest::parse(&text).is_err(), "{text}");
+    }
+
+    #[test]
+    fn shard_manifests_round_trip_through_render(manifest in shard_manifest_strategy()) {
+        prop_assert_eq!(ShardManifest::parse(&manifest.render()).ok(), Some(manifest));
+    }
 
     #[test]
     fn shard_spec_parsing_never_panics(token in shard_token_strategy()) {
