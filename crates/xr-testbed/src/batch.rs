@@ -26,8 +26,8 @@
 //!    across batch boundaries. This walk pre-pass records each frame's
 //!    attachment site and [`SiteEvents`]; the handoff column then prices
 //!    zone crossings and edge-to-edge state migrations from those records,
-//!    and on a contended multi-edge map the edge column looks up the
-//!    *site's* M/M/1 plan per frame.
+//!    and on a contended map the edge column divides each lane's unit-rate
+//!    sojourn draw by its serving *site's* M/M/1 rate.
 //!
 //! ## The lane-oriented draw layer
 //!
@@ -63,10 +63,11 @@
 //! `rand_distr::column::fill_standard_normal_pair`, then one pass per
 //! included slot reads that slot's latency column once and adds it to the
 //! Eq. 1 totals, the thermal-share compute energy and, through
-//! `PowerMonitor::add_phase_energy` (a runtime-dispatched AVX2 pass beside
-//! the portable reference, with one draw cursor per lane), the energy
-//! column. Stage 9 (cooperation) is skipped when the caller keeps only
-//! totals and the scenario leaves cooperation out of them.
+//! `PowerMonitor::add_phase_energy` (one pass per draw-layer tier: 8-wide
+//! AVX-512, 4-wide AVX2 and the portable reference, with one draw cursor
+//! per lane), the energy column. Stage 9 (cooperation) is skipped when
+//! the caller keeps only totals and the scenario leaves cooperation out of
+//! them.
 //! What a finalized frame then becomes depends on the caller: a session
 //! ([`TestbedSimulator::simulate_session`],
 //! [`TestbedSimulator::simulate_point`]) copies it into a
@@ -109,7 +110,7 @@ use crate::simulator::{
     SessionState, SessionTotals, TestbedSimulator,
 };
 use rand_distr::math::Tier;
-use rand_distr::{column, Distribution, Exp, Normal, StandardNormalPairs};
+use rand_distr::{column, Exp, Normal, StandardNormalPairs};
 use std::cell::RefCell;
 use std::ops::Range;
 use xr_core::Scenario;
@@ -161,7 +162,8 @@ impl Default for SimulationEngine {
 /// Everything about one `(simulator, scenario)` pair that is constant
 /// across frames, hoisted out of the per-frame loops: the deterministic
 /// base latency of every stage (the scalar pipeline recomputes these per
-/// frame), the per-segment power levels and Eq. 1 inclusion flags of the
+/// frame), the contended edge stage's sampling plans (one per serving
+/// site), the per-segment power levels and Eq. 1 inclusion flags of the
 /// finalizer, and the handoff-stage mobility parameters.
 struct BatchConsts {
     noise: Option<Normal>,
@@ -182,13 +184,11 @@ struct BatchConsts {
     // Stage 6 — uplink + edge: per server, (weighted inference base,
     // transmission base).
     edges: Vec<(Seconds, Seconds)>,
-    // Stage 6, contended mode — the shared sampling plan of the multi-tenant
-    // M/M/1 queues (`None` keeps the private-edge path).
-    contention: Option<ContentionPlan>,
-    // Stage 6, contended multi-edge mode — `site_plans[site]` is the
-    // sampling plan while the session is attached to `site` (`None`
-    // without a topology or without contention).
-    site_plans: Option<Vec<ContentionPlan>>,
+    // Stage 6, contended mode — `contention[site]` is the sampling plan of
+    // the multi-tenant M/M/1 queues while the session is attached to `site`
+    // (one entry, for site 0, without a topology; empty keeps the
+    // private-edge path).
+    contention: Vec<ContentionPlan>,
     // Stage 7 — handoff. `map` is the map every replication walks (`None`
     // for a static device without a topology), built once per point.
     mobile: bool,
@@ -331,13 +331,6 @@ impl BatchConsts {
                 TestbedSimulator::segment_included(scenario, segment, uses_local, uses_edge);
         }
 
-        // With a topology the contended plan is per *site*; the aggregate
-        // plan would shadow it.
-        let (site_plans, contention) = match scenario.topology {
-            Some(_) => (simulator.site_contention_plans(scenario)?, None),
-            None => (None, simulator.contention_plan(scenario)?),
-        };
-
         Ok(Self {
             noise: (simulator.noise_sigma > 0.0)
                 .then(|| Normal::new(0.0, simulator.noise_sigma).expect("valid sigma")),
@@ -361,8 +354,7 @@ impl BatchConsts {
                     * client_share
             }),
             edges,
-            contention,
-            site_plans,
+            contention: simulator.contention_plans(scenario)?,
             mobile,
             window,
             handoff_base,
@@ -987,9 +979,8 @@ impl TestbedSimulator {
     /// advances. A fused batch runs the scan once per replication over that
     /// replication's contiguous lane segment — each walker's in-order
     /// advance sequence is exactly its standalone session's. A static
-    /// session does not walk; on a contended multi-edge map, where the edge
-    /// stage reads the frame's site, it serves every frame from its start
-    /// site.
+    /// session does not walk; when contended, where the edge stage reads
+    /// the frame's site, it serves every frame from its start site.
     #[inline(always)]
     fn batch_walk(&self, k: &BatchConsts, b: &mut FrameBatch, sessions: &mut [SessionState]) {
         fn walker(session: &mut SessionState) -> &mut TopologyWalker {
@@ -999,7 +990,7 @@ impl TestbedSimulator {
                 .expect("a moving session always carries a walker")
         }
         if !k.mobile {
-            if k.site_plans.is_some() {
+            if !k.contention.is_empty() {
                 b.events.clear();
                 for session in sessions.iter() {
                     let events = SiteEvents {
@@ -1163,48 +1154,30 @@ impl TestbedSimulator {
     /// matching the scalar's per-frame word order and pair-cache state.
     ///
     /// In contended mode the remote term instead consumes one exponential
-    /// sojourn column per server from the dedicated
-    /// [`stream::CONTENTION`] streams (noise-free, pinning the mean to the
-    /// M/M/1 closed form), while the wireless jitter keeps its own
-    /// [`stream::UPLINK_EDGE`] columns — per stream, the per-frame word
-    /// order is exactly the scalar's server order.
+    /// sojourn column per server from the dedicated [`stream::CONTENTION`]
+    /// streams (noise-free, pinning the mean to the M/M/1 closed form),
+    /// while the wireless jitter keeps its own [`stream::UPLINK_EDGE`]
+    /// columns — per stream, the per-frame word order is exactly the
+    /// scalar's server order. The sojourn rate is the frame's serving
+    /// site's (recorded by the walk pre-pass), so it may change from lane
+    /// to lane; each column is therefore drawn at unit rate and every lane
+    /// divided by its own site's rate. `Exp::sample` computes
+    /// `-ln(1 - u) / λ` and `x / 1.0 == x` exactly, so the two steps give
+    /// the scalar's sample bit for bit.
     #[inline(always)]
     fn batch_uplink_and_edge(&self, k: &BatchConsts, b: &mut FrameBatch, d: &mut DrawColumns) {
         if k.edges.is_empty() {
             return;
         }
-        if let Some(plans) = &k.site_plans {
-            // Topology + contention: the sojourn rate depends on the frame's
-            // serving site (recorded by the walk pre-pass), so this path
-            // draws frame-at-a-time instead of column-wise — the exponential
-            // column transform needs one fixed rate per column, and here the
-            // rate changes mid-batch whenever the session migrates. Per
-            // frame the stream consumption (one sojourn word per server, in
-            // server order, from the CONTENTION stream) is exactly the
-            // scalar's.
-            for i in 0..b.n {
-                let mut rng = k.rng(b.rep(i), stream::CONTENTION, b.frame_index(i));
-                for &(weight, sojourn) in &plans[b.events[i].site].pairs {
-                    let drawn = Seconds::new(sojourn.sample(&mut rng));
-                    let remote = &mut b.latency[REMOTE_INFERENCE][i];
-                    *remote = remote.max(drawn * weight);
-                }
-            }
-            d.reseed(k, stream::UPLINK_EDGE, b);
-            for &(_, tx_base) in &k.edges {
-                d.uniform_a(0.0, 0.12);
-                for (tx, &jitter) in b.latency[TRANSMISSION].iter_mut().zip(&d.fac_a) {
-                    *tx = tx.max(tx_base * (1.0 + jitter));
-                }
-            }
-            return;
-        }
-        if let Some(plan) = &k.contention {
+        if !k.contention.is_empty() {
+            let unit = Exp::new(1.0).expect("unit rate");
             d.reseed(k, stream::CONTENTION, b);
-            for &(weight, sojourn) in &plan.pairs {
-                d.exp_a(&sojourn);
-                for (remote, &drawn) in b.latency[REMOTE_INFERENCE].iter_mut().zip(&d.fac_a) {
-                    *remote = remote.max(Seconds::new(drawn) * weight);
+            for server in 0..k.edges.len() {
+                d.exp_a(&unit);
+                let lanes = b.latency[REMOTE_INFERENCE].iter_mut().zip(&d.fac_a);
+                for ((remote, &drawn), events) in lanes.zip(&b.events) {
+                    let (weight, rate) = k.contention[events.site].pairs[server];
+                    *remote = remote.max(Seconds::new(drawn / rate) * weight);
                 }
             }
             d.reseed(k, stream::UPLINK_EDGE, b);
@@ -2118,5 +2091,76 @@ mod tests {
         let scalar = testbed.simulate_session_scalar(&split, 33).unwrap();
         let batched = at_width(&testbed, 8).simulate_session(&split, 33).unwrap();
         assert_eq!(batched, scalar);
+    }
+
+    #[test]
+    fn contended_roaming_lanes_draw_at_their_own_sites_rates() {
+        // On a contended hex or voronoi map the sites host different
+        // tenant counts, so one batch may hold lanes served at different
+        // sojourn rates. Sessions and 3-replication fused points, at widths
+        // with tail batches and on both builds of the batch pass, must
+        // match the scalar engine; and some batch must serve lanes from two
+        // sites with different tenant counts, or the pin would hold with a
+        // single rate per batch.
+        use xr_types::{MigrationPolicy, TopologyLayout};
+        let testbed = TestbedSimulator::new(81);
+        let frames = 300u64;
+        let reps = 3;
+        let point_seed = xr_types::seed::mix(2024, 25);
+        let seeds = rep_seeds(point_seed, reps).unwrap();
+        for layout in [TopologyLayout::Hex, TopologyLayout::Voronoi] {
+            let s = topology_scenario(layout, MigrationPolicy::Lazy, 1600.0, Some(4));
+            let map = TestbedSimulator::session_map(&s).unwrap();
+            // The tenant count of each frame's serving site, from one walk
+            // over the whole session (the walker's carry makes it the
+            // batches' walk too).
+            let tenants = |seed: u64| -> Vec<u32> {
+                let mut session = SessionState::on_map(seed, &s, Some(&map));
+                let mut events = Vec::new();
+                let windows = vec![s.frame_window(); frames as usize];
+                let walker = session.walker.as_mut().unwrap();
+                walker.advance_many_into(&windows, &mut events);
+                events
+                    .iter()
+                    .map(|e| map.sites()[e.site].tenants())
+                    .collect()
+            };
+            let session_tenants = tenants(testbed.seed);
+            let rep_tenants: Vec<Vec<u32>> = seeds.iter().map(|&seed| tenants(seed)).collect();
+            let scalar = testbed.simulate_session_scalar(&s, frames).unwrap();
+            let reference = scalar_reference(&testbed, &s, point_seed, reps, frames);
+            for width in [1, 7, 64, 256] {
+                // The lanes of one batch: a session's `width` consecutive
+                // frames, or each replication's `width / reps` frames.
+                let mixed = |lanes: &[u32]| lanes.iter().any(|&t| t != lanes[0]);
+                let per_rep = (width / reps).max(1);
+                let point_mixed = (0..frames as usize).step_by(per_rep).any(|first| {
+                    let last = (first + per_rep).min(frames as usize);
+                    let lanes: Vec<u32> = rep_tenants
+                        .iter()
+                        .flat_map(|t| t[first..last].iter().copied())
+                        .collect();
+                    mixed(&lanes)
+                });
+                if width > 1 {
+                    assert!(
+                        session_tenants.chunks(width).any(mixed) && point_mixed,
+                        "{layout:?}: no batch at width {width} mixes tenant counts"
+                    );
+                }
+                let engine = at_width(&testbed, width);
+                for simd in [false, true] {
+                    let label = format!("{layout:?} width {width} simd {simd}");
+                    let session = engine
+                        .run_sessions::<Vec<GroundTruthFrame>>(&s, &[testbed.seed], frames, simd)
+                        .unwrap();
+                    assert_eq!(session, std::slice::from_ref(&scalar), "{label}: session");
+                    let point = engine
+                        .run_sessions::<Vec<GroundTruthFrame>>(&s, &seeds, frames, simd)
+                        .unwrap();
+                    assert_eq!(point, reference, "{label}: fused point");
+                }
+            }
+        }
     }
 }

@@ -196,13 +196,13 @@ impl PowerMonitor {
     /// empty.
     ///
     /// Every phase goes through the expression of the scalar form (the
-    /// portable pass calls it per lane; the AVX2 pass evaluates it with
-    /// correctly rounded or exact vector operations), so after the last
-    /// phase `energy[i]` equals `measure_energy` on lane `i`'s phases and
-    /// stream bit for bit. The pass follows the draw layer's tier
-    /// (`rand_distr::math::Tier::dispatched`): either SIMD tier takes the
-    /// AVX2 pass, which has no wider form, and `XR_FORCE_PORTABLE` the
-    /// portable one.
+    /// portable pass calls it per lane; the AVX2 and AVX-512 passes
+    /// evaluate it with correctly rounded or exact vector operations), so
+    /// after the last phase `energy[i]` equals `measure_energy` on lane
+    /// `i`'s phases and stream bit for bit. The pass follows the draw
+    /// layer's tier (`rand_distr::math::Tier::dispatched`), one pass per
+    /// tier: 8 lanes per step on AVX-512, 4 on AVX2, and the portable one
+    /// under `XR_FORCE_PORTABLE`.
     ///
     /// # Panics
     ///
@@ -217,22 +217,32 @@ impl PowerMonitor {
         cursors: &mut DrawCursors,
         energy: &mut [Joules],
     ) {
-        let simd = Tier::dispatched() != Tier::Portable;
-        self.add_phase_energy_pass(simd, phase, baseline, normals, cursors, energy);
+        self.add_phase_energy_at(
+            Tier::dispatched(),
+            phase,
+            baseline,
+            normals,
+            cursors,
+            energy,
+        );
     }
 
-    /// [`PowerMonitor::add_phase_energy`] with an explicit pass choice:
-    /// `simd` takes the AVX2 pass where the CPU supports it, and `false`
-    /// runs the portable reference pass.
-    fn add_phase_energy_pass(
+    /// [`PowerMonitor::add_phase_energy`] on an explicit tier's pass.
+    ///
+    /// # Panics
+    ///
+    /// As [`PowerMonitor::add_phase_energy`], and if the host cannot run
+    /// `tier`.
+    fn add_phase_energy_at(
         &self,
-        simd: bool,
+        tier: Tier,
         (power, durations): (Watts, &[Seconds]),
         baseline: Watts,
         normals: &[f64],
         cursors: &mut DrawCursors,
         energy: &mut [Joules],
     ) {
+        assert!(tier.supported(), "this host cannot run the {tier:?} tier");
         let lanes = energy.len();
         assert_eq!(durations.len(), lanes, "phase column length mismatch");
         assert_eq!(
@@ -248,24 +258,31 @@ impl PowerMonitor {
             );
         }
         let level = power + baseline;
-        #[cfg(target_arch = "x86_64")]
-        if simd && Tier::Avx2.supported() {
-            // SAFETY: AVX2 support was just confirmed at runtime. The
-            // asserts above give `durations`, `cursors.next` and `energy`
-            // one entry per lane, and on a noisy monitor every cursor is
-            // below `cursors.phases * lanes <= normals.len()` (the
-            // `DrawCursors` invariant).
+        let next = &mut cursors.next;
+        // Each SIMD arm's contract holds: the host runs the tier (asserted
+        // above), the asserts above give `durations`, `next` and `energy`
+        // one entry per lane, and on a noisy monitor every cursor is below
+        // `cursors.phases * lanes <= normals.len()` (the `DrawCursors`
+        // invariant).
+        match tier {
+            #[cfg(target_arch = "x86_64")]
             #[allow(unsafe_code)]
-            unsafe {
-                avx2::add_phase_energy(self, level, durations, normals, &mut cursors.next, energy);
+            // SAFETY: see above.
+            Tier::Avx512 => unsafe {
+                avx512::add_phase_energy(self, level, durations, normals, next, energy);
+            },
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            // SAFETY: see above.
+            Tier::Avx2 => unsafe {
+                avx2::add_phase_energy(self, level, durations, normals, next, energy);
+            },
+            _ => {
+                let lanes_iter = durations.iter().zip(next).zip(energy);
+                for ((&duration, next), energy) in lanes_iter {
+                    self.add_lane_energy(level, duration, normals, lanes, next, energy);
+                }
             }
-            return;
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = simd;
-        let lanes_iter = durations.iter().zip(&mut cursors.next).zip(energy);
-        for ((&duration, next), energy) in lanes_iter {
-            self.add_lane_energy(level, duration, normals, lanes, next, energy);
         }
     }
 
@@ -346,7 +363,7 @@ impl Default for PowerMonitor {
 /// advances the lanes whose phase draws. Lives with the batch's draw
 /// columns and is reused across batches.
 ///
-/// Invariant (what makes the AVX2 gather in bounds): after `phases`
+/// Invariant (what keeps the SIMD gathers in bounds): after `phases`
 /// phases, lane `i`'s cursor is `i + drawn * lanes` with `drawn <=
 /// phases`, so it stays below `(phases + 1) * lanes`. Only this module
 /// writes the fields.
@@ -480,6 +497,106 @@ mod avx2 {
     }
 }
 
+/// The eight-lane AVX-512 pass of [`PowerMonitor::add_phase_energy`]: the
+/// AVX2 pass's operations in the same order, eight lanes per step. Lane
+/// masks replace the AVX2 blend and scalar tail: a masked load and store
+/// cover the last `lanes % 8` lanes, and the `valid` mask (the scalar early
+/// returns, negated) gates both the cursor step and the energy store.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[deny(unsafe_op_in_unsafe_fn)]
+mod avx512 {
+    use super::PowerMonitor;
+    use core::arch::x86_64::{
+        __mmask8, _mm512_add_pd, _mm512_div_pd, _mm512_i64gather_pd, _mm512_mask_add_epi64,
+        _mm512_mask_add_pd, _mm512_mask_cmp_pd_mask, _mm512_mask_storeu_epi64,
+        _mm512_mask_storeu_pd, _mm512_maskz_loadu_epi64, _mm512_maskz_loadu_pd, _mm512_max_pd,
+        _mm512_mul_pd, _mm512_roundscale_pd, _mm512_set1_epi64, _mm512_set1_pd, _mm512_setzero_pd,
+        _mm512_sqrt_pd, _mm512_sub_pd, _CMP_GE_OQ, _CMP_NLE_UQ, _CMP_NLT_UQ, _MM_FROUND_NO_EXC,
+        _MM_FROUND_TO_ZERO,
+    };
+    use xr_types::{Joules, Seconds, Watts};
+
+    /// Adds one phase's energy at `level` (power plus baseline) to every
+    /// lane, eight lanes per iteration, the last chunk masked.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and AVX-512DQ. `durations`, `next`
+    /// and `energy` must have the same length, and on a noisy monitor
+    /// every `next[i]` must be below `normals.len()`.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) unsafe fn add_phase_energy(
+        monitor: &PowerMonitor,
+        level: Watts,
+        durations: &[Seconds],
+        normals: &[f64],
+        next: &mut [usize],
+        energy: &mut [Joules],
+    ) {
+        let lanes = energy.len();
+        let noisy = monitor.is_noisy();
+        let dt = _mm512_set1_pd(monitor.sampling_interval.as_f64());
+        let sigma = _mm512_set1_pd(monitor.noise_fraction);
+        let level_v = _mm512_set1_pd(level.as_f64());
+        let zero = _mm512_setzero_pd();
+        let half = _mm512_set1_pd(0.5);
+        let one = _mm512_set1_pd(1.0);
+        let stride = _mm512_set1_epi64(lanes as i64);
+        for at in (0..lanes).step_by(8) {
+            // The lanes of this chunk inside the column: all eight, or the
+            // low `lanes - at`.
+            let mask: __mmask8 = match lanes - at {
+                rest @ 0..8 => (1u8 << rest) - 1,
+                _ => u8::MAX,
+            };
+            // SAFETY: every lane set in `mask` is below `lanes ==
+            // durations.len()`, masked-off lanes are not accessed, and
+            // `Seconds` is a `repr(transparent)` `f64`.
+            let d =
+                unsafe { _mm512_maskz_loadu_pd(mask, durations.as_ptr().add(at).cast::<f64>()) };
+            let q = _mm512_div_pd(d, dt);
+            // `f64::round` as in the AVX2 pass: trunc, plus one when the
+            // fraction is at least 1/2.
+            let t = _mm512_roundscale_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(q);
+            let up = _mm512_mask_cmp_pd_mask::<_CMP_GE_OQ>(mask, _mm512_sub_pd(q, t), half);
+            let k = _mm512_mask_add_pd(t, up, t, one);
+            // `!(d <= 0) && !(k < 1)` on the lanes inside the column: the
+            // scalar early returns, negated so that NaN lanes stay valid
+            // exactly as they do there.
+            let valid = _mm512_mask_cmp_pd_mask::<_CMP_NLE_UQ>(mask, d, zero)
+                & _mm512_mask_cmp_pd_mask::<_CMP_NLT_UQ>(mask, k, one);
+            let factor = if noisy {
+                let cursor = next[at..].as_mut_ptr().cast::<i64>();
+                // SAFETY: as for the duration load; `usize` is 64 bits on
+                // x86_64.
+                let idx = unsafe { _mm512_maskz_loadu_epi64(mask, cursor) };
+                // SAFETY: every cursor is below `normals.len()` (caller
+                // contract), and the masked-off lanes index 0, which is in
+                // bounds too: a noisy monitor with lanes has variates.
+                let z = unsafe { _mm512_i64gather_pd::<8>(idx, normals.as_ptr()) };
+                let step = _mm512_mask_add_epi64(idx, valid, idx, stride);
+                // SAFETY: the same lanes as the load above.
+                unsafe { _mm512_mask_storeu_epi64(cursor, mask, step) };
+                let s = _mm512_div_pd(sigma, _mm512_sqrt_pd(k));
+                // `max(x, 0)` returns its second operand for a NaN x, as
+                // `f64::max(NaN, 0.0)` returns 0.
+                _mm512_max_pd(_mm512_add_pd(one, _mm512_mul_pd(s, z)), zero)
+            } else {
+                one
+            };
+            let phase = _mm512_mul_pd(_mm512_mul_pd(_mm512_mul_pd(level_v, factor), k), dt);
+            let out = energy[at..].as_mut_ptr().cast::<f64>();
+            // SAFETY: as for the duration load; `Joules` is a
+            // `repr(transparent)` `f64`, and `valid` lies inside `mask`.
+            unsafe {
+                let acc = _mm512_maskz_loadu_pd(mask, out);
+                _mm512_mask_storeu_pd(out, valid, _mm512_add_pd(acc, phase));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,6 +726,9 @@ mod tests {
     fn pre_drawn_normals(seeds: &[u64], phases: usize) -> Vec<f64> {
         use rand::RngCore;
         let lanes = seeds.len();
+        if lanes == 0 {
+            return Vec::new();
+        }
         let pair_columns = phases.div_ceil(2);
         let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
         let mut normals = vec![0.0; 2 * pair_columns * lanes];
@@ -626,11 +746,11 @@ mod tests {
     }
 
     /// Integrates a whole batch through the column form, one
-    /// `add_phase_energy` call per phase: `Some(simd)` picks the pass as
-    /// `add_phase_energy_pass` does, `None` takes the dispatched one.
+    /// `add_phase_energy` call per phase: `Some(tier)` runs that tier's
+    /// pass, `None` the dispatched one.
     fn energy_columns(
         monitor: &PowerMonitor,
-        simd: Option<bool>,
+        tier: Option<Tier>,
         phases: &[(Watts, &[Seconds])],
         baseline: Watts,
         normals: &[f64],
@@ -640,9 +760,9 @@ mod tests {
         cursors.rewind(lanes);
         let mut energy = vec![Joules::ZERO; lanes];
         for &phase in phases {
-            match simd {
-                Some(simd) => monitor.add_phase_energy_pass(
-                    simd,
+            match tier {
+                Some(tier) => monitor.add_phase_energy_at(
+                    tier,
                     phase,
                     baseline,
                     normals,
@@ -657,8 +777,8 @@ mod tests {
         energy
     }
 
-    /// Asserts that every column pass (portable, AVX2 where the CPU has
-    /// it, dispatched) gives each lane exactly the per-frame
+    /// Asserts that every column pass (each tier the CPU runs, then the
+    /// dispatched one) gives each lane exactly the per-frame
     /// `measure_energy` of its phases and stream. Bits must match, except
     /// that any two NaNs match: Rust leaves NaN payloads unspecified.
     fn assert_columns_match_per_frame(
@@ -677,8 +797,9 @@ mod tests {
             let (a, b) = (a.as_f64(), b.as_f64());
             a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
         };
-        for simd in [Some(false), Some(true), None] {
-            let out = energy_columns(monitor, simd, phases, baseline, &normals);
+        let tiers = Tier::ALL.into_iter().filter(|tier| tier.supported());
+        for tier in tiers.map(Some).chain([None]) {
+            let out = energy_columns(monitor, tier, phases, baseline, &normals);
             for (i, &energy) in out.iter().enumerate() {
                 let frame: Vec<(Watts, Seconds)> = phases
                     .iter()
@@ -687,7 +808,7 @@ mod tests {
                 let expected = monitor.measure_energy(&frame, baseline, seeds[i]);
                 assert!(
                     same(energy, expected),
-                    "{context}: lane {i} of {} diverged on pass {simd:?} \
+                    "{context}: lane {i} of {} diverged on pass {tier:?} \
                      (noisy: {}): {energy:?} vs {expected:?}, phases {frame:?}",
                     out.len(),
                     monitor.is_noisy()
@@ -755,6 +876,7 @@ mod tests {
             9 => f64::INFINITY,
             10 => return Seconds::new(1.0) * f64::NAN,
             11 => k * dt * (1.0 + f64::EPSILON),
+            12 => f64::NEG_INFINITY,
             _ => rng.gen_range(0.0..0.05),
         };
         Seconds::new(seconds)
@@ -762,11 +884,13 @@ mod tests {
 
     #[test]
     fn column_passes_match_per_frame_measure_energy_on_random_batches() {
-        // Every lane count from 1 to 37 hits every AVX2 tail length. Each
-        // duration is drawn from edge cases of the lane body — exact
-        // (k + 1/2)·Δt ties, zero, negative, under Δt/2, near 2^52·Δt,
-        // infinite, NaN — or from ordinary frame-phase durations, and
-        // sparse handoff-like phases leave the lanes' draw cursors ragged.
+        // Every lane count from 0 to 37 runs every tail length of the AVX2
+        // (mod 4) and AVX-512 (mod 8) passes, on every tier the host runs.
+        // Each duration is drawn from edge cases of the lane body — exact
+        // (k + 1/2)·Δt ties, zero, negative, under Δt/2 (no sample, so no
+        // draw), near 2^52·Δt, ±infinite, NaN — or from ordinary
+        // frame-phase durations, and sparse handoff-like phases leave the
+        // lanes' draw cursors ragged.
         use rand::Rng;
         let mut rng = StdRng::seed_from_u64(0x5EED_F1A1);
         let monitors = [
@@ -774,7 +898,7 @@ mod tests {
             PowerMonitor::new(Seconds::new(1e-3), 0.3),
             PowerMonitor::new(Seconds::new(0.2e-3), 0.0),
         ];
-        for lanes in 1..=37usize {
+        for lanes in 0..=37usize {
             for round in 0..4 {
                 let phase_count = rng.gen_range(1..12usize);
                 let columns: Vec<(Watts, Vec<Seconds>)> = (0..phase_count)

@@ -27,9 +27,9 @@
 //! 6. **uplink + edge compute** — wireless transmission and remote
 //!    decode/infer over every edge server; with multi-tenant contention
 //!    enabled ([`xr_core::ContentionConfig`]), the decode/infer term is a
-//!    sojourn drawn from the aggregate M/M/1 queue of
-//!    [`xr_queueing::EdgeContention`] on its own [`stream::CONTENTION`]
-//!    stream;
+//!    sojourn drawn from the serving site's M/M/1 queue
+//!    ([`xr_queueing::EdgeContention`]; the aggregate queue without a
+//!    topology) on its own [`stream::CONTENTION`] stream;
 //! 7. **handoff** — mobility: the session's [`TopologyWalker`] advances one
 //!    frame window and every coverage-boundary crossing is a real handoff
 //!    event. It walks the scenario's multi-site [`EdgeTopology`] (a
@@ -564,73 +564,50 @@ impl TestbedSimulator {
         }))
     }
 
-    /// The per-frame sampling plan of the contended edge stage, shared by
-    /// the scalar and batched engines so the two cannot drift: per server,
-    /// the tagged session's task-share weight and the exponential sojourn
-    /// distribution with rate `µ − λ`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TestbedSimulator::contention_snapshot`] errors.
-    pub(crate) fn contention_plan(&self, scenario: &Scenario) -> Result<Option<ContentionPlan>> {
-        let Some(snapshot) = self.contention_snapshot(scenario)? else {
-            return Ok(None);
-        };
-        let pairs = snapshot
-            .servers
-            .iter()
-            .map(|(weight, contention)| {
-                (
-                    *weight,
-                    Exp::new(contention.sojourn_rate()).expect("stable queue has a positive rate"),
-                )
-            })
-            .collect();
-        Ok(Some(ContentionPlan { pairs }))
-    }
-
-    /// The per-*site* sampling plans of the contended edge stage when the
-    /// session roams a multi-edge topology: `plans[site]` is the
+    /// The sampling plans of the contended edge stage, indexed by serving
+    /// site and shared by the scalar and batched engines so the two cannot
+    /// drift. With a multi-edge topology, `plans[site]` is the
     /// [`ContentionPlan`] of the queue population resident at that site, so
-    /// the tagged session's utilisation ρ genuinely changes as it migrates.
-    /// Shared by the scalar reference (indexed per frame with the frame's
-    /// serving site) and the batched engine (hoisted once per session).
+    /// the tagged session's utilisation ρ genuinely changes as it migrates;
+    /// without one, the list holds the aggregate plan alone, for site 0
+    /// (the only site an untopologized session ever attaches to). Either
+    /// way the engines read `plans[session.site_index()]`.
     ///
-    /// Returns `Ok(None)` when the scenario has no topology, no contention,
-    /// or never touches an edge server.
+    /// Returns an empty list when the scenario has no contention or never
+    /// touches an edge server: the pipeline then keeps the paper's
+    /// private-edge behaviour bit for bit.
     ///
     /// # Errors
     ///
-    /// Returns [`xr_types::Error::UnstableQueue`] when any *site's* tenant
+    /// Propagates [`TestbedSimulator::contention_snapshot`] errors, among
+    /// them [`xr_types::Error::UnstableQueue`] when any site's tenant
     /// population saturates an edge server.
-    pub(crate) fn site_contention_plans(
-        &self,
-        scenario: &Scenario,
-    ) -> Result<Option<Vec<ContentionPlan>>> {
+    pub(crate) fn contention_plans(&self, scenario: &Scenario) -> Result<Vec<ContentionPlan>> {
         let Some(snapshot) = self.contention_snapshot(scenario)? else {
-            return Ok(None);
+            return Ok(Vec::new());
         };
-        if snapshot.sites.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(
+        let plan = |queues: &[(f64, EdgeContention)]| ContentionPlan {
+            pairs: queues
+                .iter()
+                .map(|(weight, contention)| {
+                    let rate = contention.sojourn_rate();
+                    assert!(
+                        rate > 0.0 && rate.is_finite(),
+                        "a stable queue has a positive, finite sojourn rate"
+                    );
+                    (*weight, rate)
+                })
+                .collect(),
+        };
+        Ok(if snapshot.sites.is_empty() {
+            vec![plan(&snapshot.servers)]
+        } else {
             snapshot
                 .sites
                 .iter()
-                .map(|(_, queues)| ContentionPlan {
-                    pairs: queues
-                        .iter()
-                        .map(|(weight, contention)| {
-                            (
-                                *weight,
-                                Exp::new(contention.sojourn_rate())
-                                    .expect("stable queue has a positive rate"),
-                            )
-                        })
-                        .collect(),
-                })
-                .collect(),
-        ))
+                .map(|(_, queues)| plan(queues))
+                .collect()
+        })
     }
 
     /// The multi-edge site map of a scenario, or `None` when it keeps the
@@ -760,24 +737,19 @@ impl TestbedSimulator {
         session: &mut SessionState,
     ) -> Result<GroundTruthFrame> {
         scenario.validate()?;
-        // With a topology the contended queue population is the *serving
-        // site's*, read before the handoff stage advances the walker — so
-        // the uplink of frame `f` is priced at the site where the window
-        // opened, exactly like the batched engine's recorded pre-advance
-        // site.
-        let contention = match scenario.topology {
-            Some(_) => self
-                .site_contention_plans(scenario)?
-                .map(|mut plans| plans.swap_remove(session.site_index())),
-            None => self.contention_plan(scenario)?,
-        };
+        // The contended queue population is the *serving site's*, read
+        // before the handoff stage advances the walker — so the uplink of
+        // frame `f` is priced at the site where the window opened, exactly
+        // like the batched engine's recorded pre-advance site.
+        let plans = self.contention_plans(scenario)?;
+        let contention = (!plans.is_empty()).then(|| &plans[session.site_index()]);
         let mut state = FrameState::new(self, scenario, frame_index);
         self.stage_generate(&mut state);
         self.stage_sense(&mut state);
         self.stage_buffer(&mut state);
         self.stage_encode(&mut state);
         self.stage_local_inference(&mut state);
-        self.stage_uplink_and_edge(&mut state, contention.as_ref());
+        self.stage_uplink_and_edge(&mut state, contention);
         self.stage_handoff(&mut state, session);
         self.stage_render(&mut state);
         self.stage_cooperate(&mut state);
@@ -906,7 +878,8 @@ impl TestbedSimulator {
         if s.uses_edge && !scenario.edge_servers.is_empty() {
             if let Some(plan) = contention {
                 let mut contention_rng = self.stage_rng(stream::CONTENTION, s.frame_index);
-                for (&(weight, sojourn), server) in plan.pairs.iter().zip(&scenario.edge_servers) {
+                for (&(weight, rate), server) in plan.pairs.iter().zip(&scenario.edge_servers) {
+                    let sojourn = Exp::new(rate).expect("plan rates are positive and finite");
                     let drawn = Seconds::new(sojourn.sample(&mut contention_rng));
                     remote = remote.max(drawn * weight);
 
@@ -1307,14 +1280,15 @@ impl ContentionSnapshot {
     }
 }
 
-/// The per-frame sampling plan the contended edge stage executes: per edge
-/// server, the tagged session's weight and the exponential sojourn
-/// distribution with rate `µ − λ`. Both engines obtain it through
-/// [`TestbedSimulator::contention_plan`] (the scalar reference per frame,
-/// the batched engine once per session), so they cannot drift.
+/// The per-frame sampling plan the contended edge stage executes at one
+/// serving site: per edge server (scenario order), the tagged session's
+/// weight and the rate `µ − λ` of its exponential sojourn. Both engines
+/// obtain it through [`TestbedSimulator::contention_plans`] (the scalar
+/// reference per frame, the batched engine once per driver call), so they
+/// cannot drift.
 #[derive(Debug, Clone)]
 pub(crate) struct ContentionPlan {
-    pub(crate) pairs: Vec<(f64, Exp)>,
+    pub(crate) pairs: Vec<(f64, f64)>,
 }
 
 /// Per-frame working state of the staged pipeline: the frame's position in

@@ -9,12 +9,10 @@
 //! * the available throughput `r_w` of the access link (Eq. 16),
 //! * the handoff probability `P(HO)` of a mobile XR device under a random
 //!   walk mobility model and the handoff latency `l_HO` for horizontal and
-//!   vertical handoffs (Eq. 17, following refs. \[49\]–\[51\]),
-//! * optionally, path-loss models, which the paper explicitly leaves out of
-//!   its defaults ("We assume that there are no path loss, shadowing, or
-//!   fading effects … which can be incorporated into the model according to
-//!   system requirements"). They are provided here so the extension is
-//!   available.
+//!   vertical handoffs (Eq. 17, following refs. \[49\]–\[51\]).
+//!
+//! Like the paper ("We assume that there are no path loss, shadowing, or
+//! fading effects"), the links model no path loss.
 //!
 //! ```
 //! use xr_wireless::{AccessTechnology, WirelessLink};
@@ -31,11 +29,9 @@
 pub mod handoff;
 pub mod link;
 pub mod mobility;
-pub mod pathloss;
 pub mod topology;
 
 pub use handoff::{HandoffKind, HandoffModel};
 pub use link::{AccessTechnology, WirelessLink};
 pub use mobility::{CoverageZone, RandomWalkMobility, RandomWalker};
-pub use pathloss::{FreeSpacePathLoss, LogDistancePathLoss, PathLoss};
 pub use topology::{EdgeSite, EdgeTopology, SiteEvents, TopologyWalker};

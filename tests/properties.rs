@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use xr_core::{LatencyModel, Scenario, XrPerformanceModel};
 use xr_queueing::{MM1Queue, MM1Simulator};
 use xr_stats::{metrics, LinearRegression};
-use xr_sweep::{parse_grid_spec, ShardManifest, ShardSpec};
+use xr_sweep::{parse_grid_spec, CheckpointHeader, ShardCheckpoint, ShardManifest, ShardSpec};
 use xr_types::{ExecutionTarget, GigaHertz, Hertz, Ratio, Segment};
 
 fn scenario_strategy() -> impl Strategy<Value = Scenario> {
@@ -246,6 +246,93 @@ fn spec_text_strategy() -> impl Strategy<Value = String> {
     prop::collection::vec(line, 0..8).prop_map(|lines| lines.join("\n"))
 }
 
+/// Arbitrary checkpoint-file text: lines drawn from the header lines a
+/// checkpoint for [`checkpoint_header`] starts with, header lines with
+/// other or unreadable values, `done <point>` records (valid, signed,
+/// overflowing, empty, with trailing space or a tab) and character noise,
+/// with or without a final newline, so the last line may be torn.
+fn checkpoint_text_strategy() -> impl Strategy<Value = String> {
+    let lines = vec![
+        "# xr-sweep shard checkpoint v1",
+        "# xr-sweep shard checkpoint v2",
+        "campaign_seed = 2024",
+        "campaign_seed = 2025",
+        "grid_fingerprint = 77",
+        "grid_fingerprint=77",
+        "points = 12",
+        "points = 012",
+        "points = -1",
+        "shard = 2/3",
+        "shard = 0/3",
+        "shard =",
+        "done 0",
+        "done 3",
+        "done 11",
+        "done 18446744073709551616",
+        "done -1",
+        "done +5",
+        "done ",
+        "done 4 ",
+        "done\t1",
+        "",
+        "#",
+        "é\u{663}=/",
+    ];
+    (
+        prop::collection::vec(prop::sample::select(lines), 0..12),
+        0u8..2,
+    )
+        .prop_map(|(lines, newline)| {
+            let mut text = lines.join("\n");
+            if newline == 1 {
+                text.push('\n');
+            }
+            text
+        })
+}
+
+/// The campaign identity the checkpoint properties open files against.
+fn checkpoint_header() -> CheckpointHeader {
+    CheckpointHeader {
+        campaign_seed: 2024,
+        grid_fingerprint: 77,
+        points: 12,
+        shard: ShardSpec::new(2, 3).unwrap(),
+    }
+}
+
+/// The header a fresh checkpoint for [`checkpoint_header`] writes, read
+/// back from one created once per process.
+fn checkpoint_header_text() -> &'static str {
+    static HEADER: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    HEADER.get_or_init(|| {
+        let path = checkpoint_path("fresh");
+        drop(ShardCheckpoint::open(&path, checkpoint_header(), 1).unwrap());
+        let header = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        header
+    })
+}
+
+/// The points of the longest valid record prefix of `records` (the text
+/// after the header): complete `done <point>` lines, up to the first line
+/// that is not one.
+fn valid_record_prefix(records: &str) -> Vec<usize> {
+    records
+        .split_inclusive('\n')
+        .map_while(|line| line.strip_suffix('\n')?.strip_prefix("done ")?.parse().ok())
+        .collect()
+}
+
+/// A path with no file behind it, for one case of checkpoint property
+/// `name`.
+fn checkpoint_path(name: &str) -> std::path::PathBuf {
+    let file = format!("xr-checkpoint-{name}-{}", std::process::id());
+    let path = std::env::temp_dir().join(file);
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
 fn shard_manifest_strategy() -> impl Strategy<Value = ShardManifest> {
     (
         0u64..u64::MAX,
@@ -313,6 +400,54 @@ proptest! {
             prop_assert!(1 <= spec.index() && spec.index() <= spec.count(), "{spec:?}");
             prop_assert_eq!(ShardSpec::parse(&spec.to_string()).ok(), Some(spec));
         }
+    }
+
+    #[test]
+    fn checkpoint_open_never_panics_on_arbitrary_files(
+        header_lines in 0usize..6,
+        rest in checkpoint_text_strategy(),
+    ) {
+        // The file is the first `header_lines` lines of a valid header
+        // (none to all five) and arbitrary text after them. `open` returns
+        // `Ok` or `Err` (a panic fails the property); a file that opens
+        // starts with five header lines, and its completed points are the
+        // longest valid record prefix after them.
+        let valid: String = checkpoint_header_text()
+            .split_inclusive('\n')
+            .take(header_lines)
+            .collect();
+        let text = format!("{valid}{rest}");
+        let path = checkpoint_path("arbitrary");
+        std::fs::write(&path, &text).unwrap();
+        if let Ok(checkpoint) = ShardCheckpoint::open(&path, checkpoint_header(), 1) {
+            let header: usize = text.split_inclusive('\n').take(5).map(str::len).sum();
+            prop_assert_eq!(checkpoint.completed(), valid_record_prefix(&text[header..]));
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_open_keeps_the_longest_valid_record_prefix(
+        records in checkpoint_text_strategy(),
+    ) {
+        // A valid header followed by arbitrary text always opens; the
+        // completed points are the longest valid record prefix, and the
+        // file is cut back to the header and exactly those records.
+        let header = checkpoint_header_text();
+        let path = checkpoint_path("header-then-arbitrary");
+        std::fs::write(&path, format!("{header}{records}")).unwrap();
+        let checkpoint = ShardCheckpoint::open(&path, checkpoint_header(), 1);
+        let expected = valid_record_prefix(&records);
+        prop_assert_eq!(checkpoint.as_ref().map(|c| c.completed()).ok(), Some(&expected[..]));
+        drop(checkpoint);
+        let kept: usize = records
+            .split_inclusive('\n')
+            .take(expected.len())
+            .map(str::len)
+            .sum();
+        let on_disk = std::fs::read_to_string(&path).unwrap();
+        prop_assert_eq!(on_disk, format!("{header}{}", &records[..kept]));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
