@@ -229,11 +229,35 @@ pub mod column {
     ///
     /// Panics if the three slices differ in length.
     pub fn fill_normal(normal: &Normal, raw_a: &[u64], raw_b: &[u64], out: &mut [f64]) {
+        fill_normal_at(Tier::dispatched(), normal, raw_a, raw_b, out);
+    }
+
+    /// [`fill_normal`] on an explicit tier. It runs the tier's
+    /// standard-normal pair pass ([`fill_standard_normal_pair_at`]) a block
+    /// at a time, drops the sine halves and scales the cosine halves with
+    /// [`Normal::from_standard`](super::Normal::from_standard).
+    ///
+    /// # Panics
+    ///
+    /// As [`fill_normal`], and if the host cannot run `tier`.
+    pub fn fill_normal_at(
+        tier: Tier,
+        normal: &Normal,
+        raw_a: &[u64],
+        raw_b: &[u64],
+        out: &mut [f64],
+    ) {
+        const BLOCK: usize = 64;
         assert_eq!(raw_a.len(), out.len(), "raw_a column length mismatch");
         assert_eq!(raw_b.len(), out.len(), "raw_b column length mismatch");
-        for ((out, &a), &b) in out.iter_mut().zip(raw_a).zip(raw_b) {
-            let (z, _) = super::standard_normal_pair_from_words(a, b);
-            *out = normal.from_standard(z);
+        let mut sin = [0.0; BLOCK];
+        let blocks = raw_a.chunks(BLOCK).zip(raw_b.chunks(BLOCK));
+        for ((raw_a, raw_b), out) in blocks.zip(out.chunks_mut(BLOCK)) {
+            let sin = &mut sin[..out.len()];
+            fill_standard_normal_pair_at(tier, raw_a, raw_b, out, sin);
+            for z in out {
+                *z = normal.from_standard(*z);
+            }
         }
     }
 
@@ -1031,24 +1055,29 @@ mod tests {
             let normal = Normal::new(mean, std_dev).unwrap();
             let a = raw_words(1, 257);
             let b = raw_words(2, 257);
-            let mut out = vec![0.0; 257];
-            super::column::fill_normal(&normal, &a, &b, &mut out);
-            for i in 0..a.len() {
-                let mut replay = Replay(vec![a[i], b[i]], 0);
-                let expected = normal.sample(&mut replay);
-                assert!(
-                    out[i] == expected || (out[i].is_nan() && expected.is_nan()),
-                    "element {i}: column {} != scalar {expected}",
-                    out[i]
-                );
+            for tier in tiers() {
+                let mut out = vec![0.0; 257];
+                super::column::fill_normal_at(tier, &normal, &a, &b, &mut out);
+                for i in 0..a.len() {
+                    let mut replay = Replay(vec![a[i], b[i]], 0);
+                    let expected = normal.sample(&mut replay);
+                    assert_eq!(
+                        out[i].to_bits(),
+                        expected.to_bits(),
+                        "{tier:?} element {i}: column {} != scalar {expected}",
+                        out[i]
+                    );
+                }
             }
         }
         // Degenerate words (all zeros / all ones) go through the same
         // MIN_POSITIVE clamp as the scalar sampler.
         let normal = Normal::new(0.0, 1.0).unwrap();
-        let mut out = [0.0; 2];
-        super::column::fill_normal(&normal, &[0, u64::MAX], &[0, u64::MAX], &mut out);
-        assert!(out.iter().all(|v| v.is_finite()));
+        for tier in tiers() {
+            let mut out = [0.0; 2];
+            super::column::fill_normal_at(tier, &normal, &[0, u64::MAX], &[0, u64::MAX], &mut out);
+            assert!(out.iter().all(|v| v.is_finite()), "{tier:?}");
+        }
     }
 
     #[test]
@@ -1180,8 +1209,8 @@ mod tests {
         wb: &[u64],
     ) -> Option<&'static str> {
         use super::column::{
-            fill_exp_at, fill_lognormal_at, fill_lognormal_pair_at, fill_standard_normal_pair_at,
-            fill_uniform_range_at,
+            fill_exp_at, fill_lognormal_at, fill_lognormal_pair_at, fill_normal_at,
+            fill_standard_normal_pair_at, fill_uniform_range_at,
         };
         let n = wa.len();
         // Runs `fill` at `tier` and at the portable tier into fresh output
@@ -1199,6 +1228,9 @@ mod tests {
         let exp = Exp::new(rate).unwrap();
         if !same(&|t, out, _| fill_uniform_range_at(t, lo, hi, wa, out)) {
             return Some("uniform");
+        }
+        if !same(&|t, out, _| fill_normal_at(t, normal, wa, wb, out)) {
+            return Some("normal");
         }
         if !same(&|t, out, _| fill_lognormal_at(t, normal, wa, wb, out)) {
             return Some("lognormal");

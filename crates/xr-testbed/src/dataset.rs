@@ -10,7 +10,27 @@
 //!
 //! This is the set-up cost of every `--paper-scale` process, so neither half
 //! allocates per record. [`MeasurementCampaign::collect`] sizes its eight
-//! columns exactly before drawing and looks up each device's bias once.
+//! columns exactly before drawing, looks up each device's bias once, and
+//! draws its one `StdRng` stream as chunked word columns. Every record kind
+//! draws a fixed number of raw words — its body, then one word pair for its
+//! log-normal noise:
+//!
+//! | record | body words | noise pair |
+//! |---|---|---|
+//! | resource, power | device index, `f_c`, `f_g`, `ω_c` (4) | 2 |
+//! | encoding | device index, four codec settings, side, fps index (7) | 2 |
+//! | CNN complexity | model index (1) | 2 |
+//!
+//! A chunk of up to 32 records fills its body words and its two noise-pair
+//! columns in stream order, into a few KB of scratch that every chunk
+//! reuses. The noise columns go through the tier-dispatched Box–Muller
+//! kernel `rand_distr::column::fill_normal`. Scalar code then maps each
+//! record: it reads the body words through the `rand` shim's own samplers
+//! and scales the law's value by the platform `exp` of the record's
+//! variate. So each record keeps the bits of the same record drawn on its
+//! own from the stream; `tests/calibration_golden.rs` pins that against a
+//! per-record oracle.
+//!
 //! [`CalibratedModels::fit`] and [`CalibratedModels::evaluate`] read the
 //! columns as fixed-width feature rows through the streamed OLS fit of
 //! `xr_stats`, which builds no design matrix and accumulates in the order of
@@ -19,8 +39,9 @@
 
 use crate::laws::{DeviceBias, TrueLaws};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, Normal};
+use rand::{Rng, RngCore, SeedableRng};
+use rand_distr::math::Tier;
+use rand_distr::{column, Normal};
 use serde::{Deserialize, Serialize};
 use xr_core::{
     AoiModel, EncodingConfig, EncodingLatencyModel, EnergyModel, LatencyModel, XrPerformanceModel,
@@ -67,12 +88,21 @@ impl MeasurementDataset {
     }
 }
 
+/// Relative standard deviation of the measurement noise on every
+/// observation.
+const NOISE_SIGMA: f64 = 0.03;
+
+/// Records per chunk of [`MeasurementCampaign::collect`]'s column pass.
+const CHUNK: usize = 32;
+
+/// The most raw words a record draws before its noise pair (an encoding
+/// record's seven).
+const MAX_BODY: usize = 7;
+
 /// Configuration of a simulated measurement campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MeasurementCampaign {
     seed: u64,
-    /// Relative standard deviation of measurement noise on every observation.
-    noise_sigma: f64,
     /// Target number of records to collect.
     target_records: usize,
 }
@@ -83,7 +113,6 @@ impl MeasurementCampaign {
     pub fn paper_scale(seed: u64) -> Self {
         Self {
             seed,
-            noise_sigma: 0.03,
             target_records: 119_465,
         }
     }
@@ -94,7 +123,6 @@ impl MeasurementCampaign {
     pub fn paper_scale_test(seed: u64) -> Self {
         Self {
             seed,
-            noise_sigma: 0.03,
             target_records: 36_083,
         }
     }
@@ -104,7 +132,6 @@ impl MeasurementCampaign {
     pub fn small(seed: u64) -> Self {
         Self {
             seed,
-            noise_sigma: 0.03,
             target_records: 4_000,
         }
     }
@@ -116,37 +143,19 @@ impl MeasurementCampaign {
         self
     }
 
-    /// Overrides the measurement noise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative.
-    #[must_use]
-    pub fn with_noise(mut self, sigma: f64) -> Self {
-        assert!(sigma >= 0.0, "noise must be non-negative");
-        self.noise_sigma = sigma;
-        self
-    }
-
     /// Runs the campaign against the given devices (catalog names) and
     /// returns the collected dataset. The record budget is split roughly
     /// 40 % / 35 % / 20 % / 5 % across the resource, power, encoding and
     /// complexity sub-datasets.
     #[must_use]
     pub fn collect(&self, laws: &TrueLaws, devices: &[&str]) -> MeasurementDataset {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let noise =
-            Normal::new(0.0, self.noise_sigma.max(f64::MIN_POSITIVE)).expect("valid noise sigma");
-        let sample_noise = |rng: &mut StdRng| -> f64 {
-            if self.noise_sigma > 0.0 {
-                noise.sample(rng).exp()
-            } else {
-                1.0
-            }
-        };
+        self.collect_at(Tier::dispatched(), laws, devices)
+    }
 
+    /// [`collect`](Self::collect) with the noise columns drawn on an
+    /// explicit tier.
+    fn collect_at(&self, tier: Tier, laws: &TrueLaws, devices: &[&str]) -> MeasurementDataset {
         let catalog = DeviceCatalog::table1();
-        let cnn_catalog = CnnCatalog::table2();
         let specs: Vec<_> = devices
             .iter()
             .filter_map(|name| catalog.device(name).ok())
@@ -172,59 +181,144 @@ impl MeasurementCampaign {
         dataset.complexity_x.reserve_exact(n_complexity);
         dataset.complexity_y.reserve_exact(n_complexity);
 
+        let mut draws = ChunkedDraws::new(self.seed, tier);
+        // A random operating point of a campaign device: its bias and
+        // `(f_c, f_g, ω_c)`.
+        let operating_point = |words: &mut Words| {
+            let (spec, bias) = specs[words.gen_range(0..specs.len())];
+            let fc = GigaHertz::new(words.gen_range(0.8..=spec.cpu_clock.as_f64()));
+            let fg = GigaHertz::new(words.gen_range(0.3..=spec.gpu_clock.as_f64().max(0.35)));
+            let wc = Ratio::new(words.gen_range(0.0..=1.0));
+            (bias, (fc, fg, wc))
+        };
+
         // Compute-resource and power observations over random operating
         // points of the campaign devices.
-        for i in 0..(n_resource + n_power) {
-            let (spec, bias) = specs[rng.gen_range(0..specs.len())];
-            let fc = GigaHertz::new(rng.gen_range(0.8..=spec.cpu_clock.as_f64()));
-            let fg = GigaHertz::new(rng.gen_range(0.3..=spec.gpu_clock.as_f64().max(0.35)));
-            let wc = Ratio::new(rng.gen_range(0.0..=1.0));
-            if i < n_resource {
-                let observed = laws.compute_resource(fc, fg, wc, bias) * sample_noise(&mut rng);
-                dataset.resource_x.push((fc, fg, wc));
-                dataset.resource_y.push(observed);
-            } else {
-                let observed = laws.mean_power(fc, fg, wc, bias).as_f64() * sample_noise(&mut rng);
-                dataset.power_x.push((fc, fg, wc));
-                dataset.power_y.push(observed);
-            }
-        }
+        draws.records::<4>(n_resource, |words, factor| {
+            let (bias, (fc, fg, wc)) = operating_point(words);
+            dataset.resource_x.push((fc, fg, wc));
+            dataset
+                .resource_y
+                .push(laws.compute_resource(fc, fg, wc, bias) * factor);
+        });
+        draws.records::<4>(n_power, |words, factor| {
+            let (bias, (fc, fg, wc)) = operating_point(words);
+            dataset.power_x.push((fc, fg, wc));
+            dataset
+                .power_y
+                .push(laws.mean_power(fc, fg, wc, bias).as_f64() * factor);
+        });
 
         // Encoding observations over random codec settings and frame sizes.
-        for _ in 0..n_encoding {
-            let (_, bias) = specs[rng.gen_range(0..specs.len())];
+        draws.records::<7>(n_encoding, |words, factor| {
+            let (_, bias) = specs[words.gen_range(0..specs.len())];
             let config = EncodingConfig {
-                i_frame_interval: rng.gen_range(5.0..=60.0),
-                b_frame_interval: rng.gen_range(0.0..=3.0),
-                bitrate_mbps: rng.gen_range(1.0..=20.0),
-                quantization: rng.gen_range(18.0..=40.0),
+                i_frame_interval: words.gen_range(5.0..=60.0),
+                b_frame_interval: words.gen_range(0.0..=3.0),
+                bitrate_mbps: words.gen_range(1.0..=20.0),
+                quantization: words.gen_range(18.0..=40.0),
                 decode_discount: 1.0 / 3.0,
             };
-            let side = rng.gen_range(240.0..=720.0);
+            let side = words.gen_range(240.0..=720.0);
             let fps = *[15.0, 24.0, 30.0, 60.0]
-                .get(rng.gen_range(0..4))
+                .get(words.gen_range(0..4))
                 .expect("index in range");
             let frame = Frame::from_resolution(FrameId::new(1), side, Hertz::new(fps));
-            let observed = laws.encoding_work(&config, &frame, bias) * sample_noise(&mut rng);
             dataset
                 .encoding_x
                 .push(EncodingLatencyModel::features(&config, &frame));
-            dataset.encoding_y.push(observed);
-        }
+            dataset
+                .encoding_y
+                .push(laws.encoding_work(&config, &frame, bias) * factor);
+        });
 
         // CNN-complexity observations: repeated noisy measurements of the
         // Table II models.
-        let cnns: Vec<_> = cnn_catalog.iter().cloned().collect();
-        for _ in 0..n_complexity {
-            let cnn = &cnns[rng.gen_range(0..cnns.len())];
-            let observed = laws.cnn_complexity(cnn) * sample_noise(&mut rng);
+        let cnns: Vec<_> = CnnCatalog::table2().iter().collect();
+        draws.records::<1>(n_complexity, |words, factor| {
+            let cnn = cnns[words.gen_range(0..cnns.len())];
             dataset
                 .complexity_x
                 .push((f64::from(cnn.depth), cnn.size.as_f64(), cnn.depth_scale));
-            dataset.complexity_y.push(observed);
-        }
+            dataset.complexity_y.push(laws.cnn_complexity(cnn) * factor);
+        });
 
         dataset
+    }
+}
+
+/// The campaign's one `StdRng` stream, drawn a chunk of records at a time
+/// into fixed scratch columns that every chunk reuses.
+struct ChunkedDraws {
+    rng: StdRng,
+    tier: Tier,
+    noise: Normal,
+    /// Each record's words before its noise pair, record after record.
+    body: [u64; CHUNK * MAX_BODY],
+    /// The first and second word of each record's noise pair.
+    noise_a: [u64; CHUNK],
+    noise_b: [u64; CHUNK],
+    /// Each record's noise variate.
+    variates: [f64; CHUNK],
+}
+
+impl ChunkedDraws {
+    fn new(seed: u64, tier: Tier) -> Self {
+        Self {
+            rng: StdRng::seed_from_u64(seed),
+            tier,
+            noise: Normal::new(0.0, NOISE_SIGMA).expect("valid noise sigma"),
+            body: [0; CHUNK * MAX_BODY],
+            noise_a: [0; CHUNK],
+            noise_b: [0; CHUNK],
+            variates: [0.0; CHUNK],
+        }
+    }
+
+    /// Draws `n` records of `BODY` words plus a noise pair each, in stream
+    /// order, and hands each record's words and noise factor
+    /// `exp(N(0, σ))` to `record`, in record order.
+    fn records<const BODY: usize>(&mut self, n: usize, mut record: impl FnMut(&mut Words, f64)) {
+        const { assert!(BODY <= MAX_BODY) };
+        let mut left = n;
+        while left > 0 {
+            let len = left.min(CHUNK);
+            left -= len;
+            for k in 0..len {
+                for word in &mut self.body[k * BODY..(k + 1) * BODY] {
+                    *word = self.rng.next_u64();
+                }
+                self.noise_a[k] = self.rng.next_u64();
+                self.noise_b[k] = self.rng.next_u64();
+            }
+            column::fill_normal_at(
+                self.tier,
+                &self.noise,
+                &self.noise_a[..len],
+                &self.noise_b[..len],
+                &mut self.variates[..len],
+            );
+            let bodies = self.body[..len * BODY].chunks_exact(BODY);
+            for (body, &variate) in bodies.zip(&self.variates[..len]) {
+                let mut words = Words(body.iter());
+                record(&mut words, variate.exp());
+                debug_assert_eq!(words.0.len(), 0, "a record left words undrawn");
+            }
+        }
+    }
+}
+
+/// One record's words before its noise pair, handed out in stream order.
+/// The record draws them through the `rand` shim's own samplers, so every
+/// value has the expression of the same draw from the campaign's `StdRng`.
+struct Words<'a>(core::slice::Iter<'a, u64>);
+
+impl RngCore for Words<'_> {
+    fn next_u64(&mut self) -> u64 {
+        *self
+            .0
+            .next()
+            .expect("a record drew more words than its layout holds")
     }
 }
 
@@ -416,6 +510,38 @@ mod tests {
         let c = MeasurementCampaign::small(10).collect(&laws, &["XR1", "XR3"]);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn every_tier_collects_the_same_bits() {
+        // 1 301 records split 520 / 455 / 260 / 66: every sub-dataset
+        // ends in a chunk shorter than `CHUNK` (32).
+        let laws = TrueLaws::standard();
+        let devices = DeviceCatalog::training_devices();
+        let campaign = MeasurementCampaign::small(5).with_target_records(1_301);
+        let bits = |d: &MeasurementDataset| -> Vec<u64> {
+            let pairs = d.resource_x.iter().chain(&d.power_x);
+            pairs
+                .flat_map(|&(fc, fg, wc)| [fc.as_f64(), fg.as_f64(), wc.as_f64()])
+                .chain(d.resource_y.iter().chain(&d.power_y).copied())
+                .chain(d.encoding_x.iter().flatten().copied())
+                .chain(d.encoding_y.iter().copied())
+                .chain(d.complexity_x.iter().flat_map(|&(a, b, c)| [a, b, c]))
+                .chain(d.complexity_y.iter().copied())
+                .map(f64::to_bits)
+                .collect()
+        };
+        let portable = campaign.collect_at(Tier::Portable, &laws, &devices);
+        assert_eq!(portable.len(), 1_301);
+        for tier in Tier::ALL {
+            if !tier.supported() {
+                eprintln!("skipping the {tier:?} tier: this host cannot run it");
+                continue;
+            }
+            let collected = campaign.collect_at(tier, &laws, &devices);
+            assert_eq!(collected.len(), portable.len(), "{tier:?}");
+            assert_eq!(bits(&collected), bits(&portable), "{tier:?}");
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use rand_distr::math::Tier;
 use rand_distr::{column, Distribution, Exp, Normal};
 use xr_testbed::lanes::LaneStreams;
 use xr_types::seed;
@@ -112,6 +113,33 @@ proptest! {
             let scalar_sin = rand_distr::math::exp(normal.from_standard(pairs.next(&mut rng)));
             prop_assert!(fac_cos[j] == scalar_cos, "pair cosine lane {j}");
             prop_assert!(fac_sin[j] == scalar_sin, "pair sine lane {j}");
+        }
+    }
+
+    #[test]
+    fn fill_normal_matches_normal_sample_on_every_tier(
+        seed in 0u64..u64::MAX,
+        len in 0usize..300,
+        mean in -3.0f64..3.0,
+        sigma in 0.0f64..2.0,
+    ) {
+        // One stream of word pairs: column i holds the pair the i-th
+        // `Normal::sample` on the same stream consumes.
+        let normal = Normal::new(mean, sigma).expect("valid sigma");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (raw_a, raw_b): (Vec<u64>, Vec<u64>) =
+            (0..len).map(|_| (rng.next_u64(), rng.next_u64())).unzip();
+        for tier in Tier::ALL.into_iter().filter(|tier| tier.supported()) {
+            let mut out = vec![f64::NAN; len];
+            column::fill_normal_at(tier, &normal, &raw_a, &raw_b, &mut out);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for (i, value) in out.iter().enumerate() {
+                let scalar = normal.sample(&mut rng);
+                prop_assert!(
+                    value.to_bits() == scalar.to_bits(),
+                    "{tier:?} element {i}: column {value} != scalar {scalar}"
+                );
+            }
         }
     }
 }
