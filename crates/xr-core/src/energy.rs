@@ -10,7 +10,6 @@
 use crate::latency::{LatencyBreakdown, LatencyModel};
 use crate::scenario::Scenario;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use xr_devices::{BasePower, MeanPowerModel, ThermalModel};
 use xr_types::{Joules, Result, Seconds, Segment, Watts};
 
@@ -47,9 +46,12 @@ impl Default for RadioPowerModel {
 
 /// Per-frame energy breakdown: one entry per pipeline segment plus base and
 /// thermal energy and the total of Eq. 19.
+///
+/// The segments sit in fixed slots, indexed by [`Segment::slot`], like
+/// [`LatencyBreakdown`]'s.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EnergyBreakdown {
-    segments: BTreeMap<Segment, Joules>,
+    segments: [Joules; Segment::ALL.len()],
     base: Joules,
     thermal: Joules,
     total: Joules,
@@ -59,7 +61,7 @@ impl EnergyBreakdown {
     /// Energy attributed to one segment.
     #[must_use]
     pub fn segment(&self, segment: Segment) -> Joules {
-        self.segments.get(&segment).copied().unwrap_or(Joules::ZERO)
+        self.segments[segment.slot()]
     }
 
     /// Base energy `E_base` over the frame.
@@ -82,7 +84,7 @@ impl EnergyBreakdown {
 
     /// Iterates over `(segment, energy)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (Segment, Joules)> + '_ {
-        self.segments.iter().map(|(s, e)| (*s, *e))
+        Segment::ALL.into_iter().zip(self.segments)
     }
 }
 
@@ -126,6 +128,11 @@ impl EnergyModel {
     /// The power the XR device draws while a given segment runs.
     #[must_use]
     pub fn segment_power(&self, scenario: &Scenario, segment: Segment) -> Watts {
+        Self::segment_power_for(segment, self.compute_power(scenario))
+    }
+
+    /// [`EnergyModel::segment_power`] given the Eq. 21 compute power.
+    fn segment_power_for(segment: Segment, compute_power: Watts) -> Watts {
         let radio = RadioPowerModel::wifi_defaults();
         match segment {
             // Client-side computation segments follow Eq. 21.
@@ -134,7 +141,7 @@ impl EnergyModel {
             | Segment::FrameConversion
             | Segment::FrameEncoding
             | Segment::LocalInference
-            | Segment::FrameRendering => self.compute_power(scenario),
+            | Segment::FrameRendering => compute_power,
             // Radio-bound segments.
             Segment::ExternalSensorInformation => radio.receive,
             Segment::Transmission | Segment::XrCooperation => radio.transmit,
@@ -146,6 +153,7 @@ impl EnergyModel {
 
     /// Computes the per-segment energy breakdown of Eq. 19/20 for a frame,
     /// given the latency breakdown produced by [`LatencyModel::analyze`].
+    /// The Eq. 21 compute power is evaluated once per call.
     #[must_use]
     pub fn analyze_with_latency(
         &self,
@@ -155,14 +163,15 @@ impl EnergyModel {
         let uses_local = scenario.execution.uses_client();
         let uses_edge = scenario.execution.uses_edge();
 
-        let mut segments = BTreeMap::new();
+        let compute_power = self.compute_power(scenario);
+        let mut segments = [Joules::ZERO; Segment::ALL.len()];
         let mut active_compute_energy = Joules::ZERO;
         let mut total = Joules::ZERO;
 
         for (segment, segment_latency) in latency.iter() {
-            let power = self.segment_power(scenario, segment);
+            let power = Self::segment_power_for(segment, compute_power);
             let energy = power * segment_latency.max(Seconds::ZERO);
-            segments.insert(segment, energy);
+            segments[segment.slot()] = energy;
 
             let included_in_total = scenario.segments.contains(segment)
                 && match segment {

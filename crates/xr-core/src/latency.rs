@@ -3,7 +3,6 @@
 use crate::encoding::EncodingLatencyModel;
 use crate::scenario::Scenario;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use xr_devices::{CnnComplexityModel, ComputeResourceModel};
 use xr_queueing::MM1Queue;
 use xr_types::{MegaBytes, Result, Seconds, Segment, SPEED_OF_LIGHT};
@@ -17,9 +16,12 @@ const RESULT_PAYLOAD_MB: f64 = 0.01;
 
 /// Per-frame latency breakdown: one entry per pipeline segment plus the
 /// end-to-end total of Eq. 1.
+///
+/// The segments sit in fixed slots, indexed by [`Segment::slot`] (the
+/// `Segment::ALL` order, as in the testbed's ground-truth frames).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencyBreakdown {
-    segments: BTreeMap<Segment, Seconds>,
+    segments: [Seconds; Segment::ALL.len()],
     total: Seconds,
     buffering: Seconds,
 }
@@ -29,10 +31,7 @@ impl LatencyBreakdown {
     /// participate in the scenario).
     #[must_use]
     pub fn segment(&self, segment: Segment) -> Seconds {
-        self.segments
-            .get(&segment)
-            .copied()
-            .unwrap_or(Seconds::ZERO)
+        self.segments[segment.slot()]
     }
 
     /// The end-to-end latency `L_tot` of Eq. 1.
@@ -50,14 +49,14 @@ impl LatencyBreakdown {
 
     /// Iterates over `(segment, latency)` pairs in segment order.
     pub fn iter(&self) -> impl Iterator<Item = (Segment, Seconds)> + '_ {
-        self.segments.iter().map(|(s, l)| (*s, *l))
+        Segment::ALL.into_iter().zip(self.segments)
     }
 
-    /// The sum of every segment in the map (ignoring the execution-target
-    /// gating); useful for sanity checks.
+    /// The sum of every segment (ignoring the execution-target gating);
+    /// useful for sanity checks.
     #[must_use]
     pub fn sum_of_segments(&self) -> Seconds {
-        self.segments.values().copied().sum()
+        self.segments.into_iter().sum()
     }
 }
 
@@ -142,12 +141,16 @@ impl LatencyModel {
     /// `11.76 · c_client`.
     #[must_use]
     pub fn edge_resource(&self, scenario: &Scenario, server_index: usize) -> f64 {
-        let client = self.client_resource(scenario);
+        self.edge_resource_for(scenario, server_index, self.client_resource(scenario))
+    }
+
+    /// [`LatencyModel::edge_resource`] given `c_client`.
+    fn edge_resource_for(&self, scenario: &Scenario, server_index: usize, c_client: f64) -> f64 {
         scenario
             .edge_servers
             .get(server_index)
             .and_then(|s| s.compute_resource)
-            .unwrap_or_else(|| self.compute.edge_resource_from_client(client))
+            .unwrap_or_else(|| self.compute.edge_resource_from_client(c_client))
     }
 
     fn memory_term(&self, data: MegaBytes, bandwidth: xr_types::GigaBytesPerSecond) -> Seconds {
@@ -165,7 +168,10 @@ impl LatencyModel {
     /// Frame-generation latency (Eq. 2).
     #[must_use]
     pub fn frame_generation(&self, scenario: &Scenario) -> Seconds {
-        let c = self.client_resource(scenario);
+        self.frame_generation_for(scenario, self.client_resource(scenario))
+    }
+
+    fn frame_generation_for(&self, scenario: &Scenario, c: f64) -> Seconds {
         scenario.frame.frame_rate.period()
             + self.compute_term(scenario.frame.raw_size.as_f64(), c)
             + self.memory_term(scenario.frame.raw_data, scenario.client.memory_bandwidth)
@@ -174,7 +180,10 @@ impl LatencyModel {
     /// Volumetric-data-generation latency (Eq. 4).
     #[must_use]
     pub fn volumetric(&self, scenario: &Scenario) -> Seconds {
-        let c = self.client_resource(scenario);
+        self.volumetric_for(scenario, self.client_resource(scenario))
+    }
+
+    fn volumetric_for(&self, scenario: &Scenario, c: f64) -> Seconds {
         self.compute_term(scenario.frame.scene_size.as_f64(), c)
             + self.memory_term(
                 scenario.frame.volumetric_data,
@@ -231,7 +240,10 @@ impl LatencyModel {
     /// Frame-conversion latency (Eq. 9).
     #[must_use]
     pub fn frame_conversion(&self, scenario: &Scenario) -> Seconds {
-        let c = self.client_resource(scenario);
+        self.frame_conversion_for(scenario, self.client_resource(scenario))
+    }
+
+    fn frame_conversion_for(&self, scenario: &Scenario, c: f64) -> Seconds {
         self.compute_term(scenario.frame.raw_size.as_f64(), c)
             + self.memory_term(scenario.frame.raw_data, scenario.client.memory_bandwidth)
     }
@@ -239,7 +251,10 @@ impl LatencyModel {
     /// Frame-encoding latency (Eq. 10).
     #[must_use]
     pub fn frame_encoding(&self, scenario: &Scenario) -> Seconds {
-        let c = self.client_resource(scenario);
+        self.frame_encoding_for(scenario, self.client_resource(scenario))
+    }
+
+    fn frame_encoding_for(&self, scenario: &Scenario, c: f64) -> Seconds {
         let full = self.encoding.encoding_latency(
             &scenario.encoding,
             &scenario.frame,
@@ -263,11 +278,14 @@ impl LatencyModel {
     /// workload multiplier: `L_loc = ω_client·[s_f2·C_CNN/c_client + δ_f2/m]`.
     #[must_use]
     pub fn local_inference(&self, scenario: &Scenario) -> Seconds {
+        self.local_inference_for(scenario, self.client_resource(scenario))
+    }
+
+    fn local_inference_for(&self, scenario: &Scenario, c: f64) -> Seconds {
         let client_share = scenario.execution.client_share();
         if client_share <= 0.0 {
             return Seconds::ZERO;
         }
-        let c = self.client_resource(scenario);
         let complexity = self.cnn_complexity.complexity(&scenario.local_cnn);
         let inner = self.compute_term(scenario.frame.converted_size.as_f64() * complexity, c)
             + self.memory_term(
@@ -281,12 +299,24 @@ impl LatencyModel {
     /// memory traffic.
     #[must_use]
     pub fn remote_inference_on(&self, scenario: &Scenario, server_index: usize) -> Seconds {
+        let c_client = self.client_resource(scenario);
+        let complexity = self.cnn_complexity.complexity(&scenario.remote_cnn);
+        self.remote_inference_on_for(scenario, server_index, c_client, complexity)
+    }
+
+    /// [`LatencyModel::remote_inference_on`] given `c_client` and the remote
+    /// CNN's complexity `C_CNN`.
+    fn remote_inference_on_for(
+        &self,
+        scenario: &Scenario,
+        server_index: usize,
+        c_client: f64,
+        complexity: f64,
+    ) -> Seconds {
         let Some(server) = scenario.edge_servers.get(server_index) else {
             return Seconds::ZERO;
         };
-        let c_client = self.client_resource(scenario);
-        let c_edge = self.edge_resource(scenario, server_index);
-        let complexity = self.cnn_complexity.complexity(&scenario.remote_cnn);
+        let c_edge = self.edge_resource_for(scenario, server_index, c_client);
         let decode =
             self.encoding
                 .decoding_latency(&scenario.encoding, &scenario.frame, c_client, c_edge);
@@ -300,10 +330,15 @@ impl LatencyModel {
     /// weighted share dominates because the servers work in parallel.
     #[must_use]
     pub fn remote_inference(&self, scenario: &Scenario) -> Seconds {
+        self.remote_inference_for(scenario, self.client_resource(scenario))
+    }
+
+    fn remote_inference_for(&self, scenario: &Scenario, c_client: f64) -> Seconds {
         let edge_share = scenario.execution.edge_share();
         if edge_share <= 0.0 || scenario.edge_servers.is_empty() {
             return Seconds::ZERO;
         }
+        let complexity = self.cnn_complexity.complexity(&scenario.remote_cnn);
         let total_share: f64 = scenario.edge_servers.iter().map(|s| s.task_share).sum();
         scenario
             .edge_servers
@@ -315,7 +350,7 @@ impl LatencyModel {
                 } else {
                     0.0
                 };
-                self.remote_inference_on(scenario, i) * weight
+                self.remote_inference_on_for(scenario, i, c_client, complexity) * weight
             })
             .fold(Seconds::ZERO, Seconds::max)
     }
@@ -387,15 +422,27 @@ impl LatencyModel {
     ///
     /// Propagates buffering errors for unstable buffer configurations.
     pub fn rendering(&self, scenario: &Scenario) -> Result<Seconds> {
-        let c = self.client_resource(scenario);
-        Ok(self.compute_term(scenario.frame.raw_size.as_f64(), c)
+        Ok(self.rendering_for(
+            scenario,
+            self.client_resource(scenario),
+            self.buffering(scenario)?,
+        ))
+    }
+
+    /// [`LatencyModel::rendering`] given `c_client` and the buffering term.
+    fn rendering_for(&self, scenario: &Scenario, c: f64, buffering: Seconds) -> Seconds {
+        self.compute_term(scenario.frame.raw_size.as_f64(), c)
             + self.memory_term(scenario.frame.raw_data, scenario.client.memory_bandwidth)
-            + self.buffering(scenario)?
-            + self.result_delivery(scenario))
+            + buffering
+            + self.result_delivery(scenario)
     }
 
     /// Computes the full per-segment breakdown and the end-to-end total of
     /// Eq. 1 for one frame of the scenario.
+    ///
+    /// The scenario is validated once, and `c_client`, each server's `c_ε`
+    /// and the buffering sum are each evaluated once; every segment equals
+    /// its public per-segment method bit for bit.
     ///
     /// # Errors
     ///
@@ -408,45 +455,32 @@ impl LatencyModel {
         let uses_local = scenario.execution.uses_client();
         let uses_edge = scenario.execution.uses_edge();
 
-        let mut segments = BTreeMap::new();
         let buffering = self.buffering(scenario)?;
-
-        segments.insert(Segment::FrameGeneration, self.frame_generation(scenario));
-        segments.insert(Segment::VolumetricDataGeneration, self.volumetric(scenario));
-        segments.insert(
-            Segment::ExternalSensorInformation,
-            self.external_information(scenario),
-        );
-        segments.insert(Segment::FrameRendering, self.rendering(scenario)?);
-        segments.insert(
-            Segment::FrameConversion,
-            if uses_local {
-                self.frame_conversion(scenario)
-            } else {
-                Seconds::ZERO
-            },
-        );
-        segments.insert(
-            Segment::FrameEncoding,
-            if uses_edge {
-                self.frame_encoding(scenario)
-            } else {
-                Seconds::ZERO
-            },
-        );
-        segments.insert(Segment::LocalInference, self.local_inference(scenario));
-        segments.insert(Segment::RemoteInference, self.remote_inference(scenario));
-        segments.insert(Segment::Transmission, self.transmission(scenario));
-        segments.insert(Segment::Handoff, self.handoff(scenario));
-        segments.insert(Segment::XrCooperation, self.cooperation(scenario));
+        let c = self.client_resource(scenario);
+        let mut segments = [Seconds::ZERO; Segment::ALL.len()];
+        segments[Segment::FrameGeneration.slot()] = self.frame_generation_for(scenario, c);
+        segments[Segment::VolumetricDataGeneration.slot()] = self.volumetric_for(scenario, c);
+        segments[Segment::ExternalSensorInformation.slot()] = self.external_information(scenario);
+        segments[Segment::FrameRendering.slot()] = self.rendering_for(scenario, c, buffering);
+        if uses_local {
+            segments[Segment::FrameConversion.slot()] = self.frame_conversion_for(scenario, c);
+        }
+        if uses_edge {
+            segments[Segment::FrameEncoding.slot()] = self.frame_encoding_for(scenario, c);
+        }
+        segments[Segment::LocalInference.slot()] = self.local_inference_for(scenario, c);
+        segments[Segment::RemoteInference.slot()] = self.remote_inference_for(scenario, c);
+        segments[Segment::Transmission.slot()] = self.transmission(scenario);
+        segments[Segment::Handoff.slot()] = self.handoff(scenario);
+        segments[Segment::XrCooperation.slot()] = self.cooperation(scenario);
 
         // Eq. 1, gated by the execution decision and the scenario's segment
         // set. The conversion/encoding and inference terms are already scaled
         // by their shares inside the per-segment functions where the paper
         // scales them (Eqs. 11, 13); the binary ω gating happens here.
         let mut total = Seconds::ZERO;
-        for (segment, latency) in &segments {
-            if !scenario.segments.contains(*segment) {
+        for (segment, latency) in Segment::ALL.into_iter().zip(segments) {
+            if !scenario.segments.contains(segment) {
                 continue;
             }
             let included = match segment {
@@ -466,7 +500,7 @@ impl LatencyModel {
                 Segment::FrameEncoding => omega_rem.max(f64::from(u8::from(uses_edge))).min(1.0),
                 _ => 1.0,
             };
-            total += *latency * weight;
+            total += latency * weight;
         }
 
         Ok(LatencyBreakdown {
@@ -728,6 +762,80 @@ mod tests {
         let c_client = model.client_resource(&scenario);
         let c_edge = model.edge_resource(&scenario, 0);
         assert!((c_edge - 11.76 * c_client).abs() < 1e-9);
+    }
+
+    #[test]
+    fn analyze_slots_equal_the_per_segment_methods_bit_for_bit() {
+        let mut slow = crate::scenario::EdgeServerConfig::jetson_xavier();
+        slow.compute_resource = Some(50.0);
+        let mobile = MobilityConfig {
+            speed: MetersPerSecond::new(10.0),
+            coverage_radius: Meters::new(30.0),
+            handoff_kind: HandoffKind::Vertical,
+        };
+        let mut scenarios = Vec::new();
+        for execution in [
+            ExecutionTarget::Local,
+            ExecutionTarget::Remote,
+            ExecutionTarget::Split { client_share: 0.3 },
+        ] {
+            scenarios.push(Scenario::builder().execution(execution).build().unwrap());
+            scenarios.push(
+                Scenario::builder()
+                    .execution(execution)
+                    .mobility(mobile)
+                    .edge_servers(vec![
+                        crate::scenario::EdgeServerConfig::jetson_xavier(),
+                        slow.clone(),
+                    ])
+                    .build()
+                    .unwrap(),
+            );
+        }
+        for model in [
+            LatencyModel::published(),
+            LatencyModel::published().without_memory_terms(),
+            LatencyModel::published().without_buffering(),
+        ] {
+            for s in &scenarios {
+                let b = model.analyze(s).unwrap();
+                let uses_local = s.execution.uses_client();
+                let uses_edge = s.execution.uses_edge();
+                let gated = |on: bool, latency: Seconds| if on { latency } else { Seconds::ZERO };
+                let expected = [
+                    (Segment::FrameGeneration, model.frame_generation(s)),
+                    (Segment::VolumetricDataGeneration, model.volumetric(s)),
+                    (
+                        Segment::ExternalSensorInformation,
+                        model.external_information(s),
+                    ),
+                    (
+                        Segment::FrameConversion,
+                        gated(uses_local, model.frame_conversion(s)),
+                    ),
+                    (
+                        Segment::FrameEncoding,
+                        gated(uses_edge, model.frame_encoding(s)),
+                    ),
+                    (Segment::LocalInference, model.local_inference(s)),
+                    (Segment::RemoteInference, model.remote_inference(s)),
+                    (Segment::FrameRendering, model.rendering(s).unwrap()),
+                    (Segment::Transmission, model.transmission(s)),
+                    (Segment::Handoff, model.handoff(s)),
+                    (Segment::XrCooperation, model.cooperation(s)),
+                ];
+                for (segment, latency) in expected {
+                    assert_eq!(
+                        b.segment(segment).as_f64().to_bits(),
+                        latency.as_f64().to_bits(),
+                        "{segment}"
+                    );
+                }
+                assert_eq!(b.buffering(), model.buffering(s).unwrap());
+                let slots: Vec<Segment> = b.iter().map(|(segment, _)| segment).collect();
+                assert_eq!(slots, Segment::ALL);
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! * the **Age-of-Information** and **Relevance-of-Information** of every
 //!   external sensor, Eqs. 22–26 ([`AoiModel`]).
 //!
+//! [`XrPerformanceModel::analyze`] returns all three;
+//! [`XrPerformanceModel::predict`] returns the latency and energy
+//! breakdowns alone, which is all a campaign row reads.
+//!
 //! The regression sub-models the framework relies on — compute-resource
 //! availability (Eq. 3), encoding latency (Eq. 10), CNN complexity (Eq. 12)
 //! and mean power (Eq. 21) — live in [`xr_devices`] and

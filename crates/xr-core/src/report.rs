@@ -64,15 +64,28 @@ impl XrPerformanceModel {
         }
     }
 
+    /// Predicts one frame of a scenario: the latency (Eq. 1) and energy
+    /// (Eq. 19) breakdowns, without the AoI/RoI report. Campaign rows need
+    /// only these totals; [`XrPerformanceModel::analyze`] adds the AoI.
+    ///
+    /// # Errors
+    ///
+    /// Returns scenario-validation or queueing errors.
+    pub fn predict(&self, scenario: &Scenario) -> Result<(LatencyBreakdown, EnergyBreakdown)> {
+        let latency = self.latency.analyze(scenario)?;
+        let energy = self.energy.analyze_with_latency(scenario, &latency);
+        Ok((latency, energy))
+    }
+
     /// Analyses one frame of a scenario: latency (Eq. 1), energy (Eq. 19),
-    /// and AoI/RoI (Eqs. 22–26).
+    /// and AoI/RoI (Eqs. 22–26), as the AoI figures (Figs. 4(e)/(f)) read
+    /// it. The latency and energy are [`XrPerformanceModel::predict`]'s.
     ///
     /// # Errors
     ///
     /// Returns scenario-validation or queueing errors.
     pub fn analyze(&self, scenario: &Scenario) -> Result<PerformanceReport> {
-        let latency = self.latency.analyze(scenario)?;
-        let energy = self.energy.analyze_with_latency(scenario, &latency);
+        let (latency, energy) = self.predict(scenario)?;
         let aoi = self.aoi.analyze(scenario, latency.total())?;
         Ok(PerformanceReport {
             latency,
@@ -136,6 +149,18 @@ mod tests {
         let b = XrPerformanceModel::published().analyze(&scenario).unwrap();
         assert_eq!(a.latency.total(), b.latency.total());
         assert_eq!(a.energy.total(), b.energy.total());
+    }
+
+    #[test]
+    fn predict_is_analyze_without_the_aoi() {
+        let model = XrPerformanceModel::published();
+        for target in [ExecutionTarget::Local, ExecutionTarget::Remote] {
+            let scenario = Scenario::builder().execution(target).build().unwrap();
+            let (latency, energy) = model.predict(&scenario).unwrap();
+            let report = model.analyze(&scenario).unwrap();
+            assert_eq!(latency, report.latency);
+            assert_eq!(energy, report.energy);
+        }
     }
 
     #[test]

@@ -17,10 +17,11 @@
 use crate::context::ExperimentContext;
 use crate::fixed::{push_fixed, push_uint};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::io::Write;
 use xr_stats::mean_confidence_interval;
-use xr_sweep::{CampaignRunner, OperatingPoint, SweepGrid, WirelessCondition};
+use xr_sweep::{CampaignRunner, OperatingPoint, PointContext, SweepGrid, WirelessCondition};
 use xr_testbed::SessionTotals;
 use xr_types::{Error, ExecutionTarget, Result};
 
@@ -90,42 +91,13 @@ impl ReplicateStats {
     }
 }
 
-/// One replication's raw measurements at an operating point — all a
-/// campaign keeps of a session once it finishes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct RepSample {
-    latency_ms: f64,
-    energy_mj: f64,
-    handoff_rate: f64,
-    /// Mean per-frame edge-to-edge state-migration latency in ms; zero on
-    /// untopologized points.
-    migration_ms: f64,
-    /// Distinct edge sites the session attached to (1 on untopologized
-    /// points).
-    sites_visited: u32,
-}
-
-impl RepSample {
-    fn of(totals: &SessionTotals) -> Self {
-        Self {
-            latency_ms: totals.mean_latency().as_f64() * 1e3,
-            energy_mj: totals.mean_energy().as_f64() * 1e3,
-            handoff_rate: totals.handoff_rate(),
-            migration_ms: totals.mean_migration_latency().as_f64() * 1e3,
-            sites_visited: totals.sites_visited(),
-        }
-    }
-}
-
 /// Rejects a point whose sessions measured a non-finite latency or energy,
 /// naming the point and the replication, so a broken session fails the
 /// campaign with an error instead of a panic in the row aggregation.
-fn check_finite_samples(point_index: usize, samples: &[RepSample]) -> Result<()> {
-    for (rep, sample) in samples.iter().enumerate() {
-        for (what, value) in [
-            ("latency_ms", sample.latency_ms),
-            ("energy_mj", sample.energy_mj),
-        ] {
+/// `latencies[r]` and `energies[r]` are replication `r`'s means.
+fn check_finite_samples(point_index: usize, latencies: &[f64], energies: &[f64]) -> Result<()> {
+    for (rep, (&latency_ms, &energy_mj)) in latencies.iter().zip(energies).enumerate() {
+        for (what, value) in [("latency_ms", latency_ms), ("energy_mj", energy_mj)] {
             if !value.is_finite() {
                 return Err(Error::invalid_parameter(
                     format!("point {point_index} replication {rep} {what}"),
@@ -137,17 +109,18 @@ fn check_finite_samples(point_index: usize, samples: &[RepSample]) -> Result<()>
     Ok(())
 }
 
-/// Everything one evaluated point contributes to its row: the per-rep
-/// samples plus the point's deterministic constants.
-#[derive(Debug, Clone, PartialEq)]
-struct PointSamples {
-    samples: Vec<RepSample>,
-    /// `(latency_ms, energy_mj)` model prediction.
-    proposed: (f64, f64),
-    /// `(bottleneck utilisation ρ, analytic mean contention delay in ms)`
-    /// of the shared edge queue; `(0, 0)` when the point runs
-    /// contention-free.
-    contention: (f64, f64),
+/// One campaign worker's point buffers, reused from point to point: the
+/// replications' session totals, then their mean latencies and energies
+/// for the aggregation.
+#[derive(Debug, Default)]
+struct PointBuffers {
+    totals: Vec<SessionTotals>,
+    latencies: Vec<f64>,
+    energies: Vec<f64>,
+}
+
+thread_local! {
+    static POINT_BUFFERS: RefCell<PointBuffers> = RefCell::new(PointBuffers::default());
 }
 
 /// One consolidated campaign measurement: the operating point plus
@@ -323,12 +296,19 @@ pub fn run_campaign_streaming_with(
     ctx: &ExperimentContext,
     grid: &SweepGrid,
     runner: &CampaignRunner,
-    mut sink: impl FnMut(usize, CampaignRow) + Send,
+    sink: impl FnMut(usize, CampaignRow) + Send,
 ) -> Result<()> {
-    let subset: Vec<(usize, OperatingPoint)> = grid.points()?.into_iter().enumerate().collect();
-    run_campaign_subset_streaming_with(ctx, grid, runner, &subset, |index, row| {
-        sink(index, row);
-    })
+    // Each point is built by the worker that evaluates it and moves into
+    // its row, so no list of every point is made up front.
+    let indices: Vec<(usize, ())> = grid.indices()?.map(|index| (index, ())).collect();
+    stream_rows(
+        ctx,
+        grid,
+        runner,
+        &indices,
+        |index, ()| grid.point(index),
+        sink,
+    )
 }
 
 /// The core campaign evaluator: streams aggregated rows for an explicitly
@@ -346,81 +326,108 @@ pub fn run_campaign_subset_streaming_with(
     grid: &SweepGrid,
     runner: &CampaignRunner,
     subset: &[(usize, OperatingPoint)],
-    mut sink: impl FnMut(usize, CampaignRow) + Send,
+    sink: impl FnMut(usize, CampaignRow) + Send,
+) -> Result<()> {
+    stream_rows(
+        ctx,
+        grid,
+        runner,
+        subset,
+        |_, point| Ok(point.clone()),
+        sink,
+    )
+}
+
+/// Evaluates `items` on `runner` and streams each row, in item order, into
+/// `sink`. `point_of(index, item)` gives the operating point of the item at
+/// grid index `index`; it runs on the worker, and the point moves into the
+/// row.
+fn stream_rows<T: Sync>(
+    ctx: &ExperimentContext,
+    grid: &SweepGrid,
+    runner: &CampaignRunner,
+    items: &[(usize, T)],
+    point_of: impl Fn(usize, &T) -> Result<OperatingPoint> + Sync,
+    sink: impl FnMut(usize, CampaignRow) + Send,
 ) -> Result<()> {
     let replications = grid.replications().max(1);
-    // Rows stream back in subset order, so the sink can walk the subset in
-    // lock-step to recover each row's operating point.
-    let mut slot = 0usize;
-    let emit = move |point_index: usize, point_samples: PointSamples| {
-        let (original, ref point) = subset[slot];
-        debug_assert_eq!(original, point_index, "rows must stream in subset order");
-        slot += 1;
-        let PointSamples {
-            samples,
-            proposed: (proposed_latency_ms, proposed_energy_mj),
-            contention: (edge_utilization, gt_contention_ms_mean),
-        } = point_samples;
-        let n = samples.len() as f64;
-        let latencies: Vec<f64> = samples.iter().map(|s| s.latency_ms).collect();
-        let energies: Vec<f64> = samples.iter().map(|s| s.energy_mj).collect();
-        sink(
-            point_index,
-            CampaignRow {
-                point: point.clone(),
-                frames_per_session: ctx.frames_for(point),
-                replications: samples.len(),
-                gt_latency_ms: ReplicateStats::of(&latencies),
-                gt_energy_mj: ReplicateStats::of(&energies),
-                gt_handoff_rate: samples.iter().map(|s| s.handoff_rate).sum::<f64>() / n,
-                gt_migration_ms_mean: samples.iter().map(|s| s.migration_ms).sum::<f64>() / n,
-                sites_visited: samples.iter().map(|s| s.sites_visited).max().unwrap_or(1),
-                edge_utilization,
-                gt_contention_ms_mean,
-                proposed_latency_ms,
-                proposed_energy_mj,
-            },
-        );
-    };
-    // The point is the work item: the testbed evaluates all its
-    // replications in one fused run and returns each replication's totals,
-    // so no per-frame record is ever built.
     runner.run_indexed_streaming(
-        subset,
-        |point_ctx, point: &OperatingPoint| {
-            let scenario = ctx.scenario_for(point)?;
-            let samples: Vec<RepSample> = ctx
-                .testbed()
-                .point_totals(
-                    &scenario,
-                    point_ctx.seed,
-                    replications,
-                    ctx.frames_for(point),
-                )?
-                .into_iter()
-                .map(|totals| RepSample::of(&totals))
-                .collect();
-            check_finite_samples(point_ctx.index, &samples)?;
-            // The model prediction and the contention snapshot are
-            // deterministic per point.
-            let report = ctx.proposed().analyze(&scenario)?;
-            let contention =
-                ctx.testbed()
-                    .contention_snapshot(&scenario)?
-                    .map_or((0.0, 0.0), |snapshot| {
-                        (
-                            snapshot.utilization(),
-                            snapshot.mean_contention_delay().as_f64() * 1e3,
-                        )
-                    });
-            Ok(PointSamples {
-                samples,
-                proposed: (report.latency_ms().as_f64(), report.energy_mj().as_f64()),
-                contention,
-            })
+        items,
+        |point_ctx, item| {
+            let point = point_of(point_ctx.index, item)?;
+            evaluate_point(ctx, point, point_ctx, replications)
         },
-        emit,
+        sink,
     )
+}
+
+/// Evaluates one operating point into its row, on the calling worker. The
+/// point is the work item: the testbed evaluates all its replications in
+/// one fused run into the worker's reused totals buffer, so no per-frame
+/// record is ever built, and the replications are aggregated here.
+fn evaluate_point(
+    ctx: &ExperimentContext,
+    point: OperatingPoint,
+    point_ctx: PointContext,
+    replications: usize,
+) -> Result<CampaignRow> {
+    let scenario = ctx.scenario_for(&point)?;
+    let frames_per_session = ctx.frames_for(&point);
+    POINT_BUFFERS.with_borrow_mut(|buffers| {
+        let PointBuffers {
+            totals,
+            latencies,
+            energies,
+        } = buffers;
+        ctx.testbed().point_totals(
+            &scenario,
+            point_ctx.seed,
+            replications,
+            frames_per_session,
+            totals,
+        )?;
+        latencies.clear();
+        latencies.extend(totals.iter().map(|t| t.mean_latency().as_f64() * 1e3));
+        energies.clear();
+        energies.extend(totals.iter().map(|t| t.mean_energy().as_f64() * 1e3));
+        check_finite_samples(point_ctx.index, latencies, energies)?;
+        // The model prediction and the contention snapshot are
+        // deterministic per point. Rows need no AoI, so the model predicts
+        // latency and energy only.
+        let (latency, energy) = ctx.proposed().predict(&scenario)?;
+        let (edge_utilization, gt_contention_ms_mean) = ctx
+            .testbed()
+            .contention_snapshot(&scenario)?
+            .map_or((0.0, 0.0), |snapshot| {
+                (
+                    snapshot.utilization(),
+                    snapshot.mean_contention_delay().as_f64() * 1e3,
+                )
+            });
+        let n = totals.len() as f64;
+        Ok(CampaignRow {
+            point,
+            frames_per_session,
+            replications: totals.len(),
+            gt_latency_ms: ReplicateStats::of(latencies),
+            gt_energy_mj: ReplicateStats::of(energies),
+            gt_handoff_rate: totals.iter().map(SessionTotals::handoff_rate).sum::<f64>() / n,
+            gt_migration_ms_mean: totals
+                .iter()
+                .map(|t| t.mean_migration_latency().as_f64() * 1e3)
+                .sum::<f64>()
+                / n,
+            sites_visited: totals
+                .iter()
+                .map(SessionTotals::sites_visited)
+                .max()
+                .unwrap_or(1),
+            edge_utilization,
+            gt_contention_ms_mean,
+            proposed_latency_ms: latency.total().to_millis().as_f64(),
+            proposed_energy_mj: energy.total().to_millijoules().as_f64(),
+        })
+    })
 }
 
 /// Streams a campaign over `grid` into `out` as CSV text: the header line,
@@ -617,32 +624,21 @@ mod tests {
 
     #[test]
     fn non_finite_samples_fail_with_the_point_index() {
-        let sample = RepSample {
-            latency_ms: 12.5,
-            energy_mj: 3.0,
-            handoff_rate: 0.0,
-            migration_ms: 0.0,
-            sites_visited: 1,
-        };
-        assert_eq!(check_finite_samples(7, &[sample, sample]), Ok(()));
+        assert_eq!(check_finite_samples(7, &[12.5, 12.5], &[3.0, 3.0]), Ok(()));
         let cases = [
             (
-                RepSample {
-                    latency_ms: f64::NAN,
-                    ..sample
-                },
+                [12.5, f64::NAN, 12.5],
+                [3.0; 3],
                 "point 41 replication 1 latency_ms",
             ),
             (
-                RepSample {
-                    energy_mj: f64::INFINITY,
-                    ..sample
-                },
+                [12.5; 3],
+                [3.0, f64::INFINITY, 3.0],
                 "point 41 replication 1 energy_mj",
             ),
         ];
-        for (bad, name) in cases {
-            match check_finite_samples(41, &[sample, bad, sample]) {
+        for (latencies, energies, name) in cases {
+            match check_finite_samples(41, &latencies, &energies) {
                 Err(Error::InvalidParameter { name: got, .. }) => assert_eq!(got, name),
                 other => panic!("expected an invalid-parameter error, got {other:?}"),
             }

@@ -110,12 +110,11 @@ pub fn run_campaign_shard_with_progress(
     checkpoint_every: usize,
     progress: bool,
 ) -> Result<ShardRunReport> {
-    let points = grid.points()?;
-    let total = points.len();
+    let total = grid.indices()?.len();
     let owned: Vec<(usize, OperatingPoint)> = shard
         .owned_indices(total)
-        .map(|p| (p, points[p].clone()))
-        .collect();
+        .map(|p| Ok((p, grid.point(p)?)))
+        .collect::<Result<_>>()?;
     let mut checkpoint = ShardCheckpoint::open(
         checkpoint_path(csv_path),
         CheckpointHeader {

@@ -454,63 +454,84 @@ impl SweepGrid {
         mix(h, self.replications as u64)
     }
 
-    /// Enumerates every operating point in the grid's canonical order.
+    /// The index of every operating point, in the grid's canonical order:
+    /// `0..len()`.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidParameter`] when an axis is empty — an empty
     /// campaign is almost always a configuration bug, so it is rejected
     /// loudly instead of silently producing zero rows.
-    pub fn points(&self) -> Result<Vec<OperatingPoint>> {
+    pub fn indices(&self) -> Result<std::ops::Range<usize>> {
         if self.is_empty() {
             return Err(Error::invalid_parameter(
                 "grid",
                 "every sweep axis needs at least one value",
             ));
         }
-        let mut points = Vec::with_capacity(self.len());
-        let mut index = 0usize;
-        for &topology in &self.topologies {
-            for &site_density in &self.site_densities {
-                for &migration_policy in &self.migration_policies {
-                    for &users_per_edge in &self.users_per_edge {
-                        for &frame_rate_hz in &self.frame_rates {
-                            for &frames_per_session in &self.frames_per_session {
-                                for device in &self.devices {
-                                    for wireless in &self.wireless {
-                                        for mobility in &self.mobility {
-                                            for &execution in &self.executions {
-                                                for &clock in &self.cpu_clocks {
-                                                    for &size in &self.frame_sizes {
-                                                        points.push(OperatingPoint {
-                                                            index,
-                                                            frame_size: size,
-                                                            cpu_clock_ghz: clock,
-                                                            execution,
-                                                            device: device.clone(),
-                                                            wireless: wireless.clone(),
-                                                            mobility: mobility.clone(),
-                                                            frames_per_session,
-                                                            users_per_edge,
-                                                            frame_rate_hz,
-                                                            topology,
-                                                            site_density,
-                                                            migration_policy,
-                                                        });
-                                                        index += 1;
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        Ok(0..self.len())
+    }
+
+    /// The operating point at `index` in the grid's canonical order (entry
+    /// `index` of [`SweepGrid::points`]), built alone. The index is read
+    /// as a mixed-radix number whose fastest digit is the frame size, then
+    /// the CPU clock, execution, mobility, wireless condition, device,
+    /// frames per session, frame rate, edge population, migration policy,
+    /// site density and, slowest, the topology.
+    ///
+    /// # Errors
+    ///
+    /// As [`SweepGrid::indices`], and [`Error::InvalidParameter`] when
+    /// `index` is not below [`SweepGrid::len`].
+    pub fn point(&self, index: usize) -> Result<OperatingPoint> {
+        if !self.indices()?.contains(&index) {
+            return Err(Error::invalid_parameter(
+                "index",
+                format!("point {index} is outside a grid of {} points", self.len()),
+            ));
         }
-        Ok(points)
+        let mut rest = index;
+        let mut digit = |radix: usize| {
+            let d = rest % radix;
+            rest /= radix;
+            d
+        };
+        let frame_size = self.frame_sizes[digit(self.frame_sizes.len())];
+        let cpu_clock_ghz = self.cpu_clocks[digit(self.cpu_clocks.len())];
+        let execution = self.executions[digit(self.executions.len())];
+        let mobility = &self.mobility[digit(self.mobility.len())];
+        let wireless = &self.wireless[digit(self.wireless.len())];
+        let device = &self.devices[digit(self.devices.len())];
+        let frames_per_session = self.frames_per_session[digit(self.frames_per_session.len())];
+        let frame_rate_hz = self.frame_rates[digit(self.frame_rates.len())];
+        let users_per_edge = self.users_per_edge[digit(self.users_per_edge.len())];
+        let migration_policy = self.migration_policies[digit(self.migration_policies.len())];
+        let site_density = self.site_densities[digit(self.site_densities.len())];
+        let topology = self.topologies[digit(self.topologies.len())];
+        Ok(OperatingPoint {
+            index,
+            frame_size,
+            cpu_clock_ghz,
+            execution,
+            device: device.clone(),
+            wireless: wireless.clone(),
+            mobility: mobility.clone(),
+            frames_per_session,
+            users_per_edge,
+            frame_rate_hz,
+            topology,
+            site_density,
+            migration_policy,
+        })
+    }
+
+    /// Enumerates every operating point in the grid's canonical order.
+    ///
+    /// # Errors
+    ///
+    /// As [`SweepGrid::indices`].
+    pub fn points(&self) -> Result<Vec<OperatingPoint>> {
+        self.indices()?.map(|index| self.point(index)).collect()
     }
 }
 
@@ -569,8 +590,80 @@ mod tests {
         let grid = SweepGrid::paper_panel(ExecutionTarget::Local).with_frame_sizes([]);
         assert!(grid.is_empty());
         assert!(grid.points().is_err());
+        assert!(grid.indices().is_err());
+        assert!(grid.point(0).is_err());
         let grid = SweepGrid::paper_panel(ExecutionTarget::Local).with_mobility(vec![]);
         assert!(grid.points().is_err());
+    }
+
+    #[test]
+    fn point_decodes_the_nested_enumeration_order() {
+        let grid = SweepGrid::paper_panel(ExecutionTarget::Local)
+            .with_frame_sizes([300.0, 500.0])
+            .with_cpu_clocks([1.0, 3.0])
+            .with_executions([ExecutionTarget::Local, ExecutionTarget::Remote])
+            .with_devices(vec!["XR1".into(), "XR2".into()])
+            .with_wireless(vec![
+                WirelessCondition::baseline(),
+                WirelessCondition::new("far", Some(60.0), None),
+            ])
+            .with_mobility(vec![
+                MobilityCondition::static_device(),
+                MobilityCondition::new("walk", 1.4, 20.0),
+            ])
+            .with_frames_per_session([10, 20])
+            .with_frame_rates([5.0, 30.0])
+            .with_users_per_edge([1, 4])
+            .with_migration_policies([MigrationPolicy::Eager, MigrationPolicy::Lazy])
+            .with_site_densities([400.0, 1600.0])
+            .with_topologies([TopologyLayout::Square, TopologyLayout::Hex]);
+        assert_eq!(grid.indices().unwrap(), 0..4096);
+        // The canonical order as a loop nest, outermost axis first.
+        let mut nested = Vec::new();
+        for &topology in &grid.topologies {
+            for &site_density in &grid.site_densities {
+                for &migration_policy in &grid.migration_policies {
+                    for &users_per_edge in &grid.users_per_edge {
+                        for &frame_rate_hz in &grid.frame_rates {
+                            for &frames_per_session in &grid.frames_per_session {
+                                for device in &grid.devices {
+                                    for wireless in &grid.wireless {
+                                        for mobility in &grid.mobility {
+                                            for &execution in &grid.executions {
+                                                for &clock in &grid.cpu_clocks {
+                                                    for &size in &grid.frame_sizes {
+                                                        nested.push(OperatingPoint {
+                                                            index: nested.len(),
+                                                            frame_size: size,
+                                                            cpu_clock_ghz: clock,
+                                                            execution,
+                                                            device: device.clone(),
+                                                            wireless: wireless.clone(),
+                                                            mobility: mobility.clone(),
+                                                            frames_per_session,
+                                                            users_per_edge,
+                                                            frame_rate_hz,
+                                                            topology,
+                                                            site_density,
+                                                            migration_policy,
+                                                        });
+                                                    }
+                                                }
+                                            }
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(grid.points().unwrap(), nested);
+        for (index, point) in nested.iter().enumerate() {
+            assert_eq!(&grid.point(index).unwrap(), point);
+        }
+        assert!(grid.point(4096).is_err());
     }
 
     #[test]

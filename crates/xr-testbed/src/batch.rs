@@ -87,13 +87,15 @@
 //! nowhere else.
 //!
 //! All column storage (`FrameBatch`, `DrawColumns`, the walker's
-//! per-frame events) is allocated once per worker thread and reused by
-//! every driver call on it and across batches — the steady-state frame
-//! loop performs **no** per-frame heap allocation, and a point grows the
-//! columns only when it needs more lanes than every earlier one on its
-//! thread. Each driver call starts by re-zeroing every latency column, so
-//! a stage that is gated off for one point reads zeros, never an earlier
-//! point's values.
+//! per-frame events) and a point's set-up (its session seeds, session
+//! states and the vectors of the hoisted constants) are allocated once
+//! per worker thread and reused by every driver call on it and across
+//! batches — the steady-state frame loop performs **no** per-frame heap
+//! allocation, and a point grows the storage only when it needs more
+//! than every earlier one on its thread. Each driver call refills the
+//! set-up and starts by re-zeroing every latency column, so a stage that
+//! is gated off for one point reads zeros, never an earlier point's
+//! values.
 //!
 //! Bit-identity with the scalar reference
 //! ([`TestbedSimulator::simulate_session_scalar`]) is pinned by unit tests
@@ -164,7 +166,10 @@ impl Default for SimulationEngine {
 /// base latency of every stage (the scalar pipeline recomputes these per
 /// frame), the contended edge stage's sampling plans (one per serving
 /// site), the per-segment power levels and Eq. 1 inclusion flags of the
-/// finalizer, and the handoff-stage mobility parameters.
+/// finalizer, and the handoff-stage mobility parameters. The per-worker
+/// [`Scratch`] holds one, refilled by every driver call; its `Default` is
+/// the empty storage before the first.
+#[derive(Default)]
 struct BatchConsts {
     noise: Option<Normal>,
     // Stage 1 — generate.
@@ -189,8 +194,9 @@ struct BatchConsts {
     // (one entry, for site 0, without a topology; empty keeps the
     // private-edge path).
     contention: Vec<ContentionPlan>,
-    // Stage 7 — handoff. `map` is the map every replication walks (`None`
-    // for a static device without a topology), built once per point.
+    // Stage 7 — handoff. `map` is the map every replication attaches to
+    // (`None` for a session without a topology that does not walk), built
+    // once per point.
     mobile: bool,
     window: Seconds,
     handoff_base: Seconds,
@@ -222,16 +228,24 @@ struct BatchConsts {
 impl BatchConsts {
     /// Hoists the constants once for every session of one driver call:
     /// `session_seeds[r]` is the session seed of fused replication `r`.
-    /// Everything outside `stage_bases` is a pure function of
-    /// `(simulator, scenario)` — including the contention-plan
-    /// construction, so its errors (e.g. `UnstableQueue`) do not depend on
-    /// the seeds, and a point refuses exactly as each of its sessions run
-    /// alone would.
-    fn for_seeds(
+    /// Every field is rewritten (one struct literal); the vectors keep
+    /// their capacity from the worker's earlier calls. Everything outside
+    /// `stage_bases` is a pure function of `(simulator, scenario)` —
+    /// including the contention-plan construction, so its errors (e.g.
+    /// `UnstableQueue`) do not depend on the seeds, and a point refuses
+    /// exactly as each of its sessions run alone would.
+    fn refill(
+        &mut self,
         simulator: &TestbedSimulator,
         scenario: &Scenario,
         session_seeds: &[u64],
-    ) -> Result<Self> {
+    ) -> Result<()> {
+        // Each reused vector is taken, cleared and refilled.
+        fn reuse<T>(vector: &mut Vec<T>) -> Vec<T> {
+            let mut vector = std::mem::take(vector);
+            vector.clear();
+            vector
+        }
         let client = &scenario.client;
         let bias = DeviceBias::for_device(&client.name);
         let c_true = simulator.laws.compute_resource(
@@ -250,18 +264,20 @@ impl BatchConsts {
 
         let mu = scenario.buffer.service_rate;
         let frame_rate = frame.frame_rate.as_f64();
-        let flows = [
-            scenario.buffer.frame_arrival_rate.unwrap_or(frame_rate),
-            scenario
-                .buffer
-                .volumetric_arrival_rate
-                .unwrap_or(frame_rate),
-            scenario.external_arrival_rate(),
-        ]
-        .into_iter()
-        .filter(|&lambda| lambda > 0.0 && lambda < mu)
-        .map(|lambda| Exp::new(mu - lambda).expect("positive rate"))
-        .collect();
+        let mut flows = reuse(&mut self.flows);
+        flows.extend(
+            [
+                scenario.buffer.frame_arrival_rate.unwrap_or(frame_rate),
+                scenario
+                    .buffer
+                    .volumetric_arrival_rate
+                    .unwrap_or(frame_rate),
+                scenario.external_arrival_rate(),
+            ]
+            .into_iter()
+            .filter(|&lambda| lambda > 0.0 && lambda < mu)
+            .map(|lambda| Exp::new(mu - lambda).expect("positive rate")),
+        );
 
         let encode_work = simulator
             .laws
@@ -269,7 +285,7 @@ impl BatchConsts {
         let local_complexity = simulator.laws.cnn_complexity(&scenario.local_cnn);
         let remote_complexity = simulator.laws.cnn_complexity(&scenario.remote_cnn);
 
-        let mut edges = Vec::new();
+        let mut edges = reuse(&mut self.edges);
         if uses_edge && !scenario.edge_servers.is_empty() {
             let total_share: f64 = scenario.edge_servers.iter().map(|srv| srv.task_share).sum();
             for (i, server) in scenario.edge_servers.iter().enumerate() {
@@ -295,7 +311,7 @@ impl BatchConsts {
             }
         }
 
-        let mobile = uses_edge && scenario.mobility.speed.as_f64() > 0.0;
+        let mobile = SessionState::walks(scenario);
         let window = scenario.frame_window();
         let handoff_base = match scenario.mobility.handoff_kind {
             HandoffKind::Horizontal => Seconds::new(0.065),
@@ -331,18 +347,28 @@ impl BatchConsts {
                 TestbedSimulator::segment_included(scenario, segment, uses_local, uses_edge);
         }
 
-        Ok(Self {
+        let mut sensors = reuse(&mut self.sensors);
+        sensors.extend(
+            scenario
+                .sensors
+                .iter()
+                .map(|s| (s.generation_frequency.period(), s.distance / SPEED_OF_LIGHT)),
+        );
+        let mut stage_bases = reuse(&mut self.stage_bases);
+        stage_bases.extend(
+            session_seeds
+                .iter()
+                .map(|&seed| std::array::from_fn(|stage| xr_types::seed::mix(seed, stage as u64))),
+        );
+
+        *self = Self {
             noise: (simulator.noise_sigma > 0.0)
                 .then(|| Normal::new(0.0, simulator.noise_sigma).expect("valid sigma")),
             generation_base: frame.frame_rate.period()
                 + ms(frame.raw_size.as_f64(), c_true)
                 + frame.raw_data / memory,
             volumetric_base: ms(frame.scene_size.as_f64(), c_true) + frame.volumetric_data / memory,
-            sensors: scenario
-                .sensors
-                .iter()
-                .map(|s| (s.generation_frequency.period(), s.distance / SPEED_OF_LIGHT))
-                .collect(),
+            sensors,
             updates_per_frame: scenario.updates_per_frame,
             flows,
             conversion_base: uses_local
@@ -367,11 +393,9 @@ impl BatchConsts {
             segment_power,
             segment_included,
             segment_is_compute,
-            stage_bases: session_seeds
-                .iter()
-                .map(|&seed| std::array::from_fn(|stage| xr_types::seed::mix(seed, stage as u64)))
-                .collect(),
-        })
+            stage_bases,
+        };
+        Ok(())
     }
 
     /// `mix(session_seed, stage)` of fused replication `rep`.
@@ -655,22 +679,75 @@ impl FrameBatch {
     }
 }
 
+/// The engine's per-worker storage: every driver call on the thread
+/// reuses it, so a campaign allocates its columns and point set-up once
+/// per worker instead of once per point. Each call rewrites what it reads
+/// before reading it: the seeds and sessions are cleared and refilled,
+/// [`BatchConsts::refill`] rewrites every constant, and
+/// [`FrameBatch::begin_call`] empties the latency columns.
+struct Scratch {
+    batch: FrameBatch,
+    draws: DrawColumns,
+    /// The session seed of each replication of the current call.
+    seeds: Vec<u64>,
+    /// The session state of each replication of the current call.
+    sessions: Vec<SessionState>,
+    /// The current call's hoisted constants.
+    consts: BatchConsts,
+}
+
 thread_local! {
-    /// The engine's column storage, one per worker thread: every driver
-    /// call on the thread reuses it, so a campaign allocates its batch and
-    /// draw columns once per worker instead of once per point.
-    static SCRATCH: RefCell<(FrameBatch, DrawColumns)> =
-        RefCell::new((FrameBatch::new(), DrawColumns::new()));
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
+        batch: FrameBatch::new(),
+        draws: DrawColumns::new(),
+        seeds: Vec::new(),
+        sessions: Vec::new(),
+        consts: BatchConsts::default(),
+    });
+}
+
+/// The sessions one driver call runs.
+#[derive(Debug, Clone, Copy)]
+enum SessionSeeds {
+    /// One session under this seed.
+    One(u64),
+    /// All `reps` replications of the point under this point seed: seeds
+    /// `mix(point_seed, r)` for `r` in `0..reps`.
+    Point { point_seed: u64, reps: usize },
+}
+
+impl SessionSeeds {
+    /// Writes the session seeds into `seeds`, replacing its contents.
+    fn fill(self, seeds: &mut Vec<u64>) -> Result<()> {
+        seeds.clear();
+        match self {
+            SessionSeeds::One(seed) => seeds.push(seed),
+            SessionSeeds::Point { point_seed, reps } => {
+                if reps == 0 {
+                    return Err(xr_types::Error::invalid_parameter(
+                        "reps",
+                        "must be at least 1",
+                    ));
+                }
+                seeds.try_reserve_exact(reps).map_err(|_| {
+                    xr_types::Error::invalid_parameter(
+                        "reps",
+                        format!("{reps} replications do not fit in memory"),
+                    )
+                })?;
+                seeds.extend((0..reps as u64).map(|rep| xr_types::seed::mix(point_seed, rep)));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// What the driver builds for one replication out of its finalized frames:
-/// the full per-frame record (`Vec<GroundTruthFrame>`, for
+/// the full [`GroundTruthSession`] (for
 /// [`TestbedSimulator::simulate_session`] and
 /// [`TestbedSimulator::simulate_point`]) or the campaign's running
 /// [`SessionTotals`] (for [`TestbedSimulator::point_totals`]).
 trait RepOutput: Sized {
-    /// What one replication becomes once its last frame is in.
-    type Session;
     /// Whether the output reads every segment's latency column. When it
     /// does not, it reads only the Eq. 1 totals, so a stage whose segment
     /// the scenario leaves out of them can skip its column fill.
@@ -682,17 +759,20 @@ trait RepOutput: Sized {
     /// contiguous segment, in frame order.
     fn take(&mut self, k: &BatchConsts, b: &FrameBatch, lanes: Range<usize>);
     /// Closes the replication with its session-scoped state.
-    fn finish(self, session: &SessionState) -> Self::Session;
+    fn finish(&mut self, session: &SessionState);
     /// The same result from the scalar reference engine's session.
-    fn of_scalar(session: GroundTruthSession) -> Self::Session;
+    fn of_scalar(session: GroundTruthSession) -> Self;
 }
 
-impl RepOutput for Vec<GroundTruthFrame> {
-    type Session = GroundTruthSession;
+impl RepOutput for GroundTruthSession {
     const READS_EVERY_SEGMENT: bool = true;
 
     fn new(frames: u64) -> Result<Self> {
-        frame_buffer(frames)
+        Ok(GroundTruthSession {
+            frames: frame_buffer(frames)?,
+            migration_time: Seconds::ZERO,
+            sites_visited: 1,
+        })
     }
 
     /// Copies each lane's slots into a [`GroundTruthFrame`]. The segment
@@ -702,7 +782,7 @@ impl RepOutput for Vec<GroundTruthFrame> {
         for i in lanes {
             let latency: [Seconds; Segment::ALL.len()] =
                 std::array::from_fn(|slot| b.latency[slot][i]);
-            self.push(GroundTruthFrame {
+            self.frames.push(GroundTruthFrame {
                 latency,
                 total_latency: b.totals[i],
                 energy: std::array::from_fn(|slot| k.segment_power[slot] * latency[slot]),
@@ -712,12 +792,9 @@ impl RepOutput for Vec<GroundTruthFrame> {
         }
     }
 
-    fn finish(self, session: &SessionState) -> GroundTruthSession {
-        GroundTruthSession {
-            frames: self,
-            migration_time: session.migration_time,
-            sites_visited: session.sites_visited(),
-        }
+    fn finish(&mut self, session: &SessionState) {
+        self.migration_time = session.migration_time;
+        self.sites_visited = session.sites_visited();
     }
 
     fn of_scalar(session: GroundTruthSession) -> GroundTruthSession {
@@ -726,7 +803,6 @@ impl RepOutput for Vec<GroundTruthFrame> {
 }
 
 impl RepOutput for SessionTotals {
-    type Session = SessionTotals;
     const READS_EVERY_SEGMENT: bool = false;
 
     fn new(_frames: u64) -> Result<Self> {
@@ -739,10 +815,9 @@ impl RepOutput for SessionTotals {
         }
     }
 
-    fn finish(mut self, session: &SessionState) -> SessionTotals {
+    fn finish(&mut self, session: &SessionState) {
         self.migration_time = session.migration_time;
         self.sites_visited = session.sites_visited();
-        self
     }
 
     fn of_scalar(session: GroundTruthSession) -> SessionTotals {
@@ -764,11 +839,13 @@ impl TestbedSimulator {
     ///
     /// Returns scenario-validation errors; `frames` must be at least 1.
     pub fn simulate_session(&self, scenario: &Scenario, frames: u64) -> Result<GroundTruthSession> {
-        let mut sessions = self.run_sessions::<Vec<GroundTruthFrame>>(
+        let mut sessions = Vec::with_capacity(1);
+        self.run_sessions(
             scenario,
-            &[self.seed],
+            SessionSeeds::One(self.seed),
             frames,
             simd_pass(),
+            &mut sessions,
         )?;
         Ok(sessions.pop().expect("one seed runs one session"))
     }
@@ -867,13 +944,22 @@ impl TestbedSimulator {
         reps: usize,
         frames: u64,
     ) -> Result<Vec<GroundTruthSession>> {
-        let seeds = rep_seeds(point_seed, reps)?;
-        self.run_sessions::<Vec<GroundTruthFrame>>(scenario, &seeds, frames, simd_pass())
+        let mut sessions = Vec::new();
+        self.run_sessions(
+            scenario,
+            SessionSeeds::Point { point_seed, reps },
+            frames,
+            simd_pass(),
+            &mut sessions,
+        )?;
+        Ok(sessions)
     }
 
     /// Evaluates all `reps` replications of one operating point — the
-    /// replicated unit of work of a campaign — and returns each
-    /// replication's [`SessionTotals`], in replication order. Replication
+    /// replicated unit of work of a campaign — and writes each
+    /// replication's [`SessionTotals`] into `totals`, in replication order,
+    /// replacing its contents (a campaign worker passes the same buffer for
+    /// every point). Replication
     /// `r` runs under session seed `mix(point_seed, r)` (what
     /// `xr_sweep::replication_seed` derives), and its totals are
     /// **bit-identical to** `SessionTotals::of` a standalone
@@ -896,75 +982,92 @@ impl TestbedSimulator {
     ///
     /// Returns scenario-validation and model errors (identical on both
     /// engines — every fallible hoist is seed-independent); `reps` and
-    /// `frames` must each be at least 1.
+    /// `frames` must each be at least 1. On an error the contents of
+    /// `totals` are unspecified.
     pub fn point_totals(
         &self,
         scenario: &Scenario,
         point_seed: u64,
         reps: usize,
         frames: u64,
-    ) -> Result<Vec<SessionTotals>> {
-        let seeds = rep_seeds(point_seed, reps)?;
-        self.run_sessions::<SessionTotals>(scenario, &seeds, frames, simd_pass())
+        totals: &mut Vec<SessionTotals>,
+    ) -> Result<()> {
+        self.run_sessions(
+            scenario,
+            SessionSeeds::Point { point_seed, reps },
+            frames,
+            simd_pass(),
+            totals,
+        )
     }
 
     /// The one session driver: runs a session of `frames` frames under
-    /// each of `seeds` on the configured [`SimulationEngine`] and returns
-    /// their outputs in seed order. The scalar reference runs the seeds
-    /// one after another; the batched engine runs them all fused, the
-    /// `width` lanes of each pass split evenly across the seeds so a pass
-    /// touches about as much column memory as one session would. `simd`
-    /// picks the build of [`TestbedSimulator::batch_pass`].
+    /// each of `seeds` on the configured [`SimulationEngine`] and writes
+    /// their outputs into `outs` in seed order, replacing its contents.
+    /// The scalar reference runs the seeds one after another; the batched
+    /// engine runs them all fused, the `width` lanes of each pass split
+    /// evenly across the seeds so a pass touches about as much column
+    /// memory as one session would. `simd` picks the build of
+    /// [`TestbedSimulator::batch_pass`]. The seeds, session states and
+    /// constants live in the worker's [`Scratch`].
     fn run_sessions<O: RepOutput>(
         &self,
         scenario: &Scenario,
-        seeds: &[u64],
+        seeds: SessionSeeds,
         frames: u64,
         simd: bool,
-    ) -> Result<Vec<O::Session>> {
-        let width = match self.engine() {
-            SimulationEngine::Scalar => {
-                return seeds
-                    .iter()
-                    .map(|&seed| {
+        outs: &mut Vec<O>,
+    ) -> Result<()> {
+        outs.clear();
+        SCRATCH.with_borrow_mut(|scratch| {
+            let Scratch {
+                batch,
+                draws,
+                seeds: seed_list,
+                sessions,
+                consts,
+            } = scratch;
+            seeds.fill(seed_list)?;
+            let width = match self.engine() {
+                SimulationEngine::Scalar => {
+                    for &seed in seed_list.iter() {
                         let session = self
                             .reseeded(seed)
                             .simulate_session_scalar(scenario, frames)?;
-                        Ok(O::of_scalar(session))
-                    })
-                    .collect();
+                        outs.push(O::of_scalar(session));
+                    }
+                    return Ok(());
+                }
+                SimulationEngine::Batched { width } => width.max(1),
+            };
+            check_frames(frames)?;
+            scenario.validate()?;
+            // Outputs first, so a session too long to record fails as on
+            // the scalar engine, before any model error.
+            for _ in seed_list.iter() {
+                outs.push(O::new(frames)?);
             }
-            SimulationEngine::Batched { width } => width.max(1),
-        };
-        check_frames(frames)?;
-        scenario.validate()?;
-        // Outputs first, so a session too long to record fails as on the
-        // scalar engine, before any model error.
-        let mut outs = seeds
-            .iter()
-            .map(|_| O::new(frames))
-            .collect::<Result<Vec<O>>>()?;
-        let consts = BatchConsts::for_seeds(self, scenario, seeds)?;
-        let mut sessions: Vec<SessionState> = seeds
-            .iter()
-            .map(|&seed| SessionState::on_map(seed, scenario, consts.map.as_ref()))
-            .collect();
-        let per_rep_width = (width / seeds.len()).max(1) as u64;
-        SCRATCH.with_borrow_mut(|(batch, draws)| {
+            consts.refill(self, scenario, seed_list)?;
+            sessions.clear();
+            sessions.extend(
+                seed_list
+                    .iter()
+                    .map(|&seed| SessionState::on_map(seed, scenario, consts.map.as_ref())),
+            );
+            let per_rep_width = (width / seed_list.len()).max(1) as u64;
             batch.begin_call();
             let mut first = 1u64;
             while first <= frames {
                 let per_rep = per_rep_width.min(frames - first + 1) as usize;
-                batch.reset(first, per_rep, seeds.len());
-                self.batch_pass(simd, &consts, batch, draws, &mut sessions, &mut outs);
+                batch.reset(first, per_rep, seed_list.len());
+                self.batch_pass(simd, consts, batch, draws, sessions, outs);
                 first += per_rep as u64;
             }
-        });
-        Ok(sessions
-            .iter()
-            .zip(outs)
-            .map(|(session, out)| out.finish(session))
-            .collect())
+            for (out, session) in outs.iter_mut().zip(sessions.iter()) {
+                out.finish(session);
+            }
+            Ok(())
+        })
     }
 
     /// The walk pre-pass — the one sequential scan: advance each moving
@@ -1360,26 +1463,6 @@ impl TestbedSimulator {
     }
 }
 
-/// The session seeds of a point's replications: `mix(point_seed, r)` for
-/// `r` in `0..reps`.
-fn rep_seeds(point_seed: u64, reps: usize) -> Result<Vec<u64>> {
-    if reps == 0 {
-        return Err(xr_types::Error::invalid_parameter(
-            "reps",
-            "must be at least 1",
-        ));
-    }
-    let mut seeds = Vec::new();
-    seeds.try_reserve_exact(reps).map_err(|_| {
-        xr_types::Error::invalid_parameter(
-            "reps",
-            format!("{reps} replications do not fit in memory"),
-        )
-    })?;
-    seeds.extend((0..reps as u64).map(|rep| xr_types::seed::mix(point_seed, rep)));
-    Ok(seeds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1411,6 +1494,36 @@ mod tests {
         testbed
             .clone()
             .with_engine(SimulationEngine::Batched { width })
+    }
+
+    /// The driver's outputs for `seeds` on one build of the batch pass.
+    fn run<O: RepOutput>(
+        testbed: &TestbedSimulator,
+        s: &Scenario,
+        seeds: SessionSeeds,
+        frames: u64,
+        simd: bool,
+    ) -> Vec<O> {
+        let mut outs = Vec::new();
+        testbed
+            .run_sessions(s, seeds, frames, simd, &mut outs)
+            .unwrap();
+        outs
+    }
+
+    /// [`TestbedSimulator::point_totals`] into a fresh buffer.
+    fn totals_of(
+        testbed: &TestbedSimulator,
+        s: &Scenario,
+        point_seed: u64,
+        reps: usize,
+        frames: u64,
+    ) -> Vec<SessionTotals> {
+        let mut totals = Vec::new();
+        testbed
+            .point_totals(s, point_seed, reps, frames, &mut totals)
+            .unwrap();
+        totals
     }
 
     #[test]
@@ -1803,7 +1916,10 @@ mod tests {
             // Neither count fits in the address space, so both fail before
             // any allocation or frame.
             for reps in [usize::MAX, 1 << 61] {
-                names(testbed.point_totals(&s, 1, reps, 20), "reps");
+                names(
+                    testbed.point_totals(&s, 1, reps, 20, &mut Vec::new()),
+                    "reps",
+                );
                 names(testbed.simulate_point(&s, 1, reps, 20), "reps");
             }
             for frames in [u64::MAX, 1 << 60] {
@@ -1817,45 +1933,80 @@ mod tests {
     fn reused_scratch_cannot_leak_between_points() {
         use xr_types::{MigrationPolicy, TopologyLayout};
         // Consecutive points of different shapes on one thread share its
-        // column storage. The totals alone cannot show a leak (a gated-off
-        // stage's slot is left out of Eq. 1), so every point also runs as
-        // full sessions, which read every slot.
+        // column storage and its point set-up (seeds, session states, the
+        // hoisted constants), and every point's totals go into one reused
+        // buffer, as on a campaign worker. The totals alone cannot show a
+        // leak (a gated-off stage's slot is left out of Eq. 1), so every
+        // point also runs as full sessions, which read every slot. The
+        // shapes alternate replication counts, sensors, edge paths,
+        // walkers and contention plans, so each set-up vector both grows
+        // and shrinks; the refused point in the middle leaves the set-up
+        // half refilled.
         let (local, remote) = (ExecutionTarget::Local, ExecutionTarget::Remote);
         let split = ExecutionTarget::Split { client_share: 0.5 };
+        let mut no_sensors = scenario(400.0, 2.5, remote);
+        no_sensors.sensors.clear();
+        let mut saturated = scenario(400.0, 2.5, remote);
+        saturated.contention = Some(xr_core::ContentionConfig {
+            users_per_edge: 1_000_000,
+        });
         let points = [
             ("local", scenario(400.0, 2.5, local), 3, 20),
             ("remote", scenario(400.0, 2.5, remote), 3, 20),
-            ("split", scenario(400.0, 2.5, split), 3, 20),
+            ("split", scenario(400.0, 2.5, split), 6, 20),
             ("static", scenario(300.0, 1.0, remote), 3, 20),
             ("walk", mobile_scenario(1.4, 20.0), 3, 20),
-            ("vehicle", mobile_scenario(25.0, 10.0), 3, 20),
+            ("no sensors", no_sensors, 2, 20),
+            ("vehicle", mobile_scenario(25.0, 10.0), 5, 20),
             (
                 "contended topology",
                 topology_scenario(TopologyLayout::Hex, MigrationPolicy::Lazy, 1600.0, Some(3)),
                 3,
                 40,
             ),
+            ("saturated", saturated, 4, 20),
+            ("local after refusal", scenario(400.0, 2.5, local), 3, 20),
             ("long", scenario(500.0, 2.0, local), 1, 20_000),
             ("short", scenario(700.0, 3.0, remote), 3, 3),
         ];
         let testbed = TestbedSimulator::new(21);
         let scalar = testbed.clone().with_engine(SimulationEngine::Scalar);
-        let run = |testbed: &TestbedSimulator, s: &Scenario, reps: usize, frames: u64| {
-            (
-                testbed.point_totals(s, 8, reps, frames).unwrap(),
-                testbed.simulate_point(s, 8, reps, frames).unwrap(),
-            )
+        let mut reused_totals = vec![SessionTotals::empty(); 7];
+        let mut run = |testbed: &TestbedSimulator, s: &Scenario, reps: usize, frames: u64| {
+            let totals = testbed
+                .point_totals(s, 8, reps, frames, &mut reused_totals)
+                .map(|()| reused_totals.clone());
+            (totals, testbed.simulate_point(s, 8, reps, frames))
         };
         for (label, s, reps, frames) in &points {
             let reused = run(&testbed, s, *reps, *frames);
             let fresh = std::thread::scope(|scope| {
                 scope
-                    .spawn(|| run(&testbed, s, *reps, *frames))
+                    .spawn(|| {
+                        let totals = testbed
+                            .point_totals(s, 8, *reps, *frames, &mut Vec::new())
+                            .map(|()| totals_of(&testbed, s, 8, *reps, *frames));
+                        (totals, testbed.simulate_point(s, 8, *reps, *frames))
+                    })
                     .join()
                     .expect("fresh-thread run")
             });
-            assert_eq!(reused, run(&scalar, s, *reps, *frames), "{label}: scalar");
-            assert_eq!(reused, fresh, "{label}: fresh thread");
+            let oracle = run(&scalar, s, *reps, *frames);
+            assert_eq!(
+                reused.0.is_ok(),
+                *label != "saturated",
+                "{label}: only the saturated point is refused"
+            );
+            assert_eq!(
+                format!("{reused:?}"),
+                format!("{oracle:?}"),
+                "{label}: scalar"
+            );
+            assert_eq!(
+                format!("{reused:?}"),
+                format!("{fresh:?}"),
+                "{label}: fresh thread"
+            );
         }
     }
 
@@ -1888,9 +2039,7 @@ mod tests {
             .map(SessionTotals::of)
             .collect();
         for width in [64, 16] {
-            let totals = at_width(&testbed, width)
-                .point_totals(&s, 11, 4, 30)
-                .unwrap();
+            let totals = totals_of(&at_width(&testbed, width), &s, 11, 4, 30);
             assert_eq!(totals, expected, "width {width}");
         }
     }
@@ -1972,11 +2121,7 @@ mod tests {
                     SimulationEngine::Batched { width },
                     SimulationEngine::Scalar,
                 ] {
-                    let totals = testbed
-                        .clone()
-                        .with_engine(engine)
-                        .point_totals(&s, 19, 3, frames)
-                        .unwrap();
+                    let totals = totals_of(&testbed.clone().with_engine(engine), &s, 19, 3, frames);
                     assert_eq!(totals.len(), 3);
                     for (rep, (totals, session)) in totals.iter().zip(&reference).enumerate() {
                         let label = format!("{label} rep {rep}, {frames} frames, {engine:?}");
@@ -2035,29 +2180,27 @@ mod tests {
             let scalar = testbed.simulate_session_scalar(&s, 37).unwrap();
             let point_seed = xr_types::seed::mix(2024, 20);
             let reference = scalar_reference(testbed, &s, point_seed, 3, 20);
-            let seeds = rep_seeds(point_seed, 3).unwrap();
+            let seeds = SessionSeeds::Point {
+                point_seed,
+                reps: 3,
+            };
+            let one = SessionSeeds::One(testbed.seed);
             let (narrow, fused) = (at_width(testbed, 16), at_width(testbed, 64));
             for simd in [false, true] {
                 let build = if simd { "tier-compiled" } else { "baseline" };
-                let session = narrow
-                    .run_sessions::<Vec<GroundTruthFrame>>(&s, &[testbed.seed], 37, simd)
-                    .unwrap();
+                let session: Vec<GroundTruthSession> = run(&narrow, &s, one, 37, simd);
                 assert_eq!(
                     session,
                     std::slice::from_ref(&scalar),
                     "{label}: {build} session diverged"
                 );
-                let totals = narrow
-                    .run_sessions::<SessionTotals>(&s, &[testbed.seed], 37, simd)
-                    .unwrap();
+                let totals: Vec<SessionTotals> = run(&narrow, &s, one, 37, simd);
                 assert_eq!(
                     totals,
                     [SessionTotals::of(&scalar)],
                     "{label}: {build} totals diverged"
                 );
-                let point = fused
-                    .run_sessions::<Vec<GroundTruthFrame>>(&s, &seeds, 20, simd)
-                    .unwrap();
+                let point: Vec<GroundTruthSession> = run(&fused, &s, seeds, 20, simd);
                 assert_eq!(point, reference, "{label}: {build} fused point diverged");
             }
         }
@@ -2107,7 +2250,9 @@ mod tests {
         let frames = 300u64;
         let reps = 3;
         let point_seed = xr_types::seed::mix(2024, 25);
-        let seeds = rep_seeds(point_seed, reps).unwrap();
+        let point_seeds = SessionSeeds::Point { point_seed, reps };
+        let mut seeds = Vec::new();
+        point_seeds.fill(&mut seeds).unwrap();
         for layout in [TopologyLayout::Hex, TopologyLayout::Voronoi] {
             let s = topology_scenario(layout, MigrationPolicy::Lazy, 1600.0, Some(4));
             let map = TestbedSimulator::session_map(&s).unwrap();
@@ -2151,13 +2296,11 @@ mod tests {
                 let engine = at_width(&testbed, width);
                 for simd in [false, true] {
                     let label = format!("{layout:?} width {width} simd {simd}");
-                    let session = engine
-                        .run_sessions::<Vec<GroundTruthFrame>>(&s, &[testbed.seed], frames, simd)
-                        .unwrap();
+                    let session: Vec<GroundTruthSession> =
+                        run(&engine, &s, SessionSeeds::One(testbed.seed), frames, simd);
                     assert_eq!(session, std::slice::from_ref(&scalar), "{label}: session");
-                    let point = engine
-                        .run_sessions::<Vec<GroundTruthFrame>>(&s, &seeds, frames, simd)
-                        .unwrap();
+                    let point: Vec<GroundTruthSession> =
+                        run(&engine, &s, point_seeds, frames, simd);
                     assert_eq!(point, reference, "{label}: fused point");
                 }
             }

@@ -645,13 +645,14 @@ impl TestbedSimulator {
     }
 
     /// The map a session of `scenario` attaches to and walks: its
-    /// [`TestbedSimulator::edge_topology`], or, for a moving device without
-    /// one, the paper's single coverage zone as a one-site map (only its
-    /// geometry is read, so its link and tenants are placeholders). `None`
-    /// for a static device without a topology, which never walks.
+    /// [`TestbedSimulator::edge_topology`], or, for a walking session
+    /// without one, the paper's single coverage zone as a one-site map
+    /// (only its geometry is read, so its link and tenants are
+    /// placeholders). `None` for a session without a topology that never
+    /// walks.
     pub(crate) fn session_map(scenario: &Scenario) -> Option<EdgeTopology> {
         Self::edge_topology(scenario).or_else(|| {
-            (scenario.mobility.speed.as_f64() > 0.0).then(|| {
+            SessionState::walks(scenario).then(|| {
                 EdgeTopology::single(
                     CoverageZone::new(scenario.mobility.coverage_radius),
                     AccessTechnology::WiFi5GHz,
@@ -932,7 +933,7 @@ impl TestbedSimulator {
     /// a one-site map never migrates and never touches that stream). A
     /// static device, or one whose frames never reach the edge, pays none.
     fn stage_handoff(&self, s: &mut FrameState<'_>, session: &mut SessionState) {
-        let Some(walker) = session.walker.as_mut().filter(|_| s.uses_edge) else {
+        let Some(walker) = session.walker.as_mut() else {
             return;
         };
         let scenario = s.scenario;
@@ -1115,9 +1116,9 @@ pub(crate) fn check_frames(frames: u64) -> Result<()> {
 }
 
 /// Session-scoped simulation state threaded through the staged frame
-/// pipeline: the stateful mobility walker (present for a moving device),
-/// the start site of a static device on a multi-edge map, and the
-/// migration time paid so far.
+/// pipeline: the stateful mobility walker (present for a session that
+/// walks), the start site of any other session on a multi-edge map, and
+/// the migration time paid so far.
 #[derive(Debug, Clone)]
 pub struct SessionState {
     pub(crate) walker: Option<TopologyWalker>,
@@ -1128,14 +1129,15 @@ pub struct SessionState {
 }
 
 impl SessionState {
-    /// Session state for `scenario` under `simulator`: a moving device gets
-    /// a [`TopologyWalker`] over the scenario's site map, or over the
-    /// paper's single coverage zone as a one-site map when the scenario has
-    /// no topology. The walker draws from its own session-scoped
+    /// Session state for `scenario` under `simulator`: a session that
+    /// walks (its device moves and its frames reach the edge) gets a
+    /// [`TopologyWalker`] over the scenario's site map, or over the paper's
+    /// single coverage zone as a one-site map when the scenario has no
+    /// topology. The walker draws from its own session-scoped
     /// [`stream::WALKER`] stream (decorrelated from every per-frame
     /// measurement stream) and starts from a uniformly random position in
     /// its start site's coverage — the distribution the analytic `P(HO)`
-    /// assumes. A static topologized device still attaches to the map's
+    /// assumes. Any other topologized session still attaches to the map's
     /// start site.
     ///
     /// # Panics
@@ -1156,22 +1158,29 @@ impl SessionState {
     /// prebuilt [`TestbedSimulator::session_map`], so a point's
     /// replications share one map.
     pub(crate) fn on_map(seed: u64, scenario: &Scenario, map: Option<&EdgeTopology>) -> Self {
-        let walker = map
-            .filter(|_| scenario.mobility.speed.as_f64() > 0.0)
-            .map(|map| {
-                let mut walker = map.walker(
-                    scenario.mobility.speed,
-                    Seconds::new(0.1),
-                    stage_stream_seed(seed, stream::WALKER, 0),
-                );
-                walker.reset_uniform();
-                walker
-            });
+        let walker = map.filter(|_| Self::walks(scenario)).map(|map| {
+            let mut walker = map.walker(
+                scenario.mobility.speed,
+                Seconds::new(0.1),
+                stage_stream_seed(seed, stream::WALKER, 0),
+            );
+            walker.reset_uniform();
+            walker
+        });
         Self {
             walker,
             site: map.map_or(0, EdgeTopology::start_site),
             migration_time: Seconds::ZERO,
         }
+    }
+
+    /// Whether a session of `scenario` walks: its device moves and its
+    /// frames reach the edge. Only then does either engine advance a
+    /// walker (the handoff stage prices edge re-attachment), so no other
+    /// session builds one; its start site and `sites_visited` are the same
+    /// either way.
+    pub(crate) fn walks(scenario: &Scenario) -> bool {
+        scenario.execution.uses_edge() && scenario.mobility.speed.as_f64() > 0.0
     }
 
     /// Total state-migration latency paid so far.
@@ -1537,6 +1546,23 @@ mod tests {
             );
         }
         assert!(session.handoff_rate() > 0.0);
+    }
+
+    #[test]
+    fn only_sessions_that_reach_the_edge_walk() {
+        let testbed = TestbedSimulator::new(8);
+        let mut local = mobile_scenario(25.0, 8.0);
+        local.execution = ExecutionTarget::Local;
+        let state = SessionState::new(&testbed, &local);
+        assert!(state.walker().is_none());
+        assert_eq!((state.site_index(), state.sites_visited()), (0, 1));
+        let session = testbed.simulate_session(&local, 50).unwrap();
+        assert_eq!(session.handoff_rate(), 0.0);
+        assert_eq!(session.sites_visited(), 1);
+        assert_eq!(
+            session,
+            testbed.simulate_session_scalar(&local, 50).unwrap()
+        );
     }
 
     #[test]

@@ -257,8 +257,9 @@ fn tail_frames_and_narrow_widths_fuse_exactly() {
         }
         // The campaign's totals are the same sessions' totals, one per
         // replication, in replication order.
-        let totals = engine
-            .point_totals(scenario, point_seed, reps, frames)
+        let mut totals = Vec::new();
+        engine
+            .point_totals(scenario, point_seed, reps, frames, &mut totals)
             .unwrap();
         let expected: Vec<_> = reference.iter().map(SessionTotals::of).collect();
         assert_eq!(totals, expected, "totals diverged ({context})");

@@ -303,3 +303,111 @@ fn eager_migration_costs_more_than_lazy_on_the_same_walk() {
     assert!(eager_session.migration_time() > lazy_session.migration_time());
     assert!(lazy_session.migration_time() > Seconds::ZERO);
 }
+
+/// The checked-in bits of [`walker_libm_fingerprint`] at campaign seed 2024.
+const WALKER_LIBM_GOLDEN: &str = include_str!("golden/walker-libm-2024.txt");
+
+/// The platform libm's `cos` and `sin` at the first 64 angles the walker
+/// of the first walking session of `configs/campaign-roam.grid` passes
+/// them at campaign seed `seed` (point 0, replication 0: hex map, walking
+/// at 1.4 m/s), one `function angle output` line each, as IEEE-754 bits in
+/// hex. The angles come from a replay of the walker's own stream: its
+/// uniform re-entry draws a radius word and an angle, each step one angle.
+/// The walker is advanced one step at a time beside the replay, and every
+/// step that crosses no boundary must move it by exactly
+/// `step_len · (cos θ, sin θ)`, so the replay cannot drift from the walk.
+fn walker_libm_fingerprint(seed: u64) -> String {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::f64::consts::TAU;
+    use std::fmt::Write as _;
+
+    let spec = xr_integration::config_spec("campaign-roam.grid");
+    let grid = xr_sweep::parse_grid_spec(&spec).unwrap();
+    let ctx = xr_experiments::ExperimentContext::quick(seed).unwrap();
+    let (index, scenario) = grid
+        .points()
+        .unwrap()
+        .iter()
+        .map(|point| (point.index, ctx.scenario_for(point).unwrap()))
+        .find(|(_, s)| s.execution.uses_edge() && s.mobility.speed.as_f64() > 0.0)
+        .expect("the roaming grid has a walking session");
+    let session_seed = xr_types::seed::replication_seed(seed, index, 0);
+    let walker_seed = stage_stream_seed(session_seed, stream::WALKER, 0);
+    let map = TestbedSimulator::edge_topology(&scenario).expect("a topologized grid");
+    let step = Seconds::new(0.1);
+    let step_len = scenario.mobility.speed.as_f64() * step.as_f64();
+    let mut walker = map.walker(scenario.mobility.speed, step, walker_seed);
+    let mut replay = StdRng::seed_from_u64(walker_seed);
+
+    walker.reset_uniform();
+    replay.gen::<f64>();
+    let mut angles = vec![replay.gen_range(0.0..TAU)];
+    // The engine's session starts from the same re-entry.
+    let engine = xr_testbed::SessionState::new(&TestbedSimulator::new(session_seed), &scenario);
+    assert_eq!(
+        engine.walker().map(xr_wireless::TopologyWalker::position),
+        Some(walker.position()),
+        "the replay starts where the engine's walker does"
+    );
+    while angles.len() < 64 {
+        let (x, y) = walker.position();
+        let events = walker.advance(step);
+        let theta = replay.gen_range(0.0..TAU);
+        angles.push(theta);
+        if events.crossings == 0 {
+            assert_eq!(
+                walker.position(),
+                (x + step_len * theta.cos(), y + step_len * theta.sin()),
+                "the replay drifted from the walk at angle {}",
+                angles.len()
+            );
+        } else if events.crossings > events.migrations {
+            // No site covers the exit: re-entry into the current site.
+            replay.gen::<f64>();
+            angles.push(replay.gen_range(0.0..TAU));
+        }
+    }
+    let mut out = String::new();
+    for &angle in &angles[..64] {
+        for (name, value) in [("cos", angle.cos()), ("sin", angle.sin())] {
+            let _ = writeln!(
+                out,
+                "{name} {:016x} {:016x}",
+                angle.to_bits(),
+                value.to_bits()
+            );
+        }
+    }
+    out
+}
+
+#[test]
+fn walker_libm_matches_the_checked_in_bits() {
+    let actual = walker_libm_fingerprint(2024);
+    for (line, (got, want)) in actual.lines().zip(WALKER_LIBM_GOLDEN.lines()).enumerate() {
+        // `function angle` first, then the output bits.
+        let (got_call, got_bits) = got.rsplit_once(' ').expect("function angle output");
+        let (want_call, want_bits) = want.rsplit_once(' ').expect("function angle output");
+        assert_eq!(
+            got_call,
+            want_call,
+            "walker libm golden line {}: the walker's angles moved, so this is a code \
+             change, not a libm difference",
+            line + 1
+        );
+        assert_eq!(
+            got_bits,
+            want_bits,
+            "walker libm golden line {}: this host's libm gives other bits than the libm \
+             the goldens were made with (glibc 2.36), so no golden with a moving \
+             session can match here",
+            line + 1
+        );
+    }
+    assert_eq!(
+        actual.lines().count(),
+        WALKER_LIBM_GOLDEN.lines().count(),
+        "walker libm golden line count"
+    );
+}
