@@ -16,7 +16,7 @@
 //! `L_dec = L_en · c_client · γ / c_ε` (Eq. 14).
 
 use serde::{Deserialize, Serialize};
-use xr_stats::{FittedLinearModel, LinearRegression};
+use xr_stats::{FittedLinearModel, LinearRegression, NormalEquations};
 use xr_types::{Frame, GigaBytesPerSecond, Result, Seconds};
 
 /// The decode/encode discount rate `γ` measured in the paper (≈ 1/3).
@@ -51,6 +51,10 @@ impl Default for EncodingConfig {
     }
 }
 
+/// The Eq.-10 regression: linear in [`EncodingLatencyModel::features`], with
+/// an intercept.
+const REGRESSION: LinearRegression = LinearRegression::new();
+
 /// The encoding-latency regression of Eq. 10.
 ///
 /// The regression predicts the *numerator* of Eq. 10 (a compute-work figure
@@ -81,8 +85,28 @@ impl EncodingLatencyModel {
     ///
     /// Propagates regression errors.
     pub fn fit(covariates: &[[f64; 6]], work: &[f64]) -> Result<Self> {
-        let model = LinearRegression::new().fit(covariates.len(), |i| covariates[i], work)?;
+        let model = REGRESSION.fit(covariates.len(), |i| covariates[i], work)?;
         Ok(Self { model })
+    }
+
+    /// Empty normal equations of the Eq.-10 form, to push
+    /// [`Self::features`] rows into.
+    #[must_use]
+    pub fn equations() -> NormalEquations<6> {
+        REGRESSION.equations()
+    }
+
+    /// The Eq.-10 model solved from accumulated normal equations: the
+    /// coefficients [`Self::fit`] gives on the same rows, without in-sample
+    /// diagnostics.
+    ///
+    /// # Errors
+    ///
+    /// Propagates regression errors (no rows, or a singular design).
+    pub fn solve(equations: &NormalEquations<6>) -> Result<Self> {
+        Ok(Self {
+            model: equations.solve()?,
+        })
     }
 
     /// The regression's feature vector for a frame under an encoder config.
@@ -143,9 +167,10 @@ impl EncodingLatencyModel {
         Seconds::from_millis(decode_ms)
     }
 
-    /// R² of the underlying regression.
+    /// R² of the underlying regression; `None` for a model from
+    /// [`Self::solve`].
     #[must_use]
-    pub fn r_squared(&self) -> f64 {
+    pub fn r_squared(&self) -> Option<f64> {
         self.model.r_squared()
     }
 
@@ -183,7 +208,7 @@ mod tests {
             + 163.65 * 30.0
             + 3.62 * 28.0;
         assert!((model.encoding_work(&config, &f) - expected).abs() < 1e-6);
-        assert!((model.r_squared() - 0.79).abs() < 1e-12);
+        assert!((model.r_squared().unwrap() - 0.79).abs() < 1e-12);
     }
 
     #[test]
@@ -276,7 +301,7 @@ mod tests {
         assert!(
             (refit.encoding_work(&config, &f) - published.encoding_work(&config, &f)).abs() < 1e-3
         );
-        assert!(refit.regression().r_squared() > 0.999);
+        assert!(refit.regression().r_squared().unwrap() > 0.999);
     }
 
     #[test]

@@ -403,9 +403,16 @@ impl ScenarioBuilder {
     /// three vehicular-style external sensors, and a static device.
     #[must_use]
     pub fn new() -> Self {
+        Self::for_client(ClientConfig::from_catalog("XR2").expect("XR2 exists in Table I"))
+    }
+
+    /// A builder with [`ScenarioBuilder::new`]'s defaults around the given
+    /// client.
+    #[must_use]
+    pub fn for_client(client: ClientConfig) -> Self {
         let cnn_catalog = CnnCatalog::table2();
         Self {
-            client: ClientConfig::from_catalog("XR2").expect("XR2 exists in Table I"),
+            client,
             edge_servers: vec![EdgeServerConfig::jetson_xavier()],
             execution: ExecutionTarget::Local,
             frame_side: 500.0,

@@ -14,7 +14,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
-use xr_stats::{FittedLinearModel, LinearRegression};
+use xr_stats::{FittedLinearModel, LinearRegression, NormalEquations};
 use xr_types::{Error, MegaBytes, Result};
 
 /// One row of Table II.
@@ -157,6 +157,10 @@ impl CnnCatalog {
     }
 }
 
+/// The Eq.-12 regression: linear in [`CnnComplexityModel::features`], with
+/// an intercept.
+const REGRESSION: LinearRegression = LinearRegression::new();
+
 /// The CNN complexity regression of Eq. 12.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CnnComplexityModel {
@@ -181,7 +185,7 @@ impl CnnComplexityModel {
     ///
     /// Propagates regression errors (empty or singular designs).
     pub fn fit(rows: &[(f64, f64, f64)], complexities: &[f64]) -> Result<Self> {
-        let model = LinearRegression::new().fit(
+        let model = REGRESSION.fit(
             rows.len(),
             |i| {
                 let (d, s, c) = rows[i];
@@ -192,19 +196,45 @@ impl CnnComplexityModel {
         Ok(Self { model })
     }
 
+    /// Empty normal equations of the Eq.-12 form, to push
+    /// [`Self::features`] rows into.
+    #[must_use]
+    pub fn equations() -> NormalEquations<3> {
+        REGRESSION.equations()
+    }
+
+    /// The Eq.-12 model solved from accumulated normal equations: the
+    /// coefficients [`Self::fit`] gives on the same rows, without in-sample
+    /// diagnostics.
+    ///
+    /// # Errors
+    ///
+    /// Propagates regression errors (no rows, or a singular design).
+    pub fn solve(equations: &NormalEquations<3>) -> Result<Self> {
+        Ok(Self {
+            model: equations.solve()?,
+        })
+    }
+
+    /// The regression's feature vector of a CNN: `[depth, size (MB),
+    /// depth scale]`.
+    #[must_use]
+    pub fn features(cnn: &CnnModel) -> [f64; 3] {
+        [f64::from(cnn.depth), cnn.size.as_f64(), cnn.depth_scale]
+    }
+
     /// Evaluates `C_CNN` for a CNN. The result is clamped below at a small
     /// positive value because the complexity divides the compute resource in
     /// Eqs. 11/13.
     #[must_use]
     pub fn complexity(&self, cnn: &CnnModel) -> f64 {
-        self.model
-            .predict(&[f64::from(cnn.depth), cnn.size.as_f64(), cnn.depth_scale])
-            .max(0.1)
+        self.model.predict(&Self::features(cnn)).max(0.1)
     }
 
-    /// R² of the underlying regression.
+    /// R² of the underlying regression; `None` for a model from
+    /// [`Self::solve`].
     #[must_use]
-    pub fn r_squared(&self) -> f64 {
+    pub fn r_squared(&self) -> Option<f64> {
         self.model.r_squared()
     }
 
@@ -268,7 +298,7 @@ mod tests {
         let yolo = catalog.model("YoloV3").unwrap();
         let expected = 2.45 + 0.0025 * 106.0 + 0.03 * 210.0;
         assert!((model.complexity(yolo) - expected).abs() < 1e-9);
-        assert!((model.r_squared() - 0.844).abs() < 1e-12);
+        assert!((model.r_squared().unwrap() - 0.844).abs() < 1e-12);
     }
 
     #[test]
@@ -300,7 +330,7 @@ mod tests {
         for cnn in catalog.iter() {
             assert!((refit.complexity(cnn) - published.complexity(cnn)).abs() < 1e-6);
         }
-        assert!(refit.r_squared() > 0.999);
+        assert!(refit.r_squared().unwrap() > 0.999);
         assert_eq!(refit.regression().coefficients().len(), 3);
     }
 }

@@ -23,7 +23,7 @@
 //!   before validating against held-out devices.
 
 use serde::{Deserialize, Serialize};
-use xr_stats::{FittedLinearModel, LinearRegression};
+use xr_stats::{FittedLinearModel, LinearRegression, NormalEquations};
 use xr_types::{GigaHertz, Ratio, Result};
 
 /// Edge-to-client compute coupling derived in the paper from the
@@ -33,6 +33,10 @@ pub const EDGE_CLIENT_COMPUTE_RATIO: f64 = 11.76;
 /// Lower clamp applied to the regression output so the resource stays usable
 /// as a divisor even outside the fitted covariate range.
 const MIN_RESOURCE: f64 = 0.5;
+
+/// The Eq.-3 regression: linear in [`ComputeResourceModel::features`], no
+/// global intercept.
+const REGRESSION: LinearRegression = LinearRegression::new().without_intercept();
 
 /// The compute-resource availability regression (Eq. 3).
 ///
@@ -65,7 +69,7 @@ impl ComputeResourceModel {
     ///
     /// Propagates regression errors (empty, mismatched, or singular designs).
     pub fn fit(observations: &[(GigaHertz, GigaHertz, Ratio)], resources: &[f64]) -> Result<Self> {
-        let model = LinearRegression::new().without_intercept().fit(
+        let model = REGRESSION.fit(
             observations.len(),
             |i| {
                 let (fc, fg, wc) = observations[i];
@@ -74,6 +78,26 @@ impl ComputeResourceModel {
             resources,
         )?;
         Ok(Self { model })
+    }
+
+    /// Empty normal equations of the Eq.-3 form, to push
+    /// [`Self::features`] rows into.
+    #[must_use]
+    pub fn equations() -> NormalEquations<6> {
+        REGRESSION.equations()
+    }
+
+    /// The Eq.-3 model solved from accumulated normal equations: the
+    /// coefficients [`Self::fit`] gives on the same rows, without in-sample
+    /// diagnostics.
+    ///
+    /// # Errors
+    ///
+    /// Propagates regression errors (no rows, or a singular design).
+    pub fn solve(equations: &NormalEquations<6>) -> Result<Self> {
+        Ok(Self {
+            model: equations.solve()?,
+        })
     }
 
     /// The structural feature vector of Eq. 3 for a covariate triple.
@@ -120,9 +144,10 @@ impl ComputeResourceModel {
         self.client_resource(cpu_clock, gpu_clock, cpu_share) * EDGE_CLIENT_COMPUTE_RATIO
     }
 
-    /// R² of the underlying regression.
+    /// R² of the underlying regression; `None` for a model from
+    /// [`Self::solve`].
     #[must_use]
-    pub fn r_squared(&self) -> f64 {
+    pub fn r_squared(&self) -> Option<f64> {
         self.model.r_squared()
     }
 
@@ -213,7 +238,7 @@ mod tests {
             }
         }
         let fit = ComputeResourceModel::fit(&observations, &resources).unwrap();
-        assert!(fit.r_squared() > 0.999);
+        assert!(fit.r_squared().unwrap() > 0.999);
         let predicted = fit.client_resource(ghz(2.2), ghz(1.0), Ratio::new(0.3));
         let truth = 0.3 * (4.0 + 5.0 * 2.2) + 0.7 * (2.0 + 30.0 * 1.0);
         assert!((predicted - truth).abs() < 1e-6);

@@ -10,12 +10,16 @@
 //!   is converted to heat (`E_θ`).
 
 use serde::{Deserialize, Serialize};
-use xr_stats::{FittedLinearModel, LinearRegression};
+use xr_stats::{FittedLinearModel, LinearRegression, NormalEquations};
 use xr_types::{GigaHertz, Joules, Ratio, Result, Seconds, Watts};
 
 /// Lower clamp on the regression output: a running XR workload never draws
 /// less than this (Eq. 21 extrapolates below zero outside the fitted range).
 const MIN_ACTIVE_POWER_W: f64 = 0.25;
+
+/// The Eq.-21 regression: linear in [`MeanPowerModel::features`], no
+/// global intercept.
+const REGRESSION: LinearRegression = LinearRegression::new().without_intercept();
 
 /// The mean-power regression of Eq. 21.
 ///
@@ -48,7 +52,7 @@ impl MeanPowerModel {
     ///
     /// Propagates regression errors.
     pub fn fit(observations: &[(GigaHertz, GigaHertz, Ratio)], power_w: &[f64]) -> Result<Self> {
-        let model = LinearRegression::new().without_intercept().fit(
+        let model = REGRESSION.fit(
             observations.len(),
             |i| {
                 let (fc, fg, wc) = observations[i];
@@ -57,6 +61,26 @@ impl MeanPowerModel {
             power_w,
         )?;
         Ok(Self { model })
+    }
+
+    /// Empty normal equations of the Eq.-21 form, to push
+    /// [`Self::features`] rows into.
+    #[must_use]
+    pub fn equations() -> NormalEquations<6> {
+        REGRESSION.equations()
+    }
+
+    /// The Eq.-21 model solved from accumulated normal equations: the
+    /// coefficients [`Self::fit`] gives on the same rows, without in-sample
+    /// diagnostics.
+    ///
+    /// # Errors
+    ///
+    /// Propagates regression errors (no rows, or a singular design).
+    pub fn solve(equations: &NormalEquations<6>) -> Result<Self> {
+        Ok(Self {
+            model: equations.solve()?,
+        })
     }
 
     /// The structural feature vector of Eq. 21.
@@ -85,9 +109,10 @@ impl MeanPowerModel {
         )
     }
 
-    /// R² of the underlying regression.
+    /// R² of the underlying regression; `None` for a model from
+    /// [`Self::solve`].
     #[must_use]
-    pub fn r_squared(&self) -> f64 {
+    pub fn r_squared(&self) -> Option<f64> {
         self.model.r_squared()
     }
 
@@ -213,7 +238,7 @@ mod tests {
             }
         }
         let fit = MeanPowerModel::fit(&obs, &ys).unwrap();
-        assert!(fit.r_squared() > 0.999);
+        assert!(fit.r_squared().unwrap() > 0.999);
         let p = fit.mean_power(ghz(2.5), ghz(1.0), Ratio::new(0.4)).as_f64();
         let truth = 0.4 * (0.5 + 1.1 * 2.5) + 0.6 * (0.3 + 2.5 * 1.0);
         assert!((p - truth).abs() < 1e-6);

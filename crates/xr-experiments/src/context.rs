@@ -2,7 +2,7 @@
 //! campaign, and the calibrated analytical framework.
 
 use crate::campaign_args::usage_error;
-use xr_core::{Scenario, XrPerformanceModel};
+use xr_core::{ClientConfig, Scenario, ScenarioBuilder, XrPerformanceModel};
 use xr_devices::DeviceCatalog;
 use xr_sweep::{grid, CampaignRunner, MobilityCondition, OperatingPoint, WirelessCondition};
 use xr_testbed::{CalibratedModels, MeasurementCampaign, TestbedSimulator};
@@ -92,7 +92,9 @@ impl ExperimentContext {
         self
     }
 
-    /// Builds a context from an explicit measurement campaign.
+    /// Builds a context from an explicit measurement campaign over the
+    /// training devices, calibrated as the campaign is drawn
+    /// ([`CalibratedModels::calibrate`]): the records are never held.
     ///
     /// # Errors
     ///
@@ -103,8 +105,11 @@ impl ExperimentContext {
         frames_per_point: u64,
     ) -> Result<Self> {
         let testbed = TestbedSimulator::new(seed);
-        let train = campaign.collect(testbed.laws(), &DeviceCatalog::training_devices());
-        let calibrated = CalibratedModels::fit(&train)?;
+        let calibrated = CalibratedModels::calibrate(
+            &campaign,
+            testbed.laws(),
+            &DeviceCatalog::training_devices(),
+        )?;
         let proposed = calibrated.performance_model();
         Ok(Self {
             testbed,
@@ -122,7 +127,8 @@ impl ExperimentContext {
         &self.testbed
     }
 
-    /// The calibrated sub-models (for the regression report).
+    /// The calibrated sub-models (for the ablation table). They carry no
+    /// in-sample diagnostics; the regression report fits its own.
     #[must_use]
     pub fn calibrated(&self) -> &CalibratedModels {
         &self.calibrated
@@ -210,8 +216,7 @@ impl ExperimentContext {
     ///
     /// Propagates catalog-lookup and scenario-validation errors.
     pub fn scenario_for(&self, point: &OperatingPoint) -> Result<Scenario> {
-        let mut builder = Scenario::builder()
-            .client_from_catalog(&point.device)?
+        let mut builder = ScenarioBuilder::for_client(ClientConfig::from_catalog(&point.device)?)
             .frame_side(point.frame_size)
             .cpu_clock(GigaHertz::new(point.cpu_clock_ghz))
             .execution(point.execution);
@@ -288,7 +293,27 @@ mod tests {
         assert_eq!(ctx.seed(), 7);
         assert_eq!(ctx.frames_per_point(), 20);
         assert!(!ctx.is_paper_scale());
-        assert!(ctx.calibrated().training_r_squared().resource_r_squared > 0.5);
+        // The context calibrates from the streamed campaign: the row fit on
+        // the collected dataset has the same coefficients, and only the
+        // row fit has in-sample R².
+        let train = MeasurementCampaign::small(7)
+            .collect(ctx.testbed().laws(), &DeviceCatalog::training_devices());
+        let row_fit = CalibratedModels::fit(&train).unwrap();
+        assert!(row_fit.training_r_squared().unwrap().resource_r_squared > 0.5);
+        assert_eq!(ctx.calibrated().training_r_squared(), None);
+        let bits = |models: &CalibratedModels| -> Vec<u64> {
+            [
+                models.compute.regression(),
+                models.power.regression(),
+                models.encoding.regression(),
+                models.complexity.regression(),
+            ]
+            .into_iter()
+            .flat_map(|fit| std::iter::once(fit.intercept()).chain(fit.coefficients().to_vec()))
+            .map(f64::to_bits)
+            .collect()
+        };
+        assert_eq!(bits(ctx.calibrated()), bits(&row_fit));
     }
 
     #[test]

@@ -43,7 +43,9 @@ impl RegressionReport {
         let train = train_campaign.collect(laws, &DeviceCatalog::training_devices());
         let test = test_campaign.collect(laws, &DeviceCatalog::validation_devices());
         let models = CalibratedModels::fit(&train)?;
-        let in_sample = models.training_r_squared();
+        let in_sample = models
+            .training_r_squared()
+            .expect("a row fit keeps its in-sample R²");
         let held_out = models.evaluate(&test);
         Ok(Self {
             train: [

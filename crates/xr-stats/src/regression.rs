@@ -8,14 +8,21 @@
 //!
 //! The fit streams its rows: the caller passes a row count and a function
 //! that returns row `i` as a fixed-width `[f64; F]`, and the fit reads every
-//! row twice without building a design matrix. Pass 1 accumulates the upper
-//! triangle of `XᵀX` and `Xᵀy` on the stack, one row at a time in row order,
-//! skipping the products of a zero entry; pass 2 recomputes each prediction
+//! row twice without building a design matrix. Pass 1 is a
+//! [`NormalEquations`] accumulator: it adds each row to the upper triangle
+//! of `XᵀX` and to `Xᵀy` on the stack, one row at a time in row order,
+//! skipping the products of a zero entry. Pass 2 recomputes each prediction
 //! and folds the residual sum of squares. Every accumulator sees the same
 //! addends in the same order as the textbook `XᵀX`/`Xᵀy` products over a
 //! materialised design, so the coefficients and diagnostics are bit-for-bit
 //! those of that computation. Only the `k × k` normal equations go through
 //! [`Matrix`].
+//!
+//! A caller that produces its rows once, as a stream it cannot replay,
+//! pushes them into a [`NormalEquations`] itself and solves it: the
+//! coefficients have the row fit's bits, but without a second pass the
+//! model has no in-sample diagnostics, and its accessors say so with
+//! `None`.
 
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
@@ -45,7 +52,7 @@ impl Default for LinearRegression {
 impl LinearRegression {
     /// Creates a fitter with an intercept — the paper's setting.
     #[must_use]
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Self {
             fit_intercept: true,
         }
@@ -53,9 +60,27 @@ impl LinearRegression {
 
     /// Disables the intercept column.
     #[must_use]
-    pub fn without_intercept(mut self) -> Self {
+    pub const fn without_intercept(mut self) -> Self {
         self.fit_intercept = false;
         self
+    }
+
+    /// Empty normal equations of this regression over `F` features, to
+    /// push rows into and [`solve`](NormalEquations::solve).
+    #[must_use]
+    pub fn equations<const F: usize>(&self) -> NormalEquations<F> {
+        const {
+            assert!(
+                F > 0 && F < MAX_DESIGN_COLS,
+                "the streamed fit takes 1 to 7 features"
+            );
+        }
+        NormalEquations {
+            fit_intercept: self.fit_intercept,
+            rows: 0,
+            xtx: [[0.0; MAX_DESIGN_COLS]; MAX_DESIGN_COLS],
+            xty: [0.0; MAX_DESIGN_COLS],
+        }
     }
 
     /// Fits the model to `n` feature rows and their targets `ys`; `row(i)`
@@ -71,12 +96,6 @@ impl LinearRegression {
         row: impl Fn(usize) -> [f64; F],
         ys: &[f64],
     ) -> Result<FittedLinearModel> {
-        const {
-            assert!(
-                F > 0 && F < MAX_DESIGN_COLS,
-                "the streamed fit takes 1 to 7 features"
-            );
-        }
         if n == 0 || ys.is_empty() {
             return Err(Error::invalid_parameter("rows/ys", "must be non-empty"));
         }
@@ -86,44 +105,14 @@ impl LinearRegression {
                 format!("expected {n} targets, got {}", ys.len()),
             ));
         }
+        // Pass 1: the normal equations.
+        let mut equations = self.equations::<F>();
+        for (r, &y) in ys.iter().enumerate() {
+            equations.push(row(r), y);
+        }
+        let (gram, beta) = equations.system()?;
         let first = usize::from(self.fit_intercept);
         let k = F + first;
-        if n < k {
-            return Err(Error::SingularDesignMatrix { rows: n, cols: k });
-        }
-        // Design row `i`: the intercept's 1.0 (when enabled) then row(i).
-        let design = |i: usize| {
-            let mut d = [1.0; MAX_DESIGN_COLS];
-            d[first..k].copy_from_slice(&row(i));
-            d
-        };
-
-        // Pass 1: the normal equations, upper triangle of XᵀX only.
-        let mut xtx = [[0.0; MAX_DESIGN_COLS]; MAX_DESIGN_COLS];
-        let mut xty = [0.0; MAX_DESIGN_COLS];
-        for (r, &y) in ys.iter().enumerate() {
-            let d = design(r);
-            for i in 0..k {
-                let di = d[i];
-                if di == 0.0 {
-                    continue;
-                }
-                for j in i..k {
-                    xtx[i][j] += di * d[j];
-                }
-            }
-            for (o, x) in xty[..k].iter_mut().zip(&d) {
-                *o += x * y;
-            }
-        }
-        // Mirror the upper triangle into the k × k system.
-        let mut gram = Matrix::zeros(k, k);
-        for i in 0..k {
-            for j in 0..k {
-                gram[(i, j)] = if j >= i { xtx[i][j] } else { xtx[j][i] };
-            }
-        }
-        let beta = gram.solve(&xty[..k])?;
 
         // Pass 2: goodness of fit.
         let mean_y = ys.iter().sum::<f64>() / ys.len() as f64;
@@ -132,7 +121,11 @@ impl LinearRegression {
             .iter()
             .enumerate()
             .map(|(r, y)| {
-                let p: f64 = design(r)[..k].iter().zip(&beta).map(|(x, b)| x * b).sum();
+                let p: f64 = design(first, &row(r))[..k]
+                    .iter()
+                    .zip(&beta)
+                    .map(|(x, b)| x * b)
+                    .sum();
                 (y - p).powi(2)
             })
             .sum();
@@ -150,52 +143,159 @@ impl LinearRegression {
         // nearly-singular design) by omitting intervals.
         let gram_inverse = gram.inverse().ok();
 
-        let (intercept, coefficients) = if self.fit_intercept {
-            (beta[0], beta[1..].to_vec())
-        } else {
-            (0.0, beta)
-        };
-
-        Ok(FittedLinearModel {
-            intercept,
-            coefficients,
-            fit_intercept: self.fit_intercept,
-            r_squared,
-            adjusted_r_squared: adjusted,
-            residual_variance: sigma2,
-            gram_inverse,
-        })
+        Ok(FittedLinearModel::new(
+            self.fit_intercept,
+            beta,
+            Some(Diagnostics {
+                r_squared,
+                adjusted_r_squared: adjusted,
+                residual_variance: sigma2,
+                gram_inverse,
+            }),
+        ))
     }
 }
 
-/// The result of an OLS fit: coefficients plus goodness-of-fit diagnostics.
+/// Design row of a feature row: the intercept's 1.0 (when `first` is 1)
+/// then the features.
+fn design<const F: usize>(first: usize, row: &[f64; F]) -> [f64; MAX_DESIGN_COLS] {
+    let mut d = [1.0; MAX_DESIGN_COLS];
+    d[first..first + F].copy_from_slice(row);
+    d
+}
+
+/// The normal equations `XᵀX β = Xᵀy` of a regression over `F` features,
+/// accumulated one row at a time: pass 1 of [`LinearRegression::fit`].
+///
+/// Rows must be pushed in the order the row fit reads them for
+/// [`solve`](Self::solve) to return its coefficients bit for bit. Built by
+/// [`LinearRegression::equations`].
+#[derive(Debug, Clone)]
+pub struct NormalEquations<const F: usize> {
+    fit_intercept: bool,
+    rows: usize,
+    /// Upper triangle of `XᵀX`; the entries below the diagonal stay zero.
+    xtx: [[f64; MAX_DESIGN_COLS]; MAX_DESIGN_COLS],
+    xty: [f64; MAX_DESIGN_COLS],
+}
+
+impl<const F: usize> NormalEquations<F> {
+    /// Adds one feature row and its target.
+    #[inline]
+    pub fn push(&mut self, row: [f64; F], y: f64) {
+        let first = usize::from(self.fit_intercept);
+        let k = F + first;
+        let d = design(first, &row);
+        for (i, &di) in d[..k].iter().enumerate() {
+            if di == 0.0 {
+                continue;
+            }
+            for (x, dj) in self.xtx[i][i..k].iter_mut().zip(&d[i..k]) {
+                *x += di * dj;
+            }
+        }
+        for (o, x) in self.xty[..k].iter_mut().zip(&d) {
+            *o += x * y;
+        }
+        self.rows += 1;
+    }
+
+    /// Solves the equations. The model has the coefficients the row fit
+    /// gives on the same rows, and no in-sample diagnostics.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if no row was pushed, or if the design is singular
+    /// / under-determined.
+    pub fn solve(&self) -> Result<FittedLinearModel> {
+        let (_, beta) = self.system()?;
+        Ok(FittedLinearModel::new(self.fit_intercept, beta, None))
+    }
+
+    /// The mirrored `k × k` system `XᵀX` and its solution `β`.
+    fn system(&self) -> Result<(Matrix, Vec<f64>)> {
+        let k = F + usize::from(self.fit_intercept);
+        if self.rows == 0 {
+            return Err(Error::invalid_parameter("rows", "must be non-empty"));
+        }
+        if self.rows < k {
+            return Err(Error::SingularDesignMatrix {
+                rows: self.rows,
+                cols: k,
+            });
+        }
+        let mut gram = Matrix::zeros(k, k);
+        for i in 0..k {
+            for j in 0..k {
+                gram[(i, j)] = if j >= i {
+                    self.xtx[i][j]
+                } else {
+                    self.xtx[j][i]
+                };
+            }
+        }
+        let beta = gram.solve(&self.xty[..k])?;
+        Ok((gram, beta))
+    }
+}
+
+/// The result of an OLS fit: coefficients, plus goodness-of-fit
+/// diagnostics when the fit read its rows twice.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FittedLinearModel {
     intercept: f64,
     coefficients: Vec<f64>,
     fit_intercept: bool,
+    /// `None` for a model solved from streamed [`NormalEquations`].
+    diagnostics: Option<Diagnostics>,
+}
+
+/// In-sample goodness of fit of a [`FittedLinearModel`].
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Diagnostics {
     r_squared: f64,
     adjusted_r_squared: f64,
     residual_variance: f64,
+    /// `(XᵀX)⁻¹`, for prediction intervals; `None` for a nearly singular
+    /// design or published coefficients.
     gram_inverse: Option<Matrix>,
 }
 
 impl FittedLinearModel {
+    /// A model with solution `beta` of the design's normal equations
+    /// (intercept first when fitted).
+    fn new(fit_intercept: bool, beta: Vec<f64>, diagnostics: Option<Diagnostics>) -> Self {
+        let (intercept, coefficients) = if fit_intercept {
+            (beta[0], beta[1..].to_vec())
+        } else {
+            (0.0, beta)
+        };
+        Self {
+            intercept,
+            coefficients,
+            fit_intercept,
+            diagnostics,
+        }
+    }
+
     /// Constructs a fitted model directly from known coefficients.
     ///
     /// The paper publishes the fitted coefficients of Eqs. 3, 10, 12 and 21;
     /// this constructor lets `xr-devices` instantiate those exact published
-    /// models without refitting.
+    /// models without refitting. The published R² is the model's R² and
+    /// adjusted R²; its residual variance is zero.
     #[must_use]
     pub fn from_coefficients(intercept: f64, coefficients: Vec<f64>, r_squared: f64) -> Self {
         Self {
             intercept,
             coefficients,
             fit_intercept: true,
-            r_squared,
-            adjusted_r_squared: r_squared,
-            residual_variance: 0.0,
-            gram_inverse: None,
+            diagnostics: Some(Diagnostics {
+                r_squared,
+                adjusted_r_squared: r_squared,
+                residual_variance: 0.0,
+                gram_inverse: None,
+            }),
         }
     }
 
@@ -211,22 +311,25 @@ impl FittedLinearModel {
         &self.coefficients
     }
 
-    /// Coefficient of determination R².
+    /// Coefficient of determination R²; `None` for a model solved from
+    /// streamed [`NormalEquations`].
     #[must_use]
-    pub fn r_squared(&self) -> f64 {
-        self.r_squared
+    pub fn r_squared(&self) -> Option<f64> {
+        self.diagnostics.as_ref().map(|d| d.r_squared)
     }
 
-    /// Adjusted R², penalising the number of regressors.
+    /// Adjusted R², penalising the number of regressors; `None` for a
+    /// model solved from streamed [`NormalEquations`].
     #[must_use]
-    pub fn adjusted_r_squared(&self) -> f64 {
-        self.adjusted_r_squared
+    pub fn adjusted_r_squared(&self) -> Option<f64> {
+        self.diagnostics.as_ref().map(|d| d.adjusted_r_squared)
     }
 
-    /// Residual variance `σ̂² = SSR / (n − k)`.
+    /// Residual variance `σ̂² = SSR / (n − k)`; `None` for a model solved
+    /// from streamed [`NormalEquations`].
     #[must_use]
-    pub fn residual_variance(&self) -> f64 {
-        self.residual_variance
+    pub fn residual_variance(&self) -> Option<f64> {
+        self.diagnostics.as_ref().map(|d| d.residual_variance)
     }
 
     /// Predicts the target for one feature row.
@@ -255,14 +358,16 @@ impl FittedLinearModel {
     /// response* at `features`, mirroring the paper's "95 % confidence
     /// boundary" training procedure.
     ///
-    /// Returns `(prediction, half_width)`. The half-width is zero when the
+    /// Returns `(prediction, half_width)`, or `None` for a model solved
+    /// from streamed [`NormalEquations`]. The half-width is zero when the
     /// model was constructed from published coefficients (no residual
     /// information available).
     #[must_use]
-    pub fn predict_with_interval(&self, features: &[f64]) -> (f64, f64) {
+    pub fn predict_with_interval(&self, features: &[f64]) -> Option<(f64, f64)> {
+        let diagnostics = self.diagnostics.as_ref()?;
         let prediction = self.predict(features);
-        let Some(gram_inv) = &self.gram_inverse else {
-            return (prediction, 0.0);
+        let Some(gram_inv) = &diagnostics.gram_inverse else {
+            return Some((prediction, 0.0));
         };
         // x vector in design space (intercept first when present).
         let x: Vec<f64> = if self.fit_intercept {
@@ -275,8 +380,8 @@ impl FittedLinearModel {
         // var(ŷ) = σ² · xᵀ (XᵀX)⁻¹ x
         let tmp = gram_inv.mul_vec(&x);
         let quad: f64 = x.iter().zip(&tmp).map(|(a, b)| a * b).sum();
-        let half_width = Z_95 * (self.residual_variance * quad.max(0.0)).sqrt();
-        (prediction, half_width)
+        let half_width = Z_95 * (diagnostics.residual_variance * quad.max(0.0)).sqrt();
+        Some((prediction, half_width))
     }
 
     /// R² evaluated on an *out-of-sample* dataset (the held-out devices in
@@ -345,8 +450,8 @@ mod tests {
         assert!((fit.intercept() - 1.5).abs() < 1e-9);
         assert!((fit.coefficients()[0] - 2.0).abs() < 1e-9);
         assert!((fit.coefficients()[1] + 0.5).abs() < 1e-9);
-        assert!(fit.r_squared() > 0.999_999);
-        assert!(fit.adjusted_r_squared() > 0.999_99);
+        assert!(fit.r_squared().unwrap() > 0.999_999);
+        assert!(fit.adjusted_r_squared().unwrap() > 0.999_99);
     }
 
     #[test]
@@ -372,8 +477,9 @@ mod tests {
             ys.push(3.0 + 0.7 * x + noise);
         }
         let fit = fit_rows(&LinearRegression::new(), &xs, &ys).unwrap();
-        assert!(fit.r_squared() > 0.95, "R² = {}", fit.r_squared());
-        let (pred, half) = fit.predict_with_interval(&[2.5]);
+        let r_squared = fit.r_squared().unwrap();
+        assert!(r_squared > 0.95, "R² = {r_squared}");
+        let (pred, half) = fit.predict_with_interval(&[2.5]).unwrap();
         assert!((pred - (3.0 + 0.7 * 2.5)).abs() < 0.1);
         assert!(half > 0.0 && half < 0.1);
     }
@@ -403,10 +509,51 @@ mod tests {
         let model = FittedLinearModel::from_coefficients(2.45, vec![0.0025, 0.03, 0.0029], 0.844);
         let c = model.predict(&[106.0, 210.0, 0.0]);
         assert!((c - (2.45 + 0.0025 * 106.0 + 0.03 * 210.0)).abs() < 1e-9);
-        assert!((model.r_squared() - 0.844).abs() < 1e-12);
-        let (p, h) = model.predict_with_interval(&[106.0, 210.0, 0.0]);
+        assert!((model.r_squared().unwrap() - 0.844).abs() < 1e-12);
+        let (p, h) = model.predict_with_interval(&[106.0, 210.0, 0.0]).unwrap();
         assert_eq!(p, c);
         assert_eq!(h, 0.0);
+    }
+
+    #[test]
+    fn solved_equations_give_the_row_fit_coefficients_bit_for_bit() {
+        // Rows 0 and every seventh hold zero entries: the skipped products.
+        let (xs, ys) = noiseless_dataset();
+        for regression in [
+            LinearRegression::new(),
+            LinearRegression::new().without_intercept(),
+        ] {
+            let fit = fit_rows(&regression, &xs, &ys).unwrap();
+            let mut equations = regression.equations::<2>();
+            for (&row, &y) in xs.iter().zip(&ys) {
+                equations.push(row, y);
+            }
+            let solved = equations.solve().unwrap();
+            let bits = |m: &FittedLinearModel| -> Vec<u64> {
+                std::iter::once(m.intercept())
+                    .chain(m.coefficients().iter().copied())
+                    .map(f64::to_bits)
+                    .collect()
+            };
+            assert_eq!(bits(&solved), bits(&fit));
+            assert!(fit.r_squared().is_some());
+            assert_eq!(solved.r_squared(), None);
+            assert_eq!(solved.adjusted_r_squared(), None);
+            assert_eq!(solved.residual_variance(), None);
+            assert_eq!(solved.predict_with_interval(&xs[1]), None);
+        }
+    }
+
+    #[test]
+    fn unsolvable_equations_rejected() {
+        let regression = LinearRegression::new();
+        assert!(regression.equations::<1>().solve().is_err());
+        let mut equations = regression.equations::<3>();
+        equations.push([1.0, 2.0, 3.0], 1.0);
+        assert!(matches!(
+            equations.solve(),
+            Err(Error::SingularDesignMatrix { rows: 1, cols: 4 })
+        ));
     }
 
     #[test]

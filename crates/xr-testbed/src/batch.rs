@@ -109,7 +109,7 @@ use crate::laws::DeviceBias;
 use crate::power::DrawCursors;
 use crate::simulator::{
     check_frames, frame_buffer, stream, ContentionPlan, GroundTruthFrame, GroundTruthSession,
-    SessionState, SessionTotals, TestbedSimulator,
+    MapKey, SessionState, SessionTotals, TestbedSimulator,
 };
 use rand_distr::math::Tier;
 use rand_distr::{column, Exp, Normal, StandardNormalPairs};
@@ -196,12 +196,13 @@ struct BatchConsts {
     contention: Vec<ContentionPlan>,
     // Stage 7 — handoff. `map` is the map every replication attaches to
     // (`None` for a session without a topology that does not walk), built
-    // once per point.
+    // from the inputs `map_key` holds; a point with the same key keeps it.
     mobile: bool,
     window: Seconds,
     handoff_base: Seconds,
     migration_base: Seconds,
     map: Option<EdgeTopology>,
+    map_key: Option<MapKey>,
     // Stage 8 — render.
     render_base: Seconds,
     result_delivery: Seconds,
@@ -360,6 +361,15 @@ impl BatchConsts {
                 .iter()
                 .map(|&seed| std::array::from_fn(|stage| xr_types::seed::mix(seed, stage as u64))),
         );
+        let contention = simulator.contention_plans(scenario)?;
+        // Nothing fallible follows, so a taken map is always stored back
+        // with its key.
+        let map_key = MapKey::of(scenario);
+        let map = if self.map_key == Some(map_key) {
+            self.map.take()
+        } else {
+            TestbedSimulator::session_map(scenario)
+        };
 
         *self = Self {
             noise: (simulator.noise_sigma > 0.0)
@@ -380,12 +390,13 @@ impl BatchConsts {
                     * client_share
             }),
             edges,
-            contention: simulator.contention_plans(scenario)?,
+            contention,
             mobile,
             window,
             handoff_base,
             migration_base: TestbedSimulator::migration_base(scenario),
-            map: TestbedSimulator::session_map(scenario),
+            map,
+            map_key: Some(map_key),
             render_base: ms(frame.raw_size.as_f64(), c_true) + frame.raw_data / memory,
             result_delivery,
             cooperation_base: scenario.cooperation.payload / scenario.cooperation.throughput

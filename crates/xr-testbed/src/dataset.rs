@@ -9,11 +9,16 @@
 //! model that the evaluation experiments compare against the ground truth.
 //!
 //! This is the set-up cost of every `--paper-scale` process, so neither half
-//! allocates per record. [`MeasurementCampaign::collect`] sizes its eight
-//! columns exactly before drawing, looks up each device's bias once, and
-//! draws its one `StdRng` stream as chunked word columns. Every record kind
-//! draws a fixed number of raw words — its body, then one word pair for its
-//! log-normal noise:
+//! allocates per record. One private record visitor draws the campaign and
+//! hands each record, as the sub-model's covariates and its noisy
+//! observation, to a closure. [`MeasurementCampaign::collect`] stores them
+//! in a [`MeasurementDataset`] whose eight columns it sizes exactly before
+//! drawing; [`CalibratedModels::calibrate`] pushes each one through its
+//! sub-model's own `features` into that sub-model's normal equations and
+//! never holds the records. The visitor looks up each device's bias once
+//! and draws its one `StdRng` stream as chunked word columns. Every record
+//! kind draws a fixed number of raw words — its body, then one word pair
+//! for its log-normal noise:
 //!
 //! | record | body words | noise pair |
 //! |---|---|---|
@@ -34,8 +39,10 @@
 //! [`CalibratedModels::fit`] and [`CalibratedModels::evaluate`] read the
 //! columns as fixed-width feature rows through the streamed OLS fit of
 //! `xr_stats`, which builds no design matrix and accumulates in the order of
-//! the explicit `XᵀX`/`Xᵀy` products, so the calibrated coefficients keep
-//! their bits.
+//! the explicit `XᵀX`/`Xᵀy` products. `calibrate` feeds the same rows in
+//! the same order to the fit's first pass, so its coefficients have the
+//! row fit's bits; having no second pass, its models carry no in-sample
+//! R².
 
 use crate::laws::{DeviceBias, TrueLaws};
 use rand::rngs::StdRng;
@@ -47,7 +54,8 @@ use xr_core::{
     AoiModel, EncodingConfig, EncodingLatencyModel, EnergyModel, LatencyModel, XrPerformanceModel,
 };
 use xr_devices::{
-    CnnCatalog, CnnComplexityModel, ComputeResourceModel, DeviceCatalog, MeanPowerModel,
+    CnnCatalog, CnnComplexityModel, CnnModel, ComputeResourceModel, DeviceCatalog, DeviceSpec,
+    MeanPowerModel,
 };
 use xr_types::{Frame, FrameId, GigaHertz, Hertz, Ratio, Result};
 
@@ -155,23 +163,8 @@ impl MeasurementCampaign {
     /// [`collect`](Self::collect) with the noise columns drawn on an
     /// explicit tier.
     fn collect_at(&self, tier: Tier, laws: &TrueLaws, devices: &[&str]) -> MeasurementDataset {
-        let catalog = DeviceCatalog::table1();
-        let specs: Vec<_> = devices
-            .iter()
-            .filter_map(|name| catalog.device(name).ok())
-            .map(|spec| (spec, DeviceBias::for_device(&spec.name)))
-            .collect();
         let mut dataset = MeasurementDataset::default();
-        if specs.is_empty() {
-            return dataset;
-        }
-
-        let n_resource = self.target_records * 40 / 100;
-        let n_power = self.target_records * 35 / 100;
-        let n_encoding = self.target_records * 20 / 100;
-        let n_complexity = self
-            .target_records
-            .saturating_sub(n_resource + n_power + n_encoding);
+        let [n_resource, n_power, n_encoding, n_complexity] = self.split();
         dataset.resource_x.reserve_exact(n_resource);
         dataset.resource_y.reserve_exact(n_resource);
         dataset.power_x.reserve_exact(n_power);
@@ -180,7 +173,59 @@ impl MeasurementCampaign {
         dataset.encoding_y.reserve_exact(n_encoding);
         dataset.complexity_x.reserve_exact(n_complexity);
         dataset.complexity_y.reserve_exact(n_complexity);
+        self.visit_at(
+            tier,
+            laws,
+            &campaign_devices(devices),
+            |record| match record {
+                Record::Resource(x, y) => {
+                    dataset.resource_x.push(x);
+                    dataset.resource_y.push(y);
+                }
+                Record::Power(x, y) => {
+                    dataset.power_x.push(x);
+                    dataset.power_y.push(y);
+                }
+                Record::Encoding(x, y) => {
+                    dataset.encoding_x.push(x);
+                    dataset.encoding_y.push(y);
+                }
+                Record::Complexity(cnn, y) => {
+                    let [depth, size, scale] = CnnComplexityModel::features(cnn);
+                    dataset.complexity_x.push((depth, size, scale));
+                    dataset.complexity_y.push(y);
+                }
+            },
+        );
+        dataset
+    }
 
+    /// The record counts of the resource, power, encoding and complexity
+    /// sub-datasets.
+    fn split(&self) -> [usize; 4] {
+        let n_resource = self.target_records * 40 / 100;
+        let n_power = self.target_records * 35 / 100;
+        let n_encoding = self.target_records * 20 / 100;
+        let n_complexity = self
+            .target_records
+            .saturating_sub(n_resource + n_power + n_encoding);
+        [n_resource, n_power, n_encoding, n_complexity]
+    }
+
+    /// Draws the campaign over `specs` and hands every record to `visit`,
+    /// sub-dataset after sub-dataset, each in record order. Nothing is
+    /// drawn when `specs` is empty.
+    fn visit_at(
+        &self,
+        tier: Tier,
+        laws: &TrueLaws,
+        specs: &[(&DeviceSpec, DeviceBias)],
+        mut visit: impl FnMut(Record),
+    ) {
+        if specs.is_empty() {
+            return;
+        }
+        let [n_resource, n_power, n_encoding, n_complexity] = self.split();
         let mut draws = ChunkedDraws::new(self.seed, tier);
         // A random operating point of a campaign device: its bias and
         // `(f_c, f_g, ω_c)`.
@@ -196,17 +241,13 @@ impl MeasurementCampaign {
         // points of the campaign devices.
         draws.records::<4>(n_resource, |words, factor| {
             let (bias, (fc, fg, wc)) = operating_point(words);
-            dataset.resource_x.push((fc, fg, wc));
-            dataset
-                .resource_y
-                .push(laws.compute_resource(fc, fg, wc, bias) * factor);
+            let y = laws.compute_resource(fc, fg, wc, bias) * factor;
+            visit(Record::Resource((fc, fg, wc), y));
         });
         draws.records::<4>(n_power, |words, factor| {
             let (bias, (fc, fg, wc)) = operating_point(words);
-            dataset.power_x.push((fc, fg, wc));
-            dataset
-                .power_y
-                .push(laws.mean_power(fc, fg, wc, bias).as_f64() * factor);
+            let y = laws.mean_power(fc, fg, wc, bias).as_f64() * factor;
+            visit(Record::Power((fc, fg, wc), y));
         });
 
         // Encoding observations over random codec settings and frame sizes.
@@ -224,12 +265,11 @@ impl MeasurementCampaign {
                 .get(words.gen_range(0..4))
                 .expect("index in range");
             let frame = Frame::from_resolution(FrameId::new(1), side, Hertz::new(fps));
-            dataset
-                .encoding_x
-                .push(EncodingLatencyModel::features(&config, &frame));
-            dataset
-                .encoding_y
-                .push(laws.encoding_work(&config, &frame, bias) * factor);
+            let y = laws.encoding_work(&config, &frame, bias) * factor;
+            visit(Record::Encoding(
+                EncodingLatencyModel::features(&config, &frame),
+                y,
+            ));
         });
 
         // CNN-complexity observations: repeated noisy measurements of the
@@ -237,14 +277,33 @@ impl MeasurementCampaign {
         let cnns: Vec<_> = CnnCatalog::table2().iter().collect();
         draws.records::<1>(n_complexity, |words, factor| {
             let cnn = cnns[words.gen_range(0..cnns.len())];
-            dataset
-                .complexity_x
-                .push((f64::from(cnn.depth), cnn.size.as_f64(), cnn.depth_scale));
-            dataset.complexity_y.push(laws.cnn_complexity(cnn) * factor);
+            visit(Record::Complexity(cnn, laws.cnn_complexity(cnn) * factor));
         });
-
-        dataset
     }
+}
+
+/// The catalog devices named in `devices`, each with its bias; unknown
+/// names are skipped.
+fn campaign_devices(devices: &[&str]) -> Vec<(&'static DeviceSpec, DeviceBias)> {
+    let catalog = DeviceCatalog::table1();
+    devices
+        .iter()
+        .filter_map(|name| catalog.device(name).ok())
+        .map(|spec| (spec, DeviceBias::for_device(&spec.name)))
+        .collect()
+}
+
+/// One calibration record as the campaign draws it: a sub-model's
+/// covariates and its noisy observation.
+enum Record {
+    /// `(f_c, f_g, ω_c)` and the observed compute resource.
+    Resource((GigaHertz, GigaHertz, Ratio), f64),
+    /// `(f_c, f_g, ω_c)` and the observed mean power (W).
+    Power((GigaHertz, GigaHertz, Ratio), f64),
+    /// The encoding model's features and the observed encoder work.
+    Encoding([f64; 6], f64),
+    /// The measured CNN and its observed complexity multiplier.
+    Complexity(&'static CnnModel, f64),
 }
 
 /// The campaign's one `StdRng` stream, drawn a chunk of records at a time
@@ -350,6 +409,63 @@ pub struct CalibrationReport {
 }
 
 impl CalibratedModels {
+    /// Runs `campaign` over `devices` and fits the four sub-models on its
+    /// records as they are drawn, without building the dataset: each
+    /// record goes through its sub-model's own features into that
+    /// sub-model's [`NormalEquations`](xr_stats::NormalEquations), in
+    /// record order. The coefficients are those of
+    /// [`fit`](Self::fit) on [`MeasurementCampaign::collect`]'s dataset, bit
+    /// for bit; the models have no in-sample diagnostics, so
+    /// [`training_r_squared`](Self::training_r_squared) is `None`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates regression errors (e.g. no known device).
+    pub fn calibrate(
+        campaign: &MeasurementCampaign,
+        laws: &TrueLaws,
+        devices: &[&str],
+    ) -> Result<Self> {
+        Self::calibrate_at(Tier::dispatched(), campaign, laws, devices)
+    }
+
+    /// [`calibrate`](Self::calibrate) with the noise columns drawn on an
+    /// explicit tier.
+    fn calibrate_at(
+        tier: Tier,
+        campaign: &MeasurementCampaign,
+        laws: &TrueLaws,
+        devices: &[&str],
+    ) -> Result<Self> {
+        let mut compute = ComputeResourceModel::equations();
+        let mut power = MeanPowerModel::equations();
+        let mut encoding = EncodingLatencyModel::equations();
+        let mut complexity = CnnComplexityModel::equations();
+        campaign.visit_at(
+            tier,
+            laws,
+            &campaign_devices(devices),
+            |record| match record {
+                Record::Resource((fc, fg, wc), y) => {
+                    compute.push(ComputeResourceModel::features(fc, fg, wc), y);
+                }
+                Record::Power((fc, fg, wc), y) => {
+                    power.push(MeanPowerModel::features(fc, fg, wc), y);
+                }
+                Record::Encoding(x, y) => encoding.push(x, y),
+                Record::Complexity(cnn, y) => {
+                    complexity.push(CnnComplexityModel::features(cnn), y);
+                }
+            },
+        );
+        Ok(Self {
+            compute: ComputeResourceModel::solve(&compute)?,
+            power: MeanPowerModel::solve(&power)?,
+            encoding: EncodingLatencyModel::solve(&encoding)?,
+            complexity: CnnComplexityModel::solve(&complexity)?,
+        })
+    }
+
     /// Fits the four sub-models on a training dataset.
     ///
     /// # Errors
@@ -381,15 +497,16 @@ impl CalibratedModels {
     }
 
     /// In-sample R² of the four fits (the numbers the paper reports as 0.87,
-    /// 0.863, 0.79 and 0.844).
+    /// 0.863, 0.79 and 0.844); `None` for models from
+    /// [`calibrate`](Self::calibrate), which never hold their rows.
     #[must_use]
-    pub fn training_r_squared(&self) -> CalibrationReport {
-        CalibrationReport {
-            resource_r_squared: self.compute.r_squared(),
-            power_r_squared: self.power.r_squared(),
-            encoding_r_squared: self.encoding.r_squared(),
-            complexity_r_squared: self.complexity.r_squared(),
-        }
+    pub fn training_r_squared(&self) -> Option<CalibrationReport> {
+        Some(CalibrationReport {
+            resource_r_squared: self.compute.r_squared()?,
+            power_r_squared: self.power.r_squared()?,
+            encoding_r_squared: self.encoding.r_squared()?,
+            complexity_r_squared: self.complexity.r_squared()?,
+        })
     }
 
     /// Out-of-sample R² on a held-out dataset (the validation-device split).
@@ -473,7 +590,7 @@ mod tests {
     fn calibrated_fits_have_strong_in_sample_r_squared() {
         let (train, _) = train_test();
         let models = CalibratedModels::fit(&train).unwrap();
-        let report = models.training_r_squared();
+        let report = models.training_r_squared().unwrap();
         assert!(report.resource_r_squared > 0.8, "{report:?}");
         assert!(report.power_r_squared > 0.8, "{report:?}");
         assert!(report.encoding_r_squared > 0.8, "{report:?}");
@@ -547,8 +664,41 @@ mod tests {
     #[test]
     fn unknown_devices_yield_empty_dataset() {
         let laws = TrueLaws::standard();
-        let d = MeasurementCampaign::small(1).collect(&laws, &["nonexistent"]);
+        let campaign = MeasurementCampaign::small(1);
+        let d = campaign.collect(&laws, &["nonexistent"]);
         assert!(d.is_empty());
         assert!(CalibratedModels::fit(&d).is_err());
+        assert!(CalibratedModels::calibrate(&campaign, &laws, &["nonexistent"]).is_err());
+    }
+
+    #[test]
+    fn every_tier_calibrates_the_paper_scale_campaign_to_the_row_fit_bits() {
+        let bits = |models: &CalibratedModels| -> Vec<u64> {
+            [
+                models.compute.regression(),
+                models.power.regression(),
+                models.encoding.regression(),
+                models.complexity.regression(),
+            ]
+            .into_iter()
+            .flat_map(|fit| std::iter::once(fit.intercept()).chain(fit.coefficients().to_vec()))
+            .map(f64::to_bits)
+            .collect()
+        };
+        let laws = TrueLaws::standard();
+        let devices = DeviceCatalog::training_devices();
+        let campaign = MeasurementCampaign::paper_scale(2024);
+        for tier in Tier::ALL {
+            if !tier.supported() {
+                eprintln!("skipping the {tier:?} tier: this host cannot run it");
+                continue;
+            }
+            let row_fit =
+                CalibratedModels::fit(&campaign.collect_at(tier, &laws, &devices)).unwrap();
+            let streamed =
+                CalibratedModels::calibrate_at(tier, &campaign, &laws, &devices).unwrap();
+            assert_eq!(bits(&streamed), bits(&row_fit), "{tier:?}");
+            assert_eq!(streamed.training_r_squared(), None);
+        }
     }
 }

@@ -651,6 +651,7 @@ impl TestbedSimulator {
     /// placeholders). `None` for a session without a topology that never
     /// walks.
     pub(crate) fn session_map(scenario: &Scenario) -> Option<EdgeTopology> {
+        // Every field read here and in `edge_topology` is in `MapKey`.
         Self::edge_topology(scenario).or_else(|| {
             SessionState::walks(scenario).then(|| {
                 EdgeTopology::single(
@@ -1353,6 +1354,33 @@ impl<'a> FrameState<'a> {
             buffering: Seconds::ZERO,
             latency: [Seconds::ZERO; Segment::ALL.len()],
             handoff_occurred: false,
+        }
+    }
+}
+
+/// The scenario fields [`TestbedSimulator::session_map`] reads, compared
+/// to reuse a worker's map across points: two scenarios with equal keys
+/// get equal maps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct MapKey {
+    topology: Option<xr_core::TopologyConfig>,
+    technology: Option<AccessTechnology>,
+    tenants: Option<u32>,
+    coverage_radius: xr_types::Meters,
+    walks: bool,
+}
+
+impl MapKey {
+    pub(crate) fn of(scenario: &Scenario) -> Self {
+        Self {
+            topology: scenario.topology,
+            technology: scenario
+                .edge_servers
+                .first()
+                .map(|server| server.technology),
+            tenants: scenario.contention.map(|c| c.users_per_edge),
+            coverage_radius: scenario.mobility.coverage_radius,
+            walks: SessionState::walks(scenario),
         }
     }
 }

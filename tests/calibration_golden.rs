@@ -1,9 +1,13 @@
 //! Golden pin of the context calibration: the measurement campaign and the
 //! four OLS sub-model fits must keep every bit, at quick and paper scale.
 //! The chunked column pass of `MeasurementCampaign::collect` is pinned
-//! against the per-record oracle, and the platform libm results the
-//! golden depends on are pinned too, so a golden that fails on a host
-//! with another libm says why.
+//! against the per-record oracle, the streamed `CalibratedModels::calibrate`
+//! against the row fit of the collected dataset, and the platform libm
+//! results the golden depends on are pinned too, so a golden that fails on
+//! a host with another libm says why. The fixed seed-2024 paper-scale
+//! streamed case is `xr-testbed`'s unit test
+//! `every_tier_calibrates_the_paper_scale_campaign_to_the_row_fit_bits`,
+//! which can choose the SIMD tier and runs it on each one the host has.
 
 use proptest::prelude::*;
 use xr_devices::DeviceCatalog;
@@ -11,7 +15,7 @@ use xr_integration::{
     calibration_fingerprint, collect_per_record, dataset_words, libm_fingerprint,
     CALIBRATION_GOLDEN, CALIBRATION_LIBM_GOLDEN, CALIBRATION_SEED,
 };
-use xr_testbed::{MeasurementCampaign, MeasurementDataset, TrueLaws};
+use xr_testbed::{CalibratedModels, MeasurementCampaign, MeasurementDataset, TrueLaws};
 
 #[test]
 fn calibration_matches_the_checked_in_bits() {
@@ -103,6 +107,44 @@ fn assert_matches_oracle(seed: u64, records: usize, devices: &[&str]) {
     );
 }
 
+/// Every coefficient bit of the four sub-models, intercepts first.
+fn coefficient_bits(models: &CalibratedModels) -> Vec<u64> {
+    [
+        models.compute.regression(),
+        models.power.regression(),
+        models.encoding.regression(),
+        models.complexity.regression(),
+    ]
+    .into_iter()
+    .flat_map(|fit| std::iter::once(fit.intercept()).chain(fit.coefficients().to_vec()))
+    .map(f64::to_bits)
+    .collect()
+}
+
+/// Asserts that calibrating from the streamed campaign gives the row fit's
+/// coefficients on the collected dataset, bit for bit, or fails as it does.
+fn assert_calibrate_matches_the_row_fit(campaign: &MeasurementCampaign, devices: &[&str]) {
+    let laws = TrueLaws::standard();
+    let streamed = CalibratedModels::calibrate(campaign, &laws, devices);
+    let row_fit = CalibratedModels::fit(&campaign.collect(&laws, devices));
+    match (streamed, row_fit) {
+        (Ok(streamed), Ok(row_fit)) => {
+            assert_eq!(
+                coefficient_bits(&streamed),
+                coefficient_bits(&row_fit),
+                "{campaign:?} {devices:?}"
+            );
+            assert_eq!(streamed.training_r_squared(), None);
+        }
+        (Err(_), Err(_)) => {}
+        (streamed, row_fit) => panic!(
+            "{campaign:?} {devices:?}: calibrate gave {:?}, the row fit {:?}",
+            streamed.err(),
+            row_fit.err()
+        ),
+    }
+}
+
 #[test]
 fn chunked_collect_matches_the_oracle_at_chunk_boundaries() {
     // 160 and 640 records give 64 and 256 resource records, whole
@@ -136,5 +178,16 @@ proptest! {
         devices in prop::sample::select(DEVICE_LISTS.to_vec()),
     ) {
         assert_matches_oracle(seed, records, devices);
+    }
+
+    // The same cases, calibrated from the stream.
+    #[test]
+    fn calibrate_matches_the_row_fit_of_the_collected_dataset(
+        seed in 0u64..u64::MAX,
+        records in 100usize..601,
+        devices in prop::sample::select(DEVICE_LISTS.to_vec()),
+    ) {
+        let campaign = MeasurementCampaign::small(seed).with_target_records(records);
+        assert_calibrate_matches_the_row_fit(&campaign, devices);
     }
 }

@@ -125,13 +125,20 @@ pub fn calibration_fingerprint(seed: u64) -> String {
             ("complexity", models.complexity.regression(), &[d, s, c]),
         ];
         for (name, fit, first_row) in fits {
-            let (_, half_width) = fit.predict_with_interval(first_row);
+            let in_sample = "a row fit keeps its in-sample diagnostics";
+            let (_, half_width) = fit.predict_with_interval(first_row).expect(in_sample);
             for (field, values) in [
                 ("intercept", vec![fit.intercept()]),
                 ("coefficients", fit.coefficients().to_vec()),
-                ("r_squared", vec![fit.r_squared()]),
-                ("adjusted_r_squared", vec![fit.adjusted_r_squared()]),
-                ("residual_variance", vec![fit.residual_variance()]),
+                ("r_squared", vec![fit.r_squared().expect(in_sample)]),
+                (
+                    "adjusted_r_squared",
+                    vec![fit.adjusted_r_squared().expect(in_sample)],
+                ),
+                (
+                    "residual_variance",
+                    vec![fit.residual_variance().expect(in_sample)],
+                ),
                 ("half_width", vec![half_width]),
             ] {
                 let _ = writeln!(out, "{scale}.{name}.{field} {}", bits(values));
