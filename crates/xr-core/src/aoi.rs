@@ -61,39 +61,15 @@ pub struct AoiReport {
 }
 
 /// The proposed AoI/RoI analysis model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AoiModel {
-    /// Whether the queueing term `T̄` uses the paper's mean-time-in-system
-    /// approximation (`true`, Eq. 22) or the exact M/M/1 mean-AoI expression
-    /// (`false`) — the latter powers the ablation bench.
-    use_sojourn_approximation: bool,
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct AoiModel;
 
 impl AoiModel {
     /// The paper's model: queueing contribution approximated by
-    /// `T̄ = 1/(µ − λ)`.
+    /// `T̄ = 1/(µ − λ)` (Eq. 22).
     #[must_use]
     pub fn published() -> Self {
-        Self {
-            use_sojourn_approximation: true,
-        }
-    }
-
-    /// Variant using the exact M/M/1 mean-AoI expression instead of `T̄`.
-    #[must_use]
-    pub fn with_exact_queueing() -> Self {
-        Self {
-            use_sojourn_approximation: false,
-        }
-    }
-
-    fn queueing_delay(&self, sensor: &SensorConfig, service_rate: f64) -> Result<Seconds> {
-        let queue = MM1Queue::new(sensor.arrival_rate, service_rate)?;
-        Ok(if self.use_sojourn_approximation {
-            queue.mean_time_in_system()
-        } else {
-            queue.mean_aoi_exact()
-        })
+        Self
     }
 
     /// The AoI of one sensor at update `n` (1-based), for a given request
@@ -130,7 +106,8 @@ impl AoiModel {
         request_period: Seconds,
         updates: u32,
     ) -> Result<Vec<Seconds>> {
-        let queueing = self.queueing_delay(sensor, service_rate)?;
+        // The queueing term `T̄` of Eq. 22: the M/M/1 mean time in system.
+        let queueing = MM1Queue::new(sensor.arrival_rate, service_rate)?.mean_time_in_system();
         Ok((1..=updates.max(1))
             .map(|n| Self::update_aoi(sensor, queueing, request_period, n))
             .collect())
@@ -198,12 +175,6 @@ impl AoiModel {
                 f64::from(n) / total_latency.as_f64().max(f64::MIN_POSITIVE),
             ),
         })
-    }
-}
-
-impl Default for AoiModel {
-    fn default() -> Self {
-        Self::published()
     }
 }
 
@@ -282,19 +253,6 @@ mod tests {
         assert!(slow.roi < 1.0);
         assert!(!slow.is_fresh());
         assert!((report.request_period.as_f64() - 0.1 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn exact_queueing_variant_is_more_pessimistic() {
-        let s = sensor(100.0);
-        let approx = AoiModel::published()
-            .analyze_sensor(&s, 500.0, Seconds::from_millis(30.0), 6)
-            .unwrap();
-        let exact = AoiModel::with_exact_queueing()
-            .analyze_sensor(&s, 500.0, Seconds::from_millis(30.0), 6)
-            .unwrap();
-        assert!(exact.average > approx.average);
-        assert!(exact.roi < approx.roi);
     }
 
     #[test]

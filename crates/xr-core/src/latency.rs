@@ -23,7 +23,6 @@ const RESULT_PAYLOAD_MB: f64 = 0.01;
 pub struct LatencyBreakdown {
     segments: [Seconds; Segment::ALL.len()],
     total: Seconds,
-    buffering: Seconds,
 }
 
 impl LatencyBreakdown {
@@ -38,13 +37,6 @@ impl LatencyBreakdown {
     #[must_use]
     pub fn total(&self) -> Seconds {
         self.total
-    }
-
-    /// The input-buffer waiting component `t_buff` folded into rendering
-    /// (Eq. 7), exposed separately for the ablation bench.
-    #[must_use]
-    pub fn buffering(&self) -> Seconds {
-        self.buffering
     }
 
     /// Iterates over `(segment, latency)` pairs in segment order.
@@ -111,8 +103,7 @@ impl LatencyModel {
     }
 
     /// Disables the memory-bandwidth (`δ/m`) terms — the FACT-style
-    /// ablation exercised by the `ablation_table` paper artifact and the
-    /// `ablations` bench.
+    /// ablation exercised by the `ablation_table` paper artifact.
     #[must_use]
     pub fn without_memory_terms(mut self) -> Self {
         self.include_memory_terms = false;
@@ -503,11 +494,7 @@ impl LatencyModel {
             total += latency * weight;
         }
 
-        Ok(LatencyBreakdown {
-            segments,
-            total,
-            buffering,
-        })
+        Ok(LatencyBreakdown { segments, total })
     }
 
     fn link_for(&self, server: &crate::scenario::EdgeServerConfig) -> WirelessLink {
@@ -557,7 +544,6 @@ mod tests {
         assert!(breakdown.total().as_f64() > 0.0);
         assert!(breakdown.total() <= breakdown.sum_of_segments());
         assert!(breakdown.segment(Segment::FrameGeneration).as_f64() > 0.0);
-        assert!(breakdown.buffering().as_f64() > 0.0);
     }
 
     #[test]
@@ -831,7 +817,6 @@ mod tests {
                         "{segment}"
                     );
                 }
-                assert_eq!(b.buffering(), model.buffering(s).unwrap());
                 let slots: Vec<Segment> = b.iter().map(|(segment, _)| segment).collect();
                 assert_eq!(slots, Segment::ALL);
             }

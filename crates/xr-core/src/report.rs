@@ -38,7 +38,6 @@ impl PerformanceReport {
 pub struct XrPerformanceModel {
     latency: LatencyModel,
     energy: EnergyModel,
-    aoi: AoiModel,
 }
 
 impl XrPerformanceModel {
@@ -49,19 +48,14 @@ impl XrPerformanceModel {
         Self {
             latency: LatencyModel::published(),
             energy: EnergyModel::published(),
-            aoi: AoiModel::published(),
         }
     }
 
     /// Builds the framework from explicit sub-models (e.g. after refitting
     /// the regressions on simulated training data).
     #[must_use]
-    pub fn new(latency: LatencyModel, energy: EnergyModel, aoi: AoiModel) -> Self {
-        Self {
-            latency,
-            energy,
-            aoi,
-        }
+    pub fn new(latency: LatencyModel, energy: EnergyModel) -> Self {
+        Self { latency, energy }
     }
 
     /// Predicts one frame of a scenario: the latency (Eq. 1) and energy
@@ -86,7 +80,7 @@ impl XrPerformanceModel {
     /// Returns scenario-validation or queueing errors.
     pub fn analyze(&self, scenario: &Scenario) -> Result<PerformanceReport> {
         let (latency, energy) = self.predict(scenario)?;
-        let aoi = self.aoi.analyze(scenario, latency.total())?;
+        let aoi = AoiModel::published().analyze(scenario, latency.total())?;
         Ok(PerformanceReport {
             latency,
             energy,
@@ -136,7 +130,6 @@ mod tests {
         let ablated = XrPerformanceModel::new(
             LatencyModel::published().without_memory_terms(),
             EnergyModel::published(),
-            AoiModel::published(),
         );
         let report = ablated.analyze(&scenario).unwrap();
         assert!(report.latency.total() < baseline.latency.total());

@@ -35,8 +35,8 @@
 //! `XR_SWEEP_WORKERS` the worker count; a value that is not a non-negative
 //! integer exits with status 2. The CSV is bit-identical for every worker
 //! count and for both session engines; the batched engine runs all
-//! replications of a point fused, sharing each wide pass. CI runs this
-//! binary under these axes and diffs the artifacts.
+//! replications of a point fused, sharing each wide pass. The `grid_pins`
+//! integration test pins both across every checked-in grid file.
 
 use std::io::BufWriter;
 use xr_experiments::campaign::write_campaign_csv;

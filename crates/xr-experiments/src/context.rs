@@ -43,7 +43,7 @@ impl ExperimentContext {
     /// The CPU clocks swept in Fig. 4 (GHz).
     pub const CPU_CLOCKS: [f64; 3] = grid::PAPER_CPU_CLOCKS;
 
-    /// A fast context suitable for tests and benches: a small measurement
+    /// A fast context for tests and the default campaign: a small measurement
     /// campaign and 20 ground-truth frames per operating point.
     ///
     /// # Errors

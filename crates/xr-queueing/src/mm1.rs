@@ -119,20 +119,6 @@ impl MM1Queue {
     pub fn littles_law_residual(&self) -> f64 {
         self.mean_number_in_system() - self.arrival_rate * self.mean_time_in_system().as_f64()
     }
-
-    /// The steady-state mean AoI of a status-update stream through an M/M/1
-    /// first-come-first-served queue,
-    /// `Δ̄ = (1/µ)·(1 + 1/ρ + ρ²/(1−ρ))` (Kaul–Yates–Gruteser).
-    ///
-    /// The paper's AoI model (Eq. 23) approximates the queueing contribution
-    /// with `T̄`; the exact expression is provided for the ablation bench that
-    /// quantifies the approximation error.
-    #[must_use]
-    pub fn mean_aoi_exact(&self) -> Seconds {
-        let rho = self.utilization();
-        let mu = self.service_rate;
-        Seconds::new((1.0 / mu) * (1.0 + 1.0 / rho + rho * rho / (1.0 - rho)))
-    }
 }
 
 #[cfg(test)]
@@ -183,14 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_aoi_exceeds_paper_approximation_at_low_load() {
-        // At low ρ the AoI is dominated by the inter-arrival gap, which the
-        // paper's T̄ approximation ignores; the exact formula must be larger.
-        let q = MM1Queue::new(10.0, 1000.0).unwrap();
-        assert!(q.mean_aoi_exact() > q.mean_time_in_system());
-    }
-
-    #[test]
     fn unstable_and_invalid_queues_rejected() {
         assert!(matches!(
             MM1Queue::new(5.0, 5.0),
@@ -225,30 +203,14 @@ mod tests {
 
     #[test]
     fn near_saturation_stays_finite_and_ordered() {
-        // ρ → 1: the closed forms blow up but must remain finite, positive
-        // and correctly ordered for every representable stable queue.
+        // ρ → 1: the closed forms blow up but must remain finite for every
+        // representable stable queue.
         let mu = 10.0;
         let q = MM1Queue::new(mu * (1.0 - 1e-12), mu).unwrap();
         let sojourn = q.mean_time_in_system().as_f64();
         assert!(sojourn.is_finite() && sojourn > 1e10);
-        let aoi = q.mean_aoi_exact().as_f64();
-        assert!(aoi.is_finite() && aoi > 0.0);
-        // Near saturation the AoI is dominated by the queueing term
-        // ρ²/(µ(1−ρ)), which approaches the mean sojourn 1/(µ−λ); the exact
-        // AoI must exceed the sojourn (it adds the 1/µ and 1/λ terms).
-        assert!(aoi > sojourn);
-        assert!(aoi < sojourn * 1.001);
         // The sojourn tail barely decays over any practical horizon.
         assert!(q.probability_sojourn_exceeds(Seconds::new(1.0)) > 0.999);
-    }
-
-    #[test]
-    fn low_load_aoi_is_dominated_by_the_interarrival_gap() {
-        // ρ → 0: Δ̄ → 1/λ (a sample ages a full inter-arrival gap before the
-        // next one exists); the queueing term vanishes.
-        let q = MM1Queue::new(1.0, 1e9).unwrap();
-        let aoi = q.mean_aoi_exact().as_f64();
-        assert!((aoi - 1.0).abs() < 1e-6, "Δ̄ {aoi} should approach 1/λ = 1");
     }
 
     #[test]

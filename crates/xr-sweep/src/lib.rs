@@ -54,9 +54,9 @@
 //! evaluation function)`. Worker count only changes wall-clock time. This is
 //! enforced by construction — workers never share mutable state with the
 //! evaluation closure, per-point seeds never depend on scheduling — and
-//! checked by the `sweep_campaign` integration tests and a CI step that runs
-//! the `campaign` binary twice with different worker counts and diffs the
-//! CSVs.
+//! checked by the `sweep_campaign` integration tests and by `grid_pins`,
+//! which runs every checked-in grid file at one and at three workers
+//! against its checked-in CSV.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -101,8 +101,9 @@
 //! ([`TestbedSimulator::simulate_session_scalar`]) is pinned by unit tests
 //! here, a cross-crate property test over random scenarios and batch
 //! widths, a draw-layer property test (`tests/draw_columns.rs`) pinning
-//! wide-lane fills against per-frame `stage_rng` draws, and a CI step that
-//! runs a whole campaign through both engines and diffs the CSVs.
+//! wide-lane fills against per-frame `stage_rng` draws, and the `grid_pins`
+//! integration test, which runs every checked-in grid file through both
+//! engines and diffs the CSVs.
 
 use crate::lanes::LaneStreams;
 use crate::laws::DeviceBias;

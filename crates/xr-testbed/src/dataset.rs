@@ -51,7 +51,7 @@ use rand_distr::math::Tier;
 use rand_distr::{column, Normal};
 use serde::{Deserialize, Serialize};
 use xr_core::{
-    AoiModel, EncodingConfig, EncodingLatencyModel, EnergyModel, LatencyModel, XrPerformanceModel,
+    EncodingConfig, EncodingLatencyModel, EnergyModel, LatencyModel, XrPerformanceModel,
 };
 use xr_devices::{
     CnnCatalog, CnnComplexityModel, CnnModel, ComputeResourceModel, DeviceCatalog, DeviceSpec,
@@ -493,7 +493,7 @@ impl CalibratedModels {
             .with_cnn_complexity(self.complexity.clone())
             .with_encoding_model(self.encoding.clone());
         let energy = EnergyModel::published().with_power_model(self.power.clone());
-        XrPerformanceModel::new(latency, energy, AoiModel::published())
+        XrPerformanceModel::new(latency, energy)
     }
 
     /// In-sample R² of the four fits (the numbers the paper reports as 0.87,

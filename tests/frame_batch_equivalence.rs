@@ -166,6 +166,7 @@ fn multi_server_uplink_keeps_the_pair_parity_across_engines() {
     // sine half — with a uniform jitter word interleaved between servers.
     // Odd and even server counts end the frame in different cache states,
     // so run both against the scalar reference at awkward widths.
+    let mut cases: Vec<(String, Scenario, u64, u64, &[usize])> = Vec::new();
     for server_count in [1usize, 2, 3, 4, 5] {
         let servers: Vec<_> = (0..server_count)
             .map(|i| {
@@ -181,17 +182,44 @@ fn multi_server_uplink_keeps_the_pair_parity_across_engines() {
             .edge_servers(servers)
             .build()
             .expect("multi-server scenario is valid");
-        let testbed = TestbedSimulator::new(4242);
-        let scalar = testbed.simulate_session_scalar(&scenario, 70).unwrap();
-        for width in [1usize, 7, 64, 128] {
+        let label = format!("{server_count} servers");
+        cases.push((label, scenario, 4242, 70, &[1, 7, 64, 128]));
+    }
+    // The three shapes campaigns sweep most (local, remote, remote on a
+    // moving device) at 512 frames, where the proptest above never goes:
+    // widths of 256 and 512 lanes, and a session that runs a second
+    // 256-lane batch.
+    let shape = |execution| {
+        Scenario::builder()
+            .frame_side(500.0)
+            .cpu_clock(GigaHertz::new(2.0))
+            .execution(execution)
+    };
+    let mobile = shape(ExecutionTarget::Remote).mobility(MobilityConfig {
+        speed: MetersPerSecond::new(25.0),
+        coverage_radius: Meters::new(10.0),
+        handoff_kind: HandoffKind::Vertical,
+    });
+    for (label, builder) in [
+        ("local", shape(ExecutionTarget::Local)),
+        ("remote", shape(ExecutionTarget::Remote)),
+        ("mobile", mobile),
+    ] {
+        let scenario = builder.build().expect("shape scenario is valid");
+        cases.push((label.into(), scenario, 2024, 512, &[1, 7, 64, 256, 512]));
+    }
+    for (label, scenario, seed, frames, widths) in cases {
+        let testbed = TestbedSimulator::new(seed);
+        let scalar = testbed.simulate_session_scalar(&scenario, frames).unwrap();
+        for &width in widths {
             let batched = testbed
                 .clone()
                 .with_engine(SimulationEngine::Batched { width })
-                .simulate_session(&scenario, 70)
+                .simulate_session(&scenario, frames)
                 .unwrap();
             assert_eq!(
                 batched, scalar,
-                "engines diverged with {server_count} servers at width {width}"
+                "{label}: engines diverged over {frames} frames at width {width}"
             );
         }
     }

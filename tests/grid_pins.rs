@@ -11,11 +11,25 @@
 //!    checkpoint every 16 rows, `session-long` at paper scale), and the
 //!    SHA-256 of each CSV line, cut to 16 hex digits, must equal the
 //!    checked-in `perfbench/expected/<workload>.sha256`, header first.
+//! 3. **Config grid bytes.** Every `configs/*.grid` runs in the quick
+//!    context on the batched engine at 1 and at 3 workers (the second with
+//!    `--progress`), which must write the scalar engine's bytes at 1
+//!    worker; and those must equal `baselines/grids/<name>.csv`, written by
+//!    the release `campaign --grid configs/<name>.grid`.
+//! 4. **Student-t libm bits.** The CI columns of every campaign golden come
+//!    from `students_t_quantile`, which calls the platform libm. Its output
+//!    at every key those goldens reach, and the libm's bits at every
+//!    argument it passes, must equal `tests/golden/students-t-libm.txt`.
 
+use std::collections::BTreeSet;
+use std::f64::consts::PI;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
-use xr_experiments::campaign::write_campaign_csv;
+use xr_experiments::campaign::{quick_grid, write_campaign_csv};
 use xr_experiments::{run_campaign_shard_with, ExperimentContext};
+use xr_stats::inference::students_t_cdf;
+use xr_stats::students_t_quantile;
 use xr_sweep::{parse_grid_spec, CampaignRunner, ShardSpec, SweepGrid};
 
 /// The seed the benchmark digests were made at.
@@ -222,26 +236,32 @@ fn workload_grid(workload: &str) -> SweepGrid {
     grid(&repo_path(&format!("perfbench/grids/{workload}.grid")))
 }
 
-fn runner() -> CampaignRunner {
-    CampaignRunner::new(2).with_campaign_seed(SEED)
+fn runner(workers: usize) -> CampaignRunner {
+    CampaignRunner::new(workers).with_campaign_seed(SEED)
 }
 
-/// The CSV bytes the `campaign` binary writes for `grid`.
-fn campaign_csv(ctx: &ExperimentContext, grid: &SweepGrid) -> Vec<u8> {
+/// The CSV bytes the `campaign` binary writes for `grid` on `workers`
+/// workers, with or without `--progress`.
+fn campaign_csv(
+    ctx: &ExperimentContext,
+    grid: &SweepGrid,
+    workers: usize,
+    progress: bool,
+) -> Vec<u8> {
     let mut csv = Vec::new();
-    write_campaign_csv(ctx, grid, &runner(), &mut csv, false).unwrap();
+    write_campaign_csv(ctx, grid, &runner(workers), &mut csv, progress).unwrap();
     csv
 }
 
 #[test]
 fn sweep_wide_matches_its_benchmark_digests() {
-    let csv = campaign_csv(quick(), &workload_grid("sweep-wide"));
+    let csv = campaign_csv(quick(), &workload_grid("sweep-wide"), 2, false);
     assert_matches_expected("sweep-wide", &csv);
 }
 
 #[test]
 fn session_long_matches_its_benchmark_digests() {
-    let csv = campaign_csv(paper_scale(), &workload_grid("session-long"));
+    let csv = campaign_csv(paper_scale(), &workload_grid("session-long"), 2, false);
     assert_matches_expected("session-long", &csv);
 }
 
@@ -254,7 +274,7 @@ fn roam_durable_matches_its_benchmark_digests() {
     run_campaign_shard_with(
         quick(),
         &workload_grid("roam-durable"),
-        &runner(),
+        &runner(2),
         ShardSpec::parse("1/1").unwrap(),
         &csv_path,
         16,
@@ -263,4 +283,215 @@ fn roam_durable_matches_its_benchmark_digests() {
     let csv = std::fs::read(&csv_path).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
     assert_matches_expected("roam-durable", &csv);
+}
+
+/// Asserts that `csv` is `want`, line by line, naming the first line that
+/// differs.
+fn assert_same_lines(label: &str, csv: &str, want: &str) {
+    for (index, (got, want)) in csv.lines().zip(want.lines()).enumerate() {
+        assert_eq!(got, want, "{label}: line {index} (0 is the header)");
+    }
+    assert_eq!(
+        csv.lines().count(),
+        want.lines().count(),
+        "{label}: line count"
+    );
+    assert_eq!(csv, want, "{label}: line endings");
+}
+
+#[test]
+fn config_grids_match_their_goldens_on_both_engines() {
+    let scalar = ExperimentContext::quick(SEED)
+        .unwrap()
+        .with_scalar_sessions();
+    let files = grid_files("configs");
+    let goldens = std::fs::read_dir(repo_path("baselines/grids"))
+        .unwrap()
+        .filter(|entry| {
+            let path = entry.as_ref().unwrap().path();
+            path.extension().is_some_and(|ext| ext == "csv")
+        })
+        .count();
+    assert_eq!(goldens, files.len(), "one golden per configs/*.grid");
+    for path in &files {
+        let name = path.file_stem().unwrap().to_str().unwrap();
+        let grid = grid(path);
+        let text = |csv: Vec<u8>| String::from_utf8(csv).expect("campaign CSV is UTF-8");
+        let reference = text(campaign_csv(&scalar, &grid, 1, false));
+        for (workers, progress) in [(1, false), (3, true)] {
+            let batched = text(campaign_csv(quick(), &grid, workers, progress));
+            assert_same_lines(
+                &format!("{name}: batched engine at {workers} worker(s) vs the scalar engine"),
+                &batched,
+                &reference,
+            );
+        }
+        let golden = format!("baselines/grids/{name}.csv");
+        let want = std::fs::read_to_string(repo_path(&golden))
+            .unwrap_or_else(|e| panic!("cannot read {golden}: {e}"));
+        assert_same_lines(
+            &format!("{name}: both engines vs {golden}"),
+            &reference,
+            &want,
+        );
+    }
+}
+
+/// The checked-in bits of [`students_t_libm_fingerprint`].
+const STUDENTS_T_LIBM_GOLDEN: &str = include_str!("golden/students-t-libm.txt");
+
+/// The platform libm calls of one replayed quantile, each distinct
+/// `(function, argument)` once, in first-call order.
+#[derive(Default)]
+struct LibmCalls(Vec<(&'static str, u64, u64)>);
+
+impl LibmCalls {
+    fn call(&mut self, name: &'static str, f: fn(f64) -> f64, x: f64) -> f64 {
+        let y = f(x);
+        if !self
+            .0
+            .iter()
+            .any(|&(n, a, _)| n == name && a == x.to_bits())
+        {
+            self.0.push((name, x.to_bits(), y.to_bits()));
+        }
+        y
+    }
+}
+
+/// `xr_stats::inference`'s `ln_gamma`, operation for operation, with its
+/// libm calls recorded.
+fn replay_ln_gamma(x: f64, libm: &mut LibmCalls) -> f64 {
+    const COEFFICIENTS: [f64; 9] = [
+        0.999_999_999_999_809_9,
+        676.520_368_121_885_1,
+        -1_259.139_216_722_402_8,
+        771.323_428_777_653_1,
+        -176.615_029_162_140_6,
+        12.507_343_278_686_905,
+        -0.138_571_095_265_720_12,
+        9.984_369_578_019_572e-6,
+        1.505_632_735_149_311_6e-7,
+    ];
+    if x < 0.5 {
+        let sin = libm.call("sin", f64::sin, PI * x);
+        return libm.call("ln", f64::ln, PI / sin) - replay_ln_gamma(1.0 - x, libm);
+    }
+    let x = x - 1.0;
+    let mut acc = COEFFICIENTS[0];
+    for (i, c) in COEFFICIENTS.iter().enumerate().skip(1) {
+        acc += c / (x + i as f64);
+    }
+    let t = x + 7.5;
+    0.5 * libm.call("ln", f64::ln, 2.0 * PI) + (x + 0.5) * libm.call("ln", f64::ln, t) - t
+        + libm.call("ln", f64::ln, acc)
+}
+
+/// `students_t_cdf(t, dof)`, recording the libm calls of its incomplete
+/// beta `I_x(ν/2, ½)`: the `ln Γ` terms and the `exp` of its front factor.
+/// The continued fraction calls no libm.
+fn replay_cdf(t: f64, dof: f64, libm: &mut LibmCalls) -> f64 {
+    let x = dof / (dof + t * t);
+    if x != 0.0 && x != 1.0 {
+        let (a, b) = (dof / 2.0, 0.5);
+        let front =
+            replay_ln_gamma(a + b, libm) - replay_ln_gamma(a, libm) - replay_ln_gamma(b, libm)
+                + a * libm.call("ln", f64::ln, x)
+                + b * libm.call("ln", f64::ln, 1.0 - x);
+        libm.call("exp", f64::exp, front);
+    }
+    students_t_cdf(t, dof)
+}
+
+/// The Student-t quantiles behind the CI columns of every campaign golden,
+/// and the platform libm's results at every argument they pass it, one
+/// `function input… output` line each, as IEEE-754 bits in hex.
+///
+/// A row's 95 % interval takes `students_t_quantile(0.975, R − 1)`, so
+/// the keys are the replication counts R ≥ 2 of every checked-in grid
+/// (`configs/`, `perfbench/grids/`) and of the default quick grid. For
+/// each key, ascending, the bisection is replayed along the path the
+/// library's `students_t_cdf` takes on this host, recording the `ln`,
+/// `exp` and `sin` calls of each CDF evaluation; then comes the quantile.
+fn students_t_libm_fingerprint() -> String {
+    let replications: BTreeSet<usize> = grid_files("configs")
+        .into_iter()
+        .chain(grid_files("perfbench/grids"))
+        .map(|path| grid(&path).replications())
+        .chain([quick_grid().replications()])
+        .filter(|&r| r >= 2)
+        .collect();
+    // `mean_confidence_interval(samples, 0.95)`'s upper-tail probability.
+    let level = 0.95;
+    let p = 0.5 + level / 2.0;
+    let mut out = String::new();
+    for r in replications {
+        let dof = (r - 1) as f64;
+        let mut libm = LibmCalls::default();
+        let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
+        while replay_cdf(hi, dof, &mut libm) < p {
+            hi *= 2.0;
+        }
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if replay_cdf(mid, dof, &mut libm) < p {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+            if hi - lo <= f64::EPSILON * hi.max(1.0) {
+                break;
+            }
+        }
+        for (name, x, y) in libm.0 {
+            let _ = writeln!(out, "{name} {x:016x} {y:016x}");
+        }
+        let _ = writeln!(
+            out,
+            "t_quantile {:016x} {:016x} {:016x}",
+            p.to_bits(),
+            dof.to_bits(),
+            students_t_quantile(p, dof).to_bits()
+        );
+    }
+    out
+}
+
+#[test]
+fn students_t_libm_matches_the_checked_in_bits() {
+    let actual = students_t_libm_fingerprint();
+    for (line, (got, want)) in actual
+        .lines()
+        .zip(STUDENTS_T_LIBM_GOLDEN.lines())
+        .enumerate()
+    {
+        // `function inputs` first, then the output bits.
+        let (got_call, got_bits) = got.rsplit_once(' ').expect("function input output");
+        let (want_call, want_bits) = want.rsplit_once(' ').expect("function input output");
+        assert_eq!(
+            got_call,
+            want_call,
+            "Student-t libm golden line {}: the quantile's keys or the arguments it passes \
+             libm moved, so this is a code change, not a libm difference",
+            line + 1
+        );
+        let cause = if got_call.starts_with("t_quantile") {
+            "the quantile moved while this host's libm gives the checked-in bits at every \
+             argument it passes, so this is a code change"
+        } else {
+            "this host's libm gives other bits than the libm the goldens were made with \
+             (glibc 2.36), so no campaign golden's CI columns can be trusted to match here"
+        };
+        assert_eq!(
+            got_bits,
+            want_bits,
+            "Student-t libm golden line {}: {cause}",
+            line + 1
+        );
+    }
+    assert_eq!(
+        actual.lines().count(),
+        STUDENTS_T_LIBM_GOLDEN.lines().count(),
+        "Student-t libm golden line count"
+    );
 }

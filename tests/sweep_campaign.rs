@@ -157,7 +157,7 @@ fn contention_campaign_is_byte_identical_across_worker_counts_and_runs() {
         );
     }
     // A second run from a fresh context with the same seed reproduces the
-    // bytes exactly — the two-run CI diff in miniature.
+    // bytes exactly.
     let rerun_ctx = ExperimentContext::quick(13).unwrap();
     let rerun = csv_lines(&run_campaign_with(&rerun_ctx, &grid, &CampaignRunner::new(3)).unwrap());
     assert_eq!(rerun, reference, "a repeated run changed the artifact");
