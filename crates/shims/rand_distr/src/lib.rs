@@ -109,9 +109,10 @@ impl Normal {
     /// pair must apply — the column transforms and the scalar samplers
     /// route through it, so a variate produced by any path has identical
     /// bits. The Monsoon monitor scales by a per-phase `σ/√k` and writes
-    /// the same `1 + s·z` inline (scalar and AVX2), so it skips building a
-    /// `Normal` per phase.
+    /// the same `1 + s·z` inline, so it skips building a `Normal` per
+    /// phase.
     #[must_use]
+    #[inline(always)]
     pub fn from_standard(&self, z: f64) -> f64 {
         self.mean + self.std_dev * z
     }
@@ -130,8 +131,10 @@ impl Distribution<f64> for Normal {
 /// The full Box–Muller rotation from one raw word pair: `u1` (clamped away
 /// from zero so `ln` stays finite) and `u2` map to `r = √(−2·ln u1)` and
 /// angle `τ·u2`, returning `(r·cos, r·sin)` — two independent standard
-/// normal variates for one `ln`/`sqrt`/`sincos` set.
+/// normal variates for one `ln`/`sqrt`/`sincos` set. Always inlined, so
+/// each tier's column pass compiles its own copy.
 #[must_use]
+#[inline(always)]
 pub fn standard_normal_pair_from_words(a: u64, b: u64) -> (f64, f64) {
     let u1 = rand::unit_f64_from_word(a).max(f64::MIN_POSITIVE);
     let u2 = rand::unit_f64_from_word(b);
@@ -197,17 +200,14 @@ impl StandardNormalPairs {
 /// pinned by the tests below:
 ///
 /// * every transcendental comes from the [`math`] kernels (never the
-///   libm), and each SIMD-backed fill runs in one of three
-///   [`Tier`](math::Tier)s — portable, 4-wide AVX2 or 8-wide AVX-512 —
-///   chosen once per process by [`Tier::dispatched`](math::Tier::dispatched).
-///   Every tier executes the same exact-arithmetic operation DAG per
-///   element, so the SIMD tiers are bit-identical — not approximately
-///   equal — to the portable one. The AVX-512 tier uses a native
-///   instruction only where it gives the same bits (`vcvtuqq2pd` converts
-///   `word >> 11`, which is exact below 2^53), and covers the last
-///   `len % 8` elements with masked loads and stores instead of a scalar
-///   tail. The `*_at` entry points run an explicit tier; tests pin each
-///   tier the host supports against the portable pass, and CI re-runs the
+///   libm), and each fill is one plain loop over the scalar sampler's own
+///   expression, which [`Tier::run`](math::Tier::run) compiles once per
+///   [`Tier`](math::Tier) — portable, AVX2 or AVX-512 — chosen once per
+///   process by [`Tier::dispatched`](math::Tier::dispatched). Rust keeps
+///   every floating-point operation as written, so the vectorized builds
+///   are bit-identical — not approximately equal — to the portable one.
+///   The `*_at` entry points run an explicit tier; tests pin each tier the
+///   host supports against the portable build, and CI re-runs the
 ///   dispatched gates under `XR_FORCE_PORTABLE=1`, which turns off every
 ///   SIMD tier;
 /// * the normal-family transforms come in *pair* form
@@ -288,28 +288,17 @@ pub mod column {
     ) {
         assert_eq!(raw_a.len(), out.len(), "raw_a column length mismatch");
         assert_eq!(raw_b.len(), out.len(), "raw_b column length mismatch");
-        match tier.checked() {
-            #[cfg(target_arch = "x86_64")]
-            #[allow(unsafe_code)]
-            // SAFETY: `checked` confirmed the CPU runs the tier, and the
-            // slice lengths were asserted equal above.
-            Tier::Avx512 => unsafe { avx512::fill_lognormal(normal, raw_a, raw_b, out) },
-            #[cfg(target_arch = "x86_64")]
-            #[allow(unsafe_code)]
-            // SAFETY: `checked` confirmed the CPU runs the tier, and the
-            // slice lengths were asserted equal above.
-            Tier::Avx2 => unsafe { avx2::fill_lognormal_avx2(normal, raw_a, raw_b, out) },
-            _ => fill_lognormal_portable(normal, raw_a, raw_b, out),
-        }
-    }
-
-    /// The portable pass behind [`fill_lognormal`]; also the reference the
-    /// SIMD tiers are pinned against and the AVX2 tier's tail.
-    fn fill_lognormal_portable(normal: &Normal, raw_a: &[u64], raw_b: &[u64], out: &mut [f64]) {
-        for ((out, &a), &b) in out.iter_mut().zip(raw_a).zip(raw_b) {
-            let (z, _) = super::standard_normal_pair_from_words(a, b);
-            *out = math::exp(normal.from_standard(z));
-        }
+        tier.run_elementwise(
+            out.len(),
+            #[inline(always)]
+            |at| {
+                let words = raw_a[at.clone()].iter().zip(&raw_b[at.clone()]);
+                for (out, (&a, &b)) in out[at].iter_mut().zip(words) {
+                    let (z, _) = super::standard_normal_pair_from_words(a, b);
+                    *out = math::exp(normal.from_standard(z));
+                }
+            },
+        );
     }
 
     /// Writes **both** Box–Muller noise factors of each raw word pair:
@@ -346,39 +335,19 @@ pub mod column {
         out_sin: &mut [f64],
     ) {
         assert_pair_lengths(raw_a, raw_b, out_cos, out_sin);
-        match tier.checked() {
-            #[cfg(target_arch = "x86_64")]
-            #[allow(unsafe_code)]
-            // SAFETY: `checked` confirmed the CPU runs the tier, and the
-            // slice lengths were asserted equal above.
-            Tier::Avx512 => unsafe {
-                avx512::fill_lognormal_pair(normal, raw_a, raw_b, out_cos, out_sin);
+        tier.run_elementwise(
+            out_cos.len(),
+            #[inline(always)]
+            |at| {
+                let outs = out_cos[at.clone()].iter_mut().zip(&mut out_sin[at.clone()]);
+                let words = raw_a[at.clone()].iter().zip(&raw_b[at]);
+                for ((cos, sin), (&a, &b)) in outs.zip(words) {
+                    let (z1, z2) = super::standard_normal_pair_from_words(a, b);
+                    *cos = math::exp(normal.from_standard(z1));
+                    *sin = math::exp(normal.from_standard(z2));
+                }
             },
-            #[cfg(target_arch = "x86_64")]
-            #[allow(unsafe_code)]
-            // SAFETY: `checked` confirmed the CPU runs the tier, and the
-            // slice lengths were asserted equal above.
-            Tier::Avx2 => unsafe {
-                avx2::fill_lognormal_pair_avx2(normal, raw_a, raw_b, out_cos, out_sin);
-            },
-            _ => fill_lognormal_pair_portable(normal, raw_a, raw_b, out_cos, out_sin),
-        }
-    }
-
-    /// The portable pass behind [`fill_lognormal_pair`]; also the
-    /// reference the SIMD tiers are pinned against.
-    fn fill_lognormal_pair_portable(
-        normal: &Normal,
-        raw_a: &[u64],
-        raw_b: &[u64],
-        out_cos: &mut [f64],
-        out_sin: &mut [f64],
-    ) {
-        for (i, (&a, &b)) in raw_a.iter().zip(raw_b).enumerate() {
-            let (z1, z2) = super::standard_normal_pair_from_words(a, b);
-            out_cos[i] = math::exp(normal.from_standard(z1));
-            out_sin[i] = math::exp(normal.from_standard(z2));
-        }
+        );
     }
 
     /// The length checks shared by the two-column fills.
@@ -425,43 +394,22 @@ pub mod column {
         out_sin: &mut [f64],
     ) {
         assert_pair_lengths(raw_a, raw_b, out_cos, out_sin);
-        match tier.checked() {
-            #[cfg(target_arch = "x86_64")]
-            #[allow(unsafe_code)]
-            // SAFETY: `checked` confirmed the CPU runs the tier, and the
-            // slice lengths were asserted equal above.
-            Tier::Avx512 => unsafe {
-                avx512::fill_standard_normal_pair(raw_a, raw_b, out_cos, out_sin);
+        tier.run_elementwise(
+            out_cos.len(),
+            #[inline(always)]
+            |at| {
+                let outs = out_cos[at.clone()].iter_mut().zip(&mut out_sin[at.clone()]);
+                let words = raw_a[at.clone()].iter().zip(&raw_b[at]);
+                for ((cos, sin), (&a, &b)) in outs.zip(words) {
+                    (*cos, *sin) = super::standard_normal_pair_from_words(a, b);
+                }
             },
-            #[cfg(target_arch = "x86_64")]
-            #[allow(unsafe_code)]
-            // SAFETY: `checked` confirmed the CPU runs the tier, and the
-            // slice lengths were asserted equal above.
-            Tier::Avx2 => unsafe {
-                avx2::fill_standard_normal_pair_avx2(raw_a, raw_b, out_cos, out_sin);
-            },
-            _ => fill_standard_normal_pair_portable(raw_a, raw_b, out_cos, out_sin),
-        }
-    }
-
-    /// The portable pass behind [`fill_standard_normal_pair`]; also the
-    /// reference the SIMD tiers are pinned against.
-    fn fill_standard_normal_pair_portable(
-        raw_a: &[u64],
-        raw_b: &[u64],
-        out_cos: &mut [f64],
-        out_sin: &mut [f64],
-    ) {
-        for (i, (&a, &b)) in raw_a.iter().zip(raw_b).enumerate() {
-            (out_cos[i], out_sin[i]) = super::standard_normal_pair_from_words(a, b);
-        }
+        );
     }
 
     /// Writes `out[i] = ` the draw `rng.gen_range(lo..hi)` would produce
     /// from the raw word `raw[i]` — `lo + u * (hi - lo)` over the unit
     /// uniform, bit-identical to the `rand` shim's `f64` range sampler.
-    /// The transform is exact in IEEE-754 arithmetic, so every tier gives
-    /// the same bits.
     ///
     /// # Panics
     ///
@@ -479,27 +427,15 @@ pub mod column {
         assert_eq!(raw.len(), out.len(), "raw column length mismatch");
         assert!(lo < hi, "cannot sample empty range");
         let span = hi - lo;
-        match tier.checked() {
-            #[cfg(target_arch = "x86_64")]
-            #[allow(unsafe_code)]
-            // SAFETY: `checked` confirmed the CPU runs the tier, and the
-            // slice lengths were asserted equal above.
-            Tier::Avx512 => unsafe { avx512::fill_uniform_range(lo, span, raw, out) },
-            #[cfg(target_arch = "x86_64")]
-            #[allow(unsafe_code)]
-            // SAFETY: `checked` confirmed the CPU runs the tier, and the
-            // slice lengths were asserted equal above.
-            Tier::Avx2 => unsafe { avx2::fill_uniform_range_avx2(lo, span, raw, out) },
-            _ => fill_uniform_range_portable(lo, span, raw, out),
-        }
-    }
-
-    /// The portable pass behind [`fill_uniform_range`]; also the reference
-    /// the SIMD tiers are pinned against.
-    fn fill_uniform_range_portable(lo: f64, span: f64, raw: &[u64], out: &mut [f64]) {
-        for (out, &word) in out.iter_mut().zip(raw) {
-            *out = lo + unit_f64_from_word(word) * span;
-        }
+        tier.run_elementwise(
+            out.len(),
+            #[inline(always)]
+            |at| {
+                for (out, &word) in out[at.clone()].iter_mut().zip(&raw[at]) {
+                    *out = lo + unit_f64_from_word(word) * span;
+                }
+            },
+        );
     }
 
     /// Writes `out[i] = ` the draw `exp.sample` would produce from the raw
@@ -520,489 +456,15 @@ pub mod column {
     /// As [`fill_exp`], and if the host cannot run `tier`.
     pub fn fill_exp_at(tier: Tier, exp: &Exp, raw: &[u64], out: &mut [f64]) {
         assert_eq!(raw.len(), out.len(), "raw column length mismatch");
-        match tier.checked() {
-            #[cfg(target_arch = "x86_64")]
-            #[allow(unsafe_code)]
-            // SAFETY: `checked` confirmed the CPU runs the tier, and the
-            // slice lengths were asserted equal above.
-            Tier::Avx512 => unsafe { avx512::fill_exp(exp.lambda, raw, out) },
-            #[cfg(target_arch = "x86_64")]
-            #[allow(unsafe_code)]
-            // SAFETY: `checked` confirmed the CPU runs the tier, and the
-            // slice lengths were asserted equal above.
-            Tier::Avx2 => unsafe { avx2::fill_exp_avx2(exp.lambda, raw, out) },
-            _ => fill_exp_portable(exp.lambda, raw, out),
-        }
-    }
-
-    /// The portable pass behind [`fill_exp`]; also the reference the SIMD
-    /// tiers are pinned against.
-    fn fill_exp_portable(lambda: f64, raw: &[u64], out: &mut [f64]) {
-        for (out, &word) in out.iter_mut().zip(raw) {
-            let u = unit_f64_from_word(word);
-            *out = -math::ln(1.0 - u) / lambda;
-        }
-    }
-
-    /// The AVX2 lane passes. Isolated in their own module so the `unsafe`
-    /// SIMD surface stays small; the workspace otherwise denies
-    /// `unsafe_code`. Every vector kernel replays the exact op DAG of its
-    /// scalar counterpart (see [`math`]'s bit-identity policy).
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)]
-    #[deny(unsafe_op_in_unsafe_fn)]
-    mod avx2 {
-        use super::math::avx2 as mathx;
-        use super::Normal;
-        use core::arch::x86_64::{
-            __m256d, __m256i, _mm256_add_pd, _mm256_and_si256, _mm256_castsi256_pd, _mm256_div_pd,
-            _mm256_loadu_si256, _mm256_max_pd, _mm256_mul_pd, _mm256_or_si256, _mm256_set1_epi64x,
-            _mm256_set1_pd, _mm256_sqrt_pd, _mm256_srli_epi64, _mm256_storeu_pd, _mm256_sub_pd,
-            _mm256_xor_pd,
-        };
-
-        /// `2^52` with the double-precision exponent bits set: OR-ing a
-        /// 32-bit integer into the mantissa of this constant yields the
-        /// double `2^52 + n` exactly.
-        const EXP_LO: i64 = 0x4330_0000_0000_0000;
-        /// The same trick one exponent step up: OR-ing the high 32-bit half
-        /// into this constant's mantissa yields `2^84 + hi · 2^32` exactly
-        /// (one mantissa ulp at exponent 84 is `2^32`).
-        const EXP_HI: i64 = 0x4530_0000_0000_0000;
-        /// `2^84 + 2^52`, subtracted once to cancel both offsets. Exactly
-        /// representable: `2^52` is a multiple of the `2^32` ulp at `2^84`.
-        const EXP_BIAS: f64 = ((1u128 << 84) + (1u128 << 52)) as f64;
-
-        /// Converts four `u64` words (each `< 2^53` after the `>> 11`
-        /// shift) to the exact doubles `(word >> 11) as f64`, using the
-        /// split hi/lo exponent-bias trick. Every FP operation here is
-        /// exact (no rounding occurs): the halves are multiples of `2^32`
-        /// and `1` respectively and all intermediate sums stay below
-        /// `2^53`, so the result equals the scalar `as f64` conversion bit
-        /// for bit.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        fn mantissa_to_f64(words: __m256i) -> __m256d {
-            // Value-based AVX2 intrinsics are safe inside a target_feature
-            // fn; only the caller's feature check is a safety obligation.
-            let x = _mm256_srli_epi64::<11>(words);
-            let lo = _mm256_or_si256(
-                _mm256_and_si256(x, _mm256_set1_epi64x(0xFFFF_FFFF)),
-                _mm256_set1_epi64x(EXP_LO),
-            );
-            let hi = _mm256_or_si256(_mm256_srli_epi64::<32>(x), _mm256_set1_epi64x(EXP_HI));
-            _mm256_add_pd(
-                _mm256_sub_pd(_mm256_castsi256_pd(hi), _mm256_set1_pd(EXP_BIAS)),
-                _mm256_castsi256_pd(lo),
-            )
-        }
-
-        /// `(word >> 11) · 2^-53` — four unit uniforms, exactly as the
-        /// scalar `unit_f64_from_word`.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        fn unit_f64(words: __m256i) -> __m256d {
-            const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
-            _mm256_mul_pd(mantissa_to_f64(words), _mm256_set1_pd(UNIT))
-        }
-
-        /// Four-wide Box–Muller standard pair from four raw word pairs:
-        /// the vector form of `standard_normal_pair_from_words`.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        fn standard_pair(words_a: __m256i, words_b: __m256i) -> (__m256d, __m256d) {
-            // max(u1, MIN_POSITIVE): neither operand is NaN, so the vector
-            // max matches `f64::max` bit for bit.
-            let u1 = _mm256_max_pd(unit_f64(words_a), _mm256_set1_pd(f64::MIN_POSITIVE));
-            let u2 = unit_f64(words_b);
-            let r = _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), mathx::ln4(u1)));
-            let (sin, cos) =
-                mathx::sincos4(_mm256_mul_pd(_mm256_set1_pd(core::f64::consts::TAU), u2));
-            (_mm256_mul_pd(r, cos), _mm256_mul_pd(r, sin))
-        }
-
-        /// Four-wide `exp(mean + σ·z)`.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        fn lognormal_factor(normal: &Normal, z: __m256d) -> __m256d {
-            mathx::exp4(_mm256_add_pd(
-                _mm256_set1_pd(normal.mean),
-                _mm256_mul_pd(_mm256_set1_pd(normal.std_dev), z),
-            ))
-        }
-
-        /// Four-wide single-factor lognormal pass (cosine halves only),
-        /// with the portable pass finishing any tail.
-        #[target_feature(enable = "avx2")]
-        pub(super) unsafe fn fill_lognormal_avx2(
-            normal: &Normal,
-            raw_a: &[u64],
-            raw_b: &[u64],
-            out: &mut [f64],
-        ) {
-            let chunks = out.len() / 4;
-            for c in 0..chunks {
-                // SAFETY: `c * 4 + 4 <= len` for all three equal-length
-                // slices, so the unaligned loads and store stay in bounds.
-                unsafe {
-                    let wa = _mm256_loadu_si256(raw_a.as_ptr().add(c * 4).cast::<__m256i>());
-                    let wb = _mm256_loadu_si256(raw_b.as_ptr().add(c * 4).cast::<__m256i>());
-                    let (z_cos, _) = standard_pair(wa, wb);
-                    _mm256_storeu_pd(out.as_mut_ptr().add(c * 4), lognormal_factor(normal, z_cos));
+        tier.run_elementwise(
+            out.len(),
+            #[inline(always)]
+            |at| {
+                for (out, &word) in out[at.clone()].iter_mut().zip(&raw[at]) {
+                    *out = -math::ln(1.0 - unit_f64_from_word(word)) / exp.lambda;
                 }
-            }
-            let tail = chunks * 4;
-            super::fill_lognormal_portable(
-                normal,
-                &raw_a[tail..],
-                &raw_b[tail..],
-                &mut out[tail..],
-            );
-        }
-
-        /// Four-wide paired lognormal pass (both Box–Muller halves), with
-        /// the portable pass finishing any tail.
-        #[target_feature(enable = "avx2")]
-        pub(super) unsafe fn fill_lognormal_pair_avx2(
-            normal: &Normal,
-            raw_a: &[u64],
-            raw_b: &[u64],
-            out_cos: &mut [f64],
-            out_sin: &mut [f64],
-        ) {
-            let chunks = out_cos.len() / 4;
-            for c in 0..chunks {
-                // SAFETY: `c * 4 + 4 <= len` for all four equal-length
-                // slices, so the unaligned loads and stores stay in bounds.
-                unsafe {
-                    let wa = _mm256_loadu_si256(raw_a.as_ptr().add(c * 4).cast::<__m256i>());
-                    let wb = _mm256_loadu_si256(raw_b.as_ptr().add(c * 4).cast::<__m256i>());
-                    let (z_cos, z_sin) = standard_pair(wa, wb);
-                    _mm256_storeu_pd(
-                        out_cos.as_mut_ptr().add(c * 4),
-                        lognormal_factor(normal, z_cos),
-                    );
-                    _mm256_storeu_pd(
-                        out_sin.as_mut_ptr().add(c * 4),
-                        lognormal_factor(normal, z_sin),
-                    );
-                }
-            }
-            let tail = chunks * 4;
-            super::fill_lognormal_pair_portable(
-                normal,
-                &raw_a[tail..],
-                &raw_b[tail..],
-                &mut out_cos[tail..],
-                &mut out_sin[tail..],
-            );
-        }
-
-        /// Four-wide standard-normal pair pass (both Box–Muller halves,
-        /// unscaled), with the portable pass finishing any tail.
-        #[target_feature(enable = "avx2")]
-        pub(super) unsafe fn fill_standard_normal_pair_avx2(
-            raw_a: &[u64],
-            raw_b: &[u64],
-            out_cos: &mut [f64],
-            out_sin: &mut [f64],
-        ) {
-            let chunks = out_cos.len() / 4;
-            for c in 0..chunks {
-                // SAFETY: `c * 4 + 4 <= len` for all four equal-length
-                // slices, so the unaligned loads and stores stay in bounds.
-                unsafe {
-                    let wa = _mm256_loadu_si256(raw_a.as_ptr().add(c * 4).cast::<__m256i>());
-                    let wb = _mm256_loadu_si256(raw_b.as_ptr().add(c * 4).cast::<__m256i>());
-                    let (z_cos, z_sin) = standard_pair(wa, wb);
-                    _mm256_storeu_pd(out_cos.as_mut_ptr().add(c * 4), z_cos);
-                    _mm256_storeu_pd(out_sin.as_mut_ptr().add(c * 4), z_sin);
-                }
-            }
-            let tail = chunks * 4;
-            super::fill_standard_normal_pair_portable(
-                &raw_a[tail..],
-                &raw_b[tail..],
-                &mut out_cos[tail..],
-                &mut out_sin[tail..],
-            );
-        }
-
-        /// Four-wide `lo + unit(word) * span`, with the scalar pass
-        /// finishing any tail — the same single-rounding multiply and add
-        /// as the portable code, so results are bit-identical.
-        #[target_feature(enable = "avx2")]
-        pub(super) unsafe fn fill_uniform_range_avx2(
-            lo: f64,
-            span: f64,
-            raw: &[u64],
-            out: &mut [f64],
-        ) {
-            let lanes = _mm256_set1_pd(lo);
-            let spans = _mm256_set1_pd(span);
-            let chunks = raw.len() / 4;
-            for c in 0..chunks {
-                // SAFETY: `c * 4 + 4 <= raw.len() == out.len()`, so both the
-                // unaligned 32-byte load and store stay in bounds.
-                unsafe {
-                    let words = _mm256_loadu_si256(raw.as_ptr().add(c * 4).cast::<__m256i>());
-                    let value = _mm256_add_pd(lanes, _mm256_mul_pd(unit_f64(words), spans));
-                    _mm256_storeu_pd(out.as_mut_ptr().add(c * 4), value);
-                }
-            }
-            let tail = chunks * 4;
-            super::fill_uniform_range_portable(lo, span, &raw[tail..], &mut out[tail..]);
-        }
-
-        /// Four-wide `-ln(1 - u) / λ`, with the portable pass finishing
-        /// any tail. The negation is a sign-bit XOR (like scalar `-x`),
-        /// **not** `0 - x`, which would turn `-0.0` into `+0.0` at `u = 0`
-        /// and break bit-identity.
-        #[target_feature(enable = "avx2")]
-        pub(super) unsafe fn fill_exp_avx2(lambda: f64, raw: &[u64], out: &mut [f64]) {
-            let one = _mm256_set1_pd(1.0);
-            let neg_zero = _mm256_set1_pd(-0.0);
-            let lambdas = _mm256_set1_pd(lambda);
-            let chunks = raw.len() / 4;
-            for c in 0..chunks {
-                // SAFETY: `c * 4 + 4 <= raw.len() == out.len()`, so both the
-                // unaligned 32-byte load and store stay in bounds.
-                unsafe {
-                    let words = _mm256_loadu_si256(raw.as_ptr().add(c * 4).cast::<__m256i>());
-                    let t = mathx::ln4(_mm256_sub_pd(one, unit_f64(words)));
-                    let value = _mm256_div_pd(_mm256_xor_pd(t, neg_zero), lambdas);
-                    _mm256_storeu_pd(out.as_mut_ptr().add(c * 4), value);
-                }
-            }
-            let tail = chunks * 4;
-            super::fill_exp_portable(lambda, &raw[tail..], &mut out[tail..]);
-        }
-    }
-    /// The 8-wide AVX-512 lane passes (`avx512f` + `avx512dq`), beside the
-    /// AVX2 ones and under the same rules: every vector kernel replays the
-    /// exact op DAG of its scalar counterpart. Each pass covers the last
-    /// `len % 8` elements with a masked load and store, so short columns
-    /// (a fused batch's 20-lane segments, a 60-lane batch) stay on the
-    /// vector path; the masked-off lanes compute on zero words and are
-    /// never stored.
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)]
-    #[deny(unsafe_op_in_unsafe_fn)]
-    mod avx512 {
-        use super::math::avx512 as mathx;
-        use super::Normal;
-        use core::arch::x86_64::{
-            __m512d, __m512i, __mmask8, _mm512_add_pd, _mm512_cvtepu64_pd, _mm512_div_pd,
-            _mm512_mask_storeu_pd, _mm512_maskz_loadu_epi64, _mm512_max_pd, _mm512_mul_pd,
-            _mm512_set1_pd, _mm512_sqrt_pd, _mm512_srli_epi64, _mm512_sub_pd, _mm512_xor_pd,
-        };
-
-        /// The lanes of the 8-element chunk at `i` that lie inside a
-        /// column of `len` elements: all eight, or the low `len - i`.
-        #[inline]
-        fn chunk_mask(len: usize, i: usize) -> __mmask8 {
-            match len - i {
-                rest @ 0..8 => (1u8 << rest) - 1,
-                _ => u8::MAX,
-            }
-        }
-
-        /// Loads the words of `column[i..]` under `mask`, zero elsewhere.
-        ///
-        /// # Safety
-        ///
-        /// Every lane set in `mask` must index an element of `column`
-        /// (`chunk_mask(column.len(), i)` guarantees it).
-        #[inline]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn load(column: &[u64], i: usize, mask: __mmask8) -> __m512i {
-            // SAFETY: the caller keeps every masked-in lane inside
-            // `column`; masked-off lanes are not accessed.
-            unsafe { _mm512_maskz_loadu_epi64(mask, column.as_ptr().add(i).cast::<i64>()) }
-        }
-
-        /// Stores `value` into `column[i..]` under `mask`.
-        ///
-        /// # Safety
-        ///
-        /// As [`load`].
-        #[inline]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn store(column: &mut [f64], i: usize, mask: __mmask8, value: __m512d) {
-            // SAFETY: as in `load`.
-            unsafe { _mm512_mask_storeu_pd(column.as_mut_ptr().add(i), mask, value) }
-        }
-
-        /// `(word >> 11) · 2^-53` — eight unit uniforms, exactly as the
-        /// scalar `unit_f64_from_word`: the shifted word is below 2^53, so
-        /// the unsigned conversion is exact.
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512dq")]
-        fn unit_f64(words: __m512i) -> __m512d {
-            const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
-            _mm512_mul_pd(
-                _mm512_cvtepu64_pd(_mm512_srli_epi64::<11>(words)),
-                _mm512_set1_pd(UNIT),
-            )
-        }
-
-        /// Eight-wide Box–Muller standard pair from eight raw word pairs:
-        /// the vector form of `standard_normal_pair_from_words`.
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512dq")]
-        fn standard_pair(words_a: __m512i, words_b: __m512i) -> (__m512d, __m512d) {
-            // max(u1, MIN_POSITIVE): neither operand is NaN, so the vector
-            // max matches `f64::max` bit for bit.
-            let u1 = _mm512_max_pd(unit_f64(words_a), _mm512_set1_pd(f64::MIN_POSITIVE));
-            let u2 = unit_f64(words_b);
-            let r = _mm512_sqrt_pd(_mm512_mul_pd(_mm512_set1_pd(-2.0), mathx::ln8(u1)));
-            let (sin, cos) =
-                mathx::sincos8(_mm512_mul_pd(_mm512_set1_pd(core::f64::consts::TAU), u2));
-            (_mm512_mul_pd(r, cos), _mm512_mul_pd(r, sin))
-        }
-
-        /// Eight-wide `exp(mean + σ·z)`.
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512dq")]
-        fn lognormal_factor(normal: &Normal, z: __m512d) -> __m512d {
-            mathx::exp8(_mm512_add_pd(
-                _mm512_set1_pd(normal.mean),
-                _mm512_mul_pd(_mm512_set1_pd(normal.std_dev), z),
-            ))
-        }
-
-        /// Eight-wide single-factor lognormal pass (cosine halves only).
-        ///
-        /// # Safety
-        ///
-        /// The CPU must support AVX-512F and AVX-512DQ, and every slice
-        /// must have the same length.
-        #[target_feature(enable = "avx512f,avx512dq")]
-        pub(super) unsafe fn fill_lognormal(
-            normal: &Normal,
-            raw_a: &[u64],
-            raw_b: &[u64],
-            out: &mut [f64],
-        ) {
-            let len = out.len();
-            for i in (0..len).step_by(8) {
-                let mask = chunk_mask(len, i);
-                // SAFETY: the three slices share `len`, and the mask keeps
-                // every accessed lane below it.
-                unsafe {
-                    let (z_cos, _) = standard_pair(load(raw_a, i, mask), load(raw_b, i, mask));
-                    store(out, i, mask, lognormal_factor(normal, z_cos));
-                }
-            }
-        }
-
-        /// Eight-wide paired lognormal pass (both Box–Muller halves).
-        ///
-        /// # Safety
-        ///
-        /// The CPU must support AVX-512F and AVX-512DQ, and every slice
-        /// must have the same length.
-        #[target_feature(enable = "avx512f,avx512dq")]
-        pub(super) unsafe fn fill_lognormal_pair(
-            normal: &Normal,
-            raw_a: &[u64],
-            raw_b: &[u64],
-            out_cos: &mut [f64],
-            out_sin: &mut [f64],
-        ) {
-            let len = out_cos.len();
-            for i in (0..len).step_by(8) {
-                let mask = chunk_mask(len, i);
-                // SAFETY: the four slices share `len`, and the mask keeps
-                // every accessed lane below it.
-                unsafe {
-                    let (z_cos, z_sin) = standard_pair(load(raw_a, i, mask), load(raw_b, i, mask));
-                    store(out_cos, i, mask, lognormal_factor(normal, z_cos));
-                    store(out_sin, i, mask, lognormal_factor(normal, z_sin));
-                }
-            }
-        }
-
-        /// Eight-wide standard-normal pair pass (both Box–Muller halves,
-        /// unscaled).
-        ///
-        /// # Safety
-        ///
-        /// The CPU must support AVX-512F and AVX-512DQ, and every slice
-        /// must have the same length.
-        #[target_feature(enable = "avx512f,avx512dq")]
-        pub(super) unsafe fn fill_standard_normal_pair(
-            raw_a: &[u64],
-            raw_b: &[u64],
-            out_cos: &mut [f64],
-            out_sin: &mut [f64],
-        ) {
-            let len = out_cos.len();
-            for i in (0..len).step_by(8) {
-                let mask = chunk_mask(len, i);
-                // SAFETY: the four slices share `len`, and the mask keeps
-                // every accessed lane below it.
-                unsafe {
-                    let (z_cos, z_sin) = standard_pair(load(raw_a, i, mask), load(raw_b, i, mask));
-                    store(out_cos, i, mask, z_cos);
-                    store(out_sin, i, mask, z_sin);
-                }
-            }
-        }
-
-        /// Eight-wide `lo + unit(word) * span` — the same single-rounding
-        /// multiply and add as the portable code.
-        ///
-        /// # Safety
-        ///
-        /// The CPU must support AVX-512F and AVX-512DQ, and every slice
-        /// must have the same length.
-        #[target_feature(enable = "avx512f,avx512dq")]
-        pub(super) unsafe fn fill_uniform_range(lo: f64, span: f64, raw: &[u64], out: &mut [f64]) {
-            let lanes = _mm512_set1_pd(lo);
-            let spans = _mm512_set1_pd(span);
-            let len = out.len();
-            for i in (0..len).step_by(8) {
-                let mask = chunk_mask(len, i);
-                // SAFETY: `raw` and `out` share `len`, and the mask keeps
-                // every accessed lane below it.
-                unsafe {
-                    let value =
-                        _mm512_add_pd(lanes, _mm512_mul_pd(unit_f64(load(raw, i, mask)), spans));
-                    store(out, i, mask, value);
-                }
-            }
-        }
-
-        /// Eight-wide `-ln(1 - u) / λ`. The negation is a sign-bit XOR
-        /// (like scalar `-x`), **not** `0 - x`, which would turn `-0.0`
-        /// into `+0.0` at `u = 0` and break bit-identity.
-        ///
-        /// # Safety
-        ///
-        /// The CPU must support AVX-512F and AVX-512DQ, and every slice
-        /// must have the same length.
-        #[target_feature(enable = "avx512f,avx512dq")]
-        pub(super) unsafe fn fill_exp(lambda: f64, raw: &[u64], out: &mut [f64]) {
-            let one = _mm512_set1_pd(1.0);
-            let neg_zero = _mm512_set1_pd(-0.0);
-            let lambdas = _mm512_set1_pd(lambda);
-            let len = out.len();
-            for i in (0..len).step_by(8) {
-                let mask = chunk_mask(len, i);
-                // SAFETY: `raw` and `out` share `len`, and the mask keeps
-                // every accessed lane below it.
-                unsafe {
-                    let t = mathx::ln8(_mm512_sub_pd(one, unit_f64(load(raw, i, mask))));
-                    store(
-                        out,
-                        i,
-                        mask,
-                        _mm512_div_pd(_mm512_xor_pd(t, neg_zero), lambdas),
-                    );
-                }
-            }
-        }
+            },
+        );
     }
 }
 

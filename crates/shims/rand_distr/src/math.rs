@@ -4,30 +4,23 @@
 //! opaque, and host-dependent. The batched frame engine needs columns of
 //! Box–Muller and inversion transforms whose results are **reproducible bit
 //! for bit** on every host and engine, which rules the libm out of the hot
-//! path. This module provides fdlibm-derived polynomial kernels in three
-//! interchangeable [`Tier`]s:
+//! path. This module provides fdlibm-derived polynomial kernels ([`ln`],
+//! [`exp`], [`sincos`]) built only from IEEE-754 single-rounding primitives
+//! (`+ - * / sqrt`) and exact integer bit manipulation, with no branch: the
+//! `sincos` quadrant is a select plus sign-bit XORs, and the `ln` exponent
+//! converts to `f64` through an exact bit trick instead of an
+//! integer-to-float instruction.
 //!
-//! * portable scalar kernels ([`ln`], [`exp`], [`sincos`]) built only from
-//!   IEEE-754 single-rounding primitives (`+ - * / sqrt`) and exact
-//!   integer bit manipulation;
-//! * 4-wide AVX2 forms (`ln4`/`exp4`/`sincos4`), and
-//! * 8-wide AVX-512 forms (`ln8`/`exp8`/`sincos8`, `avx512f` +
-//!   `avx512dq`), which the crate's `column` passes use; both vector tiers
-//!   execute the **same operation DAG per lane** with the vector forms of
-//!   those same primitives.
-//!
-//! Because every floating-point operation used is exactly rounded and
-//! identical on every tier — there is deliberately **no FMA** anywhere, no
-//! approximate reciprocal/rsqrt instructions, the polynomials keep their
-//! evaluation order, and every selection (quadrant, exponent) is
-//! integer-exact — the SIMD and portable paths produce identical bits, not
-//! approximately-equal values. The AVX-512 tier swaps an emulated step for
-//! a native instruction only where that instruction gives the same bits:
-//! `vcvtqq2pd` for the small `ln` exponent (exact below 2^53), and mask
-//! blends plus masked sign XORs for the `sincos` quadrant. Tests run each
-//! kernel at every tier the host supports against the portable pass, and a
-//! CI run with `XR_FORCE_PORTABLE=1` re-runs the gates on the portable
-//! passes alone.
+//! Each kernel is the **one source** of its transform. The draw layer's
+//! column passes inline it into plain loops and compile each loop once per
+//! [`Tier`] ([`Tier::run`]): the baseline build, an AVX2 build and an
+//! AVX-512 build, which LLVM vectorizes 4 and 8 lanes wide. Rust never
+//! contracts `a * b + c` into an FMA, never reassociates floating-point
+//! operations and never swaps in an approximate reciprocal, so every build
+//! computes the same bits, not approximately-equal values. Tests run each
+//! pass at every tier the host supports against the portable build, in
+//! debug and release, and a CI run with `XR_FORCE_PORTABLE=1` re-runs the
+//! gates on the portable build alone.
 //!
 //! # Domains and accuracy
 //!
@@ -52,20 +45,21 @@
 //! kernels on SIMD hosts; because the tiers are bit-identical, the knob
 //! never changes results.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
-/// One implementation tier of the draw layer's column passes. Every tier
-/// computes the same bits; they differ only in how many lanes one
-/// instruction covers. Ordered by width, so a host that runs a tier also
-/// runs every tier below it.
+/// One implementation tier of the draw layer's column passes: which build
+/// of a pass runs. Every tier computes the same bits; they differ only in
+/// how many lanes one instruction covers. Ordered by width, so a host that
+/// runs a tier also runs every tier below it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Tier {
-    /// The scalar reference passes; every host runs them.
+    /// The baseline x86-64 (or other target's) build; every host runs it.
     Portable,
-    /// 4-wide AVX2 passes, the portable pass finishing any tail.
+    /// The build compiled with AVX2 enabled, 4 lanes per vector.
     Avx2,
-    /// 8-wide AVX-512 passes (`avx512f` + `avx512dq`), masked loads and
-    /// stores covering any tail.
+    /// The build compiled with AVX-512 (`avx512f` + `avx512dq`) enabled,
+    /// 8 lanes per vector.
     Avx512,
 }
 
@@ -110,16 +104,86 @@ impl Tier {
         })
     }
 
-    /// `self`, after checking that the host can run it.
+    /// Runs `pass` compiled for this tier. The AVX2 and AVX-512 tiers call
+    /// it from a function built with those features enabled, so a pass
+    /// whose loops and kernels are `#[inline(always)]` (or otherwise inline
+    /// into the closure) is vectorized for that tier; the portable tier
+    /// calls it directly. Every draw-layer pass, here and in the testbed's
+    /// lane banks and power monitor, dispatches through this one function.
     ///
     /// # Panics
     ///
     /// Panics if the host's CPU does not support the tier.
-    #[must_use]
-    pub(crate) fn checked(self) -> Tier {
+    #[inline(always)]
+    pub fn run<R>(self, pass: impl FnOnce() -> R) -> R {
         assert!(self.supported(), "this host cannot run the {self:?} tier");
-        self
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            // SAFETY: the CPU supports AVX2 (asserted above).
+            Tier::Avx2 => unsafe { run_avx2(pass) },
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            // SAFETY: the CPU supports AVX-512F and AVX-512DQ (asserted
+            // above).
+            Tier::Avx512 => unsafe { run_avx512(pass) },
+            _ => pass(),
+        }
     }
+
+    /// [`elementwise`]`(len, pass)` compiled for this tier ([`Tier::run`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host's CPU does not support the tier.
+    #[inline(always)]
+    pub fn run_elementwise(self, len: usize, pass: impl FnMut(Range<usize>)) {
+        self.run(
+            #[inline(always)]
+            || elementwise(len, pass),
+        );
+    }
+}
+
+/// Runs an elementwise `pass` over the elements `0..len` of its columns.
+/// `pass(range)` must write each element of `range` from that element's
+/// own inputs only, so that computing an element twice writes the same
+/// value. The whole blocks of 8 elements go through `pass` in one call; a
+/// partial last block goes through it again as the whole block that ends at
+/// `len`, recomputing a few elements, so a tier's vectorized build covers
+/// it too instead of a scalar tail (a column shorter than a block runs as
+/// is). Both calls share one call site, so each build holds one copy of
+/// the pass's loop. Callers mark `pass` `#[inline(always)]`, like the
+/// closures they give [`Tier::run`].
+#[inline(always)]
+pub fn elementwise(len: usize, mut pass: impl FnMut(Range<usize>)) {
+    let whole = len - len % BLOCK;
+    let last = if whole < len {
+        len.saturating_sub(BLOCK)..len
+    } else {
+        len..len
+    };
+    for at in [0..whole, last] {
+        pass(at);
+    }
+}
+
+/// Elements per block of [`elementwise`]: one AVX-512 vector, two
+/// AVX2 vectors.
+const BLOCK: usize = 8;
+
+/// `pass` built with AVX2 enabled: see [`Tier::run`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2<R>(pass: impl FnOnce() -> R) -> R {
+    pass()
+}
+
+/// `pass` built with AVX-512F and AVX-512DQ enabled: see [`Tier::run`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn run_avx512<R>(pass: impl FnOnce() -> R) -> R {
+    pass()
 }
 
 // ---------------------------------------------------------------------------
@@ -144,8 +208,14 @@ const PIO2_2: f64 = f64::from_bits(0x3DD0_B461_1A60_0000);
 const PIO2_3: f64 = f64::from_bits(0x3BA3_198A_2E00_0000);
 /// 1.5·2^52: adding this to a double of magnitude < 2^51 leaves the
 /// nearest integer (ties to even) in the mantissa — the branch-free
-/// round-to-even both kernel paths share.
+/// round-to-even of the `exp` and `sincos` reductions.
 const MAGIC: f64 = f64::from_bits(0x4338_0000_0000_0000);
+/// The bits of 2^52: OR-ing an integer `n < 2^52` into its mantissa gives
+/// the double `2^52 + n` exactly.
+const TWO_52_BITS: u64 = 0x4330_0000_0000_0000;
+/// `2^52 + 1023`, exactly representable: subtracting it from `2^52 + e`
+/// leaves the unbiased exponent `e - 1023` exactly.
+const EXP_BIAS: f64 = ((1u64 << 52) + 1023) as f64;
 
 /// fdlibm `e_log` polynomial coefficients Lg1..Lg7.
 const LG: [f64; 7] = [
@@ -199,17 +269,20 @@ const MANT_MASK: u64 = 0x000F_FFFF_FFFF_FFFF;
 const SQRT2_OVER_2_HI: u64 = 0x3FE6_A09E_0000_0000;
 
 // ---------------------------------------------------------------------------
-// Portable scalar kernels. Each is written as the exact op DAG the vector
-// lanes replay; keep any edit mirrored in `avx2` and `avx512` below.
+// The kernels. Each is always inlined, so every pass that calls one compiles
+// it for that pass's tier.
 // ---------------------------------------------------------------------------
 
 /// Natural log of a positive normal finite `x` (fdlibm `e_log`, general
 /// path). See the module docs for domain and accuracy.
 #[must_use]
-#[inline]
+#[inline(always)]
 pub fn ln(x: f64) -> f64 {
     let bits = x.to_bits().wrapping_add(LOG_RECENTER);
-    let k = ((bits >> 52) as i64) - 1023;
+    // The exponent k = (bits >> 52) - 1023 as a double, without `k as f64`
+    // (which AVX2 has no packed instruction for): positive normal inputs
+    // keep the biased field below 2^12, so both steps are exact.
+    let dk = f64::from_bits(TWO_52_BITS | (bits >> 52)) - EXP_BIAS;
     let m = f64::from_bits((bits & MANT_MASK).wrapping_add(SQRT2_OVER_2_HI));
     let f = m - 1.0;
     let hfsq = 0.5 * f * f;
@@ -219,17 +292,16 @@ pub fn ln(x: f64) -> f64 {
     let t1 = w * (LG[1] + w * (LG[3] + w * LG[5]));
     let t2 = z * (LG[0] + w * (LG[2] + w * (LG[4] + w * LG[6])));
     let r = t2 + t1;
-    let dk = k as f64;
     dk * LN2_HI - ((hfsq - (s * (hfsq + r) + dk * LN2_LO)) - f)
 }
 
 /// `e^x` for `|x| ≤ 700` (fdlibm `e_exp` with round-to-even reduction).
 /// See the module docs for domain and accuracy.
 #[must_use]
-#[inline]
+#[inline(always)]
 pub fn exp(x: f64) -> f64 {
     let t = x * INV_LN2 + MAGIC;
-    let k = (t.to_bits() as i64).wrapping_sub(MAGIC.to_bits() as i64);
+    let k = t.to_bits().wrapping_sub(MAGIC.to_bits());
     let kf = t - MAGIC;
     let hi = x - kf * LN2_HI;
     let lo = kf * LN2_LO;
@@ -239,17 +311,17 @@ pub fn exp(x: f64) -> f64 {
     let y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
     // Exact 2^k scaling: k ∈ [-1010, 1010] on the documented domain and
     // y ∈ [~0.69, ~1.42], so the exponent-field add cannot over/underflow.
-    f64::from_bits(y.to_bits().wrapping_add((k as u64) << 52))
+    f64::from_bits(y.to_bits().wrapping_add(k << 52))
 }
 
 /// `(sin θ, cos θ)` for `θ ∈ [0, 2π]` — one reduction and two polynomials,
 /// so the Box–Muller pair costs barely more than its first variate. See
 /// the module docs for domain and accuracy.
 #[must_use]
-#[inline]
+#[inline(always)]
 pub fn sincos(theta: f64) -> (f64, f64) {
     let t = theta * INV_PIO2 + MAGIC;
-    let n = (t.to_bits() as i64).wrapping_sub(MAGIC.to_bits() as i64);
+    let n = t.to_bits().wrapping_sub(MAGIC.to_bits());
     let nf = t - MAGIC;
     // Cody–Waite: the first subtraction is Sterbenz-exact on this domain,
     // the next two round once each.
@@ -262,492 +334,18 @@ pub fn sincos(theta: f64) -> (f64, f64) {
     let hz = 0.5 * z;
     let w = 1.0 - hz;
     let cos_r = w + ((1.0 - w - hz) + z * cp);
-    // Quadrant rotation: an exact selection/sign flip, so branching here
-    // is safe for bit-identity (the vector lanes blend with the same masks).
-    match n & 3 {
-        0 => (sin_r, cos_r),
-        1 => (cos_r, -sin_r),
-        2 => (-sin_r, -cos_r),
-        _ => (-cos_r, sin_r),
-    }
-}
-
-/// The 4-wide AVX2 forms of the scalar kernels. Each function replays its
-/// scalar counterpart's operation DAG with the vector forms of the same
-/// single-rounding primitives, so lanes are bit-identical to scalar calls;
-/// integer work (exponent extraction, round-to-even bit subtract, quadrant
-/// selection) uses exact 64-bit SIMD integer ops.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-pub(crate) mod avx2 {
-    use super::{
-        C, INV_LN2, INV_PIO2, LG, LN2_HI, LN2_LO, LOG_RECENTER, MAGIC, MANT_MASK, P, PIO2_1,
-        PIO2_2, PIO2_3, S, SQRT2_OVER_2_HI,
-    };
-    use core::arch::x86_64::{
-        __m256d, _mm256_add_epi64, _mm256_add_pd, _mm256_and_pd, _mm256_and_si256,
-        _mm256_blendv_pd, _mm256_castpd_si256, _mm256_castsi256_pd, _mm256_cmpeq_epi64,
-        _mm256_div_pd, _mm256_mul_pd, _mm256_or_si256, _mm256_set1_epi64x, _mm256_set1_pd,
-        _mm256_slli_epi64, _mm256_srli_epi64, _mm256_sub_epi64, _mm256_sub_pd, _mm256_xor_pd,
-    };
-
-    /// `2^52 + 1075`, exactly representable; subtracting it undoes the
-    /// exponent-bias trick in [`small_i64_to_f64`].
-    const I64_BIAS: f64 = ((1u64 << 52) + 1075) as f64;
-
-    /// Exact conversion of per-lane small integers (here `k + 1075`, always
-    /// in `[53, 2100)`) to doubles: OR the value into the mantissa of
-    /// `2^52`, reinterpret, subtract the bias. Every step is exact, so this
-    /// equals the scalar `k as f64`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn small_i64_to_f64(k_plus_1075: core::arch::x86_64::__m256i) -> __m256d {
-        let biased = _mm256_or_si256(k_plus_1075, _mm256_set1_epi64x(0x4330_0000_0000_0000));
-        _mm256_sub_pd(_mm256_castsi256_pd(biased), _mm256_set1_pd(I64_BIAS))
-    }
-
-    /// Vector form of [`super::ln`]: same recentered exponent split, same
-    /// polynomial, same summation order per lane.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(crate) fn ln4(x: __m256d) -> __m256d {
-        let bits = _mm256_add_epi64(
-            _mm256_castpd_si256(x),
-            _mm256_set1_epi64x(LOG_RECENTER as i64),
-        );
-        // Positive normal inputs keep the (biased-exponent) field below
-        // 0x7FF after recentering, so a logical shift extracts it exactly.
-        let k_plus_1075 = _mm256_add_epi64(_mm256_srli_epi64::<52>(bits), _mm256_set1_epi64x(52));
-        let dk = small_i64_to_f64(k_plus_1075);
-        let m = _mm256_castsi256_pd(_mm256_add_epi64(
-            _mm256_and_si256(bits, _mm256_set1_epi64x(MANT_MASK as i64)),
-            _mm256_set1_epi64x(SQRT2_OVER_2_HI as i64),
-        ));
-        let f = _mm256_sub_pd(m, _mm256_set1_pd(1.0));
-        let hfsq = _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(0.5), f), f);
-        let s = _mm256_div_pd(f, _mm256_add_pd(_mm256_set1_pd(2.0), f));
-        let z = _mm256_mul_pd(s, s);
-        let w = _mm256_mul_pd(z, z);
-        let lg = |i: usize| _mm256_set1_pd(LG[i]);
-        let t1 = _mm256_mul_pd(
-            w,
-            _mm256_add_pd(
-                lg(1),
-                _mm256_mul_pd(w, _mm256_add_pd(lg(3), _mm256_mul_pd(w, lg(5)))),
-            ),
-        );
-        let t2 = _mm256_mul_pd(
-            z,
-            _mm256_add_pd(
-                lg(0),
-                _mm256_mul_pd(
-                    w,
-                    _mm256_add_pd(
-                        lg(2),
-                        _mm256_mul_pd(w, _mm256_add_pd(lg(4), _mm256_mul_pd(w, lg(6)))),
-                    ),
-                ),
-            ),
-        );
-        let r = _mm256_add_pd(t2, t1);
-        // dk*LN2_HI - ((hfsq - (s*(hfsq+r) + dk*LN2_LO)) - f)
-        let inner = _mm256_sub_pd(
-            _mm256_sub_pd(
-                hfsq,
-                _mm256_add_pd(
-                    _mm256_mul_pd(s, _mm256_add_pd(hfsq, r)),
-                    _mm256_mul_pd(dk, _mm256_set1_pd(LN2_LO)),
-                ),
-            ),
-            f,
-        );
-        _mm256_sub_pd(_mm256_mul_pd(dk, _mm256_set1_pd(LN2_HI)), inner)
-    }
-
-    /// Vector form of [`super::exp`]: same round-to-even bit subtract, same
-    /// Cody–Waite reduction and polynomial, same exact `2^k` exponent add.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(crate) fn exp4(x: __m256d) -> __m256d {
-        let magic = _mm256_set1_pd(MAGIC);
-        let t = _mm256_add_pd(_mm256_mul_pd(x, _mm256_set1_pd(INV_LN2)), magic);
-        let k = _mm256_sub_epi64(
-            _mm256_castpd_si256(t),
-            _mm256_set1_epi64x(MAGIC.to_bits() as i64),
-        );
-        let kf = _mm256_sub_pd(t, magic);
-        let hi = _mm256_sub_pd(x, _mm256_mul_pd(kf, _mm256_set1_pd(LN2_HI)));
-        let lo = _mm256_mul_pd(kf, _mm256_set1_pd(LN2_LO));
-        let r = _mm256_sub_pd(hi, lo);
-        let rr = _mm256_mul_pd(r, r);
-        let p = |i: usize| _mm256_set1_pd(P[i]);
-        let poly = _mm256_add_pd(
-            p(0),
-            _mm256_mul_pd(
-                rr,
-                _mm256_add_pd(
-                    p(1),
-                    _mm256_mul_pd(
-                        rr,
-                        _mm256_add_pd(
-                            p(2),
-                            _mm256_mul_pd(rr, _mm256_add_pd(p(3), _mm256_mul_pd(rr, p(4)))),
-                        ),
-                    ),
-                ),
-            ),
-        );
-        let c = _mm256_sub_pd(r, _mm256_mul_pd(rr, poly));
-        let one = _mm256_set1_pd(1.0);
-        let y = _mm256_sub_pd(
-            one,
-            _mm256_sub_pd(
-                _mm256_sub_pd(
-                    lo,
-                    _mm256_div_pd(_mm256_mul_pd(r, c), _mm256_sub_pd(_mm256_set1_pd(2.0), c)),
-                ),
-                hi,
-            ),
-        );
-        _mm256_castsi256_pd(_mm256_add_epi64(
-            _mm256_castpd_si256(y),
-            _mm256_slli_epi64::<52>(k),
-        ))
-    }
-
-    /// Vector form of [`super::sincos`]: same reduction and polynomials;
-    /// the quadrant `match` becomes an exact blend plus sign-bit XORs
-    /// (negation is a sign flip in both paths, so lanes stay identical).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(crate) fn sincos4(theta: __m256d) -> (__m256d, __m256d) {
-        let magic = _mm256_set1_pd(MAGIC);
-        let t = _mm256_add_pd(_mm256_mul_pd(theta, _mm256_set1_pd(INV_PIO2)), magic);
-        let n = _mm256_sub_epi64(
-            _mm256_castpd_si256(t),
-            _mm256_set1_epi64x(MAGIC.to_bits() as i64),
-        );
-        let nf = _mm256_sub_pd(t, magic);
-        let r = _mm256_sub_pd(
-            _mm256_sub_pd(
-                _mm256_sub_pd(theta, _mm256_mul_pd(nf, _mm256_set1_pd(PIO2_1))),
-                _mm256_mul_pd(nf, _mm256_set1_pd(PIO2_2)),
-            ),
-            _mm256_mul_pd(nf, _mm256_set1_pd(PIO2_3)),
-        );
-        let z = _mm256_mul_pd(r, r);
-        let v = _mm256_mul_pd(z, r);
-        let s = |i: usize| _mm256_set1_pd(S[i]);
-        let sp = _mm256_add_pd(
-            s(1),
-            _mm256_mul_pd(
-                z,
-                _mm256_add_pd(
-                    s(2),
-                    _mm256_mul_pd(
-                        z,
-                        _mm256_add_pd(
-                            s(3),
-                            _mm256_mul_pd(z, _mm256_add_pd(s(4), _mm256_mul_pd(z, s(5)))),
-                        ),
-                    ),
-                ),
-            ),
-        );
-        let sin_r = _mm256_add_pd(
-            r,
-            _mm256_mul_pd(v, _mm256_add_pd(s(0), _mm256_mul_pd(z, sp))),
-        );
-        let c = |i: usize| _mm256_set1_pd(C[i]);
-        let cp = _mm256_mul_pd(
-            z,
-            _mm256_add_pd(
-                c(0),
-                _mm256_mul_pd(
-                    z,
-                    _mm256_add_pd(
-                        c(1),
-                        _mm256_mul_pd(
-                            z,
-                            _mm256_add_pd(
-                                c(2),
-                                _mm256_mul_pd(
-                                    z,
-                                    _mm256_add_pd(
-                                        c(3),
-                                        _mm256_mul_pd(
-                                            z,
-                                            _mm256_add_pd(c(4), _mm256_mul_pd(z, c(5))),
-                                        ),
-                                    ),
-                                ),
-                            ),
-                        ),
-                    ),
-                ),
-            ),
-        );
-        let one = _mm256_set1_pd(1.0);
-        let hz = _mm256_mul_pd(_mm256_set1_pd(0.5), z);
-        let w = _mm256_sub_pd(one, hz);
-        let cos_r = _mm256_add_pd(
-            w,
-            _mm256_add_pd(
-                _mm256_sub_pd(_mm256_sub_pd(one, w), hz),
-                _mm256_mul_pd(z, cp),
-            ),
-        );
-        // Quadrant n & 3: odd quadrants swap sin/cos; sin flips sign when
-        // n & 2, cos flips sign when (n + 1) & 2 — exactly the scalar match
-        // arms 0:(s,c) 1:(c,-s) 2:(-s,-c) 3:(-c,s).
-        let one_i = _mm256_set1_epi64x(1);
-        let two_i = _mm256_set1_epi64x(2);
-        let swap = _mm256_castsi256_pd(_mm256_cmpeq_epi64(_mm256_and_si256(n, one_i), one_i));
-        let neg_zero = _mm256_set1_pd(-0.0);
-        let sin_flip = _mm256_and_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(_mm256_and_si256(n, two_i), two_i)),
-            neg_zero,
-        );
-        let n1 = _mm256_add_epi64(n, one_i);
-        let cos_flip = _mm256_and_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(_mm256_and_si256(n1, two_i), two_i)),
-            neg_zero,
-        );
-        let sin_out = _mm256_xor_pd(_mm256_blendv_pd(sin_r, cos_r, swap), sin_flip);
-        let cos_out = _mm256_xor_pd(_mm256_blendv_pd(cos_r, sin_r, swap), cos_flip);
-        (sin_out, cos_out)
-    }
-}
-
-/// The 8-wide AVX-512 forms of the scalar kernels (`avx512f` +
-/// `avx512dq`). Each replays its scalar counterpart's operation DAG with
-/// the 512-bit forms of the same single-rounding primitives, exactly as the
-/// AVX2 forms do. Two emulated AVX2 steps become native instructions that
-/// give the same bits: the `ln` exponent converts with `vcvtqq2pd` (the
-/// integer is small, so the conversion is exact), and the `sincos`
-/// quadrant selects with mask blends and masked sign-bit XORs.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-pub(crate) mod avx512 {
-    use super::{
-        C, INV_LN2, INV_PIO2, LG, LN2_HI, LN2_LO, LOG_RECENTER, MAGIC, MANT_MASK, P, PIO2_1,
-        PIO2_2, PIO2_3, S, SQRT2_OVER_2_HI,
-    };
-    use core::arch::x86_64::{
-        __m512d, _mm512_add_epi64, _mm512_add_pd, _mm512_and_si512, _mm512_castpd_si512,
-        _mm512_castsi512_pd, _mm512_cvtepi64_pd, _mm512_div_pd, _mm512_mask_blend_pd,
-        _mm512_mask_xor_pd, _mm512_mul_pd, _mm512_set1_epi64, _mm512_set1_pd, _mm512_slli_epi64,
-        _mm512_srli_epi64, _mm512_sub_epi64, _mm512_sub_pd, _mm512_test_epi64_mask,
-    };
-
-    /// Vector form of [`super::ln`]: same recentered exponent split, same
-    /// polynomial, same summation order per lane.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(crate) fn ln8(x: __m512d) -> __m512d {
-        let bits = _mm512_add_epi64(
-            _mm512_castpd_si512(x),
-            _mm512_set1_epi64(LOG_RECENTER as i64),
-        );
-        // Positive normal inputs keep the (biased-exponent) field below
-        // 0x7FF after recentering, so a logical shift extracts it exactly,
-        // and `k` is small enough that the conversion is exact.
-        let k = _mm512_sub_epi64(_mm512_srli_epi64::<52>(bits), _mm512_set1_epi64(1023));
-        let dk = _mm512_cvtepi64_pd(k);
-        let m = _mm512_castsi512_pd(_mm512_add_epi64(
-            _mm512_and_si512(bits, _mm512_set1_epi64(MANT_MASK as i64)),
-            _mm512_set1_epi64(SQRT2_OVER_2_HI as i64),
-        ));
-        let f = _mm512_sub_pd(m, _mm512_set1_pd(1.0));
-        let hfsq = _mm512_mul_pd(_mm512_mul_pd(_mm512_set1_pd(0.5), f), f);
-        let s = _mm512_div_pd(f, _mm512_add_pd(_mm512_set1_pd(2.0), f));
-        let z = _mm512_mul_pd(s, s);
-        let w = _mm512_mul_pd(z, z);
-        let lg = |i: usize| _mm512_set1_pd(LG[i]);
-        let t1 = _mm512_mul_pd(
-            w,
-            _mm512_add_pd(
-                lg(1),
-                _mm512_mul_pd(w, _mm512_add_pd(lg(3), _mm512_mul_pd(w, lg(5)))),
-            ),
-        );
-        let t2 = _mm512_mul_pd(
-            z,
-            _mm512_add_pd(
-                lg(0),
-                _mm512_mul_pd(
-                    w,
-                    _mm512_add_pd(
-                        lg(2),
-                        _mm512_mul_pd(w, _mm512_add_pd(lg(4), _mm512_mul_pd(w, lg(6)))),
-                    ),
-                ),
-            ),
-        );
-        let r = _mm512_add_pd(t2, t1);
-        // dk*LN2_HI - ((hfsq - (s*(hfsq+r) + dk*LN2_LO)) - f)
-        let inner = _mm512_sub_pd(
-            _mm512_sub_pd(
-                hfsq,
-                _mm512_add_pd(
-                    _mm512_mul_pd(s, _mm512_add_pd(hfsq, r)),
-                    _mm512_mul_pd(dk, _mm512_set1_pd(LN2_LO)),
-                ),
-            ),
-            f,
-        );
-        _mm512_sub_pd(_mm512_mul_pd(dk, _mm512_set1_pd(LN2_HI)), inner)
-    }
-
-    /// Vector form of [`super::exp`]: same round-to-even bit subtract, same
-    /// Cody–Waite reduction and polynomial, same exact `2^k` exponent add.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(crate) fn exp8(x: __m512d) -> __m512d {
-        let magic = _mm512_set1_pd(MAGIC);
-        let t = _mm512_add_pd(_mm512_mul_pd(x, _mm512_set1_pd(INV_LN2)), magic);
-        let k = _mm512_sub_epi64(
-            _mm512_castpd_si512(t),
-            _mm512_set1_epi64(MAGIC.to_bits() as i64),
-        );
-        let kf = _mm512_sub_pd(t, magic);
-        let hi = _mm512_sub_pd(x, _mm512_mul_pd(kf, _mm512_set1_pd(LN2_HI)));
-        let lo = _mm512_mul_pd(kf, _mm512_set1_pd(LN2_LO));
-        let r = _mm512_sub_pd(hi, lo);
-        let rr = _mm512_mul_pd(r, r);
-        let p = |i: usize| _mm512_set1_pd(P[i]);
-        let poly = _mm512_add_pd(
-            p(0),
-            _mm512_mul_pd(
-                rr,
-                _mm512_add_pd(
-                    p(1),
-                    _mm512_mul_pd(
-                        rr,
-                        _mm512_add_pd(
-                            p(2),
-                            _mm512_mul_pd(rr, _mm512_add_pd(p(3), _mm512_mul_pd(rr, p(4)))),
-                        ),
-                    ),
-                ),
-            ),
-        );
-        let c = _mm512_sub_pd(r, _mm512_mul_pd(rr, poly));
-        let one = _mm512_set1_pd(1.0);
-        let y = _mm512_sub_pd(
-            one,
-            _mm512_sub_pd(
-                _mm512_sub_pd(
-                    lo,
-                    _mm512_div_pd(_mm512_mul_pd(r, c), _mm512_sub_pd(_mm512_set1_pd(2.0), c)),
-                ),
-                hi,
-            ),
-        );
-        _mm512_castsi512_pd(_mm512_add_epi64(
-            _mm512_castpd_si512(y),
-            _mm512_slli_epi64::<52>(k),
-        ))
-    }
-
-    /// Vector form of [`super::sincos`]: same reduction and polynomials;
-    /// the quadrant `match` becomes mask blends plus masked sign-bit XORs
-    /// (negation is a sign flip in both paths, so lanes stay identical).
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(crate) fn sincos8(theta: __m512d) -> (__m512d, __m512d) {
-        let magic = _mm512_set1_pd(MAGIC);
-        let t = _mm512_add_pd(_mm512_mul_pd(theta, _mm512_set1_pd(INV_PIO2)), magic);
-        let n = _mm512_sub_epi64(
-            _mm512_castpd_si512(t),
-            _mm512_set1_epi64(MAGIC.to_bits() as i64),
-        );
-        let nf = _mm512_sub_pd(t, magic);
-        let r = _mm512_sub_pd(
-            _mm512_sub_pd(
-                _mm512_sub_pd(theta, _mm512_mul_pd(nf, _mm512_set1_pd(PIO2_1))),
-                _mm512_mul_pd(nf, _mm512_set1_pd(PIO2_2)),
-            ),
-            _mm512_mul_pd(nf, _mm512_set1_pd(PIO2_3)),
-        );
-        let z = _mm512_mul_pd(r, r);
-        let v = _mm512_mul_pd(z, r);
-        let s = |i: usize| _mm512_set1_pd(S[i]);
-        let sp = _mm512_add_pd(
-            s(1),
-            _mm512_mul_pd(
-                z,
-                _mm512_add_pd(
-                    s(2),
-                    _mm512_mul_pd(
-                        z,
-                        _mm512_add_pd(
-                            s(3),
-                            _mm512_mul_pd(z, _mm512_add_pd(s(4), _mm512_mul_pd(z, s(5)))),
-                        ),
-                    ),
-                ),
-            ),
-        );
-        let sin_r = _mm512_add_pd(
-            r,
-            _mm512_mul_pd(v, _mm512_add_pd(s(0), _mm512_mul_pd(z, sp))),
-        );
-        let c = |i: usize| _mm512_set1_pd(C[i]);
-        let cp = _mm512_mul_pd(
-            z,
-            _mm512_add_pd(
-                c(0),
-                _mm512_mul_pd(
-                    z,
-                    _mm512_add_pd(
-                        c(1),
-                        _mm512_mul_pd(
-                            z,
-                            _mm512_add_pd(
-                                c(2),
-                                _mm512_mul_pd(
-                                    z,
-                                    _mm512_add_pd(
-                                        c(3),
-                                        _mm512_mul_pd(
-                                            z,
-                                            _mm512_add_pd(c(4), _mm512_mul_pd(z, c(5))),
-                                        ),
-                                    ),
-                                ),
-                            ),
-                        ),
-                    ),
-                ),
-            ),
-        );
-        let one = _mm512_set1_pd(1.0);
-        let hz = _mm512_mul_pd(_mm512_set1_pd(0.5), z);
-        let w = _mm512_sub_pd(one, hz);
-        let cos_r = _mm512_add_pd(
-            w,
-            _mm512_add_pd(
-                _mm512_sub_pd(_mm512_sub_pd(one, w), hz),
-                _mm512_mul_pd(z, cp),
-            ),
-        );
-        // Quadrant n & 3: odd quadrants swap sin/cos; sin flips sign when
-        // n & 2, cos flips sign when (n + 1) & 2 — exactly the scalar match
-        // arms 0:(s,c) 1:(c,-s) 2:(-s,-c) 3:(-c,s).
-        let one_i = _mm512_set1_epi64(1);
-        let two_i = _mm512_set1_epi64(2);
-        let swap = _mm512_test_epi64_mask(n, one_i);
-        let sin_flip = _mm512_test_epi64_mask(n, two_i);
-        let cos_flip = _mm512_test_epi64_mask(_mm512_add_epi64(n, one_i), two_i);
-        let neg_zero = _mm512_set1_pd(-0.0);
-        let sin_sel = _mm512_mask_blend_pd(swap, sin_r, cos_r);
-        let cos_sel = _mm512_mask_blend_pd(swap, cos_r, sin_r);
-        (
-            _mm512_mask_xor_pd(sin_sel, sin_flip, sin_sel, neg_zero),
-            _mm512_mask_xor_pd(cos_sel, cos_flip, cos_sel, neg_zero),
-        )
-    }
+    // Quadrant n mod 4, as (sin, cos) = 0:(s, c) 1:(c, -s) 2:(-s, -c)
+    // 3:(-c, s): odd quadrants swap the pair, sin flips sign when n & 2 and
+    // cos when (n + 1) & 2. Selects and sign-bit XORs are exact, and unlike
+    // a `match` they vectorize.
+    let swap = n & 1 == 1;
+    let (s, c) = if swap { (cos_r, sin_r) } else { (sin_r, cos_r) };
+    let sin_sign = (n & 2) << 62;
+    let cos_sign = (n.wrapping_add(1) & 2) << 62;
+    (
+        f64::from_bits(s.to_bits() ^ sin_sign),
+        f64::from_bits(c.to_bits() ^ cos_sign),
+    )
 }
 
 #[cfg(test)]
@@ -864,70 +462,45 @@ mod tests {
         ]
     }
 
-    /// The 4-wide and 8-wide kernels give the scalar kernels' bits, lane by
-    /// lane, on every SIMD tier the host runs.
-    #[cfg(target_arch = "x86_64")]
+    /// Each tier's build of the kernels gives the portable bits on every
+    /// edge input: the inputs go through a loop that [`Tier::run`]
+    /// compiles for the tier (vectorized in an optimized build), behind a
+    /// `black_box` so the compiler cannot fold them.
     #[test]
-    #[allow(unsafe_code)]
-    fn vector_kernels_match_the_scalar_kernels_bit_for_bit() {
+    fn every_tier_build_of_the_kernels_gives_the_portable_bits() {
         use super::Tier;
-        use core::arch::x86_64::{
-            _mm256_loadu_pd, _mm256_storeu_pd, _mm512_loadu_pd, _mm512_storeu_pd,
-        };
-        let [ln_in, exp_in, angles] = edge_inputs();
         let bits = |column: [f64; 16]| column.map(f64::to_bits);
+        let [ln_in, exp_in, angles] = edge_inputs();
         let want = [
             bits(ln_in.map(super::ln)),
             bits(exp_in.map(super::exp)),
             bits(angles.map(|t| super::sincos(t).0)),
             bits(angles.map(|t| super::sincos(t).1)),
         ];
-        for tier in [Tier::Avx2, Tier::Avx512] {
+        for tier in Tier::ALL {
             if !tier.supported() {
                 eprintln!("skipping the {tier:?} tier: this host cannot run it");
                 continue;
             }
+            let [ln_in, exp_in, angles] = std::hint::black_box(edge_inputs());
             // Columns: ln, exp, sin, cos.
-            let mut got = [[0.0f64; 16]; 4];
-            let [ln_out, exp_out, sin_out, cos_out] = &mut got;
-            if tier == Tier::Avx2 {
-                for i in (0..16).step_by(4) {
-                    // SAFETY: the host runs AVX2, and every load and store
-                    // covers elements `i..i + 4` of a 16-element array.
-                    unsafe {
-                        let ln = super::avx2::ln4(_mm256_loadu_pd(ln_in[i..].as_ptr()));
-                        _mm256_storeu_pd(ln_out[i..].as_mut_ptr(), ln);
-                        let exp = super::avx2::exp4(_mm256_loadu_pd(exp_in[i..].as_ptr()));
-                        _mm256_storeu_pd(exp_out[i..].as_mut_ptr(), exp);
-                        let (sin, cos) =
-                            super::avx2::sincos4(_mm256_loadu_pd(angles[i..].as_ptr()));
-                        _mm256_storeu_pd(sin_out[i..].as_mut_ptr(), sin);
-                        _mm256_storeu_pd(cos_out[i..].as_mut_ptr(), cos);
-                    }
+            let got = tier.run(|| {
+                let mut got = [[0.0f64; 16]; 4];
+                let [ln_out, exp_out, sin_out, cos_out] = &mut got;
+                for i in 0..16 {
+                    ln_out[i] = super::ln(ln_in[i]);
+                    exp_out[i] = super::exp(exp_in[i]);
+                    (sin_out[i], cos_out[i]) = super::sincos(angles[i]);
                 }
-            } else {
-                for i in (0..16).step_by(8) {
-                    // SAFETY: the host runs AVX-512F/DQ, and every load and
-                    // store covers elements `i..i + 8` of a 16-element array.
-                    unsafe {
-                        let ln = super::avx512::ln8(_mm512_loadu_pd(ln_in[i..].as_ptr()));
-                        _mm512_storeu_pd(ln_out[i..].as_mut_ptr(), ln);
-                        let exp = super::avx512::exp8(_mm512_loadu_pd(exp_in[i..].as_ptr()));
-                        _mm512_storeu_pd(exp_out[i..].as_mut_ptr(), exp);
-                        let (sin, cos) =
-                            super::avx512::sincos8(_mm512_loadu_pd(angles[i..].as_ptr()));
-                        _mm512_storeu_pd(sin_out[i..].as_mut_ptr(), sin);
-                        _mm512_storeu_pd(cos_out[i..].as_mut_ptr(), cos);
-                    }
-                }
-            }
+                got
+            });
             for (kernel, (got, want)) in ["ln", "exp", "sin", "cos"]
                 .iter()
                 .zip(got.map(bits).iter().zip(&want))
             {
                 assert_eq!(
                     got, want,
-                    "{tier:?} {kernel} diverged from the scalar kernel"
+                    "{tier:?} {kernel} diverged from the portable kernel"
                 );
             }
         }

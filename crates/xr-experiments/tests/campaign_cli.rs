@@ -3,7 +3,8 @@
 //! `XR_SWEEP_WORKERS` exit with status 2 and a message naming the problem.
 //! A campaign or paper artifact whose CSV cannot be written exits non-zero
 //! instead of reporting success, and so does a campaign whose replication
-//! count cannot be held in memory.
+//! count cannot be held in memory. A shard SIGKILL'd mid-run resumes from
+//! its checkpoint to the one-shot campaign's bytes.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -12,6 +13,8 @@ use std::process::Command;
 const CAMPAIGN: &str = env!("CARGO_BIN_EXE_campaign");
 /// The paper-artifact binary under test.
 const REPRODUCE: &str = env!("CARGO_BIN_EXE_reproduce");
+/// The shard-merge binary under test.
+const CAMPAIGN_MERGE: &str = env!("CARGO_BIN_EXE_campaign_merge");
 
 /// A fresh per-test working directory holding a one-point grid spec,
 /// `one.grid`.
@@ -194,5 +197,104 @@ fn a_failed_artifact_write_exits_non_zero_and_names_the_artifact() {
     assert!(
         stderr.starts_with("reproduce: fig4a: target/experiments/fig4a.csv: "),
         "{stderr}"
+    );
+}
+
+/// A shard SIGKILL'd while it writes its checkpoint resumes from it: the
+/// rerun evaluates only the points the checkpoint lacks, and merging the
+/// shard gives the one-shot campaign's CSV byte for byte. The grid's 12
+/// points of 16 000 frames each keep the shard running for many polls of
+/// its checkpoint in both build profiles.
+#[cfg(unix)]
+#[test]
+fn a_shard_killed_mid_run_resumes_to_the_one_shot_bytes() {
+    use std::os::unix::process::ExitStatusExt;
+    use std::process::Stdio;
+    use std::time::Duration;
+    let dir = workdir("sigkill");
+    std::fs::write(
+        dir.join("kill.grid"),
+        "frame_sizes = 300, 500, 700\ncpu_clocks = 1.0, 2.0\nexecutions = remote, local\n\
+         frames_per_session = 8000\nreplications = 2\n",
+    )
+    .unwrap();
+    let one_worker = [("XR_SWEEP_WORKERS", "1")];
+    let (code, _, stderr) = run(CAMPAIGN, &["--grid", "kill.grid"], &one_worker, &dir);
+    assert_eq!(code, Some(0), "{stderr}");
+    let experiments = dir.join("target/experiments");
+    let one_shot = std::fs::read(experiments.join("campaign.csv")).unwrap();
+    let points = one_shot.iter().filter(|&&b| b == b'\n').count() - 1;
+
+    let shard = [
+        "--grid",
+        "kill.grid",
+        "--shard",
+        "1/1",
+        "--checkpoint-every",
+        "1",
+    ];
+    let mut child = Command::new(CAMPAIGN)
+        .args(shard)
+        .current_dir(&dir)
+        .env_remove("XR_CAMPAIGN_SEED")
+        .env("XR_SWEEP_WORKERS", "1")
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("campaign spawns");
+    let checkpoint = experiments.join("campaign_shard_1of1.csv.checkpoint");
+    loop {
+        let records = std::fs::read_to_string(&checkpoint).map_or(0, |text| {
+            text.lines()
+                .filter(|line| line.starts_with("done "))
+                .count()
+        });
+        if (1..points).contains(&records) {
+            child.kill().expect("SIGKILL is sent");
+            break;
+        }
+        let finished = child.try_wait().expect("shard status");
+        assert!(
+            finished.is_none(),
+            "the shard finished before the kill: {records} of {points} points checkpointed"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let status = child.wait().expect("killed shard is reaped");
+    assert_eq!(
+        status.signal(),
+        Some(9),
+        "the shard finished before the kill landed: {status}"
+    );
+
+    let (code, stdout, stderr) = run(CAMPAIGN, &shard, &one_worker, &dir);
+    assert_eq!(code, Some(0), "{stderr}");
+    let counts: Vec<usize> = stdout
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|n| n.parse().ok())
+        .collect();
+    // "shard 1/1: <resumed> row(s) resumed from checkpoint, <evaluated>
+    // evaluated (1 worker(s)); ..."
+    let [1, 1, resumed, evaluated, 1, ..] = counts[..] else {
+        panic!("unexpected summary: {stdout}");
+    };
+    assert!(
+        evaluated >= 1,
+        "the resumed run evaluated nothing: {stdout}"
+    );
+    assert_eq!(resumed + evaluated, points, "{stdout}");
+
+    let shard_csv = experiments.join("campaign_shard_1of1.csv");
+    let merged = experiments.join("merged.csv");
+    let merge = [
+        "--out",
+        merged.to_str().unwrap(),
+        shard_csv.to_str().unwrap(),
+    ];
+    let (code, _, stderr) = run(CAMPAIGN_MERGE, &merge, &[], &dir);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        std::fs::read(&merged).unwrap() == one_shot,
+        "the resumed shard does not merge to the one-shot CSV"
     );
 }

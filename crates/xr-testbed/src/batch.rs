@@ -37,7 +37,8 @@
 //! draw columns *by draw index*: one block `fill_next` per draw group (a
 //! Box–Muller word pair, the monitor's `2 × pairs` words, a sensor's
 //! `updates_per_frame` jitter words, or a single word), which steps each
-//! lane through the group with its state in registers; then one
+//! lane through the group two words per load and store of its state; then
+//! one
 //! `rand_distr::column` transform per sampled column (Box–Muller normals,
 //! uniform jitter, exponential sojourns), then a multiply-accumulate pass
 //! against the hoisted per-session `BatchConsts` base latencies. Seeding, raw
@@ -63,9 +64,8 @@
 //! `rand_distr::column::fill_standard_normal_pair`, then one pass per
 //! included slot reads that slot's latency column once and adds it to the
 //! Eq. 1 totals, the thermal-share compute energy and, through
-//! `PowerMonitor::add_phase_energy` (one pass per draw-layer tier: 8-wide
-//! AVX-512, 4-wide AVX2 and the portable reference, with one draw cursor
-//! per lane), the energy column. Stage 9 (cooperation) is skipped when
+//! `PowerMonitor::add_phase_energy` (one loop built per draw-layer tier,
+//! with one draw cursor per lane), the energy column. Stage 9 (cooperation) is skipped when
 //! the caller keeps only totals and the scenario leaves cooperation out of
 //! them.
 //! What a finalized frame then becomes depends on the caller: a session

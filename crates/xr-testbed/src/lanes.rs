@@ -37,25 +37,24 @@
 //! # SIMD tiers
 //!
 //! Each bank runs its seeding and stepping passes in one [`Tier`]: the
-//! portable loops, 4-wide AVX2 passes (64-bit multiplies synthesised from
-//! 32-bit partial products, rotates from shift pairs, a scalar tail), or
-//! 8-wide AVX-512 passes (`avx512f` + `avx512dq`: native `vpmullq`
-//! multiplies and `vprolq` rotates, masked loads and stores for the last
-//! `width % 8` lanes). Wrapping 64-bit integer arithmetic is exact on
-//! every tier, so all three give the same words by construction; tests pin
-//! each tier the host runs against the portable pass. [`LaneStreams::new`]
-//! takes [`Tier::dispatched`], the draw layer's one tier decision: the
-//! widest tier the CPU supports, or the portable one when
-//! `XR_FORCE_PORTABLE` is set.
+//! same plain loops over the lane columns, compiled once per tier through
+//! [`Tier::run`] — the baseline build, an AVX2 build and an AVX-512 build
+//! (`avx512f` + `avx512dq`, whose native 64-bit multiplies and rotates the
+//! vectorizer uses). Wrapping 64-bit integer arithmetic is exact in every
+//! build, so all three give the same words by construction; tests pin each
+//! tier the host runs against the portable one. [`LaneStreams::new`] takes
+//! [`Tier::dispatched`], the draw layer's one tier decision: the widest
+//! tier the CPU supports, or the portable one when `XR_FORCE_PORTABLE` is
+//! set.
 
-use rand_distr::math::Tier;
+use rand_distr::math::{self, Tier};
 
 /// Golden-ratio increment of the SplitMix64 state walk.
 const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One SplitMix64 output, advancing `state` — bit-identical to the seeding
 /// walk inside the `rand` shim's `StdRng::seed_from_u64`.
-#[inline]
+#[inline(always)]
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(SPLITMIX_GAMMA);
     let mut z = *state;
@@ -149,34 +148,37 @@ impl LaneStreams {
             self.s2.resize(width, 0);
             self.s3.resize(width, 0);
         }
-        for (r, &base) in seed_bases.iter().enumerate() {
-            let lanes = r * per_segment..(r + 1) * per_segment;
-            let (s0, s1) = (&mut self.s0[lanes.clone()], &mut self.s1[lanes.clone()]);
-            let (s2, s3) = (&mut self.s2[lanes.clone()], &mut self.s3[lanes]);
-            match self.tier {
-                #[cfg(target_arch = "x86_64")]
-                #[allow(unsafe_code)]
-                // SAFETY: `with_tier` confirmed the CPU runs the bank's
-                // tier, and the four slices cover the same lane range.
-                Tier::Avx512 => unsafe { avx512::reseed(base, first_frame, s0, s1, s2, s3) },
-                #[cfg(target_arch = "x86_64")]
-                #[allow(unsafe_code)]
-                // SAFETY: `with_tier` confirmed the CPU runs the bank's tier.
-                Tier::Avx2 => unsafe { avx2::reseed(base, first_frame, s0, s1, s2, s3) },
-                _ => reseed_portable(base, first_frame, s0, s1, s2, s3),
-            }
-        }
+        let (s0, s1, s2, s3) = (&mut self.s0, &mut self.s1, &mut self.s2, &mut self.s3);
+        self.tier.run(
+            #[inline(always)]
+            || {
+                for (r, &base) in seed_bases.iter().enumerate() {
+                    let segment = r * per_segment;
+                    // Each lane's state depends on its frame alone.
+                    math::elementwise(
+                        per_segment,
+                        #[inline(always)]
+                        |at| {
+                            let first = first_frame.wrapping_add(at.start as u64);
+                            let lanes = segment + at.start..segment + at.end;
+                            let (s0, s1) = (&mut s0[lanes.clone()], &mut s1[lanes.clone()]);
+                            let (s2, s3) = (&mut s2[lanes.clone()], &mut s3[lanes]);
+                            reseed_pass(base, first, s0, s1, s2, s3);
+                        },
+                    );
+                }
+            },
+        );
     }
 
     /// Advances every lane `depth = out.len() / width` xoshiro256++ steps,
     /// writing draw `d` of lane `j` to `out[d * width + j]`: one column of
     /// draws (in frame order) per step, `depth` columns per call. A
-    /// one-column `out` is the plain single step. Every tier loads each
-    /// lane's state once per call, steps it `depth` times and stores it
-    /// once, so a block costs one state round trip instead of `depth`; the
-    /// state it leaves behind is the state `depth` one-column calls would
-    /// leave, so later draws do not depend on how earlier ones were
-    /// grouped.
+    /// one-column `out` is the plain single step. Each lane's state makes
+    /// one round trip to memory per two columns, so a word-pair block costs
+    /// one instead of two; the state it leaves behind is the state `depth`
+    /// one-column calls would leave, so later draws do not depend on how
+    /// earlier ones were grouped.
     ///
     /// # Panics
     ///
@@ -190,25 +192,16 @@ impl LaneStreams {
             out.len()
         );
         let (s0, s1, s2, s3) = (&mut self.s0, &mut self.s1, &mut self.s2, &mut self.s3);
-        match self.tier {
-            #[cfg(target_arch = "x86_64")]
-            #[allow(unsafe_code)]
-            // SAFETY: `with_tier` confirmed the CPU runs the bank's tier;
-            // the state columns share one length, and `out` holds a whole
-            // number of columns of it (asserted above).
-            Tier::Avx512 => unsafe { avx512::fill_next(s0, s1, s2, s3, out) },
-            #[cfg(target_arch = "x86_64")]
-            #[allow(unsafe_code)]
-            // SAFETY: `with_tier` confirmed the CPU runs the bank's tier.
-            Tier::Avx2 => unsafe { avx2::fill_next(s0, s1, s2, s3, out) },
-            _ => fill_next_portable(s0, s1, s2, s3, out),
-        }
+        self.tier.run(
+            #[inline(always)]
+            || fill_next_pass(s0, s1, s2, s3, out),
+        );
     }
 }
 
 /// One xoshiro256++ step of one lane's state `[s0, s1, s2, s3]`, identical
 /// to the shim's `next_u64`.
-#[inline]
+#[inline(always)]
 fn step(s: &mut [u64; 4]) -> u64 {
     let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
     let t = s[1] << 17;
@@ -221,44 +214,42 @@ fn step(s: &mut [u64; 4]) -> u64 {
     result
 }
 
-/// Steps lane `j` of a `width`-lane bank through every column of the block
-/// `out` (draw `d` at `out[d * width + j]`), its state held in locals. The
-/// portable pass runs every lane through here; the AVX2 pass its tail
-/// lanes.
-#[inline]
-fn fill_lane(state: [&mut u64; 4], out: &mut [u64], j: usize, width: usize) {
-    let [s0, s1, s2, s3] = state;
-    let mut s = [*s0, *s1, *s2, *s3];
-    for word in out[j..].iter_mut().step_by(width) {
-        *word = step(&mut s);
+/// The stepping pass behind [`LaneStreams::fill_next`], compiled once per
+/// tier: each sweep over the lanes steps every lane through two columns of
+/// `out`, and a last sweep through the odd column out.
+#[inline(always)]
+fn fill_next_pass(s0: &mut [u64], s1: &mut [u64], s2: &mut [u64], s3: &mut [u64], out: &mut [u64]) {
+    // A zero-width bank has an empty `out`; `max(1)` keeps the chunking
+    // defined for it.
+    let width = s0.len().max(1);
+    let mut pairs = out.chunks_exact_mut(2 * width);
+    for pair in &mut pairs {
+        let (first, second) = pair.split_at_mut(width);
+        let words = first.iter_mut().zip(second);
+        let state = s0.iter_mut().zip(&mut *s1).zip(s2.iter_mut().zip(&mut *s3));
+        for ((first, second), ((s0, s1), (s2, s3))) in words.zip(state) {
+            let mut s = [*s0, *s1, *s2, *s3];
+            *first = step(&mut s);
+            *second = step(&mut s);
+            [*s0, *s1, *s2, *s3] = s;
+        }
     }
-    [*s0, *s1, *s2, *s3] = s;
-}
-
-/// The portable stepping loop behind [`LaneStreams::fill_next`], lane by
-/// lane; also the reference the SIMD tiers are pinned against.
-fn fill_next_portable(
-    s0: &mut [u64],
-    s1: &mut [u64],
-    s2: &mut [u64],
-    s3: &mut [u64],
-    out: &mut [u64],
-) {
-    let width = s0.len();
-    let lanes = s0
-        .iter_mut()
-        .zip(s1.iter_mut())
-        .zip(s2.iter_mut().zip(s3.iter_mut()));
-    for (j, ((s0, s1), (s2, s3))) in lanes.enumerate() {
-        fill_lane([s0, s1, s2, s3], out, j, width);
+    for column in pairs.into_remainder().chunks_exact_mut(width) {
+        let state = s0.iter_mut().zip(&mut *s1).zip(s2.iter_mut().zip(&mut *s3));
+        for (word, ((s0, s1), (s2, s3))) in column.iter_mut().zip(state) {
+            let mut s = [*s0, *s1, *s2, *s3];
+            *word = step(&mut s);
+            [*s0, *s1, *s2, *s3] = s;
+        }
     }
 }
 
-/// The portable seeding loop over one contiguous slice of each state
-/// column: lane `j` of the slices becomes the generator of frame
-/// `first_frame + j` under `stage_seed_base`; also the reference the SIMD
-/// tiers are pinned against.
-fn reseed_portable(
+/// The seeding pass behind [`LaneStreams::reseed`], compiled once per tier,
+/// over one contiguous slice of each state column: lane `j` of the slices
+/// becomes the generator of frame `first_frame + j` under
+/// `stage_seed_base`.
+#[inline(always)]
+fn reseed_pass(
     stage_seed_base: u64,
     first_frame: u64,
     s0: &mut [u64],
@@ -275,328 +266,11 @@ fn reseed_portable(
         // `mix(stage_seed_base, frame)` followed by the shim's 4-word
         // SplitMix64 expansion, inlined so the whole derivation is one
         // branch-free pass over the lane columns.
-        let mut state = xr_types::seed::mix(stage_seed_base, first_frame + j as u64);
+        let mut state = xr_types::seed::mix(stage_seed_base, first_frame.wrapping_add(j as u64));
         *s0 = splitmix64(&mut state);
         *s1 = splitmix64(&mut state);
         *s2 = splitmix64(&mut state);
         *s3 = splitmix64(&mut state);
-    }
-}
-
-/// Four-lane AVX2 passes over the lane columns. Wrapping 64-bit integer
-/// arithmetic is exact on every path, so these are bit-identical to the
-/// portable loops by construction (and pinned by tests); the only reason
-/// they exist is that 64-bit multiply/rotate chains do not autovectorize
-/// profitably at baseline x86-64 codegen. Isolated in one module so the
-/// `unsafe` SIMD surface stays small; the workspace otherwise denies
-/// `unsafe_code`.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-#[deny(unsafe_op_in_unsafe_fn)]
-mod avx2 {
-    use core::arch::x86_64::{
-        __m256i, _mm256_add_epi64, _mm256_loadu_si256, _mm256_mul_epu32, _mm256_or_si256,
-        _mm256_set1_epi64x, _mm256_set_epi64x, _mm256_slli_epi64, _mm256_srli_epi64,
-        _mm256_storeu_si256, _mm256_xor_si256,
-    };
-
-    /// Full 64×64→64-bit low multiply by a broadcast constant, synthesised
-    /// from 32×32→64 partial products exactly like scalar `wrapping_mul`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn mul_const(a: __m256i, b: u64) -> __m256i {
-        let b_lo = _mm256_set1_epi64x((b & 0xFFFF_FFFF) as i64);
-        let b_hi = _mm256_set1_epi64x((b >> 32) as i64);
-        let a_hi = _mm256_srli_epi64::<32>(a);
-        // a_lo·b_lo + ((a_lo·b_hi + a_hi·b_lo) << 32); the high×high part
-        // only affects bits ≥ 64 and drops out of wrapping arithmetic.
-        let low = _mm256_mul_epu32(a, b_lo);
-        let cross = _mm256_add_epi64(_mm256_mul_epu32(a, b_hi), _mm256_mul_epu32(a_hi, b_lo));
-        _mm256_add_epi64(low, _mm256_slli_epi64::<32>(cross))
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn xor_shr<const N: i32>(z: __m256i) -> __m256i {
-        _mm256_xor_si256(z, _mm256_srli_epi64::<N>(z))
-    }
-
-    /// One SplitMix64 output for four lane states at once (the states are
-    /// advanced in place), matching the scalar `splitmix64` word for word.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn splitmix64x4(state: &mut __m256i) -> __m256i {
-        *state = _mm256_add_epi64(*state, _mm256_set1_epi64x(super::SPLITMIX_GAMMA as i64));
-        let mut z = *state;
-        z = mul_const(xor_shr::<30>(z), 0xBF58_476D_1CE4_E5B9);
-        z = mul_const(xor_shr::<27>(z), 0x94D0_49BB_1331_11EB);
-        xor_shr::<31>(z)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn rotl<const N: i32, const M: i32>(z: __m256i) -> __m256i {
-        _mm256_or_si256(_mm256_slli_epi64::<N>(z), _mm256_srli_epi64::<M>(z))
-    }
-
-    /// Four-lane [`super::LaneStreams::reseed`] body: `mix(stage_seed_base,
-    /// first_frame + j)` then the 4-word SplitMix64 expansion, four lanes
-    /// per iteration with a scalar tail.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn reseed(
-        stage_seed_base: u64,
-        first_frame: u64,
-        s0: &mut [u64],
-        s1: &mut [u64],
-        s2: &mut [u64],
-        s3: &mut [u64],
-    ) {
-        let width = s0.len();
-        let chunks = width / 4;
-        for c in 0..chunks {
-            let j = (c * 4) as u64;
-            // `mix`: z = seed + GAMMA + lane·M, then two mul/xor-shift
-            // rounds and a final xor-shift — the scalar expression per lane.
-            let lanes = _mm256_set_epi64x(
-                first_frame.wrapping_add(j + 3) as i64,
-                first_frame.wrapping_add(j + 2) as i64,
-                first_frame.wrapping_add(j + 1) as i64,
-                first_frame.wrapping_add(j) as i64,
-            );
-            let mut z = _mm256_add_epi64(
-                _mm256_set1_epi64x(stage_seed_base.wrapping_add(super::SPLITMIX_GAMMA) as i64),
-                mul_const(lanes, 0xD1B5_4A32_D192_ED03),
-            );
-            z = mul_const(xor_shr::<30>(z), 0xBF58_476D_1CE4_E5B9);
-            z = mul_const(xor_shr::<27>(z), 0x94D0_49BB_1331_11EB);
-            let mut state = xor_shr::<31>(z);
-            let w0 = splitmix64x4(&mut state);
-            let w1 = splitmix64x4(&mut state);
-            let w2 = splitmix64x4(&mut state);
-            let w3 = splitmix64x4(&mut state);
-            // SAFETY: `c * 4 + 4 <= width` and all four state slices share
-            // that length, so each unaligned 32-byte store is in bounds.
-            unsafe {
-                _mm256_storeu_si256(s0.as_mut_ptr().add(c * 4).cast::<__m256i>(), w0);
-                _mm256_storeu_si256(s1.as_mut_ptr().add(c * 4).cast::<__m256i>(), w1);
-                _mm256_storeu_si256(s2.as_mut_ptr().add(c * 4).cast::<__m256i>(), w2);
-                _mm256_storeu_si256(s3.as_mut_ptr().add(c * 4).cast::<__m256i>(), w3);
-            }
-        }
-        for j in chunks * 4..width {
-            let mut state = xr_types::seed::mix(stage_seed_base, first_frame + j as u64);
-            s0[j] = super::splitmix64(&mut state);
-            s1[j] = super::splitmix64(&mut state);
-            s2[j] = super::splitmix64(&mut state);
-            s3[j] = super::splitmix64(&mut state);
-        }
-    }
-
-    /// Four-lane xoshiro256++ block ([`super::LaneStreams::fill_next`]
-    /// body): each four-lane chunk's state is loaded once, stepped once per
-    /// column of `out` with pure add/xor/shift vector ops, and stored once;
-    /// the tail lanes run the portable lane loop.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn fill_next(
-        s0: &mut [u64],
-        s1: &mut [u64],
-        s2: &mut [u64],
-        s3: &mut [u64],
-        out: &mut [u64],
-    ) {
-        let width = s0.len();
-        let chunks = width / 4;
-        for c in 0..chunks {
-            // SAFETY: `c * 4 + 4 <= width == s*.len()`, and `out` holds a
-            // whole number of `width`-word columns, so every unaligned
-            // 32-byte load and store stays in bounds.
-            unsafe {
-                let p0 = s0.as_mut_ptr().add(c * 4).cast::<__m256i>();
-                let p1 = s1.as_mut_ptr().add(c * 4).cast::<__m256i>();
-                let p2 = s2.as_mut_ptr().add(c * 4).cast::<__m256i>();
-                let p3 = s3.as_mut_ptr().add(c * 4).cast::<__m256i>();
-                let mut v0 = _mm256_loadu_si256(p0);
-                let mut v1 = _mm256_loadu_si256(p1);
-                let mut v2 = _mm256_loadu_si256(p2);
-                let mut v3 = _mm256_loadu_si256(p3);
-                for column in (c * 4..out.len()).step_by(width) {
-                    let result = _mm256_add_epi64(rotl::<23, 41>(_mm256_add_epi64(v0, v3)), v0);
-                    let t = _mm256_slli_epi64::<17>(v1);
-                    v2 = _mm256_xor_si256(v2, v0);
-                    v3 = _mm256_xor_si256(v3, v1);
-                    v1 = _mm256_xor_si256(v1, v2);
-                    v0 = _mm256_xor_si256(v0, v3);
-                    v2 = _mm256_xor_si256(v2, t);
-                    v3 = rotl::<45, 19>(v3);
-                    _mm256_storeu_si256(out.as_mut_ptr().add(column).cast::<__m256i>(), result);
-                }
-                _mm256_storeu_si256(p0, v0);
-                _mm256_storeu_si256(p1, v1);
-                _mm256_storeu_si256(p2, v2);
-                _mm256_storeu_si256(p3, v3);
-            }
-        }
-        for j in chunks * 4..width {
-            let state = [&mut s0[j], &mut s1[j], &mut s2[j], &mut s3[j]];
-            super::fill_lane(state, out, j, width);
-        }
-    }
-}
-
-/// Eight-lane AVX-512 passes over the lane columns (`avx512f` +
-/// `avx512dq`), under the same exactness argument as [`avx2`]. Two
-/// emulated AVX2 steps become native instructions with the same bits:
-/// `vpmullq` for the wrapping 64-bit multiplies and `vprolq` for the
-/// rotates. The last `width % 8` lanes run under a masked load and store
-/// instead of a scalar tail, so the fused engine's short segments stay on
-/// the vector path; masked-off lanes compute on zeros and are never stored.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-#[deny(unsafe_op_in_unsafe_fn)]
-mod avx512 {
-    use core::arch::x86_64::{
-        __m512i, __mmask8, _mm512_add_epi64, _mm512_mask_storeu_epi64, _mm512_maskz_loadu_epi64,
-        _mm512_mullo_epi64, _mm512_rol_epi64, _mm512_set1_epi64, _mm512_setr_epi64,
-        _mm512_slli_epi64, _mm512_srli_epi64, _mm512_xor_si512,
-    };
-
-    /// The lanes of the 8-lane chunk at `i` that lie inside a column of
-    /// `len` lanes: all eight, or the low `len - i`.
-    #[inline]
-    fn chunk_mask(len: usize, i: usize) -> __mmask8 {
-        match len - i {
-            rest @ 0..8 => (1u8 << rest) - 1,
-            _ => u8::MAX,
-        }
-    }
-
-    /// Wrapping 64-bit multiply by a broadcast constant: one `vpmullq`.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn mul_const(a: __m512i, b: u64) -> __m512i {
-        _mm512_mullo_epi64(a, _mm512_set1_epi64(b as i64))
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn xor_shr<const N: u32>(z: __m512i) -> __m512i {
-        _mm512_xor_si512(z, _mm512_srli_epi64::<N>(z))
-    }
-
-    /// One SplitMix64 output for eight lane states at once (the states are
-    /// advanced in place), matching the scalar `splitmix64` word for word.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn splitmix64x8(state: &mut __m512i) -> __m512i {
-        *state = _mm512_add_epi64(*state, _mm512_set1_epi64(super::SPLITMIX_GAMMA as i64));
-        let mut z = *state;
-        z = mul_const(xor_shr::<30>(z), 0xBF58_476D_1CE4_E5B9);
-        z = mul_const(xor_shr::<27>(z), 0x94D0_49BB_1331_11EB);
-        xor_shr::<31>(z)
-    }
-
-    /// Eight-lane seeding body behind [`super::LaneStreams::reseed`]:
-    /// `mix(stage_seed_base, first_frame + j)` then the 4-word SplitMix64
-    /// expansion, with a masked last chunk.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F and AVX-512DQ, and the four state
-    /// slices must have the same length.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn reseed(
-        stage_seed_base: u64,
-        first_frame: u64,
-        s0: &mut [u64],
-        s1: &mut [u64],
-        s2: &mut [u64],
-        s3: &mut [u64],
-    ) {
-        let width = s0.len();
-        let offsets = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
-        for i in (0..width).step_by(8) {
-            let mask = chunk_mask(width, i);
-            // `mix`: z = seed + GAMMA + lane·M, then two mul/xor-shift
-            // rounds and a final xor-shift — the scalar expression per lane.
-            let frame = _mm512_set1_epi64(first_frame.wrapping_add(i as u64) as i64);
-            let lanes = _mm512_add_epi64(frame, offsets);
-            let mut z = _mm512_add_epi64(
-                _mm512_set1_epi64(stage_seed_base.wrapping_add(super::SPLITMIX_GAMMA) as i64),
-                mul_const(lanes, 0xD1B5_4A32_D192_ED03),
-            );
-            z = mul_const(xor_shr::<30>(z), 0xBF58_476D_1CE4_E5B9);
-            z = mul_const(xor_shr::<27>(z), 0x94D0_49BB_1331_11EB);
-            let mut state = xor_shr::<31>(z);
-            let words = [
-                splitmix64x8(&mut state),
-                splitmix64x8(&mut state),
-                splitmix64x8(&mut state),
-                splitmix64x8(&mut state),
-            ];
-            for (column, word) in [&mut *s0, &mut *s1, &mut *s2, &mut *s3]
-                .into_iter()
-                .zip(words)
-            {
-                // SAFETY: the four state slices share `width`, and the mask
-                // keeps every stored lane below it.
-                unsafe {
-                    _mm512_mask_storeu_epi64(column.as_mut_ptr().add(i).cast::<i64>(), mask, word);
-                }
-            }
-        }
-    }
-
-    /// Eight-lane xoshiro256++ block ([`super::LaneStreams::fill_next`]
-    /// body): each eight-lane chunk's state is loaded once, stepped once
-    /// per column of `out`, and stored once, with a masked last chunk.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F and AVX-512DQ, the four state slices
-    /// must have the same length, and `out` must hold a whole number of
-    /// columns of that length.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn fill_next(
-        s0: &mut [u64],
-        s1: &mut [u64],
-        s2: &mut [u64],
-        s3: &mut [u64],
-        out: &mut [u64],
-    ) {
-        let width = s0.len();
-        for i in (0..width).step_by(8) {
-            let mask = chunk_mask(width, i);
-            // SAFETY: the four state slices share `width`, `out` is a whole
-            // number of `width`-word columns, and the mask keeps every
-            // loaded and stored lane below `width` within its column.
-            unsafe {
-                let p0 = s0.as_mut_ptr().add(i).cast::<i64>();
-                let p1 = s1.as_mut_ptr().add(i).cast::<i64>();
-                let p2 = s2.as_mut_ptr().add(i).cast::<i64>();
-                let p3 = s3.as_mut_ptr().add(i).cast::<i64>();
-                let mut v0 = _mm512_maskz_loadu_epi64(mask, p0);
-                let mut v1 = _mm512_maskz_loadu_epi64(mask, p1);
-                let mut v2 = _mm512_maskz_loadu_epi64(mask, p2);
-                let mut v3 = _mm512_maskz_loadu_epi64(mask, p3);
-                for column in (i..out.len()).step_by(width) {
-                    let result =
-                        _mm512_add_epi64(_mm512_rol_epi64::<23>(_mm512_add_epi64(v0, v3)), v0);
-                    let t = _mm512_slli_epi64::<17>(v1);
-                    v2 = _mm512_xor_si512(v2, v0);
-                    v3 = _mm512_xor_si512(v3, v1);
-                    v1 = _mm512_xor_si512(v1, v2);
-                    v0 = _mm512_xor_si512(v0, v3);
-                    v2 = _mm512_xor_si512(v2, t);
-                    v3 = _mm512_rol_epi64::<45>(v3);
-                    let dst = out.as_mut_ptr().add(column).cast::<i64>();
-                    _mm512_mask_storeu_epi64(dst, mask, result);
-                }
-                _mm512_mask_storeu_epi64(p0, mask, v0);
-                _mm512_mask_storeu_epi64(p1, mask, v1);
-                _mm512_mask_storeu_epi64(p2, mask, v2);
-                _mm512_mask_storeu_epi64(p3, mask, v3);
-            }
-        }
     }
 }
 

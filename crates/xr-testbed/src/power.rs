@@ -170,10 +170,14 @@ impl PowerMonitor {
         let mut pairs = rand_distr::StandardNormalPairs::new();
         let mut energy = Joules::ZERO;
         for &(power, duration) in phases {
-            if let Some(phase) =
-                self.phase_energy(power + baseline, duration, || pairs.next(&mut rng))
-            {
-                energy += phase;
+            let (samples, spans) = self.phase_samples(duration);
+            if spans {
+                let z = if self.is_noisy() {
+                    pairs.next(&mut rng)
+                } else {
+                    0.0
+                };
+                energy += self.phase_energy(power + baseline, samples, z);
             }
         }
         energy
@@ -195,14 +199,14 @@ impl PowerMonitor {
     /// A noiseless monitor reads no variate, and `normals` may then be
     /// empty.
     ///
-    /// Every phase goes through the expression of the scalar form (the
-    /// portable pass calls it per lane; the AVX2 and AVX-512 passes
-    /// evaluate it with correctly rounded or exact vector operations), so
-    /// after the last phase `energy[i]` equals `measure_energy` on lane
-    /// `i`'s phases and stream bit for bit. The pass follows the draw
-    /// layer's tier (`rand_distr::math::Tier::dispatched`), one pass per
-    /// tier: 8 lanes per step on AVX-512, 4 on AVX2, and the portable one
-    /// under `XR_FORCE_PORTABLE`.
+    /// Every phase goes through the expressions of the scalar form
+    /// ([`PowerMonitor::phase_samples`] and [`PowerMonitor::phase_energy`]),
+    /// with its early return as a select, so after the last phase
+    /// `energy[i]` equals `measure_energy` on lane `i`'s phases and stream
+    /// bit for bit. The pass is one plain loop over the lanes, compiled for
+    /// the draw layer's tier (`rand_distr::math::Tier::dispatched`): 8
+    /// lanes per vector on AVX-512, 4 on AVX2, and the baseline build under
+    /// `XR_FORCE_PORTABLE`.
     ///
     /// # Panics
     ///
@@ -242,7 +246,6 @@ impl PowerMonitor {
         cursors: &mut DrawCursors,
         energy: &mut [Joules],
     ) {
-        assert!(tier.supported(), "this host cannot run the {tier:?} tier");
         let lanes = energy.len();
         assert_eq!(durations.len(), lanes, "phase column length mismatch");
         assert_eq!(
@@ -251,96 +254,88 @@ impl PowerMonitor {
             "draw cursors must be rewound to the batch width"
         );
         cursors.phases += 1;
-        if self.is_noisy() {
+        let noisy = self.is_noisy();
+        if noisy {
             assert!(
                 normals.len() >= cursors.phases * lanes,
                 "a noisy monitor needs one variate per phase per lane"
             );
         }
+        // On a noisy monitor every cursor stays below `cursors.phases *
+        // lanes <= normals.len()` (the `DrawCursors` invariant), so the
+        // clamp in the loop never moves an index: it only lets the compiler
+        // drop the bounds check that would keep the loop from vectorizing.
+        // A noiseless monitor reads a dummy variate that it never uses.
+        let normals = if noisy && !normals.is_empty() {
+            normals
+        } else {
+            &[0.0]
+        };
         let level = power + baseline;
         let next = &mut cursors.next;
-        // Each SIMD arm's contract holds: the host runs the tier (asserted
-        // above), the asserts above give `durations`, `next` and `energy`
-        // one entry per lane, and on a noisy monitor every cursor is below
-        // `cursors.phases * lanes <= normals.len()` (the `DrawCursors`
-        // invariant).
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            #[allow(unsafe_code)]
-            // SAFETY: see above.
-            Tier::Avx512 => unsafe {
-                avx512::add_phase_energy(self, level, durations, normals, next, energy);
-            },
-            #[cfg(target_arch = "x86_64")]
-            #[allow(unsafe_code)]
-            // SAFETY: see above.
-            Tier::Avx2 => unsafe {
-                avx2::add_phase_energy(self, level, durations, normals, next, energy);
-            },
-            _ => {
-                let lanes_iter = durations.iter().zip(next).zip(energy);
-                for ((&duration, next), energy) in lanes_iter {
-                    self.add_lane_energy(level, duration, normals, lanes, next, energy);
-                }
-            }
-        }
+        tier.run(
+            #[inline(always)]
+            || self.phase_pass(level, durations, normals, next, energy),
+        );
     }
 
-    /// One lane of the column form: adds the phase's energy at `level`
-    /// (power plus baseline) over `duration` to `energy`, drawing the
-    /// lane's next variate at `normals[*next]` and stepping the cursor one
-    /// draw column (`lanes` entries) on. The portable pass runs every lane
-    /// through here; the AVX2 pass runs its tail lanes.
-    fn add_lane_energy(
+    /// The lane loop of [`PowerMonitor::add_phase_energy_at`], compiled
+    /// once per tier. `normals` is never empty, and every `next[i]` below
+    /// its length is read as is (the clamp only proves the bound). Taking
+    /// the columns as arguments tells the compiler they do not overlap,
+    /// which the read of `normals` at a data-dependent index needs to
+    /// vectorize.
+    #[inline(always)]
+    fn phase_pass(
         &self,
         level: Watts,
-        duration: Seconds,
+        durations: &[Seconds],
         normals: &[f64],
-        lanes: usize,
-        next: &mut usize,
-        energy: &mut Joules,
+        next: &mut [usize],
+        energy: &mut [Joules],
     ) {
-        let draw = || {
-            let z = normals[*next];
-            *next += lanes;
-            z
-        };
-        if let Some(phase) = self.phase_energy(level, duration, draw) {
-            *energy += phase;
+        let lanes = energy.len();
+        // A copy, so the loop reads σ and Δt from registers, not through a
+        // pointer its stores might alias.
+        let monitor = self.clone();
+        let last = normals.len().checked_sub(1).expect("a variate");
+        for ((&duration, next), energy) in durations.iter().zip(next).zip(energy) {
+            let (samples, spans) = monitor.phase_samples(duration);
+            let phase = monitor.phase_energy(level, samples, normals[(*next).min(last)]);
+            // The scalar form's `if spans`, as selects.
+            *energy = if spans { *energy + phase } else { *energy };
+            *next += if spans { lanes } else { 0 };
         }
     }
 
-    /// One phase's integrated energy at `level` (the phase's power plus the
-    /// baseline), or `None` when the phase spans no monitor sample (and so
-    /// draws nothing). `draw` yields the phase's standard-normal variate
-    /// and is called once, only on a noisy monitor. Both
+    /// The number of monitor samples a phase of `duration` spans, on the
+    /// same Δt grid as the recorded trace (rounded, so quantisation is
+    /// unbiased across phases), and whether the phase spans any sample at
+    /// all. A phase that spans none contributes no energy and draws
+    /// nothing; a NaN or infinite duration counts as spanning, so its
+    /// energy comes out non-finite.
+    #[inline(always)]
+    fn phase_samples(&self, duration: Seconds) -> (f64, bool) {
+        let samples = (duration / self.sampling_interval).round();
+        let spans_none = duration.as_f64() <= 0.0 || samples < 1.0;
+        (samples, !spans_none)
+    }
+
+    /// One spanning phase's integrated energy at `level` (the phase's power
+    /// plus the baseline) over `samples` monitor samples, given the phase's
+    /// standard-normal variate `z` (read only on a noisy monitor). Both
     /// [`PowerMonitor::measure_energy`] forms go through here.
-    fn phase_energy(
-        &self,
-        level: Watts,
-        duration: Seconds,
-        draw: impl FnOnce() -> f64,
-    ) -> Option<Joules> {
-        if duration.as_f64() <= 0.0 {
-            return None;
-        }
-        // The number of monitor samples the phase spans, on the same Δt
-        // grid as the recorded trace (rounded, so quantisation is unbiased
-        // across phases).
-        let dt = self.sampling_interval;
-        let samples = (duration / dt).round();
-        if samples < 1.0 {
-            return None;
-        }
+    #[inline(always)]
+    fn phase_energy(&self, level: Watts, samples: f64, z: f64) -> Joules {
         let factor = if self.is_noisy() {
             // `Normal::from_standard` for N(1, σ²/k). The constructor keeps
             // σ finite and k is at least 1 (or NaN), so the scale is finite
             // (or NaN) and needs no per-phase validation.
-            (1.0 + self.noise_fraction / samples.sqrt() * draw()).max(0.0)
+            (1.0 + self.noise_fraction / samples.sqrt() * z).max(0.0)
         } else {
             1.0
         };
-        Some(level * factor * samples * dt)
+        level * factor * samples * self.sampling_interval
     }
 
     /// Whether the monitor draws noise at all (a noiseless monitor
@@ -363,8 +358,8 @@ impl Default for PowerMonitor {
 /// advances the lanes whose phase draws. Lives with the batch's draw
 /// columns and is reused across batches.
 ///
-/// Invariant (what keeps the SIMD gathers in bounds): after `phases`
-/// phases, lane `i`'s cursor is `i + drawn * lanes` with `drawn <=
+/// Invariant (what keeps every read of the draw columns in bounds): after
+/// `phases` phases, lane `i`'s cursor is `i + drawn * lanes` with `drawn <=
 /// phases`, so it stays below `(phases + 1) * lanes`. Only this module
 /// writes the fields.
 #[derive(Debug, Default)]
@@ -382,218 +377,6 @@ impl DrawCursors {
         self.next.clear();
         self.next.extend(0..lanes);
         self.phases = 0;
-    }
-}
-
-/// The four-lane AVX2 pass of [`PowerMonitor::add_phase_energy`]. Every
-/// operation of the scalar lane expression has a correctly rounded or
-/// exact vector form: the division by Δt, the round (below), `sqrt`, the
-/// division of σ by `√k`, the affine `1 + s·z`, the zero clamp and the
-/// three multiplies in the scalar order. So the pass is bit-identical to
-/// the portable one by construction, and pinned by the unit tests. It
-/// exists because the portable loop does not vectorize: `f64::round` is a
-/// libm call at baseline x86-64, and the per-lane early returns branch.
-/// Isolated in one module so the `unsafe` SIMD surface stays small; the
-/// workspace otherwise denies `unsafe_code`.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-#[deny(unsafe_op_in_unsafe_fn)]
-mod avx2 {
-    use super::PowerMonitor;
-    use core::arch::x86_64::{
-        __m256i, _mm256_add_epi64, _mm256_add_pd, _mm256_and_pd, _mm256_and_si256,
-        _mm256_blendv_pd, _mm256_castpd_si256, _mm256_cmp_pd, _mm256_div_pd, _mm256_i64gather_pd,
-        _mm256_loadu_pd, _mm256_loadu_si256, _mm256_max_pd, _mm256_mul_pd, _mm256_round_pd,
-        _mm256_set1_epi64x, _mm256_set1_pd, _mm256_setzero_pd, _mm256_sqrt_pd, _mm256_storeu_pd,
-        _mm256_storeu_si256, _mm256_sub_pd, _CMP_GE_OQ, _CMP_NLE_UQ, _CMP_NLT_UQ,
-        _MM_FROUND_NO_EXC, _MM_FROUND_TO_ZERO,
-    };
-    use xr_types::{Joules, Seconds, Watts};
-
-    /// Adds one phase's energy at `level` (power plus baseline) to every
-    /// lane, four lanes per iteration with a scalar tail.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2. `durations`, `next` and `energy` must
-    /// have the same length, and on a noisy monitor every `next[i]` must
-    /// be below `normals.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn add_phase_energy(
-        monitor: &PowerMonitor,
-        level: Watts,
-        durations: &[Seconds],
-        normals: &[f64],
-        next: &mut [usize],
-        energy: &mut [Joules],
-    ) {
-        let lanes = energy.len();
-        let noisy = monitor.is_noisy();
-        let dt = _mm256_set1_pd(monitor.sampling_interval.as_f64());
-        let sigma = _mm256_set1_pd(monitor.noise_fraction);
-        let level_v = _mm256_set1_pd(level.as_f64());
-        let zero = _mm256_setzero_pd();
-        let half = _mm256_set1_pd(0.5);
-        let one = _mm256_set1_pd(1.0);
-        let stride = _mm256_set1_epi64x(lanes as i64);
-        let chunks = lanes / 4;
-        for c in 0..chunks {
-            let at = c * 4;
-            // SAFETY: `at + 4 <= lanes == durations.len()`, and `Seconds`
-            // is a `repr(transparent)` `f64`.
-            let d = unsafe { _mm256_loadu_pd(durations.as_ptr().add(at).cast::<f64>()) };
-            let q = _mm256_div_pd(d, dt);
-            // `f64::round` (half away from zero) as trunc plus one when the
-            // fraction is at least 1/2: for q >= 0 the fraction `q - t` is
-            // exact and `t + 1` only happens below 2^52, where it is exact.
-            // Infinite q gives a NaN fraction and keeps `t`; NaN stays NaN.
-            // Lanes with q < 0 (d <= 0) are masked off below.
-            let t = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(q);
-            let up = _mm256_cmp_pd::<_CMP_GE_OQ>(_mm256_sub_pd(q, t), half);
-            let k = _mm256_add_pd(t, _mm256_and_pd(up, one));
-            // `!(d <= 0) && !(k < 1)`: the scalar early returns, negated so
-            // that NaN lanes stay valid exactly as they do there.
-            let valid = _mm256_and_pd(
-                _mm256_cmp_pd::<_CMP_NLE_UQ>(d, zero),
-                _mm256_cmp_pd::<_CMP_NLT_UQ>(k, one),
-            );
-            let factor = if noisy {
-                let cursor = next[at..at + 4].as_mut_ptr().cast::<__m256i>();
-                // SAFETY: `cursor` points at four `usize`s, 64 bits each on
-                // x86_64.
-                let idx = unsafe { _mm256_loadu_si256(cursor) };
-                // SAFETY: every cursor is below `normals.len()` (caller
-                // contract), so each gathered element is in bounds.
-                let z = unsafe { _mm256_i64gather_pd::<8>(normals.as_ptr(), idx) };
-                let step = _mm256_and_si256(_mm256_castpd_si256(valid), stride);
-                // SAFETY: the same four lanes as the load above.
-                unsafe { _mm256_storeu_si256(cursor, _mm256_add_epi64(idx, step)) };
-                let s = _mm256_div_pd(sigma, _mm256_sqrt_pd(k));
-                // `max(x, 0)` returns its second operand for a NaN x, as
-                // `f64::max(NaN, 0.0)` returns 0.
-                _mm256_max_pd(_mm256_add_pd(one, _mm256_mul_pd(s, z)), zero)
-            } else {
-                one
-            };
-            let phase = _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(level_v, factor), k), dt);
-            let out = energy[at..at + 4].as_mut_ptr().cast::<f64>();
-            // SAFETY: `out` points at four `Joules`, each a
-            // `repr(transparent)` `f64`.
-            unsafe {
-                let acc = _mm256_loadu_pd(out);
-                _mm256_storeu_pd(out, _mm256_blendv_pd(acc, _mm256_add_pd(acc, phase), valid));
-            }
-        }
-        for lane in chunks * 4..lanes {
-            monitor.add_lane_energy(
-                level,
-                durations[lane],
-                normals,
-                lanes,
-                &mut next[lane],
-                &mut energy[lane],
-            );
-        }
-    }
-}
-
-/// The eight-lane AVX-512 pass of [`PowerMonitor::add_phase_energy`]: the
-/// AVX2 pass's operations in the same order, eight lanes per step. Lane
-/// masks replace the AVX2 blend and scalar tail: a masked load and store
-/// cover the last `lanes % 8` lanes, and the `valid` mask (the scalar early
-/// returns, negated) gates both the cursor step and the energy store.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-#[deny(unsafe_op_in_unsafe_fn)]
-mod avx512 {
-    use super::PowerMonitor;
-    use core::arch::x86_64::{
-        __mmask8, _mm512_add_pd, _mm512_div_pd, _mm512_i64gather_pd, _mm512_mask_add_epi64,
-        _mm512_mask_add_pd, _mm512_mask_cmp_pd_mask, _mm512_mask_storeu_epi64,
-        _mm512_mask_storeu_pd, _mm512_maskz_loadu_epi64, _mm512_maskz_loadu_pd, _mm512_max_pd,
-        _mm512_mul_pd, _mm512_roundscale_pd, _mm512_set1_epi64, _mm512_set1_pd, _mm512_setzero_pd,
-        _mm512_sqrt_pd, _mm512_sub_pd, _CMP_GE_OQ, _CMP_NLE_UQ, _CMP_NLT_UQ, _MM_FROUND_NO_EXC,
-        _MM_FROUND_TO_ZERO,
-    };
-    use xr_types::{Joules, Seconds, Watts};
-
-    /// Adds one phase's energy at `level` (power plus baseline) to every
-    /// lane, eight lanes per iteration, the last chunk masked.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F and AVX-512DQ. `durations`, `next`
-    /// and `energy` must have the same length, and on a noisy monitor
-    /// every `next[i]` must be below `normals.len()`.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn add_phase_energy(
-        monitor: &PowerMonitor,
-        level: Watts,
-        durations: &[Seconds],
-        normals: &[f64],
-        next: &mut [usize],
-        energy: &mut [Joules],
-    ) {
-        let lanes = energy.len();
-        let noisy = monitor.is_noisy();
-        let dt = _mm512_set1_pd(monitor.sampling_interval.as_f64());
-        let sigma = _mm512_set1_pd(monitor.noise_fraction);
-        let level_v = _mm512_set1_pd(level.as_f64());
-        let zero = _mm512_setzero_pd();
-        let half = _mm512_set1_pd(0.5);
-        let one = _mm512_set1_pd(1.0);
-        let stride = _mm512_set1_epi64(lanes as i64);
-        for at in (0..lanes).step_by(8) {
-            // The lanes of this chunk inside the column: all eight, or the
-            // low `lanes - at`.
-            let mask: __mmask8 = match lanes - at {
-                rest @ 0..8 => (1u8 << rest) - 1,
-                _ => u8::MAX,
-            };
-            // SAFETY: every lane set in `mask` is below `lanes ==
-            // durations.len()`, masked-off lanes are not accessed, and
-            // `Seconds` is a `repr(transparent)` `f64`.
-            let d =
-                unsafe { _mm512_maskz_loadu_pd(mask, durations.as_ptr().add(at).cast::<f64>()) };
-            let q = _mm512_div_pd(d, dt);
-            // `f64::round` as in the AVX2 pass: trunc, plus one when the
-            // fraction is at least 1/2.
-            let t = _mm512_roundscale_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(q);
-            let up = _mm512_mask_cmp_pd_mask::<_CMP_GE_OQ>(mask, _mm512_sub_pd(q, t), half);
-            let k = _mm512_mask_add_pd(t, up, t, one);
-            // `!(d <= 0) && !(k < 1)` on the lanes inside the column: the
-            // scalar early returns, negated so that NaN lanes stay valid
-            // exactly as they do there.
-            let valid = _mm512_mask_cmp_pd_mask::<_CMP_NLE_UQ>(mask, d, zero)
-                & _mm512_mask_cmp_pd_mask::<_CMP_NLT_UQ>(mask, k, one);
-            let factor = if noisy {
-                let cursor = next[at..].as_mut_ptr().cast::<i64>();
-                // SAFETY: as for the duration load; `usize` is 64 bits on
-                // x86_64.
-                let idx = unsafe { _mm512_maskz_loadu_epi64(mask, cursor) };
-                // SAFETY: every cursor is below `normals.len()` (caller
-                // contract), and the masked-off lanes index 0, which is in
-                // bounds too: a noisy monitor with lanes has variates.
-                let z = unsafe { _mm512_i64gather_pd::<8>(idx, normals.as_ptr()) };
-                let step = _mm512_mask_add_epi64(idx, valid, idx, stride);
-                // SAFETY: the same lanes as the load above.
-                unsafe { _mm512_mask_storeu_epi64(cursor, mask, step) };
-                let s = _mm512_div_pd(sigma, _mm512_sqrt_pd(k));
-                // `max(x, 0)` returns its second operand for a NaN x, as
-                // `f64::max(NaN, 0.0)` returns 0.
-                _mm512_max_pd(_mm512_add_pd(one, _mm512_mul_pd(s, z)), zero)
-            } else {
-                one
-            };
-            let phase = _mm512_mul_pd(_mm512_mul_pd(_mm512_mul_pd(level_v, factor), k), dt);
-            let out = energy[at..].as_mut_ptr().cast::<f64>();
-            // SAFETY: as for the duration load; `Joules` is a
-            // `repr(transparent)` `f64`, and `valid` lies inside `mask`.
-            unsafe {
-                let acc = _mm512_maskz_loadu_pd(mask, out);
-                _mm512_mask_storeu_pd(out, valid, _mm512_add_pd(acc, phase));
-            }
-        }
     }
 }
 

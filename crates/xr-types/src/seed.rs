@@ -24,6 +24,7 @@
 /// (`mix(mix(seed, a), b)`) to index multi-dimensional seed spaces without
 /// any shared RNG state.
 #[must_use]
+#[inline]
 pub fn mix(seed: u64, lane: u64) -> u64 {
     let mut z = seed
         .wrapping_add(0x9E37_79B9_7F4A_7C15)

@@ -1,8 +1,10 @@
 //! Golden pin of the paper's artifacts: every entry of the artifact
 //! registry, rendered at seed 2024 by the same function that writes its
 //! CSV, must equal `baselines/paper/<scale>/<name>.csv` byte for byte, at
-//! quick and paper scale. Every entry needs a golden and every golden an
-//! entry, so no artifact ships unpinned and no golden outlives its entry.
+//! quick and paper scale, and at paper scale also with every session on the
+//! scalar reference engine (`reproduce --paper-scale --scalar-sessions`).
+//! Every entry needs a golden and every golden an entry, so no artifact
+//! ships unpinned and no golden outlives its entry.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -52,5 +54,15 @@ fn paper_scale_artifacts_match_their_goldens() {
     check_goldens(
         "paper-scale",
         &ExperimentContext::paper_scale(GOLDEN_SEED).unwrap(),
+    );
+}
+
+#[test]
+fn paper_scale_artifacts_match_their_goldens_on_the_scalar_engine() {
+    check_goldens(
+        "paper-scale",
+        &ExperimentContext::paper_scale(GOLDEN_SEED)
+            .unwrap()
+            .with_scalar_sessions(),
     );
 }
