@@ -19,7 +19,6 @@ use crate::fixed::{push_fixed, push_uint};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::io::Write;
 use xr_stats::mean_confidence_interval;
 use xr_sweep::{CampaignRunner, OperatingPoint, PointContext, SweepGrid, WirelessCondition};
 use xr_testbed::SessionTotals;
@@ -298,9 +297,20 @@ pub fn run_campaign_streaming_with(
     runner: &CampaignRunner,
     sink: impl FnMut(usize, CampaignRow) + Send,
 ) -> Result<()> {
-    // Each point is built by the worker that evaluates it and moves into
-    // its row, so no list of every point is made up front.
-    let indices: Vec<(usize, ())> = grid.indices()?.map(|index| (index, ())).collect();
+    stream_indices(ctx, grid, runner, grid.indices()?, sink)
+}
+
+/// Streams the rows of the grid points at `indices`, in that order. Each
+/// point is built by the worker that evaluates it and moves into its row,
+/// so no list of the points is made up front.
+pub(crate) fn stream_indices(
+    ctx: &ExperimentContext,
+    grid: &SweepGrid,
+    runner: &CampaignRunner,
+    indices: impl Iterator<Item = usize>,
+    sink: impl FnMut(usize, CampaignRow) + Send,
+) -> Result<()> {
+    let indices: Vec<(usize, ())> = indices.map(|index| (index, ())).collect();
     stream_rows(
         ctx,
         grid,
@@ -311,12 +321,12 @@ pub fn run_campaign_streaming_with(
     )
 }
 
-/// The core campaign evaluator: streams aggregated rows for an explicitly
-/// indexed **subset** of a grid's points, in subset order. Each pair carries
-/// the point's index in the full grid enumeration; replication seeds derive
-/// from that original index, so a shard's rows are bit-identical to the same
-/// rows of an unsharded campaign. [`run_campaign_streaming_with`] passes the
-/// whole grid; the sharded campaign path passes its round-robin slice.
+/// Streams aggregated rows for an explicitly indexed **subset** of a grid's
+/// points, given ready-made, in subset order. Each pair carries the point's
+/// index in the full grid enumeration; replication seeds derive from that
+/// original index, so a subset's rows are bit-identical to the same rows of
+/// the whole campaign. The campaign itself builds each point from its index
+/// on the worker instead ([`run_campaign_streaming_with`]).
 ///
 /// # Errors
 ///
@@ -428,48 +438,6 @@ fn evaluate_point(
             proposed_energy_mj: energy.total().to_millijoules().as_f64(),
         })
     })
-}
-
-/// Streams a campaign over `grid` into `out` as CSV text: the header line,
-/// then each row as the collector releases it, rendered by
-/// [`CampaignRow::render_csv_into`] into one reused buffer. With
-/// `progress`, a `shard 1/1: completed/total points` line goes to stderr
-/// after every row (the bytes written are the same either way). `out` is
-/// flushed at the end; wrap a file in a `BufWriter`. Returns the number of
-/// rows written.
-///
-/// # Errors
-///
-/// Propagates grid, scenario and model errors, and the first I/O error
-/// `out` reports (nothing is written after it).
-pub fn write_campaign_csv<W: Write + Send>(
-    ctx: &ExperimentContext,
-    grid: &SweepGrid,
-    runner: &CampaignRunner,
-    mut out: W,
-    progress: bool,
-) -> Result<usize> {
-    let io_error = |e: std::io::Error| Error::invalid_configuration(format!("campaign csv: {e}"));
-    let total = grid.len();
-    let mut line = CAMPAIGN_HEADER.join(",");
-    line.push('\n');
-    out.write_all(line.as_bytes()).map_err(io_error)?;
-    let mut outcome = Ok(());
-    let mut rows = 0usize;
-    run_campaign_streaming_with(ctx, grid, runner, |_, row| {
-        if outcome.is_err() {
-            return;
-        }
-        row.render_csv_into(&mut line);
-        line.push('\n');
-        outcome = out.write_all(line.as_bytes());
-        rows += 1;
-        if progress {
-            eprintln!("shard 1/1: {rows}/{total} points");
-        }
-    })?;
-    outcome.and_then(|()| out.flush()).map_err(io_error)?;
-    Ok(rows)
 }
 
 /// Runs a campaign over `grid` and returns every aggregated row in point

@@ -19,12 +19,15 @@ use xr_types::Result;
 pub struct CampaignArgs {
     /// `--grid <file>`: a grid spec replacing the built-in quick grid.
     pub grid: Option<PathBuf>,
-    /// `--shard i/N`: run only the round-robin shard `i` of `N`.
+    /// `--shard i/N`: run only the round-robin shard `i` of `N`. Without
+    /// it the run is shard `1/1`.
     pub shard: Option<ShardSpec>,
-    /// `--checkpoint-every <rows>`: the shard checkpoint's fsync cadence
-    /// (sharded runs only).
+    /// `--checkpoint-every <rows>`: fsync the CSV and its checkpoint every
+    /// this many rows, with or without `--shard`. Without it a sharded run
+    /// fsyncs every row ([`xr_sweep::DEFAULT_SYNC_EVERY`]) and a run
+    /// without `--shard` once, at the end.
     pub checkpoint_every: Option<usize>,
-    /// `--progress`: report completed points on stderr.
+    /// `--progress`: report each completed point on stderr.
     pub progress: bool,
     /// `--paper-scale`: calibrate on the paper-scale measurement campaign.
     pub paper_scale: bool,
@@ -41,8 +44,7 @@ impl CampaignArgs {
     /// # Errors
     ///
     /// Returns a message naming the problem: an unknown flag or stray
-    /// argument, a flag missing its value, a malformed value, or
-    /// `--checkpoint-every` without `--shard`.
+    /// argument, a flag missing its value, or a malformed value.
     pub fn parse<I, S>(args: I) -> std::result::Result<Self, String>
     where
         I: IntoIterator<Item = S>,
@@ -80,9 +82,6 @@ impl CampaignArgs {
                 }
                 _ => return Err(format!("unexpected campaign argument `{flag}`")),
             }
-        }
-        if parsed.checkpoint_every.is_some() && parsed.shard.is_none() {
-            return Err("--checkpoint-every only applies to a sharded run (--shard i/N)".into());
         }
         Ok(parsed)
     }
@@ -252,10 +251,6 @@ mod tests {
         assert!(parse(&["--shard", "1/2", "--checkpoint-every", "0"])
             .unwrap_err()
             .starts_with("invalid --checkpoint-every"));
-        assert_eq!(
-            parse(&["--checkpoint-every", "4"]),
-            Err("--checkpoint-every only applies to a sharded run (--shard i/N)".to_string())
-        );
     }
 
     #[test]

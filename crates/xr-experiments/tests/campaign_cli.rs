@@ -3,8 +3,8 @@
 //! `XR_SWEEP_WORKERS` exit with status 2 and a message naming the problem.
 //! A campaign or paper artifact whose CSV cannot be written exits non-zero
 //! instead of reporting success, and so does a campaign whose replication
-//! count cannot be held in memory. A shard SIGKILL'd mid-run resumes from
-//! its checkpoint to the one-shot campaign's bytes.
+//! count cannot be held in memory. A campaign SIGKILL'd mid-run resumes
+//! from its checkpoint to the one-shot campaign's bytes.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -158,7 +158,7 @@ fn an_unsharded_campaign_streams_its_csv_and_prints_one_summary_line() {
     assert_eq!(code, Some(0), "{stderr}");
     assert_eq!(
         stdout,
-        "1 operating points × 1 replication(s) evaluated with 2 worker(s); csv written to target/experiments/campaign.csv\n"
+        "shard 1/1: 0 row(s) resumed from checkpoint, 1 evaluated (2 worker(s)); csv written to target/experiments/campaign.csv\n"
     );
     assert_eq!(stderr, "shard 1/1: 1/1 points\n");
     let csv = std::fs::read_to_string(dir.join("target/experiments/campaign.csv")).unwrap();
@@ -175,7 +175,8 @@ fn an_unsharded_campaign_streams_its_csv_and_prints_one_summary_line() {
 #[test]
 fn a_failed_csv_write_exits_non_zero() {
     // `/dev/full` opens fine and fails every write with ENOSPC, so the
-    // error surfaces on the buffered writer's flush, not at open.
+    // error surfaces on the buffered writer's flush, not at open. A fresh
+    // run never reads the CSV (a read of `/dev/full` would never end).
     let dir = workdir("full");
     std::fs::create_dir_all(dir.join("target/experiments")).unwrap();
     std::os::unix::fs::symlink("/dev/full", dir.join("target/experiments/campaign.csv")).unwrap();
@@ -183,6 +184,7 @@ fn a_failed_csv_write_exits_non_zero() {
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stdout.is_empty(), "{stdout}");
     assert!(stderr.contains("campaign failed: "), "{stderr}");
+    assert!(stderr.contains("No space left on device"), "{stderr}");
 }
 
 #[cfg(target_os = "linux")]
@@ -200,11 +202,12 @@ fn a_failed_artifact_write_exits_non_zero_and_names_the_artifact() {
     );
 }
 
-/// A shard SIGKILL'd while it writes its checkpoint resumes from it: the
-/// rerun evaluates only the points the checkpoint lacks, and merging the
-/// shard gives the one-shot campaign's CSV byte for byte. The grid's 12
-/// points of 16 000 frames each keep the shard running for many polls of
-/// its checkpoint in both build profiles.
+/// A run without `--shard`, SIGKILL'd while it writes its checkpoint,
+/// resumes from it: the rerun evaluates only the points the checkpoint
+/// lacks and writes the bytes of a one-shot `--shard 1/1` run, and merging
+/// the resumed CSV as a shard gives the same bytes again. The grid's 12
+/// points of 16 000 frames each keep the run going for many polls of its
+/// checkpoint in both build profiles.
 #[cfg(unix)]
 #[test]
 fn a_shard_killed_mid_run_resumes_to_the_one_shot_bytes() {
@@ -219,22 +222,16 @@ fn a_shard_killed_mid_run_resumes_to_the_one_shot_bytes() {
     )
     .unwrap();
     let one_worker = [("XR_SWEEP_WORKERS", "1")];
-    let (code, _, stderr) = run(CAMPAIGN, &["--grid", "kill.grid"], &one_worker, &dir);
+    let shard = ["--grid", "kill.grid", "--shard", "1/1"];
+    let (code, _, stderr) = run(CAMPAIGN, &shard, &one_worker, &dir);
     assert_eq!(code, Some(0), "{stderr}");
     let experiments = dir.join("target/experiments");
-    let one_shot = std::fs::read(experiments.join("campaign.csv")).unwrap();
+    let one_shot = std::fs::read(experiments.join("campaign_shard_1of1.csv")).unwrap();
     let points = one_shot.iter().filter(|&&b| b == b'\n').count() - 1;
 
-    let shard = [
-        "--grid",
-        "kill.grid",
-        "--shard",
-        "1/1",
-        "--checkpoint-every",
-        "1",
-    ];
+    let plain = ["--grid", "kill.grid", "--checkpoint-every", "1"];
     let mut child = Command::new(CAMPAIGN)
-        .args(shard)
+        .args(plain)
         .current_dir(&dir)
         .env_remove("XR_CAMPAIGN_SEED")
         .env("XR_SWEEP_WORKERS", "1")
@@ -242,7 +239,7 @@ fn a_shard_killed_mid_run_resumes_to_the_one_shot_bytes() {
         .stderr(Stdio::null())
         .spawn()
         .expect("campaign spawns");
-    let checkpoint = experiments.join("campaign_shard_1of1.csv.checkpoint");
+    let checkpoint = experiments.join("campaign.csv.checkpoint");
     loop {
         let records = std::fs::read_to_string(&checkpoint).map_or(0, |text| {
             text.lines()
@@ -253,29 +250,29 @@ fn a_shard_killed_mid_run_resumes_to_the_one_shot_bytes() {
             child.kill().expect("SIGKILL is sent");
             break;
         }
-        let finished = child.try_wait().expect("shard status");
+        let finished = child.try_wait().expect("campaign status");
         assert!(
             finished.is_none(),
-            "the shard finished before the kill: {records} of {points} points checkpointed"
+            "the campaign finished before the kill: {records} of {points} points checkpointed"
         );
         std::thread::sleep(Duration::from_micros(200));
     }
-    let status = child.wait().expect("killed shard is reaped");
+    let status = child.wait().expect("killed campaign is reaped");
     assert_eq!(
         status.signal(),
         Some(9),
-        "the shard finished before the kill landed: {status}"
+        "the campaign finished before the kill landed: {status}"
     );
 
-    let (code, stdout, stderr) = run(CAMPAIGN, &shard, &one_worker, &dir);
+    let (code, stdout, stderr) = run(CAMPAIGN, &plain, &one_worker, &dir);
     assert_eq!(code, Some(0), "{stderr}");
     let counts: Vec<usize> = stdout
         .split(|c: char| !c.is_ascii_digit())
         .filter_map(|n| n.parse().ok())
         .collect();
     // "shard 1/1: <resumed> row(s) resumed from checkpoint, <evaluated>
-    // evaluated (1 worker(s)); ..."
-    let [1, 1, resumed, evaluated, 1, ..] = counts[..] else {
+    // evaluated (1 worker(s)); csv written to target/experiments/campaign.csv"
+    let [1, 1, resumed, evaluated, 1] = counts[..] else {
         panic!("unexpected summary: {stdout}");
     };
     assert!(
@@ -283,18 +280,22 @@ fn a_shard_killed_mid_run_resumes_to_the_one_shot_bytes() {
         "the resumed run evaluated nothing: {stdout}"
     );
     assert_eq!(resumed + evaluated, points, "{stdout}");
+    let resumed_csv = experiments.join("campaign.csv");
+    assert!(
+        std::fs::read(&resumed_csv).unwrap() == one_shot,
+        "the resumed run does not give the one-shot CSV"
+    );
 
-    let shard_csv = experiments.join("campaign_shard_1of1.csv");
     let merged = experiments.join("merged.csv");
     let merge = [
         "--out",
         merged.to_str().unwrap(),
-        shard_csv.to_str().unwrap(),
+        resumed_csv.to_str().unwrap(),
     ];
     let (code, _, stderr) = run(CAMPAIGN_MERGE, &merge, &[], &dir);
     assert_eq!(code, Some(0), "{stderr}");
     assert!(
         std::fs::read(&merged).unwrap() == one_shot,
-        "the resumed shard does not merge to the one-shot CSV"
+        "merging the resumed CSV as one 1/1 shard changes its bytes"
     );
 }

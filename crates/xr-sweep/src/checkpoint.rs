@@ -4,9 +4,9 @@
 //! collector guarantees it), so "progress" is exactly a prefix of the
 //! shard's owned points. The checkpoint file records that prefix as one
 //! `done <point>` line per completed point, appended after the row is in
-//! the artifact and fsync'd every [`ShardCheckpoint::sync_every`] records —
-//! a SIGKILL'd shard resumes at the last durable unit instead of
-//! restarting.
+//! the artifact. Records are buffered, and written and fsync'd every
+//! [`ShardCheckpoint::sync_every`] records — a SIGKILL'd shard resumes at
+//! the last record that reached the file instead of restarting.
 //!
 //! The file opens with a header carrying the campaign seed, the grid
 //! fingerprint ([`crate::SweepGrid::fingerprint`]), the grid size, and the
@@ -18,7 +18,7 @@
 
 use crate::shard::ShardSpec;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use xr_types::{Error, Result};
 
@@ -26,9 +26,10 @@ use xr_types::{Error, Result};
 /// layouts instead of misreading them.
 const MAGIC: &str = "# xr-sweep shard checkpoint v1";
 
-/// Default fsync cadence: records per `fdatasync`. 1 is the safest (every
-/// completed point is durable) and row evaluation dwarfs the sync cost at
-/// campaign scale; raise it for very fast grids.
+/// Default fsync cadence of a sharded run (`--shard i/N` without
+/// `--checkpoint-every`): records per `fdatasync`. 1 is the safest: every
+/// completed point is durable before the next one starts. A run without
+/// `--shard` syncs once, at the end, unless `--checkpoint-every` is given.
 pub const DEFAULT_SYNC_EVERY: usize = 1;
 
 fn io_error(path: &Path, op: &str, error: &std::io::Error) -> Error {
@@ -59,7 +60,8 @@ fn stale_error(
 pub struct CheckpointHeader {
     /// The campaign seed every replication seed derives from.
     pub campaign_seed: u64,
-    /// [`crate::SweepGrid::fingerprint`] of the swept grid.
+    /// [`crate::SweepGrid::fingerprint`] of the swept grid (a caller whose
+    /// rows depend on more than the grid and seed mixes that in).
     pub grid_fingerprint: u64,
     /// Number of operating points in the full grid.
     pub points: usize,
@@ -85,7 +87,9 @@ impl CheckpointHeader {
 #[derive(Debug)]
 pub struct ShardCheckpoint {
     path: PathBuf,
-    file: File,
+    /// Records are buffered and reach the file at each sync (or when the
+    /// buffer fills); resume trusts only what the file holds.
+    file: BufWriter<File>,
     completed: Vec<usize>,
     /// Byte offset of the end of each valid record, so truncation lands on
     /// record boundaries exactly.
@@ -132,7 +136,7 @@ impl ShardCheckpoint {
             file.sync_data().map_err(|e| io_error(&path, "sync", &e))?;
             return Ok(Self {
                 path,
-                file,
+                file: BufWriter::new(file),
                 completed: Vec::new(),
                 record_ends: Vec::new(),
                 header_len,
@@ -153,7 +157,7 @@ impl ShardCheckpoint {
             .map_err(|e| io_error(&path, "seek", &e))?;
         Ok(Self {
             path,
-            file,
+            file: BufWriter::new(file),
             completed,
             record_ends,
             header_len,
@@ -301,28 +305,33 @@ impl ShardCheckpoint {
         self.record_ends.truncate(keep);
         let end = self.record_ends.last().copied().unwrap_or(self.header_len);
         self.file
+            .flush()
+            .map_err(|e| io_error(&self.path, "flush", &e))?;
+        self.file
+            .get_ref()
             .set_len(end)
             .map_err(|e| io_error(&self.path, "truncate", &e))?;
         self.file
             .seek(SeekFrom::End(0))
             .map_err(|e| io_error(&self.path, "seek", &e))?;
         self.file
+            .get_ref()
             .sync_data()
             .map_err(|e| io_error(&self.path, "sync", &e))?;
         Ok(())
     }
 
-    /// Appends a completed point, fsync'ing when the cadence comes due.
+    /// Appends a completed point to the buffer, and flushes and fsyncs it
+    /// when the cadence comes due.
     ///
     /// # Errors
     ///
     /// I/O failures.
     pub fn record(&mut self, point: usize) -> Result<()> {
-        let line = format!("done {point}\n");
-        self.file
-            .write_all(line.as_bytes())
-            .map_err(|e| io_error(&self.path, "append", &e))?;
-        let end = self.record_ends.last().copied().unwrap_or(self.header_len) + line.len() as u64;
+        writeln!(self.file, "done {point}").map_err(|e| io_error(&self.path, "append", &e))?;
+        // "done " + the decimal digits + "\n".
+        let digits = point.checked_ilog10().map_or(1, |log| u64::from(log) + 1);
+        let end = self.record_ends.last().copied().unwrap_or(self.header_len) + 6 + digits;
         self.completed.push(point);
         self.record_ends.push(end);
         self.unsynced += 1;
@@ -332,13 +341,17 @@ impl ShardCheckpoint {
         Ok(())
     }
 
-    /// Forces pending records to stable storage.
+    /// Writes the buffered records and forces them to stable storage.
     ///
     /// # Errors
     ///
     /// I/O failures.
     pub fn sync(&mut self) -> Result<()> {
         self.file
+            .flush()
+            .map_err(|e| io_error(&self.path, "flush", &e))?;
+        self.file
+            .get_ref()
             .sync_data()
             .map_err(|e| io_error(&self.path, "sync", &e))?;
         self.unsynced = 0;

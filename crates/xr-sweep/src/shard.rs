@@ -98,14 +98,6 @@ impl ShardSpec {
         self.count
     }
 
-    /// `true` when this shard owns the point at original grid index
-    /// `point_index` (round-robin partition; all replications of a point
-    /// stay on one shard).
-    #[must_use]
-    pub fn owns(&self, point_index: usize) -> bool {
-        point_index % self.count == self.index - 1
-    }
-
     /// Number of points this shard owns out of a grid of `total_points`.
     #[must_use]
     pub fn owned_len(&self, total_points: usize) -> usize {
@@ -142,7 +134,8 @@ impl FromStr for ShardSpec {
 pub struct ShardManifest {
     /// The campaign seed every replication seed derives from.
     pub campaign_seed: u64,
-    /// [`SweepGrid::fingerprint`] of the swept grid.
+    /// [`SweepGrid::fingerprint`] of the swept grid (a caller whose rows
+    /// depend on more than the grid and seed mixes that in).
     pub grid_fingerprint: u64,
     /// Number of operating points in the full grid (all shards together).
     pub points: usize,
@@ -354,9 +347,6 @@ mod tests {
         let owned: Vec<usize> = shard.owned_indices(10).collect();
         assert_eq!(owned, vec![1, 4, 7]);
         assert_eq!(shard.owned_len(10), 3);
-        for p in 0..10 {
-            assert_eq!(shard.owns(p), owned.contains(&p));
-        }
         // Every point lands on exactly one shard.
         for total in [0usize, 1, 7, 10, 96] {
             for count in [1usize, 2, 3, 8] {

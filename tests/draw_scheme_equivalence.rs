@@ -11,12 +11,14 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use xr_experiments::campaign::{quick_grid, write_campaign_csv};
-use xr_experiments::ExperimentContext;
+use xr_experiments::campaign::quick_grid;
+use xr_experiments::shard_campaign::{checkpoint_path, manifest_path};
+use xr_experiments::{run_campaign_shard_with, ExperimentContext};
 use xr_integration::config_spec;
 use xr_stats::equivalence::{compare_campaigns, EquivalenceReport};
-use xr_sweep::{parse_grid_spec, SweepGrid};
+use xr_sweep::{parse_grid_spec, ShardSpec, SweepGrid};
 
 const GRIDS: [&str; 4] = ["quick", "mobility", "contention", "topology"];
 
@@ -122,12 +124,31 @@ fn analytic_model_columns_are_untouched_by_the_rekey() {
     }
 }
 
-/// Renders campaign rows exactly as the CSV layer writes them (header line,
-/// one row per point, trailing newline).
+/// The CSV a run without `--shard` writes (header line, one row per point,
+/// trailing newline): shard 1/1, synced at the end, into a file of its own.
 fn campaign_csv(ctx: &ExperimentContext, grid: &SweepGrid) -> String {
-    let mut out = Vec::new();
-    write_campaign_csv(ctx, grid, &ctx.runner(), &mut out, false).expect("campaign failed");
-    String::from_utf8(out).expect("campaign CSV is UTF-8")
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let csv_path =
+        std::env::temp_dir().join(format!("xr-draw-scheme-{}-{run}.csv", std::process::id()));
+    run_campaign_shard_with(
+        ctx,
+        grid,
+        &ctx.runner(),
+        ShardSpec::full(),
+        &csv_path,
+        usize::MAX,
+    )
+    .expect("campaign failed");
+    let csv = std::fs::read_to_string(&csv_path).expect("campaign CSV is UTF-8");
+    for path in [
+        checkpoint_path(&csv_path),
+        manifest_path(&csv_path),
+        csv_path,
+    ] {
+        std::fs::remove_file(path).unwrap();
+    }
+    csv
 }
 
 fn config_grid(name: &str) -> SweepGrid {

@@ -25,9 +25,13 @@ use std::collections::BTreeSet;
 use std::f64::consts::PI;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use xr_experiments::campaign::{quick_grid, write_campaign_csv};
-use xr_experiments::{run_campaign_shard_with, ExperimentContext};
+use xr_experiments::campaign::quick_grid;
+use xr_experiments::shard_campaign::{checkpoint_path, manifest_path};
+use xr_experiments::{
+    run_campaign_shard_with, run_campaign_shard_with_progress, ExperimentContext,
+};
 use xr_stats::inference::students_t_cdf;
 use xr_stats::students_t_quantile;
 use xr_sweep::{parse_grid_spec, CampaignRunner, ShardSpec, SweepGrid};
@@ -241,15 +245,36 @@ fn runner(workers: usize) -> CampaignRunner {
 }
 
 /// The CSV bytes the `campaign` binary writes for `grid` on `workers`
-/// workers, with or without `--progress`.
+/// workers, with or without `--progress`: a run without `--shard`, shard
+/// 1/1 synced at the end, into a file of its own.
 fn campaign_csv(
     ctx: &ExperimentContext,
     grid: &SweepGrid,
     workers: usize,
     progress: bool,
 ) -> Vec<u8> {
-    let mut csv = Vec::new();
-    write_campaign_csv(ctx, grid, &runner(workers), &mut csv, progress).unwrap();
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let csv_path =
+        std::env::temp_dir().join(format!("xr-grid-pins-{}-{run}.csv", std::process::id()));
+    run_campaign_shard_with_progress(
+        ctx,
+        grid,
+        &runner(workers),
+        ShardSpec::full(),
+        &csv_path,
+        usize::MAX,
+        progress,
+    )
+    .unwrap();
+    let csv = std::fs::read(&csv_path).unwrap();
+    for path in [
+        checkpoint_path(&csv_path),
+        manifest_path(&csv_path),
+        csv_path,
+    ] {
+        std::fs::remove_file(path).unwrap();
+    }
     csv
 }
 
