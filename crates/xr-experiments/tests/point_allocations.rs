@@ -8,8 +8,10 @@
 //! (engine columns, set-up vectors, the Student-t memo); only the second
 //! run is counted. The count is per thread, so the test harness's other
 //! threads do not enter it. A second test counts `point_totals` alone on a
-//! warm walking point, where the engine makes no allocation: a worker
-//! keeps its walk map for a point whose map inputs equal the last one's.
+//! warm walking point and on a warm contended roaming point, where the
+//! engine makes no allocation: a worker keeps its walk map for a point
+//! whose map inputs equal the last one's, refills its contention plans and
+//! step-angle column in place.
 
 #![allow(unsafe_code)]
 
@@ -122,20 +124,39 @@ fn a_warm_point_allocates_at_most_the_pinned_count() {
     );
 }
 
-#[test]
-fn point_totals_alone_makes_no_allocation_on_a_warm_walking_point() {
+/// Allocations of `point_totals` on the first point of `spec` once a run
+/// of the same point has warmed the worker's storage.
+fn warm_point_totals_allocations(spec: &str, reps: usize) -> u64 {
     let ctx = ExperimentContext::quick(2024).unwrap();
-    let grid =
-        parse_grid_spec("executions = remote\nmobility = walk:1.4:20\nreplications = 3\n").unwrap();
-    let points = grid.points().unwrap();
+    let points = parse_grid_spec(spec).unwrap().points().unwrap();
     let scenario = ctx.scenario_for(&points[0]).unwrap();
     assert!(scenario.execution.uses_edge() && scenario.mobility.speed.as_f64() > 0.0);
+    let frames = ctx.frames_for(&points[0]);
     let mut totals = Vec::new();
     let mut run = || {
         ctx.testbed()
-            .point_totals(&scenario, 7, 3, ctx.frames_per_point(), &mut totals)
+            .point_totals(&scenario, 7, reps, frames, &mut totals)
             .unwrap();
     };
     run();
-    assert_eq!(allocations_in(run), 0);
+    allocations_in(run)
+}
+
+#[test]
+fn point_totals_alone_makes_no_allocation_on_a_warm_walking_point() {
+    let walking = "executions = remote\nmobility = walk:1.4:20\nreplications = 3\n";
+    assert_eq!(warm_point_totals_allocations(walking, 3), 0);
+    // A `roam-durable` point: a contended hex map, where four walkers share
+    // each batch's step-angle column.
+    let roaming = "\
+executions         = remote
+frame_rates        = 5
+users_per_edge     = 4
+mobility           = vehicle:25:10
+frames_per_session = 200
+topology           = hex
+site_density       = 1600
+replications       = 4
+";
+    assert_eq!(warm_point_totals_allocations(roaming, 4), 0);
 }

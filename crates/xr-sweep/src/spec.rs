@@ -145,6 +145,16 @@ fn parse_mobility(line_number: usize, token: &str) -> Result<MobilityCondition> 
             format!("mobility: radius `{}` is not a number", parts[2]),
         )
     })?;
+    // A non-finite speed or radius would only fail later as a panic inside
+    // a campaign worker (or run an infinite walk), so refuse it here.
+    for (field, value) in [("speed", speed_mps), ("radius", radius_m)] {
+        if !value.is_finite() {
+            return Err(spec_error(
+                line_number,
+                format!("mobility: {field} {value} must be finite"),
+            ));
+        }
+    }
     if speed_mps < 0.0 {
         return Err(spec_error(
             line_number,
@@ -456,6 +466,15 @@ mod tests {
         assert!(err("mobility = vehicle:-1:15").contains("must be non-negative"));
         assert!(err("mobility = vehicle:20:0").contains("must be positive"));
         assert!(err("mobility = vehicle:fast:15").contains("not a number"));
+        assert!(
+            err("mobility = walk:nan:20").contains("line 1: mobility: speed NaN must be finite")
+        );
+        assert!(err("mobility = walk:1.4:nan").contains("radius NaN must be finite"));
+        assert!(
+            err("\nmobility = walk:inf:20").contains("line 2: mobility: speed inf must be finite")
+        );
+        assert!(err("mobility = walk:-inf:20").contains("speed -inf must be finite"));
+        assert!(err("mobility = walk:1.4:inf").contains("radius inf must be finite"));
         assert!(err("frames_per_session = 0").contains("must be at least 1"));
         assert!(err("frames_per_session = many").contains("not a positive integer"));
         assert!(err("users_per_edge = 0").contains("users_per_edge: must be at least 1"));

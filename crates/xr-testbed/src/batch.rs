@@ -19,11 +19,15 @@
 //!    stage consumed and columns can be evaluated in any order.
 //! 2. **Explicit carry for the sequential stage.** The only cross-frame
 //!    state — the mobility walker of a moving session — is advanced as one
-//!    in-order scan per batch
-//!    ([`xr_wireless::TopologyWalker::advance_many_into`] over the
-//!    scenario's [`xr_wireless::EdgeTopology`], or over the single coverage
-//!    zone as a one-site map), with its fractional-step carry preserved
-//!    across batch boundaries. This walk pre-pass records each frame's
+//!    in-order scan per batch over the scenario's
+//!    [`xr_wireless::EdgeTopology`] (or the single coverage zone as a
+//!    one-site map), with its fractional-step carry preserved across batch
+//!    boundaries. The scan's step angles are one
+//!    [`xr_wireless::StepColumn`] per batch: every fused walker draws the
+//!    words of the steps its windows take, their `cos`/`sin` are evaluated
+//!    in angle order, and each walker then steps through its own words in
+//!    stream order, so every draw and value is the one a per-window
+//!    `TopologyWalker::advance` gives. This walk pre-pass records each frame's
 //!    attachment site and [`SiteEvents`]; the handoff column then prices
 //!    zone crossings and edge-to-edge state migrations from those records,
 //!    and on a contended map the edge column divides each lane's unit-rate
@@ -86,9 +90,10 @@
 //! engine choice (scalar reference or batched) is made in that driver and
 //! nowhere else.
 //!
-//! All column storage (`FrameBatch`, `DrawColumns`, the walker's
-//! per-frame events) and a point's set-up (its session seeds, session
-//! states and the vectors of the hoisted constants) are allocated once
+//! All column storage (`FrameBatch`, `DrawColumns`, the walker's step
+//! column and per-frame events) and a point's set-up (its session seeds,
+//! session states, the vectors of the hoisted constants and the contention
+//! plans) are allocated once
 //! per worker thread and reused by every driver call on it and across
 //! batches — the steady-state frame loop performs **no** per-frame heap
 //! allocation, and a point grows the storage only when it needs more
@@ -109,7 +114,7 @@ use crate::lanes::LaneStreams;
 use crate::laws::DeviceBias;
 use crate::power::DrawCursors;
 use crate::simulator::{
-    check_frames, frame_buffer, stream, ContentionPlan, GroundTruthFrame, GroundTruthSession,
+    check_frames, frame_buffer, stream, ContentionPlans, GroundTruthFrame, GroundTruthSession,
     MapKey, SessionState, SessionTotals, TestbedSimulator,
 };
 use rand_distr::math::Tier;
@@ -118,7 +123,9 @@ use std::cell::RefCell;
 use std::ops::Range;
 use xr_core::Scenario;
 use xr_types::{Joules, Result, Seconds, Segment, Watts, SPEED_OF_LIGHT};
-use xr_wireless::{EdgeTopology, HandoffKind, SiteEvents, TopologyWalker, WirelessLink};
+use xr_wireless::{
+    EdgeTopology, HandoffKind, SiteEvents, StepColumn, TopologyWalker, WirelessLink,
+};
 
 /// Default number of frames simulated per batch. Sessions shorter than the
 /// width still run batched (one partial batch); longer sessions amortise
@@ -190,11 +197,11 @@ struct BatchConsts {
     // Stage 6 — uplink + edge: per server, (weighted inference base,
     // transmission base).
     edges: Vec<(Seconds, Seconds)>,
-    // Stage 6, contended mode — `contention[site]` is the sampling plan of
-    // the multi-tenant M/M/1 queues while the session is attached to `site`
-    // (one entry, for site 0, without a topology; empty keeps the
+    // Stage 6, contended mode — `contention.site(site)` is the sampling
+    // plan of the multi-tenant M/M/1 queues while the session is attached
+    // to `site` (one plan, for site 0, without a topology; empty keeps the
     // private-edge path).
-    contention: Vec<ContentionPlan>,
+    contention: ContentionPlans,
     // Stage 7 — handoff. `map` is the map every replication attaches to
     // (`None` for a session without a topology that does not walk), built
     // from the inputs `map_key` holds; a point with the same key keeps it.
@@ -362,15 +369,16 @@ impl BatchConsts {
                 .iter()
                 .map(|&seed| std::array::from_fn(|stage| xr_types::seed::mix(seed, stage as u64))),
         );
-        let contention = simulator.contention_plans(scenario)?;
-        // Nothing fallible follows, so a taken map is always stored back
-        // with its key.
         let map_key = MapKey::of(scenario);
-        let map = if self.map_key == Some(map_key) {
-            self.map.take()
-        } else {
-            TestbedSimulator::session_map(scenario)
-        };
+        if self.map_key != Some(map_key) {
+            self.map = TestbedSimulator::session_map(scenario);
+            self.map_key = Some(map_key);
+        }
+        // The session map is the scenario's edge topology whenever it has
+        // one.
+        let topology = self.map.as_ref().filter(|_| scenario.topology.is_some());
+        let mut contention = std::mem::take(&mut self.contention);
+        simulator.contention_plans_into(scenario, topology, &mut contention)?;
 
         *self = Self {
             noise: (simulator.noise_sigma > 0.0)
@@ -396,8 +404,8 @@ impl BatchConsts {
             window,
             handoff_base,
             migration_base: TestbedSimulator::migration_base(scenario),
-            map,
-            map_key: Some(map_key),
+            map: self.map.take(),
+            map_key: self.map_key,
             render_base: ms(frame.raw_size.as_f64(), c_true) + frame.raw_data / memory,
             result_delivery,
             cooperation_base: scenario.cooperation.payload / scenario.cooperation.throughput
@@ -586,19 +594,18 @@ struct FrameBatch {
     latency: [Vec<Seconds>; Segment::ALL.len()],
     buffering: Vec<Seconds>,
     handoff_occurred: Vec<bool>,
-    /// Scratch: one replication's per-frame observation windows, fed to
-    /// the walk pre-pass's `advance_many_into`.
+    /// Scratch: one replication's per-frame observation windows, the walk
+    /// pre-pass's windows for every walker.
     windows: Vec<Seconds>,
+    /// The walk pre-pass's step-angle column: every fused walker's steps
+    /// in this batch, drawn ahead and evaluated in angle order.
+    steps: StepColumn,
     /// Each frame's walk events from the walk pre-pass: the site serving
     /// its uplink (the site at the frame window's start) and its
     /// crossing/migration counts, priced later by the handoff stage.
     /// Written for a moving session, and for a static one only when the
     /// edge stage reads its site.
     events: Vec<SiteEvents>,
-    /// Scratch: one replication's walk events before they are copied into
-    /// its `events` segment (`advance_many_into` clears its output, so the
-    /// fused pre-pass cannot append segments directly).
-    events_scratch: Vec<SiteEvents>,
     /// The finalizer's Eq. 1 latency totals, one per frame.
     totals: Vec<Seconds>,
     /// Scratch: the finalizer's thermal-share compute energy, one per frame.
@@ -632,8 +639,8 @@ impl FrameBatch {
             buffering: Vec::new(),
             handoff_occurred: Vec::new(),
             windows: Vec::new(),
+            steps: StepColumn::default(),
             events: Vec::new(),
-            events_scratch: Vec::new(),
             totals: Vec::new(),
             compute: Vec::new(),
             energy: Vec::new(),
@@ -1091,11 +1098,16 @@ impl TestbedSimulator {
     /// per-(stage, frame) stream, hoisting the walk before the uplink stage
     /// cannot change any stage's draws — only the walk's in-order totals
     /// matter, and those are identical to the scalar's frame-interleaved
-    /// advances. A fused batch runs the scan once per replication over that
+    /// advances. A fused batch walks each replication over that
     /// replication's contiguous lane segment — each walker's in-order
-    /// advance sequence is exactly its standalone session's. A static
-    /// session does not walk; when contended, where the edge stage reads
-    /// the frame's site, it serves every frame from its start site.
+    /// advance sequence is exactly its standalone session's.
+    ///
+    /// The steps' angles are one [`StepColumn`] for the whole batch: each
+    /// walker first draws the words of the steps its windows take, the
+    /// column evaluates their `cos`/`sin` in angle order, and then each
+    /// walker steps through its segment in stream order. A static session
+    /// does not walk; when contended, where the edge stage reads the
+    /// frame's site, it serves every frame from its start site.
     #[inline(always)]
     fn batch_walk(&self, k: &BatchConsts, b: &mut FrameBatch, sessions: &mut [SessionState]) {
         fn walker(session: &mut SessionState) -> &mut TopologyWalker {
@@ -1104,9 +1116,9 @@ impl TestbedSimulator {
                 .as_mut()
                 .expect("a moving session always carries a walker")
         }
+        b.events.clear();
         if !k.mobile {
             if !k.contention.is_empty() {
-                b.events.clear();
                 for session in sessions.iter() {
                     let events = SiteEvents {
                         site: session.site_index(),
@@ -1119,17 +1131,15 @@ impl TestbedSimulator {
         }
         b.windows.clear();
         b.windows.resize(b.per_rep, k.window);
-        if let [session] = sessions {
-            // A single session walks straight into the batch column (no
-            // segment copy).
-            walker(session).advance_many_into(&b.windows, &mut b.events);
-            return;
-        }
-        b.events.clear();
+        b.steps.clear();
         for session in sessions.iter_mut() {
-            walker(session).advance_many_into(&b.windows, &mut b.events_scratch);
-            b.events.extend_from_slice(&b.events_scratch);
+            b.steps.draw(walker(session), &b.windows);
         }
+        b.steps.evaluate();
+        for session in sessions.iter_mut() {
+            b.steps.advance(walker(session), &b.windows, &mut b.events);
+        }
+        debug_assert!(b.steps.is_consumed());
     }
 
     /// Stage 1 column loop — frame/volumetric generation noise: the two
@@ -1291,7 +1301,7 @@ impl TestbedSimulator {
                 d.exp_a(&unit);
                 let lanes = b.latency[REMOTE_INFERENCE].iter_mut().zip(&d.fac_a);
                 for ((remote, &drawn), events) in lanes.zip(&b.events) {
-                    let (weight, rate) = k.contention[events.site].pairs[server];
+                    let (weight, rate) = k.contention.site(events.site)[server];
                     *remote = remote.max(Seconds::new(drawn / rate) * weight);
                 }
             }
@@ -2273,13 +2283,9 @@ mod tests {
             // batches' walk too).
             let tenants = |seed: u64| -> Vec<u32> {
                 let mut session = SessionState::on_map(seed, &s, Some(&map));
-                let mut events = Vec::new();
-                let windows = vec![s.frame_window(); frames as usize];
                 let walker = session.walker.as_mut().unwrap();
-                walker.advance_many_into(&windows, &mut events);
-                events
-                    .iter()
-                    .map(|e| map.sites()[e.site].tenants())
+                (0..frames)
+                    .map(|_| map.sites()[walker.advance(s.frame_window()).site].tenants())
                     .collect()
             };
             let session_tenants = tenants(testbed.seed);

@@ -509,34 +509,10 @@ impl TestbedSimulator {
     /// Returns [`xr_types::Error::UnstableQueue`] when the offered load of
     /// the population saturates an edge server (`ρ ≥ 1`).
     pub fn contention_snapshot(&self, scenario: &Scenario) -> Result<Option<ContentionSnapshot>> {
-        let Some(config) = scenario.contention else {
+        let mut servers = Vec::new();
+        let Some(users) = self.aggregate_queues(scenario, &mut servers)? else {
             return Ok(None);
         };
-        if !scenario.execution.uses_edge() || scenario.edge_servers.is_empty() {
-            return Ok(None);
-        }
-        let client = &scenario.client;
-        let bias = DeviceBias::for_device(&client.name);
-        let c_true =
-            self.laws
-                .compute_resource(client.cpu_clock, client.gpu_clock, client.cpu_share, bias);
-        let encode_work = self
-            .laws
-            .encoding_work(&scenario.encoding, &scenario.frame, bias);
-        let total_share: f64 = scenario.edge_servers.iter().map(|srv| srv.task_share).sum();
-        let edge_share = scenario.execution.edge_share();
-        let per_session_rate = scenario.frame.frame_rate.as_f64();
-        let mut servers = Vec::with_capacity(scenario.edge_servers.len());
-        for (i, server) in scenario.edge_servers.iter().enumerate() {
-            let weight = if total_share > 0.0 {
-                server.task_share / total_share * edge_share
-            } else {
-                0.0
-            };
-            let service = self.edge_service_time(scenario, i, c_true, encode_work);
-            let contention = EdgeContention::new(config.users_per_edge, per_session_rate, service)?;
-            servers.push((weight, contention));
-        }
         // With a multi-edge topology the aggregate queues above are only the
         // map-wide baseline: each *site* hosts its own tenant population, so
         // resolve one queue set per site by repopulating the per-server
@@ -558,56 +534,102 @@ impl TestbedSimulator {
             None => Vec::new(),
         };
         Ok(Some(ContentionSnapshot {
-            users: config.users_per_edge,
+            users,
             servers,
             sites,
         }))
     }
 
-    /// The sampling plans of the contended edge stage, indexed by serving
-    /// site and shared by the scalar and batched engines so the two cannot
-    /// drift. With a multi-edge topology, `plans[site]` is the
-    /// [`ContentionPlan`] of the queue population resident at that site, so
-    /// the tagged session's utilisation ρ genuinely changes as it migrates;
-    /// without one, the list holds the aggregate plan alone, for site 0
-    /// (the only site an untopologized session ever attaches to). Either
-    /// way the engines read `plans[session.site_index()]`.
+    /// Pushes onto `queues` the aggregate M/M/1 queue of each edge server,
+    /// in scenario order, with the tagged session's task weight, and
+    /// returns the population behind them; `Ok(None)`, pushing nothing,
+    /// when the scenario has no contention or never touches an edge server.
+    fn aggregate_queues(
+        &self,
+        scenario: &Scenario,
+        queues: &mut Vec<(f64, EdgeContention)>,
+    ) -> Result<Option<u32>> {
+        let Some(config) = scenario.contention else {
+            return Ok(None);
+        };
+        if !scenario.execution.uses_edge() || scenario.edge_servers.is_empty() {
+            return Ok(None);
+        }
+        let client = &scenario.client;
+        let bias = DeviceBias::for_device(&client.name);
+        let c_true =
+            self.laws
+                .compute_resource(client.cpu_clock, client.gpu_clock, client.cpu_share, bias);
+        let encode_work = self
+            .laws
+            .encoding_work(&scenario.encoding, &scenario.frame, bias);
+        let total_share: f64 = scenario.edge_servers.iter().map(|srv| srv.task_share).sum();
+        let edge_share = scenario.execution.edge_share();
+        let per_session_rate = scenario.frame.frame_rate.as_f64();
+        for (i, server) in scenario.edge_servers.iter().enumerate() {
+            let weight = if total_share > 0.0 {
+                server.task_share / total_share * edge_share
+            } else {
+                0.0
+            };
+            let service = self.edge_service_time(scenario, i, c_true, encode_work);
+            let contention = EdgeContention::new(config.users_per_edge, per_session_rate, service)?;
+            queues.push((weight, contention));
+        }
+        Ok(Some(config.users_per_edge))
+    }
+
+    /// Refills `plans` with the sampling plans of the contended edge stage,
+    /// one per serving site, shared by the scalar and batched engines so
+    /// the two cannot drift. `map` must be the scenario's
+    /// [`TestbedSimulator::edge_topology`]. With one, the plan of each site
+    /// is that of the queue population resident there, so the tagged
+    /// session's utilisation ρ genuinely changes as it migrates; without
+    /// one, `plans` holds the aggregate plan alone, for site 0 (the only
+    /// site an untopologized session ever attaches to). Either way the
+    /// engines read the plan of `session.site_index()`. Its queues, and so
+    /// its errors, are those of [`TestbedSimulator::contention_snapshot`],
+    /// and refilling reuses the storage `plans` already holds.
     ///
-    /// Returns an empty list when the scenario has no contention or never
+    /// `plans` is left empty when the scenario has no contention or never
     /// touches an edge server: the pipeline then keeps the paper's
     /// private-edge behaviour bit for bit.
     ///
     /// # Errors
     ///
-    /// Propagates [`TestbedSimulator::contention_snapshot`] errors, among
-    /// them [`xr_types::Error::UnstableQueue`] when any site's tenant
+    /// Returns [`xr_types::Error::UnstableQueue`] when any site's tenant
     /// population saturates an edge server.
-    pub(crate) fn contention_plans(&self, scenario: &Scenario) -> Result<Vec<ContentionPlan>> {
-        let Some(snapshot) = self.contention_snapshot(scenario)? else {
-            return Ok(Vec::new());
+    pub(crate) fn contention_plans_into(
+        &self,
+        scenario: &Scenario,
+        map: Option<&EdgeTopology>,
+        plans: &mut ContentionPlans,
+    ) -> Result<()> {
+        let ContentionPlans { queues, pairs } = plans;
+        queues.clear();
+        pairs.clear();
+        if self.aggregate_queues(scenario, queues)?.is_none() {
+            return Ok(());
+        }
+        let plan = |weight: f64, contention: &EdgeContention| {
+            let rate = contention.sojourn_rate();
+            assert!(
+                rate > 0.0 && rate.is_finite(),
+                "a stable queue has a positive, finite sojourn rate"
+            );
+            (weight, rate)
         };
-        let plan = |queues: &[(f64, EdgeContention)]| ContentionPlan {
-            pairs: queues
-                .iter()
-                .map(|(weight, contention)| {
-                    let rate = contention.sojourn_rate();
-                    assert!(
-                        rate > 0.0 && rate.is_finite(),
-                        "a stable queue has a positive, finite sojourn rate"
-                    );
-                    (*weight, rate)
-                })
-                .collect(),
-        };
-        Ok(if snapshot.sites.is_empty() {
-            vec![plan(&snapshot.servers)]
-        } else {
-            snapshot
-                .sites
-                .iter()
-                .map(|(_, queues)| plan(queues))
-                .collect()
-        })
+        match map {
+            Some(map) => {
+                for site in map.sites() {
+                    for (weight, contention) in queues.iter() {
+                        pairs.push(plan(*weight, &contention.with_users(site.tenants())?));
+                    }
+                }
+            }
+            None => pairs.extend(queues.iter().map(|(weight, q)| plan(*weight, q))),
+        }
+        Ok(())
     }
 
     /// The multi-edge site map of a scenario, or `None` when it keeps the
@@ -743,8 +765,9 @@ impl TestbedSimulator {
         // before the handoff stage advances the walker — so the uplink of
         // frame `f` is priced at the site where the window opened, exactly
         // like the batched engine's recorded pre-advance site.
-        let plans = self.contention_plans(scenario)?;
-        let contention = (!plans.is_empty()).then(|| &plans[session.site_index()]);
+        let mut plans = ContentionPlans::default();
+        self.contention_plans_into(scenario, Self::edge_topology(scenario).as_ref(), &mut plans)?;
+        let contention = (!plans.is_empty()).then(|| plans.site(session.site_index()));
         let mut state = FrameState::new(self, scenario, frame_index);
         self.stage_generate(&mut state);
         self.stage_sense(&mut state);
@@ -861,13 +884,14 @@ impl TestbedSimulator {
     /// Stage 6 — uplink transmission and remote inference: weighted-slowest
     /// edge server (decode + infer) and slowest uplink.
     ///
-    /// With a [`ContentionPlan`] the decode/infer term becomes a sojourn
+    /// With a contention plan (one `(weight, rate)` per edge server, from
+    /// [`ContentionPlans::site`]) the decode/infer term becomes a sojourn
     /// (waiting + service) drawn from the shared queue's dedicated
     /// [`stream::CONTENTION`] stream — with **no** measurement-noise factor,
     /// so the empirical mean stays pinned to the M/M/1 closed form the
     /// property tests check — while the uplink keeps its jitter draw from
     /// the [`stream::UPLINK_EDGE`] stream.
-    fn stage_uplink_and_edge(&self, s: &mut FrameState<'_>, contention: Option<&ContentionPlan>) {
+    fn stage_uplink_and_edge(&self, s: &mut FrameState<'_>, contention: Option<&[(f64, f64)]>) {
         let mut rng = self.stage_rng(stream::UPLINK_EDGE, s.frame_index);
         // One pair cache across the server loop: even-indexed servers draw
         // a fresh word pair, odd-indexed servers reuse the cached sine half
@@ -880,7 +904,7 @@ impl TestbedSimulator {
         if s.uses_edge && !scenario.edge_servers.is_empty() {
             if let Some(plan) = contention {
                 let mut contention_rng = self.stage_rng(stream::CONTENTION, s.frame_index);
-                for (&(weight, rate), server) in plan.pairs.iter().zip(&scenario.edge_servers) {
+                for (&(weight, rate), server) in plan.iter().zip(&scenario.edge_servers) {
                     let sojourn = Exp::new(rate).expect("plan rates are positive and finite");
                     let drawn = Seconds::new(sojourn.sample(&mut contention_rng));
                     remote = remote.max(drawn * weight);
@@ -1290,15 +1314,32 @@ impl ContentionSnapshot {
     }
 }
 
-/// The per-frame sampling plan the contended edge stage executes at one
-/// serving site: per edge server (scenario order), the tagged session's
-/// weight and the rate `µ − λ` of its exponential sojourn. Both engines
-/// obtain it through [`TestbedSimulator::contention_plans`] (the scalar
-/// reference per frame, the batched engine once per driver call), so they
-/// cannot drift.
-#[derive(Debug, Clone)]
-pub(crate) struct ContentionPlan {
-    pub(crate) pairs: Vec<(f64, f64)>,
+/// The sampling plans the contended edge stage executes, one per serving
+/// site: per edge server (scenario order), the tagged session's weight and
+/// the rate `µ − λ` of its exponential sojourn. Both engines fill them
+/// through [`TestbedSimulator::contention_plans_into`] (the scalar
+/// reference per frame, the batched engine once per driver call into
+/// storage its worker reuses), so they cannot drift.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ContentionPlans {
+    /// The aggregate queue of each edge server, with its task weight.
+    queues: Vec<(f64, EdgeContention)>,
+    /// `(weight, rate)` per site and edge server, site-major.
+    pairs: Vec<(f64, f64)>,
+}
+
+impl ContentionPlans {
+    /// Whether the scenario runs without contention (no plan at all).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    /// The plan at serving site `site`: one `(weight, rate)` per edge
+    /// server.
+    pub(crate) fn site(&self, site: usize) -> &[(f64, f64)] {
+        let servers = self.queues.len();
+        &self.pairs[site * servers..(site + 1) * servers]
+    }
 }
 
 /// Per-frame working state of the staged pipeline: the frame's position in

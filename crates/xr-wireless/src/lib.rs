@@ -34,4 +34,4 @@ pub mod topology;
 pub use handoff::{HandoffKind, HandoffModel};
 pub use link::{AccessTechnology, WirelessLink};
 pub use mobility::{CoverageZone, RandomWalkMobility, RandomWalker};
-pub use topology::{EdgeSite, EdgeTopology, SiteEvents, TopologyWalker};
+pub use topology::{EdgeSite, EdgeTopology, SiteEvents, StepColumn, TopologyWalker};

@@ -20,6 +20,12 @@
 //!   neighbour site or (no neighbour covers — a coverage hole or the map
 //!   edge) re-enters the current site uniformly, exactly like the
 //!   single-zone walker.
+//! * [`StepColumn`] — the same walks with their step angles as one column:
+//!   a batch of walkers draws its steps' words ahead in stream order, the
+//!   column evaluates their `cos`/`sin` in angle order, and each walker
+//!   then steps through its words. The batched frame engine walks this
+//!   way; [`TopologyWalker::advance`], which evaluates each angle as it
+//!   draws it, stays the reference it is pinned against bit for bit.
 //!
 //! ## The single-site equivalence pin
 //!
@@ -35,8 +41,9 @@
 use crate::link::AccessTechnology;
 use crate::mobility::CoverageZone;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::f64::consts::TAU;
 use std::sync::Arc;
 use xr_types::{Error, Meters, MetersPerSecond, Result, Seconds, TopologyLayout};
 
@@ -481,20 +488,14 @@ impl TopologyWalker {
     /// site's disk — the same rejection-free sqrt sampling (and the same two
     /// RNG draws) as [`crate::RandomWalker::reset_uniform`].
     pub fn reset_uniform(&mut self) {
-        let r0 = self.current_site().zone().radius().as_f64() * self.rng.gen::<f64>().sqrt();
-        let a0 = self.rng.gen_range(0.0..std::f64::consts::TAU);
-        let (cx, cy) = self.current_site().center();
-        self.x = cx + r0 * a0.cos();
-        self.y = cy + r0 * a0.sin();
+        self.reenter(&mut Draws::stream());
     }
 
     /// Takes one walk step in a uniformly random direction (one RNG draw,
     /// like [`crate::RandomWalker::step`]) and returns the new radial
     /// distance from the current site's centre.
     pub fn step(&mut self) -> Meters {
-        let theta = self.rng.gen_range(0.0..std::f64::consts::TAU);
-        self.x += self.step_len * theta.cos();
-        self.y += self.step_len * theta.sin();
+        self.step_with(&mut Draws::stream());
         self.radius()
     }
 
@@ -505,17 +506,34 @@ impl TopologyWalker {
     /// nearest covering site (no extra draws) or, when nothing covers the
     /// position, re-enters the current site uniformly (two draws, the
     /// single-zone behaviour). Returns the window's [`SiteEvents`].
+    ///
+    /// Each step evaluates its angle's `cos` and `sin` as it draws it, in
+    /// stream order. [`StepColumn`] walks the same steps from draws made
+    /// ahead.
     pub fn advance(&mut self, window: Seconds) -> SiteEvents {
+        self.advance_with(window, &mut Draws::stream())
+    }
+
+    /// How many steps `windows`, advanced one after another, take from the
+    /// current carry: [`TopologyWalker::advance`]'s carry arithmetic,
+    /// without stepping.
+    fn steps_in(&self, windows: &[Seconds]) -> usize {
+        let mut carry = self.carry;
+        let interval = self.step_interval.as_f64();
+        windows
+            .iter()
+            .map(|&window| take_steps(&mut carry, window, interval))
+            .sum()
+    }
+
+    fn advance_with(&mut self, window: Seconds, draws: &mut Draws<'_>) -> SiteEvents {
         let mut events = SiteEvents {
             site: self.site,
             crossings: 0,
             migrations: 0,
         };
-        self.carry += window.as_f64().max(0.0);
-        let interval = self.step_interval.as_f64();
-        while self.carry >= interval {
-            self.carry -= interval;
-            self.step();
+        for _ in 0..take_steps(&mut self.carry, window, self.step_interval.as_f64()) {
+            self.step_with(draws);
             if self.is_outside() {
                 events.crossings += 1;
                 match self.lookup_other_site() {
@@ -523,22 +541,25 @@ impl TopologyWalker {
                         events.migrations += 1;
                         self.enter(next);
                     }
-                    None => self.reset_uniform(),
+                    None => self.reenter(draws),
                 }
             }
         }
         events
     }
 
-    /// [`TopologyWalker::advance`] over a whole batch of consecutive
-    /// observation windows into a caller-provided buffer (cleared first) —
-    /// the carry-preserving batched scan the structure-of-arrays frame
-    /// engine runs once per batch. Afterwards `events[i]` holds the
-    /// [`SiteEvents`] of `windows[i]`, including the site serving that
-    /// window's uplink.
-    pub fn advance_many_into(&mut self, windows: &[Seconds], events: &mut Vec<SiteEvents>) {
-        events.clear();
-        events.extend(windows.iter().map(|&window| self.advance(window)));
+    fn step_with(&mut self, draws: &mut Draws<'_>) {
+        let (cos, sin) = draws.angle(&mut self.rng);
+        self.x += self.step_len * cos;
+        self.y += self.step_len * sin;
+    }
+
+    fn reenter(&mut self, draws: &mut Draws<'_>) {
+        let r0 = self.current_site().zone().radius().as_f64() * draws.unit(&mut self.rng).sqrt();
+        let (cos, sin) = draws.angle(&mut self.rng);
+        let (cx, cy) = self.current_site().center();
+        self.x = cx + r0 * cos;
+        self.y = cy + r0 * sin;
     }
 
     /// The nearest site covering the current position. The current site
@@ -564,10 +585,244 @@ impl TopologyWalker {
     }
 }
 
+/// Adds `window` to the fractional-step `carry` and takes out every whole
+/// step `interval` it now holds; returns how many.
+fn take_steps(carry: &mut f64, window: Seconds, interval: f64) -> usize {
+    *carry += window.as_f64().max(0.0);
+    let mut steps = 0;
+    while *carry >= interval {
+        *carry -= interval;
+        steps += 1;
+    }
+    steps
+}
+
+/// The step angle a walker's word stands for: what the walker stream's
+/// `gen_range(0.0..TAU)` returns on that word.
+fn step_angle(word: u64) -> f64 {
+    let (lo, hi) = (0.0, TAU);
+    lo + rand::unit_f64_from_word(word) * (hi - lo)
+}
+
+/// Where a walk's draws come from: the words a [`StepColumn`] drew ahead,
+/// in stream order, while they last, then the walker's stream itself.
+struct Draws<'a> {
+    words: &'a [u64],
+    /// `(cos, sin)` of each word's step angle.
+    pairs: &'a [(f64, f64)],
+    next: usize,
+}
+
+impl Draws<'_> {
+    /// No words drawn ahead: every draw comes from the stream.
+    fn stream() -> Self {
+        Draws {
+            words: &[],
+            pairs: &[],
+            next: 0,
+        }
+    }
+
+    /// The next uniform in `[0, 1)`, as `gen::<f64>()` draws it.
+    fn unit(&mut self, rng: &mut StdRng) -> f64 {
+        match self.words.get(self.next) {
+            Some(&word) => {
+                self.next += 1;
+                rand::unit_f64_from_word(word)
+            }
+            None => rng.gen::<f64>(),
+        }
+    }
+
+    /// `(cos, sin)` of the next step angle, `gen_range(0.0..TAU)`.
+    fn angle(&mut self, rng: &mut StdRng) -> (f64, f64) {
+        match self.pairs.get(self.next) {
+            Some(&pair) => {
+                self.next += 1;
+                pair
+            }
+            None => {
+                let theta = rng.gen_range(0.0..TAU);
+                (theta.cos(), theta.sin())
+            }
+        }
+    }
+}
+
+/// The step angles of a batch of walks as one column: each walker's words
+/// drawn ahead in stream order, their `cos`/`sin` evaluated in angle order,
+/// then read back by stream position as the walkers step.
+///
+/// A walk's draws are one word per step, plus two per re-entry. Which
+/// steps re-enter is not known ahead, but how many steps a list of windows
+/// takes is: the carry arithmetic of [`TopologyWalker::advance`] without
+/// the steps. [`StepColumn::draw`] takes exactly that many words from the
+/// walker's stream, which a walk of those windows always consumes, so no
+/// drawn word outlives the walk. While the
+/// walk reads them, every draw is still the stream's next word: a step
+/// reads its word's angle, a re-entry reads a word as its radius (that
+/// word's evaluated angle goes unused) and the next as its angle, and once
+/// the column runs out the draws come from the stream itself. Every
+/// position, event and stream state is therefore bit for bit what
+/// [`TopologyWalker::advance`] gives.
+///
+/// The evaluation order is the point: the platform `cos`/`sin` (one fused
+/// glibc `sincos` call) branch on the angle's range and quadrant, and over
+/// angles in stream order those branches mispredict often; in angle order
+/// they rarely do, and the bits are the same. The angle is monotone in a
+/// word's top bits, so a counting sort on them orders the column.
+///
+/// ```
+/// use xr_types::{MetersPerSecond, Seconds};
+/// use xr_wireless::{AccessTechnology, CoverageZone, EdgeTopology, StepColumn};
+///
+/// let zone = CoverageZone::new(xr_types::Meters::new(5.0));
+/// let map = EdgeTopology::single(zone, AccessTechnology::WiFi5GHz, 1);
+/// let mut walkers: Vec<_> = (0..3)
+///     .map(|seed| map.walker(MetersPerSecond::new(8.0), Seconds::new(0.1), seed))
+///     .collect();
+/// let mut reference = walkers.clone();
+/// let windows = [Seconds::new(0.25); 4];
+///
+/// let mut column = StepColumn::default();
+/// for walker in &mut walkers {
+///     column.draw(walker, &windows);
+/// }
+/// column.evaluate();
+/// let mut events = Vec::new();
+/// for walker in &mut walkers {
+///     column.advance(walker, &windows, &mut events);
+/// }
+/// assert!(column.is_consumed());
+///
+/// let expected: Vec<_> = reference
+///     .iter_mut()
+///     .flat_map(|walker| windows.map(|window| walker.advance(window)))
+///     .collect();
+/// assert_eq!(events, expected);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct StepColumn {
+    /// The drawn words, one walker's segment after another, each in its
+    /// stream order.
+    words: Vec<u64>,
+    /// `(cos, sin)` of each word's step angle, by stream position.
+    pairs: Vec<(f64, f64)>,
+    /// Where each drawn walker's segment of `words` ends, in draw order.
+    ends: Vec<usize>,
+    /// Segments advanced since the column was cleared.
+    advanced: usize,
+    /// Scratch of [`StepColumn::evaluate`]: the counting sort's buckets and
+    /// the column's angle order.
+    buckets: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl StepColumn {
+    /// Empties the column for a new batch, keeping its storage.
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.pairs.clear();
+        self.ends.clear();
+        self.advanced = 0;
+    }
+
+    /// Draws from `walker`'s stream the word of every step that `windows`
+    /// take from its current carry, as the column's next segment.
+    pub fn draw(&mut self, walker: &mut TopologyWalker, windows: &[Seconds]) {
+        let steps = walker.steps_in(windows);
+        self.words.extend((0..steps).map(|_| walker.rng.next_u64()));
+        self.ends.push(self.words.len());
+    }
+
+    /// Evaluates the `cos` and `sin` of every drawn word's step angle, in
+    /// angle order: a stable counting sort on the words' top bits, with
+    /// about two words per bucket and at most 256 buckets, so a column of a
+    /// few steps pays for a few buckets only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the column holds more than `u32::MAX` words.
+    pub fn evaluate(&mut self) {
+        let n = self.words.len();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "{n} words overflow the sort index"
+        );
+        let bits = n.checked_ilog2().unwrap_or(0).saturating_sub(1).min(8);
+        let bucket = |word: u64| (word >> 56 >> (8 - bits)) as usize;
+        self.buckets.clear();
+        self.buckets.resize(1 << bits, 0);
+        for &word in &self.words {
+            self.buckets[bucket(word)] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut self.buckets {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        self.order.resize(n, 0);
+        for (i, &word) in self.words.iter().enumerate() {
+            let slot = &mut self.buckets[bucket(word)];
+            self.order[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+        self.pairs.resize(n, (0.0, 0.0));
+        for &i in &self.order {
+            let theta = step_angle(self.words[i as usize]);
+            self.pairs[i as usize] = (theta.cos(), theta.sin());
+        }
+    }
+
+    /// Advances `walker` through `windows` on the column's next segment and
+    /// appends one [`SiteEvents`] per window to `events`. The segments are
+    /// read in draw order, each by the walker drawn into it, over the same
+    /// windows, after [`StepColumn::evaluate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if every drawn segment was already advanced.
+    pub fn advance(
+        &mut self,
+        walker: &mut TopologyWalker,
+        windows: &[Seconds],
+        events: &mut Vec<SiteEvents>,
+    ) {
+        let start = self.advanced.checked_sub(1).map_or(0, |i| self.ends[i]);
+        let end = self.ends[self.advanced];
+        self.advanced += 1;
+        debug_assert_eq!(
+            walker.steps_in(windows),
+            end - start,
+            "the segment holds one word per step of these windows"
+        );
+        let mut draws = Draws {
+            words: &self.words[start..end],
+            pairs: &self.pairs[start..end],
+            next: 0,
+        };
+        events.extend(
+            windows
+                .iter()
+                .map(|&window| walker.advance_with(window, &mut draws)),
+        );
+        debug_assert_eq!(draws.next, end - start, "a drawn word outlived its walk");
+    }
+
+    /// Whether every drawn segment has been advanced: after a batch, no
+    /// drawn word is left unread.
+    #[must_use]
+    pub fn is_consumed(&self) -> bool {
+        self.advanced == self.ends.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mobility::{RandomWalkMobility, RandomWalker};
+    use proptest::prelude::*;
 
     fn zone(radius: f64) -> CoverageZone {
         CoverageZone::new(Meters::new(radius))
@@ -703,23 +958,246 @@ mod tests {
         assert!(walker.sites_visited() <= topology.len());
     }
 
+    /// The four map shapes a walk can run on: the one-site map (every exit
+    /// re-enters), the square and hex lattices, and the Voronoi map with
+    /// its coverage holes.
+    fn every_layout() -> Vec<EdgeTopology> {
+        let tiled = |layout| EdgeTopology::tiled(layout, 1600.0, AccessTechnology::WiFi5GHz, 3);
+        vec![
+            EdgeTopology::single(zone(6.0), AccessTechnology::WiFi5GHz, 1),
+            tiled(TopologyLayout::Square).unwrap(),
+            tiled(TopologyLayout::Hex).unwrap(),
+            tiled(TopologyLayout::Voronoi).unwrap(),
+        ]
+    }
+
+    /// Walkers on `map` as a session starts them: seeded, then re-entered
+    /// uniformly in the start site.
+    fn started(map: &EdgeTopology, speed: f64, seeds: std::ops::Range<u64>) -> Vec<TopologyWalker> {
+        seeds
+            .map(|seed| {
+                let mut walker = map.walker(MetersPerSecond::new(speed), Seconds::new(0.1), seed);
+                walker.reset_uniform();
+                walker
+            })
+            .collect()
+    }
+
+    /// Walks two copies of `walkers` through each window list of `calls`:
+    /// one on a single [`StepColumn`] per call shared by all of them, the
+    /// other window by window through [`TopologyWalker::advance`]. Both
+    /// must agree bit for bit on every [`SiteEvents`], position, site, carry
+    /// and visited count after every call, and on each stream's next word
+    /// at the end. Returns the walk's crossings and migrations.
+    fn column_walk_equals_advance(
+        walkers: &[TopologyWalker],
+        calls: &[Vec<Seconds>],
+    ) -> (usize, usize) {
+        let mut walked = walkers.to_vec();
+        let mut reference = walkers.to_vec();
+        let mut column = StepColumn::default();
+        let mut events = Vec::new();
+        let (mut crossings, mut migrations) = (0, 0);
+        for (call, windows) in calls.iter().enumerate() {
+            // One word per step, by `advance`'s carry arithmetic spelled out
+            // again: fewer would also walk right, on stream draws.
+            let steps: usize = walked
+                .iter()
+                .map(|walker| {
+                    let (mut carry, mut steps) = (walker.carry, 0);
+                    for window in windows {
+                        carry += window.as_f64().max(0.0);
+                        while carry >= walker.step_interval.as_f64() {
+                            carry -= walker.step_interval.as_f64();
+                            steps += 1;
+                        }
+                    }
+                    steps
+                })
+                .sum();
+            column.clear();
+            for walker in &mut walked {
+                column.draw(walker, windows);
+            }
+            assert_eq!(column.words.len(), steps, "call {call}");
+            column.evaluate();
+            events.clear();
+            for walker in &mut walked {
+                column.advance(walker, windows, &mut events);
+            }
+            assert!(column.is_consumed(), "call {call}");
+            let expected: Vec<SiteEvents> = reference
+                .iter_mut()
+                .flat_map(|walker| windows.iter().map(move |&window| walker.advance(window)))
+                .collect();
+            assert_eq!(events, expected, "call {call}");
+            for (i, (a, b)) in walked.iter().zip(&reference).enumerate() {
+                let bits = |w: &TopologyWalker| (w.x.to_bits(), w.y.to_bits(), w.carry.to_bits());
+                assert_eq!(bits(a), bits(b), "call {call}, walker {i}");
+                assert_eq!(a.site_index(), b.site_index(), "call {call}, walker {i}");
+                assert_eq!(
+                    a.sites_visited(),
+                    b.sites_visited(),
+                    "call {call}, walker {i}"
+                );
+            }
+            crossings += events.iter().map(|e| e.crossings).sum::<usize>();
+            migrations += events.iter().map(|e| e.migrations).sum::<usize>();
+        }
+        for (a, b) in walked.iter_mut().zip(&mut reference) {
+            assert_eq!(
+                a.rng.next_u64(),
+                b.rng.next_u64(),
+                "streams fell out of lockstep"
+            );
+        }
+        (crossings, migrations)
+    }
+
+    /// The batched advance is the column walk: several walkers share each
+    /// call's column, on every layout.
     #[test]
     fn batched_advance_matches_repeated_advance() {
-        let topology =
-            EdgeTopology::tiled(TopologyLayout::Hex, 1600.0, AccessTechnology::WiFi5GHz, 3)
-                .unwrap();
-        let windows: Vec<Seconds> = (0..150)
-            .map(|i| Seconds::new(if i % 2 == 0 { 1.0 / 30.0 } else { 0.21 }))
+        let windows = |spans: &[f64]| spans.iter().map(|&s| Seconds::new(s)).collect::<Vec<_>>();
+        let calls = vec![
+            windows(&[0.2; 64]),
+            // No windows, then windows that take no step: the carry grows
+            // across the calls until a later window completes a step.
+            windows(&[]),
+            windows(&[0.0, 0.03, 0.0, 0.04]),
+            windows(&[0.02]),
+            windows(&[1.0 / 30.0, 0.21, 0.0, 0.5, 0.07, 1.3]),
+            windows(&[0.2; 200]),
+        ];
+        for map in every_layout() {
+            for speed in [1.4, 25.0] {
+                let walkers = started(&map, speed, 0..4);
+                let (crossings, migrations) = column_walk_equals_advance(&walkers, &calls);
+                if speed == 25.0 {
+                    assert!(crossings > migrations, "{} sites: no re-entry", map.len());
+                    if map.len() > 1 {
+                        assert!(migrations > 0, "{} sites: no migration", map.len());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_column_that_runs_out_inside_a_re_entry_continues_on_the_stream() {
+        // A 10 m step in a 1 m zone leaves it every time, and each step then
+        // draws three words: its angle, then the re-entry's radius and
+        // angle. A call of `n` steps draws `n` words, so the column runs out
+        // after a step (n ≡ 1 mod 3), between a re-entry's radius and its
+        // angle (n ≡ 2), or after a whole re-entry (n ≡ 0).
+        let map = EdgeTopology::single(zone(1.0), AccessTechnology::WiFi5GHz, 1);
+        let walkers = started(&map, 100.0, 5..8);
+        let calls: Vec<Vec<Seconds>> = (1..=7)
+            .map(|steps| vec![Seconds::new(0.1); steps])
             .collect();
-        let mut scalar = topology.walker(MetersPerSecond::new(20.0), Seconds::new(0.1), 31);
-        let mut batched = scalar.clone();
-        let expected: Vec<SiteEvents> = windows.iter().map(|&w| scalar.advance(w)).collect();
-        let mut events = vec![SiteEvents::default(); 3];
-        batched.advance_many_into(&windows, &mut events);
-        assert_eq!(events, expected);
-        assert_eq!(batched.position(), scalar.position());
-        assert_eq!(batched.site_index(), scalar.site_index());
-        assert_eq!(batched.sites_visited(), scalar.sites_visited());
+        let mut ends = [false; 3];
+        let mut probe = walkers[0].clone();
+        for windows in &calls {
+            let steps = probe.steps_in(windows);
+            ends[steps % 3] = true;
+            for &window in windows {
+                probe.advance(window);
+            }
+        }
+        assert_eq!(ends, [true; 3], "every way of running out is covered");
+        let (crossings, migrations) = column_walk_equals_advance(&walkers, &calls);
+        let steps: usize = calls.iter().map(Vec::len).sum();
+        assert_eq!(
+            (crossings, migrations),
+            (3 * steps, 0),
+            "every step re-enters"
+        );
+    }
+
+    #[test]
+    fn column_angles_are_the_streams_angles_to_the_bit() {
+        let mut stream = StdRng::seed_from_u64(2024);
+        let mut words: Vec<u64> = vec![0, 1, 1 << 11, (1 << 11) - 1, 1 << 63, u64::MAX];
+        words.extend((0..994).map(|_| stream.next_u64()));
+        let replay = |word: u64| -> f64 {
+            // A stream whose next word is `word`: the shim's `gen_range`
+            // reads exactly one word.
+            struct One(u64);
+            impl RngCore for One {
+                fn next_u64(&mut self) -> u64 {
+                    self.0
+                }
+            }
+            One(word).gen_range(0.0..TAU)
+        };
+        let mut column = StepColumn {
+            words: words.clone(),
+            ..StepColumn::default()
+        };
+        column.ends.push(words.len());
+        column.evaluate();
+        for (i, &word) in words.iter().enumerate() {
+            let theta = replay(word);
+            assert_eq!(
+                step_angle(word).to_bits(),
+                theta.to_bits(),
+                "word {word:#x}"
+            );
+            let (cos, sin) = column.pairs[i];
+            assert_eq!(
+                (cos.to_bits(), sin.to_bits()),
+                (theta.cos().to_bits(), theta.sin().to_bits())
+            );
+        }
+        // The same angles straight off a seeded stream.
+        let mut a = StdRng::seed_from_u64(7);
+        let mut b = a.clone();
+        for _ in 0..1000 {
+            assert_eq!(
+                step_angle(a.next_u64()).to_bits(),
+                b.gen_range(0.0..TAU).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn the_column_is_evaluated_in_angle_order_with_buckets_that_grow_with_it() {
+        let mut stream = StdRng::seed_from_u64(11);
+        for (n, buckets) in [
+            (0, 1),
+            (1, 1),
+            (3, 1),
+            (4, 2),
+            (9, 4),
+            (100, 32),
+            (512, 256),
+            (5000, 256),
+        ] {
+            let mut column = StepColumn {
+                words: (0..n).map(|_| stream.next_u64()).collect(),
+                ..StepColumn::default()
+            };
+            column.evaluate();
+            assert_eq!(column.buckets.len(), buckets, "{n} words");
+            let mut seen = vec![false; n];
+            let angles: Vec<f64> = column
+                .order
+                .iter()
+                .map(|&i| {
+                    seen[i as usize] = true;
+                    step_angle(column.words[i as usize])
+                })
+                .collect();
+            assert!(
+                seen.iter().all(|&s| s),
+                "{n} words: the order is a permutation"
+            );
+            let width = TAU / buckets as f64;
+            assert!(
+                angles.windows(2).all(|w| w[1] > w[0] - width),
+                "{n} words: out of angle order"
+            );
+        }
     }
 
     #[test]
@@ -734,5 +1212,28 @@ mod tests {
         let again =
             EdgeTopology::tiled(TopologyLayout::Voronoi, 400.0, AccessTechnology::Lte, 2).unwrap();
         assert_eq!(topology, again);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn column_walks_equal_advance_over_seeds_speeds_and_windows(
+            layout in 0usize..4,
+            speed in 0.0f64..40.0,
+            first_seed in 0u64..1_000_000,
+            walkers in 1u64..5,
+            spans in prop::collection::vec(0.0f64..0.45, 0..48),
+            calls in 1usize..5,
+        ) {
+            let map = &every_layout()[layout];
+            let walkers = started(map, speed, first_seed..first_seed + walkers);
+            let windows: Vec<Seconds> = spans.iter().map(|&s| Seconds::new(s)).collect();
+            // The same list split into `calls` consecutive calls, so the
+            // carry crosses call boundaries mid-list.
+            let chunk = windows.len().div_ceil(calls).max(1);
+            let calls: Vec<Vec<Seconds>> = windows.chunks(chunk).map(<[Seconds]>::to_vec).collect();
+            column_walk_equals_advance(&walkers, &calls);
+        }
     }
 }

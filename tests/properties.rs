@@ -214,6 +214,8 @@ fn shard_token_strategy() -> impl Strategy<Value = String> {
 /// infinities, overflowing integers, half-formed triples, non-ASCII
 /// digits), lines without `=`, comments, blank lines, and raw character
 /// noise. Keys repeat often, so duplicate-key handling is exercised too.
+/// One line kind is a `mobility` line of mobility triples only, finite or
+/// not, so that some parsed grids walk.
 fn spec_text_strategy() -> impl Strategy<Value = String> {
     // `|`-separated, so the lists may hold empty and space-containing tokens.
     let keys = "frame_sizes|cpu_clocks|executions|devices|wireless|mobility|\
@@ -225,23 +227,28 @@ fn spec_text_strategy() -> impl Strategy<Value = String> {
                   split:NaN|static|walk:1.4:30|walk:-1:30|walk:1:0|walk:inf:1|a:b:c|::|\
                   wifi:10:200|wifi:-:|base|hex|voronoi|single|eager|lazy|1/1|2/3|0/3|3/2|\
                   XR1|\u{663}|";
+    let mobility = "static|walk:1.4:30|vehicle:25:10|walk:inf:1|walk:-inf:1|walk:NaN:20|\
+                    walk:1.4:NaN|walk:1:inf|walk:-1:30|walk:1:0";
     let keys: Vec<&str> = keys.split('|').collect();
     let values: Vec<&str> = values.split('|').collect();
+    let mobility: Vec<&str> = mobility.split('|').collect();
     let noise = vec![
         '=', ',', ':', '/', '#', ' ', '\t', '1', 'x', '-', '.', 'é', '\u{663}',
     ];
     let line = (
-        prop::sample::select(vec![0u8, 0, 0, 1, 2, 3, 4]),
+        prop::sample::select(vec![0u8, 0, 0, 1, 2, 3, 4, 5]),
         prop::sample::select(keys),
         prop::collection::vec(prop::sample::select(values), 0..4),
         prop::collection::vec(prop::sample::select(noise), 0..10),
+        prop::collection::vec(prop::sample::select(mobility), 1..3),
     )
-        .prop_map(|(kind, key, values, noise)| match kind {
+        .prop_map(|(kind, key, values, noise, mobility)| match kind {
             0 => format!("{key} = {}", values.join(", ")),
             1 => format!("{key}={}", values.join(",")),
             2 => key.to_string(),
             3 => format!("# {key}"),
-            _ => noise.into_iter().collect(),
+            4 => noise.into_iter().collect(),
+            _ => format!("mobility = {}", mobility.join(", ")),
         });
     prop::collection::vec(line, 0..8).prop_map(|lines| lines.join("\n"))
 }
@@ -358,8 +365,18 @@ proptest! {
 
     #[test]
     fn grid_spec_parsing_never_panics(text in spec_text_strategy()) {
-        // `Ok` or `Err`; a panic fails the property.
-        let _ = parse_grid_spec(&text);
+        // `Ok` or `Err`; a panic fails the property. A parsed grid's
+        // mobility conditions are finite (`walk:inf:1` and `NaN` are among
+        // the tokens), or its walks would panic or never end in a worker.
+        if let Ok(points) = parse_grid_spec(&text).and_then(|grid| grid.points()) {
+            for point in points {
+                let mobility = &point.mobility;
+                prop_assert!(
+                    mobility.speed_mps.is_finite() && mobility.coverage_radius_m.is_finite(),
+                    "{mobility:?}"
+                );
+            }
+        }
     }
 
     #[test]
