@@ -10,6 +10,8 @@
 //! reproduce exactly on re-run. Swap the root manifest's `proptest` entry
 //! for crates.io to get real shrinking; the test sources stay unchanged.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -9,6 +9,8 @@
 //! the same seed always yields the same stream, though the stream differs
 //! from the real `rand`'s ChaCha-based `StdRng`.
 
+#![forbid(unsafe_code)]
+
 /// A source of random 64-bit words.
 pub trait RngCore {
     /// Returns the next 64 random bits.

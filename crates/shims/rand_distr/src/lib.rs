@@ -202,20 +202,22 @@ impl StandardNormalPairs {
 /// * every transcendental comes from the [`math`] kernels (never the
 ///   libm), and each fill is one plain loop over the scalar sampler's own
 ///   expression, which [`Tier::run`](math::Tier::run) compiles once per
-///   [`Tier`](math::Tier) — portable, AVX2 or AVX-512 — chosen once per
-///   process by [`Tier::dispatched`](math::Tier::dispatched). Rust keeps
-///   every floating-point operation as written, so the vectorized builds
-///   are bit-identical — not approximately equal — to the portable one.
-///   The `*_at` entry points run an explicit tier; tests pin each tier the
-///   host supports against the portable build, and CI re-runs the
-///   dispatched gates under `XR_FORCE_PORTABLE=1`, which turns off every
-///   SIMD tier;
+///   [`Tier`](math::Tier) — portable, AVX2 or AVX-512. Every fill takes
+///   the tier it runs on; callers decide it once, from
+///   [`Tier::dispatched`](math::Tier::dispatched), at their entry points.
+///   Rust keeps every floating-point operation as written, so the
+///   vectorized builds are bit-identical — not approximately equal — to
+///   the portable one. Tests pin each tier the host supports against the
+///   portable build, and CI re-runs the dispatched gates under
+///   `XR_FORCE_PORTABLE=1`, which turns off every SIMD tier;
 /// * the normal-family transforms come in *pair* form
 ///   ([`fill_lognormal_pair`](column::fill_lognormal_pair), and the
 ///   unscaled [`fill_standard_normal_pair`](column::fill_standard_normal_pair))
 ///   writing both Box–Muller halves of each word pair, mirroring
 ///   [`StandardNormalPairs`]: a batched stage that consumes two variates
 ///   per frame fills both columns from **one** pair of raw-word columns.
+///
+/// Every fill panics if the host's CPU cannot run its tier.
 pub mod column {
     use super::math::Tier;
     use super::{math, Exp, Normal};
@@ -223,30 +225,15 @@ pub mod column {
 
     /// Writes `out[i] = ` the draw `normal.sample` would produce from the
     /// raw words `(raw_a[i], raw_b[i])` — the cosine Box–Muller half,
-    /// bit-identical to [`Normal::sample`](super::Normal).
+    /// bit-identical to [`Normal::sample`](super::Normal). It runs the
+    /// tier's standard-normal pair pass ([`fill_standard_normal_pair`]) a
+    /// block at a time, drops the sine halves and scales the cosine halves
+    /// with [`Normal::from_standard`](super::Normal::from_standard).
     ///
     /// # Panics
     ///
     /// Panics if the three slices differ in length.
-    pub fn fill_normal(normal: &Normal, raw_a: &[u64], raw_b: &[u64], out: &mut [f64]) {
-        fill_normal_at(Tier::dispatched(), normal, raw_a, raw_b, out);
-    }
-
-    /// [`fill_normal`] on an explicit tier. It runs the tier's
-    /// standard-normal pair pass ([`fill_standard_normal_pair_at`]) a block
-    /// at a time, drops the sine halves and scales the cosine halves with
-    /// [`Normal::from_standard`](super::Normal::from_standard).
-    ///
-    /// # Panics
-    ///
-    /// As [`fill_normal`], and if the host cannot run `tier`.
-    pub fn fill_normal_at(
-        tier: Tier,
-        normal: &Normal,
-        raw_a: &[u64],
-        raw_b: &[u64],
-        out: &mut [f64],
-    ) {
+    pub fn fill_normal(tier: Tier, normal: &Normal, raw_a: &[u64], raw_b: &[u64], out: &mut [f64]) {
         const BLOCK: usize = 64;
         assert_eq!(raw_a.len(), out.len(), "raw_a column length mismatch");
         assert_eq!(raw_b.len(), out.len(), "raw_b column length mismatch");
@@ -254,7 +241,7 @@ pub mod column {
         let blocks = raw_a.chunks(BLOCK).zip(raw_b.chunks(BLOCK));
         for ((raw_a, raw_b), out) in blocks.zip(out.chunks_mut(BLOCK)) {
             let sin = &mut sin[..out.len()];
-            fill_standard_normal_pair_at(tier, raw_a, raw_b, out, sin);
+            fill_standard_normal_pair(tier, raw_a, raw_b, out, sin);
             for z in out {
                 *z = normal.from_standard(*z);
             }
@@ -270,16 +257,7 @@ pub mod column {
     /// # Panics
     ///
     /// Panics if the three slices differ in length.
-    pub fn fill_lognormal(normal: &Normal, raw_a: &[u64], raw_b: &[u64], out: &mut [f64]) {
-        fill_lognormal_at(Tier::dispatched(), normal, raw_a, raw_b, out);
-    }
-
-    /// [`fill_lognormal`] on an explicit tier.
-    ///
-    /// # Panics
-    ///
-    /// As [`fill_lognormal`], and if the host cannot run `tier`.
-    pub fn fill_lognormal_at(
+    pub fn fill_lognormal(
         tier: Tier,
         normal: &Normal,
         raw_a: &[u64],
@@ -312,21 +290,6 @@ pub mod column {
     ///
     /// Panics if the four slices differ in length.
     pub fn fill_lognormal_pair(
-        normal: &Normal,
-        raw_a: &[u64],
-        raw_b: &[u64],
-        out_cos: &mut [f64],
-        out_sin: &mut [f64],
-    ) {
-        fill_lognormal_pair_at(Tier::dispatched(), normal, raw_a, raw_b, out_cos, out_sin);
-    }
-
-    /// [`fill_lognormal_pair`] on an explicit tier.
-    ///
-    /// # Panics
-    ///
-    /// As [`fill_lognormal_pair`], and if the host cannot run `tier`.
-    pub fn fill_lognormal_pair_at(
         tier: Tier,
         normal: &Normal,
         raw_a: &[u64],
@@ -373,20 +336,6 @@ pub mod column {
     ///
     /// Panics if the four slices differ in length.
     pub fn fill_standard_normal_pair(
-        raw_a: &[u64],
-        raw_b: &[u64],
-        out_cos: &mut [f64],
-        out_sin: &mut [f64],
-    ) {
-        fill_standard_normal_pair_at(Tier::dispatched(), raw_a, raw_b, out_cos, out_sin);
-    }
-
-    /// [`fill_standard_normal_pair`] on an explicit tier.
-    ///
-    /// # Panics
-    ///
-    /// As [`fill_standard_normal_pair`], and if the host cannot run `tier`.
-    pub fn fill_standard_normal_pair_at(
         tier: Tier,
         raw_a: &[u64],
         raw_b: &[u64],
@@ -414,16 +363,7 @@ pub mod column {
     /// # Panics
     ///
     /// Panics if the slices differ in length or the range is empty.
-    pub fn fill_uniform_range(lo: f64, hi: f64, raw: &[u64], out: &mut [f64]) {
-        fill_uniform_range_at(Tier::dispatched(), lo, hi, raw, out);
-    }
-
-    /// [`fill_uniform_range`] on an explicit tier.
-    ///
-    /// # Panics
-    ///
-    /// As [`fill_uniform_range`], and if the host cannot run `tier`.
-    pub fn fill_uniform_range_at(tier: Tier, lo: f64, hi: f64, raw: &[u64], out: &mut [f64]) {
+    pub fn fill_uniform_range(tier: Tier, lo: f64, hi: f64, raw: &[u64], out: &mut [f64]) {
         assert_eq!(raw.len(), out.len(), "raw column length mismatch");
         assert!(lo < hi, "cannot sample empty range");
         let span = hi - lo;
@@ -445,16 +385,7 @@ pub mod column {
     /// # Panics
     ///
     /// Panics if the slices differ in length.
-    pub fn fill_exp(exp: &Exp, raw: &[u64], out: &mut [f64]) {
-        fill_exp_at(Tier::dispatched(), exp, raw, out);
-    }
-
-    /// [`fill_exp`] on an explicit tier.
-    ///
-    /// # Panics
-    ///
-    /// As [`fill_exp`], and if the host cannot run `tier`.
-    pub fn fill_exp_at(tier: Tier, exp: &Exp, raw: &[u64], out: &mut [f64]) {
+    pub fn fill_exp(tier: Tier, exp: &Exp, raw: &[u64], out: &mut [f64]) {
         assert_eq!(raw.len(), out.len(), "raw column length mismatch");
         tier.run_elementwise(
             out.len(),
@@ -519,7 +450,7 @@ mod tests {
             let b = raw_words(2, 257);
             for tier in tiers() {
                 let mut out = vec![0.0; 257];
-                super::column::fill_normal_at(tier, &normal, &a, &b, &mut out);
+                super::column::fill_normal(tier, &normal, &a, &b, &mut out);
                 for i in 0..a.len() {
                     let mut replay = Replay(vec![a[i], b[i]], 0);
                     let expected = normal.sample(&mut replay);
@@ -537,7 +468,7 @@ mod tests {
         let normal = Normal::new(0.0, 1.0).unwrap();
         for tier in tiers() {
             let mut out = [0.0; 2];
-            super::column::fill_normal_at(tier, &normal, &[0, u64::MAX], &[0, u64::MAX], &mut out);
+            super::column::fill_normal(tier, &normal, &[0, u64::MAX], &[0, u64::MAX], &mut out);
             assert!(out.iter().all(|v| v.is_finite()), "{tier:?}");
         }
     }
@@ -548,13 +479,13 @@ mod tests {
         let a = raw_words(21, 129);
         let b = raw_words(22, 129);
         let mut staged = vec![0.0; 129];
-        super::column::fill_normal(&normal, &a, &b, &mut staged);
+        super::column::fill_normal(Tier::Portable, &normal, &a, &b, &mut staged);
         for value in &mut staged {
             *value = super::math::exp(*value);
         }
         for tier in tiers() {
             let mut fused = vec![0.0; 129];
-            super::column::fill_lognormal_at(tier, &normal, &a, &b, &mut fused);
+            super::column::fill_lognormal(tier, &normal, &a, &b, &mut fused);
             for (i, value) in staged.iter().enumerate() {
                 assert_eq!(fused[i], *value, "{tier:?} element {i} diverged");
             }
@@ -572,7 +503,7 @@ mod tests {
         for tier in tiers() {
             let mut cos = vec![0.0; 137];
             let mut sin = vec![0.0; 137];
-            super::column::fill_lognormal_pair_at(tier, &normal, &a, &b, &mut cos, &mut sin);
+            super::column::fill_lognormal_pair(tier, &normal, &a, &b, &mut cos, &mut sin);
             for i in 0..a.len() {
                 let mut replay = Replay(vec![a[i], b[i]], 0);
                 let mut pairs = StandardNormalPairs::new();
@@ -592,7 +523,7 @@ mod tests {
         for tier in tiers() {
             let mut cos = vec![0.0; 141];
             let mut sin = vec![0.0; 141];
-            super::column::fill_standard_normal_pair_at(tier, &a, &b, &mut cos, &mut sin);
+            super::column::fill_standard_normal_pair(tier, &a, &b, &mut cos, &mut sin);
             for i in 0..a.len() {
                 let mut replay = Replay(vec![a[i], b[i]], 0);
                 let mut pairs = StandardNormalPairs::new();
@@ -671,8 +602,8 @@ mod tests {
         wb: &[u64],
     ) -> Option<&'static str> {
         use super::column::{
-            fill_exp_at, fill_lognormal_at, fill_lognormal_pair_at, fill_normal_at,
-            fill_standard_normal_pair_at, fill_uniform_range_at,
+            fill_exp, fill_lognormal, fill_lognormal_pair, fill_normal, fill_standard_normal_pair,
+            fill_uniform_range,
         };
         let n = wa.len();
         // Runs `fill` at `tier` and at the portable tier into fresh output
@@ -688,22 +619,22 @@ mod tests {
             bits_at(tier) == bits_at(Tier::Portable)
         };
         let exp = Exp::new(rate).unwrap();
-        if !same(&|t, out, _| fill_uniform_range_at(t, lo, hi, wa, out)) {
+        if !same(&|t, out, _| fill_uniform_range(t, lo, hi, wa, out)) {
             return Some("uniform");
         }
-        if !same(&|t, out, _| fill_normal_at(t, normal, wa, wb, out)) {
+        if !same(&|t, out, _| fill_normal(t, normal, wa, wb, out)) {
             return Some("normal");
         }
-        if !same(&|t, out, _| fill_lognormal_at(t, normal, wa, wb, out)) {
+        if !same(&|t, out, _| fill_lognormal(t, normal, wa, wb, out)) {
             return Some("lognormal");
         }
-        if !same(&|t, out, _| fill_exp_at(t, &exp, wa, out)) {
+        if !same(&|t, out, _| fill_exp(t, &exp, wa, out)) {
             return Some("exp");
         }
-        if !same(&|t, cos, sin| fill_lognormal_pair_at(t, normal, wa, wb, cos, sin)) {
+        if !same(&|t, cos, sin| fill_lognormal_pair(t, normal, wa, wb, cos, sin)) {
             return Some("lognormal pair");
         }
-        if !same(&|t, cos, sin| fill_standard_normal_pair_at(t, wa, wb, cos, sin)) {
+        if !same(&|t, cos, sin| fill_standard_normal_pair(t, wa, wb, cos, sin)) {
             return Some("standard pair");
         }
         None
@@ -779,7 +710,7 @@ mod tests {
         let words = raw_words(11, 513);
         for tier in tiers() {
             let mut out = vec![0.0; 513];
-            super::column::fill_exp_at(tier, &exp, &words, &mut out);
+            super::column::fill_exp(tier, &exp, &words, &mut out);
             let mut rng = StdRng::seed_from_u64(11);
             for (i, &value) in out.iter().enumerate() {
                 assert_eq!(value, exp.sample(&mut rng), "{tier:?} element {i} diverged");
@@ -792,7 +723,7 @@ mod tests {
     fn column_length_mismatch_is_rejected() {
         let exp = Exp::new(1.0).unwrap();
         let mut out = [0.0; 2];
-        super::column::fill_exp(&exp, &[1, 2, 3], &mut out);
+        super::column::fill_exp(Tier::Portable, &exp, &[1, 2, 3], &mut out);
     }
 
     #[test]

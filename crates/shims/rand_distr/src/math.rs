@@ -40,10 +40,10 @@
 //!   documented bound is `≤ 2 ulp` **or** `≤ 2.5e-16` absolute, whichever
 //!   is looser — far below the measurement noise the draws model.
 //!
-//! `XR_FORCE_PORTABLE=1` (any value but `0`) turns off every SIMD tier in
-//! this crate (see [`Tier::dispatched`]) so CI can exercise the portable
-//! kernels on SIMD hosts; because the tiers are bit-identical, the knob
-//! never changes results.
+//! `XR_FORCE_PORTABLE=1` (any value but `0`) makes [`Tier::dispatched`]
+//! the portable tier, so CI can exercise the portable kernels on SIMD
+//! hosts; because the tiers are bit-identical, the knob never changes
+//! results.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -88,9 +88,12 @@ impl Tier {
         self <= Self::host()
     }
 
-    /// The tier every dispatched pass in this crate takes: the widest one
-    /// the CPU supports, or [`Tier::Portable`] when `XR_FORCE_PORTABLE` is
-    /// set (to anything but `0`). Resolved once per process.
+    /// The tier a run's draw passes take: the widest one the CPU supports,
+    /// or [`Tier::Portable`] when `XR_FORCE_PORTABLE` is set (to anything
+    /// but `0`). Resolved once per process. The passes themselves take
+    /// their tier as an argument; the workspace reads this only at its
+    /// entry points (the testbed's batched drivers, measurement campaign
+    /// and calibration) and hands the tier down.
     #[must_use]
     pub fn dispatched() -> Tier {
         static DISPATCHED: OnceLock<Tier> = OnceLock::new();
@@ -108,8 +111,11 @@ impl Tier {
     /// it from a function built with those features enabled, so a pass
     /// whose loops and kernels are `#[inline(always)]` (or otherwise inline
     /// into the closure) is vectorized for that tier; the portable tier
-    /// calls it directly. Every draw-layer pass, here and in the testbed's
-    /// lane banks and power monitor, dispatches through this one function.
+    /// calls it directly. Every pass compiled per tier goes through this
+    /// one function: the column fills here, and the testbed's lane banks,
+    /// power monitor and batched stage pass, each on the tier its caller
+    /// hands it. Nesting is fine: the fills that the stage pass calls run
+    /// on the stage pass's own tier.
     ///
     /// # Panics
     ///

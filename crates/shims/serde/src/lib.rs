@@ -8,6 +8,8 @@
 //! has registry access), point the root manifest's `serde` entry back at
 //! crates.io and everything downstream keeps compiling unchanged.
 
+#![forbid(unsafe_code)]
+
 /// Marker trait mirroring `serde::Serialize`. Carries no behavior in the
 /// offline shim; real serialization would replace this crate wholesale.
 pub trait Serialize {}

@@ -7,6 +7,8 @@
 //! dependencies in the root manifest for the crates.io versions restores
 //! real serialization without touching any call site.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{TokenStream, TokenTree};
 
 /// The pieces of a type definition the empty-impl derives need.

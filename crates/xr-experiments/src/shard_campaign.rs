@@ -154,7 +154,7 @@ pub fn run_campaign_shard_with_progress(
 
     // Only a checkpoint with records has anything to resume; otherwise the
     // CSV is written afresh and never read.
-    let resume = !checkpoint.completed().is_empty();
+    let resume = checkpoint.records() > 0;
     let mut file = OpenOptions::new()
         .read(resume)
         .write(true)
@@ -200,7 +200,7 @@ pub fn run_campaign_shard_with_progress(
         line.push('\n');
         // The row must be durable before the checkpoint says so — sharing
         // the checkpoint's fsync cadence keeps one knob.
-        let at_boundary = (checkpoint.completed().len() + 1) % checkpoint.sync_every() == 0;
+        let at_boundary = (checkpoint.records() + 1) % checkpoint.sync_every() == 0;
         let outcome = csv
             .write_all(line.as_bytes())
             .map_err(|e| io_error(csv_path, "append", &e))
@@ -212,7 +212,7 @@ pub fn run_campaign_shard_with_progress(
             });
         match outcome {
             Err(error) => write_failure = Some(error),
-            Ok(()) => report_progress(checkpoint.completed().len()),
+            Ok(()) => report_progress(checkpoint.records()),
         }
     })?;
     if let Some(error) = write_failure {
@@ -220,7 +220,7 @@ pub fn run_campaign_shard_with_progress(
     }
     sync(&mut csv, csv_path)?;
     checkpoint.sync()?;
-    report_progress(checkpoint.completed().len());
+    report_progress(checkpoint.records());
 
     std::fs::write(&manifest_file, manifest).map_err(|e| io_error(&manifest_file, "write", &e))?;
     Ok(ShardRunReport {

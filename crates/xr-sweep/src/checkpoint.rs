@@ -87,14 +87,14 @@ impl CheckpointHeader {
 #[derive(Debug)]
 pub struct ShardCheckpoint {
     path: PathBuf,
+    header: CheckpointHeader,
     /// Records are buffered and reach the file at each sync (or when the
     /// buffer fills); resume trusts only what the file holds.
     file: BufWriter<File>,
+    /// The points the file held when opened, up to the last rewind.
     completed: Vec<usize>,
-    /// Byte offset of the end of each valid record, so truncation lands on
-    /// record boundaries exactly.
-    record_ends: Vec<u64>,
-    header_len: u64,
+    /// Records in the file, appended ones included.
+    records: usize,
     unsynced: usize,
     sync_every: usize,
 }
@@ -121,49 +121,61 @@ impl ShardCheckpoint {
         let path = path.into();
         let sync_every = sync_every.max(1);
         let exists = path.exists();
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(&path)
             .map_err(|e| io_error(&path, "open", &e))?;
-        let rendered = header.render();
-        let header_len = rendered.len() as u64;
-        if !exists {
-            file.write_all(rendered.as_bytes())
-                .map_err(|e| io_error(&path, "write header", &e))?;
-            file.sync_data().map_err(|e| io_error(&path, "sync", &e))?;
-            return Ok(Self {
-                path,
-                file: BufWriter::new(file),
-                completed: Vec::new(),
-                record_ends: Vec::new(),
-                header_len,
-                unsynced: 0,
-                sync_every,
-            });
-        }
-        let mut text = String::new();
-        file.read_to_string(&mut text)
-            .map_err(|e| io_error(&path, "read", &e))?;
-        let (completed, record_ends, header_len) = Self::validate(&path, &text, &header)?;
-        // Drop the torn/corrupt tail (if any) so appends start at a record
-        // boundary.
-        let valid_end = record_ends.last().copied().unwrap_or(header_len);
-        file.set_len(valid_end)
-            .map_err(|e| io_error(&path, "truncate", &e))?;
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| io_error(&path, "seek", &e))?;
-        Ok(Self {
+        let mut checkpoint = Self {
             path,
+            header,
             file: BufWriter::new(file),
-            completed,
-            record_ends,
-            header_len,
+            completed: Vec::new(),
+            records: 0,
             unsynced: 0,
             sync_every,
-        })
+        };
+        if exists {
+            // Drop the torn/corrupt tail (if any) so appends start at a
+            // record boundary.
+            checkpoint.cut_to(usize::MAX)?;
+        } else {
+            let file = checkpoint.file.get_mut();
+            file.write_all(checkpoint.header.render().as_bytes())
+                .map_err(|e| io_error(&checkpoint.path, "write header", &e))?;
+            file.sync_data()
+                .map_err(|e| io_error(&checkpoint.path, "sync", &e))?;
+        }
+        Ok(checkpoint)
+    }
+
+    /// Reads the file from its start, keeps at most `keep` of its valid
+    /// records, and cuts the file to their end, leaving it positioned
+    /// there. The record offsets come from [`ShardCheckpoint::validate`]
+    /// on the file as it stands, so nothing but the count of the records
+    /// appended since is held between cuts.
+    fn cut_to(&mut self, keep: usize) -> Result<()> {
+        let path = &self.path;
+        let file = self.file.get_mut();
+        let mut text = String::new();
+        file.seek(SeekFrom::Start(0))
+            .and_then(|_| file.read_to_string(&mut text))
+            .map_err(|e| io_error(path, "read", &e))?;
+        let (mut completed, record_ends, header_len) = Self::validate(path, &text, &self.header)?;
+        completed.truncate(keep);
+        let end = match completed.len() {
+            0 => header_len,
+            kept => record_ends[kept - 1],
+        };
+        file.set_len(end)
+            .map_err(|e| io_error(path, "truncate", &e))?;
+        file.seek(SeekFrom::End(0))
+            .map_err(|e| io_error(path, "seek", &e))?;
+        self.records = completed.len();
+        self.completed = completed;
+        Ok(())
     }
 
     /// Validates the header of an existing file against the campaign and
@@ -272,10 +284,21 @@ impl ShardCheckpoint {
         Ok((completed, record_ends, header_end))
     }
 
-    /// The points recorded as completed, in completion (= canonical) order.
+    /// The points the file recorded as completed when it was opened, in
+    /// completion (= canonical) order, cut to the last
+    /// [`ShardCheckpoint::truncate_to`]: what a resumed run checks against
+    /// the points it owns. Records appended since are only counted
+    /// ([`ShardCheckpoint::records`]).
     #[must_use]
     pub fn completed(&self) -> &[usize] {
         &self.completed
+    }
+
+    /// The number of records in the checkpoint: those it was opened (or
+    /// last rewound) with, plus every one appended since.
+    #[must_use]
+    pub fn records(&self) -> usize {
+        self.records
     }
 
     /// The checkpoint file's path.
@@ -298,22 +321,13 @@ impl ShardCheckpoint {
     ///
     /// I/O failures.
     pub fn truncate_to(&mut self, keep: usize) -> Result<()> {
-        if keep >= self.completed.len() {
+        if keep >= self.records {
             return Ok(());
         }
-        self.completed.truncate(keep);
-        self.record_ends.truncate(keep);
-        let end = self.record_ends.last().copied().unwrap_or(self.header_len);
         self.file
             .flush()
             .map_err(|e| io_error(&self.path, "flush", &e))?;
-        self.file
-            .get_ref()
-            .set_len(end)
-            .map_err(|e| io_error(&self.path, "truncate", &e))?;
-        self.file
-            .seek(SeekFrom::End(0))
-            .map_err(|e| io_error(&self.path, "seek", &e))?;
+        self.cut_to(keep)?;
         self.file
             .get_ref()
             .sync_data()
@@ -329,11 +343,7 @@ impl ShardCheckpoint {
     /// I/O failures.
     pub fn record(&mut self, point: usize) -> Result<()> {
         writeln!(self.file, "done {point}").map_err(|e| io_error(&self.path, "append", &e))?;
-        // "done " + the decimal digits + "\n".
-        let digits = point.checked_ilog10().map_or(1, |log| u64::from(log) + 1);
-        let end = self.record_ends.last().copied().unwrap_or(self.header_len) + 6 + digits;
-        self.completed.push(point);
-        self.record_ends.push(end);
+        self.records += 1;
         self.unsynced += 1;
         if self.unsynced >= self.sync_every {
             self.sync()?;

@@ -60,6 +60,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod collector;

@@ -46,30 +46,32 @@
 //! `rand_distr::column` transform per sampled column (Box–Muller normals,
 //! uniform jitter, exponential sojourns), then a multiply-accumulate pass
 //! against the hoisted per-session `BatchConsts` base latencies. Seeding, raw
-//! word generation and every column transform run as contiguous passes on
-//! the draw layer's widest SIMD tier the host supports (AVX-512, AVX2 or
-//! portable, all bit-identical), and the per-frame loops reduce to
-//! straight-line float arithmetic. Because
-//! every frame's words come only from its own lane, the draw scheme is
-//! **lane-count invariant by construction** — the same invariant per-stage
-//! streams pinned for batching, pushed down to the raw `u64` level.
+//! word generation and every column transform run as contiguous passes,
+//! and the per-frame loops reduce to straight-line float arithmetic.
+//! Because every frame's words come only from its own lane, the draw
+//! scheme is **lane-count invariant by construction** — the same invariant
+//! per-stage streams pinned for batching, pushed down to the raw `u64`
+//! level.
 //!
-//! The stages themselves are compiled twice. Where the draw layer
-//! dispatched to AVX-512, each batch runs them inside one
-//! `avx512f` + `avx512dq` wrapper, so the fold and sum loops between the
-//! transforms vectorize 8-wide; otherwise (including under
-//! `XR_FORCE_PORTABLE`) they run in the baseline build. Rust never
-//! contracts or reassociates floating-point operations, so both builds
-//! compute the same bits, and a unit test here pins each against the
-//! scalar reference on every host.
+//! ## One tier decision
+//!
+//! Each public driver call reads `rand_distr::math::Tier::dispatched` once:
+//! the widest SIMD tier the CPU supports (AVX-512, AVX2 or portable), or
+//! the portable one under `XR_FORCE_PORTABLE`. Every batch then runs its
+//! eleven stages as one `Tier::run` pass on that tier, so the fold and sum
+//! loops between the transforms are built for it, and the same tier goes
+//! to the lane bank, every column fill and the monitor pass inside. Rust
+//! never contracts or reassociates floating-point operations, so every
+//! tier computes the same bits, and unit tests here run whole driver
+//! calls on each tier the host supports against the scalar reference.
 //!
 //! The finalize stage is a column stage too, and runs phase-major: the
 //! Monsoon monitor's per-phase noise comes from the `MONITOR` lanes through
 //! `rand_distr::column::fill_standard_normal_pair`, then one pass per
 //! included slot reads that slot's latency column once and adds it to the
 //! Eq. 1 totals, the thermal-share compute energy and, through
-//! `PowerMonitor::add_phase_energy` (one loop built per draw-layer tier,
-//! with one draw cursor per lane), the energy column. Stage 9 (cooperation) is skipped when
+//! `PowerMonitor::add_phase_energy` (one lane loop with one draw cursor
+//! per lane), the energy column. Stage 9 (cooperation) is skipped when
 //! the caller keeps only totals and the scenario leaves cooperation out of
 //! them.
 //! What a finalized frame then becomes depends on the caller: a session
@@ -151,14 +153,6 @@ pub enum SimulationEngine {
         /// Lanes per pass, shared by all replications of a point.
         width: usize,
     },
-}
-
-/// Whether the batched drivers run the tier-compiled build of
-/// [`TestbedSimulator::batch_pass`]: only when the draw layer dispatched to
-/// AVX-512 (`rand_distr::math::Tier::dispatched`), so `XR_FORCE_PORTABLE`
-/// also selects the baseline build.
-fn simd_pass() -> bool {
-    Tier::dispatched() == Tier::Avx512
 }
 
 impl Default for SimulationEngine {
@@ -451,6 +445,9 @@ impl BatchConsts {
 /// Kept per worker thread with its `FrameBatch`; `reseed` only rewrites
 /// lane state and column lengths.
 struct DrawColumns {
+    /// The tier every draw pass runs on: the driver call's, set at its
+    /// start.
+    tier: Tier,
     lanes: LaneStreams,
     /// The raw words of the current draw group, one block: draw `d` of
     /// lane `i` at `raw[d * n + i]` for a batch of `n` lanes. A group is a
@@ -481,6 +478,7 @@ struct DrawColumns {
 impl DrawColumns {
     fn new() -> Self {
         Self {
+            tier: Tier::Portable,
             lanes: LaneStreams::new(),
             raw: Vec::new(),
             fac_a: Vec::new(),
@@ -503,7 +501,8 @@ impl DrawColumns {
         self.bases.clear();
         self.bases
             .extend(k.stage_bases.iter().map(|bases| bases[stage as usize]));
-        self.lanes.reseed(&self.bases, b.first_index, b.per_rep);
+        self.lanes
+            .reseed(self.tier, &self.bases, b.first_index, b.per_rep);
         if self.fac_a.len() != b.n {
             self.fac_a.resize(b.n, 0.0);
             self.fac_b.resize(b.n, 0.0);
@@ -519,7 +518,7 @@ impl DrawColumns {
         if self.raw.len() < words {
             self.raw.resize(words, 0);
         }
-        self.lanes.fill_next(&mut self.raw[..words]);
+        self.lanes.fill_next(self.tier, &mut self.raw[..words]);
         n
     }
 
@@ -530,7 +529,7 @@ impl DrawColumns {
     fn noise_a(&mut self, normal: &Normal) {
         let n = self.draw(2);
         let (a, b) = self.raw[..2 * n].split_at(n);
-        column::fill_lognormal(normal, a, b, &mut self.fac_a);
+        column::fill_lognormal(self.tier, normal, a, b, &mut self.fac_a);
     }
 
     /// Fills `fac_a` (cosine halves) **and** `fac_b` (sine halves) with the
@@ -541,7 +540,7 @@ impl DrawColumns {
     fn noise_pair(&mut self, normal: &Normal) {
         let n = self.draw(2);
         let (a, b) = self.raw[..2 * n].split_at(n);
-        column::fill_lognormal_pair(normal, a, b, &mut self.fac_a, &mut self.fac_b);
+        column::fill_lognormal_pair(self.tier, normal, a, b, &mut self.fac_a, &mut self.fac_b);
     }
 
     /// Fills `normals` with the next `pairs` word pairs' standard variates,
@@ -555,7 +554,7 @@ impl DrawColumns {
         for (words, columns) in words.zip(self.normals.chunks_exact_mut(2 * n)) {
             let (a, b) = words.split_at(n);
             let (cos, sin) = columns.split_at_mut(n);
-            column::fill_standard_normal_pair(a, b, cos, sin);
+            column::fill_standard_normal_pair(self.tier, a, b, cos, sin);
         }
     }
 
@@ -563,14 +562,14 @@ impl DrawColumns {
     /// word per frame.
     fn uniform_a(&mut self, lo: f64, hi: f64) {
         let n = self.draw(1);
-        column::fill_uniform_range(lo, hi, &self.raw[..n], &mut self.fac_a);
+        column::fill_uniform_range(self.tier, lo, hi, &self.raw[..n], &mut self.fac_a);
     }
 
     /// Fills `fac_a` with the next exponential-sojourn column — one raw
     /// word per frame.
     fn exp_a(&mut self, flow: &Exp) {
         let n = self.draw(1);
-        column::fill_exp(flow, &self.raw[..n], &mut self.fac_a);
+        column::fill_exp(self.tier, flow, &self.raw[..n], &mut self.fac_a);
     }
 }
 
@@ -863,67 +862,20 @@ impl TestbedSimulator {
             scenario,
             SessionSeeds::One(self.seed),
             frames,
-            simd_pass(),
+            Tier::dispatched(),
             &mut sessions,
         )?;
         Ok(sessions.pop().expect("one seed runs one session"))
     }
 
-    /// Runs the eleven column stages over one prepared batch, with one
-    /// session state and one output per fused replication.
-    ///
-    /// `simd` picks the build of the stages: `true` runs them inside one
-    /// AVX-512 (`avx512f` + `avx512dq`) wrapper where the CPU has it, so
-    /// their fold and sum loops vectorize 8-wide; `false`, or a CPU
-    /// without AVX-512, runs the baseline build. Rust never contracts or
-    /// reassociates floating-point operations, so both builds compute the
-    /// same bits; the drivers pass [`simd_pass`].
-    fn batch_pass<O: RepOutput>(
-        &self,
-        simd: bool,
-        consts: &BatchConsts,
-        batch: &mut FrameBatch,
-        draws: &mut DrawColumns,
-        sessions: &mut [SessionState],
-        outs: &mut [O],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if simd && Tier::Avx512.supported() {
-            // SAFETY: AVX-512F and AVX-512DQ support was just confirmed at
-            // runtime.
-            #[allow(unsafe_code)]
-            unsafe {
-                self.batch_stages_avx512(consts, batch, draws, sessions, outs);
-            }
-            return;
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = simd;
-        self.batch_stages(consts, batch, draws, sessions, outs);
-    }
-
-    /// [`TestbedSimulator::batch_stages`] compiled for AVX-512: the stage
-    /// bodies are inlined here, so their loops take the wider registers.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn batch_stages_avx512<O: RepOutput>(
-        &self,
-        consts: &BatchConsts,
-        batch: &mut FrameBatch,
-        draws: &mut DrawColumns,
-        sessions: &mut [SessionState],
-        outs: &mut [O],
-    ) {
-        self.batch_stages(consts, batch, draws, sessions, outs);
-    }
-
-    /// The eleven column stages in pipeline order. Stage 9 is skipped when
-    /// nothing reads its column: the output keeps only the totals, and the
-    /// scenario leaves cooperation out of them (the paper's default, as it
-    /// runs in parallel with rendering). Every stage draws from its own
-    /// stream, so no other draw moves. Always inlined, like every stage,
-    /// so each build of [`TestbedSimulator::batch_pass`] compiles its own
-    /// copy of the stage bodies.
+    /// The eleven column stages over one prepared batch, in pipeline
+    /// order, with one session state and one output per fused replication.
+    /// Stage 9 is skipped when nothing reads its column: the output keeps
+    /// only the totals, and the scenario leaves cooperation out of them
+    /// (the paper's default, as it runs in parallel with rendering). Every
+    /// stage draws from its own stream, so no other draw moves. Always
+    /// inlined, like every stage, so each tier's build of the driver's
+    /// `Tier::run` pass compiles its own copy of the stage bodies.
     #[inline(always)]
     fn batch_stages<O: RepOutput>(
         &self,
@@ -968,7 +920,7 @@ impl TestbedSimulator {
             scenario,
             SessionSeeds::Point { point_seed, reps },
             frames,
-            simd_pass(),
+            Tier::dispatched(),
             &mut sessions,
         )?;
         Ok(sessions)
@@ -1015,7 +967,7 @@ impl TestbedSimulator {
             scenario,
             SessionSeeds::Point { point_seed, reps },
             frames,
-            simd_pass(),
+            Tier::dispatched(),
             totals,
         )
     }
@@ -1026,15 +978,20 @@ impl TestbedSimulator {
     /// The scalar reference runs the seeds one after another; the batched
     /// engine runs them all fused, the `width` lanes of each pass split
     /// evenly across the seeds so a pass touches about as much column
-    /// memory as one session would. `simd` picks the build of
-    /// [`TestbedSimulator::batch_pass`]. The seeds, session states and
-    /// constants live in the worker's [`Scratch`].
+    /// memory as one session would. Each batch's stages run as one
+    /// [`Tier::run`] pass on `tier`, which also goes to every draw pass
+    /// inside. The seeds, session states and constants live in the
+    /// worker's [`Scratch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host's CPU cannot run `tier`.
     fn run_sessions<O: RepOutput>(
         &self,
         scenario: &Scenario,
         seeds: SessionSeeds,
         frames: u64,
-        simd: bool,
+        tier: Tier,
         outs: &mut Vec<O>,
     ) -> Result<()> {
         outs.clear();
@@ -1075,11 +1032,15 @@ impl TestbedSimulator {
             );
             let per_rep_width = (width / seed_list.len()).max(1) as u64;
             batch.begin_call();
+            draws.tier = tier;
             let mut first = 1u64;
             while first <= frames {
                 let per_rep = per_rep_width.min(frames - first + 1) as usize;
                 batch.reset(first, per_rep, seed_list.len());
-                self.batch_pass(simd, consts, batch, draws, sessions, outs);
+                tier.run(
+                    #[inline(always)]
+                    || self.batch_stages(consts, batch, draws, sessions, outs),
+                );
                 first += per_rep as u64;
             }
             for (out, session) in outs.iter_mut().zip(sessions.iter()) {
@@ -1183,7 +1144,7 @@ impl TestbedSimulator {
             d.acc.resize(b.n, Seconds::ZERO);
             let n = d.draw(updates);
             for words in d.raw[..updates * n].chunks_exact(n) {
-                column::fill_uniform_range(-0.05, 0.05, words, &mut d.fac_a);
+                column::fill_uniform_range(d.tier, -0.05, 0.05, words, &mut d.fac_a);
                 for (acc, &jitter) in d.acc.iter_mut().zip(&d.fac_a) {
                     *acc += period * (1.0 + jitter) + propagation;
                 }
@@ -1468,6 +1429,7 @@ impl TestbedSimulator {
                 }
             }
             self.monitor.add_phase_energy(
+                d.tier,
                 (power, latency),
                 self.base_power,
                 &d.normals,
@@ -1518,19 +1480,30 @@ mod tests {
             .with_engine(SimulationEngine::Batched { width })
     }
 
-    /// The driver's outputs for `seeds` on one build of the batch pass.
+    /// The driver's outputs for `seeds`, with every pass on `tier`.
     fn run<O: RepOutput>(
         testbed: &TestbedSimulator,
         s: &Scenario,
         seeds: SessionSeeds,
         frames: u64,
-        simd: bool,
+        tier: Tier,
     ) -> Vec<O> {
         let mut outs = Vec::new();
         testbed
-            .run_sessions(s, seeds, frames, simd, &mut outs)
+            .run_sessions(s, seeds, frames, tier, &mut outs)
             .unwrap();
         outs
+    }
+
+    /// Every tier this host can run, narrowest first; each tier it cannot
+    /// run is skipped with a note on stderr.
+    fn tiers() -> Vec<Tier> {
+        let (runs, skipped): (Vec<Tier>, Vec<Tier>) =
+            Tier::ALL.into_iter().partition(|tier| tier.supported());
+        for tier in skipped {
+            eprintln!("skipping the {tier:?} tier: this host cannot run it");
+        }
+        runs
     }
 
     /// [`TestbedSimulator::point_totals`] into a fresh buffer.
@@ -2156,19 +2129,16 @@ mod tests {
     }
 
     #[test]
-    fn baseline_and_tier_compiled_passes_match_the_scalar_reference() {
-        // Both builds of the batch pass, pinned in-process: the entry
-        // points only ever take the dispatched one, so without this an
-        // AVX-512 host would never run the baseline build. (A host without
-        // AVX-512 runs the baseline build on both sides.) A single session
-        // at width 16 over 37 frames leaves a 5-frame tail batch; width 64
-        // gives each of a point's 3 × 20-frame replications 21 lanes, one
-        // pass; both outputs (frames and the campaign totals, which skip
-        // stage 9) are checked.
+    fn every_tier_runs_whole_driver_calls_to_the_scalar_reference_bits() {
+        // Whole driver calls on each tier the host runs, pinned in-process:
+        // the entry points only ever take the dispatched tier, so without
+        // this an AVX-512 host would never run the portable or AVX2 build
+        // of the stages, lane banks, fills and monitor pass. A single
+        // session at width 16 over 37 frames leaves a 5-frame tail batch;
+        // width 64 gives each of a point's 3 × 20-frame replications 21
+        // lanes, one pass; both outputs (frames and the campaign totals,
+        // which skip stage 9) are checked.
         use xr_types::{MigrationPolicy, TopologyLayout};
-        if !Tier::Avx512.supported() {
-            eprintln!("the tier-compiled pass runs the baseline build: this host has no AVX-512");
-        }
         let noisy = TestbedSimulator::new(71);
         let noiseless = TestbedSimulator::new(72).with_noise(0.0);
         let contended = Scenario::builder()
@@ -2208,22 +2178,21 @@ mod tests {
             };
             let one = SessionSeeds::One(testbed.seed);
             let (narrow, fused) = (at_width(testbed, 16), at_width(testbed, 64));
-            for simd in [false, true] {
-                let build = if simd { "tier-compiled" } else { "baseline" };
-                let session: Vec<GroundTruthSession> = run(&narrow, &s, one, 37, simd);
+            for tier in tiers() {
+                let session: Vec<GroundTruthSession> = run(&narrow, &s, one, 37, tier);
                 assert_eq!(
                     session,
                     std::slice::from_ref(&scalar),
-                    "{label}: {build} session diverged"
+                    "{label}: {tier:?} session diverged"
                 );
-                let totals: Vec<SessionTotals> = run(&narrow, &s, one, 37, simd);
+                let totals: Vec<SessionTotals> = run(&narrow, &s, one, 37, tier);
                 assert_eq!(
                     totals,
                     [SessionTotals::of(&scalar)],
-                    "{label}: {build} totals diverged"
+                    "{label}: {tier:?} totals diverged"
                 );
-                let point: Vec<GroundTruthSession> = run(&fused, &s, seeds, 20, simd);
-                assert_eq!(point, reference, "{label}: {build} fused point diverged");
+                let point: Vec<GroundTruthSession> = run(&fused, &s, seeds, 20, tier);
+                assert_eq!(point, reference, "{label}: {tier:?} fused point diverged");
             }
         }
     }
@@ -2263,8 +2232,8 @@ mod tests {
         // On a contended hex or voronoi map the sites host different
         // tenant counts, so one batch may hold lanes served at different
         // sojourn rates. Sessions and 3-replication fused points, at widths
-        // with tail batches and on both builds of the batch pass, must
-        // match the scalar engine; and some batch must serve lanes from two
+        // with tail batches and on every tier the host runs, must match
+        // the scalar engine; and some batch must serve lanes from two
         // sites with different tenant counts, or the pin would hold with a
         // single rate per batch.
         use xr_types::{MigrationPolicy, TopologyLayout};
@@ -2312,13 +2281,13 @@ mod tests {
                     );
                 }
                 let engine = at_width(&testbed, width);
-                for simd in [false, true] {
-                    let label = format!("{layout:?} width {width} simd {simd}");
+                for tier in tiers() {
+                    let label = format!("{layout:?} width {width} {tier:?}");
                     let session: Vec<GroundTruthSession> =
-                        run(&engine, &s, SessionSeeds::One(testbed.seed), frames, simd);
+                        run(&engine, &s, SessionSeeds::One(testbed.seed), frames, tier);
                     assert_eq!(session, std::slice::from_ref(&scalar), "{label}: session");
                     let point: Vec<GroundTruthSession> =
-                        run(&engine, &s, point_seeds, frames, simd);
+                        run(&engine, &s, point_seeds, frames, tier);
                     assert_eq!(point, reference, "{label}: fused point");
                 }
             }

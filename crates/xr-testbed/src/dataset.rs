@@ -350,7 +350,7 @@ impl ChunkedDraws {
                 self.noise_a[k] = self.rng.next_u64();
                 self.noise_b[k] = self.rng.next_u64();
             }
-            column::fill_normal_at(
+            column::fill_normal(
                 self.tier,
                 &self.noise,
                 &self.noise_a[..len],

@@ -36,16 +36,15 @@
 //!
 //! # SIMD tiers
 //!
-//! Each bank runs its seeding and stepping passes in one [`Tier`]: the
-//! same plain loops over the lane columns, compiled once per tier through
-//! [`Tier::run`] — the baseline build, an AVX2 build and an AVX-512 build
-//! (`avx512f` + `avx512dq`, whose native 64-bit multiplies and rotates the
-//! vectorizer uses). Wrapping 64-bit integer arithmetic is exact in every
-//! build, so all three give the same words by construction; tests pin each
-//! tier the host runs against the portable one. [`LaneStreams::new`] takes
-//! [`Tier::dispatched`], the draw layer's one tier decision: the widest
-//! tier the CPU supports, or the portable one when `XR_FORCE_PORTABLE` is
-//! set.
+//! The seeding and stepping passes are plain loops over the lane columns,
+//! compiled once per tier through [`Tier::run`] — the baseline build, an
+//! AVX2 build and an AVX-512 build (`avx512f` + `avx512dq`, whose native
+//! 64-bit multiplies and rotates the vectorizer uses) — and each call
+//! takes the [`Tier`] it runs on. The batched engine passes the tier its
+//! driver call read once from [`Tier::dispatched`]. Wrapping 64-bit
+//! integer arithmetic is exact in every build, so all three give the same
+//! words by construction; tests pin each tier the host runs against the
+//! portable one.
 
 use rand_distr::math::{self, Tier};
 
@@ -71,60 +70,37 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// each lane steps through with its state held in registers.
 ///
 /// ```
+/// use rand_distr::math::Tier;
 /// use xr_testbed::lanes::LaneStreams;
 /// use xr_types::seed;
 ///
+/// let tier = Tier::Portable; // every tier draws the same words
 /// let stage_base = seed::mix(42, 3); // mix(session_seed, stage_id)
 /// let mut lanes = LaneStreams::new();
-/// lanes.reseed(&[stage_base], 1, 8); // lanes own frames 1..=8
+/// lanes.reseed(tier, &[stage_base], 1, 8); // lanes own frames 1..=8
 /// let mut column = [0u64; 8];
-/// lanes.fill_next(&mut column); // draw #0 of frames 1..=8
-/// lanes.fill_next(&mut column); // draw #1 of frames 1..=8
+/// lanes.fill_next(tier, &mut column); // draw #0 of frames 1..=8
+/// lanes.fill_next(tier, &mut column); // draw #1 of frames 1..=8
 ///
 /// // The same draws as one two-column block.
 /// let mut block = [0u64; 2 * 8];
-/// lanes.reseed(&[stage_base], 1, 8);
-/// lanes.fill_next(&mut block);
+/// lanes.reseed(tier, &[stage_base], 1, 8);
+/// lanes.fill_next(tier, &mut block);
 /// assert_eq!(block[8..], column); // draw #1 is the second column
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LaneStreams {
-    tier: Tier,
     s0: Vec<u64>,
     s1: Vec<u64>,
     s2: Vec<u64>,
     s3: Vec<u64>,
 }
 
-impl Default for LaneStreams {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl LaneStreams {
-    /// An empty bank on the [dispatched](Tier::dispatched) tier; call
-    /// [`reseed`](LaneStreams::reseed) before drawing.
+    /// An empty bank; call [`reseed`](LaneStreams::reseed) before drawing.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_tier(Tier::dispatched())
-    }
-
-    /// An empty bank whose passes run on `tier`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host's CPU cannot run `tier`.
-    #[must_use]
-    pub fn with_tier(tier: Tier) -> Self {
-        assert!(tier.supported(), "this host cannot run the {tier:?} tier");
-        Self {
-            tier,
-            s0: Vec::new(),
-            s1: Vec::new(),
-            s2: Vec::new(),
-            s3: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Re-seeds the bank as `seed_bases.len()` contiguous **segments** of
@@ -136,7 +112,12 @@ impl LaneStreams {
     /// engine stack several sessions' lanes side by side; a single session
     /// passes one base. Lane storage is reused across calls, so re-seeding
     /// in a batch loop allocates only on the first (or a widening) call.
-    pub fn reseed(&mut self, seed_bases: &[u64], first_frame: u64, per_segment: usize) {
+    /// The seeding pass runs on `tier`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host's CPU cannot run `tier`.
+    pub fn reseed(&mut self, tier: Tier, seed_bases: &[u64], first_frame: u64, per_segment: usize) {
         // Length adjustments only when the batch shape changes (once per
         // session plus the tail batch): the seeding pass below overwrites
         // every lane, so re-zeroing the state columns each reseed would be
@@ -149,7 +130,7 @@ impl LaneStreams {
             self.s3.resize(width, 0);
         }
         let (s0, s1, s2, s3) = (&mut self.s0, &mut self.s1, &mut self.s2, &mut self.s3);
-        self.tier.run(
+        tier.run(
             #[inline(always)]
             || {
                 for (r, &base) in seed_bases.iter().enumerate() {
@@ -178,13 +159,14 @@ impl LaneStreams {
     /// one round trip to memory per two columns, so a word-pair block costs
     /// one instead of two; the state it leaves behind is the state `depth`
     /// one-column calls would leave, so later draws do not depend on how
-    /// earlier ones were grouped.
+    /// earlier ones were grouped. The stepping pass runs on `tier`.
     ///
     /// # Panics
     ///
     /// Panics if `out.len()` is not a whole number of columns of the
-    /// seeded lane count (an empty `out` is zero columns).
-    pub fn fill_next(&mut self, out: &mut [u64]) {
+    /// seeded lane count (an empty `out` is zero columns), or if the
+    /// host's CPU cannot run `tier`.
+    pub fn fill_next(&mut self, tier: Tier, out: &mut [u64]) {
         let width = self.s0.len();
         assert!(
             out.len().is_multiple_of(width),
@@ -192,7 +174,7 @@ impl LaneStreams {
             out.len()
         );
         let (s0, s1, s2, s3) = (&mut self.s0, &mut self.s1, &mut self.s2, &mut self.s3);
-        self.tier.run(
+        tier.run(
             #[inline(always)]
             || fill_next_pass(s0, s1, s2, s3, out),
         );
@@ -318,16 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn new_banks_take_the_dispatched_tier() {
-        assert!(Tier::dispatched().supported());
-        assert!(Tier::Portable.supported());
-        assert_eq!(LaneStreams::new().tier, Tier::dispatched());
-        if std::env::var_os("XR_FORCE_PORTABLE").is_some_and(|v| v != *"0") {
-            assert_eq!(Tier::dispatched(), Tier::Portable);
-        }
-    }
-
-    #[test]
     fn segments_replay_each_bases_own_streams() {
         // Each segment must be bit-identical to a standalone reseed of its
         // base — on every tier, over segment widths that hit both the
@@ -339,11 +311,11 @@ mod tests {
                     let seed_bases: Vec<u64> = (0..bases)
                         .map(|r| seed::mix(2024, 1000 + r as u64))
                         .collect();
-                    let mut lanes = LaneStreams::with_tier(tier);
-                    lanes.reseed(&seed_bases, 11, per_segment);
+                    let mut lanes = LaneStreams::new();
+                    lanes.reseed(tier, &seed_bases, 11, per_segment);
                     let mut column = vec![0u64; bases * per_segment];
                     for draw in 0..4 {
-                        lanes.fill_next(&mut column);
+                        lanes.fill_next(tier, &mut column);
                         for (r, &base) in seed_bases.iter().enumerate() {
                             let reference = scalar_columns(base, 11, per_segment, draw + 1);
                             assert_eq!(
@@ -361,7 +333,7 @@ mod tests {
     #[test]
     fn lanes_replay_each_frames_stdrng_stream_bit_for_bit() {
         for tier in tiers() {
-            let mut lanes = LaneStreams::with_tier(tier);
+            let mut lanes = LaneStreams::new();
             for (stage_base, first) in [
                 (0u64, 0u64),
                 (seed::mix(42, 3), 1),
@@ -369,10 +341,10 @@ mod tests {
             ] {
                 for width in [1usize, 2, 3, 8, 64, 100] {
                     let expected = scalar_columns(stage_base, first, width, 6);
-                    lanes.reseed(&[stage_base], first, width);
+                    lanes.reseed(tier, &[stage_base], first, width);
                     let mut column = vec![0u64; width];
                     for scalar_column in &expected {
-                        lanes.fill_next(&mut column);
+                        lanes.fill_next(tier, &mut column);
                         assert_eq!(&column, scalar_column, "{tier:?} width {width} diverged");
                     }
                 }
@@ -388,10 +360,10 @@ mod tests {
         let reference = scalar_columns(stage_base, 7, 1, 4);
         for (first, width, lane) in [(7u64, 1usize, 0usize), (5, 5, 2), (0, 64, 7)] {
             let mut lanes = LaneStreams::new();
-            lanes.reseed(&[stage_base], first, width);
+            lanes.reseed(Tier::Portable, &[stage_base], first, width);
             let mut column = vec![0u64; width];
             for (d, scalar_column) in reference.iter().enumerate() {
-                lanes.fill_next(&mut column);
+                lanes.fill_next(Tier::Portable, &mut column);
                 assert_eq!(
                     column[lane], scalar_column[0],
                     "draw {d} of frame 7 depends on lane position ({first}, {width}, {lane})"
@@ -402,17 +374,18 @@ mod tests {
 
     #[test]
     fn reseed_reuses_storage_and_supports_narrowing() {
+        let tier = Tier::Portable;
         let mut lanes = LaneStreams::new();
-        lanes.reseed(&[1], 0, 64);
+        lanes.reseed(tier, &[1], 0, 64);
         assert_eq!(lanes.s0.len(), 64);
         // Narrow to a tail batch: widths shrink without stale lanes.
-        lanes.reseed(&[1], 64, 9);
+        lanes.reseed(tier, &[1], 64, 9);
         assert_eq!(lanes.s0.len(), 9);
         let expected = scalar_columns(1, 64, 9, 2);
         let mut column = vec![0u64; 9];
-        lanes.fill_next(&mut column);
+        lanes.fill_next(tier, &mut column);
         assert_eq!(column, expected[0]);
-        lanes.fill_next(&mut column);
+        lanes.fill_next(tier, &mut column);
         assert_eq!(column, expected[1]);
     }
 
@@ -420,18 +393,18 @@ mod tests {
     #[should_panic(expected = "output column width")]
     fn mismatched_column_width_is_rejected() {
         let mut lanes = LaneStreams::new();
-        lanes.reseed(&[3], 0, 4);
+        lanes.reseed(Tier::Portable, &[3], 0, 4);
         let mut column = vec![0u64; 5];
-        lanes.fill_next(&mut column);
+        lanes.fill_next(Tier::Portable, &mut column);
     }
 
     #[test]
     #[should_panic(expected = "output column width")]
     fn a_block_of_partial_columns_is_rejected() {
         let mut lanes = LaneStreams::new();
-        lanes.reseed(&[3], 0, 4);
+        lanes.reseed(Tier::Portable, &[3], 0, 4);
         let mut block = vec![0u64; 6];
-        lanes.fill_next(&mut block);
+        lanes.fill_next(Tier::Portable, &mut block);
     }
 
     #[test]
@@ -447,22 +420,22 @@ mod tests {
             for width in [1usize, 3, 7, 8, 9, 63, 256] {
                 for depth in [1usize, 2, 6, 18] {
                     let base = seed::mix(2024, depth as u64);
-                    let mut single = LaneStreams::with_tier(tier);
-                    let mut blocked = LaneStreams::with_tier(tier);
-                    single.reseed(&[base], 5, width);
-                    blocked.reseed(&[base], 5, width);
+                    let mut single = LaneStreams::new();
+                    let mut blocked = LaneStreams::new();
+                    single.reseed(tier, &[base], 5, width);
+                    blocked.reseed(tier, &[base], 5, width);
                     let mut columns = vec![0u64; depth * width];
                     for column in columns.chunks_exact_mut(width) {
-                        single.fill_next(column);
+                        single.fill_next(tier, column);
                     }
                     let mut block = vec![0u64; depth * width];
-                    blocked.fill_next(&mut block);
+                    blocked.fill_next(tier, &mut block);
                     let context = format!("{tier:?} depth {depth} width {width}");
                     assert_eq!(block, columns, "block diverged: {context}");
                     let mut after_single = vec![0u64; width];
                     let mut after_block = vec![0u64; width];
-                    single.fill_next(&mut after_single);
-                    blocked.fill_next(&mut after_block);
+                    single.fill_next(tier, &mut after_single);
+                    blocked.fill_next(tier, &mut after_block);
                     assert_eq!(after_block, after_single, "next draw diverged: {context}");
                 }
             }
@@ -472,9 +445,9 @@ mod tests {
     #[test]
     fn zero_width_bank_is_a_no_op() {
         let mut lanes = LaneStreams::new();
-        lanes.reseed(&[9], 3, 0);
+        lanes.reseed(Tier::Portable, &[9], 3, 0);
         assert_eq!(lanes.s0.len(), 0);
-        lanes.fill_next(&mut []);
+        lanes.fill_next(Tier::Portable, &mut []);
     }
 
     #[test]
@@ -494,10 +467,10 @@ mod tests {
                 for (base, first) in cases {
                     let bases = [base, seed::mix(base, 1), seed::mix(base, 2)];
                     for seed_bases in [&bases[..1], &bases[..]] {
-                        let mut simd = LaneStreams::with_tier(tier);
-                        let mut portable = LaneStreams::with_tier(Tier::Portable);
-                        simd.reseed(seed_bases, first, width);
-                        portable.reseed(seed_bases, first, width);
+                        let mut simd = LaneStreams::new();
+                        let mut portable = LaneStreams::new();
+                        simd.reseed(tier, seed_bases, first, width);
+                        portable.reseed(Tier::Portable, seed_bases, first, width);
                         let context = format!("{tier:?} {}x{width} at {first}", seed_bases.len());
                         assert_eq!(simd.s0, portable.s0, "seeded s0 diverged: {context}");
                         assert_eq!(simd.s1, portable.s1, "seeded s1 diverged: {context}");
@@ -507,8 +480,8 @@ mod tests {
                         let mut simd_col = vec![0u64; lanes];
                         let mut portable_col = vec![0u64; lanes];
                         for draw in 0..5 {
-                            simd.fill_next(&mut simd_col);
-                            portable.fill_next(&mut portable_col);
+                            simd.fill_next(tier, &mut simd_col);
+                            portable.fill_next(Tier::Portable, &mut portable_col);
                             assert_eq!(simd_col, portable_col, "draw {draw} diverged: {context}");
                         }
                     }

@@ -43,6 +43,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 pub mod aoi;
 pub mod batch;

@@ -203,41 +203,17 @@ impl PowerMonitor {
     /// ([`PowerMonitor::phase_samples`] and [`PowerMonitor::phase_energy`]),
     /// with its early return as a select, so after the last phase
     /// `energy[i]` equals `measure_energy` on lane `i`'s phases and stream
-    /// bit for bit. The pass is one plain loop over the lanes, compiled for
-    /// the draw layer's tier (`rand_distr::math::Tier::dispatched`): 8
-    /// lanes per vector on AVX-512, 4 on AVX2, and the baseline build under
-    /// `XR_FORCE_PORTABLE`.
+    /// bit for bit. The pass is one plain loop over the lanes, compiled
+    /// once per tier and run on `tier`: 8 lanes per vector on AVX-512, 4 on
+    /// AVX2. The batched finalizer passes its driver call's tier.
     ///
     /// # Panics
     ///
     /// Panics if the duration column or `cursors` does not match `energy`'s
-    /// length, or if a noisy monitor gets fewer than one variate per lane
-    /// for each phase integrated since the rewind.
-    pub(crate) fn add_phase_energy(
-        &self,
-        phase: (Watts, &[Seconds]),
-        baseline: Watts,
-        normals: &[f64],
-        cursors: &mut DrawCursors,
-        energy: &mut [Joules],
-    ) {
-        self.add_phase_energy_at(
-            Tier::dispatched(),
-            phase,
-            baseline,
-            normals,
-            cursors,
-            energy,
-        );
-    }
-
-    /// [`PowerMonitor::add_phase_energy`] on an explicit tier's pass.
-    ///
-    /// # Panics
-    ///
-    /// As [`PowerMonitor::add_phase_energy`], and if the host cannot run
+    /// length, if a noisy monitor gets fewer than one variate per lane for
+    /// each phase integrated since the rewind, or if the host cannot run
     /// `tier`.
-    fn add_phase_energy_at(
+    pub(crate) fn add_phase_energy(
         &self,
         tier: Tier,
         (power, durations): (Watts, &[Seconds]),
@@ -279,7 +255,7 @@ impl PowerMonitor {
         );
     }
 
-    /// The lane loop of [`PowerMonitor::add_phase_energy_at`], compiled
+    /// The lane loop of [`PowerMonitor::add_phase_energy`], compiled
     /// once per tier. `normals` is never empty, and every `next[i]` below
     /// its length is read as is (the clamp only proves the bound). Taking
     /// the columns as arguments tells the compiler they do not overlap,
@@ -523,17 +499,16 @@ mod tests {
                 raw_b[i] = rng.next_u64();
             }
             let (cos, sin) = columns.split_at_mut(lanes);
-            rand_distr::column::fill_standard_normal_pair(&raw_a, &raw_b, cos, sin);
+            rand_distr::column::fill_standard_normal_pair(Tier::Portable, &raw_a, &raw_b, cos, sin);
         }
         normals
     }
 
-    /// Integrates a whole batch through the column form, one
-    /// `add_phase_energy` call per phase: `Some(tier)` runs that tier's
-    /// pass, `None` the dispatched one.
+    /// Integrates a whole batch through the column form on `tier`, one
+    /// `add_phase_energy` call per phase.
     fn energy_columns(
         monitor: &PowerMonitor,
-        tier: Option<Tier>,
+        tier: Tier,
         phases: &[(Watts, &[Seconds])],
         baseline: Watts,
         normals: &[f64],
@@ -543,27 +518,15 @@ mod tests {
         cursors.rewind(lanes);
         let mut energy = vec![Joules::ZERO; lanes];
         for &phase in phases {
-            match tier {
-                Some(tier) => monitor.add_phase_energy_at(
-                    tier,
-                    phase,
-                    baseline,
-                    normals,
-                    &mut cursors,
-                    &mut energy,
-                ),
-                None => {
-                    monitor.add_phase_energy(phase, baseline, normals, &mut cursors, &mut energy);
-                }
-            }
+            monitor.add_phase_energy(tier, phase, baseline, normals, &mut cursors, &mut energy);
         }
         energy
     }
 
-    /// Asserts that every column pass (each tier the CPU runs, then the
-    /// dispatched one) gives each lane exactly the per-frame
-    /// `measure_energy` of its phases and stream. Bits must match, except
-    /// that any two NaNs match: Rust leaves NaN payloads unspecified.
+    /// Asserts that the column pass on each tier the CPU runs gives each
+    /// lane exactly the per-frame `measure_energy` of its phases and
+    /// stream. Bits must match, except that any two NaNs match: Rust
+    /// leaves NaN payloads unspecified.
     fn assert_columns_match_per_frame(
         monitor: &PowerMonitor,
         phases: &[(Watts, &[Seconds])],
@@ -580,8 +543,7 @@ mod tests {
             let (a, b) = (a.as_f64(), b.as_f64());
             a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
         };
-        let tiers = Tier::ALL.into_iter().filter(|tier| tier.supported());
-        for tier in tiers.map(Some).chain([None]) {
+        for tier in Tier::ALL.into_iter().filter(|tier| tier.supported()) {
             let out = energy_columns(monitor, tier, phases, baseline, &normals);
             for (i, &energy) in out.iter().enumerate() {
                 let frame: Vec<(Watts, Seconds)> = phases

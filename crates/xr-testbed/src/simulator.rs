@@ -632,6 +632,18 @@ impl TestbedSimulator {
         Ok(())
     }
 
+    /// The contention plans of a session of `scenario`, resolved once on its
+    /// [`TestbedSimulator::edge_topology`] for the scalar reference.
+    ///
+    /// # Errors
+    ///
+    /// As [`TestbedSimulator::contention_plans_into`].
+    fn session_plans(&self, scenario: &Scenario) -> Result<ContentionPlans> {
+        let mut plans = ContentionPlans::default();
+        self.contention_plans_into(scenario, Self::edge_topology(scenario).as_ref(), &mut plans)?;
+        Ok(plans)
+    }
+
     /// The multi-edge site map of a scenario, or `None` when it keeps the
     /// paper's single-coverage-zone mobility model.
     ///
@@ -753,20 +765,21 @@ impl TestbedSimulator {
     }
 
     /// Simulates one frame as part of an ongoing session, advancing the
-    /// session's mobility walker by one frame window.
+    /// session's mobility walker by one frame window. `plans` are the
+    /// session's contention plans ([`TestbedSimulator::contention_plans_into`]
+    /// on its [`TestbedSimulator::edge_topology`]), and `scenario` has
+    /// passed [`Scenario::validate`].
     fn simulate_frame_in_session(
         &self,
         scenario: &Scenario,
         frame_index: u64,
+        plans: &ContentionPlans,
         session: &mut SessionState,
-    ) -> Result<GroundTruthFrame> {
-        scenario.validate()?;
+    ) -> GroundTruthFrame {
         // The contended queue population is the *serving site's*, read
         // before the handoff stage advances the walker — so the uplink of
         // frame `f` is priced at the site where the window opened, exactly
         // like the batched engine's recorded pre-advance site.
-        let mut plans = ContentionPlans::default();
-        self.contention_plans_into(scenario, Self::edge_topology(scenario).as_ref(), &mut plans)?;
         let contention = (!plans.is_empty()).then(|| plans.site(session.site_index()));
         let mut state = FrameState::new(self, scenario, frame_index);
         self.stage_generate(&mut state);
@@ -778,7 +791,7 @@ impl TestbedSimulator {
         self.stage_handoff(&mut state, session);
         self.stage_render(&mut state);
         self.stage_cooperate(&mut state);
-        Ok(self.finalize(state, frame_index))
+        self.finalize(state, frame_index)
     }
 
     /// Stage 1 — frame generation (capture interval + ISP compute + memory
@@ -1100,8 +1113,11 @@ impl TestbedSimulator {
         scenario.validate()?;
         let mut session = SessionState::new(self, scenario);
         let mut record = frame_buffer(frames)?;
+        // After the record, as on the batched engine: a session too long
+        // to record fails before any model error.
+        let plans = self.session_plans(scenario)?;
         for i in 1..=frames {
-            record.push(self.simulate_frame_in_session(scenario, i, &mut session)?);
+            record.push(self.simulate_frame_in_session(scenario, i, &plans, &mut session));
         }
         Ok(GroundTruthSession {
             frames: record,
@@ -1318,8 +1334,8 @@ impl ContentionSnapshot {
 /// site: per edge server (scenario order), the tagged session's weight and
 /// the rate `µ − λ` of its exponential sojourn. Both engines fill them
 /// through [`TestbedSimulator::contention_plans_into`] (the scalar
-/// reference per frame, the batched engine once per driver call into
-/// storage its worker reuses), so they cannot drift.
+/// reference once per session, the batched engine once per driver call
+/// into storage its worker reuses), so they cannot drift.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ContentionPlans {
     /// The aggregate queue of each edge server, with its task weight.
@@ -1605,10 +1621,9 @@ mod tests {
         let session = testbed.simulate_session(&s, 300).unwrap();
         let mut state = SessionState::new(&testbed, &s);
         assert!(state.walker().is_some());
+        let plans = testbed.session_plans(&s).unwrap();
         for (i, recorded) in (1..=300).zip(session.frames()) {
-            let frame = testbed
-                .simulate_frame_in_session(&s, i, &mut state)
-                .unwrap();
+            let frame = testbed.simulate_frame_in_session(&s, i, &plans, &mut state);
             assert_eq!(
                 frame.handoff_occurred, recorded.handoff_occurred,
                 "frame {i}"

@@ -33,9 +33,10 @@ proptest! {
         depth in 1usize..8,
     ) {
         let stage_base = seed::mix(session_seed, stage);
+        let tier = Tier::dispatched();
         let mut lanes = LaneStreams::new();
         for width in WIDTHS {
-            lanes.reseed(&[stage_base], first_frame, width);
+            lanes.reseed(tier, &[stage_base], first_frame, width);
             let mut column = vec![0u64; width];
             // Per-frame reference: each frame's own StdRng, seeded exactly
             // like TestbedSimulator::stage_rng.
@@ -45,7 +46,7 @@ proptest! {
                 })
                 .collect();
             for d in 0..depth {
-                lanes.fill_next(&mut column);
+                lanes.fill_next(tier, &mut column);
                 for (j, rng) in frame_rngs.iter_mut().enumerate() {
                     let expected = rng.next_u64();
                     prop_assert!(
@@ -72,8 +73,9 @@ proptest! {
         // walk of each frame's own stream in the same word order.
         let stage_base = seed::mix(session_seed, 5);
         let width = 37;
+        let tier = Tier::dispatched();
         let mut lanes = LaneStreams::new();
-        lanes.reseed(&[stage_base], first_frame, width);
+        lanes.reseed(tier, &[stage_base], first_frame, width);
         let mut raw_a = vec![0u64; width];
         let mut raw_b = vec![0u64; width];
         let mut normals = vec![0.0; width];
@@ -83,20 +85,20 @@ proptest! {
         let normal = Normal::new(0.0, sigma).expect("valid sigma");
         let exp = Exp::new(rate).expect("valid rate");
 
-        lanes.fill_next(&mut raw_a);
-        lanes.fill_next(&mut raw_b);
-        column::fill_normal(&normal, &raw_a, &raw_b, &mut normals);
-        lanes.fill_next(&mut raw_a);
-        column::fill_uniform_range(lo, hi, &raw_a, &mut uniforms);
-        lanes.fill_next(&mut raw_a);
-        column::fill_exp(&exp, &raw_a, &mut exps);
+        lanes.fill_next(tier, &mut raw_a);
+        lanes.fill_next(tier, &mut raw_b);
+        column::fill_normal(tier, &normal, &raw_a, &raw_b, &mut normals);
+        lanes.fill_next(tier, &mut raw_a);
+        column::fill_uniform_range(tier, lo, hi, &raw_a, &mut uniforms);
+        lanes.fill_next(tier, &mut raw_a);
+        column::fill_exp(tier, &exp, &raw_a, &mut exps);
         // The kept-pair transform: one word-pair column yields both noise
         // factors (cosine and sine halves).
         let mut fac_cos = vec![0.0; width];
         let mut fac_sin = vec![0.0; width];
-        lanes.fill_next(&mut raw_a);
-        lanes.fill_next(&mut raw_b);
-        column::fill_lognormal_pair(&normal, &raw_a, &raw_b, &mut fac_cos, &mut fac_sin);
+        lanes.fill_next(tier, &mut raw_a);
+        lanes.fill_next(tier, &mut raw_b);
+        column::fill_lognormal_pair(tier, &normal, &raw_a, &raw_b, &mut fac_cos, &mut fac_sin);
 
         for j in 0..width {
             let mut rng = StdRng::seed_from_u64(seed::mix(stage_base, first_frame + j as u64));
@@ -131,7 +133,7 @@ proptest! {
             (0..len).map(|_| (rng.next_u64(), rng.next_u64())).unzip();
         for tier in Tier::ALL.into_iter().filter(|tier| tier.supported()) {
             let mut out = vec![f64::NAN; len];
-            column::fill_normal_at(tier, &normal, &raw_a, &raw_b, &mut out);
+            column::fill_normal(tier, &normal, &raw_a, &raw_b, &mut out);
             let mut rng = StdRng::seed_from_u64(seed);
             for (i, value) in out.iter().enumerate() {
                 let scalar = normal.sample(&mut rng);
@@ -153,14 +155,19 @@ fn sigma_zero_columns_are_exactly_the_mean() {
     let words: Vec<u64> = (0..101u64)
         .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .collect();
-    let mut out = vec![f64::NAN; 101];
-    let mut out_sin = vec![f64::NAN; 101];
-    column::fill_normal(&normal, &words, &words, &mut out);
-    assert!(out.iter().all(|&v| v == 0.25), "fill_normal ignored σ = 0");
-    column::fill_lognormal_pair(&normal, &words, &words, &mut out, &mut out_sin);
     let expected = rand_distr::math::exp(0.25);
-    assert!(out.iter().all(|&v| v == expected));
-    assert!(out_sin.iter().all(|&v| v == expected));
+    for tier in Tier::ALL.into_iter().filter(|tier| tier.supported()) {
+        let mut out = vec![f64::NAN; 101];
+        let mut out_sin = vec![f64::NAN; 101];
+        column::fill_normal(tier, &normal, &words, &words, &mut out);
+        assert!(
+            out.iter().all(|&v| v == 0.25),
+            "{tier:?}: fill_normal ignored σ = 0"
+        );
+        column::fill_lognormal_pair(tier, &normal, &words, &words, &mut out, &mut out_sin);
+        assert!(out.iter().all(|&v| v == expected), "{tier:?}");
+        assert!(out_sin.iter().all(|&v| v == expected), "{tier:?}");
+    }
 }
 
 #[test]
@@ -168,15 +175,16 @@ fn tail_batches_shorter_than_the_lane_width_replay_the_same_streams() {
     // A session whose last batch is narrower than the engine width must
     // hand the tail frames the very same streams a full-width batch would.
     let stage_base = seed::mix(99, 2);
+    let tier = Tier::dispatched();
     let mut wide = LaneStreams::new();
-    wide.reseed(&[stage_base], 1, 100);
+    wide.reseed(tier, &[stage_base], 1, 100);
     let mut wide_col = vec![0u64; 100];
-    wide.fill_next(&mut wide_col);
+    wide.fill_next(tier, &mut wide_col);
 
     let mut tail = LaneStreams::new();
-    tail.reseed(&[stage_base], 65, 36); // frames 65..=100: the tail of width-64 batching
+    tail.reseed(tier, &[stage_base], 65, 36); // frames 65..=100: the tail of width-64 batching
     let mut tail_col = vec![0u64; 36];
-    tail.fill_next(&mut tail_col);
+    tail.fill_next(tier, &mut tail_col);
     assert_eq!(&wide_col[64..], &tail_col[..], "tail lanes diverged");
 }
 

@@ -3,6 +3,8 @@
 //! The actual tests live in the sibling `*.rs` files declared as `[[test]]`
 //! targets in `Cargo.toml`; this library only hosts shared helpers.
 
+#![forbid(unsafe_code)]
+
 /// Builds the standard evaluation scenario used across the integration tests:
 /// the held-out XR2 client at a given frame size, clock and execution target.
 ///
