@@ -277,7 +277,7 @@ impl LatencyModel {
         if client_share <= 0.0 {
             return Seconds::ZERO;
         }
-        let complexity = self.cnn_complexity.complexity(&scenario.local_cnn);
+        let complexity = self.cnn_complexity.complexity(scenario.local_cnn);
         let inner = self.compute_term(scenario.frame.converted_size.as_f64() * complexity, c)
             + self.memory_term(
                 scenario.frame.converted_data,
@@ -291,7 +291,7 @@ impl LatencyModel {
     #[must_use]
     pub fn remote_inference_on(&self, scenario: &Scenario, server_index: usize) -> Seconds {
         let c_client = self.client_resource(scenario);
-        let complexity = self.cnn_complexity.complexity(&scenario.remote_cnn);
+        let complexity = self.cnn_complexity.complexity(scenario.remote_cnn);
         self.remote_inference_on_for(scenario, server_index, c_client, complexity)
     }
 
@@ -329,7 +329,7 @@ impl LatencyModel {
         if edge_share <= 0.0 || scenario.edge_servers.is_empty() {
             return Seconds::ZERO;
         }
-        let complexity = self.cnn_complexity.complexity(&scenario.remote_cnn);
+        let complexity = self.cnn_complexity.complexity(scenario.remote_cnn);
         let total_share: f64 = scenario.edge_servers.iter().map(|s| s.task_share).sum();
         scenario
             .edge_servers
@@ -724,11 +724,11 @@ mod tests {
     fn multiple_edge_servers_take_the_slowest_share() {
         let model = LatencyModel::published();
         let mut fast = crate::scenario::EdgeServerConfig::jetson_xavier();
-        fast.name = "fast-edge".into();
+        fast.name = "fast-edge";
         fast.compute_resource = Some(500.0);
         fast.task_share = 0.5;
         let mut slow = crate::scenario::EdgeServerConfig::jetson_xavier();
-        slow.name = "slow-edge".into();
+        slow.name = "slow-edge";
         slow.compute_resource = Some(50.0);
         slow.task_share = 0.5;
         let scenario = Scenario::builder()

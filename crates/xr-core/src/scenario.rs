@@ -11,6 +11,7 @@
 
 use crate::encoding::EncodingConfig;
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 use xr_devices::{CnnCatalog, CnnModel, DeviceCatalog};
 use xr_types::{
     Error, ExecutionTarget, Frame, FrameId, GigaBytesPerSecond, GigaHertz, Hertz,
@@ -23,7 +24,7 @@ use xr_wireless::{AccessTechnology, HandoffKind};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClientConfig {
     /// Catalog name (informational).
-    pub name: String,
+    pub name: &'static str,
     /// CPU clock `f_c`.
     pub cpu_clock: GigaHertz,
     /// GPU clock `f_g`.
@@ -45,7 +46,7 @@ impl ClientConfig {
         let catalog = DeviceCatalog::table1();
         let spec = catalog.device(name)?;
         Ok(Self {
-            name: spec.name.clone(),
+            name: &spec.name,
             cpu_clock: spec.cpu_clock,
             gpu_clock: spec.gpu_clock,
             cpu_share: Ratio::new(0.6),
@@ -58,7 +59,7 @@ impl ClientConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EdgeServerConfig {
     /// Catalog name (informational).
-    pub name: String,
+    pub name: &'static str,
     /// Explicit compute resource `c_ε` in the same unit as `c_client`
     /// (pixel²/ms). `None` means "derive from the client through the paper's
     /// coupling `c_ε = 11.76 · c_client`".
@@ -89,7 +90,7 @@ impl EdgeServerConfig {
         let catalog = DeviceCatalog::table1();
         let spec = catalog.device("EDGE-XAVIER").expect("catalog entry exists");
         Self {
-            name: spec.name.clone(),
+            name: &spec.name,
             compute_resource: None,
             memory_bandwidth: spec.memory_bandwidth,
             task_share: 1.0,
@@ -249,12 +250,13 @@ pub struct Scenario {
     pub frame: Frame,
     /// H.264 encoder settings (only relevant to the remote path).
     pub encoding: EncodingConfig,
-    /// The lightweight on-device CNN.
-    pub local_cnn: CnnModel,
-    /// The edge-side CNN.
-    pub remote_cnn: CnnModel,
-    /// External sensors streaming control information.
-    pub sensors: Vec<SensorConfig>,
+    /// The lightweight on-device CNN, a Table II entry.
+    pub local_cnn: &'static CnnModel,
+    /// The edge-side CNN, a Table II entry.
+    pub remote_cnn: &'static CnnModel,
+    /// External sensors streaming control information. Shared, so a
+    /// scenario built with the default sensors copies no sensor.
+    pub sensors: Arc<[SensorConfig]>,
     /// Number of information updates `N` the application requires per frame.
     pub updates_per_frame: u32,
     /// Input-buffer queueing parameters.
@@ -369,6 +371,21 @@ impl Scenario {
     }
 }
 
+/// The three vehicular-style external sensors of the evaluation defaults,
+/// built once and shared by every scenario that keeps them.
+fn default_sensors() -> Arc<[SensorConfig]> {
+    static DEFAULT: OnceLock<Arc<[SensorConfig]>> = OnceLock::new();
+    DEFAULT
+        .get_or_init(|| {
+            Arc::new([
+                SensorConfig::new("roadside-unit", Hertz::new(200.0), Meters::new(50.0)),
+                SensorConfig::new("neighbor-xr", Hertz::new(100.0), Meters::new(20.0)),
+                SensorConfig::new("iot-beacon", Hertz::new(66.67), Meters::new(35.0)),
+            ])
+        })
+        .clone()
+}
+
 /// Builder for [`Scenario`].
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
@@ -378,9 +395,9 @@ pub struct ScenarioBuilder {
     frame_side: f64,
     frame_rate: Hertz,
     encoding: EncodingConfig,
-    local_cnn: CnnModel,
-    remote_cnn: CnnModel,
-    sensors: Vec<SensorConfig>,
+    local_cnn: &'static CnnModel,
+    remote_cnn: &'static CnnModel,
+    sensors: Arc<[SensorConfig]>,
     updates_per_frame: u32,
     buffer: BufferConfig,
     mobility: MobilityConfig,
@@ -418,13 +435,9 @@ impl ScenarioBuilder {
             frame_side: 500.0,
             frame_rate: Hertz::new(30.0),
             encoding: EncodingConfig::default(),
-            local_cnn: cnn_catalog.default_local().clone(),
-            remote_cnn: cnn_catalog.default_remote().clone(),
-            sensors: vec![
-                SensorConfig::new("roadside-unit", Hertz::new(200.0), Meters::new(50.0)),
-                SensorConfig::new("neighbor-xr", Hertz::new(100.0), Meters::new(20.0)),
-                SensorConfig::new("iot-beacon", Hertz::new(66.67), Meters::new(35.0)),
-            ],
+            local_cnn: cnn_catalog.default_local(),
+            remote_cnn: cnn_catalog.default_remote(),
+            sensors: default_sensors(),
             updates_per_frame: 6,
             buffer: BufferConfig::default(),
             mobility: MobilityConfig::default(),
@@ -508,7 +521,7 @@ impl ScenarioBuilder {
     ///
     /// Returns [`Error::NotFound`] for unknown CNN names.
     pub fn local_cnn(mut self, name: &str) -> Result<Self> {
-        self.local_cnn = CnnCatalog::table2().model(name)?.clone();
+        self.local_cnn = CnnCatalog::table2().model(name)?;
         Ok(self)
     }
 
@@ -518,14 +531,15 @@ impl ScenarioBuilder {
     ///
     /// Returns [`Error::NotFound`] for unknown CNN names.
     pub fn remote_cnn(mut self, name: &str) -> Result<Self> {
-        self.remote_cnn = CnnCatalog::table2().model(name)?.clone();
+        self.remote_cnn = CnnCatalog::table2().model(name)?;
         Ok(self)
     }
 
-    /// Replaces the external sensor list.
+    /// Replaces the external sensor list (a `Vec`, an array or a shared
+    /// list).
     #[must_use]
-    pub fn sensors(mut self, sensors: Vec<SensorConfig>) -> Self {
-        self.sensors = sensors;
+    pub fn sensors(mut self, sensors: impl Into<Arc<[SensorConfig]>>) -> Self {
+        self.sensors = sensors.into();
         self
     }
 

@@ -491,12 +491,10 @@ mod tests {
             assert!(row.proposed_energy_mj > 0.0);
         }
         let devices: std::collections::BTreeSet<&str> =
-            rows.iter().map(|r| r.point.device.as_str()).collect();
+            rows.iter().map(|r| &*r.point.device).collect();
         assert_eq!(devices.len(), 2);
-        let links: std::collections::BTreeSet<&str> = rows
-            .iter()
-            .map(|r| r.point.wireless.label.as_str())
-            .collect();
+        let links: std::collections::BTreeSet<&str> =
+            rows.iter().map(|r| &*r.point.wireless.label).collect();
         assert_eq!(links.len(), 2);
         // Mobile remote points hand off; static points never do.
         let mobile_rate: f64 = rows
@@ -622,8 +620,8 @@ mod tests {
         let find = |device: &str, wireless: &str, execution, clock: f64, size: f64| {
             rows.iter()
                 .find(|r| {
-                    r.point.device == device
-                        && r.point.wireless.label == wireless
+                    &*r.point.device == device
+                        && &*r.point.wireless.label == wireless
                         && r.point.mobility.is_static()
                         && r.point.execution == execution
                         && (r.point.cpu_clock_ghz - clock).abs() < 1e-9

@@ -184,7 +184,7 @@ impl ExperimentContext {
             frame_size,
             cpu_clock_ghz,
             execution,
-            device: grid::PAPER_EVAL_DEVICE.to_string(),
+            device: grid::PAPER_EVAL_DEVICE.into(),
             wireless: WirelessCondition::baseline(),
             mobility: MobilityCondition::static_device(),
             frames_per_session: None,
@@ -330,7 +330,7 @@ mod tests {
             frame_size: 300.0,
             cpu_clock_ghz: 2.0,
             execution: ExecutionTarget::Remote,
-            device: grid::PAPER_EVAL_DEVICE.to_string(),
+            device: grid::PAPER_EVAL_DEVICE.into(),
             wireless: WirelessCondition::baseline(),
             mobility: MobilityCondition::static_device(),
             frames_per_session: None,

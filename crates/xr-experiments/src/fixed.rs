@@ -66,12 +66,12 @@ pub(crate) fn push_fixed(out: &mut String, value: f64, decimals: usize) {
     let mut at = buf.len();
     let mut rest = units;
     if decimals > 0 {
-        let mut frac = rest % scale;
-        rest /= scale;
+        // The last `decimals` digits of the units are the fraction's, taken
+        // off by the constant divisor 10 rather than by `scale`.
         for _ in 0..decimals {
             at -= 1;
-            buf[at] = b'0' + (frac % 10) as u8;
-            frac /= 10;
+            buf[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
         }
         at -= 1;
         buf[at] = b'.';

@@ -200,7 +200,7 @@ pub fn run_campaign_shard_with_progress(
         line.push('\n');
         // The row must be durable before the checkpoint says so — sharing
         // the checkpoint's fsync cadence keeps one knob.
-        let at_boundary = (checkpoint.records() + 1) % checkpoint.sync_every() == 0;
+        let at_boundary = checkpoint.next_record_syncs();
         let outcome = csv
             .write_all(line.as_bytes())
             .map_err(|e| io_error(csv_path, "append", &e))

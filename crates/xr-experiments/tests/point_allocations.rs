@@ -2,33 +2,69 @@
 //!
 //! A counting global allocator tallies the allocations the calling thread
 //! makes while a `sweep-wide`-shaped grid (every axis of the benchmark's
-//! fixed-per-point-cost workload, fewer values per axis) runs through
-//! `run_campaign_streaming_with` on one worker, so every point is
-//! evaluated on this thread. The first run warms the per-worker storage
+//! fixed-per-point-cost workload, fewer values per axis) runs on one
+//! worker, so every point is evaluated on this thread: once through
+//! `run_campaign_streaming_with`, and once through
+//! `run_campaign_shard_with` into a file, the path the `campaign` binary
+//! runs, which also renders each row, appends it to the CSV and records it
+//! in the checkpoint. The first run of each warms the per-worker storage
 //! (engine columns, set-up vectors, the Student-t memo); only the second
 //! run is counted. The count is per thread, so the test harness's other
-//! threads do not enter it. A second test counts `point_totals` alone on a
-//! warm walking point and on a warm contended roaming point, where the
-//! engine makes no allocation: a worker keeps its walk map for a point
-//! whose map inputs equal the last one's, refills its contention plans and
-//! step-angle column in place.
+//! threads do not enter it. Each path runs the grid and a part of it, so
+//! what a point costs is told apart from what a run costs. A third test
+//! counts `point_totals` alone on a warm walking point and on a warm
+//! contended roaming point, where the engine makes no allocation: a worker
+//! keeps its walk map for a point whose map inputs equal the last one's,
+//! refills its contention plans and step-angle column in place.
 
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::path::PathBuf;
 use xr_experiments::campaign::run_campaign_streaming_with;
-use xr_experiments::ExperimentContext;
-use xr_sweep::{parse_grid_spec, CampaignRunner};
+use xr_experiments::shard_campaign::{checkpoint_path, manifest_path};
+use xr_experiments::{run_campaign_shard_with, ExperimentContext};
+use xr_sweep::{parse_grid_spec, CampaignRunner, ShardSpec, SweepGrid};
 
-/// The most allocations one warm point may make, on average over the grid:
-/// the measured 2 026 over its 144 points, about 14.07.
-const MAX_ALLOCATIONS_PER_POINT: f64 = 14.07;
+/// The allocations one warm point makes on either path: one, the
+/// scenario's edge-server list (`Scenario::edge_servers`), a `Vec` that
+/// the grid's wireless axis edits point by point. Every other part of a
+/// point (its labels, the scenario's catalog parts and sensors, the engine
+/// storage, the row buffer, the CSV and checkpoint records) is shared or
+/// reused.
+const ALLOCATIONS_PER_POINT: u64 = 1;
+
+/// The allocations a warm streamed run of [`SWEEP_WIDE_SHAPED`] (or of
+/// its part) makes besides its points': the index list of the points it
+/// runs and the runner's slot list (2), and the site list of a worker's
+/// walk map (`EdgeTopology::single`), rebuilt each time a walking point
+/// follows one whose map inputs differ — 8 times in either grid, as their
+/// frame sizes are the fastest axis.
+const STREAMING_ALLOCATIONS_PER_RUN: u64 = 10;
+
+/// The allocations a warm run through the shard writer makes besides its
+/// points': the streamed run's 10, the manifest text (1), the checkpoint
+/// and manifest paths (2 each), the checkpoint header (2) and its write
+/// buffer (1), the CSV's write buffer (1) and header line (2), and the row
+/// buffer, grown over the first row (6).
+const SHARD_ALLOCATIONS_PER_RUN: u64 = 27;
 
 /// The benchmark's `sweep-wide` axes with two or three values each:
 /// 2 × 2 × 2 × 3 × 2 × 3 = 144 points of 3 replications.
 const SWEEP_WIDE_SHAPED: &str = "\
 frame_sizes  = 300, 700
+cpu_clocks   = 1.0, 3.0
+executions   = local, remote, split:0.5
+devices      = XR1, XR7
+wireless     = baseline, cell-edge:60:40
+mobility     = static, walk:1.4:20, vehicle:25:10
+replications = 3
+";
+
+/// A part of [`SWEEP_WIDE_SHAPED`]: one frame size, 72 points.
+const SWEEP_WIDE_PART: &str = "\
+frame_sizes  = 300
 cpu_clocks   = 1.0, 3.0
 executions   = local, remote, split:0.5
 devices      = XR1, XR7
@@ -99,29 +135,87 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     COUNT.with(Cell::get)
 }
 
+/// The allocations of a warm `run` of `spec` on one worker, and its point
+/// count.
+fn warm_run_allocations(
+    spec: &str,
+    run: impl Fn(&ExperimentContext, &SweepGrid, &CampaignRunner),
+) -> (u64, u64) {
+    let ctx = ExperimentContext::quick(2024).unwrap();
+    let grid = parse_grid_spec(spec).unwrap();
+    let runner = CampaignRunner::new(1).with_campaign_seed(ctx.seed());
+    run(&ctx, &grid, &runner);
+    let allocations = allocations_in(|| run(&ctx, &grid, &runner));
+    (grid.len() as u64, allocations)
+}
+
+/// Checks the allocations of `run` against the per-point and `per_run`
+/// pins: the grid and its part differ only in their points.
+fn check_point_and_run_allocations(
+    path: &str,
+    per_run: u64,
+    run: impl Fn(&ExperimentContext, &SweepGrid, &CampaignRunner),
+) {
+    let (points, whole) = warm_run_allocations(SWEEP_WIDE_SHAPED, &run);
+    let (part_points, part) = warm_run_allocations(SWEEP_WIDE_PART, &run);
+    println!("{path}: {whole} allocations over {points} warm points, {part} over {part_points}");
+    assert_eq!(
+        whole - part,
+        (points - part_points) * ALLOCATIONS_PER_POINT,
+        "{path}: the {} points past the part made {} allocations, not {ALLOCATIONS_PER_POINT} each",
+        points - part_points,
+        whole - part
+    );
+    assert_eq!(
+        whole - points * ALLOCATIONS_PER_POINT,
+        per_run,
+        "{path}: allocations per run besides the points'"
+    );
+}
+
 #[test]
 fn a_warm_point_allocates_at_most_the_pinned_count() {
-    let ctx = ExperimentContext::quick(2024).unwrap();
-    let grid = parse_grid_spec(SWEEP_WIDE_SHAPED).unwrap();
-    let runner = CampaignRunner::new(1).with_campaign_seed(ctx.seed());
-    let points = grid.len();
-    let run = || {
-        let mut rows = 0usize;
-        run_campaign_streaming_with(&ctx, &grid, &runner, |_, row| {
-            std::hint::black_box(&row);
-            rows += 1;
-        })
-        .unwrap();
-        assert_eq!(rows, points);
-    };
-    run();
-    let allocations = allocations_in(run);
-    let per_point = allocations as f64 / points as f64;
-    println!("{allocations} allocations over {points} warm points: {per_point:.2} per point");
-    assert!(
-        per_point <= MAX_ALLOCATIONS_PER_POINT,
-        "{per_point:.2} allocations per warm point, above the pinned {MAX_ALLOCATIONS_PER_POINT}"
+    check_point_and_run_allocations(
+        "streamed",
+        STREAMING_ALLOCATIONS_PER_RUN,
+        |ctx, grid, runner| {
+            let mut rows = 0usize;
+            run_campaign_streaming_with(ctx, grid, runner, |_, row| {
+                std::hint::black_box(&row);
+                rows += 1;
+            })
+            .unwrap();
+            assert_eq!(rows, grid.len());
+        },
     );
+}
+
+#[test]
+fn a_warm_point_written_by_the_shard_writer_allocates_the_pinned_count() {
+    let dir = std::env::temp_dir().join(format!("xr-point-allocations-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("campaign.csv");
+    let artifacts: [PathBuf; 3] = [csv.clone(), checkpoint_path(&csv), manifest_path(&csv)];
+    check_point_and_run_allocations(
+        "shard writer",
+        SHARD_ALLOCATIONS_PER_RUN,
+        |ctx, grid, runner| {
+            // Each counted run is a fresh one (the removals allocate too,
+            // but a fresh `campaign` run does not make them).
+            COUNTING.with(|counting| {
+                let was = counting.replace(false);
+                for path in &artifacts {
+                    let _ = std::fs::remove_file(path);
+                }
+                counting.set(was);
+            });
+            let report =
+                run_campaign_shard_with(ctx, grid, runner, ShardSpec::full(), &csv, usize::MAX)
+                    .unwrap();
+            assert_eq!(report.evaluated_rows, grid.len());
+        },
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Allocations of `point_totals` on the first point of `spec` once a run

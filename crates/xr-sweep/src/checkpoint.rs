@@ -5,8 +5,8 @@
 //! shard's owned points. The checkpoint file records that prefix as one
 //! `done <point>` line per completed point, appended after the row is in
 //! the artifact. Records are buffered, and written and fsync'd every
-//! [`ShardCheckpoint::sync_every`] records — a SIGKILL'd shard resumes at
-//! the last record that reached the file instead of restarting.
+//! `sync_every` records ([`ShardCheckpoint::open`]) — a SIGKILL'd shard
+//! resumes at the last record that reached the file instead of restarting.
 //!
 //! The file opens with a header carrying the campaign seed, the grid
 //! fingerprint ([`crate::SweepGrid::fingerprint`]), the grid size, and the
@@ -307,10 +307,13 @@ impl ShardCheckpoint {
         &self.path
     }
 
-    /// The configured fsync cadence (records per sync).
+    /// Whether the next [`ShardCheckpoint::record`] syncs the file: the
+    /// cadence counts records since the last sync, so after a resume it
+    /// starts again from the resumed prefix. A writer whose rows must be
+    /// durable before their records are syncs them first when this holds.
     #[must_use]
-    pub fn sync_every(&self) -> usize {
-        self.sync_every
+    pub fn next_record_syncs(&self) -> bool {
+        self.unsynced + 1 >= self.sync_every
     }
 
     /// Drops all but the first `keep` records — used when the artifact the
@@ -342,7 +345,26 @@ impl ShardCheckpoint {
     ///
     /// I/O failures.
     pub fn record(&mut self, point: usize) -> Result<()> {
-        writeln!(self.file, "done {point}").map_err(|e| io_error(&self.path, "append", &e))?;
+        // `done <point>\n`, right-aligned in a buffer that fits the widest
+        // `usize`, with the digits written directly rather than formatted.
+        const PREFIX: &[u8] = b"done ";
+        let mut line = [0u8; PREFIX.len() + 20 + 1];
+        let mut start = line.len() - 1;
+        line[start] = b'\n';
+        let mut rest = point;
+        loop {
+            start -= 1;
+            line[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        start -= PREFIX.len();
+        line[start..start + PREFIX.len()].copy_from_slice(PREFIX);
+        self.file
+            .write_all(&line[start..])
+            .map_err(|e| io_error(&self.path, "append", &e))?;
         self.records += 1;
         self.unsynced += 1;
         if self.unsynced >= self.sync_every {
@@ -467,6 +489,23 @@ mod tests {
     }
 
     #[test]
+    fn records_are_written_as_done_lines() {
+        let path = scratch("digits.ckpt");
+        let mut ckpt = ShardCheckpoint::open(&path, header(), usize::MAX).unwrap();
+        for p in [0usize, 7, 10, 1890, usize::MAX] {
+            ckpt.record(p).unwrap();
+        }
+        ckpt.sync().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let records: Vec<&str> = text.lines().filter(|l| l.starts_with("done")).collect();
+        let max = format!("done {}", usize::MAX);
+        assert_eq!(
+            records,
+            ["done 0", "done 7", "done 10", "done 1890", max.as_str()]
+        );
+    }
+
+    #[test]
     fn truncate_to_rewinds_records() {
         let path = scratch("rewind.ckpt");
         let mut ckpt = ShardCheckpoint::open(&path, header(), 1).unwrap();
@@ -497,10 +536,33 @@ mod tests {
     }
 
     #[test]
+    fn the_next_sync_counts_from_the_last_one() {
+        let path = scratch("next-sync.ckpt");
+        let mut ckpt = ShardCheckpoint::open(&path, header(), 3).unwrap();
+        let mut due = Vec::new();
+        for p in 0..7 {
+            due.push(ckpt.next_record_syncs());
+            ckpt.record(p).unwrap();
+        }
+        assert_eq!(due, [false, false, true, false, false, true, false]);
+        ckpt.sync().unwrap();
+        drop(ckpt);
+        // A resumed run counts from its resumed prefix of 7 records.
+        let mut ckpt = ShardCheckpoint::open(&path, header(), 3).unwrap();
+        let mut due = Vec::new();
+        for p in 7..10 {
+            due.push(ckpt.next_record_syncs());
+            ckpt.record(p).unwrap();
+        }
+        assert_eq!(due, [false, false, true]);
+    }
+
+    #[test]
     fn sync_cadence_clamps_and_reports() {
         let path = scratch("cadence.ckpt");
+        // Cadence 0 clamps to 1: every record syncs.
         let ckpt = ShardCheckpoint::open(&path, header(), 0).unwrap();
-        assert_eq!(ckpt.sync_every(), 1);
+        assert!(ckpt.next_record_syncs());
         assert_eq!(DEFAULT_SYNC_EVERY, 1);
     }
 }

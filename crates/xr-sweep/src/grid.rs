@@ -1,6 +1,7 @@
 //! The operating-point grid a campaign sweeps.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use xr_types::{Error, ExecutionTarget, MigrationPolicy, Result, TopologyLayout};
 
 /// The frame sizes swept in Figs. 4–5 (the paper's x-axis, pixel²).
@@ -15,8 +16,9 @@ pub const PAPER_EVAL_DEVICE: &str = "XR2";
 /// applies no overrides, reproducing the testbed's nominal link exactly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WirelessCondition {
-    /// Label used in campaign rows (e.g. `"baseline"`, `"cell-edge"`).
-    pub label: String,
+    /// Label used in campaign rows (e.g. `"baseline"`, `"cell-edge"`),
+    /// shared by every point of the condition.
+    pub label: Arc<str>,
     /// Distance from the client to each edge server in metres; `None` keeps
     /// the scenario default.
     pub distance_m: Option<f64>,
@@ -30,7 +32,7 @@ impl WirelessCondition {
     #[must_use]
     pub fn baseline() -> Self {
         Self {
-            label: "baseline".to_string(),
+            label: "baseline".into(),
             distance_m: None,
             throughput_mbps: None,
         }
@@ -39,7 +41,7 @@ impl WirelessCondition {
     /// A named condition overriding edge distance and/or throughput.
     #[must_use]
     pub fn new(
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
         distance_m: Option<f64>,
         throughput_mbps: Option<f64>,
     ) -> Self {
@@ -63,8 +65,9 @@ impl Default for WirelessCondition {
 /// overrides, reproducing the testbed's stationary default exactly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MobilityCondition {
-    /// Label used in campaign rows (e.g. `"static"`, `"walk"`, `"vehicle"`).
-    pub label: String,
+    /// Label used in campaign rows (e.g. `"static"`, `"walk"`, `"vehicle"`),
+    /// shared by every point of the condition.
+    pub label: Arc<str>,
     /// Device speed in m/s; zero disables mobility entirely.
     pub speed_mps: f64,
     /// Coverage radius of the serving zone in metres.
@@ -77,7 +80,7 @@ impl MobilityCondition {
     #[must_use]
     pub fn static_device() -> Self {
         Self {
-            label: "static".to_string(),
+            label: "static".into(),
             speed_mps: 0.0,
             coverage_radius_m: 30.0,
         }
@@ -85,7 +88,7 @@ impl MobilityCondition {
 
     /// A named mobility condition.
     #[must_use]
-    pub fn new(label: impl Into<String>, speed_mps: f64, coverage_radius_m: f64) -> Self {
+    pub fn new(label: impl Into<Arc<str>>, speed_mps: f64, coverage_radius_m: f64) -> Self {
         Self {
             label: label.into(),
             speed_mps,
@@ -123,8 +126,8 @@ pub struct OperatingPoint {
     pub cpu_clock_ghz: f64,
     /// Where the inference task executes.
     pub execution: ExecutionTarget,
-    /// Client device catalog name.
-    pub device: String,
+    /// Client device catalog name, shared by every point of the device.
+    pub device: Arc<str>,
     /// Wireless condition applied to the scenario's edge links.
     pub wireless: WirelessCondition,
     /// Mobility condition applied to the scenario's device.
@@ -166,7 +169,7 @@ pub struct SweepGrid {
     frame_sizes: Vec<f64>,
     cpu_clocks: Vec<f64>,
     executions: Vec<ExecutionTarget>,
-    devices: Vec<String>,
+    devices: Vec<Arc<str>>,
     wireless: Vec<WirelessCondition>,
     mobility: Vec<MobilityCondition>,
     /// Measurement-campaign sizes (frames per session); `None` entries keep
@@ -203,7 +206,7 @@ impl SweepGrid {
             frame_sizes: PAPER_FRAME_SIZES.to_vec(),
             cpu_clocks: PAPER_CPU_CLOCKS.to_vec(),
             executions: vec![execution],
-            devices: vec![PAPER_EVAL_DEVICE.to_string()],
+            devices: vec![PAPER_EVAL_DEVICE.into()],
             wireless: vec![WirelessCondition::baseline()],
             mobility: vec![MobilityCondition::static_device()],
             frames_per_session: vec![None],
@@ -240,7 +243,7 @@ impl SweepGrid {
     /// Replaces the device axis (client catalog names).
     #[must_use]
     pub fn with_devices(mut self, devices: Vec<String>) -> Self {
-        self.devices = devices;
+        self.devices = devices.into_iter().map(Arc::from).collect();
         self
     }
 
@@ -554,7 +557,7 @@ mod tests {
         assert_eq!(points[14].cpu_clock_ghz, 3.0);
         for (i, p) in points.iter().enumerate() {
             assert_eq!(p.index, i);
-            assert_eq!(p.device, "XR2");
+            assert_eq!(&*p.device, "XR2");
             assert!(p.wireless.distance_m.is_none() && p.wireless.throughput_mbps.is_none());
             assert!(p.mobility.is_static());
         }
@@ -575,11 +578,11 @@ mod tests {
         assert_eq!(grid.len(), 16); // 2 sizes × 1 clock × 2 targets × 2 devices × 2 links
         let points = grid.points().unwrap();
         assert_eq!(points.len(), 16);
-        assert_eq!(points[0].device, "XR2");
-        assert_eq!(points[8].device, "XR3");
+        assert_eq!(&*points[0].device, "XR2");
+        assert_eq!(&*points[8].device, "XR3");
         assert!(points[0].wireless.distance_m.is_none());
         assert!(points[0].wireless.throughput_mbps.is_none());
-        assert_eq!(points[4].wireless.label, "far");
+        assert_eq!(&*points[4].wireless.label, "far");
         assert!(
             points[4].wireless.distance_m.is_some() || points[4].wireless.throughput_mbps.is_some()
         );
@@ -803,7 +806,7 @@ mod tests {
         assert_eq!(grid.replications(), 1, "replications clamp to at least 1");
         let points = grid.points().unwrap();
         assert!(points[0].mobility.is_static());
-        assert_eq!(points[1].mobility.label, "vehicle");
+        assert_eq!(&*points[1].mobility.label, "vehicle");
         assert_eq!(points[1].mobility.speed_mps, 20.0);
         assert_eq!(points[1].mobility.coverage_radius_m, 15.0);
         assert!(!points[1].mobility.is_static());

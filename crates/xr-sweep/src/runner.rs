@@ -163,10 +163,15 @@ impl CampaignRunner {
             /// Set when a point failed: blocked deliveries bail out instead
             /// of waiting for a gap that will never fill.
             aborted: bool,
+            /// Deliveries blocked on a full window. A push wakes them only
+            /// when there are any, so a run whose window never fills (any
+            /// one-worker run) makes no wake-up call per row.
+            waiting: usize,
         }
         let state = Mutex::new(StreamState {
             collector: InOrderCollector::new(self.reorder_cap, sink),
             aborted: false,
+            waiting: 0,
         });
         let room = Condvar::new();
         self.execute(
@@ -175,15 +180,23 @@ impl CampaignRunner {
             |index, value| {
                 let mut guard = state.lock().expect("collector lock");
                 while !guard.aborted && !guard.collector.accepts(index) {
+                    // Counted under the lock that the pushing side reads it
+                    // under, and `wait` releases that lock only once this
+                    // thread is waiting, so no wake-up is lost.
+                    guard.waiting += 1;
                     guard = room.wait(guard).expect("collector lock");
+                    guard.waiting -= 1;
                 }
                 if guard.aborted {
                     // The artifact will be discarded; drop the result.
                     return;
                 }
                 guard.collector.push(index, value);
+                let wake = guard.waiting > 0;
                 drop(guard);
-                room.notify_all();
+                if wake {
+                    room.notify_all();
+                }
             },
             &|| {
                 state.lock().expect("collector lock").aborted = true;
@@ -627,6 +640,70 @@ mod tests {
                 err.to_string().contains("boom 0"),
                 "workers={workers}: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn lock_step_windows_lose_no_wake_up_and_report_the_lowest_failure() {
+        // A push wakes blocked deliveries only when one is waiting. With a
+        // one-row window nearly every delivery waits for the one before
+        // it, so a lost wake-up would hang the run: each run goes on its
+        // own thread and must finish within the timeout. Point 0 is held
+        // until every other worker has evaluated a point and gone on to
+        // deliver it, so they pile up behind it, and two later points
+        // fail, so the failure path must release the waiters as well.
+        const POINTS: usize = 64;
+        for workers in [2, 4, 8] {
+            for round in 0..16 {
+                let (done, finished) = std::sync::mpsc::channel();
+                let run = std::thread::spawn(move || {
+                    let points: Vec<usize> = (0..POINTS).collect();
+                    let evaluated = AtomicUsize::new(0);
+                    let mut sunk = Vec::new();
+                    let result = CampaignRunner::new(workers)
+                        .with_reorder_cap(1)
+                        .run_streaming(
+                            &points,
+                            |ctx, _p: &usize| {
+                                if ctx.index == 0 {
+                                    while evaluated.load(Ordering::SeqCst) < workers - 1 {
+                                        std::thread::yield_now();
+                                    }
+                                }
+                                evaluated.fetch_add(1, Ordering::SeqCst);
+                                if ctx.index == 41 || ctx.index == 53 {
+                                    return Err(Error::invalid_parameter(
+                                        "point",
+                                        format!("boom {}", ctx.index),
+                                    ));
+                                }
+                                Ok(ctx.index)
+                            },
+                            |index, value| sunk.push((index, value)),
+                        );
+                    let _ = done.send((result, sunk));
+                });
+                let (result, sunk) = finished
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("{workers} workers hung in round {round}"));
+                run.join()
+                    .expect("the run's thread finished without a panic");
+                let err = result.expect_err("points 41 and 53 fail the campaign");
+                assert!(
+                    err.to_string().contains("boom 41"),
+                    "workers={workers} round {round}: {err}"
+                );
+                // The sink saw a prefix of the rows before the failure.
+                assert!(
+                    sunk.len() <= 41,
+                    "{} rows sunk past the failure",
+                    sunk.len()
+                );
+                assert!(sunk
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &(index, value))| i == index && i == value));
+            }
         }
     }
 

@@ -361,13 +361,13 @@ mod tests {
         );
         let far = points
             .iter()
-            .find(|p| p.wireless.label == "far")
+            .find(|p| &*p.wireless.label == "far")
             .expect("far condition present");
         assert_eq!(far.wireless.distance_m, Some(80.0));
         assert_eq!(far.wireless.throughput_mbps, None);
         let vehicle = points
             .iter()
-            .find(|p| p.mobility.label == "vehicle")
+            .find(|p| &*p.mobility.label == "vehicle")
             .expect("vehicle condition present");
         assert_eq!(vehicle.mobility.speed_mps, 20.0);
         assert_eq!(vehicle.mobility.coverage_radius_m, 15.0);
@@ -437,7 +437,7 @@ mod tests {
         assert_eq!(grid.replications(), 2);
         assert_eq!(grid.len(), 15); // the 5 × 3 paper panel
         let points = grid.points().unwrap();
-        assert!(points.iter().all(|p| p.device == "XR2"));
+        assert!(points.iter().all(|p| &*p.device == "XR2"));
         assert!(points
             .iter()
             .all(|p| p.wireless.distance_m.is_none() && p.wireless.throughput_mbps.is_none()));

@@ -42,9 +42,9 @@
 //! Box–Muller word pair, the monitor's `2 × pairs` words, a sensor's
 //! `updates_per_frame` jitter words, or a single word), which steps each
 //! lane through the group two words per load and store of its state; then
-//! one
-//! `rand_distr::column` transform per sampled column (Box–Muller normals,
-//! uniform jitter, exponential sojourns), then a multiply-accumulate pass
+//! one `rand_distr::column` transform per sampled column (Box–Muller
+//! normals, exponential sojourns) or per sensor's block of uniform jitter
+//! columns, then a multiply-accumulate pass
 //! against the hoisted per-session `BatchConsts` base latencies. Seeding, raw
 //! word generation and every column transform run as contiguous passes,
 //! and the per-frame loops reduce to straight-line float arithmetic.
@@ -250,7 +250,7 @@ impl BatchConsts {
             vector
         }
         let client = &scenario.client;
-        let bias = DeviceBias::for_device(&client.name);
+        let bias = DeviceBias::for_device(client.name);
         let c_true = simulator.laws.compute_resource(
             client.cpu_clock,
             client.gpu_clock,
@@ -285,8 +285,8 @@ impl BatchConsts {
         let encode_work = simulator
             .laws
             .encoding_work(&scenario.encoding, frame, bias);
-        let local_complexity = simulator.laws.cnn_complexity(&scenario.local_cnn);
-        let remote_complexity = simulator.laws.cnn_complexity(&scenario.remote_cnn);
+        let local_complexity = simulator.laws.cnn_complexity(scenario.local_cnn);
+        let remote_complexity = simulator.laws.cnn_complexity(scenario.remote_cnn);
 
         let mut edges = reuse(&mut self.edges);
         if uses_edge && !scenario.edge_servers.is_empty() {
@@ -463,10 +463,12 @@ struct DrawColumns {
     /// two live columns at once (the edge loop).
     fac_a: Vec<f64>,
     fac_b: Vec<f64>,
-    /// The monitor's standard-normal columns: draw `d` of lane `i` at
-    /// `normals[d * n + i]`, both Box–Muller halves of each word pair kept.
-    normals: Vec<f64>,
-    /// The monitor's per-lane draw cursors into `normals`.
+    /// Transformed multi-column blocks, draw `d` of lane `i` at
+    /// `block[d * n + i]`: a sensor's jitter block, or the monitor's
+    /// standard normals with both Box–Muller halves of each word pair
+    /// kept. Each fill overwrites what it hands out.
+    block: Vec<f64>,
+    /// The monitor's per-lane draw cursors into `block`.
     cursors: DrawCursors,
     /// Per-frame accumulator for the sensor stage's update loop.
     acc: Vec<Seconds>,
@@ -483,7 +485,7 @@ impl DrawColumns {
             raw: Vec::new(),
             fac_a: Vec::new(),
             fac_b: Vec::new(),
-            normals: Vec::new(),
+            block: Vec::new(),
             cursors: DrawCursors::default(),
             acc: Vec::new(),
             bases: Vec::new(),
@@ -543,19 +545,31 @@ impl DrawColumns {
         column::fill_lognormal_pair(self.tier, normal, a, b, &mut self.fac_a, &mut self.fac_b);
     }
 
-    /// Fills `normals` with the next `pairs` word pairs' standard variates,
+    /// Fills `block` with the next `pairs` word pairs' standard variates,
     /// two draw columns per pair: the sequence a scalar pair cache hands
     /// out on each lane's stream, up to draw `2 * pairs`. All `2 * pairs`
     /// raw columns come from one block.
     fn standard_normals(&mut self, pairs: usize) {
         let n = self.draw(2 * pairs);
-        self.normals.resize(2 * pairs * n, 0.0);
+        self.block.resize(2 * pairs * n, 0.0);
         let words = self.raw[..2 * pairs * n].chunks_exact(2 * n);
-        for (words, columns) in words.zip(self.normals.chunks_exact_mut(2 * n)) {
+        for (words, columns) in words.zip(self.block.chunks_exact_mut(2 * n)) {
             let (a, b) = words.split_at(n);
             let (cos, sin) = columns.split_at_mut(n);
             column::fill_standard_normal_pair(self.tier, a, b, cos, sin);
         }
+    }
+
+    /// Fills `block` with the next `columns` `gen_range(lo..hi)` columns —
+    /// one raw word per frame and column, drawn as one block and
+    /// transformed in one pass — and returns the batch width `n`: column
+    /// `c` is `block[c * n..(c + 1) * n]`.
+    fn uniform_block(&mut self, columns: usize, lo: f64, hi: f64) -> usize {
+        let n = self.draw(columns);
+        let words = columns * n;
+        self.block.resize(words, 0.0);
+        column::fill_uniform_range(self.tier, lo, hi, &self.raw[..words], &mut self.block);
+        n
     }
 
     /// Fills `fac_a` with the next `gen_range(lo..hi)` column — one raw
@@ -1129,8 +1143,8 @@ impl TestbedSimulator {
     }
 
     /// Stage 2 column loop — per-update sensor jitter, slowest sensor wins.
-    /// Each sensor draws its `updates_per_frame` raw columns as one block,
-    /// then transforms and folds them one jitter column per update, in the
+    /// Each sensor draws and transforms its `updates_per_frame` jitter
+    /// columns as one block, then folds them one column per update, in the
     /// scalar's sensor-major draw and summation order.
     #[inline(always)]
     fn batch_sense(&self, k: &BatchConsts, b: &mut FrameBatch, d: &mut DrawColumns) {
@@ -1142,10 +1156,9 @@ impl TestbedSimulator {
         for &(period, propagation) in &k.sensors {
             d.acc.clear();
             d.acc.resize(b.n, Seconds::ZERO);
-            let n = d.draw(updates);
-            for words in d.raw[..updates * n].chunks_exact(n) {
-                column::fill_uniform_range(d.tier, -0.05, 0.05, words, &mut d.fac_a);
-                for (acc, &jitter) in d.acc.iter_mut().zip(&d.fac_a) {
+            let n = d.uniform_block(updates, -0.05, 0.05);
+            for jitters in d.block[..updates * n].chunks_exact(n) {
+                for (acc, &jitter) in d.acc.iter_mut().zip(jitters) {
                     *acc += period * (1.0 + jitter) + propagation;
                 }
             }
@@ -1432,7 +1445,7 @@ impl TestbedSimulator {
                 d.tier,
                 (power, latency),
                 self.base_power,
-                &d.normals,
+                &d.block,
                 &mut d.cursors,
                 &mut b.energy,
             );
@@ -1940,7 +1953,7 @@ mod tests {
         let (local, remote) = (ExecutionTarget::Local, ExecutionTarget::Remote);
         let split = ExecutionTarget::Split { client_share: 0.5 };
         let mut no_sensors = scenario(400.0, 2.5, remote);
-        no_sensors.sensors.clear();
+        no_sensors.sensors = Vec::new().into();
         let mut saturated = scenario(400.0, 2.5, remote);
         saturated.contention = Some(xr_core::ContentionConfig {
             users_per_edge: 1_000_000,

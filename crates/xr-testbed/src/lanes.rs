@@ -94,6 +94,10 @@ pub struct LaneStreams {
     s1: Vec<u64>,
     s2: Vec<u64>,
     s3: Vec<u64>,
+    /// Seeding scratch: each lane's SplitMix64 seed, `mix(stage base,
+    /// frame)`, written segment by segment so that one expansion pass
+    /// covers every segment.
+    keys: Vec<u64>,
 }
 
 impl LaneStreams {
@@ -112,42 +116,56 @@ impl LaneStreams {
     /// engine stack several sessions' lanes side by side; a single session
     /// passes one base. Lane storage is reused across calls, so re-seeding
     /// in a batch loop allocates only on the first (or a widening) call.
-    /// The seeding pass runs on `tier`.
+    /// Each lane's key `mix(base, frame)` is computed segment by segment;
+    /// one pass over the whole bank then expands every key into its
+    /// state. Both run on `tier`.
     ///
     /// # Panics
     ///
     /// Panics if the host's CPU cannot run `tier`.
     pub fn reseed(&mut self, tier: Tier, seed_bases: &[u64], first_frame: u64, per_segment: usize) {
         // Length adjustments only when the batch shape changes (once per
-        // session plus the tail batch): the seeding pass below overwrites
-        // every lane, so re-zeroing the state columns each reseed would be
-        // pure memory traffic.
+        // session plus the tail batch): the passes below overwrite every
+        // lane, so re-zeroing the columns each reseed would be pure memory
+        // traffic.
         let width = seed_bases.len() * per_segment;
         if self.s0.len() != width {
-            self.s0.resize(width, 0);
-            self.s1.resize(width, 0);
-            self.s2.resize(width, 0);
-            self.s3.resize(width, 0);
+            for column in [
+                &mut self.s0,
+                &mut self.s1,
+                &mut self.s2,
+                &mut self.s3,
+                &mut self.keys,
+            ] {
+                column.resize(width, 0);
+            }
         }
-        let (s0, s1, s2, s3) = (&mut self.s0, &mut self.s1, &mut self.s2, &mut self.s3);
+        let Self {
+            s0,
+            s1,
+            s2,
+            s3,
+            keys,
+        } = self;
         tier.run(
             #[inline(always)]
             || {
-                for (r, &base) in seed_bases.iter().enumerate() {
-                    let segment = r * per_segment;
-                    // Each lane's state depends on its frame alone.
-                    math::elementwise(
-                        per_segment,
-                        #[inline(always)]
-                        |at| {
-                            let first = first_frame.wrapping_add(at.start as u64);
-                            let lanes = segment + at.start..segment + at.end;
-                            let (s0, s1) = (&mut s0[lanes.clone()], &mut s1[lanes.clone()]);
-                            let (s2, s3) = (&mut s2[lanes.clone()], &mut s3[lanes]);
-                            reseed_pass(base, first, s0, s1, s2, s3);
-                        },
-                    );
+                // `max(1)` keeps the chunking defined for an empty bank.
+                for (keys, &base) in keys.chunks_exact_mut(per_segment.max(1)).zip(seed_bases) {
+                    for (j, key) in keys.iter_mut().enumerate() {
+                        *key = xr_types::seed::mix(base, first_frame.wrapping_add(j as u64));
+                    }
                 }
+                // Each lane's state depends on its own key alone.
+                math::elementwise(
+                    width,
+                    #[inline(always)]
+                    |at| {
+                        let (s0, s1) = (&mut s0[at.clone()], &mut s1[at.clone()]);
+                        let (s2, s3) = (&mut s2[at.clone()], &mut s3[at.clone()]);
+                        reseed_pass(&keys[at], s0, s1, s2, s3);
+                    },
+                );
             },
         );
     }
@@ -226,29 +244,19 @@ fn fill_next_pass(s0: &mut [u64], s1: &mut [u64], s2: &mut [u64], s3: &mut [u64]
     }
 }
 
-/// The seeding pass behind [`LaneStreams::reseed`], compiled once per tier,
-/// over one contiguous slice of each state column: lane `j` of the slices
-/// becomes the generator of frame `first_frame + j` under
-/// `stage_seed_base`.
+/// The expansion pass behind [`LaneStreams::reseed`], compiled once per
+/// tier, over one contiguous slice of each column: lane `j` of the slices
+/// becomes the generator `StdRng::seed_from_u64` builds from `keys[j]`.
 #[inline(always)]
-fn reseed_pass(
-    stage_seed_base: u64,
-    first_frame: u64,
-    s0: &mut [u64],
-    s1: &mut [u64],
-    s2: &mut [u64],
-    s3: &mut [u64],
-) {
-    let iter = s0
+fn reseed_pass(keys: &[u64], s0: &mut [u64], s1: &mut [u64], s2: &mut [u64], s3: &mut [u64]) {
+    let state = s0
         .iter_mut()
         .zip(s1.iter_mut())
-        .zip(s2.iter_mut().zip(s3.iter_mut()))
-        .enumerate();
-    for (j, ((s0, s1), (s2, s3))) in iter {
-        // `mix(stage_seed_base, frame)` followed by the shim's 4-word
-        // SplitMix64 expansion, inlined so the whole derivation is one
-        // branch-free pass over the lane columns.
-        let mut state = xr_types::seed::mix(stage_seed_base, first_frame.wrapping_add(j as u64));
+        .zip(s2.iter_mut().zip(s3.iter_mut()));
+    for (&key, ((s0, s1), (s2, s3))) in keys.iter().zip(state) {
+        // The shim's 4-word SplitMix64 expansion, inlined so the whole
+        // expansion is one branch-free pass over the lane columns.
+        let mut state = key;
         *s0 = splitmix64(&mut state);
         *s1 = splitmix64(&mut state);
         *s2 = splitmix64(&mut state);

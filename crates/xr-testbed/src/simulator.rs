@@ -460,13 +460,13 @@ impl TestbedSimulator {
             return explicit;
         }
         let catalog = DeviceCatalog::table1();
-        if let Ok(spec) = catalog.device(&server.name) {
+        if let Ok(spec) = catalog.device(server.name) {
             // Edge inference is GPU-dominated.
             self.laws.compute_resource(
                 spec.cpu_clock,
                 spec.gpu_clock,
                 Ratio::new(0.15),
-                DeviceBias::for_device(&server.name),
+                DeviceBias::for_device(server.name),
             )
         } else {
             client_resource * self.laws.edge_speedup
@@ -486,7 +486,7 @@ impl TestbedSimulator {
     ) -> Seconds {
         let server = &scenario.edge_servers[index];
         let c_edge = self.edge_resource(scenario, index, client_resource);
-        let remote_complexity = self.laws.cnn_complexity(&scenario.remote_cnn);
+        let remote_complexity = self.laws.cnn_complexity(scenario.remote_cnn);
         let decode = Self::ms(encode_work * self.laws.decode_discount(), c_edge);
         Self::ms(
             scenario.frame.encoded_size.as_f64() * remote_complexity,
@@ -556,7 +556,7 @@ impl TestbedSimulator {
             return Ok(None);
         }
         let client = &scenario.client;
-        let bias = DeviceBias::for_device(&client.name);
+        let bias = DeviceBias::for_device(client.name);
         let c_true =
             self.laws
                 .compute_resource(client.cpu_clock, client.gpu_clock, client.cpu_share, bias);
@@ -632,15 +632,22 @@ impl TestbedSimulator {
         Ok(())
     }
 
-    /// The contention plans of a session of `scenario`, resolved once on its
-    /// [`TestbedSimulator::edge_topology`] for the scalar reference.
+    /// The contention plans of a session of `scenario`, resolved once for
+    /// the scalar reference on `map`, the session's
+    /// [`TestbedSimulator::session_map`]: that is the scenario's edge
+    /// topology whenever it has one.
     ///
     /// # Errors
     ///
     /// As [`TestbedSimulator::contention_plans_into`].
-    fn session_plans(&self, scenario: &Scenario) -> Result<ContentionPlans> {
+    fn session_plans(
+        &self,
+        scenario: &Scenario,
+        map: Option<&EdgeTopology>,
+    ) -> Result<ContentionPlans> {
         let mut plans = ContentionPlans::default();
-        self.contention_plans_into(scenario, Self::edge_topology(scenario).as_ref(), &mut plans)?;
+        let topology = map.filter(|_| scenario.topology.is_some());
+        self.contention_plans_into(scenario, topology, &mut plans)?;
         Ok(plans)
     }
 
@@ -817,7 +824,7 @@ impl TestbedSimulator {
     fn stage_sense(&self, s: &mut FrameState<'_>) {
         let mut rng = self.stage_rng(stream::SENSE, s.frame_index);
         let mut ext = Seconds::ZERO;
-        for sensor in &s.scenario.sensors {
+        for sensor in s.scenario.sensors.iter() {
             let mut sensor_total = Seconds::ZERO;
             for _ in 0..s.scenario.updates_per_frame {
                 let jitter = 1.0 + rng.gen_range(-0.05..0.05);
@@ -882,7 +889,7 @@ impl TestbedSimulator {
         let mut rng = self.stage_rng(stream::LOCAL_INFERENCE, s.frame_index);
         let mut pairs = StandardNormalPairs::new();
         let frame = &s.scenario.frame;
-        let local_complexity = self.laws.cnn_complexity(&s.scenario.local_cnn);
+        let local_complexity = self.laws.cnn_complexity(s.scenario.local_cnn);
         let local = if s.uses_local && s.client_share > 0.0 {
             (Self::ms(frame.converted_size.as_f64() * local_complexity, s.c_true)
                 + frame.converted_data / s.memory)
@@ -932,7 +939,7 @@ impl TestbedSimulator {
                     transmission = transmission.max(tx);
                 }
             } else {
-                let remote_complexity = self.laws.cnn_complexity(&scenario.remote_cnn);
+                let remote_complexity = self.laws.cnn_complexity(scenario.remote_cnn);
                 let total_share: f64 = scenario.edge_servers.iter().map(|srv| srv.task_share).sum();
                 for (i, server) in scenario.edge_servers.iter().enumerate() {
                     let c_edge = self.edge_resource(scenario, i, s.c_true);
@@ -1111,11 +1118,13 @@ impl TestbedSimulator {
         // Validate before building SessionState: an invalid topology must
         // surface as an error here, not a panic in the site-map construction.
         scenario.validate()?;
-        let mut session = SessionState::new(self, scenario);
+        // One map for the session: the walker's and the contention plans'.
+        let map = Self::session_map(scenario);
+        let mut session = SessionState::on_map(self.seed, scenario, map.as_ref());
         let mut record = frame_buffer(frames)?;
         // After the record, as on the batched engine: a session too long
         // to record fails before any model error.
-        let plans = self.session_plans(scenario)?;
+        let plans = self.session_plans(scenario, map.as_ref())?;
         for i in 1..=frames {
             record.push(self.simulate_frame_in_session(scenario, i, &plans, &mut session));
         }
@@ -1391,7 +1400,7 @@ struct FrameState<'a> {
 impl<'a> FrameState<'a> {
     fn new(simulator: &TestbedSimulator, scenario: &'a Scenario, frame_index: u64) -> Self {
         let client = &scenario.client;
-        let bias = DeviceBias::for_device(&client.name);
+        let bias = DeviceBias::for_device(client.name);
         Self {
             scenario,
             frame_index,
@@ -1621,7 +1630,8 @@ mod tests {
         let session = testbed.simulate_session(&s, 300).unwrap();
         let mut state = SessionState::new(&testbed, &s);
         assert!(state.walker().is_some());
-        let plans = testbed.session_plans(&s).unwrap();
+        let map = TestbedSimulator::session_map(&s);
+        let plans = testbed.session_plans(&s, map.as_ref()).unwrap();
         for (i, recorded) in (1..=300).zip(session.frames()) {
             let frame = testbed.simulate_frame_in_session(&s, i, &plans, &mut state);
             assert_eq!(

@@ -168,10 +168,13 @@ impl fmt::Display for ExecutionTarget {
 ///
 /// Applications differ in whether XR cooperation or handoff are part of the
 /// critical path (Section IV-B); `SegmentSet` lets callers express that
-/// choice once and reuse it across the latency and energy models.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// choice once and reuse it across the latency and energy models. The set
+/// is one bit per [`Segment::slot`], so it is `Copy` and building one
+/// allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SegmentSet {
-    included: Vec<Segment>,
+    /// Bit `segment.slot()` is set when `segment` is included.
+    included: u16,
 }
 
 impl SegmentSet {
@@ -179,67 +182,60 @@ impl SegmentSet {
     /// except XR cooperation (assumed parallel with rendering).
     #[must_use]
     pub fn standard() -> Self {
-        Self {
-            included: Segment::ALL
-                .into_iter()
-                .filter(|s| *s != Segment::XrCooperation)
-                .collect(),
-        }
+        Self::full().without(Segment::XrCooperation)
     }
 
     /// Every segment, including XR cooperation.
     #[must_use]
     pub fn full() -> Self {
-        Self {
-            included: Segment::ALL.to_vec(),
-        }
+        Segment::ALL
+            .into_iter()
+            .fold(Self::empty(), |set, segment| set.with(segment))
     }
 
     /// An empty set; use [`SegmentSet::with`] to add segments.
     #[must_use]
     pub fn empty() -> Self {
-        Self {
-            included: Vec::new(),
-        }
+        Self { included: 0 }
     }
 
     /// Returns a copy of this set with `segment` added (idempotent).
     #[must_use]
     pub fn with(mut self, segment: Segment) -> Self {
-        if !self.included.contains(&segment) {
-            self.included.push(segment);
-        }
+        self.included |= 1 << segment.slot();
         self
     }
 
     /// Returns a copy of this set with `segment` removed.
     #[must_use]
     pub fn without(mut self, segment: Segment) -> Self {
-        self.included.retain(|s| *s != segment);
+        self.included &= !(1 << segment.slot());
         self
     }
 
     /// Returns `true` when `segment` is part of the end-to-end calculation.
     #[must_use]
     pub fn contains(&self, segment: Segment) -> bool {
-        self.included.contains(&segment)
+        self.included & (1 << segment.slot()) != 0
     }
 
     /// Iterates over the included segments in pipeline order.
     pub fn iter(&self) -> impl Iterator<Item = Segment> + '_ {
-        self.included.iter().copied()
+        Segment::ALL
+            .into_iter()
+            .filter(|&segment| self.contains(segment))
     }
 
     /// Number of included segments.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.included.len()
+        self.included.count_ones() as usize
     }
 
     /// Returns `true` when no segment is included.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.included.is_empty()
+        self.included == 0
     }
 }
 
@@ -281,6 +277,23 @@ mod tests {
         assert!(!set.contains(Segment::Handoff));
         assert!(!SegmentSet::empty().contains(Segment::FrameGeneration));
         assert!(SegmentSet::empty().is_empty());
+    }
+
+    #[test]
+    fn iteration_follows_the_pipeline_whatever_the_insertion_order() {
+        let set = SegmentSet::empty()
+            .with(Segment::Handoff)
+            .with(Segment::FrameGeneration)
+            .with(Segment::LocalInference);
+        assert_eq!(
+            set.iter().collect::<Vec<_>>(),
+            [
+                Segment::FrameGeneration,
+                Segment::LocalInference,
+                Segment::Handoff
+            ]
+        );
+        assert_eq!(SegmentSet::full().iter().collect::<Vec<_>>(), Segment::ALL);
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn main() -> Result<(), Error> {
 
 fn vr_scenario(target: ExecutionTarget, two_servers: bool) -> Result<Scenario, Error> {
     let near = EdgeServerConfig {
-        name: "EDGE-XAVIER".into(),
+        name: "EDGE-XAVIER",
         distance: Meters::new(8.0),
         task_share: if two_servers { 0.6 } else { 1.0 },
         ..EdgeServerConfig::jetson_xavier()
@@ -62,7 +62,7 @@ fn vr_scenario(target: ExecutionTarget, two_servers: bool) -> Result<Scenario, E
     let mut servers = vec![near];
     if two_servers {
         servers.push(EdgeServerConfig {
-            name: "EDGE-TX2".into(),
+            name: "EDGE-TX2",
             distance: Meters::new(25.0),
             task_share: 0.4,
             technology: AccessTechnology::WiFi5GHz,

@@ -101,7 +101,7 @@ fn replicated_mobility_campaign_is_byte_identical_across_worker_counts() {
             && r.gt_latency_ms.mean <= r.gt_latency_ms.ci95_hi));
     let vehicle = rows
         .iter()
-        .find(|r| r.point.mobility.label == "vehicle")
+        .find(|r| &*r.point.mobility.label == "vehicle")
         .expect("vehicle row");
     assert!(
         vehicle.gt_handoff_rate > 0.0,
