@@ -200,7 +200,7 @@ impl StandardNormalPairs {
 /// pinned by the tests below:
 ///
 /// * every transcendental comes from the [`math`] kernels (never the
-///   libm), and each fill is one plain loop over the scalar sampler's own
+///   libm), and each fill runs plain loops over the scalar sampler's own
 ///   expression, which [`Tier::run`](math::Tier::run) compiles once per
 ///   [`Tier`](math::Tier) — portable, AVX2 or AVX-512. Every fill takes
 ///   the tier it runs on; callers decide it once, from
@@ -210,6 +210,15 @@ impl StandardNormalPairs {
 ///   the portable one. Tests pin each tier the host supports against the
 ///   portable build, and CI re-runs the dispatched gates under
 ///   `XR_FORCE_PORTABLE=1`, which turns off every SIMD tier;
+/// * each loop body runs one heavy kernel. The lognormal fills
+///   ([`fill_lognormal`](column::fill_lognormal) and
+///   [`fill_lognormal_pair`](column::fill_lognormal_pair)) therefore run
+///   two passes per chunk: Box–Muller into a stack block, then `exp` from
+///   that block into the output. Fused in one loop body, the same two
+///   kernels ran 1.1–1.5× slower, depending on the tier. The `exp` pass
+///   never reads the column it writes: [`elementwise`](math::elementwise)
+///   recomputes a partial last block, so an in-place `exp` would apply
+///   twice there;
 /// * the normal-family transforms come in *pair* form
 ///   ([`fill_lognormal_pair`](column::fill_lognormal_pair), and the
 ///   unscaled [`fill_standard_normal_pair`](column::fill_standard_normal_pair))
@@ -222,6 +231,7 @@ pub mod column {
     use super::math::Tier;
     use super::{math, Exp, Normal};
     use rand::unit_f64_from_word;
+    use std::ops::Range;
 
     /// Writes `out[i] = ` the draw `normal.sample` would produce from the
     /// raw words `(raw_a[i], raw_b[i])` — the cosine Box–Muller half,
@@ -254,6 +264,10 @@ pub mod column {
     /// sequence `math::exp(normal.from_standard(pairs.next(rng)))` on a
     /// fresh [`StandardNormalPairs`](super::StandardNormalPairs).
     ///
+    /// It runs two passes per chunk of 64 elements, one heavy kernel
+    /// each: Box–Muller into a stack block, then `exp` from that block into
+    /// `out` (see the [module](self) doc for why).
+    ///
     /// # Panics
     ///
     /// Panics if the three slices differ in length.
@@ -266,15 +280,16 @@ pub mod column {
     ) {
         assert_eq!(raw_a.len(), out.len(), "raw_a column length mismatch");
         assert_eq!(raw_b.len(), out.len(), "raw_b column length mismatch");
-        tier.run_elementwise(
-            out.len(),
+        tier.run(
             #[inline(always)]
-            |at| {
-                let words = raw_a[at.clone()].iter().zip(&raw_b[at.clone()]);
-                for (out, (&a, &b)) in out[at].iter_mut().zip(words) {
-                    let (z, _) = super::standard_normal_pair_from_words(a, b);
-                    *out = math::exp(normal.from_standard(z));
-                }
+            || {
+                stage_normals::<false>(
+                    normal,
+                    raw_a,
+                    raw_b,
+                    #[inline(always)]
+                    |at, cos, _| exp_pass(cos, &mut out[at]),
+                );
             },
         );
     }
@@ -285,6 +300,9 @@ pub mod column {
     /// second, cached draw). One `ln`/`sqrt`/`sincos` set per element
     /// feeds two columns — the draw-scheme change that halves the
     /// transcendental budget of two-factor stages.
+    ///
+    /// Like [`fill_lognormal`], it runs Box–Muller and `exp` as separate
+    /// passes over each chunk of 64 elements, staging both halves.
     ///
     /// # Panics
     ///
@@ -298,16 +316,77 @@ pub mod column {
         out_sin: &mut [f64],
     ) {
         assert_pair_lengths(raw_a, raw_b, out_cos, out_sin);
-        tier.run_elementwise(
-            out_cos.len(),
+        tier.run(
+            #[inline(always)]
+            || {
+                stage_normals::<true>(
+                    normal,
+                    raw_a,
+                    raw_b,
+                    #[inline(always)]
+                    |at, cos, sin| {
+                        exp_pass(cos, &mut out_cos[at.clone()]);
+                        exp_pass(sin, &mut out_sin[at]);
+                    },
+                );
+            },
+        );
+    }
+
+    /// Elements per chunk of the lognormal fills: the length of the stack
+    /// blocks that carry a chunk's normal draws from the Box–Muller pass
+    /// to the `exp` pass.
+    const STAGE: usize = 64;
+
+    /// The lognormal fills' first pass. For each chunk of at most
+    /// [`STAGE`] word pairs, writes `normal.from_standard` of the cosine
+    /// halves into a stack block (and, with `SIN`, of the sine halves into
+    /// a second one), then calls `then(chunk, cos, sin)` with the chunk's
+    /// range in the columns and the staged blocks (`sin` is empty without
+    /// `SIN`). It runs inside its caller's [`Tier::run`].
+    #[inline(always)]
+    fn stage_normals<const SIN: bool>(
+        normal: &Normal,
+        raw_a: &[u64],
+        raw_b: &[u64],
+        mut then: impl FnMut(Range<usize>, &[f64], &[f64]),
+    ) {
+        let (mut cos, mut sin) = ([0.0; STAGE], [0.0; STAGE]);
+        let mut start = 0;
+        for (raw_a, raw_b) in raw_a.chunks(STAGE).zip(raw_b.chunks(STAGE)) {
+            let len = raw_a.len();
+            let (cos, sin) = (&mut cos[..len], &mut sin[..len]);
+            math::elementwise(
+                len,
+                #[inline(always)]
+                |at| {
+                    let staged = cos[at.clone()].iter_mut().zip(&mut sin[at.clone()]);
+                    let words = raw_a[at.clone()].iter().zip(&raw_b[at]);
+                    for ((cos, sin), (&a, &b)) in staged.zip(words) {
+                        let (z1, z2) = super::standard_normal_pair_from_words(a, b);
+                        *cos = normal.from_standard(z1);
+                        if SIN {
+                            *sin = normal.from_standard(z2);
+                        }
+                    }
+                },
+            );
+            then(start..start + len, cos, if SIN { sin } else { &[] });
+            start += len;
+        }
+    }
+
+    /// The lognormal fills' second pass: `out[i] = exp(z[i])`. `z` is a
+    /// staged block, never `out` itself: [`math::elementwise`] recomputes
+    /// a partial last block, and an `exp` in place would apply twice there.
+    #[inline(always)]
+    fn exp_pass(z: &[f64], out: &mut [f64]) {
+        math::elementwise(
+            out.len(),
             #[inline(always)]
             |at| {
-                let outs = out_cos[at.clone()].iter_mut().zip(&mut out_sin[at.clone()]);
-                let words = raw_a[at.clone()].iter().zip(&raw_b[at]);
-                for ((cos, sin), (&a, &b)) in outs.zip(words) {
-                    let (z1, z2) = super::standard_normal_pair_from_words(a, b);
-                    *cos = math::exp(normal.from_standard(z1));
-                    *sin = math::exp(normal.from_standard(z2));
+                for (out, &z) in out[at.clone()].iter_mut().zip(&z[at]) {
+                    *out = math::exp(z);
                 }
             },
         );
@@ -475,19 +554,28 @@ mod tests {
 
     #[test]
     fn fill_lognormal_matches_scalar_sample_then_exp_bit_for_bit() {
+        // Every length in LENGTHS: a column shorter than one chunk, whole
+        // chunks and every tail, where a pass that read the column it
+        // writes would apply `exp` twice to the recomputed elements.
         let normal = Normal::new(0.0, 0.04).unwrap();
-        let a = raw_words(21, 129);
-        let b = raw_words(22, 129);
-        let mut staged = vec![0.0; 129];
-        super::column::fill_normal(Tier::Portable, &normal, &a, &b, &mut staged);
-        for value in &mut staged {
-            *value = super::math::exp(*value);
-        }
-        for tier in tiers() {
-            let mut fused = vec![0.0; 129];
-            super::column::fill_lognormal(tier, &normal, &a, &b, &mut fused);
-            for (i, value) in staged.iter().enumerate() {
-                assert_eq!(fused[i], *value, "{tier:?} element {i} diverged");
+        for n in LENGTHS {
+            let a = raw_words(21, n);
+            let b = raw_words(22, n);
+            let mut staged = vec![0.0; n];
+            super::column::fill_normal(Tier::Portable, &normal, &a, &b, &mut staged);
+            for value in &mut staged {
+                *value = super::math::exp(*value);
+            }
+            for tier in tiers() {
+                let mut two_pass = vec![0.0; n];
+                super::column::fill_lognormal(tier, &normal, &a, &b, &mut two_pass);
+                for (i, value) in staged.iter().enumerate() {
+                    assert_eq!(
+                        two_pass[i].to_bits(),
+                        value.to_bits(),
+                        "{tier:?} length {n} element {i} diverged"
+                    );
+                }
             }
         }
     }
@@ -496,22 +584,33 @@ mod tests {
     fn fill_lognormal_pair_matches_the_cached_pair_sampler_bit_for_bit() {
         // The pair transform's two columns must replay exactly what two
         // consecutive draws from a fresh StandardNormalPairs produce on a
-        // stream containing those words.
+        // stream containing those words, at every length in LENGTHS.
         let normal = Normal::new(0.0, 0.04).unwrap();
-        let a = raw_words(31, 137);
-        let b = raw_words(32, 137);
-        for tier in tiers() {
-            let mut cos = vec![0.0; 137];
-            let mut sin = vec![0.0; 137];
-            super::column::fill_lognormal_pair(tier, &normal, &a, &b, &mut cos, &mut sin);
-            for i in 0..a.len() {
-                let mut replay = Replay(vec![a[i], b[i]], 0);
-                let mut pairs = StandardNormalPairs::new();
-                let first = super::math::exp(normal.from_standard(pairs.next(&mut replay)));
-                let second = super::math::exp(normal.from_standard(pairs.next(&mut replay)));
-                assert_eq!(replay.1, 2, "a pair must consume exactly two words");
-                assert_eq!(cos[i], first, "{tier:?} element {i} cosine half diverged");
-                assert_eq!(sin[i], second, "{tier:?} element {i} sine half diverged");
+        for n in LENGTHS {
+            let a = raw_words(31, n);
+            let b = raw_words(32, n);
+            for tier in tiers() {
+                let mut cos = vec![0.0; n];
+                let mut sin = vec![0.0; n];
+                super::column::fill_lognormal_pair(tier, &normal, &a, &b, &mut cos, &mut sin);
+                for i in 0..n {
+                    let mut replay = Replay(vec![a[i], b[i]], 0);
+                    let mut pairs = StandardNormalPairs::new();
+                    let first = super::math::exp(normal.from_standard(pairs.next(&mut replay)));
+                    let second = super::math::exp(normal.from_standard(pairs.next(&mut replay)));
+                    assert_eq!(replay.1, 2, "a pair must consume exactly two words");
+                    let at = format!("{tier:?} length {n} element {i}");
+                    assert_eq!(
+                        cos[i].to_bits(),
+                        first.to_bits(),
+                        "{at}: cosine half diverged"
+                    );
+                    assert_eq!(
+                        sin[i].to_bits(),
+                        second.to_bits(),
+                        "{at}: sine half diverged"
+                    );
+                }
             }
         }
     }
@@ -563,9 +662,10 @@ mod tests {
     /// The column lengths every tier test covers: every masked-tail
     /// length of the 8-wide tier (0..=17), the fused engine's 20-lane
     /// segments and 60-lane batches, and lengths around and well past a
-    /// 64-lane batch.
-    const LENGTHS: [usize; 23] = [
-        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20, 60, 63, 64, 257,
+    /// 64-lane batch, which is also the lognormal fills' chunk: 129 and
+    /// 257 end on a one-element chunk, 137 on a chunk with a partial block.
+    const LENGTHS: [usize; 25] = [
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20, 60, 63, 64, 129, 137, 257,
     ];
 
     /// The SIMD tiers this host can run, in order; each tier it cannot run

@@ -1249,8 +1249,10 @@ impl TestbedSimulator {
     /// Stage 6 column loop — weighted-slowest edge compute and slowest
     /// uplink. Per pair of edge servers: one paired noise-factor fill (two
     /// words per frame, when noisy) whose halves serve consecutive
-    /// servers, interleaved with one wireless-jitter column per server —
-    /// matching the scalar's per-frame word order and pair-cache state.
+    /// servers (an unpaired last server takes the single-factor fill of
+    /// the same two words), interleaved with one wireless-jitter column per
+    /// server — matching the scalar's per-frame word order and pair-cache
+    /// state.
     ///
     /// In contended mode the remote term instead consumes one exponential
     /// sojourn column per server from the dedicated [`stream::CONTENTION`]
@@ -1295,9 +1297,15 @@ impl TestbedSimulator {
                 // loop: even-indexed servers draw a fresh word pair, odd
                 // ones reuse its cached sine half (the jitter column in
                 // between leaves the cache untouched — it lives in `fac_a`,
-                // and the pair's sine half in `fac_b`).
+                // and the pair's sine half in `fac_b`). An unpaired last
+                // server draws the same word pair but reads only its
+                // cosine half, so it skips the sine half's `exp`.
                 if index % 2 == 0 {
-                    d.noise_pair(normal);
+                    if index + 1 < k.edges.len() {
+                        d.noise_pair(normal);
+                    } else {
+                        d.noise_a(normal);
+                    }
                 }
                 let factors = if index % 2 == 0 { &d.fac_a } else { &d.fac_b };
                 for (remote, &factor) in b.latency[REMOTE_INFERENCE].iter_mut().zip(factors) {
