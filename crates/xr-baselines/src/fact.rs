@@ -17,9 +17,8 @@
 
 use crate::BaselineModel;
 use serde::{Deserialize, Serialize};
-use xr_core::Scenario;
-use xr_types::{Joules, Result, Seconds, Watts};
-use xr_wireless::WirelessLink;
+use xr_core::CheckedScenario;
+use xr_types::{Joules, Seconds, Watts};
 
 /// The FACT analytical model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -61,20 +60,15 @@ impl FactModel {
         }
     }
 
-    fn raw_latency(&self, scenario: &Scenario) -> Result<Seconds> {
-        scenario.validate()?;
+    fn raw_latency(&self, scenario: &CheckedScenario) -> Seconds {
         let pixels = scenario.frame.raw_size.as_f64();
         let client_hz = scenario.client.cpu_clock.as_f64() * 1e9;
         let client_prep = Seconds::new(pixels * self.client_cycles_per_pixel / client_hz);
 
         let inference_cycles = pixels * self.inference_cycles_per_pixel;
-        if scenario.execution.uses_edge() && !scenario.edge_servers.is_empty() {
+        if scenario.execution.uses_edge() {
             let server = &scenario.edge_servers[0];
-            let link = WirelessLink::new(server.technology, server.distance);
-            let link = match server.throughput {
-                Some(t) => link.with_throughput(t),
-                None => link,
-            };
+            let link = server.link();
             // FACT sends the (encoded) frame up and ignores propagation
             // delay; the serialisation term is kept.
             let wireless = Seconds::new(
@@ -82,10 +76,9 @@ impl FactModel {
             );
             let server_compute =
                 Seconds::new(inference_cycles / (client_hz * self.server_speedup.max(1e-9)));
-            Ok(client_prep + wireless + self.core_network_delay + server_compute)
+            client_prep + wireless + self.core_network_delay + server_compute
         } else {
-            let local_compute = Seconds::new(inference_cycles / client_hz);
-            Ok(client_prep + local_compute)
+            client_prep + Seconds::new(inference_cycles / client_hz)
         }
     }
 }
@@ -101,24 +94,23 @@ impl BaselineModel for FactModel {
         "FACT"
     }
 
-    fn predict_latency(&self, scenario: &Scenario) -> Result<Seconds> {
-        Ok(self.raw_latency(scenario)? * self.latency_scale)
+    fn predict_latency(&self, scenario: &CheckedScenario) -> Seconds {
+        self.raw_latency(scenario) * self.latency_scale
     }
 
-    fn predict_energy(&self, scenario: &Scenario) -> Result<Joules> {
+    fn predict_energy(&self, scenario: &CheckedScenario) -> Joules {
         // FACT's energy model: a single active power over the whole service
         // latency, regardless of which stage is running.
-        let latency = self.predict_latency(scenario)?;
-        Ok(self.active_power * latency * self.energy_scale)
+        self.active_power * self.predict_latency(scenario) * self.energy_scale
     }
 
     fn calibrate(
         &mut self,
-        scenario: &Scenario,
+        scenario: &CheckedScenario,
         observed_latency: Seconds,
         observed_energy: Joules,
-    ) -> Result<()> {
-        let raw_latency = self.raw_latency(scenario)?;
+    ) {
+        let raw_latency = self.raw_latency(scenario);
         if raw_latency.is_positive() && observed_latency.is_positive() {
             self.latency_scale = observed_latency / raw_latency;
         }
@@ -126,16 +118,16 @@ impl BaselineModel for FactModel {
         if raw_energy > 0.0 && observed_energy.is_positive() {
             self.energy_scale = observed_energy.as_f64() / raw_energy;
         }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xr_core::Scenario;
     use xr_types::{ExecutionTarget, GigaHertz};
 
-    fn scenario(side: f64, clock: f64, target: ExecutionTarget) -> Scenario {
+    fn scenario(side: f64, clock: f64, target: ExecutionTarget) -> CheckedScenario {
         Scenario::builder()
             .frame_side(side)
             .cpu_clock(GigaHertz::new(clock))
@@ -147,31 +139,19 @@ mod tests {
     #[test]
     fn latency_grows_with_frame_size_and_falls_with_clock() {
         let fact = FactModel::new();
-        let small = fact
-            .predict_latency(&scenario(300.0, 2.0, ExecutionTarget::Remote))
-            .unwrap();
-        let large = fact
-            .predict_latency(&scenario(700.0, 2.0, ExecutionTarget::Remote))
-            .unwrap();
+        let small = fact.predict_latency(&scenario(300.0, 2.0, ExecutionTarget::Remote));
+        let large = fact.predict_latency(&scenario(700.0, 2.0, ExecutionTarget::Remote));
         assert!(large > small);
-        let fast = fact
-            .predict_latency(&scenario(500.0, 3.0, ExecutionTarget::Remote))
-            .unwrap();
-        let slow = fact
-            .predict_latency(&scenario(500.0, 1.0, ExecutionTarget::Remote))
-            .unwrap();
+        let fast = fact.predict_latency(&scenario(500.0, 3.0, ExecutionTarget::Remote));
+        let slow = fact.predict_latency(&scenario(500.0, 1.0, ExecutionTarget::Remote));
         assert!(fast < slow);
     }
 
     #[test]
     fn remote_offload_beats_local_inference_for_fact() {
         let fact = FactModel::new();
-        let local = fact
-            .predict_latency(&scenario(500.0, 2.0, ExecutionTarget::Local))
-            .unwrap();
-        let remote = fact
-            .predict_latency(&scenario(500.0, 2.0, ExecutionTarget::Remote))
-            .unwrap();
+        let local = fact.predict_latency(&scenario(500.0, 2.0, ExecutionTarget::Local));
+        let remote = fact.predict_latency(&scenario(500.0, 2.0, ExecutionTarget::Remote));
         // With a 10× server and moderate transmission cost the offload wins.
         assert!(remote < local);
     }
@@ -180,8 +160,8 @@ mod tests {
     fn energy_is_power_times_latency() {
         let fact = FactModel::new();
         let s = scenario(500.0, 2.5, ExecutionTarget::Remote);
-        let latency = fact.predict_latency(&s).unwrap();
-        let energy = fact.predict_energy(&s).unwrap();
+        let latency = fact.predict_latency(&s);
+        let energy = fact.predict_energy(&s);
         assert!((energy.as_f64() - 2.2 * latency.as_f64()).abs() < 1e-12);
     }
 
@@ -189,10 +169,9 @@ mod tests {
     fn calibration_matches_the_reference_point_exactly() {
         let mut fact = FactModel::new();
         let reference = scenario(500.0, 2.0, ExecutionTarget::Remote);
-        fact.calibrate(&reference, Seconds::new(0.8), Joules::new(1.4))
-            .unwrap();
-        let latency = fact.predict_latency(&reference).unwrap();
-        let energy = fact.predict_energy(&reference).unwrap();
+        fact.calibrate(&reference, Seconds::new(0.8), Joules::new(1.4));
+        let latency = fact.predict_latency(&reference);
+        let energy = fact.predict_energy(&reference);
         assert!((latency.as_f64() - 0.8).abs() < 1e-9);
         assert!((energy.as_f64() - 1.4).abs() < 1e-9);
     }
@@ -203,11 +182,8 @@ mod tests {
         // 500 px² leaves residual error at 300 px².
         let mut fact = FactModel::new();
         let reference = scenario(500.0, 2.0, ExecutionTarget::Remote);
-        fact.calibrate(&reference, Seconds::new(0.8), Joules::new(1.4))
-            .unwrap();
-        let other = fact
-            .predict_latency(&scenario(300.0, 2.0, ExecutionTarget::Remote))
-            .unwrap();
+        fact.calibrate(&reference, Seconds::new(0.8), Joules::new(1.4));
+        let other = fact.predict_latency(&scenario(300.0, 2.0, ExecutionTarget::Remote));
         assert!(other < Seconds::new(0.8));
         assert!(other.as_f64() > 0.0);
     }

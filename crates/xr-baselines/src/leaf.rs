@@ -12,9 +12,8 @@
 
 use crate::BaselineModel;
 use serde::{Deserialize, Serialize};
-use xr_core::Scenario;
-use xr_types::{Joules, Result, Seconds, Watts};
-use xr_wireless::WirelessLink;
+use xr_core::{CheckedScenario, Scenario};
+use xr_types::{Joules, Seconds, Watts};
 
 /// The LEAF analytical model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -75,8 +74,7 @@ impl LeafModel {
 
     /// LEAF's per-segment latency breakdown: (compute segments on the client,
     /// transmission, edge compute + wait).
-    fn raw_components(&self, scenario: &Scenario) -> Result<(Seconds, Seconds, Seconds)> {
-        scenario.validate()?;
+    fn raw_components(&self, scenario: &CheckedScenario) -> (Seconds, Seconds, Seconds) {
         let pixels = scenario.frame.raw_size.as_f64();
         let hz = Self::client_hz(scenario);
 
@@ -89,14 +87,10 @@ impl LeafModel {
         let mut transmission = Seconds::ZERO;
         let mut edge = Seconds::ZERO;
 
-        if scenario.execution.uses_edge() && !scenario.edge_servers.is_empty() {
+        if scenario.execution.uses_edge() {
             client += Self::cycles_latency(self.encoding_cycles_per_pixel, pixels, hz);
             let server = &scenario.edge_servers[0];
-            let link = WirelessLink::new(server.technology, server.distance);
-            let link = match server.throughput {
-                Some(t) => link.with_throughput(t),
-                None => link,
-            };
+            let link = server.link();
             transmission = link.transmission_latency(scenario.frame.encoded_data);
             edge = Self::cycles_latency(
                 self.inference_cycles_per_pixel,
@@ -108,7 +102,7 @@ impl LeafModel {
                 + Self::cycles_latency(self.inference_cycles_per_pixel, pixels, hz);
         }
 
-        Ok((client, transmission, edge))
+        (client, transmission, edge)
     }
 }
 
@@ -123,41 +117,40 @@ impl BaselineModel for LeafModel {
         "LEAF"
     }
 
-    fn predict_latency(&self, scenario: &Scenario) -> Result<Seconds> {
-        let (client, transmission, edge) = self.raw_components(scenario)?;
-        Ok((client + transmission + edge) * self.latency_scale)
+    fn predict_latency(&self, scenario: &CheckedScenario) -> Seconds {
+        let (client, transmission, edge) = self.raw_components(scenario);
+        (client + transmission + edge) * self.latency_scale
     }
 
-    fn predict_energy(&self, scenario: &Scenario) -> Result<Joules> {
-        let (client, transmission, edge) = self.raw_components(scenario)?;
+    fn predict_energy(&self, scenario: &CheckedScenario) -> Joules {
+        let (client, transmission, edge) = self.raw_components(scenario);
         let energy = self.compute_power * client
             + self.transmit_power * transmission
             + self.idle_power * edge;
-        Ok(energy * (self.latency_scale * self.energy_scale))
+        energy * (self.latency_scale * self.energy_scale)
     }
 
     fn calibrate(
         &mut self,
-        scenario: &Scenario,
+        scenario: &CheckedScenario,
         observed_latency: Seconds,
         observed_energy: Joules,
-    ) -> Result<()> {
+    ) {
         let raw_latency = {
-            let (c, t, e) = self.raw_components(scenario)?;
+            let (c, t, e) = self.raw_components(scenario);
             c + t + e
         };
         if raw_latency.is_positive() && observed_latency.is_positive() {
             self.latency_scale = observed_latency / raw_latency;
         }
         let scaled_energy = {
-            let (c, t, e) = self.raw_components(scenario)?;
+            let (c, t, e) = self.raw_components(scenario);
             (self.compute_power * c + self.transmit_power * t + self.idle_power * e).as_f64()
                 * self.latency_scale
         };
         if scaled_energy > 0.0 && observed_energy.is_positive() {
             self.energy_scale = observed_energy.as_f64() / scaled_energy;
         }
-        Ok(())
     }
 }
 
@@ -167,7 +160,7 @@ mod tests {
     use crate::fact::FactModel;
     use xr_types::{ExecutionTarget, GigaHertz};
 
-    fn scenario(side: f64, clock: f64, target: ExecutionTarget) -> Scenario {
+    fn scenario(side: f64, clock: f64, target: ExecutionTarget) -> CheckedScenario {
         Scenario::builder()
             .frame_side(side)
             .cpu_clock(GigaHertz::new(clock))
@@ -179,19 +172,11 @@ mod tests {
     #[test]
     fn latency_is_monotone_in_frame_size_and_clock() {
         let leaf = LeafModel::new();
-        let small = leaf
-            .predict_latency(&scenario(300.0, 2.0, ExecutionTarget::Remote))
-            .unwrap();
-        let large = leaf
-            .predict_latency(&scenario(700.0, 2.0, ExecutionTarget::Remote))
-            .unwrap();
+        let small = leaf.predict_latency(&scenario(300.0, 2.0, ExecutionTarget::Remote));
+        let large = leaf.predict_latency(&scenario(700.0, 2.0, ExecutionTarget::Remote));
         assert!(large > small);
-        let fast = leaf
-            .predict_latency(&scenario(500.0, 3.0, ExecutionTarget::Local))
-            .unwrap();
-        let slow = leaf
-            .predict_latency(&scenario(500.0, 1.0, ExecutionTarget::Local))
-            .unwrap();
+        let fast = leaf.predict_latency(&scenario(500.0, 3.0, ExecutionTarget::Local));
+        let slow = leaf.predict_latency(&scenario(500.0, 1.0, ExecutionTarget::Local));
         assert!(fast < slow);
     }
 
@@ -200,8 +185,8 @@ mod tests {
         let leaf = LeafModel::new();
         let local = scenario(500.0, 2.0, ExecutionTarget::Local);
         let remote = scenario(500.0, 2.0, ExecutionTarget::Remote);
-        let e_local = leaf.predict_energy(&local).unwrap();
-        let e_remote = leaf.predict_energy(&remote).unwrap();
+        let e_local = leaf.predict_energy(&local);
+        let e_remote = leaf.predict_energy(&remote);
         assert!(e_local.as_f64() > 0.0 && e_remote.as_f64() > 0.0);
         // Remote shifts inference cycles to the cheap idle-power state, so
         // per LEAF the remote energy is lower for equal frame sizes.
@@ -212,10 +197,9 @@ mod tests {
     fn calibration_pins_the_reference_point() {
         let mut leaf = LeafModel::new();
         let reference = scenario(500.0, 2.0, ExecutionTarget::Remote);
-        leaf.calibrate(&reference, Seconds::new(0.75), Joules::new(1.2))
-            .unwrap();
-        let latency = leaf.predict_latency(&reference).unwrap();
-        let energy = leaf.predict_energy(&reference).unwrap();
+        leaf.calibrate(&reference, Seconds::new(0.75), Joules::new(1.2));
+        let latency = leaf.predict_latency(&reference);
+        let energy = leaf.predict_energy(&reference);
         assert!((latency.as_f64() - 0.75).abs() < 1e-9);
         assert!((energy.as_f64() - 1.2).abs() < 1e-9);
     }
@@ -228,8 +212,8 @@ mod tests {
         let leaf = LeafModel::new();
         let fact = FactModel::new();
         let tiny = scenario(100.0, 3.0, ExecutionTarget::Remote);
-        let l_leaf = leaf.predict_latency(&tiny).unwrap();
-        let l_fact = fact.predict_latency(&tiny).unwrap();
+        let l_leaf = leaf.predict_latency(&tiny);
+        let l_fact = fact.predict_latency(&tiny);
         assert!(l_leaf.as_f64() > 1.0 / 30.0);
         assert!(l_leaf > l_fact);
     }

@@ -15,7 +15,7 @@
 //!   CPU/GPU split, no queueing).
 //!
 //! Both baselines expose a [`BaselineModel`] interface over the same
-//! [`Scenario`] type the proposed framework uses, plus a one-point
+//! [`CheckedScenario`] type the proposed framework uses, plus a one-point
 //! [`BaselineModel::calibrate`] step that plays the role of fitting their
 //! constants on training data. The Fig. 5 experiment calibrates every model
 //! (including the proposed one, which needs no calibration) at the central
@@ -32,8 +32,8 @@ pub mod leaf;
 pub use fact::FactModel;
 pub use leaf::LeafModel;
 
-use xr_core::Scenario;
-use xr_types::{Joules, Result, Seconds};
+use xr_core::CheckedScenario;
+use xr_types::{Joules, Seconds};
 
 /// A latency + energy analytical model that can be compared against the
 /// proposed framework on the same scenarios.
@@ -42,29 +42,17 @@ pub trait BaselineModel {
     fn name(&self) -> &'static str;
 
     /// Predicted end-to-end latency for one frame of the scenario.
-    ///
-    /// # Errors
-    ///
-    /// Returns scenario-validation errors.
-    fn predict_latency(&self, scenario: &Scenario) -> Result<Seconds>;
+    fn predict_latency(&self, scenario: &CheckedScenario) -> Seconds;
 
     /// Predicted per-frame energy consumption of the XR device.
-    ///
-    /// # Errors
-    ///
-    /// Returns scenario-validation errors.
-    fn predict_energy(&self, scenario: &Scenario) -> Result<Joules>;
+    fn predict_energy(&self, scenario: &CheckedScenario) -> Joules;
 
     /// Calibrates the model's free constants against one observed operating
     /// point (the analogue of training the baseline on measurement data).
-    ///
-    /// # Errors
-    ///
-    /// Returns scenario-validation errors.
     fn calibrate(
         &mut self,
-        scenario: &Scenario,
+        scenario: &CheckedScenario,
         observed_latency: Seconds,
         observed_energy: Joules,
-    ) -> Result<()>;
+    );
 }

@@ -8,7 +8,7 @@
 //! base power `E_base` and a thermal-conversion share `E_θ`.
 
 use crate::latency::{LatencyBreakdown, LatencyModel};
-use crate::scenario::Scenario;
+use crate::scenario::{CheckedScenario, Scenario};
 use serde::{Deserialize, Serialize};
 use xr_devices::{BasePower, MeanPowerModel, ThermalModel};
 use xr_types::{Joules, Result, Seconds, Segment, Watts};
@@ -219,7 +219,7 @@ impl EnergyModel {
     pub fn analyze(
         &self,
         latency_model: &LatencyModel,
-        scenario: &Scenario,
+        scenario: &CheckedScenario,
     ) -> Result<EnergyBreakdown> {
         let latency = latency_model.analyze(scenario)?;
         Ok(self.analyze_with_latency(scenario, &latency))
@@ -237,7 +237,7 @@ mod tests {
     use super::*;
     use xr_types::{ExecutionTarget, GigaHertz, Ratio};
 
-    fn scenario(execution: ExecutionTarget, clock: f64) -> Scenario {
+    fn scenario(execution: ExecutionTarget, clock: f64) -> CheckedScenario {
         Scenario::builder()
             .cpu_clock(GigaHertz::new(clock))
             .execution(execution)

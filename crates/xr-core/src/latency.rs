@@ -1,12 +1,12 @@
 //! The end-to-end latency analysis model of Section IV (Eqs. 1–18).
 
 use crate::encoding::EncodingLatencyModel;
-use crate::scenario::Scenario;
+use crate::scenario::{CheckedScenario, Scenario};
 use serde::{Deserialize, Serialize};
 use xr_devices::{CnnComplexityModel, ComputeResourceModel};
 use xr_queueing::MM1Queue;
 use xr_types::{MegaBytes, Result, Seconds, Segment, SPEED_OF_LIGHT};
-use xr_wireless::{CoverageZone, HandoffModel, RandomWalkMobility, WirelessLink};
+use xr_wireless::{CoverageZone, HandoffModel, RandomWalkMobility};
 
 /// Size in MB of the inference-result payload handed back to the renderer
 /// (bounding boxes + labels). Small compared to the frame itself; the paper's
@@ -203,7 +203,7 @@ impl LatencyModel {
     /// # Errors
     ///
     /// Returns [`xr_types::Error::UnstableQueue`] if any flow saturates the
-    /// buffer (scenario validation normally rules this out).
+    /// buffer (a checked scenario rules this out).
     pub fn buffering(&self, scenario: &Scenario) -> Result<Seconds> {
         if !self.include_buffering {
             return Ok(Seconds::ZERO);
@@ -358,8 +358,9 @@ impl LatencyModel {
             .edge_servers
             .iter()
             .map(|server| {
-                let link = self.link_for(server);
-                link.transmission_latency(scenario.frame.encoded_data)
+                server
+                    .link()
+                    .transmission_latency(scenario.frame.encoded_data)
             })
             .fold(Seconds::ZERO, Seconds::max)
     }
@@ -370,9 +371,9 @@ impl LatencyModel {
     #[must_use]
     pub fn result_delivery(&self, scenario: &Scenario) -> Seconds {
         if scenario.execution.uses_edge() && !scenario.edge_servers.is_empty() {
-            let server = &scenario.edge_servers[0];
-            let link = self.link_for(server);
-            link.transmission_latency(self.result_payload)
+            scenario.edge_servers[0]
+                .link()
+                .transmission_latency(self.result_payload)
         } else {
             self.memory_term(self.result_payload, scenario.client.memory_bandwidth)
         }
@@ -431,16 +432,14 @@ impl LatencyModel {
     /// Computes the full per-segment breakdown and the end-to-end total of
     /// Eq. 1 for one frame of the scenario.
     ///
-    /// The scenario is validated once, and `c_client`, each server's `c_ε`
-    /// and the buffering sum are each evaluated once; every segment equals
-    /// its public per-segment method bit for bit.
+    /// `c_client`, each server's `c_ε` and the buffering sum are each
+    /// evaluated once; every segment equals its public per-segment method
+    /// bit for bit.
     ///
     /// # Errors
     ///
-    /// Returns scenario-validation or queueing errors.
-    pub fn analyze(&self, scenario: &Scenario) -> Result<LatencyBreakdown> {
-        scenario.validate()?;
-
+    /// Returns queueing errors.
+    pub fn analyze(&self, scenario: &CheckedScenario) -> Result<LatencyBreakdown> {
         let omega_loc = scenario.execution.client_share();
         let omega_rem = scenario.execution.edge_share();
         let uses_local = scenario.execution.uses_client();
@@ -496,14 +495,6 @@ impl LatencyModel {
 
         Ok(LatencyBreakdown { segments, total })
     }
-
-    fn link_for(&self, server: &crate::scenario::EdgeServerConfig) -> WirelessLink {
-        let link = WirelessLink::new(server.technology, server.distance);
-        match server.throughput {
-            Some(throughput) => link.with_throughput(throughput),
-            None => link,
-        }
-    }
 }
 
 impl Default for LatencyModel {
@@ -519,7 +510,7 @@ mod tests {
     use xr_types::{ExecutionTarget, GigaHertz, Hertz, Meters, MetersPerSecond};
     use xr_wireless::HandoffKind;
 
-    fn local_scenario(side: f64, clock: f64) -> Scenario {
+    fn local_scenario(side: f64, clock: f64) -> CheckedScenario {
         Scenario::builder()
             .frame_side(side)
             .cpu_clock(GigaHertz::new(clock))
@@ -528,7 +519,7 @@ mod tests {
             .unwrap()
     }
 
-    fn remote_scenario(side: f64, clock: f64) -> Scenario {
+    fn remote_scenario(side: f64, clock: f64) -> CheckedScenario {
         Scenario::builder()
             .frame_side(side)
             .cpu_clock(GigaHertz::new(clock))
@@ -571,7 +562,10 @@ mod tests {
     #[test]
     fn latency_grows_with_frame_size() {
         let model = LatencyModel::published();
-        for make in [local_scenario as fn(f64, f64) -> Scenario, remote_scenario] {
+        for make in [
+            local_scenario as fn(f64, f64) -> CheckedScenario,
+            remote_scenario,
+        ] {
             let small = model.analyze(&make(300.0, 2.5)).unwrap().total();
             let large = model.analyze(&make(700.0, 2.5)).unwrap().total();
             assert!(large > small, "large {large} should exceed small {small}");

@@ -61,6 +61,6 @@ pub use energy::{EnergyBreakdown, EnergyModel, RadioPowerModel};
 pub use latency::{LatencyBreakdown, LatencyModel};
 pub use report::{PerformanceReport, XrPerformanceModel};
 pub use scenario::{
-    BufferConfig, ClientConfig, ContentionConfig, CooperationConfig, EdgeServerConfig,
-    MobilityConfig, Scenario, ScenarioBuilder, SensorConfig, TopologyConfig,
+    BufferConfig, CheckedScenario, ClientConfig, ContentionConfig, CooperationConfig,
+    EdgeServerConfig, MobilityConfig, Scenario, ScenarioBuilder, SensorConfig, TopologyConfig,
 };

@@ -3,7 +3,7 @@
 use crate::aoi::{AoiModel, AoiReport};
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::latency::{LatencyBreakdown, LatencyModel};
-use crate::scenario::Scenario;
+use crate::scenario::CheckedScenario;
 use serde::{Deserialize, Serialize};
 use xr_types::{MilliJoules, MilliSeconds, Result};
 
@@ -64,8 +64,11 @@ impl XrPerformanceModel {
     ///
     /// # Errors
     ///
-    /// Returns scenario-validation or queueing errors.
-    pub fn predict(&self, scenario: &Scenario) -> Result<(LatencyBreakdown, EnergyBreakdown)> {
+    /// Returns queueing errors.
+    pub fn predict(
+        &self,
+        scenario: &CheckedScenario,
+    ) -> Result<(LatencyBreakdown, EnergyBreakdown)> {
         let latency = self.latency.analyze(scenario)?;
         let energy = self.energy.analyze_with_latency(scenario, &latency);
         Ok((latency, energy))
@@ -77,8 +80,8 @@ impl XrPerformanceModel {
     ///
     /// # Errors
     ///
-    /// Returns scenario-validation or queueing errors.
-    pub fn analyze(&self, scenario: &Scenario) -> Result<PerformanceReport> {
+    /// Returns queueing errors.
+    pub fn analyze(&self, scenario: &CheckedScenario) -> Result<PerformanceReport> {
         let (latency, energy) = self.predict(scenario)?;
         let aoi = AoiModel::published().analyze(scenario, latency.total())?;
         Ok(PerformanceReport {
@@ -92,6 +95,7 @@ impl XrPerformanceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Scenario;
     use xr_types::{ExecutionTarget, Segment};
 
     #[test]

@@ -8,9 +8,14 @@
 //! (`xr-core`) and the ground-truth simulator (`xr-testbed`) consume the same
 //! `Scenario`, which is what makes the validation experiments of Section VIII
 //! an apples-to-apples comparison.
+//!
+//! The models and the simulator take a [`CheckedScenario`]: a scenario that
+//! has passed validation and can no longer be changed in place. Building one
+//! is the only place a scenario is validated.
 
 use crate::encoding::EncodingConfig;
 use serde::{Deserialize, Serialize};
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 use xr_devices::{CnnCatalog, CnnModel, DeviceCatalog};
 use xr_types::{
@@ -18,7 +23,7 @@ use xr_types::{
     MegaBitsPerSecond, MegaBytes, Meters, MetersPerSecond, MigrationPolicy, Ratio, Result,
     SegmentSet, TopologyLayout,
 };
-use xr_wireless::{AccessTechnology, HandoffKind};
+use xr_wireless::{AccessTechnology, HandoffKind, WirelessLink};
 
 /// The XR client device's compute-relevant parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -97,6 +102,17 @@ impl EdgeServerConfig {
             distance: Meters::new(15.0),
             technology: AccessTechnology::WiFi5GHz,
             throughput: None,
+        }
+    }
+
+    /// The wireless link to this server: its technology and distance, at
+    /// its throughput when one is set.
+    #[must_use]
+    pub fn link(&self) -> WirelessLink {
+        let link = WirelessLink::new(self.technology, self.distance);
+        match self.throughput {
+            Some(throughput) => link.with_throughput(throughput),
+            None => link,
         }
     }
 }
@@ -296,14 +312,8 @@ impl Scenario {
         self.sensors.iter().map(|s| s.arrival_rate).sum()
     }
 
-    /// Validates structural consistency: remote execution requires at least
-    /// one edge server, buffer stability, and positive workload parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfiguration`] or [`Error::UnstableQueue`]
-    /// when the scenario cannot be analysed.
-    pub fn validate(&self) -> Result<()> {
+    /// The checks of [`CheckedScenario::new`], its one caller.
+    fn validate(&self) -> Result<()> {
         if self.execution.uses_edge() && self.edge_servers.is_empty() {
             return Err(Error::invalid_configuration(
                 "remote or split execution requires at least one edge server",
@@ -320,9 +330,9 @@ impl Scenario {
         }
         if self.execution.uses_edge() {
             let total_share: f64 = self.edge_servers.iter().map(|e| e.task_share).sum();
-            if total_share <= 0.0 {
+            if !(total_share.is_finite() && total_share > 0.0) {
                 return Err(Error::invalid_configuration(
-                    "edge task shares must sum to a positive value",
+                    "edge task shares must sum to a positive, finite value",
                 ));
             }
         }
@@ -371,6 +381,52 @@ impl Scenario {
     }
 }
 
+/// A [`Scenario`] that has passed validation.
+///
+/// Only [`CheckedScenario::new`] (and [`ScenarioBuilder::build`], which
+/// calls it) constructs one, and it gives read-only access to the scenario
+/// through `Deref`, so everything that takes a `&CheckedScenario` can rely
+/// on the checks without repeating them. Changing a checked scenario means
+/// [`CheckedScenario::into_inner`], an edit, and a new check; a field cannot
+/// be assigned through the checked value:
+///
+/// ```compile_fail
+/// let mut checked = xr_core::Scenario::builder().build()?;
+/// checked.updates_per_frame = 0;
+/// # Ok::<(), xr_types::Error>(())
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct CheckedScenario(Scenario);
+
+impl CheckedScenario {
+    /// Validates `scenario`: edge servers with a positive total task share
+    /// for remote or split execution, positive rates and counts, a positive
+    /// tiled site density, and stable input-buffer queues.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfiguration`], [`Error::InvalidParameter`]
+    /// or [`Error::UnstableQueue`] when the scenario cannot be analysed.
+    pub fn new(scenario: Scenario) -> Result<Self> {
+        scenario.validate()?;
+        Ok(Self(scenario))
+    }
+
+    /// The scenario, to edit and check again.
+    #[must_use]
+    pub fn into_inner(self) -> Scenario {
+        self.0
+    }
+}
+
+impl Deref for CheckedScenario {
+    type Target = Scenario;
+
+    fn deref(&self) -> &Scenario {
+        &self.0
+    }
+}
+
 /// The three vehicular-style external sensors of the evaluation defaults,
 /// built once and shared by every scenario that keeps them.
 fn default_sensors() -> Arc<[SensorConfig]> {
@@ -386,11 +442,13 @@ fn default_sensors() -> Arc<[SensorConfig]> {
         .clone()
 }
 
-/// Builder for [`Scenario`].
+/// Builder for a [`CheckedScenario`].
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
     client: ClientConfig,
-    edge_servers: Vec<EdgeServerConfig>,
+    /// `None` keeps the default Jetson server, which [`ScenarioBuilder::build`]
+    /// creates, so a list set here is the scenario's only one.
+    edge_servers: Option<Vec<EdgeServerConfig>>,
     execution: ExecutionTarget,
     frame_side: f64,
     frame_rate: Hertz,
@@ -430,7 +488,7 @@ impl ScenarioBuilder {
         let cnn_catalog = CnnCatalog::table2();
         Self {
             client,
-            edge_servers: vec![EdgeServerConfig::jetson_xavier()],
+            edge_servers: None,
             execution: ExecutionTarget::Local,
             frame_side: 500.0,
             frame_rate: Hertz::new(30.0),
@@ -482,7 +540,7 @@ impl ScenarioBuilder {
     /// Replaces the edge-server list.
     #[must_use]
     pub fn edge_servers(mut self, servers: Vec<EdgeServerConfig>) -> Self {
-        self.edge_servers = servers;
+        self.edge_servers = Some(servers);
         self
     }
 
@@ -599,16 +657,26 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Builds and validates the scenario.
+    /// Builds and checks the scenario.
     ///
     /// # Errors
     ///
-    /// Returns the validation errors of [`Scenario::validate`].
-    pub fn build(self) -> Result<Scenario> {
-        let frame = Frame::from_resolution(FrameId::new(1), self.frame_side, self.frame_rate);
-        let scenario = Scenario {
+    /// Returns [`Error::InvalidParameter`] naming `frame_side` when the
+    /// frame side is not a positive, finite number or its frame's data size
+    /// is not finite, and the errors of [`CheckedScenario::new`].
+    pub fn build(self) -> Result<CheckedScenario> {
+        let side = self.frame_side;
+        let frame = (side.is_finite() && side > 0.0)
+            .then(|| Frame::from_resolution(FrameId::new(1), side, self.frame_rate))
+            .filter(|frame| frame.raw_data.as_f64().is_finite())
+            .ok_or_else(|| {
+                Error::invalid_parameter("frame_side", format!("{side:?} gives no finite frame"))
+            })?;
+        CheckedScenario::new(Scenario {
             client: self.client,
-            edge_servers: self.edge_servers,
+            edge_servers: self
+                .edge_servers
+                .unwrap_or_else(|| vec![EdgeServerConfig::jetson_xavier()]),
             execution: self.execution,
             frame,
             encoding: self.encoding,
@@ -622,9 +690,7 @@ impl ScenarioBuilder {
             contention: self.contention,
             topology: self.topology,
             segments: self.segments,
-        };
-        scenario.validate()?;
-        Ok(scenario)
+        })
     }
 }
 
@@ -783,6 +849,23 @@ mod tests {
             })
             .build();
         assert!(single.is_ok());
+    }
+
+    #[test]
+    fn frame_side_must_be_positive_and_give_a_finite_frame() {
+        for side in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e308] {
+            let err = Scenario::builder().frame_side(side).build().unwrap_err();
+            assert!(matches!(err, Error::InvalidParameter { .. }), "{side}");
+            assert!(err.to_string().contains("frame_side"), "{side}");
+        }
+    }
+
+    #[test]
+    fn an_edited_scenario_is_checked_again() {
+        let mut scenario = Scenario::builder().build().unwrap().into_inner();
+        scenario.updates_per_frame = 0;
+        let err = CheckedScenario::new(scenario).unwrap_err();
+        assert!(err.to_string().contains("updates_per_frame"));
     }
 
     #[test]

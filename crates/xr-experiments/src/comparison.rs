@@ -135,8 +135,8 @@ pub fn comparison_sweep(ctx: &ExperimentContext, metric: Metric) -> Result<Compa
         .simulate_session(&reference, ctx.frames_per_point())?;
     let observed_latency = reference_session.mean_latency();
     let observed_energy = reference_session.mean_energy();
-    fact.calibrate(&reference, observed_latency, observed_energy)?;
-    leaf.calibrate(&reference, observed_latency, observed_energy)?;
+    fact.calibrate(&reference, observed_latency, observed_energy);
+    leaf.calibrate(&reference, observed_latency, observed_energy);
 
     // The Fig. 5 sweep is a single-clock campaign over the frame-size axis,
     // driven by the shared engine once the baselines are calibrated.
@@ -151,14 +151,14 @@ pub fn comparison_sweep(ctx: &ExperimentContext, metric: Metric) -> Result<Compa
             Metric::Latency => (
                 session.mean_latency().as_f64() * 1e3,
                 report.latency_ms().as_f64(),
-                to_ms(fact.predict_latency(&scenario)?),
-                to_ms(leaf.predict_latency(&scenario)?),
+                to_ms(fact.predict_latency(&scenario)),
+                to_ms(leaf.predict_latency(&scenario)),
             ),
             Metric::Energy => (
                 session.mean_energy().as_f64() * 1e3,
                 report.energy_mj().as_f64(),
-                to_mj(fact.predict_energy(&scenario)?),
-                to_mj(leaf.predict_energy(&scenario)?),
+                to_mj(fact.predict_energy(&scenario)),
+                to_mj(leaf.predict_energy(&scenario)),
             ),
         };
         Ok(ComparisonPoint {

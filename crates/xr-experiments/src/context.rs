@@ -2,7 +2,10 @@
 //! campaign, and the calibrated analytical framework.
 
 use crate::campaign_args::usage_error;
-use xr_core::{ClientConfig, Scenario, ScenarioBuilder, XrPerformanceModel};
+use xr_core::{
+    CheckedScenario, ClientConfig, EdgeServerConfig, MobilityConfig, ScenarioBuilder,
+    XrPerformanceModel,
+};
 use xr_devices::DeviceCatalog;
 use xr_sweep::{grid, CampaignRunner, MobilityCondition, OperatingPoint, WirelessCondition};
 use xr_testbed::{CalibratedModels, MeasurementCampaign, TestbedSimulator};
@@ -172,13 +175,13 @@ impl ExperimentContext {
     ///
     /// # Errors
     ///
-    /// Propagates scenario-validation errors.
+    /// As [`ExperimentContext::scenario_for`].
     pub fn scenario(
         &self,
         frame_size: f64,
         cpu_clock_ghz: f64,
         execution: ExecutionTarget,
-    ) -> Result<Scenario> {
+    ) -> Result<CheckedScenario> {
         self.scenario_for(&OperatingPoint {
             index: 0,
             frame_size,
@@ -198,8 +201,8 @@ impl ExperimentContext {
 
     /// Builds the evaluation scenario for one operating point of a campaign
     /// grid: the point's client device, frame size, CPU clock and execution
-    /// target, with the point's wireless condition applied to the scenario's
-    /// own edge servers and the point's mobility condition applied to the
+    /// target, with the point's wireless condition applied to the default
+    /// Jetson edge server and the point's mobility condition applied to the
     /// device — a wireless condition overrides only the fields it names, so
     /// every non-baseline point stays pairwise comparable with its baseline
     /// twin. The baseline wireless condition applies no overrides at all;
@@ -210,16 +213,35 @@ impl ExperimentContext {
     /// queue sees). A point on any topology axis (`topology`,
     /// `site_density`, `migration_policy`) places the session on a
     /// multi-site edge map: unspecified companion axes default to a square
-    /// tiling at 400 sites/km² with eager state migration.
+    /// tiling at 400 sites/km² with eager state migration. Every override
+    /// is applied before the scenario's one check.
     ///
     /// # Errors
     ///
-    /// Propagates catalog-lookup and scenario-validation errors.
-    pub fn scenario_for(&self, point: &OperatingPoint) -> Result<Scenario> {
+    /// Propagates catalog-lookup and scenario-check errors.
+    pub fn scenario_for(&self, point: &OperatingPoint) -> Result<CheckedScenario> {
+        let mut server = EdgeServerConfig::jetson_xavier();
+        if let Some(distance) = point.wireless.distance_m {
+            server.distance = Meters::new(distance);
+        }
+        if let Some(throughput) = point.wireless.throughput_mbps {
+            server.throughput = Some(MegaBitsPerSecond::new(throughput));
+        }
+        // Applied unconditionally so a static condition's coverage radius is
+        // really in effect (artifact columns must state the measured
+        // condition); `MobilityCondition::static_device()` equals the
+        // scenario defaults, so baseline grids are unchanged.
+        let mobility = MobilityConfig {
+            speed: MetersPerSecond::new(point.mobility.speed_mps),
+            coverage_radius: Meters::new(point.mobility.coverage_radius_m),
+            ..MobilityConfig::default()
+        };
         let mut builder = ScenarioBuilder::for_client(ClientConfig::from_catalog(&point.device)?)
             .frame_side(point.frame_size)
             .cpu_clock(GigaHertz::new(point.cpu_clock_ghz))
-            .execution(point.execution);
+            .execution(point.execution)
+            .edge_servers(vec![server])
+            .mobility(mobility);
         if let Some(rate) = point.frame_rate_hz {
             builder = builder.frame_rate(xr_types::Hertz::new(rate));
         }
@@ -241,23 +263,7 @@ impl ExperimentContext {
                     .unwrap_or(xr_types::MigrationPolicy::Eager),
             });
         }
-        let mut scenario = builder.build()?;
-        for server in &mut scenario.edge_servers {
-            if let Some(distance) = point.wireless.distance_m {
-                server.distance = Meters::new(distance);
-            }
-            if let Some(throughput) = point.wireless.throughput_mbps {
-                server.throughput = Some(MegaBitsPerSecond::new(throughput));
-            }
-        }
-        // Applied unconditionally so a static condition's coverage radius is
-        // really in effect (artifact columns must state the measured
-        // condition); `MobilityCondition::static_device()` equals the
-        // scenario defaults, so baseline grids are unchanged.
-        scenario.mobility.speed = MetersPerSecond::new(point.mobility.speed_mps);
-        scenario.mobility.coverage_radius = Meters::new(point.mobility.coverage_radius_m);
-        scenario.validate()?;
-        Ok(scenario)
+        builder.build()
     }
 
     /// The campaign runner every experiment drives: worker count from

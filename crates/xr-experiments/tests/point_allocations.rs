@@ -29,10 +29,10 @@ use xr_sweep::{parse_grid_spec, CampaignRunner, ShardSpec, SweepGrid};
 
 /// The allocations one warm point makes on either path: one, the
 /// scenario's edge-server list (`Scenario::edge_servers`), a `Vec` that
-/// the grid's wireless axis edits point by point. Every other part of a
-/// point (its labels, the scenario's catalog parts and sensors, the engine
-/// storage, the row buffer, the CSV and checkpoint records) is shared or
-/// reused.
+/// `scenario_for` builds with the point's wireless condition. Every other
+/// part of a point (its labels, the scenario's catalog parts and sensors,
+/// the engine storage, the row buffer, the CSV and checkpoint records) is
+/// shared or reused.
 const ALLOCATIONS_PER_POINT: u64 = 1;
 
 /// The allocations a warm streamed run of [`SWEEP_WIDE_SHAPED`] (or of

@@ -123,11 +123,9 @@ use rand_distr::math::Tier;
 use rand_distr::{column, Exp, Normal, StandardNormalPairs};
 use std::cell::RefCell;
 use std::ops::Range;
-use xr_core::Scenario;
+use xr_core::CheckedScenario;
 use xr_types::{Joules, Result, Seconds, Segment, Watts, SPEED_OF_LIGHT};
-use xr_wireless::{
-    EdgeTopology, HandoffKind, SiteEvents, StepColumn, TopologyWalker, WirelessLink,
-};
+use xr_wireless::{EdgeTopology, HandoffKind, SiteEvents, StepColumn, TopologyWalker};
 
 /// Default number of frames simulated per batch. Sessions shorter than the
 /// width still run batched (one partial batch); longer sessions amortise
@@ -240,7 +238,7 @@ impl BatchConsts {
     fn refill(
         &mut self,
         simulator: &TestbedSimulator,
-        scenario: &Scenario,
+        scenario: &CheckedScenario,
         session_seeds: &[u64],
     ) -> Result<()> {
         // Each reused vector is taken, cleared and refilled.
@@ -289,27 +287,18 @@ impl BatchConsts {
         let remote_complexity = simulator.laws.cnn_complexity(scenario.remote_cnn);
 
         let mut edges = reuse(&mut self.edges);
-        if uses_edge && !scenario.edge_servers.is_empty() {
+        if uses_edge {
             let total_share: f64 = scenario.edge_servers.iter().map(|srv| srv.task_share).sum();
             for (i, server) in scenario.edge_servers.iter().enumerate() {
                 let c_edge = simulator.edge_resource(scenario, i, c_true);
-                let weight = if total_share > 0.0 {
-                    server.task_share / total_share * edge_share
-                } else {
-                    0.0
-                };
+                let weight = server.task_share / total_share * edge_share;
                 let decode = ms(encode_work * simulator.laws.decode_discount(), c_edge);
                 let infer = ms(frame.encoded_size.as_f64() * remote_complexity, c_edge)
                     + frame.encoded_data / server.memory_bandwidth
                     + decode;
-                let link = WirelessLink::new(server.technology, server.distance);
-                let link = match server.throughput {
-                    Some(t) => link.with_throughput(t),
-                    None => link,
-                };
                 edges.push((
                     infer * weight,
-                    link.transmission_latency(frame.encoded_data),
+                    server.link().transmission_latency(frame.encoded_data),
                 ));
             }
         }
@@ -322,14 +311,10 @@ impl BatchConsts {
         };
 
         let result_payload = xr_types::MegaBytes::new(0.01);
-        let result_delivery = if uses_edge && !scenario.edge_servers.is_empty() {
-            let server = &scenario.edge_servers[0];
-            let link = WirelessLink::new(server.technology, server.distance);
-            let link = match server.throughput {
-                Some(t) => link.with_throughput(t),
-                None => link,
-            };
-            link.transmission_latency(result_payload)
+        let result_delivery = if uses_edge {
+            scenario.edge_servers[0]
+                .link()
+                .transmission_latency(result_payload)
         } else {
             result_payload / memory
         };
@@ -869,8 +854,12 @@ impl TestbedSimulator {
     ///
     /// # Errors
     ///
-    /// Returns scenario-validation errors; `frames` must be at least 1.
-    pub fn simulate_session(&self, scenario: &Scenario, frames: u64) -> Result<GroundTruthSession> {
+    /// Returns contention errors; `frames` must be at least 1.
+    pub fn simulate_session(
+        &self,
+        scenario: &CheckedScenario,
+        frames: u64,
+    ) -> Result<GroundTruthSession> {
         let mut sessions = Vec::with_capacity(1);
         self.run_sessions(
             scenario,
@@ -924,7 +913,7 @@ impl TestbedSimulator {
     /// As [`TestbedSimulator::point_totals`].
     pub fn simulate_point(
         &self,
-        scenario: &Scenario,
+        scenario: &CheckedScenario,
         point_seed: u64,
         reps: usize,
         frames: u64,
@@ -965,13 +954,12 @@ impl TestbedSimulator {
     ///
     /// # Errors
     ///
-    /// Returns scenario-validation and model errors (identical on both
-    /// engines — every fallible hoist is seed-independent); `reps` and
-    /// `frames` must each be at least 1. On an error the contents of
-    /// `totals` are unspecified.
+    /// Returns contention errors (identical on both engines — every
+    /// fallible hoist is seed-independent); `reps` and `frames` must each
+    /// be at least 1. On an error the contents of `totals` are unspecified.
     pub fn point_totals(
         &self,
-        scenario: &Scenario,
+        scenario: &CheckedScenario,
         point_seed: u64,
         reps: usize,
         frames: u64,
@@ -1002,7 +990,7 @@ impl TestbedSimulator {
     /// Panics if the host's CPU cannot run `tier`.
     fn run_sessions<O: RepOutput>(
         &self,
-        scenario: &Scenario,
+        scenario: &CheckedScenario,
         seeds: SessionSeeds,
         frames: u64,
         tier: Tier,
@@ -1031,7 +1019,6 @@ impl TestbedSimulator {
                 SimulationEngine::Batched { width } => width.max(1),
             };
             check_frames(frames)?;
-            scenario.validate()?;
             // Outputs first, so a session too long to record fails as on
             // the scalar engine, before any model error.
             for _ in seed_list.iter() {
@@ -1471,9 +1458,10 @@ impl TestbedSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xr_core::Scenario;
     use xr_types::{ExecutionTarget, GigaHertz, Meters, MetersPerSecond};
 
-    fn scenario(side: f64, clock: f64, target: ExecutionTarget) -> Scenario {
+    fn scenario(side: f64, clock: f64, target: ExecutionTarget) -> CheckedScenario {
         Scenario::builder()
             .frame_side(side)
             .cpu_clock(GigaHertz::new(clock))
@@ -1482,7 +1470,7 @@ mod tests {
             .unwrap()
     }
 
-    fn mobile_scenario(speed: f64, radius: f64) -> Scenario {
+    fn mobile_scenario(speed: f64, radius: f64) -> CheckedScenario {
         Scenario::builder()
             .execution(ExecutionTarget::Remote)
             .mobility(xr_core::MobilityConfig {
@@ -1504,7 +1492,7 @@ mod tests {
     /// The driver's outputs for `seeds`, with every pass on `tier`.
     fn run<O: RepOutput>(
         testbed: &TestbedSimulator,
-        s: &Scenario,
+        s: &CheckedScenario,
         seeds: SessionSeeds,
         frames: u64,
         tier: Tier,
@@ -1530,7 +1518,7 @@ mod tests {
     /// [`TestbedSimulator::point_totals`] into a fresh buffer.
     fn totals_of(
         testbed: &TestbedSimulator,
-        s: &Scenario,
+        s: &CheckedScenario,
         point_seed: u64,
         reps: usize,
         frames: u64,
@@ -1599,13 +1587,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_rejects_zero_frames_and_invalid_scenarios() {
+    fn batched_rejects_zero_frames() {
         let testbed = at_width(&TestbedSimulator::new(3), 8);
         let s = scenario(500.0, 2.0, ExecutionTarget::Local);
         assert!(testbed.simulate_session(&s, 0).is_err());
-        let mut broken = s;
-        broken.updates_per_frame = 0;
-        assert!(testbed.simulate_session(&broken, 5).is_err());
     }
 
     #[test]
@@ -1664,7 +1649,7 @@ mod tests {
         policy: xr_types::MigrationPolicy,
         density: f64,
         users: Option<u32>,
-    ) -> Scenario {
+    ) -> CheckedScenario {
         let mut builder = Scenario::builder()
             .execution(ExecutionTarget::Remote)
             .frame_side(300.0)
@@ -1746,13 +1731,16 @@ mod tests {
             if let Some(users) = users {
                 legacy = legacy.contention(users);
             }
+            let single = legacy
+                .clone()
+                .topology(xr_core::TopologyConfig {
+                    layout: TopologyLayout::Single,
+                    site_density: 0.0,
+                    migration_policy: MigrationPolicy::Eager,
+                })
+                .build()
+                .unwrap();
             let legacy = legacy.build().unwrap();
-            let mut single = legacy.clone();
-            single.topology = Some(xr_core::TopologyConfig {
-                layout: TopologyLayout::Single,
-                site_density: 0.0,
-                migration_policy: MigrationPolicy::Eager,
-            });
             let reference = testbed.simulate_session_scalar(&legacy, 73).unwrap();
             assert!(reference.handoff_rate() > 0.0);
             assert_eq!(
@@ -1789,7 +1777,7 @@ mod tests {
     /// shares no batching or fusion code with either branch.
     fn scalar_reference(
         testbed: &TestbedSimulator,
-        s: &Scenario,
+        s: &CheckedScenario,
         point_seed: u64,
         reps: usize,
         frames: u64,
@@ -1960,12 +1948,14 @@ mod tests {
         // half refilled.
         let (local, remote) = (ExecutionTarget::Local, ExecutionTarget::Remote);
         let split = ExecutionTarget::Split { client_share: 0.5 };
-        let mut no_sensors = scenario(400.0, 2.5, remote);
+        let mut no_sensors = scenario(400.0, 2.5, remote).into_inner();
         no_sensors.sensors = Vec::new().into();
-        let mut saturated = scenario(400.0, 2.5, remote);
+        let no_sensors = CheckedScenario::new(no_sensors).unwrap();
+        let mut saturated = scenario(400.0, 2.5, remote).into_inner();
         saturated.contention = Some(xr_core::ContentionConfig {
             users_per_edge: 1_000_000,
         });
+        let saturated = CheckedScenario::new(saturated).unwrap();
         let points = [
             ("local", scenario(400.0, 2.5, local), 3, 20),
             ("remote", scenario(400.0, 2.5, remote), 3, 20),
@@ -1988,12 +1978,13 @@ mod tests {
         let testbed = TestbedSimulator::new(21);
         let scalar = testbed.clone().with_engine(SimulationEngine::Scalar);
         let mut reused_totals = vec![SessionTotals::empty(); 7];
-        let mut run = |testbed: &TestbedSimulator, s: &Scenario, reps: usize, frames: u64| {
-            let totals = testbed
-                .point_totals(s, 8, reps, frames, &mut reused_totals)
-                .map(|()| reused_totals.clone());
-            (totals, testbed.simulate_point(s, 8, reps, frames))
-        };
+        let mut run =
+            |testbed: &TestbedSimulator, s: &CheckedScenario, reps: usize, frames: u64| {
+                let totals = testbed
+                    .point_totals(s, 8, reps, frames, &mut reused_totals)
+                    .map(|()| reused_totals.clone());
+                (totals, testbed.simulate_point(s, 8, reps, frames))
+            };
         for (label, s, reps, frames) in &points {
             let reused = run(&testbed, s, *reps, *frames);
             let fresh = std::thread::scope(|scope| {
@@ -2115,9 +2106,10 @@ mod tests {
         // Cooperation is out of the totals by default, so the campaign
         // path skips stage 9; counting it in pins the other side of that
         // gate.
-        let mut cooperating = scenario(500.0, 2.0, ExecutionTarget::Remote);
+        let mut cooperating = scenario(500.0, 2.0, ExecutionTarget::Remote).into_inner();
         cooperating.segments = xr_types::SegmentSet::full();
         cooperating.cooperation.include_in_totals = true;
+        let cooperating = CheckedScenario::new(cooperating).unwrap();
         let testbed = TestbedSimulator::new(61);
         let mut roamed = false;
         for (label, s) in [

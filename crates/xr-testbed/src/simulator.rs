@@ -56,16 +56,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Exp, Normal, StandardNormalPairs};
 use serde::{Deserialize, Serialize};
-use xr_core::Scenario;
+use xr_core::{CheckedScenario, Scenario};
 use xr_devices::DeviceCatalog;
 use xr_queueing::EdgeContention;
 use xr_types::seed::stage_stream_seed;
 use xr_types::{
     Joules, MigrationPolicy, Ratio, Result, Seconds, Segment, TopologyLayout, Watts, SPEED_OF_LIGHT,
 };
-use xr_wireless::{
-    AccessTechnology, CoverageZone, EdgeTopology, HandoffKind, TopologyWalker, WirelessLink,
-};
+use xr_wireless::{AccessTechnology, CoverageZone, EdgeTopology, HandoffKind, TopologyWalker};
 
 /// Stable identifiers of the simulator's named RNG streams.
 ///
@@ -453,9 +451,7 @@ impl TestbedSimulator {
         index: usize,
         client_resource: f64,
     ) -> f64 {
-        let Some(server) = scenario.edge_servers.get(index) else {
-            return client_resource * self.laws.edge_speedup;
-        };
+        let server = &scenario.edge_servers[index];
         if let Some(explicit) = server.compute_resource {
             return explicit;
         }
@@ -501,14 +497,17 @@ impl TestbedSimulator {
     /// time (remote inference + memory transfer + decode).
     ///
     /// Returns `Ok(None)` when the scenario has no contention configured or
-    /// never touches an edge server (local execution, no servers) — the
-    /// pipeline then keeps the paper's private-edge behaviour bit for bit.
+    /// never touches an edge server (local execution) — the pipeline then
+    /// keeps the paper's private-edge behaviour bit for bit.
     ///
     /// # Errors
     ///
     /// Returns [`xr_types::Error::UnstableQueue`] when the offered load of
     /// the population saturates an edge server (`ρ ≥ 1`).
-    pub fn contention_snapshot(&self, scenario: &Scenario) -> Result<Option<ContentionSnapshot>> {
+    pub fn contention_snapshot(
+        &self,
+        scenario: &CheckedScenario,
+    ) -> Result<Option<ContentionSnapshot>> {
         let mut servers = Vec::new();
         let Some(users) = self.aggregate_queues(scenario, &mut servers)? else {
             return Ok(None);
@@ -546,13 +545,13 @@ impl TestbedSimulator {
     /// when the scenario has no contention or never touches an edge server.
     fn aggregate_queues(
         &self,
-        scenario: &Scenario,
+        scenario: &CheckedScenario,
         queues: &mut Vec<(f64, EdgeContention)>,
     ) -> Result<Option<u32>> {
         let Some(config) = scenario.contention else {
             return Ok(None);
         };
-        if !scenario.execution.uses_edge() || scenario.edge_servers.is_empty() {
+        if !scenario.execution.uses_edge() {
             return Ok(None);
         }
         let client = &scenario.client;
@@ -567,11 +566,7 @@ impl TestbedSimulator {
         let edge_share = scenario.execution.edge_share();
         let per_session_rate = scenario.frame.frame_rate.as_f64();
         for (i, server) in scenario.edge_servers.iter().enumerate() {
-            let weight = if total_share > 0.0 {
-                server.task_share / total_share * edge_share
-            } else {
-                0.0
-            };
+            let weight = server.task_share / total_share * edge_share;
             let service = self.edge_service_time(scenario, i, c_true, encode_work);
             let contention = EdgeContention::new(config.users_per_edge, per_session_rate, service)?;
             queues.push((weight, contention));
@@ -601,7 +596,7 @@ impl TestbedSimulator {
     /// population saturates an edge server.
     pub(crate) fn contention_plans_into(
         &self,
-        scenario: &Scenario,
+        scenario: &CheckedScenario,
         map: Option<&EdgeTopology>,
         plans: &mut ContentionPlans,
     ) -> Result<()> {
@@ -642,7 +637,7 @@ impl TestbedSimulator {
     /// As [`TestbedSimulator::contention_plans_into`].
     fn session_plans(
         &self,
-        scenario: &Scenario,
+        scenario: &CheckedScenario,
         map: Option<&EdgeTopology>,
     ) -> Result<ContentionPlans> {
         let mut plans = ContentionPlans::default();
@@ -661,13 +656,8 @@ impl TestbedSimulator {
     /// coverage radius — the bit-identity pin against the legacy walker —
     /// while the tiled layouts derive their per-site radii from
     /// `site_density` and ignore it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a tiled layout carries a non-positive site density —
-    /// unreachable for scenarios that passed [`Scenario::validate`].
     #[must_use]
-    pub fn edge_topology(scenario: &Scenario) -> Option<EdgeTopology> {
+    pub fn edge_topology(scenario: &CheckedScenario) -> Option<EdgeTopology> {
         let config = scenario.topology?;
         let technology = scenario
             .edge_servers
@@ -681,7 +671,7 @@ impl TestbedSimulator {
                 tenants,
             ),
             layout => EdgeTopology::tiled(layout, config.site_density, technology, tenants)
-                .expect("scenario validation rejects non-positive site densities"),
+                .expect("a checked scenario has a positive site density"),
         })
     }
 
@@ -691,7 +681,7 @@ impl TestbedSimulator {
     /// (only its geometry is read, so its link and tenants are
     /// placeholders). `None` for a session without a topology that never
     /// walks.
-    pub(crate) fn session_map(scenario: &Scenario) -> Option<EdgeTopology> {
+    pub(crate) fn session_map(scenario: &CheckedScenario) -> Option<EdgeTopology> {
         // Every field read here and in `edge_topology` is in `MapKey`.
         Self::edge_topology(scenario).or_else(|| {
             SessionState::walks(scenario).then(|| {
@@ -774,11 +764,10 @@ impl TestbedSimulator {
     /// Simulates one frame as part of an ongoing session, advancing the
     /// session's mobility walker by one frame window. `plans` are the
     /// session's contention plans ([`TestbedSimulator::contention_plans_into`]
-    /// on its [`TestbedSimulator::edge_topology`]), and `scenario` has
-    /// passed [`Scenario::validate`].
+    /// on its [`TestbedSimulator::edge_topology`]).
     fn simulate_frame_in_session(
         &self,
-        scenario: &Scenario,
+        scenario: &CheckedScenario,
         frame_index: u64,
         plans: &ContentionPlans,
         session: &mut SessionState,
@@ -921,7 +910,7 @@ impl TestbedSimulator {
         let frame = &scenario.frame;
         let mut remote = Seconds::ZERO;
         let mut transmission = Seconds::ZERO;
-        if s.uses_edge && !scenario.edge_servers.is_empty() {
+        if s.uses_edge {
             if let Some(plan) = contention {
                 let mut contention_rng = self.stage_rng(stream::CONTENTION, s.frame_index);
                 for (&(weight, rate), server) in plan.iter().zip(&scenario.edge_servers) {
@@ -929,13 +918,9 @@ impl TestbedSimulator {
                     let drawn = Seconds::new(sojourn.sample(&mut contention_rng));
                     remote = remote.max(drawn * weight);
 
-                    let link = WirelessLink::new(server.technology, server.distance);
-                    let link = match server.throughput {
-                        Some(t) => link.with_throughput(t),
-                        None => link,
-                    };
                     let wireless_jitter = 1.0 + rng.gen_range(0.0..0.12);
-                    let tx = link.transmission_latency(frame.encoded_data) * wireless_jitter;
+                    let tx =
+                        server.link().transmission_latency(frame.encoded_data) * wireless_jitter;
                     transmission = transmission.max(tx);
                 }
             } else {
@@ -943,24 +928,16 @@ impl TestbedSimulator {
                 let total_share: f64 = scenario.edge_servers.iter().map(|srv| srv.task_share).sum();
                 for (i, server) in scenario.edge_servers.iter().enumerate() {
                     let c_edge = self.edge_resource(scenario, i, s.c_true);
-                    let weight = if total_share > 0.0 {
-                        server.task_share / total_share * s.edge_share
-                    } else {
-                        0.0
-                    };
+                    let weight = server.task_share / total_share * s.edge_share;
                     let decode = Self::ms(s.encode_work * self.laws.decode_discount(), c_edge);
                     let infer = Self::ms(frame.encoded_size.as_f64() * remote_complexity, c_edge)
                         + frame.encoded_data / server.memory_bandwidth
                         + decode;
                     remote = remote.max(infer * weight * self.noise(&mut rng, &mut pairs));
 
-                    let link = WirelessLink::new(server.technology, server.distance);
-                    let link = match server.throughput {
-                        Some(t) => link.with_throughput(t),
-                        None => link,
-                    };
                     let wireless_jitter = 1.0 + rng.gen_range(0.0..0.12);
-                    let tx = link.transmission_latency(frame.encoded_data) * wireless_jitter;
+                    let tx =
+                        server.link().transmission_latency(frame.encoded_data) * wireless_jitter;
                     transmission = transmission.max(tx);
                 }
             }
@@ -1017,14 +994,10 @@ impl TestbedSimulator {
         let scenario = s.scenario;
         let frame = &scenario.frame;
         let result_payload = xr_types::MegaBytes::new(0.01);
-        let result_delivery = if s.uses_edge && !scenario.edge_servers.is_empty() {
-            let server = &scenario.edge_servers[0];
-            let link = WirelessLink::new(server.technology, server.distance);
-            let link = match server.throughput {
-                Some(t) => link.with_throughput(t),
-                None => link,
-            };
-            link.transmission_latency(result_payload)
+        let result_delivery = if s.uses_edge {
+            scenario.edge_servers[0]
+                .link()
+                .transmission_latency(result_payload)
         } else {
             result_payload / s.memory
         };
@@ -1108,16 +1081,13 @@ impl TestbedSimulator {
     ///
     /// # Errors
     ///
-    /// Returns scenario-validation errors; `frames` must be at least 1.
+    /// Returns contention errors; `frames` must be at least 1.
     pub fn simulate_session_scalar(
         &self,
-        scenario: &Scenario,
+        scenario: &CheckedScenario,
         frames: u64,
     ) -> Result<GroundTruthSession> {
         check_frames(frames)?;
-        // Validate before building SessionState: an invalid topology must
-        // surface as an error here, not a panic in the site-map construction.
-        scenario.validate()?;
         // One map for the session: the walker's and the contention plans'.
         let map = Self::session_map(scenario);
         let mut session = SessionState::on_map(self.seed, scenario, map.as_ref());
@@ -1189,14 +1159,8 @@ impl SessionState {
     /// its start site's coverage — the distribution the analytic `P(HO)`
     /// assumes. Any other topologized session still attaches to the map's
     /// start site.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the scenario carries a topology that fails
-    /// [`Scenario::validate`] (non-positive tiled site density) — the
-    /// session entry points validate first.
     #[must_use]
-    pub fn new(simulator: &TestbedSimulator, scenario: &Scenario) -> Self {
+    pub fn new(simulator: &TestbedSimulator, scenario: &CheckedScenario) -> Self {
         Self::on_map(
             simulator.seed,
             scenario,
@@ -1372,7 +1336,7 @@ impl ContentionPlans {
 /// operating-point quantities, and the accumulating per-segment latency map.
 #[derive(Debug)]
 struct FrameState<'a> {
-    scenario: &'a Scenario,
+    scenario: &'a CheckedScenario,
     /// Frame index within the session; combined with the session seed and a
     /// stage id, it addresses every RNG stream of the frame.
     frame_index: u64,
@@ -1398,7 +1362,7 @@ struct FrameState<'a> {
 }
 
 impl<'a> FrameState<'a> {
-    fn new(simulator: &TestbedSimulator, scenario: &'a Scenario, frame_index: u64) -> Self {
+    fn new(simulator: &TestbedSimulator, scenario: &'a CheckedScenario, frame_index: u64) -> Self {
         let client = &scenario.client;
         let bias = DeviceBias::for_device(client.name);
         Self {
@@ -1457,7 +1421,7 @@ mod tests {
     use xr_core::{LatencyModel, Scenario};
     use xr_types::{ExecutionTarget, GigaHertz, MetersPerSecond};
 
-    fn scenario(side: f64, clock: f64, target: ExecutionTarget) -> Scenario {
+    fn scenario(side: f64, clock: f64, target: ExecutionTarget) -> CheckedScenario {
         Scenario::builder()
             .frame_side(side)
             .cpu_clock(GigaHertz::new(clock))
@@ -1572,7 +1536,7 @@ mod tests {
         );
     }
 
-    fn mobile_scenario(speed: f64, radius: f64) -> Scenario {
+    fn mobile_scenario(speed: f64, radius: f64) -> CheckedScenario {
         Scenario::builder()
             .execution(ExecutionTarget::Remote)
             .mobility(xr_core::MobilityConfig {
@@ -1645,8 +1609,9 @@ mod tests {
     #[test]
     fn only_sessions_that_reach_the_edge_walk() {
         let testbed = TestbedSimulator::new(8);
-        let mut local = mobile_scenario(25.0, 8.0);
+        let mut local = mobile_scenario(25.0, 8.0).into_inner();
         local.execution = ExecutionTarget::Local;
+        let local = CheckedScenario::new(local).unwrap();
         let state = SessionState::new(&testbed, &local);
         assert!(state.walker().is_none());
         assert_eq!((state.site_index(), state.sites_visited()), (0, 1));
@@ -1676,7 +1641,7 @@ mod tests {
         assert!(testbed.laws().edge_speedup > 1.0);
     }
 
-    fn contended_scenario(users: u32) -> Scenario {
+    fn contended_scenario(users: u32) -> CheckedScenario {
         // A small frame at a relaxed frame rate: the default edge then hosts
         // ~10 sessions before the shared queue saturates, leaving room to
         // sweep the population on both sides of the knee.

@@ -8,7 +8,7 @@
 //! cargo run -p xr-examples --bin multiplayer_vr
 //! ```
 
-use xr_core::{CooperationConfig, EdgeServerConfig, Scenario, XrPerformanceModel};
+use xr_core::{CheckedScenario, CooperationConfig, EdgeServerConfig, Scenario, XrPerformanceModel};
 use xr_types::{Error, ExecutionTarget, MegaBytes, Meters, SegmentSet};
 use xr_wireless::AccessTechnology;
 
@@ -52,7 +52,7 @@ fn main() -> Result<(), Error> {
     Ok(())
 }
 
-fn vr_scenario(target: ExecutionTarget, two_servers: bool) -> Result<Scenario, Error> {
+fn vr_scenario(target: ExecutionTarget, two_servers: bool) -> Result<CheckedScenario, Error> {
     let near = EdgeServerConfig {
         name: "EDGE-XAVIER",
         distance: Meters::new(8.0),

@@ -7,7 +7,7 @@
 //! cargo run -p xr-examples --bin vehicular_ar
 //! ```
 
-use xr_core::{MobilityConfig, Scenario, SensorConfig, XrPerformanceModel};
+use xr_core::{CheckedScenario, MobilityConfig, Scenario, SensorConfig, XrPerformanceModel};
 use xr_types::{Error, ExecutionTarget, Hertz, Meters, MetersPerSecond, Segment};
 use xr_wireless::HandoffKind;
 
@@ -57,7 +57,7 @@ fn main() -> Result<(), Error> {
     Ok(())
 }
 
-fn vehicular_scenario(speed_mps: f64) -> Result<Scenario, Error> {
+fn vehicular_scenario(speed_mps: f64) -> Result<CheckedScenario, Error> {
     Scenario::builder()
         .client_from_catalog("XR1")?
         .frame_side(640.0)

@@ -47,8 +47,8 @@ fn baselines_expose_a_uniform_interface() {
     let models: Vec<Box<dyn BaselineModel>> =
         vec![Box::new(FactModel::new()), Box::new(LeafModel::new())];
     for model in models {
-        let latency = model.predict_latency(&scenario).unwrap();
-        let energy = model.predict_energy(&scenario).unwrap();
+        let latency = model.predict_latency(&scenario);
+        let energy = model.predict_energy(&scenario);
         assert!(latency.as_f64() > 0.0, "{}", model.name());
         assert!(energy.as_f64() > 0.0, "{}", model.name());
     }
@@ -64,13 +64,12 @@ fn calibration_improves_baseline_accuracy_at_the_reference_point() {
 
     let uncalibrated_error = {
         let fact = FactModel::new();
-        (fact.predict_latency(&scenario).unwrap().as_f64() - observed_latency.as_f64()).abs()
+        (fact.predict_latency(&scenario).as_f64() - observed_latency.as_f64()).abs()
     };
     let calibrated_error = {
         let mut fact = FactModel::new();
-        fact.calibrate(&scenario, observed_latency, observed_energy)
-            .unwrap();
-        (fact.predict_latency(&scenario).unwrap().as_f64() - observed_latency.as_f64()).abs()
+        fact.calibrate(&scenario, observed_latency, observed_energy);
+        (fact.predict_latency(&scenario).as_f64() - observed_latency.as_f64()).abs()
     };
     assert!(calibrated_error <= uncalibrated_error);
     assert!(calibrated_error < 1e-9);

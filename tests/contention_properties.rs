@@ -16,12 +16,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, Exp};
-use xr_core::Scenario;
+use xr_core::{CheckedScenario, Scenario};
 use xr_queueing::MM1Queue;
 use xr_testbed::TestbedSimulator;
 use xr_types::{ExecutionTarget, Hertz, Segment};
 
-fn contended_scenario(users: u32, rate_hz: f64) -> Scenario {
+fn contended_scenario(users: u32, rate_hz: f64) -> CheckedScenario {
     Scenario::builder()
         .execution(ExecutionTarget::Remote)
         .frame_side(300.0)
@@ -102,8 +102,9 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let contended = contended_scenario(1, 0.5);
-        let mut uncontended = contended.clone();
+        let mut uncontended = contended.clone().into_inner();
         uncontended.contention = None;
+        let uncontended = CheckedScenario::new(uncontended).expect("uncontended scenario is valid");
         let testbed = TestbedSimulator::new(seed).with_noise(0.0);
         let snapshot = testbed
             .contention_snapshot(&contended)

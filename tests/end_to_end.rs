@@ -1,7 +1,7 @@
 //! End-to-end integration: scenario → analytical framework → report, across
 //! execution targets, devices and CNNs.
 
-use xr_core::{Scenario, XrPerformanceModel};
+use xr_core::{CheckedScenario, Scenario, XrPerformanceModel};
 use xr_devices::{CnnCatalog, DeviceCatalog};
 use xr_integration::evaluation_scenario;
 use xr_types::{ExecutionTarget, Segment};
@@ -109,9 +109,10 @@ fn cooperation_segment_only_counts_when_requested() {
     let default_scenario = evaluation_scenario(500.0, 2.0, ExecutionTarget::Local);
     let default_report = model.analyze(&default_scenario).unwrap();
 
-    let mut coop = default_scenario.clone();
+    let mut coop = default_scenario.into_inner();
     coop.cooperation.include_in_totals = true;
     coop.segments = xr_types::SegmentSet::full();
+    let coop = CheckedScenario::new(coop).unwrap();
     let coop_report = model.analyze(&coop).unwrap();
     assert!(coop_report.latency.total() > default_report.latency.total());
     assert!(coop_report.energy.total() > default_report.energy.total());

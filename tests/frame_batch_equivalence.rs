@@ -9,42 +9,11 @@
 //! `f64` they emit, not just statistically.
 
 use proptest::prelude::*;
-use xr_core::{MobilityConfig, Scenario};
+use xr_core::{CheckedScenario, MobilityConfig, Scenario};
+use xr_integration::EngineCase;
 use xr_testbed::{SimulationEngine, TestbedSimulator};
-use xr_types::{ExecutionTarget, GigaHertz, Hertz, Meters, MetersPerSecond, Ratio};
+use xr_types::{ExecutionTarget, GigaHertz, Meters, MetersPerSecond};
 use xr_wireless::HandoffKind;
-
-#[allow(clippy::too_many_arguments)]
-fn build_scenario(
-    size: f64,
-    clock: f64,
-    share: f64,
-    fps: f64,
-    target: u8,
-    updates: u32,
-    speed: f64,
-    radius: f64,
-) -> Scenario {
-    let execution = match target {
-        0 => ExecutionTarget::Local,
-        1 => ExecutionTarget::Remote,
-        _ => ExecutionTarget::Split { client_share: 0.5 },
-    };
-    Scenario::builder()
-        .frame_side(size)
-        .cpu_clock(GigaHertz::new(clock))
-        .cpu_share(Ratio::new(share))
-        .frame_rate(Hertz::new(fps))
-        .updates_per_frame(updates)
-        .execution(execution)
-        .mobility(MobilityConfig {
-            speed: MetersPerSecond::new(speed),
-            coverage_radius: Meters::new(radius),
-            handoff_kind: HandoffKind::Vertical,
-        })
-        .build()
-        .expect("generated scenario is valid")
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -67,7 +36,10 @@ proptest! {
         density in 50.0..3000.0_f64,
         lazy in prop::sample::select(vec![false, true]),
     ) {
-        let scenario = build_scenario(size, clock, share, fps, target, updates, speed, radius);
+        let case = EngineCase {
+            size, clock, share, fps, target, updates, speed, radius, users, layout, density, lazy,
+        };
+        let scenario = case.plain();
         let testbed = TestbedSimulator::new(seed);
         let at_width = testbed.clone().with_engine(SimulationEngine::Batched { width });
         let scalar = testbed.simulate_session_scalar(&scenario, frames).unwrap();
@@ -92,14 +64,10 @@ proptest! {
 
         // Multi-tenant contention: the same property with the edge shared
         // by `users` sessions (0 keeps contention off — covered above).
-        // The frame rate is scaled down so the generator produces a mix of
-        // stable queues and saturated ones; a saturated queue must refuse
-        // to run identically in both engines.
-        if users > 0 {
-            let mut contended =
-                build_scenario(size, clock, share, fps / 6.0, target, updates, speed, radius);
-            contended.contention = Some(xr_core::ContentionConfig { users_per_edge: users });
-            contended.validate().expect("contended scenario is valid");
+        // The generator produces a mix of stable queues and saturated
+        // ones; a saturated queue must refuse to run identically in both
+        // engines.
+        if let Some(contended) = case.contended() {
             match testbed.simulate_session_scalar(&contended, frames) {
                 Ok(scalar) => {
                     let batched = at_width.simulate_session(&contended, frames).unwrap();
@@ -122,32 +90,13 @@ proptest! {
         // and (sometimes) per-site contention. Saturation of a *site's*
         // queue (tenant populations cycle around the base) must refuse
         // identically in both engines too.
-        let mut topologized = build_scenario(size, clock, share, fps / 6.0, target, updates, speed, radius);
-        let topo_layout = match layout {
-            0 => xr_types::TopologyLayout::Single,
-            1 => xr_types::TopologyLayout::Square,
-            2 => xr_types::TopologyLayout::Hex,
-            _ => xr_types::TopologyLayout::Voronoi,
-        };
-        topologized.topology = Some(xr_core::TopologyConfig {
-            layout: topo_layout,
-            site_density: if topo_layout == xr_types::TopologyLayout::Single { 0.0 } else { density },
-            migration_policy: if lazy {
-                xr_types::MigrationPolicy::Lazy
-            } else {
-                xr_types::MigrationPolicy::Eager
-            },
-        });
-        if users > 0 {
-            topologized.contention = Some(xr_core::ContentionConfig { users_per_edge: users });
-        }
-        topologized.validate().expect("topologized scenario is valid");
+        let topologized = case.topologized();
         match testbed.simulate_session_scalar(&topologized, frames) {
             Ok(scalar) => {
                 let batched = at_width.simulate_session(&topologized, frames).unwrap();
                 prop_assert!(
                     batched == scalar,
-                    "topologized engines diverged ({topo_layout:?}, density {density}, frames {frames}, width {width})"
+                    "topologized engines diverged (layout {layout}, density {density}, frames {frames}, width {width})"
                 );
             }
             Err(scalar_err) => {
@@ -166,7 +115,7 @@ fn multi_server_uplink_keeps_the_pair_parity_across_engines() {
     // sine half — with a uniform jitter word interleaved between servers.
     // Odd and even server counts end the frame in different cache states,
     // so run both against the scalar reference at awkward widths.
-    let mut cases: Vec<(String, Scenario, u64, u64, &[usize])> = Vec::new();
+    let mut cases: Vec<(String, CheckedScenario, u64, u64, &[usize])> = Vec::new();
     for server_count in [1usize, 2, 3, 4, 5] {
         let servers: Vec<_> = (0..server_count)
             .map(|i| {

@@ -5,27 +5,128 @@
 
 #![forbid(unsafe_code)]
 
+use xr_core::{CheckedScenario, MobilityConfig, Scenario, ScenarioBuilder, TopologyConfig};
+use xr_types::{
+    ExecutionTarget, GigaHertz, Hertz, Meters, MetersPerSecond, MigrationPolicy, Ratio,
+    TopologyLayout,
+};
+
 /// Builds the standard evaluation scenario used across the integration tests:
 /// the held-out XR2 client at a given frame size, clock and execution target.
 ///
 /// # Panics
 ///
-/// Panics if the scenario fails validation (it never does for valid sweep
+/// Panics if the scenario fails its check (it never does for valid sweep
 /// inputs).
 #[must_use]
 pub fn evaluation_scenario(
     frame_size: f64,
     cpu_clock_ghz: f64,
-    execution: xr_types::ExecutionTarget,
-) -> xr_core::Scenario {
-    xr_core::Scenario::builder()
+    execution: ExecutionTarget,
+) -> CheckedScenario {
+    Scenario::builder()
         .client_from_catalog("XR2")
         .expect("XR2 exists")
         .frame_side(frame_size)
-        .cpu_clock(xr_types::GigaHertz::new(cpu_clock_ghz))
+        .cpu_clock(GigaHertz::new(cpu_clock_ghz))
         .execution(execution)
         .build()
         .expect("valid scenario")
+}
+
+/// The inputs the engine-equivalence property tests draw for one case, and
+/// the three scenarios they run on both engines. `target` 0 runs locally, 1
+/// remotely and anything else splits evenly; `users` 0 keeps contention
+/// off; `layout` 0 is the single site, 1 square, 2 hex and anything else
+/// Voronoi. Each method panics if its scenario fails its check.
+#[derive(Debug, Clone, Copy)]
+pub struct EngineCase {
+    pub size: f64,
+    pub clock: f64,
+    pub share: f64,
+    pub fps: f64,
+    pub target: u8,
+    pub updates: u32,
+    pub speed: f64,
+    pub radius: f64,
+    pub users: u32,
+    pub layout: u8,
+    pub density: f64,
+    pub lazy: bool,
+}
+
+impl EngineCase {
+    /// The case's workload, device and mobility, without contention or a
+    /// topology.
+    #[must_use]
+    pub fn plain(&self) -> CheckedScenario {
+        self.builder(self.fps)
+            .build()
+            .expect("generated scenario is valid")
+    }
+
+    /// The case with `users` sessions sharing each edge server, at a sixth
+    /// of its frame rate, low enough that the generated populations give a
+    /// mix of stable and saturated queues; `None` when `users` is 0.
+    #[must_use]
+    pub fn contended(&self) -> Option<CheckedScenario> {
+        (self.users > 0).then(|| {
+            self.builder(self.fps / 6.0)
+                .contention(self.users)
+                .build()
+                .expect("contended scenario is valid")
+        })
+    }
+
+    /// The case at a sixth of its frame rate on a multi-site edge map of
+    /// its layout, density and migration policy (the single layout has no
+    /// density), contended when `users` is positive.
+    #[must_use]
+    pub fn topologized(&self) -> CheckedScenario {
+        let layout = match self.layout {
+            0 => TopologyLayout::Single,
+            1 => TopologyLayout::Square,
+            2 => TopologyLayout::Hex,
+            _ => TopologyLayout::Voronoi,
+        };
+        let mut builder = self.builder(self.fps / 6.0).topology(TopologyConfig {
+            layout,
+            site_density: if layout == TopologyLayout::Single {
+                0.0
+            } else {
+                self.density
+            },
+            migration_policy: if self.lazy {
+                MigrationPolicy::Lazy
+            } else {
+                MigrationPolicy::Eager
+            },
+        });
+        if self.users > 0 {
+            builder = builder.contention(self.users);
+        }
+        builder.build().expect("topologized scenario is valid")
+    }
+
+    fn builder(&self, fps: f64) -> ScenarioBuilder {
+        let execution = match self.target {
+            0 => ExecutionTarget::Local,
+            1 => ExecutionTarget::Remote,
+            _ => ExecutionTarget::Split { client_share: 0.5 },
+        };
+        Scenario::builder()
+            .frame_side(self.size)
+            .cpu_clock(GigaHertz::new(self.clock))
+            .cpu_share(Ratio::new(self.share))
+            .frame_rate(Hertz::new(fps))
+            .updates_per_frame(self.updates)
+            .execution(execution)
+            .mobility(MobilityConfig {
+                speed: MetersPerSecond::new(self.speed),
+                coverage_radius: Meters::new(self.radius),
+                ..MobilityConfig::default()
+            })
+    }
 }
 
 /// The text of a checked-in grid spec under the repository's `configs/`

@@ -12,50 +12,19 @@
 //! too: a point whose scenario saturates a queue refuses identically.
 
 use proptest::prelude::*;
-use xr_core::{MobilityConfig, Scenario};
+use xr_core::{CheckedScenario, MobilityConfig, Scenario};
+use xr_integration::EngineCase;
 use xr_testbed::{
     GroundTruthSession, SessionTotals, SimulationEngine, TestbedSimulator, DEFAULT_BATCH_WIDTH,
 };
-use xr_types::{ExecutionTarget, GigaHertz, Hertz, Meters, MetersPerSecond, Ratio};
+use xr_types::{ExecutionTarget, Hertz, Meters, MetersPerSecond};
 use xr_wireless::HandoffKind;
-
-#[allow(clippy::too_many_arguments)]
-fn build_scenario(
-    size: f64,
-    clock: f64,
-    share: f64,
-    fps: f64,
-    target: u8,
-    updates: u32,
-    speed: f64,
-    radius: f64,
-) -> Scenario {
-    let execution = match target {
-        0 => ExecutionTarget::Local,
-        1 => ExecutionTarget::Remote,
-        _ => ExecutionTarget::Split { client_share: 0.5 },
-    };
-    Scenario::builder()
-        .frame_side(size)
-        .cpu_clock(GigaHertz::new(clock))
-        .cpu_share(Ratio::new(share))
-        .frame_rate(Hertz::new(fps))
-        .updates_per_frame(updates)
-        .execution(execution)
-        .mobility(MobilityConfig {
-            speed: MetersPerSecond::new(speed),
-            coverage_radius: Meters::new(radius),
-            handoff_kind: HandoffKind::Vertical,
-        })
-        .build()
-        .expect("generated scenario is valid")
-}
 
 /// The scalar oracle: one standalone scalar-engine session per replication
 /// seed of the point.
 fn scalar_sessions(
     testbed: &TestbedSimulator,
-    scenario: &Scenario,
+    scenario: &CheckedScenario,
     point_seed: u64,
     reps: usize,
     frames: u64,
@@ -74,7 +43,7 @@ fn scalar_sessions(
 /// not.
 fn assert_fused_matches_per_rep(
     fused: &TestbedSimulator,
-    scenario: &Scenario,
+    scenario: &CheckedScenario,
     point_seed: u64,
     reps: usize,
     frames: u64,
@@ -134,20 +103,18 @@ proptest! {
         // or in several, with segments down to one lane.
         let fused = TestbedSimulator::new(9).with_engine(SimulationEngine::Batched { width });
 
-        let scenario = build_scenario(size, clock, share, fps, target, updates, speed, radius);
+        let case = EngineCase {
+            size, clock, share, fps, target, updates, speed, radius, users, layout, density, lazy,
+        };
         assert_fused_matches_per_rep(
-            &fused, &scenario, point_seed, reps, frames,
+            &fused, &case.plain(), point_seed, reps, frames,
             &format!("plain, reps {reps}, width {width}, frames {frames}"),
         )?;
 
-        // Multi-tenant contention, at a frame rate low enough to generate
-        // a mix of stable and saturated queues (a saturated point must
-        // refuse identically on both paths).
-        if users > 0 {
-            let mut contended =
-                build_scenario(size, clock, share, fps / 6.0, target, updates, speed, radius);
-            contended.contention = Some(xr_core::ContentionConfig { users_per_edge: users });
-            contended.validate().expect("contended scenario is valid");
+        // Multi-tenant contention, with a mix of stable and saturated
+        // queues (a saturated point must refuse identically on both
+        // paths).
+        if let Some(contended) = case.contended() {
             assert_fused_matches_per_rep(
                 &fused, &contended, point_seed, reps, frames,
                 &format!("contended, users {users}, reps {reps}, width {width}"),
@@ -157,30 +124,10 @@ proptest! {
         // Edge topology: per-rep walkers and migration state live in
         // rep-indexed banks on the fused path, so roaming sessions are the
         // sharpest divergence detector.
-        let mut topologized =
-            build_scenario(size, clock, share, fps / 6.0, target, updates, speed, radius);
-        let topo_layout = match layout {
-            0 => xr_types::TopologyLayout::Single,
-            1 => xr_types::TopologyLayout::Square,
-            2 => xr_types::TopologyLayout::Hex,
-            _ => xr_types::TopologyLayout::Voronoi,
-        };
-        topologized.topology = Some(xr_core::TopologyConfig {
-            layout: topo_layout,
-            site_density: if topo_layout == xr_types::TopologyLayout::Single { 0.0 } else { density },
-            migration_policy: if lazy {
-                xr_types::MigrationPolicy::Lazy
-            } else {
-                xr_types::MigrationPolicy::Eager
-            },
-        });
-        if users > 0 {
-            topologized.contention = Some(xr_core::ContentionConfig { users_per_edge: users });
-        }
-        topologized.validate().expect("topologized scenario is valid");
+        let topologized = case.topologized();
         assert_fused_matches_per_rep(
             &fused, &topologized, point_seed, reps, frames,
-            &format!("topologized {topo_layout:?}, density {density:.0}, reps {reps}, width {width}"),
+            &format!("topologized layout {layout}, density {density:.0}, reps {reps}, width {width}"),
         )?;
     }
 }

@@ -1,13 +1,13 @@
 //! Property-based tests (proptest) over the framework's core invariants.
 
 use proptest::prelude::*;
-use xr_core::{LatencyModel, Scenario, XrPerformanceModel};
+use xr_core::{CheckedScenario, LatencyModel, Scenario, XrPerformanceModel};
 use xr_queueing::{MM1Queue, MM1Simulator};
 use xr_stats::{metrics, LinearRegression};
 use xr_sweep::{parse_grid_spec, CheckpointHeader, ShardCheckpoint, ShardManifest, ShardSpec};
 use xr_types::{ExecutionTarget, GigaHertz, Hertz, Ratio, Segment};
 
-fn scenario_strategy() -> impl Strategy<Value = Scenario> {
+fn scenario_strategy() -> impl Strategy<Value = CheckedScenario> {
     (
         300.0..700.0_f64,                      // frame size
         1.0..3.2_f64,                          // CPU clock

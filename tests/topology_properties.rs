@@ -30,7 +30,7 @@
 //!    engine with a tail batch, and a fused three-replication point.
 
 use proptest::prelude::*;
-use xr_core::{MobilityConfig, Scenario, TopologyConfig};
+use xr_core::{CheckedScenario, MobilityConfig, Scenario, TopologyConfig};
 use xr_testbed::simulator::stream;
 use xr_testbed::{GroundTruthSession, SimulationEngine, TestbedSimulator};
 use xr_types::seed::{mix, stage_stream_seed};
@@ -42,7 +42,12 @@ use xr_wireless::{
     AccessTechnology, CoverageZone, EdgeTopology, HandoffKind, RandomWalkMobility, RandomWalker,
 };
 
-fn mobile_scenario(speed: f64, radius: f64, users: Option<u32>) -> Scenario {
+fn mobile_scenario(
+    speed: f64,
+    radius: f64,
+    users: Option<u32>,
+    topology: Option<TopologyConfig>,
+) -> CheckedScenario {
     let mut builder = Scenario::builder()
         .execution(ExecutionTarget::Remote)
         .frame_side(300.0)
@@ -54,6 +59,9 @@ fn mobile_scenario(speed: f64, radius: f64, users: Option<u32>) -> Scenario {
         });
     if let Some(users) = users {
         builder = builder.contention(users);
+    }
+    if let Some(topology) = topology {
+        builder = builder.topology(topology);
     }
     builder.build().expect("scenario is valid")
 }
@@ -118,13 +126,12 @@ proptest! {
         users in prop::sample::select(vec![0u32, 1, 3, 5]),
     ) {
         let users = (users > 0).then_some(users);
-        let legacy = mobile_scenario(speed, radius, users);
-        let mut single = legacy.clone();
-        single.topology = Some(TopologyConfig {
+        let legacy = mobile_scenario(speed, radius, users, None);
+        let single = mobile_scenario(speed, radius, users, Some(TopologyConfig {
             layout: TopologyLayout::Single,
             site_density: 0.0,
             migration_policy: MigrationPolicy::Eager,
-        });
+        }));
         let testbed = TestbedSimulator::new(seed);
         let reference = testbed.simulate_session_scalar(&legacy, frames).unwrap();
         let scalar = testbed.simulate_session_scalar(&single, frames).unwrap();
@@ -151,13 +158,11 @@ proptest! {
         density in 100.0..2500.0_f64,
         seed in 0u64..1_000_000,
     ) {
-        let mut scenario = mobile_scenario(0.0, 30.0, Some(users));
-        scenario.topology = Some(TopologyConfig {
+        let scenario = mobile_scenario(0.0, 30.0, Some(users), Some(TopologyConfig {
             layout: TopologyLayout::Square,
             site_density: density,
             migration_policy: MigrationPolicy::Eager,
-        });
-        scenario.validate().expect("topologized scenario is valid");
+        }));
         let testbed = TestbedSimulator::new(seed).with_noise(0.0);
         let snapshot = testbed
             .contention_snapshot(&scenario)
@@ -280,17 +285,15 @@ fn eager_migration_costs_more_than_lazy_on_the_same_walk() {
     // Same map, same walk, same noise streams — only the per-migration
     // base differs, so the eager session's migration bill strictly
     // dominates the lazy one's while every migration count matches.
-    let mut eager = mobile_scenario(25.0, 8.0, None);
-    eager.topology = Some(TopologyConfig {
-        layout: TopologyLayout::Hex,
-        site_density: 1600.0,
-        migration_policy: MigrationPolicy::Eager,
-    });
-    let mut lazy = eager.clone();
-    lazy.topology = Some(TopologyConfig {
-        migration_policy: MigrationPolicy::Lazy,
-        ..eager.topology.unwrap()
-    });
+    let hex = |migration_policy| {
+        let topology = TopologyConfig {
+            layout: TopologyLayout::Hex,
+            site_density: 1600.0,
+            migration_policy,
+        };
+        mobile_scenario(25.0, 8.0, None, Some(topology))
+    };
+    let (eager, lazy) = (hex(MigrationPolicy::Eager), hex(MigrationPolicy::Lazy));
     let testbed = TestbedSimulator::new(7);
     let eager_session = testbed.simulate_session(&eager, 400).unwrap();
     let lazy_session = testbed.simulate_session(&lazy, 400).unwrap();
